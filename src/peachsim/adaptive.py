@@ -154,21 +154,17 @@ def adaptive_init(
     return state
 
 
-def adaptive_update(state: AdaptiveState, y_new: np.ndarray, y_old: np.ndarray | None = None):
+def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
     """Slide the window one step and return the refreshed weights.
 
-    ``y_old`` is the sample leaving the window (the one inserted
-    ``window_len`` steps ago); when omitted it is taken from the stored
-    window.  If the updated system is too ill-conditioned to solve, the
-    previous weights are kept and ``state.fallback`` is set.
+    The sample leaving the window is the one inserted ``window_len`` steps
+    ago; its cached quadratic forms are subtracted, so the averages always
+    match the stored window.  If the updated system is too ill-conditioned
+    to solve, the previous weights are kept and ``state.fallback`` is set.
     """
     y_new = np.asarray(y_new, dtype=complex)
-    popped = state.window.popleft()
-    quad_popped = state._quad_cache.popleft()
-    if y_old is None or np.array_equal(y_old, popped):
-        quad_old = quad_popped
-    else:
-        quad_old = _quad_forms(state.model, state.degree, np.asarray(y_old, dtype=complex))
+    state.window.popleft()
+    quad_old = state._quad_cache.popleft()
     quad_new = _quad_forms(state.model, state.degree, y_new)
     _accumulate(state, quad_new - quad_old, 1.0 / state.window_len)
     state.window.append(y_new)

@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularLimit, UnsupportedEstimator, ZeroTraceError
-from .estimators import weighted_poly_fit
 from .model import Dims, hermitize
+from .spectrum import Spectrum, neumann_values
 
 
 @dataclass(frozen=True)
@@ -120,87 +120,52 @@ class ContaminatedFloors(NamedTuple):
     wpeach: float
 
 
-def _truncated_inverse(base: np.ndarray, degree: int) -> np.ndarray:
-    # B_L = (2 / lam) sum_{l=0}^{degree} (I - (2 / lam) base)^l with
-    # lam = lambda_max + lambda_min; the high-power limit of the expansion.
-    eigs = np.linalg.eigvalsh(base)
-    lam = eigs[-1] + eigs[0]
+def _peach_floor(spectrum: Spectrum, degree: int) -> float:
+    # high-power limit of the expansion: alpha = 2 / (lambda_max + lambda_min)
+    # of the limit matrix
+    lam = spectrum.lam[-1] + spectrum.lam[0]
     if lam <= 0:
         raise SingularLimit("limit matrix must have positive extreme-eigenvalue sum")
-    x = np.eye(base.shape[0]) - (2.0 / lam) * base
-    acc = np.eye(base.shape[0], dtype=complex)
-    cur = np.eye(base.shape[0], dtype=complex)
-    for _ in range(degree):
-        cur = cur @ x
-        acc = acc + cur
-    return (2.0 / lam) * acc
+    return spectrum.mse(neumann_values(spectrum.lam, 2.0 / lam, degree))
 
 
-def _moment_floor(r_cov: np.ndarray, base: np.ndarray, degree: int, alpha_w: float) -> float:
-    # Weighted-kind floor trace(r) - b^H A^{-1} b with moments t_k = tr(r^2 base^k):
-    # A[i, j] = alpha_w^(i+j) t_(i+j-1) and b[i] = alpha_w^i t_(i-1).  Noise-limited
-    # floors use base = r (t_(i+j-1) = tr(r^(i+j+1))), contaminated floors use
-    # base = r + sum_interf.  The quadratic b^H A^{-1} b is independent of alpha_w
-    # and is evaluated through the least-squares form of the moment system,
-    # which stays accurate where the normal equations are numerically singular.
-    if alpha_w <= 0:
-        raise ValueError("alpha_w must be positive")
-    eigs, vecs = np.linalg.eigh(base)
-    node_weights = np.sum(np.abs(r_cov @ vecs) ** 2, axis=0)
-    if eigs[-1] <= 0:
-        return float(np.trace(r_cov).real)
-    keep = eigs > 1e-14 * eigs[-1]
-    dropped_mass = node_weights[~keep]
-    if dropped_mass.size and np.any(dropped_mass > 1e-12 * max(node_weights.max(), 1e-300)):
-        raise SingularLimit("limit matrix is singular where the channel has energy")
-    eigs, node_weights = eigs[keep], node_weights[keep]
-    _, residual = weighted_poly_fit(eigs, node_weights, degree)
-    return float(np.trace(r_cov).real - np.sum(node_weights / eigs)) + residual
-
-
-def floor_noise_limited(r_cov: np.ndarray, degree: int, alpha_w: float) -> NoiseLimitedFloors:
+def floor_noise_limited(r_cov: np.ndarray, degree: int) -> NoiseLimitedFloors:
     """High-power MSE floors of the polynomial estimators without interference.
 
     The exact estimators have no floor here; the polynomial ones saturate at
-    values set entirely by the channel covariance and the degree.
+    values set entirely by the channel covariance and the degree.  Both come
+    from one eigendecomposition of the limit matrix r_cov.
     """
     r_cov = hermitize(np.asarray(r_cov, dtype=complex))
-    b_l = _truncated_inverse(r_cov, degree)
-    rb = r_cov @ b_l
-    peach = float(np.trace(r_cov + rb @ r_cov @ rb.conj().T - 2.0 * rb @ r_cov).real)
-    wpeach = _moment_floor(r_cov, r_cov, degree, alpha_w)
-    return NoiseLimitedFloors(peach=peach, wpeach=wpeach)
+    spectrum = Spectrum.of(r_cov, r_cov, float(np.trace(r_cov).real))
+    return NoiseLimitedFloors(peach=_peach_floor(spectrum, degree), wpeach=spectrum.fit(degree)[1])
 
 
-def floor_contaminated(
-    r_cov: np.ndarray,
-    sum_interf: np.ndarray,
-    degree: int,
-    alpha_w: float,
-) -> ContaminatedFloors:
+def floor_contaminated(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -> ContaminatedFloors:
     """High-power MSE floors of all estimators under pilot contamination.
 
     ``sum_interf`` is the summed interferer covariance (power ratios already
     applied).  All floors depend only on the channel and interference
-    covariances, not the pilot or noise power.
+    covariances, not the pilot or noise power; the MMSE, PEACH and W-PEACH
+    floors come from one eigendecomposition of the limit matrix
+    r_cov + sum_interf.
     """
     r_cov = hermitize(np.asarray(r_cov, dtype=complex))
     sum_interf = hermitize(np.asarray(sum_interf, dtype=complex))
-    total = hermitize(r_cov + sum_interf)
-    eigs = np.linalg.eigvalsh(total)
-    if eigs[0] <= 1e-14 * max(eigs[-1], 1.0):
+    spectrum = Spectrum.of(hermitize(r_cov + sum_interf), r_cov, float(np.trace(r_cov).real))
+    if spectrum.lam[0] <= 1e-14 * max(spectrum.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
-    mmse = float(np.trace(r_cov).real - np.trace(r_cov @ np.linalg.solve(total, r_cov)).real)
     r_diag = np.diag(r_cov).real
     s_diag = np.diag(sum_interf).real
     denom = r_diag + s_diag
     ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
     diagonalized = float(np.sum(r_diag) - np.sum(ratio))
-    b_l = _truncated_inverse(total, degree)
-    rb = r_cov @ b_l
-    peach = float(np.trace(r_cov + rb @ total @ rb.conj().T - 2.0 * rb @ r_cov).real)
-    wpeach = _moment_floor(r_cov, total, degree, alpha_w)
-    return ContaminatedFloors(mmse=mmse, diagonalized=diagonalized, peach=peach, wpeach=wpeach)
+    return ContaminatedFloors(
+        mmse=spectrum.mmse(),
+        diagonalized=diagonalized,
+        peach=_peach_floor(spectrum, degree),
+        wpeach=spectrum.fit(degree)[1],
+    )
 
 
 def sinr(gamma: float, k_interferers: int, beta: float) -> float:

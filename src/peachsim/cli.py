@@ -285,10 +285,9 @@ def _analytic_mses(model: StatModel, peach_est, wpeach_est) -> dict:
 
 def _floor_values(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     r_cov = model.r_cov
-    alpha_w = estimators.default_alpha_w(model)
     if any(beta > 0 for beta in config.betas):
         sum_interf = summed_interference(model, config.betas, config.correlation)
-        floors = analysis.floor_contaminated(r_cov, sum_interf, degree, alpha_w)
+        floors = analysis.floor_contaminated(r_cov, sum_interf, degree)
         # high-power limit of the unbiased estimator's variance for an identity pilot
         mvu_floor = float(np.trace(sum_interf).real)
         return {
@@ -298,7 +297,7 @@ def _floor_values(model: StatModel, config: ExperimentConfig, degree: int) -> di
             "peach": floors.peach,
             "wpeach": floors.wpeach,
         }
-    floors = analysis.floor_noise_limited(r_cov, degree, alpha_w)
+    floors = analysis.floor_noise_limited(r_cov, degree)
     return {
         "mmse": 0.0,
         "mvu": 0.0,

@@ -6,8 +6,10 @@ single scaling (kind ``PEACH``), its per-term weighted refinement with
 MSE-optimal weights (kind ``W-PEACH``), and the regularized variants that
 approximate the MVU estimator.
 
-Estimation paths use only matrix-vector recursions, O(L * m^2).  Analysis
-paths (MSE formulas, weight systems) form dense matrix powers.
+Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
+MSEs and the optimal weights come from the model's one cached spectrum of z
+(see :mod:`peachsim.spectrum`); the dense weight system and filter views are
+kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .errors import (
     SingularCovariance,
     UnsupportedPilot,
 )
-from .model import StatModel, deviation, hermitize
+from .model import StatModel, deviation, hermitize, z_matrix
+from .spectrum import neumann_values
 
 # Condition number above which weight solves switch to Tikhonov regularization.
 WEIGHT_COND_LIMIT = 1e12
@@ -87,12 +90,6 @@ class WeightSystem:
 
 # ---------------------------------------------------------------------------
 # observation covariance and scaling rules
-
-
-def z_matrix(model: StatModel) -> np.ndarray:
-    """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov."""
-    pe = model.pilot_ext
-    return hermitize(pe @ model.r_cov @ pe.conj().T + model.s_cov)
 
 
 def _z_apply(model: StatModel, v: np.ndarray) -> np.ndarray:
@@ -169,25 +166,15 @@ def mmse_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
 def mmse_mse(model: StatModel) -> float:
     """Closed-form MSE of the MMSE estimator.
 
-    Evaluates trace((r_cov^{-1} + pilot_ext^H s_cov^{-1} pilot_ext)^{-1}) when
-    r_cov is invertible and the algebraically equivalent
-    trace(r_cov - r_cov pilot_ext^H z^{-1} pilot_ext r_cov) otherwise.
+    trace(r_cov - r_cov pilot_ext^H z^{-1} pilot_ext r_cov), evaluated on the
+    spectrum of z (the filter v(lam) = 1 / lam).
     """
-    r = model.r_cov
-    pe = model.pilot_ext
-    eigs = np.linalg.eigvalsh(r)
-    if eigs[0] > 1e-12 * max(eigs[-1], 1.0):
-        info = pe.conj().T @ np.linalg.solve(model.s_cov, pe)
-        total = hermitize(np.linalg.inv(r) + info)
-        return float(np.sum(1.0 / np.linalg.eigvalsh(total)))
-    b = pe @ r
-    x = np.linalg.solve(z_matrix(model), b)
-    return float(np.trace(r).real - np.sum(b.conj() * x).real)
+    return model.z_spectrum.mmse()
 
 
 def mvu_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Minimum-variance unbiased estimate; uses disturbance statistics only."""
-    gram, t = _mvu_gram(model)
+    gram, t, _ = _mvu_gram(model)
     y = np.asarray(y, dtype=complex)
     rhs = t.conj().T @ (y - _offset(model.n_mean, y))
     return np.linalg.solve(gram, rhs)
@@ -195,8 +182,8 @@ def mvu_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
 
 def mvu_variance(model: StatModel) -> float:
     """Estimation variance trace((pilot_ext^H s_cov^{-1} pilot_ext)^{-1})."""
-    gram, _ = _mvu_gram(model)
-    return float(np.sum(1.0 / np.linalg.eigvalsh(gram)))
+    _, _, eigs = _mvu_gram(model)
+    return float(np.sum(1.0 / eigs))
 
 
 def _mvu_gram(model: StatModel):
@@ -208,7 +195,7 @@ def _mvu_gram(model: StatModel):
         raise RankDeficientPilot(
             "pilot_ext^H s_cov^{-1} pilot_ext is singular; the pilot does not excite all channel dimensions"
         )
-    return gram, t
+    return gram, t, eigs
 
 
 def _identity_pilot_power(model: StatModel) -> float:
@@ -287,8 +274,9 @@ def make_wpeach(
 
     Defaults: ``alpha_w = 1 / lambda_max`` of the observation covariance (a
     numerically safe choice) and MSE-optimal weights, computed through the
-    least-squares form of the weight system (see :func:`weighted_poly_fit`),
-    which stays accurate where the normal-equations solve degrades.
+    least-squares form of the weight system (see
+    :meth:`peachsim.spectrum.Spectrum.fit`), which stays accurate where the
+    normal-equations solve degrades.
     """
     if alpha_w is None:
         alpha_w = default_alpha_w(model)
@@ -304,13 +292,9 @@ def make_wpeach(
 
 def default_alpha_w(model: StatModel, use_trace: bool = False) -> float:
     """Weighted-estimator scaling 1 / lambda_max(z), or 2 / trace(z) for large m."""
-    z = z_matrix(model)
     if use_trace:
-        return alpha_trace(z)
-    eigs = np.linalg.eigvalsh(z)
-    if eigs[0] <= 0:
-        raise NotPositiveDefinite("observation covariance must be positive definite")
-    return float(1.0 / eigs[-1])
+        return alpha_trace(z_matrix(model))
+    return float(1.0 / model.z_spectrum.lam[-1])
 
 
 def make_mvu_peach(
@@ -442,7 +426,7 @@ def estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# analysis path: dense MSE formulas and the weight system
+# analysis path: spectral MSE formulas and the dense weight system
 
 
 def _poly_accumulate(x: np.ndarray, degree: int) -> np.ndarray:
@@ -458,18 +442,11 @@ def _poly_accumulate(x: np.ndarray, degree: int) -> np.ndarray:
 def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     """Closed-form MSE of the unweighted polynomial estimator.
 
-    Dense evaluation of trace(r + r pilot^H A_L z A_L^H pilot r
-    - 2 r pilot^H A_L pilot r) with A_L the truncated expansion of z^{-1}.
+    trace(r + r pilot^H A_L z A_L^H pilot r - 2 r pilot^H A_L pilot r) with
+    A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
     """
-    z = z_matrix(model)
-    m = z.shape[0]
-    a_l = alpha * _poly_accumulate(np.eye(m) - alpha * z, degree)
-    b = model.pilot_ext @ model.r_cov
-    f = hermitize(b @ b.conj().T)
-    tr_r = float(np.trace(model.r_cov).real)
-    quad = float(np.trace(f @ a_l @ z @ a_l.conj().T).real)
-    cross = float(np.trace(f @ a_l).real)
-    return tr_r + quad - 2.0 * cross
+    spectrum = model.z_spectrum
+    return spectrum.mse(neumann_values(spectrum.lam, alpha, degree))
 
 
 def wpeach_weight_system(model: StatModel, degree: int, alpha_w: float) -> WeightSystem:
@@ -532,65 +509,11 @@ def wpeach_weights_optimal(ws: WeightSystem) -> np.ndarray:
     return weights
 
 
-# The weight system is a moment (Hankel-type) matrix whose condition number
-# grows geometrically with the degree, so the minimum MSE and the weights are
-# also computed through an equivalent weighted polynomial least-squares fit
-# in the eigenbasis of the observation covariance: with z = U diag(lam) U^H
-# and phi_k the channel energy along eigenvector k, the weighted-estimator
-# MSE decomposes as
-#     MSE(w) = MMSE + sum_k phi_k lam_k |v(lam_k) - 1/lam_k|^2
-# where v is the degree-L polynomial with coefficients w_l alpha_w^(l+1).
-# Fitting v by least squares squares-roots the condition number and keeps the
-# finite-power values and their high-power floors mutually consistent.
-
-
-def weighted_poly_fit(nodes: np.ndarray, node_weights: np.ndarray, degree: int):
-    """Least-squares fit of 1/x on ``nodes`` by a degree-``degree`` polynomial.
-
-    Minimizes sum_k c_k x_k |v(x_k) - 1/x_k|^2 over polynomials v.  Returns
-    the coefficients of v in the scaled variable x / max(x) (increasing
-    order) and the achieved residual.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    node_weights = np.asarray(node_weights, dtype=float)
-    scale = nodes.max()
-    x = nodes / scale
-    sqrt_w = np.sqrt(np.clip(node_weights, 0.0, None) * nodes)
-    design = sqrt_w[:, None] * np.vander(x, degree + 1, increasing=True)
-    target = sqrt_w / nodes
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.sum((target - design @ coef) ** 2))
-    return coef, residual
-
-
-def _spectral_decomposition(model: StatModel):
-    # eigenvalues of z plus the channel energy phi_k = ||r pilot^H u_k||^2
-    z = z_matrix(model)
-    lam, vecs = np.linalg.eigh(z)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite("observation covariance must be positive definite")
-    b_mat = model.pilot_ext @ model.r_cov
-    phi = np.sum(np.abs(b_mat.conj().T @ vecs) ** 2, axis=0)
-    return lam, phi
-
-
 def _wpeach_fit(model: StatModel, degree: int, alpha_w: float):
     """Optimal weights and minimum MSE via the least-squares formulation."""
-    lam, phi = _spectral_decomposition(model)
-    coef, residual = weighted_poly_fit(lam, phi, degree)
-    scale = lam.max()
+    poly, mse = model.z_spectrum.fit(degree)
     powers = np.arange(degree + 1)
-    weights = (coef / scale**powers / alpha_w ** (powers + 1)).astype(complex)
-    mmse_part = float(np.trace(model.r_cov).real - np.sum(phi / lam))
-    return weights, mmse_part + residual
-
-
-def weight_system_mse(ws: WeightSystem, weights: np.ndarray, trace_r: float) -> float:
-    """MSE trace(r) + w^H A w - b^H w - w^H b for arbitrary weights."""
-    weights = np.asarray(weights, dtype=complex)
-    quad = np.real(weights.conj() @ ws.a_mat @ weights)
-    cross = 2.0 * np.real(ws.b_vec.conj() @ weights)
-    return float(trace_r + quad - cross)
+    return (poly / alpha_w ** (powers + 1)).astype(complex), mse
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:
@@ -599,33 +522,28 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     The quadratic trace(r) + w^H A w - b^H w - w^H b is evaluated in the
     eigenbasis of the observation covariance, where it stays accurate even
     for the large, strongly cancelling weight vectors that high degrees
-    produce; :func:`weight_system_mse` evaluates the same quadratic directly
-    from a :class:`WeightSystem`.
+    produce.
     """
     weights = np.asarray(weights, dtype=complex)
     if weights.shape != (degree + 1,):
         raise ValueError(f"weights must have length degree + 1 = {degree + 1}")
-    lam, phi = _spectral_decomposition(model)
+    spectrum = model.z_spectrum
     # v(lam) = sum_l w_l alpha_w^(l+1) lam^l by Horner at the eigenvalue nodes
-    v = np.zeros_like(lam, dtype=complex)
+    v = np.zeros_like(spectrum.lam, dtype=complex)
     for w_l in weights[::-1]:
-        v = v * (alpha_w * lam) + w_l
-    v = alpha_w * v
-    penalty = np.sum(phi * (lam * np.abs(v) ** 2 - 2.0 * v.real))
-    return float(np.trace(model.r_cov).real + penalty)
+        v = v * (alpha_w * spectrum.lam) + w_l
+    return spectrum.mse(alpha_w * v)
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int, alpha_w: float | None = None) -> float:
     """Minimum MSE trace(r) - b^H A^{-1} b of the weighted estimator.
 
-    The value does not depend on ``alpha_w`` (the scaling cancels inside the
-    quadratic); it is evaluated through the least-squares form, which keeps
-    it accurate for degrees where the moment matrix is numerically singular.
+    ``alpha_w`` is accepted for symmetry with :func:`wpeach_mse_general` and
+    does not change the value (the scaling cancels inside the quadratic).  It
+    is evaluated through the least-squares form, which keeps it accurate for
+    degrees where the moment matrix is numerically singular.
     """
-    if alpha_w is None:
-        alpha_w = default_alpha_w(model)
-    _, mse = _wpeach_fit(model, degree, alpha_w)
-    return mse
+    return model.z_spectrum.fit(degree)[1]
 
 
 def peach_as_wpeach_weights(degree: int) -> np.ndarray:

@@ -10,16 +10,19 @@ disturbance covariances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     EmptyDimension,
     InvalidCorrelation,
+    NotPositiveDefinite,
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
     ShapeError,
 )
+from .spectrum import Spectrum
 
 # Relative tolerance for Hermitian / PSD validation of covariance inputs.
 HERMITIAN_RTOL = 1e-10
@@ -65,8 +68,11 @@ def is_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     return np.linalg.norm(a - a.conj().T) <= rtol * scale
 
 
-def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL) -> np.ndarray:
-    """Validate that ``a`` is Hermitian PSD within tolerance; return it symmetrized."""
+def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL):
+    """Validate that ``a`` is Hermitian PSD within tolerance.
+
+    Returns ``a`` symmetrized and its ascending eigenvalues.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
@@ -79,7 +85,7 @@ def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_R
         raise NotPositiveSemiDefinite(
             f"{name} has negative eigenvalue {eigs[0]:.3e} (largest {eigs[-1]:.3e})"
         )
-    return a
+    return a, eigs
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -94,7 +100,7 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    cov = check_hermitian_psd(cov, "covariance")
+    cov, _ = check_hermitian_psd(cov, "covariance")
     eigs, vecs = np.linalg.eigh(cov)
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
@@ -135,6 +141,9 @@ class StatModel:
     s_cov : (m, m) disturbance covariance, Hermitian positive definite
     pilot : (n_t, b) pilot matrix
     pilot_ext : (m, n) extended pilot, the Kronecker product pilot.T (x) I_{n_r}
+
+    A model is never mutated after construction, so quantities derived from
+    it (``z_spectrum``) are computed once, on first use.
     """
 
     dims: Dims
@@ -160,11 +169,11 @@ class StatModel:
             raise ShapeError("mean vectors inconsistent with dims")
         if pilot_ext.shape != (m, n):
             raise ShapeError(f"pilot_ext must be {m}x{n}, got {pilot_ext.shape}")
-        r_cov = check_hermitian_psd(self.r_cov, "r_cov")
-        s_cov = check_hermitian_psd(self.s_cov, "s_cov")
+        r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov")
+        s_cov, s_eigs = check_hermitian_psd(self.s_cov, "s_cov")
         if r_cov.shape != (n, n) or s_cov.shape != (m, m):
             raise ShapeError("covariance shapes inconsistent with dims")
-        if np.linalg.eigvalsh(s_cov)[0] <= 0:
+        if s_eigs[0] <= 0:
             raise NotPositiveSemiDefinite("s_cov must be positive definite")
         object.__setattr__(self, "h_mean", h_mean)
         object.__setattr__(self, "n_mean", n_mean)
@@ -176,6 +185,21 @@ class StatModel:
     def y_mean(self) -> np.ndarray:
         """Mean of the observation, pilot_ext @ h_mean + n_mean."""
         return self.pilot_ext @ self.h_mean + self.n_mean
+
+    @cached_property
+    def z_spectrum(self) -> Spectrum:
+        """Spectrum of the observation covariance z, shared by every closed-form MSE."""
+        channel = (self.pilot_ext @ self.r_cov).conj().T
+        spectrum = Spectrum.of(z_matrix(self), channel, float(np.trace(self.r_cov).real))
+        if spectrum.lam[0] <= 0:
+            raise NotPositiveDefinite("observation covariance must be positive definite")
+        return spectrum
+
+
+def z_matrix(model: StatModel) -> np.ndarray:
+    """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov."""
+    pe = model.pilot_ext
+    return hermitize(pe @ model.r_cov @ pe.conj().T + model.s_cov)
 
 
 def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
@@ -224,7 +248,7 @@ def disturbance_covariance(pilot_ext: np.ndarray, contamination: ContaminationSp
     m = pilot_ext.shape[0]
     s_cov = contamination.noise_var * np.eye(m, dtype=complex)
     for beta, cov in zip(contamination.betas, contamination.interferer_covs):
-        cov = check_hermitian_psd(cov, "interferer covariance")
+        cov, _ = check_hermitian_psd(cov, "interferer covariance")
         if cov.shape != (pilot_ext.shape[1],) * 2:
             raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
         s_cov = s_cov + beta * (pilot_ext @ cov @ pilot_ext.conj().T)
@@ -261,7 +285,6 @@ def stat_model_from_pilot(
     if pilot.shape != (dims.n_t, dims.b):
         raise PilotShapeMismatch(f"pilot must be {dims.n_t}x{dims.b}, got {pilot.shape}")
     pilot_ext = extend_pilot(pilot, dims.n_r)
-    r_cov = check_hermitian_psd(np.asarray(r_cov, dtype=complex), "r_cov")
     s_cov = disturbance_covariance(pilot_ext, contamination)
     return StatModel(
         dims=dims,

@@ -1,0 +1,83 @@
+"""Spectral form of the closed-form MSE of linear channel estimators.
+
+An estimator h_hat = h_mean + r pilot^H v(z) d whose filter is a scalar
+function ``v`` of a Hermitian matrix ``z`` (a polynomial for the expansion
+estimators, 1/x for MMSE) has
+
+    MSE(v) = trace(r) + sum_k phi_k (lam_k |v(lam_k)|^2 - 2 Re v(lam_k))
+
+with ``lam_k`` the eigenvalues of ``z`` and ``phi_k`` the channel energy
+along its eigenvectors, the spectral measure of the moment view of the
+weight system (Golub & Meurant, Matrices, Moments and Quadrature, 2010).
+The finite-power MSEs use the observation covariance; the high-power floors
+use its limit, ``r`` without and ``r + sum_interf`` with pilot contamination.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import SingularLimit
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenvalues ``lam`` (ascending), channel energies ``phi`` and trace(r)."""
+
+    lam: np.ndarray
+    phi: np.ndarray
+    trace_r: float
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> "Spectrum":
+        """Eigendecompose ``matrix`` once; phi_k = ||channel @ u_k||^2."""
+        lam, vecs = np.linalg.eigh(matrix)
+        return cls(lam, np.sum(np.abs(channel @ vecs) ** 2, axis=0), trace_r)
+
+    def mse(self, v: np.ndarray) -> float:
+        """MSE of the filter whose values at the eigenvalues are ``v``."""
+        v = np.asarray(v)
+        return float(self.trace_r + np.sum(self.phi * (self.lam * np.abs(v) ** 2 - 2.0 * v.real)))
+
+    def mmse(self) -> float:
+        """MSE of the exact inverse, v = 1 / lam."""
+        return float(self.trace_r - np.sum(self.phi / self.lam))
+
+    def fit(self, degree: int):
+        """Optimal degree-``degree`` polynomial filter and its MSE.
+
+        MSE(v) = mmse + sum_k phi_k lam_k |v(lam_k) - 1/lam_k|^2, so the
+        optimum is a weighted least-squares fit of 1/lam, computed in the
+        scaled variable lam / max(lam); this square-roots the condition number
+        of the equivalent moment (Hankel-type) system.  Returns the monomial
+        coefficients of v in lam (increasing order) and the minimum MSE.
+        Null eigenvalues are dropped; :class:`SingularLimit` is raised when
+        the channel has energy along them.
+        """
+        lam, phi = self.lam, self.phi
+        if lam[-1] <= 0:
+            return np.zeros(degree + 1), self.trace_r
+        keep = lam > 1e-14 * lam[-1]
+        dropped = phi[~keep]
+        if dropped.size and np.any(dropped > 1e-12 * max(phi.max(), 1e-300)):
+            raise SingularLimit("matrix is singular where the channel has energy")
+        lam, phi = lam[keep], phi[keep]
+        scale = lam.max()
+        sqrt_w = np.sqrt(np.clip(phi, 0.0, None) * lam)
+        design = sqrt_w[:, None] * np.vander(lam / scale, degree + 1, increasing=True)
+        target = sqrt_w / lam
+        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+        residual = float(np.sum((target - design @ coef) ** 2))
+        poly = coef / scale ** np.arange(degree + 1)
+        return poly, float(self.trace_r - np.sum(phi / lam)) + residual
+
+
+def neumann_values(lam: np.ndarray, alpha: float, degree: int) -> np.ndarray:
+    """Truncated Neumann series alpha sum_{l=0}^{degree} (1 - alpha lam)^l of 1/lam."""
+    x = 1.0 - alpha * lam
+    acc = np.ones_like(x)
+    for _ in range(degree):
+        acc = 1.0 + x * acc
+    return alpha * acc

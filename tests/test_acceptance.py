@@ -142,8 +142,7 @@ def test_criterion_05_high_power_floors():
         gamma_db = 60.0  # pilot power 1e6 times the unit noise variance
         noise_limited = correlated_model(DESK_DIMS, gamma_db, ())
         alpha = es.alpha_optimal(es.z_matrix(noise_limited))
-        alpha_w = es.default_alpha_w(noise_limited)
-        floors = analysis.floor_noise_limited(noise_limited.r_cov, degree, alpha_w)
+        floors = analysis.floor_noise_limited(noise_limited.r_cov, degree)
         peach_now = es.peach_mse(noise_limited, degree, alpha)
         wpeach_now = es.wpeach_mse_optimal(noise_limited, degree)
         assert abs(peach_now - floors.peach) < 0.01 * floors.peach
@@ -155,9 +154,8 @@ def test_criterion_05_high_power_floors():
         betas = (0.1, 0.1)
         contaminated = correlated_model(DESK_DIMS, gamma_db, betas)
         alpha_c = es.alpha_optimal(es.z_matrix(contaminated))
-        alpha_wc = es.default_alpha_w(contaminated)
         sum_interf = summed_interference(contaminated, betas, DEFAULT_CORRELATION)
-        cf = analysis.floor_contaminated(contaminated.r_cov, sum_interf, degree, alpha_wc)
+        cf = analysis.floor_contaminated(contaminated.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(contaminated) - cf.mmse) < 0.01 * cf.mmse
         assert abs(es.diag_mse(contaminated) - cf.diagonalized) < 0.01 * cf.diagonalized
         assert abs(es.peach_mse(contaminated, degree, alpha_c) - cf.peach) < 0.01 * cf.peach

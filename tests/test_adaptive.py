@@ -110,7 +110,7 @@ class TestAdaptiveUpdate:
         state = adaptive_init(model, 6, 3, alpha_w, warmup, np.random.default_rng(4))
         before_a = state.a_approx.copy()
         before_w = state.weights.copy()
-        weights = adaptive_update(state, warmup[0], warmup[0])
+        weights = adaptive_update(state, warmup[0])
         assert_allclose(state.a_approx, before_a, rtol=0, atol=1e-18)
         assert_allclose(weights, before_w, rtol=1e-12)
 
@@ -128,17 +128,23 @@ class TestAdaptiveUpdate:
         assert np.linalg.norm(state.a_approx - fresh.a_approx) < 1e-12 * np.linalg.norm(fresh.a_approx)
         assert np.linalg.norm(state.b_approx - fresh.b_approx) < 1e-12 * np.linalg.norm(fresh.b_approx)
 
-    def test_explicit_y_old_overrides_cache(self, rng):
+    def test_averages_match_a_fresh_init_over_the_current_window(self):
+        # after any number of updates (the window mixes warmup and new samples
+        # for the first window_len - 1), the running averages equal a fresh
+        # fill of the current window with the same probe generator
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
-        warmup = draw_stream(model, np.random.default_rng(3), 5)
-        state = adaptive_init(model, 5, 2, alpha_w, warmup, np.random.default_rng(4))
-        other = complex_vector(rng, model.dims.m)
-        y_new = complex_vector(rng, model.dims.m)
-        adaptive_update(state, y_new, other)
-        twin = adaptive_init(model, 5, 2, alpha_w, warmup, np.random.default_rng(4))
-        adaptive_update(twin, y_new, None)
-        assert not np.allclose(state.a_approx, twin.a_approx)
+        degree, window = 3, 8
+        gen = np.random.default_rng(21)
+        warmup = draw_stream(model, gen, window)
+        state = adaptive_init(model, window, degree, alpha_w, warmup, np.random.default_rng(99))
+        for k in range(1, 2 * window + 2):
+            adaptive_update(state, draw_stream(model, gen, 1)[0])
+            if k in (1, 3, window - 1, window + 3, 2 * window + 1):
+                current = list(state.window)
+                fresh = adaptive_init(model, window, degree, alpha_w, current, np.random.default_rng(99))
+                for got, want in ((state.a_approx, fresh.a_approx), (state.b_approx, fresh.b_approx)):
+                    assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
     def test_tracked_weights_stay_near_optimal(self):
         # stationary stream: windowed weights within 5% of the exact optimum

@@ -1,0 +1,116 @@
+"""The spectral closed forms against the dense oracles, and their linear-algebra cost."""
+
+import numpy as np
+import pytest
+
+from peachsim import analysis
+from peachsim import estimators as es
+from peachsim.cli import _sweep_point_rows, correlated_model, default_config
+from peachsim.model import Dims
+
+from conftest import random_hermitian_psd, random_model
+
+DEGREES = (0, 3, 10)
+KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
+SNRS_DB = (0.0, 20.0, 40.0)
+
+# In the monomial basis the optimal W-PEACH weights of the strongly correlated
+# model reach 1e11 at L = 10 and 20 dB or more; evaluating them at computed
+# eigenvalues then keeps only 5 to 8 significant digits against an
+# extended-precision dense evaluation (the float64 dense filter keeps more); a
+# stable polynomial basis for the weights would remove the cancellation.
+MONOMIAL_CANCELLATION = pytest.mark.xfail(
+    strict=True, reason="monomial W-PEACH weights of order 1e11 cancel at the eigenvalue nodes"
+)
+
+
+def make_model(kind, gamma_db):
+    power = 10.0 ** (gamma_db / 10.0)
+    if kind.startswith("random"):
+        interferers = 2 if kind.endswith("contaminated") else 0
+        rng = np.random.default_rng(31)
+        return random_model(rng, n_r=3, n_t=2, pt_lo=power, pt_hi=power, n_interferers=interferers)
+    return correlated_model(Dims(6, 2, 2), gamma_db, (0.1, 0.1) if kind.endswith("contaminated") else ())
+
+
+@pytest.mark.parametrize("gamma_db", SNRS_DB)
+@pytest.mark.parametrize("kind", KINDS)
+def test_mmse_and_peach_closed_forms_match_dense_filters(kind, gamma_db):
+    model = make_model(kind, gamma_db)
+    dense = es.linear_filter_mse(model, es.mmse_filter_matrix(model))
+    assert es.mmse_mse(model) == pytest.approx(dense, rel=1e-10)
+    for degree in DEGREES:
+        peach = es.make_peach(model, degree)
+        assert es.peach_mse(model, degree, peach.alpha) == pytest.approx(
+            es.linear_filter_mse(model, es.poly_filter_matrix(model, peach)), rel=1e-10
+        )
+
+
+def wpeach_cases():
+    for kind in KINDS:
+        for gamma_db in SNRS_DB:
+            for degree in DEGREES:
+                ill = kind.startswith("correlated") and gamma_db >= 20.0 and degree == 10
+                yield pytest.param(kind, gamma_db, degree, marks=MONOMIAL_CANCELLATION if ill else ())
+
+
+@pytest.mark.parametrize("kind, gamma_db, degree", wpeach_cases())
+def test_wpeach_closed_form_matches_dense_filter(kind, gamma_db, degree):
+    model = make_model(kind, gamma_db)
+    wpeach = es.make_wpeach(model, degree)
+    assert es.wpeach_mse_general(model, degree, wpeach.alpha, wpeach.weights) == pytest.approx(
+        es.linear_filter_mse(model, es.poly_filter_matrix(model, wpeach)), rel=1e-10
+    )
+
+
+def dense_peach_floor(r_cov, limit, degree):
+    """PEACH floor from the truncated inverse B_L of the limit matrix, formed densely."""
+    eigs = np.linalg.eigvalsh(limit)
+    scale = 2.0 / (eigs[-1] + eigs[0])
+    x = np.eye(limit.shape[0]) - scale * limit
+    acc = np.eye(limit.shape[0], dtype=complex)
+    cur = np.eye(limit.shape[0], dtype=complex)
+    for _ in range(degree):
+        cur = cur @ x
+        acc = acc + cur
+    rb = r_cov @ (scale * acc)
+    return float(np.trace(r_cov + rb @ limit @ rb.conj().T - 2.0 * rb @ r_cov).real)
+
+
+@pytest.mark.parametrize("degree", DEGREES)
+def test_peach_floors_match_dense_truncated_inverse(degree):
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        r_cov = random_hermitian_psd(rng, 8, eig_lo=0.05, eig_hi=3.0)
+        sum_interf = random_hermitian_psd(rng, 8, eig_lo=0.0, eig_hi=0.5)
+        noise_limited = analysis.floor_noise_limited(r_cov, degree)
+        contaminated = analysis.floor_contaminated(r_cov, sum_interf, degree)
+        assert noise_limited.peach == pytest.approx(dense_peach_floor(r_cov, r_cov, degree), rel=1e-10)
+        assert contaminated.peach == pytest.approx(
+            dense_peach_floor(r_cov, r_cov + sum_interf, degree), rel=1e-10
+        )
+
+
+def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
+    # one eigh of z (shared by every closed-form MSE and the W-PEACH fit), one
+    # of the limit matrix (all floors); make_peach's alpha and the MVU Gram
+    # matrix keep one eigvalsh each, the MVU Gram one solve
+    config = default_config("sweep-snr", betas=(0.1, 0.1), monte_carlo=False)
+    model = correlated_model(Dims(config.n_r, config.n_t, config.b), 10.0, config.betas)
+    counts = dict.fromkeys(("eigh", "eigvalsh", "solve", "inv"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    assert counts["eigh"] <= 2
+    assert counts["eigvalsh"] <= 2
+    assert counts["solve"] <= 1
+    assert counts["inv"] == 0
+

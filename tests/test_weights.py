@@ -158,7 +158,6 @@ class TestGeneralMse:
             weights.conj() @ ws.a_mat @ weights - ws.b_vec.conj() @ weights - weights.conj() @ ws.b_vec
         )
         assert_allclose(es.wpeach_mse_general(model, degree, alpha_w, weights), direct, rtol=1e-10)
-        assert_allclose(es.weight_system_mse(ws, weights, tr_r), direct, rtol=1e-12)
 
 
 class TestBinomialWeights:
