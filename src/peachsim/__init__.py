@@ -27,11 +27,8 @@ from .analysis import (
     sinr,
 )
 from .cli import (
-    DEFAULT_CORRELATION,
     ExperimentConfig,
     ResultRow,
-    SpatialCorrelation,
-    correlated_model,
     default_config,
     run_experiment,
     run_monte_carlo,
@@ -70,13 +67,16 @@ from .estimators import (
     z_matrix,
 )
 from .model import (
+    DEFAULT_CORRELATION,
     ContaminationSpec,
     Dims,
+    SpatialCorrelation,
     StatModel,
     build_stat_model,
+    correlated_contamination,
+    correlated_model,
     deviation,
     exp_correlation_matrix,
-    kronecker,
     observe,
     sample_gaussian,
     spawn_streams,

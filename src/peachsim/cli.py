@@ -15,7 +15,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +24,11 @@ from . import analysis, estimators
 from .adaptive import adaptive_init, adaptive_update, shrinkage_covariance
 from .errors import ConfigError, PeachSimError, ShapeError
 from .model import (
-    ContaminationSpec,
     Dims,
+    SpatialCorrelation,
     StatModel,
-    build_stat_model,
-    exp_correlation_matrix,
-    kronecker,
+    correlated_contamination,
+    correlated_model,
     psd_factor,
     standard_complex_normal,
 )
@@ -46,30 +45,6 @@ CSV_COLUMNS = (
     "floor",
     "flops",
 )
-
-
-@dataclass(frozen=True)
-class SpatialCorrelation:
-    """Exponential-model correlation coefficients for the desired and interfering links."""
-
-    desired_tx: complex = 0.4 * np.exp(-1j * 0.9349 * np.pi)
-    desired_rx: complex = 0.9 * np.exp(-1j * 0.9289 * np.pi)
-    interferer_tx: tuple = (
-        0.35 * np.exp(-1j * 0.8537 * np.pi),
-        0.4 * np.exp(-1j * 0.4583 * np.pi),
-    )
-    interferer_rx: tuple = (
-        0.9 * np.exp(-1j * 0.7464 * np.pi),
-        0.9 * np.exp(-1j * 0.2649 * np.pi),
-    )
-
-    def validate(self):
-        coeffs = (self.desired_tx, self.desired_rx, *self.interferer_tx, *self.interferer_rx)
-        if any(abs(c) >= 1.0 for c in coeffs):
-            raise ConfigError("all correlation coefficient magnitudes must be < 1")
-
-
-DEFAULT_CORRELATION = SpatialCorrelation()
 
 
 @dataclass(frozen=True)
@@ -168,68 +143,17 @@ class ResultRow:
 
 
 # ---------------------------------------------------------------------------
-# model construction
-
-
-def correlated_model(
-    dims: Dims,
-    gamma_db: float,
-    betas: tuple,
-    correlation: SpatialCorrelation = DEFAULT_CORRELATION,
-    noise_var: float = 1.0,
-) -> StatModel:
-    """Kronecker-correlated desired channel plus pilot-reusing interferers.
-
-    ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
-    ``noise_var * 10**(gamma_db / 10)``.  Interferer ``i`` uses the ``i``-th
-    correlation coefficient pair (cyclically) weakened by ``betas[i]``.
-    """
-    pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
-    r_cov = kronecker(
-        exp_correlation_matrix(dims.n_t, correlation.desired_tx),
-        exp_correlation_matrix(dims.n_r, correlation.desired_rx),
-    )
-    n_pairs = len(correlation.interferer_tx)
-    covs = []
-    for i in range(len(betas)):
-        tx = correlation.interferer_tx[i % n_pairs]
-        rx = correlation.interferer_rx[i % n_pairs]
-        covs.append(
-            kronecker(
-                exp_correlation_matrix(dims.n_t, tx),
-                exp_correlation_matrix(dims.n_r, rx),
-            )
-        )
-    contamination = ContaminationSpec(tuple(covs), tuple(betas), noise_var)
-    return build_stat_model(dims, None, r_cov, None, contamination, pilot_power)
-
-
-def summed_interference(model: StatModel, betas: tuple, correlation: SpatialCorrelation) -> np.ndarray:
-    """Sum of beta-weighted interferer covariances matching :func:`correlated_model`."""
-    dims = model.dims
-    total = np.zeros((dims.n, dims.n), dtype=complex)
-    n_pairs = len(correlation.interferer_tx)
-    for i, beta in enumerate(betas):
-        tx = correlation.interferer_tx[i % n_pairs]
-        rx = correlation.interferer_rx[i % n_pairs]
-        total = total + beta * kronecker(
-            exp_correlation_matrix(dims.n_t, tx),
-            exp_correlation_matrix(dims.n_r, rx),
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo harness
 
 
-def run_monte_carlo(model: StatModel, estimator, trials: int, seed, chunk_size: int = 512):
-    """Empirical MSE of ``estimator(model, y)`` over seeded random draws.
+def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk_size: int = 512) -> dict:
+    """Empirical MSE of each ``estimator(model, y)`` over one set of seeded draws.
 
-    Draws (h, n) pairs, forms y, and averages the squared estimation error.
-    Returns (mse_hat, standard_error).  Trials are processed in chunks with
-    independent child streams, so results are reproducible and independent of
-    chunk scheduling.
+    Draws (h, n) pairs, forms y, and scores every estimator of the mapping on
+    the same draws.  Returns ``{name: (mse_hat, standard_error)}``.  Trials
+    are processed in chunks with independent child streams, so results are
+    reproducible, independent of chunk scheduling, and the same for an
+    estimator whether it is scored alone or next to others.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -237,7 +161,7 @@ def run_monte_carlo(model: StatModel, estimator, trials: int, seed, chunk_size: 
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     factor_r = psd_factor(model.r_cov)
     factor_s = psd_factor(model.s_cov)
-    sq_errors = np.empty(trials)
+    sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
         count = min(chunk_size, trials - pos)
@@ -245,17 +169,22 @@ def run_monte_carlo(model: StatModel, estimator, trials: int, seed, chunk_size: 
         h = model.h_mean[:, None] + factor_r @ standard_complex_normal(rng, model.dims.n, count)
         noise = model.n_mean[:, None] + factor_s @ standard_complex_normal(rng, model.dims.m, count)
         y = model.pilot_ext @ h + noise
-        h_hat = estimator(model, y)
-        if h_hat.shape != h.shape:
-            raise ShapeError(f"estimator returned shape {h_hat.shape}, expected {h.shape}")
-        sq_errors[pos : pos + count] = np.sum(np.abs(h - h_hat) ** 2, axis=0)
+        for name, estimator in estimators.items():
+            h_hat = estimator(model, y)
+            if h_hat.shape != h.shape:
+                raise ShapeError(f"estimator {name!r} returned shape {h_hat.shape}, expected {h.shape}")
+            sq_errors[name][pos : pos + count] = np.sum(np.abs(h - h_hat) ** 2, axis=0)
         pos += count
-    mse_hat = float(np.mean(sq_errors))
-    stderr = float(np.std(sq_errors, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan")
-    return mse_hat, stderr
+    return {
+        name: (
+            float(np.mean(errors)),
+            float(np.std(errors, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan"),
+        )
+        for name, errors in sq_errors.items()
+    }
 
 
-def _estimator_callables(model: StatModel, peach_est, wpeach_est) -> dict:
+def _estimator_callables(peach_est, wpeach_est) -> dict:
     return {
         "mmse": estimators.mmse_estimate,
         "mvu": estimators.mvu_estimate,
@@ -286,7 +215,9 @@ def _analytic_mses(model: StatModel, peach_est, wpeach_est) -> dict:
 def _floor_values(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     r_cov = model.r_cov
     if any(beta > 0 for beta in config.betas):
-        sum_interf = summed_interference(model, config.betas, config.correlation)
+        # only the sum is kept: holding the interferer covariances through the
+        # floors raised the peak memory at m = 1000 by about two of them
+        sum_interf = correlated_contamination(model.dims, config.betas, config.correlation).summed_covariance
         floors = analysis.floor_contaminated(r_cov, sum_interf, degree)
         # high-power limit of the unbiased estimator's variance for an identity pilot
         mvu_floor = float(np.trace(sum_interf).real)
@@ -316,14 +247,16 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     wpeach_est = estimators.make_wpeach(model, degree)
     mses = _analytic_mses(model, peach_est, wpeach_est)
     floors = _floor_values(model, config, degree)
-    callables = _estimator_callables(model, peach_est, wpeach_est) if config.monte_carlo else None
+    monte_carlo = {}
+    if config.monte_carlo:
+        monte_carlo = run_monte_carlo(
+            model, _estimator_callables(peach_est, wpeach_est), config.trials, (config.seed, point_index)
+        )
     rows = []
     for name in _ESTIMATOR_ORDER:
         nmse_mc = stderr = None
-        if callables is not None:
-            mse_hat, se = run_monte_carlo(
-                model, callables[name], config.trials, (config.seed, point_index)
-            )
+        if name in monte_carlo:
+            mse_hat, se = monte_carlo[name]
             nmse_mc, stderr = mse_hat / trace_r, se / trace_r
         rows.append(
             ResultRow(
@@ -419,15 +352,7 @@ def _run_shrinkage(config: ExperimentConfig):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
         samples = (factor_r @ standard_complex_normal(rng, dims.n, n_samples)).T
         shrunk = shrinkage_covariance(samples, mode="plugin")
-        model_est = StatModel(
-            dims=dims,
-            h_mean=model.h_mean,
-            r_cov=shrunk.c_hat,
-            n_mean=model.n_mean,
-            s_cov=model.s_cov,
-            pilot=model.pilot,
-            pilot_ext=model.pilot_ext,
-        )
+        model_est = replace(model, r_cov=shrunk.c_hat)
         wpeach_est = estimators.make_wpeach(model_est, config.degree)
         g_wpeach = estimators.poly_filter_matrix(model_est, wpeach_est)
         g_mmse = estimators.mmse_filter_matrix(model_est)
@@ -478,7 +403,9 @@ def run_experiment(config: ExperimentConfig):
     """Run one scenario and write its CSV (plus a JSON twin); returns the rows.
 
     Rows are ordered by sweep value, then estimator.  Re-running with the same
-    configuration and seed produces byte-identical output files.
+    configuration and seed produces byte-identical output files at a fixed
+    BLAS thread count; across thread counts the W-PEACH Monte Carlo columns
+    can move in the 9th significant digit.
     """
     config.validate()
     rows = _RUNNERS[config.scenario](config)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -134,13 +134,6 @@ def alpha_gershgorin(z: np.ndarray) -> float:
     return 2.0 / (upper + lower)
 
 
-_ALPHA_STRATEGIES = {
-    "eig": alpha_optimal,
-    "trace": alpha_trace,
-    "gershgorin": alpha_gershgorin,
-}
-
-
 # ---------------------------------------------------------------------------
 # exact baselines
 
@@ -232,22 +225,19 @@ def diag_mse(model: StatModel) -> float:
 # polynomial estimator construction
 
 
-def make_peach(
-    model: StatModel,
-    degree: int,
-    alpha: float | None = None,
-    alpha_strategy: str = "eig",
-) -> PolyEstimator:
+def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> PolyEstimator:
     """Prepare an unweighted polynomial estimator for one statistics epoch.
 
-    When ``alpha`` is not given it is computed from the observation
-    covariance with the selected strategy.  An explicit ``alpha`` outside the
-    convergence bound triggers :class:`DivergentExpansionWarning`; evaluation
-    stays defined but the expansion no longer approaches the MMSE estimator.
+    When ``alpha`` is not given it is the fastest-converging scaling of the
+    observation covariance (:func:`alpha_optimal`); another rule is passed as
+    ``alpha``, for example ``alpha_trace(z_matrix(model))``.  An explicit
+    ``alpha`` outside the convergence bound triggers
+    :class:`DivergentExpansionWarning`; evaluation stays defined but the
+    expansion no longer approaches the MMSE estimator.
     """
     z = z_matrix(model)
     if alpha is None:
-        alpha = _ALPHA_STRATEGIES[alpha_strategy](z)
+        alpha = alpha_optimal(z)
     else:
         lam_max = float(np.linalg.eigvalsh(z)[-1])
         if not 0.0 < alpha < 2.0 / lam_max:
@@ -290,10 +280,8 @@ def make_wpeach(
     )
 
 
-def default_alpha_w(model: StatModel, use_trace: bool = False) -> float:
-    """Weighted-estimator scaling 1 / lambda_max(z), or 2 / trace(z) for large m."""
-    if use_trace:
-        return alpha_trace(z_matrix(model))
+def default_alpha_w(model: StatModel) -> float:
+    """Weighted-estimator scaling 1 / lambda_max(z)."""
     return float(1.0 / model.z_spectrum.lam[-1])
 
 
@@ -353,15 +341,7 @@ def _mvu_z_matrix(model: StatModel, epsilon: float) -> np.ndarray:
 
 def _mvu_surrogate_model(model: StatModel, epsilon: float) -> StatModel:
     n = model.dims.n
-    return StatModel(
-        dims=model.dims,
-        h_mean=np.zeros(n, dtype=complex),
-        r_cov=np.eye(n, dtype=complex) / epsilon,
-        n_mean=model.n_mean,
-        s_cov=model.s_cov,
-        pilot=model.pilot,
-        pilot_ext=model.pilot_ext,
-    )
+    return replace(model, h_mean=np.zeros(n, dtype=complex), r_cov=np.eye(n, dtype=complex) / epsilon)
 
 
 # ---------------------------------------------------------------------------

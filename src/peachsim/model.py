@@ -3,8 +3,9 @@
 Builds the second-order statistics of the vectorized observation
 ``y = pilot_ext @ h + n`` with ``h ~ CN(h_mean, r_cov)`` and
 ``n ~ CN(n_mean, s_cov)``, including Kronecker-structured spatial
-covariances, exponential correlation matrices and pilot-contaminated
-disturbance covariances.
+covariances, exponential correlation matrices, pilot-contaminated
+disturbance covariances and the correlated model of the simulations
+(:func:`correlated_model`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyDimension,
     InvalidCorrelation,
     NotPositiveDefinite,
@@ -127,6 +129,11 @@ class ContaminationSpec:
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
 
+    @property
+    def summed_covariance(self):
+        """Sum of beta_i * cov_i over the interferers (0 without any)."""
+        return sum((beta * cov for beta, cov in zip(self.betas, self.interferer_covs)), 0)
+
 
 @dataclass(frozen=True)
 class StatModel:
@@ -218,11 +225,6 @@ def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
     return np.where(offsets >= 0, powers, np.conj(powers))
 
 
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b with block structure a[i, j] * b."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def extend_pilot(pilot: np.ndarray, n_r: int) -> np.ndarray:
     """Extended pilot matrix pilot.T (x) I_{n_r} acting on the vectorized channel."""
     return np.kron(np.asarray(pilot, dtype=complex).T, np.eye(n_r))
@@ -295,6 +297,69 @@ def stat_model_from_pilot(
         pilot=pilot,
         pilot_ext=pilot_ext,
     )
+
+
+@dataclass(frozen=True)
+class SpatialCorrelation:
+    """Exponential-model correlation coefficients for the desired and interfering links."""
+
+    desired_tx: complex = 0.4 * np.exp(-1j * 0.9349 * np.pi)
+    desired_rx: complex = 0.9 * np.exp(-1j * 0.9289 * np.pi)
+    interferer_tx: tuple = (
+        0.35 * np.exp(-1j * 0.8537 * np.pi),
+        0.4 * np.exp(-1j * 0.4583 * np.pi),
+    )
+    interferer_rx: tuple = (
+        0.9 * np.exp(-1j * 0.7464 * np.pi),
+        0.9 * np.exp(-1j * 0.2649 * np.pi),
+    )
+
+    def validate(self):
+        coeffs = (self.desired_tx, self.desired_rx, *self.interferer_tx, *self.interferer_rx)
+        if any(abs(c) >= 1.0 for c in coeffs):
+            raise ConfigError("all correlation coefficient magnitudes must be < 1")
+
+
+DEFAULT_CORRELATION = SpatialCorrelation()
+
+
+def _kronecker_correlation(dims: Dims, tx: complex, rx: complex) -> np.ndarray:
+    return np.kron(exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx))
+
+
+def correlated_contamination(
+    dims: Dims,
+    betas: tuple,
+    correlation: SpatialCorrelation = DEFAULT_CORRELATION,
+    noise_var: float = 1.0,
+) -> ContaminationSpec:
+    """Pilot-reusing interferers of :func:`correlated_model`.
+
+    Interferer ``i`` uses the ``i``-th correlation coefficient pair
+    (cyclically) weakened by ``betas[i]``.
+    """
+    pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
+    covs = tuple(_kronecker_correlation(dims, *pairs[i % len(pairs)]) for i in range(len(betas)))
+    return ContaminationSpec(covs, tuple(betas), noise_var)
+
+
+def correlated_model(
+    dims: Dims,
+    gamma_db: float,
+    betas: tuple,
+    correlation: SpatialCorrelation = DEFAULT_CORRELATION,
+    noise_var: float = 1.0,
+) -> StatModel:
+    """Kronecker-correlated desired channel plus pilot-reusing interferers.
+
+    ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
+    ``noise_var * 10**(gamma_db / 10)``; the interferers are those of
+    :func:`correlated_contamination`.
+    """
+    pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
+    r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
+    contamination = correlated_contamination(dims, betas, correlation, noise_var)
+    return build_stat_model(dims, None, r_cov, None, contamination, pilot_power)
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -12,14 +12,15 @@ import numpy as np
 from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.adaptive import adaptive_init, adaptive_update, shrinkage_covariance
-from peachsim.cli import (
-    DEFAULT_CORRELATION,
+from peachsim.cli import run_monte_carlo
+from peachsim.model import (
+    Dims,
     SpatialCorrelation,
+    correlated_contamination,
     correlated_model,
-    run_monte_carlo,
-    summed_interference,
+    psd_factor,
+    standard_complex_normal,
 )
-from peachsim.model import Dims, psd_factor, standard_complex_normal
 
 from conftest import complex_vector, random_hermitian_psd, random_model
 
@@ -128,7 +129,7 @@ def test_criterion_04_monte_carlo_confirms_closed_forms():
             ),
         }
         for index, (name, (estimator, closed_form)) in enumerate(cases.items()):
-            mse_hat, stderr = run_monte_carlo(model, estimator, 20_000, (1404, index))
+            mse_hat, stderr = run_monte_carlo(model, {name: estimator}, 20_000, (1404, index))[name]
             assert abs(mse_hat - closed_form) < 3 * stderr, (
                 f"{name}: {mse_hat:.6g} vs {closed_form:.6g} (se {stderr:.2g})"
             )
@@ -154,7 +155,7 @@ def test_criterion_05_high_power_floors():
         betas = (0.1, 0.1)
         contaminated = correlated_model(DESK_DIMS, gamma_db, betas)
         alpha_c = es.alpha_optimal(es.z_matrix(contaminated))
-        sum_interf = summed_interference(contaminated, betas, DEFAULT_CORRELATION)
+        sum_interf = correlated_contamination(contaminated.dims, betas).summed_covariance
         cf = analysis.floor_contaminated(contaminated.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(contaminated) - cf.mmse) < 0.01 * cf.mmse
         assert abs(es.diag_mse(contaminated) - cf.diagonalized) < 0.01 * cf.diagonalized

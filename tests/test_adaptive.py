@@ -13,11 +13,12 @@ from peachsim.adaptive import (
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.cli import SpatialCorrelation, correlated_model
 from peachsim.errors import InsufficientSamples, WindowSizeError
 from peachsim.model import (
     ContaminationSpec,
     Dims,
+    SpatialCorrelation,
+    correlated_model,
     psd_factor,
     standard_complex_normal,
     stat_model_from_pilot,

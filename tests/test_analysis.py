@@ -3,9 +3,8 @@ import pytest
 
 from peachsim import analysis
 from peachsim import estimators as es
-from peachsim.cli import DEFAULT_CORRELATION, correlated_model, summed_interference
 from peachsim.errors import SingularLimit, UnsupportedEstimator, ZeroTraceError
-from peachsim.model import Dims
+from peachsim.model import Dims, correlated_contamination, correlated_model
 
 from conftest import random_hermitian_psd, random_model
 
@@ -169,7 +168,7 @@ class TestContaminatedFloors:
         model = correlated_model(dims, 60.0, betas)
         degree = 6
         alpha = es.alpha_optimal(es.z_matrix(model))
-        sum_interf = summed_interference(model, betas, DEFAULT_CORRELATION)
+        sum_interf = correlated_contamination(model.dims, betas).summed_covariance
         floors = analysis.floor_contaminated(model.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(model) - floors.mmse) < 0.01 * floors.mmse
         assert abs(es.diag_mse(model) - floors.diagonalized) < 0.01 * floors.diagonalized

@@ -63,7 +63,7 @@ class TestMmse:
 
     def test_mse_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)  # m = 6
-        mse_hat, stderr = run_monte_carlo(model, es.mmse_estimate, 20_000, 314)
+        mse_hat, stderr = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 20_000, 314)["mmse"]
         assert abs(mse_hat - es.mmse_mse(model)) < 3 * stderr
 
 
@@ -103,7 +103,7 @@ class TestMvu:
 
     def test_variance_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)
-        mse_hat, stderr = run_monte_carlo(model, es.mvu_estimate, 20_000, 217)
+        mse_hat, stderr = run_monte_carlo(model, {"mvu": es.mvu_estimate}, 20_000, 217)["mvu"]
         assert abs(mse_hat - es.mvu_variance(model)) < 3 * stderr
 
     def test_rank_deficient_pilot_raises(self, rng):
@@ -164,7 +164,7 @@ class TestDiagonalized:
 
     def test_mse_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)
-        mse_hat, stderr = run_monte_carlo(model, es.diag_estimate, 20_000, 515)
+        mse_hat, stderr = run_monte_carlo(model, {"diag": es.diag_estimate}, 20_000, 515)["diag"]
         assert abs(mse_hat - es.diag_mse(model)) < 3 * stderr
 
 
@@ -282,8 +282,8 @@ class TestPeachMse:
         degree = 4
         est = es.make_peach(model, degree)
         mse_hat, stderr = run_monte_carlo(
-            model, lambda m, y: es.peach_estimate(m, est, y), 20_000, 616
-        )
+            model, {"peach": lambda m, y: es.peach_estimate(m, est, y)}, 20_000, 616
+        )["peach"]
         assert abs(mse_hat - es.peach_mse(model, degree, est.alpha)) < 3 * stderr
 
     def test_truncation_error_bound_and_monotone(self, rng):

@@ -17,7 +17,6 @@ from peachsim.model import (
     build_stat_model,
     deviation,
     exp_correlation_matrix,
-    kronecker,
     observe,
     psd_factor,
     sample_gaussian,
@@ -80,29 +79,6 @@ class TestExpCorrelation:
         assert np.linalg.eigvalsh(mat)[0] > 0
 
 
-class TestKronecker:
-    def test_scalar_factor(self, rng):
-        b = complex_vector(rng, 6).reshape(2, 3)
-        assert_allclose(kronecker(np.array([[2.5 - 1j]]), b), (2.5 - 1j) * b)
-
-    def test_identity_factors(self):
-        assert_allclose(kronecker(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_trace_multiplies(self, rng):
-        a = complex_vector(rng, 4).reshape(2, 2)
-        b = complex_vector(rng, 4).reshape(2, 2)
-        assert_allclose(np.trace(kronecker(a, b)), np.trace(a) * np.trace(b), rtol=1e-12)
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_mixed_product_property(self, seed):
-        gen = np.random.default_rng(seed)
-        a, b, c, d = (complex_vector(gen, 4).reshape(2, 2) for _ in range(4))
-        lhs = kronecker(a, b) @ kronecker(c, d)
-        rhs = kronecker(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(lhs), 1.0)
-
-
 class TestBuildStatModel:
     def test_noise_limited_disturbance_is_identity(self):
         dims = Dims(2, 2, 2)
@@ -123,10 +99,10 @@ class TestBuildStatModel:
         pilot_power = 1.7
         sigma_sq = 0.8
         covs = (
-            kronecker(exp_correlation_matrix(2, 0.35 * np.exp(-1j * 0.8537 * np.pi)),
-                      exp_correlation_matrix(3, 0.9 * np.exp(-1j * 0.7464 * np.pi))),
-            kronecker(exp_correlation_matrix(2, 0.4 * np.exp(-1j * 0.4583 * np.pi)),
-                      exp_correlation_matrix(3, 0.9 * np.exp(-1j * 0.2649 * np.pi))),
+            np.kron(exp_correlation_matrix(2, 0.35 * np.exp(-1j * 0.8537 * np.pi)),
+                    exp_correlation_matrix(3, 0.9 * np.exp(-1j * 0.7464 * np.pi))),
+            np.kron(exp_correlation_matrix(2, 0.4 * np.exp(-1j * 0.4583 * np.pi)),
+                    exp_correlation_matrix(3, 0.9 * np.exp(-1j * 0.2649 * np.pi))),
         )
         betas = (0.3, 1.0)
         model = build_stat_model(

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from peachsim import analysis
+from peachsim import cli
 from peachsim import estimators as es
-from peachsim.cli import _sweep_point_rows, correlated_model, default_config
-from peachsim.model import Dims
+from peachsim.cli import _sweep_point_rows, default_config
+from peachsim.model import Dims, correlated_model
 
 from conftest import random_hermitian_psd, random_model
 
@@ -91,14 +92,7 @@ def test_peach_floors_match_dense_truncated_inverse(degree):
         )
 
 
-def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
-    # one eigh of z (shared by every closed-form MSE and the W-PEACH fit), one
-    # of the limit matrix (all floors); make_peach's alpha and the MVU Gram
-    # matrix keep one eigvalsh each, the MVU Gram one solve
-    config = default_config("sweep-snr", betas=(0.1, 0.1), monte_carlo=False)
-    model = correlated_model(Dims(config.n_r, config.n_t, config.b), 10.0, config.betas)
-    counts = dict.fromkeys(("eigh", "eigvalsh", "solve", "inv"), 0)
-
+def count_calls(monkeypatch, namespace, names, counts):
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -106,11 +100,41 @@ def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for name in names:
+        counts[name] = 0
+        monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
+
+
+def desk_contaminated_point(monte_carlo):
+    config = default_config("sweep-snr", betas=(0.1, 0.1), monte_carlo=monte_carlo)
+    return config, correlated_model(Dims(config.n_r, config.n_t, config.b), 10.0, config.betas)
+
+
+def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
+    # one eigh of z (shared by every closed-form MSE and the W-PEACH fit), one
+    # of the limit matrix (all floors); make_peach's alpha and the MVU Gram
+    # matrix keep one eigvalsh each, the MVU Gram one solve
+    config, model = desk_contaminated_point(monte_carlo=False)
+    counts = {}
+    count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "solve", "inv"), counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
     assert counts["eigh"] <= 2
     assert counts["eigvalsh"] <= 2
     assert counts["solve"] <= 1
     assert counts["inv"] == 0
 
+
+def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
+    # all five estimators are scored on one draw per chunk: one Cholesky
+    # factor each of r_cov and s_cov, and two normal draws (h and n) for each
+    # of the four chunks of 2000 trials
+    config, model = desk_contaminated_point(monte_carlo=True)
+    assert config.trials == 2000
+    counts = {}
+    count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "inv"), counts)
+    count_calls(monkeypatch, cli, ("standard_complex_normal",), counts)
+    _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    assert counts["cholesky"] == 2
+    assert counts["standard_complex_normal"] == 8
+    assert counts["eigh"] <= 2
+    assert counts["inv"] == 0

@@ -192,8 +192,8 @@ class TestWpeachEstimate:
         degree = 4
         west = es.make_wpeach(model, degree)
         mse_hat, stderr = run_monte_carlo(
-            model, lambda m, y: es.wpeach_estimate(m, west, y), 20_000, 718
-        )
+            model, {"wpeach": lambda m, y: es.wpeach_estimate(m, west, y)}, 20_000, 718
+        )["wpeach"]
         analytic = es.wpeach_mse_general(model, degree, west.alpha, west.weights)
         assert abs(mse_hat - analytic) < 3 * stderr
 
