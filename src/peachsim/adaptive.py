@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedPilot,
     WindowSizeError,
 )
-from .estimators import _identity_pilot_power, _z_apply, guarded_hermitian_solve
+from .estimators import _identity_pilot_power, guarded_hermitian_solve
 from .model import StatModel, hermitize, standard_complex_normal
 
 # Ridge scale for solving the sampled weight system.  The sampled moments
@@ -61,13 +61,13 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     each sample costs O(L m^2); the real part is taken because the traces the
     averages approximate are real.
     """
-    pe = model.pilot_ext
+    pe, z = model.pilot_ext, model.z
     f_y = pe @ (model.r_cov @ (model.r_cov @ (pe.conj().T @ y)))
     out = np.empty(2 * degree + 1)
     v = y
     out[0] = np.vdot(f_y, v).real
     for k in range(1, 2 * degree + 1):
-        v = _z_apply(model, v)
+        v = z @ v
         out[k] = np.vdot(f_y, v).real
     return out
 

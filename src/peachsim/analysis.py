@@ -150,8 +150,8 @@ def floor_contaminated(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -
     floors come from one eigendecomposition of the limit matrix
     r_cov + sum_interf.
     """
-    r_cov = hermitize(np.asarray(r_cov, dtype=complex))
-    sum_interf = hermitize(np.asarray(sum_interf, dtype=complex))
+    r_cov = np.asarray(r_cov, dtype=complex)
+    sum_interf = np.asarray(sum_interf, dtype=complex)
     spectrum = Spectrum.of(hermitize(r_cov + sum_interf), r_cov, float(np.trace(r_cov).real))
     if spectrum.lam[0] <= 1e-14 * max(spectrum.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")

@@ -29,7 +29,6 @@ from .errors import (
     InvalidRegularization,
     NotPositiveDefinite,
     RankDeficientPilot,
-    SingularCovariance,
     UnsupportedPilot,
 )
 from .model import StatModel, deviation, hermitize, z_matrix
@@ -92,12 +91,6 @@ class WeightSystem:
 # observation covariance and scaling rules
 
 
-def _z_apply(model: StatModel, v: np.ndarray) -> np.ndarray:
-    # Observation covariance as an operator: two pilot hops around r_cov plus s_cov.
-    pe = model.pilot_ext
-    return pe @ (model.r_cov @ (pe.conj().T @ v)) + model.s_cov @ v
-
-
 def _mvu_z_apply(model: StatModel, epsilon: float, v: np.ndarray) -> np.ndarray:
     pe = model.pilot_ext
     return pe @ (pe.conj().T @ v) + epsilon * (model.s_cov @ v)
@@ -145,14 +138,12 @@ def _offset(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
 def mmse_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Bayesian MMSE estimate h_mean + r_cov pilot_ext^H z^{-1} d.
 
-    The inverse is realized as a Hermitian linear solve against the
-    observation covariance.
+    The inverse is realized as two triangular solves against the model's
+    cached Cholesky factor of the observation covariance, so the O(m^3)
+    factorization is paid once per model and each estimate costs O(m^2).
     """
     d = deviation(model, y)
-    try:
-        x = scipy.linalg.solve(z_matrix(model), d, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("observation covariance is singular") from exc
+    x = scipy.linalg.cho_solve(model.z_factor, d)
     return _offset(model.h_mean, d) + model.r_cov @ (model.pilot_ext.conj().T @ x)
 
 
@@ -351,16 +342,17 @@ def _mvu_surrogate_model(model: StatModel, epsilon: float) -> StatModel:
 def peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
     """Evaluate the unweighted polynomial estimator by the nested recursion.
 
-    Maintains the accumulator v <- d + (I - alpha z) v, applying z through
-    its factors so neither z nor its powers are ever formed.
+    Maintains the accumulator v <- d + (I - alpha z) v.  z is formed once
+    per model and each degree costs one m x m matrix product; the powers of
+    z are never formed.
     """
     if est.kind is not EstimatorKind.PEACH:
         raise ValueError(f"expected a {EstimatorKind.PEACH}, got {est.kind}")
     d = deviation(model, y)
-    alpha = est.alpha
+    z, alpha = model.z, est.alpha
     acc = d.copy()
     for _ in range(est.degree):
-        acc = d + acc - alpha * _z_apply(model, acc)
+        acc = d + acc - alpha * (z @ acc)
     head = model.r_cov @ (model.pilot_ext.conj().T @ (alpha * acc))
     return _offset(model.h_mean, d) + head
 
@@ -370,9 +362,10 @@ def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.n
     if est.kind is not EstimatorKind.WPEACH:
         raise ValueError(f"expected a {EstimatorKind.WPEACH}, got {est.kind}")
     d = deviation(model, y)
+    z = model.z
     acc = est.weights[-1] * d
     for w_l in est.weights[-2::-1]:
-        acc = w_l * d + est.alpha * _z_apply(model, acc)
+        acc = w_l * d + est.alpha * (z @ acc)
     head = model.r_cov @ (model.pilot_ext.conj().T @ (est.alpha * acc))
     return _offset(model.h_mean, d) + head
 

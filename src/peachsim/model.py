@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -23,6 +24,7 @@ from .errors import (
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
     ShapeError,
+    SingularCovariance,
 )
 from .spectrum import Spectrum
 
@@ -150,7 +152,7 @@ class StatModel:
     pilot_ext : (m, n) extended pilot, the Kronecker product pilot.T (x) I_{n_r}
 
     A model is never mutated after construction, so quantities derived from
-    it (``z_spectrum``) are computed once, on first use.
+    it (``z``, ``z_factor``, ``z_spectrum``) are computed once, on first use.
     """
 
     dims: Dims
@@ -194,19 +196,36 @@ class StatModel:
         return self.pilot_ext @ self.h_mean + self.n_mean
 
     @cached_property
+    def z(self) -> np.ndarray:
+        """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov (read-only)."""
+        pe = self.pilot_ext
+        z = hermitize(pe @ self.r_cov @ pe.conj().T + self.s_cov)
+        z.setflags(write=False)
+        return z
+
+    @cached_property
+    def z_factor(self):
+        """Cholesky factor of z in the ``scipy.linalg.cho_factor`` form (read-only), for MMSE solves."""
+        try:
+            factor, lower = scipy.linalg.cho_factor(self.z)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("observation covariance is singular") from exc
+        factor.setflags(write=False)
+        return factor, lower
+
+    @cached_property
     def z_spectrum(self) -> Spectrum:
         """Spectrum of the observation covariance z, shared by every closed-form MSE."""
         channel = (self.pilot_ext @ self.r_cov).conj().T
-        spectrum = Spectrum.of(z_matrix(self), channel, float(np.trace(self.r_cov).real))
+        spectrum = Spectrum.of(self.z, channel, float(np.trace(self.r_cov).real))
         if spectrum.lam[0] <= 0:
             raise NotPositiveDefinite("observation covariance must be positive definite")
         return spectrum
 
 
 def z_matrix(model: StatModel) -> np.ndarray:
-    """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov."""
-    pe = model.pilot_ext
-    return hermitize(pe @ model.r_cov @ pe.conj().T + model.s_cov)
+    """Dense observation covariance of ``model``, formed once per model (read-only)."""
+    return model.z
 
 
 def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,7 +13,9 @@ from peachsim.errors import (
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
     ShapeError,
+    SingularCovariance,
 )
+from peachsim.estimators import mmse_estimate
 from peachsim.model import (
     ContaminationSpec,
     Dims,
@@ -129,6 +134,46 @@ class TestBuildStatModel:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveSemiDefinite):
             build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+
+
+class TestObservationCovarianceCache:
+    def test_dense_z_matches_factored_application(self, rng):
+        # the estimators and the dense filter views share this one z
+        model = random_model(rng)
+        pe = model.pilot_ext
+        v = complex_vector(rng, (model.dims.m, 3))
+        factored = pe @ (model.r_cov @ (pe.conj().T @ v)) + model.s_cov @ v
+        assert np.linalg.norm(model.z @ v - factored) <= 1e-12 * np.linalg.norm(factored)
+
+    def test_z_and_factor_are_formed_once(self, rng):
+        model = random_model(rng)
+        assert model.z is model.z
+        assert model.z_factor is model.z_factor
+
+    def test_z_and_factor_are_read_only(self, rng):
+        model = random_model(rng)
+        with pytest.raises(ValueError):
+            model.z[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.z_factor[0][0, 0] = 0.0
+
+    def test_derived_model_forms_its_own_z(self, rng):
+        model = random_model(rng)
+        model.z_spectrum  # fill the parent's caches before deriving
+        derived = replace(model, r_cov=2.0 * model.r_cov)
+        pe = derived.pilot_ext
+        expected = pe @ (2.0 * model.r_cov) @ pe.conj().T + model.s_cov
+        assert_allclose(derived.z, expected, rtol=1e-12, atol=1e-12 * np.linalg.norm(expected))
+        assert derived.z_spectrum.lam[-1] > model.z_spectrum.lam[-1]
+
+    def test_failed_factorization_is_singular_covariance(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        model = random_model(rng)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
+        with pytest.raises(SingularCovariance):
+            mmse_estimate(model, model.y_mean())
 
 
 class TestSampleGaussian:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from peachsim import analysis
 from peachsim import cli
@@ -138,3 +139,17 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     assert counts["standard_complex_normal"] == 8
     assert counts["eigh"] <= 2
     assert counts["inv"] == 0
+
+
+def test_mmse_epoch_factors_z_once(monkeypatch):
+    # the Cholesky factor of z is cached on the model, so an epoch of
+    # single-observation MMSE estimates pays one factorization and no solves
+    _, model = desk_contaminated_point(monte_carlo=False)
+    observations = np.random.default_rng(3).standard_normal((50, model.dims.m)) + 0j
+    scipy_counts, numpy_counts = {}, {}
+    count_calls(monkeypatch, scipy.linalg, ("cho_factor", "solve"), scipy_counts)
+    count_calls(monkeypatch, np.linalg, ("solve",), numpy_counts)
+    for y in observations:
+        es.mmse_estimate(model, y)
+    assert scipy_counts == {"cho_factor": 1, "solve": 0}
+    assert numpy_counts == {"solve": 0}
