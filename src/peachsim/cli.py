@@ -184,10 +184,13 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
     }
 
 
-def _estimator_callables(peach_est, wpeach_est) -> dict:
+def _estimator_callables(model: StatModel, peach_est, wpeach_est) -> dict:
+    # the MVU Gram system is built once here, not on each Monte Carlo chunk;
+    # it is not cached on the model, which would hold two more (m, n) arrays
+    gram, t, _ = estimators._mvu_gram(model)
     return {
         "mmse": estimators.mmse_estimate,
-        "mvu": estimators.mvu_estimate,
+        "mvu": lambda mdl, y: estimators._mvu_apply(mdl, gram, t, y),
         "diagonalized": estimators.diag_estimate,
         "peach": lambda mdl, y: estimators.peach_estimate(mdl, peach_est, y),
         "wpeach": lambda mdl, y: estimators.wpeach_estimate(mdl, wpeach_est, y),
@@ -250,7 +253,7 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     monte_carlo = {}
     if config.monte_carlo:
         monte_carlo = run_monte_carlo(
-            model, _estimator_callables(peach_est, wpeach_est), config.trials, (config.seed, point_index)
+            model, _estimator_callables(model, peach_est, wpeach_est), config.trials, (config.seed, point_index)
         )
     rows = []
     for name in _ESTIMATOR_ORDER:

@@ -159,6 +159,12 @@ def mmse_mse(model: StatModel) -> float:
 def mvu_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Minimum-variance unbiased estimate; uses disturbance statistics only."""
     gram, t, _ = _mvu_gram(model)
+    return _mvu_apply(model, gram, t, y)
+
+
+def _mvu_apply(model: StatModel, gram: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # one estimate from the Gram system of _mvu_gram, so callers that estimate
+    # many times on one model prepare that system once
     y = np.asarray(y, dtype=complex)
     rhs = t.conj().T @ (y - _offset(model.n_mean, y))
     return np.linalg.solve(gram, rhs)

@@ -72,10 +72,14 @@ def is_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     return np.linalg.norm(a - a.conj().T) <= rtol * scale
 
 
-def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL):
-    """Validate that ``a`` is Hermitian PSD within tolerance.
+def _factor_hermitian_psd(a: np.ndarray, name: str, rtol: float, vectors: bool):
+    """Validate ``a`` as Hermitian PSD and factor it the cheapest way that decides.
 
-    Returns ``a`` symmetrized and its ascending eigenvalues.
+    Returns ``(a, factor, eigs, vecs)`` with ``a`` symmetrized.  When a
+    Cholesky factorization succeeds the matrix is positive definite, ``factor``
+    is its lower Cholesky factor and ``eigs``/``vecs`` are None.  Otherwise
+    ``factor`` is None and the ascending eigenvalues (and, with ``vectors``,
+    the eigenvectors) decide semidefiniteness within ``rtol``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -83,29 +87,44 @@ def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_R
     if not is_hermitian(a):
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
-    eigs = np.linalg.eigvalsh(a)
+    try:
+        return a, np.linalg.cholesky(a), None, None
+    except np.linalg.LinAlgError:
+        pass
+    eigs, vecs = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     scale = max(eigs[-1], 0.0)
     if eigs[0] < -rtol * max(scale, 1.0):
         raise NotPositiveSemiDefinite(
             f"{name} has negative eigenvalue {eigs[0]:.3e} (largest {eigs[-1]:.3e})"
         )
-    return a, eigs
+    return a, None, eigs, vecs
+
+
+def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL):
+    """Validate that ``a`` is Hermitian PSD within tolerance.
+
+    A matrix that Cholesky factors is accepted as positive definite; only
+    when the factorization fails does an ``eigvalsh`` test decide, accepting
+    a smallest eigenvalue down to ``-rtol`` times the largest (or ``-rtol``
+    when the largest is below 1).
+
+    Returns ``a`` symmetrized and whether it is positive definite.
+    """
+    a, factor, eigs, _ = _factor_hermitian_psd(a, name, rtol, vectors=False)
+    return a, factor is not None or eigs[0] > 0
 
 
 def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor L with L @ L^H = cov.
+    """Factor L with L @ L^H = cov, after validating cov as Hermitian PSD.
 
-    Uses Cholesky when the matrix is numerically positive definite and falls
-    back to an eigendecomposition with clipped negative eigenvalues for
-    semidefinite inputs (for example covariances with zero blocks).
+    Returns the Cholesky factor when the matrix is positive definite.  For
+    semidefinite inputs (for example covariances with zero blocks) the failed
+    factorization is followed by one ``eigh``, which both validates the
+    matrix and gives the factor with clipped negative eigenvalues.
     """
-    cov = np.asarray(cov, dtype=complex)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    cov, _ = check_hermitian_psd(cov, "covariance")
-    eigs, vecs = np.linalg.eigh(cov)
+    _, factor, eigs, vecs = _factor_hermitian_psd(cov, "covariance", PSD_RTOL, vectors=True)
+    if factor is not None:
+        return factor
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
 
@@ -179,10 +198,10 @@ class StatModel:
         if pilot_ext.shape != (m, n):
             raise ShapeError(f"pilot_ext must be {m}x{n}, got {pilot_ext.shape}")
         r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov")
-        s_cov, s_eigs = check_hermitian_psd(self.s_cov, "s_cov")
+        s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov")
         if r_cov.shape != (n, n) or s_cov.shape != (m, m):
             raise ShapeError("covariance shapes inconsistent with dims")
-        if s_eigs[0] <= 0:
+        if not s_definite:
             raise NotPositiveSemiDefinite("s_cov must be positive definite")
         object.__setattr__(self, "h_mean", h_mean)
         object.__setattr__(self, "n_mean", n_mean)
@@ -260,19 +279,28 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
     return np.sqrt(pilot_power) * np.eye(dims.n_t, dtype=complex)
 
 
-def disturbance_covariance(pilot_ext: np.ndarray, contamination: ContaminationSpec) -> np.ndarray:
+def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: ContaminationSpec) -> np.ndarray:
     """Pilot-contaminated disturbance covariance.
 
     Sums ``beta_i * pilot_ext @ cov_i @ pilot_ext^H`` over the interfering
-    cells and adds the receiver-noise term ``noise_var * I``.
+    cells and adds the receiver-noise term ``noise_var * I``.  With
+    ``pilot_ext = pilot.T (x) I_{n_r}`` each term is formed without the
+    dense (m, n) factor: ``cov_i`` is viewed as an (n_t, n_r, n_t, n_r) array
+    and the pilot is contracted on both transmit axes, which costs
+    O(b * n_t * n * n_r) instead of O(m * n^2).
     """
-    m = pilot_ext.shape[0]
+    n_t, b = pilot.shape
+    m = b * n_r
     s_cov = contamination.noise_var * np.eye(m, dtype=complex)
     for beta, cov in zip(contamination.betas, contamination.interferer_covs):
         cov, _ = check_hermitian_psd(cov, "interferer covariance")
-        if cov.shape != (pilot_ext.shape[1],) * 2:
+        if cov.shape != (n_t * n_r,) * 2:
             raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
-        s_cov = s_cov + beta * (pilot_ext @ cov @ pilot_ext.conj().T)
+        # pilot on the row transmit axis gives (j, r, u, s), conj(pilot) on the
+        # column one (j, r, s, k); rows are (j, r) and columns (k, s)
+        left = np.tensordot(pilot, cov.reshape(n_t, n_r, n_t, n_r), axes=(0, 0))
+        term = np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(m, m)
+        s_cov = s_cov + beta * term
     return hermitize(s_cov)
 
 
@@ -305,8 +333,7 @@ def stat_model_from_pilot(
     pilot = np.asarray(pilot, dtype=complex)
     if pilot.shape != (dims.n_t, dims.b):
         raise PilotShapeMismatch(f"pilot must be {dims.n_t}x{dims.b}, got {pilot.shape}")
-    pilot_ext = extend_pilot(pilot, dims.n_r)
-    s_cov = disturbance_covariance(pilot_ext, contamination)
+    s_cov = disturbance_covariance(pilot, dims.n_r, contamination)
     return StatModel(
         dims=dims,
         h_mean=h_mean,
@@ -314,7 +341,6 @@ def stat_model_from_pilot(
         n_mean=n_mean,
         s_cov=s_cov,
         pilot=pilot,
-        pilot_ext=pilot_ext,
     )
 
 

@@ -49,6 +49,21 @@ def random_observation(rng, model):
     return model.y_mean() + complex_vector(rng, model.dims.m)
 
 
+def count_calls(monkeypatch, namespace, names, counts):
+    """Count the calls made to each of ``names`` in ``namespace`` into ``counts``."""
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        counts[name] = 0
+        monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -19,9 +19,12 @@ from peachsim.estimators import mmse_estimate
 from peachsim.model import (
     ContaminationSpec,
     Dims,
+    StatModel,
     build_stat_model,
+    correlated_model,
     deviation,
     exp_correlation_matrix,
+    extend_pilot,
     observe,
     psd_factor,
     sample_gaussian,
@@ -29,7 +32,7 @@ from peachsim.model import (
     stat_model_from_pilot,
 )
 
-from conftest import complex_vector, random_hermitian_psd, random_model
+from conftest import complex_vector, count_calls, random_hermitian_psd, random_model
 
 
 # §IV-C-style correlation coefficient used by the entry-value check below
@@ -134,6 +137,54 @@ class TestBuildStatModel:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveSemiDefinite):
             build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+
+
+def hermitian_with_spectrum(rng, eigs):
+    q, _ = np.linalg.qr(complex_vector(rng, (len(eigs), len(eigs))))
+    return q @ np.diag(eigs) @ q.conj().T
+
+
+class TestValidation:
+    def test_correlated_build_validates_by_cholesky(self, monkeypatch):
+        # r_cov, s_cov and the two interferer covariances are positive
+        # definite, so each is accepted by one Cholesky and no eigensolver runs
+        counts = {}
+        count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh"), counts)
+        correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        assert counts["eigvalsh"] == 0
+        assert counts["eigh"] == 0
+        assert counts["cholesky"] <= 4
+
+    def test_negative_eigenvalue_rejected_with_message(self, rng):
+        dims = Dims(2, 2, 2)
+        bad = hermitian_with_spectrum(rng, [-1e-3, 1.0, 2.0, 3.0])
+        with pytest.raises(NotPositiveSemiDefinite, match=r"^r_cov has negative eigenvalue -1\.000e-03 \(largest 3\.000e\+00\)$"):
+            build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+
+    def test_negative_eigenvalue_within_tolerance_accepted(self, rng):
+        dims = Dims(2, 2, 2)
+        r_cov = hermitian_with_spectrum(rng, [-1e-13 * 3.0, 1.0, 2.0, 3.0])
+        model = build_stat_model(dims, None, r_cov, None, ContaminationSpec(), 1.0)
+        assert_allclose(model.r_cov, r_cov, atol=1e-14)
+
+    def test_zero_block_channel_covariance_accepted_and_factored(self, rng):
+        dims = Dims(2, 2, 2)
+        r_cov = np.zeros((dims.n, dims.n), dtype=complex)
+        r_cov[:2, :2] = random_hermitian_psd(rng, 2)
+        model = build_stat_model(dims, None, r_cov, None, ContaminationSpec(), 1.0)
+        factor = psd_factor(model.r_cov)
+        assert_allclose(factor @ factor.conj().T, r_cov, atol=1e-12)
+
+    def test_semidefinite_factor_costs_one_cholesky_and_one_eigh(self, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh"), counts)
+        psd_factor(np.diag([1.0, 0.0, 2.0]))
+        assert counts == {"cholesky": 1, "eigh": 1, "eigvalsh": 0}
+
+    def test_singular_disturbance_covariance_rejected(self):
+        dims = Dims(2, 1, 1)
+        with pytest.raises(NotPositiveSemiDefinite, match="s_cov must be positive definite"):
+            StatModel(dims, None, np.eye(dims.n), None, np.diag([1.0, 0.0]), np.eye(1))
 
 
 class TestObservationCovarianceCache:
@@ -257,6 +308,21 @@ class TestArbitraryPilot:
         model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
         assert model.pilot_ext.shape == (dims.m, dims.n)
         assert_allclose(model.pilot_ext, np.kron(pilot.T, np.eye(2)))
+
+    @pytest.mark.parametrize("n_t, b", [(2, 3), (3, 5)])
+    def test_contaminated_disturbance_matches_dense_product(self, rng, n_t, b):
+        dims = Dims(2, n_t, b)
+        pilot = complex_vector(rng, n_t * b).reshape(n_t, b)
+        covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
+        betas = (0.3, 0.7)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(covs, betas, 0.8), pilot
+        )
+        p_ext = extend_pilot(pilot, dims.n_r)
+        expected = 0.8 * np.eye(dims.m)
+        for beta, cov in zip(betas, covs):
+            expected = expected + beta * p_ext @ cov @ p_ext.conj().T
+        assert np.linalg.norm(model.s_cov - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_pilot_shape_mismatch(self, rng):
         dims = Dims(2, 3, 4)

@@ -10,7 +10,7 @@ from peachsim import estimators as es
 from peachsim.cli import _sweep_point_rows, default_config
 from peachsim.model import Dims, correlated_model
 
-from conftest import random_hermitian_psd, random_model
+from conftest import count_calls, random_hermitian_psd, random_model
 
 DEGREES = (0, 3, 10)
 KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
@@ -93,19 +93,6 @@ def test_peach_floors_match_dense_truncated_inverse(degree):
         )
 
 
-def count_calls(monkeypatch, namespace, names, counts):
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        counts[name] = 0
-        monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
-
-
 def desk_contaminated_point(monte_carlo):
     config = default_config("sweep-snr", betas=(0.1, 0.1), monte_carlo=monte_carlo)
     return config, correlated_model(Dims(config.n_r, config.n_t, config.b), 10.0, config.betas)
@@ -128,16 +115,20 @@ def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
 def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     # all five estimators are scored on one draw per chunk: one Cholesky
     # factor each of r_cov and s_cov, and two normal draws (h and n) for each
-    # of the four chunks of 2000 trials
+    # of the four chunks of 2000 trials; the MVU Gram system is prepared once
+    # per point (one solve against s_cov, one eigvalsh), then solved once per
+    # chunk
     config, model = desk_contaminated_point(monte_carlo=True)
     assert config.trials == 2000
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve", "inv"), counts)
     count_calls(monkeypatch, cli, ("standard_complex_normal",), counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
     assert counts["eigh"] <= 2
+    assert counts["eigvalsh"] == 3
+    assert counts["solve"] == 6
     assert counts["inv"] == 0
 
 
