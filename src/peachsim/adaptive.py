@@ -54,6 +54,11 @@ class AdaptiveState:
     _quad_cache: deque = field(default_factory=deque, repr=False)
 
 
+def _pilot_r2(model: StatModel, v: np.ndarray) -> np.ndarray:
+    # pilot r^2 pilot^H v, the pilot applied through its Kronecker structure
+    return model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v)))
+
+
 def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     """Per-sample quadratic forms q_k = Re(y^H pilot r^2 pilot^H z^k y), k = 0..2L.
 
@@ -61,8 +66,8 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     each sample costs O(L m^2); the real part is taken because the traces the
     averages approximate are real.
     """
-    pe, z = model.pilot_ext, model.z
-    f_y = pe @ (model.r_cov @ (model.r_cov @ (pe.conj().T @ y)))
+    z = model.z
+    f_y = _pilot_r2(model, y)
     out = np.empty(2 * degree + 1)
     v = y
     out[0] = np.vdot(f_y, v).real
@@ -86,12 +91,10 @@ def _accumulate(state: AdaptiveState, quad_sum: np.ndarray, scale: float) -> Non
 
 def _probe_b1(model: StatModel, alpha_w: float, count: int, rng: np.random.Generator) -> float:
     # Random-probe trace estimate (alpha_w / T) sum_i v_i^H pilot r^2 pilot^H v_i.
-    pe = model.pilot_ext
     total = 0.0
     for _ in range(count):
         v = standard_complex_normal(rng, model.dims.m)
-        f_v = pe @ (model.r_cov @ (model.r_cov @ (pe.conj().T @ v)))
-        total += np.vdot(f_v, v).real
+        total += np.vdot(_pilot_r2(model, v), v).real
     return alpha_w * total / count
 
 

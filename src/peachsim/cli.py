@@ -29,7 +29,6 @@ from .model import (
     StatModel,
     correlated_contamination,
     correlated_model,
-    psd_factor,
     standard_complex_normal,
 )
 
@@ -159,8 +158,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
         raise ValueError("trials must be >= 1")
     n_chunks = (trials + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    factor_r = psd_factor(model.r_cov)
-    factor_s = psd_factor(model.s_cov)
+    factor_r, factor_s = model.r_factor, model.s_factor
     sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
@@ -168,7 +166,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
         rng = np.random.default_rng(child)
         h = model.h_mean[:, None] + factor_r @ standard_complex_normal(rng, model.dims.n, count)
         noise = model.n_mean[:, None] + factor_s @ standard_complex_normal(rng, model.dims.m, count)
-        y = model.pilot_ext @ h + noise
+        y = model.apply_pilot(h) + noise
         for name, estimator in estimators.items():
             h_hat = estimator(model, y)
             if h_hat.shape != h.shape:
@@ -314,13 +312,11 @@ def _run_adaptive(config: ExperimentConfig):
         mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
         child = np.random.SeedSequence((config.seed, index))
         stream_rng, probe_rng = (np.random.default_rng(s) for s in child.spawn(2))
-        factor_r = psd_factor(model.r_cov)
-        factor_s = psd_factor(model.s_cov)
 
         def draw_y(count):
-            h = factor_r @ standard_complex_normal(stream_rng, dims.n, count)
-            noise = factor_s @ standard_complex_normal(stream_rng, dims.m, count)
-            return (model.pilot_ext @ h + noise + model.y_mean()[:, None]).T
+            h = model.r_factor @ standard_complex_normal(stream_rng, dims.n, count)
+            noise = model.s_factor @ standard_complex_normal(stream_rng, dims.m, count)
+            return (model.apply_pilot(h) + noise + model.y_mean()[:, None]).T
 
         warmup = list(draw_y(config.window))
         state = adaptive_init(model, config.window, config.degree, alpha_w, warmup, probe_rng)
@@ -347,13 +343,12 @@ def _run_shrinkage(config: ExperimentConfig):
     dims = Dims(config.n_r, config.n_t, config.b)
     model = correlated_model(dims, config.snr_db[0], config.betas, config.correlation, config.noise_var)
     trace_r = float(np.trace(model.r_cov).real)
-    factor_r = psd_factor(model.r_cov)
     mse_mmse = estimators.mmse_mse(model)
     mse_wpeach = estimators.wpeach_mse_optimal(model, config.degree)
     rows = []
     for index, n_samples in enumerate(config.shrink_samples):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-        samples = (factor_r @ standard_complex_normal(rng, dims.n, n_samples)).T
+        samples = (model.r_factor @ standard_complex_normal(rng, dims.n, n_samples)).T
         shrunk = shrinkage_covariance(samples, mode="plugin")
         model_est = replace(model, r_cov=shrunk.c_hat)
         wpeach_est = estimators.make_wpeach(model_est, config.degree)

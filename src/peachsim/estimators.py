@@ -92,8 +92,7 @@ class WeightSystem:
 
 
 def _mvu_z_apply(model: StatModel, epsilon: float, v: np.ndarray) -> np.ndarray:
-    pe = model.pilot_ext
-    return pe @ (pe.conj().T @ v) + epsilon * (model.s_cov @ v)
+    return model.apply_pilot(model.apply_pilot_adjoint(v)) + epsilon * (model.s_cov @ v)
 
 
 def alpha_optimal(z: np.ndarray) -> float:
@@ -140,11 +139,15 @@ def mmse_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
 
     The inverse is realized as two triangular solves against the model's
     cached Cholesky factor of the observation covariance, so the O(m^3)
-    factorization is paid once per model and each estimate costs O(m^2).
+    factorization is paid once per model.  Each estimate then costs the two
+    O(m^2) solves, the structured adjoint pilot_ext^H in O(m * n_t) and one
+    O(n^2) product with r_cov.  The observation is checked for non-finite
+    entries (``ValueError``); the read-only factor, already checked when it
+    was formed, is not scanned again.
     """
     d = deviation(model, y)
-    x = scipy.linalg.cho_solve(model.z_factor, d)
-    return _offset(model.h_mean, d) + model.r_cov @ (model.pilot_ext.conj().T @ x)
+    x = scipy.linalg.cho_solve(model.z_factor, np.asarray_chkfinite(d), check_finite=False)
+    return _offset(model.h_mean, d) + model.r_cov @ model.apply_pilot_adjoint(x)
 
 
 def mmse_mse(model: StatModel) -> float:
@@ -177,9 +180,8 @@ def mvu_variance(model: StatModel) -> float:
 
 
 def _mvu_gram(model: StatModel):
-    pe = model.pilot_ext
-    t = np.linalg.solve(model.s_cov, pe)
-    gram = hermitize(pe.conj().T @ t)
+    t = np.linalg.solve(model.s_cov, model.pilot_ext)
+    gram = hermitize(model.apply_pilot_adjoint(t))
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
         raise RankDeficientPilot(
@@ -350,7 +352,8 @@ def peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.nd
 
     Maintains the accumulator v <- d + (I - alpha z) v.  z is formed once
     per model and each degree costs one m x m matrix product; the powers of
-    z are never formed.
+    z are never formed.  The head r_cov pilot_ext^H applies the pilot
+    through its Kronecker structure, O(m * n_t), plus one O(n^2) product.
     """
     if est.kind is not EstimatorKind.PEACH:
         raise ValueError(f"expected a {EstimatorKind.PEACH}, got {est.kind}")
@@ -359,7 +362,7 @@ def peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.nd
     acc = d.copy()
     for _ in range(est.degree):
         acc = d + acc - alpha * (z @ acc)
-    head = model.r_cov @ (model.pilot_ext.conj().T @ (alpha * acc))
+    head = model.r_cov @ model.apply_pilot_adjoint(alpha * acc)
     return _offset(model.h_mean, d) + head
 
 
@@ -372,7 +375,7 @@ def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.n
     acc = est.weights[-1] * d
     for w_l in est.weights[-2::-1]:
         acc = w_l * d + est.alpha * (z @ acc)
-    head = model.r_cov @ (model.pilot_ext.conj().T @ (est.alpha * acc))
+    head = model.r_cov @ model.apply_pilot_adjoint(est.alpha * acc)
     return _offset(model.h_mean, d) + head
 
 
@@ -392,7 +395,7 @@ def mvu_peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> n
         acc = est.weights[-1] * u
         for w_l in est.weights[-2::-1]:
             acc = w_l * u + est.alpha * _mvu_z_apply(model, est.epsilon, acc)
-    return model.pilot_ext.conj().T @ (est.alpha * acc)
+    return model.apply_pilot_adjoint(est.alpha * acc)
 
 
 def estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:

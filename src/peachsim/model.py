@@ -10,7 +10,7 @@ disturbance covariances and the correlated model of the simulations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -168,10 +168,14 @@ class StatModel:
     n_mean : (m,) disturbance mean
     s_cov : (m, m) disturbance covariance, Hermitian positive definite
     pilot : (n_t, b) pilot matrix
-    pilot_ext : (m, n) extended pilot, the Kronecker product pilot.T (x) I_{n_r}
 
-    A model is never mutated after construction, so quantities derived from
-    it (``z``, ``z_factor``, ``z_spectrum``) are computed once, on first use.
+    The extended pilot ``pilot_ext = pilot.T (x) I_{n_r}`` is not stored:
+    :meth:`apply_pilot` and :meth:`apply_pilot_adjoint` apply it through its
+    Kronecker structure in O(m * n_t) per vector, and the ``pilot_ext``
+    property forms the dense (m, n) matrix on demand for the analysis-side
+    oracles.  A model is never mutated after construction, so quantities
+    derived from it (``z``, ``z_factor``, ``z_spectrum``, ``r_factor``,
+    ``s_factor``) are computed once, on first use.
     """
 
     dims: Dims
@@ -180,7 +184,6 @@ class StatModel:
     n_mean: np.ndarray
     s_cov: np.ndarray
     pilot: np.ndarray
-    pilot_ext: np.ndarray = field(default=None)
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
@@ -189,14 +192,8 @@ class StatModel:
         pilot = np.asarray(self.pilot, dtype=complex)
         if pilot.shape != (self.dims.n_t, self.dims.b):
             raise ShapeError(f"pilot must be {self.dims.n_t}x{self.dims.b}, got {pilot.shape}")
-        pilot_ext = self.pilot_ext
-        if pilot_ext is None:
-            pilot_ext = extend_pilot(pilot, self.dims.n_r)
-        pilot_ext = np.asarray(pilot_ext, dtype=complex)
         if h_mean.shape != (n,) or n_mean.shape != (m,):
             raise ShapeError("mean vectors inconsistent with dims")
-        if pilot_ext.shape != (m, n):
-            raise ShapeError(f"pilot_ext must be {m}x{n}, got {pilot_ext.shape}")
         r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov")
         s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov")
         if r_cov.shape != (n, n) or s_cov.shape != (m, m):
@@ -208,17 +205,36 @@ class StatModel:
         object.__setattr__(self, "r_cov", r_cov)
         object.__setattr__(self, "s_cov", s_cov)
         object.__setattr__(self, "pilot", pilot)
-        object.__setattr__(self, "pilot_ext", pilot_ext)
+
+    @property
+    def pilot_ext(self) -> np.ndarray:
+        """Dense extended pilot pilot.T (x) I_{n_r}, formed on each access (analysis side only)."""
+        return extend_pilot(self.pilot, self.dims.n_r)
+
+    # The two applies view a vector (or each column of a batch) as n_t or b
+    # blocks of n_r entries and contract the pilot over the block index, one
+    # small matrix product on a reshaped view.  np.tensordot computes the same
+    # product but adds about 15 us of Python overhead per call, three times
+    # the product itself at m = 80.
+
+    def apply_pilot(self, x: np.ndarray) -> np.ndarray:
+        """pilot_ext @ x for an (n,) vector or an (n, k) batch, without forming pilot_ext."""
+        x = np.asarray(x)
+        return (self.pilot.T @ x.reshape(self.dims.n_t, -1)).reshape(self.dims.m, *x.shape[1:])
+
+    def apply_pilot_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """pilot_ext^H @ y for an (m,) vector or an (m, k) batch, without forming pilot_ext."""
+        y = np.asarray(y)
+        return (self.pilot.conj() @ y.reshape(self.dims.b, -1)).reshape(self.dims.n, *y.shape[1:])
 
     def y_mean(self) -> np.ndarray:
         """Mean of the observation, pilot_ext @ h_mean + n_mean."""
-        return self.pilot_ext @ self.h_mean + self.n_mean
+        return self.apply_pilot(self.h_mean) + self.n_mean
 
     @cached_property
     def z(self) -> np.ndarray:
         """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov (read-only)."""
-        pe = self.pilot_ext
-        z = hermitize(pe @ self.r_cov @ pe.conj().T + self.s_cov)
+        z = hermitize(_pilot_sandwich(self.pilot, self.dims.n_r, self.r_cov) + self.s_cov)
         z.setflags(write=False)
         return z
 
@@ -235,11 +251,27 @@ class StatModel:
     @cached_property
     def z_spectrum(self) -> Spectrum:
         """Spectrum of the observation covariance z, shared by every closed-form MSE."""
-        channel = (self.pilot_ext @ self.r_cov).conj().T
-        spectrum = Spectrum.of(self.z, channel, float(np.trace(self.r_cov).real))
+        lam, vecs = np.linalg.eigh(self.z)
+        # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
+        channel = self.apply_pilot(self.r_cov).conj().T
+        spectrum = Spectrum(lam, Spectrum.energies(channel, vecs), float(np.trace(self.r_cov).real))
         if spectrum.lam[0] <= 0:
             raise NotPositiveDefinite("observation covariance must be positive definite")
         return spectrum
+
+    @cached_property
+    def r_factor(self) -> np.ndarray:
+        """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for drawing channels."""
+        factor = psd_factor(self.r_cov)
+        factor.setflags(write=False)
+        return factor
+
+    @cached_property
+    def s_factor(self) -> np.ndarray:
+        """Factor L with L @ L^H = s_cov (:func:`psd_factor`, read-only), for drawing disturbances."""
+        factor = psd_factor(self.s_cov)
+        factor.setflags(write=False)
+        return factor
 
 
 def z_matrix(model: StatModel) -> np.ndarray:
@@ -279,28 +311,35 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
     return np.sqrt(pilot_power) * np.eye(dims.n_t, dtype=complex)
 
 
+def _pilot_sandwich(pilot: np.ndarray, n_r: int, cov: np.ndarray) -> np.ndarray:
+    """pilot_ext @ cov @ pilot_ext^H without the dense (m, n) factor.
+
+    With ``pilot_ext = pilot.T (x) I_{n_r}``, ``cov`` is viewed as an
+    (n_t, n_r, n_t, n_r) array and the pilot is contracted on both transmit
+    axes, which costs O(b * n_t * n * n_r) instead of O(m * n^2).
+    """
+    n_t, b = pilot.shape
+    m = b * n_r
+    # pilot on the row transmit axis gives (j, r, u, s), conj(pilot) on the
+    # column one (j, r, s, k); rows are (j, r) and columns (k, s)
+    left = np.tensordot(pilot, cov.reshape(n_t, n_r, n_t, n_r), axes=(0, 0))
+    return np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(m, m)
+
+
 def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: ContaminationSpec) -> np.ndarray:
     """Pilot-contaminated disturbance covariance.
 
     Sums ``beta_i * pilot_ext @ cov_i @ pilot_ext^H`` over the interfering
-    cells and adds the receiver-noise term ``noise_var * I``.  With
-    ``pilot_ext = pilot.T (x) I_{n_r}`` each term is formed without the
-    dense (m, n) factor: ``cov_i`` is viewed as an (n_t, n_r, n_t, n_r) array
-    and the pilot is contracted on both transmit axes, which costs
-    O(b * n_t * n * n_r) instead of O(m * n^2).
+    cells, each formed by :func:`_pilot_sandwich`, and adds the
+    receiver-noise term ``noise_var * I``.
     """
     n_t, b = pilot.shape
-    m = b * n_r
-    s_cov = contamination.noise_var * np.eye(m, dtype=complex)
+    s_cov = contamination.noise_var * np.eye(b * n_r, dtype=complex)
     for beta, cov in zip(contamination.betas, contamination.interferer_covs):
         cov, _ = check_hermitian_psd(cov, "interferer covariance")
         if cov.shape != (n_t * n_r,) * 2:
             raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
-        # pilot on the row transmit axis gives (j, r, u, s), conj(pilot) on the
-        # column one (j, r, s, k); rows are (j, r) and columns (k, s)
-        left = np.tensordot(pilot, cov.reshape(n_t, n_r, n_t, n_r), axes=(0, 0))
-        term = np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(m, m)
-        s_cov = s_cov + beta * term
+        s_cov = s_cov + beta * _pilot_sandwich(pilot, n_r, cov)
     return hermitize(s_cov)
 
 
@@ -440,7 +479,7 @@ def observe(model: StatModel, h: np.ndarray, n: np.ndarray) -> np.ndarray:
             f"expected h of length {model.dims.n} and n of length {model.dims.m}, "
             f"got {h.shape} and {n.shape}"
         )
-    return model.pilot_ext @ h + n
+    return model.apply_pilot(h) + n
 
 
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:

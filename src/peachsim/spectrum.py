@@ -34,7 +34,12 @@ class Spectrum:
     def of(cls, matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> "Spectrum":
         """Eigendecompose ``matrix`` once; phi_k = ||channel @ u_k||^2."""
         lam, vecs = np.linalg.eigh(matrix)
-        return cls(lam, np.sum(np.abs(channel @ vecs) ** 2, axis=0), trace_r)
+        return cls(lam, cls.energies(channel, vecs), trace_r)
+
+    @staticmethod
+    def energies(channel: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """Channel energy ||channel @ u_k||^2 along each eigenvector column u_k."""
+        return np.sum(np.abs(channel @ vecs) ** 2, axis=0)
 
     def mse(self, v: np.ndarray) -> float:
         """MSE of the filter whose values at the eigenvalues are ``v``."""

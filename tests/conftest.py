@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peachsim.model import ContaminationSpec, Dims, build_stat_model
+from peachsim.model import ContaminationSpec, Dims, build_stat_model, stat_model_from_pilot
 
 
 def random_hermitian_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -43,6 +43,26 @@ def random_model(
     contamination = ContaminationSpec(covs, betas, noise_var)
     pilot_power = rng.uniform(pt_lo, pt_hi)
     return build_stat_model(dims, h_mean, r_cov, n_mean, contamination, pilot_power)
+
+
+def random_pilot_model(rng, n_t, b, n_r=2):
+    """Model with a random, generally non-square (n_t, b) pilot, nonzero means and two interferers."""
+    dims = Dims(n_r, n_t, b)
+    pilot = complex_vector(rng, n_t * b).reshape(n_t, b)
+    covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
+    contamination = ContaminationSpec(covs, (0.3, 0.7), 0.8)
+    return stat_model_from_pilot(
+        dims,
+        complex_vector(rng, dims.n),
+        random_hermitian_psd(rng, dims.n),
+        complex_vector(rng, dims.m),
+        contamination,
+        pilot,
+    )
+
+
+def relative_error(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
 
 
 def random_observation(rng, model):

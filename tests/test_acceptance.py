@@ -280,7 +280,6 @@ def test_criterion_09_shrinkage_optimality_and_robustness():
                 n_mean=model.n_mean,
                 s_cov=model.s_cov,
                 pilot=model.pilot,
-                pilot_ext=model.pilot_ext,
             )
             west = es.make_wpeach(model_est, degree)
             filt = es.poly_filter_matrix(model_est, west)

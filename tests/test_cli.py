@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from peachsim.cli import (
 from peachsim.errors import ConfigError, ShapeError
 from peachsim.model import ContaminationSpec, Dims, SpatialCorrelation, build_stat_model, correlated_model
 
-from conftest import random_model
+from conftest import count_calls, random_model
 
 
 def read_rows(path):
@@ -183,6 +187,19 @@ class TestSweepL:
         assert payload[0]["nmse_monte_carlo"] is None
 
 
+def test_sweep_l_factors_each_covariance_once_per_model(tmp_path, monkeypatch):
+    # a contaminated build validates r_cov, s_cov and both interferer
+    # covariances by one Cholesky each; the Monte Carlo points of every degree
+    # then draw from the model's two cached sampling factors
+    counts = {}
+    count_calls(monkeypatch, np.linalg, ("cholesky",), counts)
+    config = default_config(
+        "sweep-l", n_r=4, degrees=(0, 1, 2), trials=16, betas=(0.1, 0.1), out=str(tmp_path / "l.csv")
+    )
+    run_experiment(config)
+    assert counts["cholesky"] == 4 + 2
+
+
 class TestSweepSnr:
     def test_noise_limited_saturation(self, tmp_path):
         config = default_config(
@@ -334,3 +351,21 @@ class TestMain:
         text = out.read_text()
         assert "j" not in text.replace("sweep-l", "")
         assert "(" not in text
+
+
+def test_cli_tables_byte_identical_in_fresh_processes(tmp_path):
+    # the reproducibility contract at a fixed BLAS thread count: two fresh
+    # interpreters running one contaminated Monte Carlo sweep write the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    tables = []
+    for run in range(2):
+        out = tmp_path / f"run{run}" / "snr.csv"
+        args = ["sweep-snr", "--n-r", "4", "--n-t", "2", "--snr-db", "0,20", "--betas", "0.1,0.1"]
+        args += ["--degree", "3", "--trials", "300", "--seed", "11", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "peachsim.cli", *args], env=env, check=True, capture_output=True)
+        tables.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert tables[0] == tables[1]
+    rows = [row for row in csv.DictReader(tables[0][0].decode().splitlines()) if row["nmse_monte_carlo"]]
+    assert len(rows) == 2 * 5

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import peachsim.model
 from peachsim import estimators as es
+from peachsim.adaptive import adaptive_init, adaptive_update
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import (
     DivergentExpansionWarning,
@@ -11,9 +13,24 @@ from peachsim.errors import (
     RankDeficientPilot,
     UnsupportedPilot,
 )
-from peachsim.model import ContaminationSpec, Dims, build_stat_model, deviation, stat_model_from_pilot
+from peachsim.model import (
+    ContaminationSpec,
+    Dims,
+    build_stat_model,
+    correlated_model,
+    deviation,
+    extend_pilot,
+    stat_model_from_pilot,
+)
 
-from conftest import complex_vector, random_hermitian_psd, random_model, random_observation
+from conftest import (
+    complex_vector,
+    random_hermitian_psd,
+    random_model,
+    random_observation,
+    random_pilot_model,
+    relative_error,
+)
 
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0, h_mean=0.3 + 0.1j, n_mean=-0.2j):
@@ -49,6 +66,13 @@ class TestMmse:
         oracle = model.h_mean + model.r_cov @ model.pilot_ext.conj().T @ np.linalg.inv(z) @ deviation(model, y)
         est = es.mmse_estimate(model, y)
         assert np.linalg.norm(est - oracle) < 1e-10 * np.linalg.norm(oracle)
+
+    def test_non_finite_observation_rejected(self, rng):
+        model = random_model(rng)
+        y = random_observation(rng, model)
+        y[1] = np.nan
+        with pytest.raises(ValueError):
+            es.mmse_estimate(model, y)
 
     def test_mse_diagonal_closed_form(self):
         dims = Dims(3, 2, 2)
@@ -363,3 +387,86 @@ class TestMvuPeach:
             es.make_mvu_peach(model, 3, 0.0)
         with pytest.raises(InvalidRegularization):
             es.make_mvu_wpeach(model, 3, -1.0)
+
+
+PILOT_SHAPES = [(2, 3), (3, 5)]
+
+
+class TestStructuredPilotEstimates:
+    """Estimates through the structured pilot applies agree with dense filters."""
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_mmse_peach_wpeach_match_dense_filters(self, rng, n_t, b, batch):
+        model = random_pilot_model(rng, n_t, b)
+        y = model.y_mean()[(...,) + (None,) * len(batch)] + complex_vector(rng, (model.dims.m, *batch))
+        d = deviation(model, y)
+        h_mean = model.h_mean[(...,) + (None,) * len(batch)]
+        peach_est = es.make_peach(model, 3)
+        wpeach_est = es.make_wpeach(model, 3)
+        pairs = [
+            (es.mmse_estimate(model, y), es.mmse_filter_matrix(model)),
+            (es.peach_estimate(model, peach_est, y), es.poly_filter_matrix(model, peach_est)),
+            (es.wpeach_estimate(model, wpeach_est, y), es.poly_filter_matrix(model, wpeach_est)),
+        ]
+        for estimate, g_mat in pairs:
+            assert relative_error(estimate, h_mean + g_mat @ d) <= 1e-12
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    def test_mvu_matches_dense_solve(self, rng, n_t, b):
+        model = random_pilot_model(rng, n_t, b)
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        y = complex_vector(rng, (model.dims.m, 4))
+        t = np.linalg.solve(model.s_cov, p_ext)
+        dense = np.linalg.solve(p_ext.conj().T @ t, t.conj().T @ (y - model.n_mean[:, None]))
+        assert relative_error(es.mvu_estimate(model, y), dense) <= 1e-12
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    def test_mvu_polynomials_match_dense_polynomials(self, rng, n_t, b):
+        model = random_pilot_model(rng, n_t, b)
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        eps, degree = 0.5, 3
+        z_mvu = p_ext @ p_ext.conj().T + eps * model.s_cov
+        y = complex_vector(rng, model.dims.m)
+        u = y - model.n_mean
+        eye = np.eye(model.dims.m)
+        est = es.make_mvu_peach(model, degree, eps)
+        x = eye - est.alpha * z_mvu
+        poly = est.alpha * sum(np.linalg.matrix_power(x, l) for l in range(degree + 1))
+        assert relative_error(es.mvu_peach_estimate(model, est, y), p_ext.conj().T @ poly @ u) <= 1e-12
+        west = es.make_mvu_wpeach(model, degree, eps)
+        poly = sum(
+            w_l * west.alpha ** (l + 1) * np.linalg.matrix_power(z_mvu, l) for l, w_l in enumerate(west.weights)
+        )
+        assert relative_error(es.mvu_peach_estimate(model, west, y), p_ext.conj().T @ poly @ u) <= 1e-12
+
+
+@pytest.mark.parametrize("pilot", ["identity", "non-square"])
+def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
+    # building, preparing, estimating, tracking and Monte Carlo scoring all
+    # apply the pilot through its Kronecker structure
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense extended pilot was formed on the estimation path")
+
+    monkeypatch.setattr(peachsim.model, "extend_pilot", refuse)
+    if pilot == "identity":
+        model = correlated_model(Dims(6, 3, 3), 5.0, (0.1, 0.1))
+    else:
+        model = random_pilot_model(rng, 3, 5)
+    model.z, model.z_spectrum
+    peach_est = es.make_peach(model, 3)
+    wpeach_est = es.make_wpeach(model, 3)
+    y = random_observation(rng, model)
+    es.mmse_estimate(model, y)
+    es.peach_estimate(model, peach_est, y)
+    es.wpeach_estimate(model, wpeach_est, y)
+    samples = [random_observation(rng, model) for _ in range(5)]
+    state = adaptive_init(model, 4, 3, wpeach_est.alpha, samples[:4], np.random.default_rng(1))
+    adaptive_update(state, samples[4])
+    callables = {
+        "mmse": es.mmse_estimate,
+        "peach": lambda mdl, obs: es.peach_estimate(mdl, peach_est, obs),
+        "wpeach": lambda mdl, obs: es.wpeach_estimate(mdl, wpeach_est, obs),
+    }
+    results = run_monte_carlo(model, callables, 20, 3, chunk_size=8)
+    assert set(results) == set(callables)

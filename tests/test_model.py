@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,14 @@ from peachsim.model import (
     stat_model_from_pilot,
 )
 
-from conftest import complex_vector, count_calls, random_hermitian_psd, random_model
+from conftest import (
+    complex_vector,
+    count_calls,
+    random_hermitian_psd,
+    random_model,
+    random_pilot_model,
+    relative_error,
+)
 
 
 # §IV-C-style correlation coefficient used by the entry-value check below
@@ -328,6 +335,73 @@ class TestArbitraryPilot:
         dims = Dims(2, 3, 4)
         with pytest.raises(PilotShapeMismatch):
             stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), np.eye(3))
+
+
+PILOT_SHAPES = [(2, 3), (3, 5)]
+
+
+class TestStructuredPilot:
+    """The Kronecker-structured pilot applies agree with the dense extend_pilot products."""
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_apply_pilot_and_adjoint_match_dense(self, rng, n_t, b, batch):
+        model = random_pilot_model(rng, n_t, b)
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        x = complex_vector(rng, (model.dims.n, *batch))
+        y = complex_vector(rng, (model.dims.m, *batch))
+        assert model.apply_pilot(x).shape == (model.dims.m, *batch)
+        assert model.apply_pilot_adjoint(y).shape == (model.dims.n, *batch)
+        assert relative_error(model.apply_pilot(x), p_ext @ x) <= 1e-12
+        assert relative_error(model.apply_pilot_adjoint(y), p_ext.conj().T @ y) <= 1e-12
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    def test_z_y_mean_and_observe_match_dense(self, rng, n_t, b):
+        model = random_pilot_model(rng, n_t, b)
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        assert relative_error(model.z, p_ext @ model.r_cov @ p_ext.conj().T + model.s_cov) <= 1e-12
+        assert relative_error(model.y_mean(), p_ext @ model.h_mean + model.n_mean) <= 1e-12
+        h = complex_vector(rng, (model.dims.n, 4))
+        noise = complex_vector(rng, (model.dims.m, 4))
+        assert relative_error(observe(model, h, noise), p_ext @ h + noise) <= 1e-12
+        assert relative_error(observe(model, h[:, 0], noise[:, 0]), p_ext @ h[:, 0] + noise[:, 0]) <= 1e-12
+
+    def test_pilot_ext_is_derived_not_stored(self, rng):
+        model = random_pilot_model(rng, 2, 3)
+        assert np.array_equal(model.pilot_ext, extend_pilot(model.pilot, model.dims.n_r))
+        with pytest.raises(FrozenInstanceError):
+            model.pilot_ext = np.zeros((model.dims.m, model.dims.n))
+        with pytest.raises(TypeError):
+            StatModel(
+                model.dims, None, model.r_cov, None, model.s_cov, model.pilot, pilot_ext=model.pilot_ext
+            )
+
+
+class TestSamplingFactors:
+    def test_factors_reconstruct_covariances(self, rng):
+        model = random_pilot_model(rng, 3, 5)
+        for factor, cov in ((model.r_factor, model.r_cov), (model.s_factor, model.s_cov)):
+            assert relative_error(factor @ factor.conj().T, cov) <= 1e-12
+
+    def test_factors_are_cached_and_read_only(self, rng):
+        model = random_model(rng)
+        assert model.r_factor is model.r_factor
+        assert model.s_factor is model.s_factor
+        with pytest.raises(ValueError):
+            model.r_factor[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.s_factor[0, 0] = 0.0
+
+    def test_factors_are_lazy(self, rng, monkeypatch):
+        # a model that is never sampled from holds no factor
+        counts = {}
+        count_calls(monkeypatch, np.linalg, ("cholesky",), counts)
+        model = random_model(rng)
+        built = counts["cholesky"]
+        model.z_spectrum
+        assert counts["cholesky"] == built
+        model.r_factor, model.s_factor, model.r_factor
+        assert counts["cholesky"] == built + 2
 
 
 def test_spawn_streams_reproducible_and_distinct():
