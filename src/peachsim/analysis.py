@@ -134,10 +134,11 @@ def floor_noise_limited(r_cov: np.ndarray, degree: int) -> NoiseLimitedFloors:
 
     The exact estimators have no floor here; the polynomial ones saturate at
     values set entirely by the channel covariance and the degree.  Both come
-    from one eigendecomposition of the limit matrix r_cov.
+    from the eigenvalues of r_cov alone; the channel is r_cov, so phi_k = lam_k^2.
     """
     r_cov = hermitize(np.asarray(r_cov, dtype=complex))
-    spectrum = Spectrum.of(r_cov, r_cov, float(np.trace(r_cov).real))
+    lam = np.linalg.eigvalsh(r_cov)
+    spectrum = Spectrum(lam, lam**2, float(np.trace(r_cov).real))
     return NoiseLimitedFloors(peach=_peach_floor(spectrum, degree), wpeach=spectrum.fit(degree)[1])
 
 

@@ -182,10 +182,9 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
     }
 
 
-def _estimator_callables(model: StatModel, peach_est, wpeach_est) -> dict:
-    # the MVU Gram system is built once here, not on each Monte Carlo chunk;
+def _estimator_callables(peach_est, wpeach_est, gram, t) -> dict:
+    # the MVU Gram system is built once per point, not on each Monte Carlo chunk;
     # it is not cached on the model, which would hold two more (m, n) arrays
-    gram, t, _ = estimators._mvu_gram(model)
     return {
         "mmse": estimators.mmse_estimate,
         "mvu": lambda mdl, y: estimators._mvu_apply(mdl, gram, t, y),
@@ -199,12 +198,12 @@ def _estimator_callables(model: StatModel, peach_est, wpeach_est) -> dict:
 # scenario runners
 
 
-def _analytic_mses(model: StatModel, peach_est, wpeach_est) -> dict:
+def _analytic_mses(model: StatModel, peach_est, wpeach_est, mvu_eigs) -> dict:
     # the polynomial columns report the MSE of the prepared estimators, so the
     # Monte Carlo confirmation measures exactly the same filters
     return {
         "mmse": estimators.mmse_mse(model),
-        "mvu": estimators.mvu_variance(model),
+        "mvu": float(np.sum(1.0 / mvu_eigs)),
         "diagonalized": estimators.diag_mse(model),
         "peach": estimators.peach_mse(model, peach_est.degree, peach_est.alpha),
         "wpeach": estimators.wpeach_mse_general(
@@ -246,13 +245,14 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     trace_r = float(np.trace(model.r_cov).real)
     peach_est = estimators.make_peach(model, degree)
     wpeach_est = estimators.make_wpeach(model, degree)
-    mses = _analytic_mses(model, peach_est, wpeach_est)
     floors = _floor_values(model, config, degree)
+    # one MVU Gram system serves mvu_variance's value and the Monte Carlo callable
+    gram, t, mvu_eigs = estimators._mvu_gram(model)
+    mses = _analytic_mses(model, peach_est, wpeach_est, mvu_eigs)
     monte_carlo = {}
     if config.monte_carlo:
-        monte_carlo = run_monte_carlo(
-            model, _estimator_callables(model, peach_est, wpeach_est), config.trials, (config.seed, point_index)
-        )
+        callables = _estimator_callables(peach_est, wpeach_est, gram, t)
+        monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, point_index))
     rows = []
     for name in _ESTIMATOR_ORDER:
         nmse_mc = stderr = None

@@ -7,9 +7,9 @@ MSE-optimal weights (kind ``W-PEACH``), and the regularized variants that
 approximate the MVU estimator.
 
 Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
-MSEs and the optimal weights come from the model's one cached spectrum of z
-(see :mod:`peachsim.spectrum`); the dense weight system and filter views are
-kept as independent oracles.
+MSEs, the default scalings and the optimal weights come from the model's one
+cached spectrum of z (see :mod:`peachsim.spectrum`); the dense weight system
+and filter views are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -227,24 +227,22 @@ def diag_mse(model: StatModel) -> float:
 def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> PolyEstimator:
     """Prepare an unweighted polynomial estimator for one statistics epoch.
 
-    When ``alpha`` is not given it is the fastest-converging scaling of the
-    observation covariance (:func:`alpha_optimal`); another rule is passed as
-    ``alpha``, for example ``alpha_trace(z_matrix(model))``.  An explicit
-    ``alpha`` outside the convergence bound triggers
-    :class:`DivergentExpansionWarning`; evaluation stays defined but the
-    expansion no longer approaches the MMSE estimator.
+    Without ``alpha`` the scaling is 2 / (lambda_max + lambda_min) of the
+    model's shared spectrum of z, the fastest-converging one (as
+    :func:`alpha_optimal`).  Another rule is passed as ``alpha``, for example
+    ``alpha_trace(z_matrix(model))``; outside the convergence bound of that
+    spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
+    stays defined but no longer approaches the MMSE estimator.
     """
-    z = z_matrix(model)
+    lam = model.z_spectrum.lam
     if alpha is None:
-        alpha = alpha_optimal(z)
-    else:
-        lam_max = float(np.linalg.eigvalsh(z)[-1])
-        if not 0.0 < alpha < 2.0 / lam_max:
-            warnings.warn(
-                f"alpha={alpha:.6g} outside the convergence bound (0, {2.0 / lam_max:.6g})",
-                DivergentExpansionWarning,
-                stacklevel=2,
-            )
+        alpha = 2.0 / (lam[-1] + lam[0])
+    elif not 0.0 < alpha < 2.0 / lam[-1]:
+        warnings.warn(
+            f"alpha={alpha:.6g} outside the convergence bound (0, {2.0 / lam[-1]:.6g})",
+            DivergentExpansionWarning,
+            stacklevel=2,
+        )
     return PolyEstimator(
         kind=EstimatorKind.PEACH,
         degree=degree,

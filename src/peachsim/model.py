@@ -91,7 +91,7 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, rtol: float, vectors: bool):
         return a, np.linalg.cholesky(a), None, None
     except np.linalg.LinAlgError:
         pass
-    eigs, vecs = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    eigs, vecs = scipy.linalg.eigh(a, driver="evr") if vectors else (np.linalg.eigvalsh(a), None)
     scale = max(eigs[-1], 0.0)
     if eigs[0] < -rtol * max(scale, 1.0):
         raise NotPositiveSemiDefinite(
@@ -119,7 +119,7 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
 
     Returns the Cholesky factor when the matrix is positive definite.  For
     semidefinite inputs (for example covariances with zero blocks) the failed
-    factorization is followed by one ``eigh``, which both validates the
+    factorization is followed by one MRRR ``eigh``, which both validates the
     matrix and gives the factor with clipped negative eigenvalues.
     """
     _, factor, eigs, vecs = _factor_hermitian_psd(cov, "covariance", PSD_RTOL, vectors=True)
@@ -250,8 +250,8 @@ class StatModel:
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
-        """Spectrum of the observation covariance z, shared by every closed-form MSE."""
-        lam, vecs = np.linalg.eigh(self.z)
+        """Spectrum of z by one MRRR ``eigh``, shared by every closed-form MSE and default scaling."""
+        lam, vecs = scipy.linalg.eigh(self.z, driver="evr")
         # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
         channel = self.apply_pilot(self.r_cov).conj().T
         spectrum = Spectrum(lam, Spectrum.energies(channel, vecs), float(np.trace(self.r_cov).real))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularLimit
 
@@ -32,8 +33,8 @@ class Spectrum:
 
     @classmethod
     def of(cls, matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> "Spectrum":
-        """Eigendecompose ``matrix`` once; phi_k = ||channel @ u_k||^2."""
-        lam, vecs = np.linalg.eigh(matrix)
+        """Eigendecompose ``matrix`` once (MRRR, ``zheevr``); phi_k = ||channel @ u_k||^2."""
+        lam, vecs = scipy.linalg.eigh(matrix, driver="evr")
         return cls(lam, cls.energies(channel, vecs), trace_r)
 
     @staticmethod

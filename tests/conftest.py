@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from peachsim.model import ContaminationSpec, Dims, build_stat_model, stat_model_from_pilot
 
@@ -82,6 +83,28 @@ def count_calls(monkeypatch, namespace, names, counts):
     for name in names:
         counts[name] = 0
         monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
+
+
+def count_eig_calls(monkeypatch, counts):
+    """Count eigendecompositions made through ``numpy.linalg`` or ``scipy.linalg`` into ``counts``.
+
+    ``counts["eigh"]`` counts the calls that return eigenvectors and
+    ``counts["eigvalsh"]`` those that return eigenvalues only, whichever
+    module, function or LAPACK routine made them.
+    """
+
+    def counted(fn, values_only):
+        def wrapper(*args, **kwargs):
+            # scipy.linalg.eigh(..., eigvals_only=True) returns eigenvalues only
+            counts["eigvalsh" if values_only or kwargs.get("eigvals_only") else "eigh"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    counts["eigh"] = counts["eigvalsh"] = 0
+    for namespace in (np.linalg, scipy.linalg):
+        for name, values_only in (("eigh", False), ("eig", False), ("eigvalsh", True), ("eigvals", True)):
+            monkeypatch.setattr(namespace, name, counted(getattr(namespace, name), values_only))
 
 
 @pytest.fixture

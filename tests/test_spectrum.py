@@ -8,9 +8,11 @@ from peachsim import analysis
 from peachsim import cli
 from peachsim import estimators as es
 from peachsim.cli import _sweep_point_rows, default_config
+from peachsim.errors import DivergentExpansionWarning
 from peachsim.model import Dims, correlated_model
+from peachsim.spectrum import Spectrum
 
-from conftest import count_calls, random_hermitian_psd, random_model
+from conftest import count_calls, count_eig_calls, complex_vector, random_hermitian_psd, random_model
 
 DEGREES = (0, 3, 10)
 KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
@@ -99,16 +101,17 @@ def desk_contaminated_point(monte_carlo):
 
 
 def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
-    # one eigh of z (shared by every closed-form MSE and the W-PEACH fit), one
-    # of the limit matrix (all floors); make_peach's alpha and the MVU Gram
-    # matrix keep one eigvalsh each, the MVU Gram one solve
+    # one eigh of z (shared by every closed-form MSE, PEACH's alpha and the
+    # W-PEACH fit), one of the limit matrix (all floors); the MVU Gram matrix
+    # keeps one eigvalsh and one solve
     config, model = desk_contaminated_point(monte_carlo=False)
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_eig_calls(monkeypatch, counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
-    assert counts["eigh"] <= 2
-    assert counts["eigvalsh"] <= 2
-    assert counts["solve"] <= 1
+    assert counts["eigh"] == 2
+    assert counts["eigvalsh"] == 1
+    assert counts["solve"] == 1
     assert counts["inv"] == 0
 
 
@@ -116,20 +119,117 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     # all five estimators are scored on one draw per chunk: one Cholesky
     # factor each of r_cov and s_cov, and two normal draws (h and n) for each
     # of the four chunks of 2000 trials; the MVU Gram system is prepared once
-    # per point (one solve against s_cov, one eigvalsh), then solved once per
-    # chunk
+    # per point (one solve against s_cov, one eigvalsh) for both the analytic
+    # variance and the Monte Carlo callable, then solved once per chunk
     config, model = desk_contaminated_point(monte_carlo=True)
     assert config.trials == 2000
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("cholesky", "eigh", "eigvalsh", "solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("cholesky", "solve", "inv"), counts)
+    count_eig_calls(monkeypatch, counts)
     count_calls(monkeypatch, cli, ("standard_complex_normal",), counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
-    assert counts["eigh"] <= 2
-    assert counts["eigvalsh"] == 3
-    assert counts["solve"] == 6
+    assert counts["eigh"] == 2
+    assert counts["eigvalsh"] == 1
+    assert counts["solve"] == 5
     assert counts["inv"] == 0
+
+
+def test_sweep_point_mvu_variance_matches_public_evaluator():
+    config, model = desk_contaminated_point(monte_carlo=False)
+    rows = _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    (mvu,) = [row for row in rows if row.estimator == "mvu"]
+    assert mvu.nmse_analytic == es.mvu_variance(model) / float(np.trace(model.r_cov).real)
+
+
+@pytest.mark.parametrize("kind", ["random-contaminated", "correlated-contaminated", "correlated"])
+def test_one_eigendecomposition_per_model(monkeypatch, kind):
+    # PEACH's alpha, W-PEACH's scaling and weights and every closed-form MSE
+    # read the model's one spectrum of z, whatever entry point could compute it
+    model = make_model(kind, 10.0)
+    counts = {}
+    count_eig_calls(monkeypatch, counts)
+    peach = es.make_peach(model, 4)
+    wpeach = es.make_wpeach(model, 4)
+    es.peach_mse(model, 4, peach.alpha)
+    es.wpeach_mse_general(model, 4, wpeach.alpha, wpeach.weights)
+    es.mmse_mse(model)
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_make_peach_alpha_matches_alpha_optimal(kind):
+    model = make_model(kind, 10.0)
+    assert es.make_peach(model, 3).alpha == pytest.approx(es.alpha_optimal(model.z), rel=1e-14, abs=0.0)
+
+
+def test_make_peach_explicit_alpha_checked_against_shared_spectrum(monkeypatch):
+    model = make_model("correlated-contaminated", 10.0)
+    bound = 2.0 / model.z_spectrum.lam[-1]
+    counts = {}
+    count_eig_calls(monkeypatch, counts)
+    assert es.make_peach(model, 3, alpha=0.99 * bound).alpha == 0.99 * bound
+    with pytest.warns(DivergentExpansionWarning):
+        es.make_peach(model, 3, alpha=1.01 * bound)
+    assert counts == {"eigh": 0, "eigvalsh": 0}
+
+
+def hermitian_with_spectrum(rng, eigs):
+    q, _ = np.linalg.qr(complex_vector(rng, (len(eigs), len(eigs))))
+    return q @ np.diag(eigs) @ q.conj().T
+
+
+def zero_block_matrix(rng, dim, rank):
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[:rank, :rank] = random_hermitian_psd(rng, rank, eig_lo=0.01, eig_hi=5.0)
+    return matrix
+
+
+def spectrum_property_cases():
+    rng = np.random.default_rng(41)
+    for dim in (5, 24, 60):
+        yield pytest.param(random_hermitian_psd(rng, dim, eig_lo=1e-3, eig_hi=10.0), id=f"pd-{dim}")
+    yield pytest.param(zero_block_matrix(rng, 24, 15), id="zero-block")
+
+
+@pytest.mark.parametrize("matrix", spectrum_property_cases())
+def test_spectrum_of_eigenvalues_and_energies(matrix):
+    # MRRR eigenvalues agree with the reference eigvalsh, and the energies
+    # keep the channel's Frobenius norm, which needs orthonormal eigenvectors
+    rng = np.random.default_rng(43)
+    dim = matrix.shape[0]
+    for channel in (matrix, complex_vector(rng, (7, dim))):
+        spectrum = Spectrum.of(matrix, channel, 1.0)
+        reference = np.linalg.eigvalsh(matrix)
+        assert np.max(np.abs(spectrum.lam - reference)) <= 1e-13 * reference[-1]
+        frobenius = np.linalg.norm(channel) ** 2
+        assert abs(np.sum(spectrum.phi) - frobenius) <= 1e-12 * frobenius
+
+
+def noise_limited_floor_cases():
+    rng = np.random.default_rng(47)
+    yield pytest.param(random_hermitian_psd(rng, 16, eig_lo=0.01, eig_hi=3.0), id="full-rank")
+    eigs = np.concatenate([rng.uniform(0.01, 3.0, 12), np.zeros(4)])
+    yield pytest.param(hermitian_with_spectrum(rng, eigs), id="rank-deficient")
+    yield pytest.param(zero_block_matrix(rng, 16, 12), id="zero-block")
+
+
+@pytest.mark.parametrize("r_cov", noise_limited_floor_cases())
+def test_noise_limited_floor_from_eigenvalues_matches_eigenvectors(r_cov):
+    # the channel of the noise-limited limit is r itself, so phi_k = lam_k^2.
+    # The W-PEACH floor is the residual of a monomial least-squares fit whose
+    # conditioning grows with the degree: at L = 8 on 12 nonzero eigenvalues
+    # both evaluations sit 1e-10 to 1e-9 (relative) from the floor of the
+    # exact spectrum, so it is also accepted within 1e-12 trace(r), the scale
+    # on which the fit is backward stable and the NMSE floor is reported.
+    r_cov = 0.5 * (r_cov + r_cov.conj().T)
+    trace_r = float(np.trace(r_cov).real)
+    spectrum = Spectrum.of(r_cov, r_cov, trace_r)
+    for degree in range(9):
+        floors = analysis.floor_noise_limited(r_cov, degree)
+        assert floors.peach == pytest.approx(analysis._peach_floor(spectrum, degree), rel=1e-10, abs=0.0)
+        assert floors.wpeach == pytest.approx(spectrum.fit(degree)[1], rel=1e-10, abs=1e-12 * trace_r)
 
 
 def test_mmse_epoch_factors_z_once(monkeypatch):
