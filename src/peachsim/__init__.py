@@ -1,10 +1,10 @@
 """Low-complexity polynomial channel estimation for large-scale MIMO.
 
-Exact Bayesian MMSE / MVU / diagonalized baselines next to truncated
-polynomial-expansion estimators with optimized per-term weights, their
-closed-form MSE and high-power floors, sliding-window weight tracking,
-shrinkage covariance estimation, FLOP cost models, and a seeded simulation
-CLI with CSV output.
+Exact Bayesian MMSE / MVU / diagonalized baselines next to the truncated
+polynomial-expansion estimators PEACH (one scaling) and W-PEACH (optimized
+per-term weights), their closed-form MSE and high-power floors,
+sliding-window weight tracking, shrinkage covariance estimation, FLOP cost
+models, and a seeded simulation CLI with CSV output.
 """
 
 from .adaptive import (
@@ -36,24 +36,19 @@ from .cli import (
 from .estimators import (
     EstimatorKind,
     PolyEstimator,
-    WeightSystem,
     alpha_gershgorin,
     alpha_optimal,
     alpha_trace,
     default_alpha_w,
     diag_estimate,
     diag_mse,
-    estimate,
     linear_filter_mse,
-    make_mvu_peach,
-    make_mvu_wpeach,
     make_peach,
     make_wpeach,
     mmse_estimate,
     mmse_filter_matrix,
     mmse_mse,
     mvu_estimate,
-    mvu_peach_estimate,
     mvu_variance,
     peach_as_wpeach_weights,
     peach_estimate,
@@ -62,8 +57,6 @@ from .estimators import (
     wpeach_estimate,
     wpeach_mse_general,
     wpeach_mse_optimal,
-    wpeach_weight_system,
-    wpeach_weights_optimal,
     z_matrix,
 )
 from .model import (

@@ -20,8 +20,11 @@ from .errors import (
     UnsupportedPilot,
     WindowSizeError,
 )
-from .estimators import _identity_pilot_power, guarded_hermitian_solve
+from .estimators import _identity_pilot_power
 from .model import StatModel, hermitize, standard_complex_normal
+
+# Condition number above which weight solves switch to Tikhonov regularization.
+WEIGHT_COND_LIMIT = 1e12
 
 # Ridge scale for solving the sampled weight system.  The sampled moments
 # carry O(1/sqrt(T)) relative noise which the ill-conditioned moment matrix
@@ -36,10 +39,11 @@ class AdaptiveState:
     """Sliding-window approximation of the weight system.
 
     Single-writer: updates are sequential by construction.  ``a_approx`` and
-    ``b_approx`` hold the windowed averages; ``window`` keeps the last
-    ``window_len`` received vectors and ``weights`` the latest solved weight
-    vector (``fallback`` is set when an ill-conditioned update kept the
-    previous weights).
+    ``b_approx`` hold the windowed averages of the per-sample quadratic forms
+    that ``_quad_cache`` keeps for the last ``window_len`` received vectors,
+    oldest first, so the sample leaving the window is subtracted exactly.
+    ``weights`` is the latest solved weight vector (``fallback`` is set when
+    an ill-conditioned update kept the previous weights).
     """
 
     model: StatModel
@@ -48,7 +52,6 @@ class AdaptiveState:
     alpha_w: float
     a_approx: np.ndarray
     b_approx: np.ndarray
-    window: deque
     weights: np.ndarray
     fallback: bool = False
     _quad_cache: deque = field(default_factory=deque, repr=False)
@@ -109,6 +112,30 @@ def _b1_value(model: StatModel, alpha_w: float, count: int, rng: np.random.Gener
     return alpha_w * pilot_power * float(np.linalg.norm(model.r_cov) ** 2)
 
 
+def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Hermitian solve with a Tikhonov fallback when badly conditioned.
+
+    Returns the solution and a flag telling whether regularization was used.
+    The fallback adds delta * I with delta = 1e-12 trace(A) / (L + 1), which
+    keeps the perturbation far below the diagonal scale.
+    """
+    a_mat = np.asarray(a_mat, dtype=complex)
+    b_vec = np.asarray(b_vec, dtype=complex)
+    cond = np.linalg.cond(a_mat)
+    regularized = False
+    if not np.isfinite(cond) or cond > WEIGHT_COND_LIMIT:
+        delta = 1e-12 * np.trace(a_mat).real / a_mat.shape[0]
+        a_mat = a_mat + delta * np.eye(a_mat.shape[0])
+        regularized = True
+    try:
+        solution = np.linalg.solve(a_mat, b_vec)
+    except np.linalg.LinAlgError:
+        solution = np.full_like(b_vec, np.nan)
+    if not np.all(np.isfinite(solution)):
+        raise IllConditionedWeights("weight system is singular even after regularization")
+    return solution, regularized
+
+
 def _solve_sampled(state: AdaptiveState) -> np.ndarray:
     ridge = (SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(
         np.clip(np.diag(state.a_approx).real, 0.0, None)
@@ -141,7 +168,6 @@ def adaptive_init(
         alpha_w=alpha_w,
         a_approx=np.zeros((degree + 1, degree + 1), dtype=complex),
         b_approx=np.zeros(degree + 1, dtype=complex),
-        window=deque(),
         weights=np.zeros(degree + 1, dtype=complex),
     )
     quad_sum = np.zeros(2 * degree + 1)
@@ -149,7 +175,6 @@ def adaptive_init(
         y = np.asarray(y, dtype=complex)
         quad = _quad_forms(model, degree, y)
         quad_sum += quad
-        state.window.append(y)
         state._quad_cache.append(quad)
     _accumulate(state, quad_sum, 1.0 / window_len)
     state.b_approx[0] = _b1_value(model, alpha_w, window_len, rng)
@@ -162,15 +187,14 @@ def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
 
     The sample leaving the window is the one inserted ``window_len`` steps
     ago; its cached quadratic forms are subtracted, so the averages always
-    match the stored window.  If the updated system is too ill-conditioned
-    to solve, the previous weights are kept and ``state.fallback`` is set.
+    match the last ``window_len`` samples.  If the updated system is too
+    ill-conditioned to solve, the previous weights are kept and
+    ``state.fallback`` is set.
     """
     y_new = np.asarray(y_new, dtype=complex)
-    state.window.popleft()
     quad_old = state._quad_cache.popleft()
     quad_new = _quad_forms(state.model, state.degree, y_new)
     _accumulate(state, quad_new - quad_old, 1.0 / state.window_len)
-    state.window.append(y_new)
     state._quad_cache.append(quad_new)
     try:
         state.weights = _solve_sampled(state)

@@ -45,10 +45,6 @@ class IllConditionedWeights(PeachSimError, ValueError):
     """The weight system is singular even after regularization."""
 
 
-class InvalidRegularization(PeachSimError, ValueError):
-    """The regularization factor must be strictly positive."""
-
-
 class WindowSizeError(PeachSimError, ValueError):
     """Warmup sample count does not match the sliding-window length."""
 
@@ -75,7 +71,3 @@ class ConfigError(PeachSimError, ValueError):
 
 class DivergentExpansionWarning(UserWarning):
     """Scaling factor violates the polynomial-expansion convergence bound."""
-
-
-class IllConditionedWeightsWarning(UserWarning):
-    """Weight system was solved with Tikhonov regularization."""

@@ -2,14 +2,13 @@
 
 Exact baselines (Bayesian MMSE, classical MVU, diagonalized) next to the
 polynomial-expansion family: the truncated Neumann-series estimator with a
-single scaling (kind ``PEACH``), its per-term weighted refinement with
-MSE-optimal weights (kind ``W-PEACH``), and the regularized variants that
-approximate the MVU estimator.
+single scaling (kind ``PEACH``) and its per-term weighted refinement with
+MSE-optimal weights (kind ``W-PEACH``).
 
 Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
 MSEs, the default scalings and the optimal weights come from the model's one
-cached spectrum of z (see :mod:`peachsim.spectrum`); the dense weight system
-and filter views are kept as independent oracles.
+cached spectrum of z (see :mod:`peachsim.spectrum`); the dense filter views
+are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -17,16 +16,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     DivergentExpansionWarning,
-    IllConditionedWeights,
-    IllConditionedWeightsWarning,
-    InvalidRegularization,
     NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedPilot,
@@ -34,15 +30,10 @@ from .errors import (
 from .model import StatModel, deviation, hermitize, z_matrix
 from .spectrum import neumann_values
 
-# Condition number above which weight solves switch to Tikhonov regularization.
-WEIGHT_COND_LIMIT = 1e12
-
 
 class EstimatorKind(enum.Enum):
     PEACH = "peach"
     WPEACH = "wpeach"
-    MVU_PEACH = "mvu-peach"
-    MVU_WPEACH = "mvu-wpeach"
 
 
 @dataclass(frozen=True)
@@ -50,15 +41,13 @@ class PolyEstimator:
     """A prepared polynomial estimator: degree, scaling, per-term weights.
 
     ``weights`` has length ``degree + 1``; for the unweighted kind every term
-    carries the scaling ``alpha`` and the weights are all ones.  ``epsilon``
-    is the regularization factor of the MVU variants, unused otherwise.
+    carries the scaling ``alpha`` and the weights are all ones.
     """
 
     kind: EstimatorKind
     degree: int
     alpha: float
     weights: np.ndarray
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -68,31 +57,11 @@ class PolyEstimator:
         weights = np.asarray(self.weights, dtype=complex)
         if weights.shape != (self.degree + 1,):
             raise ValueError(f"weights must have length degree + 1 = {self.degree + 1}")
-        if self.kind in (EstimatorKind.MVU_PEACH, EstimatorKind.MVU_WPEACH):
-            if self.epsilon is None or self.epsilon <= 0:
-                raise InvalidRegularization("MVU variants require epsilon > 0")
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Linear system A w = b whose solution minimizes the weighted-estimator MSE."""
-
-    a_mat: np.ndarray
-    b_vec: np.ndarray
-    alpha_w: float
-
-    @property
-    def degree(self) -> int:
-        return self.a_mat.shape[0] - 1
-
-
 # ---------------------------------------------------------------------------
-# observation covariance and scaling rules
-
-
-def _mvu_z_apply(model: StatModel, epsilon: float, v: np.ndarray) -> np.ndarray:
-    return model.apply_pilot(model.apply_pilot_adjoint(v)) + epsilon * (model.s_cov @ v)
+# scaling rules
 
 
 def alpha_optimal(z: np.ndarray) -> float:
@@ -282,65 +251,6 @@ def default_alpha_w(model: StatModel) -> float:
     return float(1.0 / model.z_spectrum.lam[-1])
 
 
-def make_mvu_peach(
-    model: StatModel,
-    degree: int,
-    epsilon: float,
-    alpha: float | None = None,
-) -> PolyEstimator:
-    """Unweighted polynomial approximation of the regularized MVU estimator."""
-    if epsilon <= 0:
-        raise InvalidRegularization("epsilon must be positive")
-    if alpha is None:
-        alpha = alpha_optimal(_mvu_z_matrix(model, epsilon))
-    return PolyEstimator(
-        kind=EstimatorKind.MVU_PEACH,
-        degree=degree,
-        alpha=float(alpha),
-        weights=np.ones(degree + 1, dtype=complex),
-        epsilon=float(epsilon),
-    )
-
-
-def make_mvu_wpeach(
-    model: StatModel,
-    degree: int,
-    epsilon: float,
-    alpha_w: float | None = None,
-    weights: np.ndarray | None = None,
-) -> PolyEstimator:
-    """Weighted polynomial approximation of the regularized MVU estimator.
-
-    Equivalent to the weighted estimator on a model with r_cov replaced by
-    (1 / epsilon) I, which is also how the default weights are computed.
-    """
-    if epsilon <= 0:
-        raise InvalidRegularization("epsilon must be positive")
-    zm = _mvu_z_matrix(model, epsilon)
-    if alpha_w is None:
-        alpha_w = float(1.0 / np.linalg.eigvalsh(zm)[-1])
-    if weights is None:
-        surrogate = _mvu_surrogate_model(model, epsilon)
-        weights, _ = _wpeach_fit(surrogate, degree, alpha_w * epsilon)
-    return PolyEstimator(
-        kind=EstimatorKind.MVU_WPEACH,
-        degree=degree,
-        alpha=float(alpha_w),
-        weights=np.asarray(weights, dtype=complex),
-        epsilon=float(epsilon),
-    )
-
-
-def _mvu_z_matrix(model: StatModel, epsilon: float) -> np.ndarray:
-    pe = model.pilot_ext
-    return hermitize(pe @ pe.conj().T + epsilon * model.s_cov)
-
-
-def _mvu_surrogate_model(model: StatModel, epsilon: float) -> StatModel:
-    n = model.dims.n
-    return replace(model, h_mean=np.zeros(n, dtype=complex), r_cov=np.eye(n, dtype=complex) / epsilon)
-
-
 # ---------------------------------------------------------------------------
 # polynomial estimation (matrix-vector recursions only)
 
@@ -377,36 +287,8 @@ def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.n
     return _offset(model.h_mean, d) + head
 
 
-def mvu_peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
-    """Evaluate the regularized-MVU polynomial estimators (both variants)."""
-    if est.kind not in (EstimatorKind.MVU_PEACH, EstimatorKind.MVU_WPEACH):
-        raise ValueError(f"expected an MVU polynomial estimator, got {est.kind}")
-    if est.epsilon is None or est.epsilon <= 0:
-        raise InvalidRegularization("epsilon must be positive")
-    y = np.asarray(y, dtype=complex)
-    u = y - _offset(model.n_mean, y)
-    if est.kind is EstimatorKind.MVU_PEACH:
-        acc = u.copy()
-        for _ in range(est.degree):
-            acc = u + acc - est.alpha * _mvu_z_apply(model, est.epsilon, acc)
-    else:
-        acc = est.weights[-1] * u
-        for w_l in est.weights[-2::-1]:
-            acc = w_l * u + est.alpha * _mvu_z_apply(model, est.epsilon, acc)
-    return model.apply_pilot_adjoint(est.alpha * acc)
-
-
-def estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
-    """Dispatch to the evaluation routine matching ``est.kind``."""
-    if est.kind is EstimatorKind.PEACH:
-        return peach_estimate(model, est, y)
-    if est.kind is EstimatorKind.WPEACH:
-        return wpeach_estimate(model, est, y)
-    return mvu_peach_estimate(model, est, y)
-
-
 # ---------------------------------------------------------------------------
-# analysis path: spectral MSE formulas and the dense weight system
+# analysis path: spectral MSE formulas
 
 
 def _poly_accumulate(x: np.ndarray, degree: int) -> np.ndarray:
@@ -427,66 +309,6 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     """
     spectrum = model.z_spectrum
     return spectrum.mse(neumann_values(spectrum.lam, alpha, degree))
-
-
-def wpeach_weight_system(model: StatModel, degree: int, alpha_w: float) -> WeightSystem:
-    """Weight system of the MSE-optimal weighted estimator.
-
-    A[i, j] = alpha_w^(i+j) trace(r pilot^H z^(i+j-1) pilot r) and
-    b[i] = alpha_w^i trace(r pilot^H z^(i-1) pilot r) with one-based i, j.
-    Computed by powering z against the fixed matrix pilot_ext @ r_cov;
-    dense, analysis-side only.
-    """
-    z = z_matrix(model)
-    b_mat = model.pilot_ext @ model.r_cov
-    f = b_mat @ b_mat.conj().T
-    traces = np.empty(2 * degree + 2)
-    cur = f
-    traces[0] = np.trace(cur).real
-    for k in range(1, 2 * degree + 2):
-        cur = cur @ z
-        traces[k] = np.trace(cur).real
-    idx = np.arange(1, degree + 2)
-    powers = alpha_w ** (idx[:, None] + idx[None, :])
-    a_mat = powers * traces[idx[:, None] + idx[None, :] - 1]
-    b_vec = alpha_w**idx * traces[idx - 1]
-    return WeightSystem(a_mat=a_mat.astype(complex), b_vec=b_vec.astype(complex), alpha_w=alpha_w)
-
-
-def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Hermitian solve with a Tikhonov fallback when badly conditioned.
-
-    Returns the solution and a flag telling whether regularization was used.
-    The fallback adds delta * I with delta = 1e-12 trace(A) / (L + 1), which
-    keeps the perturbation far below the diagonal scale.
-    """
-    a_mat = np.asarray(a_mat, dtype=complex)
-    b_vec = np.asarray(b_vec, dtype=complex)
-    cond = np.linalg.cond(a_mat)
-    regularized = False
-    if not np.isfinite(cond) or cond > WEIGHT_COND_LIMIT:
-        delta = 1e-12 * np.trace(a_mat).real / a_mat.shape[0]
-        a_mat = a_mat + delta * np.eye(a_mat.shape[0])
-        regularized = True
-    try:
-        solution = np.linalg.solve(a_mat, b_vec)
-    except np.linalg.LinAlgError:
-        solution = np.full_like(b_vec, np.nan)
-    if not np.all(np.isfinite(solution)):
-        raise IllConditionedWeights("weight system is singular even after regularization")
-    return solution, regularized
-
-
-def wpeach_weights_optimal(ws: WeightSystem) -> np.ndarray:
-    """MSE-minimizing weights A^{-1} b, guarded against ill-conditioning."""
-    weights, regularized = guarded_hermitian_solve(ws.a_mat, ws.b_vec)
-    if regularized:
-        warnings.warn(
-            "weight system condition number exceeded the limit; solved with Tikhonov regularization",
-            IllConditionedWeightsWarning,
-            stacklevel=2,
-        )
-    return weights
 
 
 def _wpeach_fit(model: StatModel, degree: int, alpha_w: float):
@@ -515,13 +337,13 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     return spectrum.mse(alpha_w * v)
 
 
-def wpeach_mse_optimal(model: StatModel, degree: int, alpha_w: float | None = None) -> float:
+def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
     """Minimum MSE trace(r) - b^H A^{-1} b of the weighted estimator.
 
-    ``alpha_w`` is accepted for symmetry with :func:`wpeach_mse_general` and
-    does not change the value (the scaling cancels inside the quadratic).  It
-    is evaluated through the least-squares form, which keeps it accurate for
-    degrees where the moment matrix is numerically singular.
+    The value does not depend on the scaling alpha_w, which cancels inside
+    the quadratic.  It is evaluated through the least-squares form, which
+    keeps it accurate for degrees where the moment matrix is numerically
+    singular.
     """
     return model.z_spectrum.fit(degree)[1]
 
@@ -552,14 +374,12 @@ def poly_filter_matrix(model: StatModel, est: PolyEstimator) -> np.ndarray:
     m = z.shape[0]
     if est.kind is EstimatorKind.PEACH:
         poly = est.alpha * _poly_accumulate(np.eye(m) - est.alpha * z, est.degree)
-    elif est.kind is EstimatorKind.WPEACH:
+    else:
         poly = np.zeros((m, m), dtype=complex)
         cur = est.alpha * np.eye(m, dtype=complex)
         for w_l in est.weights:
             poly = poly + w_l * cur
             cur = est.alpha * (cur @ z)
-    else:
-        raise ValueError(f"dense filter view not defined for {est.kind}")
     return model.r_cov @ model.pilot_ext.conj().T @ poly
 
 

@@ -23,6 +23,7 @@ from peachsim.model import (
 )
 
 from conftest import complex_vector, random_hermitian_psd, random_model
+from oracles import wpeach_weight_system, wpeach_weights_optimal
 
 DESK_DIMS = Dims(20, 4, 4)
 
@@ -76,10 +77,10 @@ def test_criterion_02_optimal_weights_dominate_and_match_closed_form():
             alpha_w = es.default_alpha_w(model)
             # largest degree <= 6 whose system solves without regularization
             for degree in range(min(6, model.dims.m - 1), -1, -1):
-                ws = es.wpeach_weight_system(model, degree, alpha_w)
+                ws = wpeach_weight_system(model, degree, alpha_w)
                 if np.linalg.cond(ws.a_mat) < 1e10:
                     break
-            w_opt = es.wpeach_weights_optimal(ws)
+            w_opt = wpeach_weights_optimal(ws)
             tr_r = float(np.trace(model.r_cov).real)
             best = es.wpeach_mse_general(model, degree, alpha_w, w_opt)
             closed = tr_r - float(np.real(ws.b_vec.conj() @ w_opt))

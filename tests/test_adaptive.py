@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +23,7 @@ from peachsim.model import (
 )
 
 from conftest import complex_vector, random_hermitian_psd
+from oracles import wpeach_weight_system
 
 
 def tracking_model(gamma_db=-5.0, betas=(0.5, 0.5)):
@@ -64,7 +63,7 @@ class TestAdaptiveInit:
         model = tracking_model()
         y = complex_vector(rng, model.dims.m)
         state = adaptive_init(model, 1, 2, 0.1, [y], np.random.default_rng(5))
-        assert len(state.window) == 1
+        assert len(state._quad_cache) == 1
 
     def test_wrong_warmup_length(self, rng):
         model = tracking_model()
@@ -75,7 +74,7 @@ class TestAdaptiveInit:
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
         degree, window = 4, 200
-        ws = es.wpeach_weight_system(model, degree, alpha_w)
+        ws = wpeach_weight_system(model, degree, alpha_w)
         stream_rng = np.random.default_rng(2024)
         state = adaptive_init(
             model, window, degree, alpha_w, draw_stream(model, stream_rng, window), np.random.default_rng(1)
@@ -86,7 +85,7 @@ class TestAdaptiveInit:
     def test_exact_first_entry_for_identity_pilot(self):
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
-        ws = es.wpeach_weight_system(model, 3, alpha_w)
+        ws = wpeach_weight_system(model, 3, alpha_w)
         state = adaptive_init(
             model, 4, 3, alpha_w, draw_stream(model, np.random.default_rng(0), 4), np.random.default_rng(1)
         )
@@ -137,12 +136,13 @@ class TestAdaptiveUpdate:
         alpha_w = es.default_alpha_w(model)
         degree, window = 3, 8
         gen = np.random.default_rng(21)
-        warmup = draw_stream(model, gen, window)
-        state = adaptive_init(model, window, degree, alpha_w, warmup, np.random.default_rng(99))
+        seen = draw_stream(model, gen, window)
+        state = adaptive_init(model, window, degree, alpha_w, seen, np.random.default_rng(99))
         for k in range(1, 2 * window + 2):
-            adaptive_update(state, draw_stream(model, gen, 1)[0])
+            seen.append(draw_stream(model, gen, 1)[0])
+            adaptive_update(state, seen[-1])
             if k in (1, 3, window - 1, window + 3, 2 * window + 1):
-                current = list(state.window)
+                current = seen[-window:]
                 fresh = adaptive_init(model, window, degree, alpha_w, current, np.random.default_rng(99))
                 for got, want in ((state.a_approx, fresh.a_approx), (state.b_approx, fresh.b_approx)):
                     assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
@@ -169,7 +169,7 @@ class TestAdaptiveUpdate:
         model = tracking_model()
         degree = 4
         alpha_w = es.default_alpha_w(model)
-        ws = es.wpeach_weight_system(model, degree, alpha_w)
+        ws = wpeach_weight_system(model, degree, alpha_w)
         medians = []
         for window in (25, 100, 400):
             errors = []
@@ -192,7 +192,6 @@ class TestAdaptiveUpdate:
             alpha_w=0.1,
             a_approx=np.zeros((2, 2), dtype=complex),
             b_approx=np.ones(2, dtype=complex),
-            window=deque([np.zeros(model.dims.m, complex)] * 2),
             weights=np.array([1.0, 2.0], dtype=complex),
         )
         state._quad_cache.extend([np.zeros(3)] * 2)

@@ -8,7 +8,6 @@ from peachsim.adaptive import adaptive_init, adaptive_update
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import (
     DivergentExpansionWarning,
-    InvalidRegularization,
     NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedPilot,
@@ -333,62 +332,6 @@ class TestPeachMse:
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-class TestMvuPeach:
-    def test_approaches_mvu_as_epsilon_shrinks(self, rng):
-        model = random_model(rng, n_r=3, n_t=2, zero_means=True)
-        y = random_observation(rng, model)
-        reference = es.mvu_estimate(model, y)
-        rels = []
-        for eps in (1e-2, 1e-4, 1e-6):
-            est = es.make_mvu_peach(model, 64, eps)
-            out = es.mvu_peach_estimate(model, est, y)
-            rels.append(np.linalg.norm(out - reference) / np.linalg.norm(reference))
-        assert rels[0] > rels[1] > rels[2]
-        assert rels[2] < 1e-4
-
-    def test_mean_only_observation_maps_to_zero(self, rng):
-        model = random_model(rng)
-        est = es.make_mvu_peach(model, 5, 1e-3)
-        out = es.mvu_peach_estimate(model, est, model.n_mean.copy())
-        assert_allclose(out, 0.0, atol=1e-12)
-
-    def test_equivalent_to_peach_with_scaled_identity_prior(self, rng):
-        # replacing the channel covariance by (1/eps) I reproduces the estimator
-        eps = 1e-3
-        base = random_model(rng, n_r=3, n_t=2, zero_means=True)
-        surrogate = es._mvu_surrogate_model(base, eps)
-        y = random_observation(rng, base)
-        degree = 6
-        mvu_est = es.make_mvu_peach(base, degree, eps)
-        peach_est = es.PolyEstimator(
-            es.EstimatorKind.PEACH, degree, mvu_est.alpha * eps, np.ones(degree + 1, dtype=complex)
-        )
-        a = es.mvu_peach_estimate(base, mvu_est, y)
-        b = es.peach_estimate(surrogate, peach_est, y)
-        assert np.linalg.norm(a - b) < 1e-12 * np.linalg.norm(b)
-
-    def test_weighted_variant_equivalence(self, rng):
-        eps = 1e-2
-        base = random_model(rng, n_r=3, n_t=2, zero_means=True)
-        surrogate = es._mvu_surrogate_model(base, eps)
-        degree = 4
-        mvu_west = es.make_mvu_wpeach(base, degree, eps)
-        west = es.PolyEstimator(
-            es.EstimatorKind.WPEACH, degree, mvu_west.alpha * eps, mvu_west.weights
-        )
-        y = random_observation(rng, base)
-        a = es.mvu_peach_estimate(base, mvu_west, y)
-        b = es.wpeach_estimate(surrogate, west, y)
-        assert np.linalg.norm(a - b) < 1e-12 * np.linalg.norm(b)
-
-    def test_rejects_nonpositive_epsilon(self, rng):
-        model = random_model(rng)
-        with pytest.raises(InvalidRegularization):
-            es.make_mvu_peach(model, 3, 0.0)
-        with pytest.raises(InvalidRegularization):
-            es.make_mvu_wpeach(model, 3, -1.0)
-
-
 PILOT_SHAPES = [(2, 3), (3, 5)]
 
 
@@ -420,25 +363,6 @@ class TestStructuredPilotEstimates:
         t = np.linalg.solve(model.s_cov, p_ext)
         dense = np.linalg.solve(p_ext.conj().T @ t, t.conj().T @ (y - model.n_mean[:, None]))
         assert relative_error(es.mvu_estimate(model, y), dense) <= 1e-12
-
-    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
-    def test_mvu_polynomials_match_dense_polynomials(self, rng, n_t, b):
-        model = random_pilot_model(rng, n_t, b)
-        p_ext = extend_pilot(model.pilot, model.dims.n_r)
-        eps, degree = 0.5, 3
-        z_mvu = p_ext @ p_ext.conj().T + eps * model.s_cov
-        y = complex_vector(rng, model.dims.m)
-        u = y - model.n_mean
-        eye = np.eye(model.dims.m)
-        est = es.make_mvu_peach(model, degree, eps)
-        x = eye - est.alpha * z_mvu
-        poly = est.alpha * sum(np.linalg.matrix_power(x, l) for l in range(degree + 1))
-        assert relative_error(es.mvu_peach_estimate(model, est, y), p_ext.conj().T @ poly @ u) <= 1e-12
-        west = es.make_mvu_wpeach(model, degree, eps)
-        poly = sum(
-            w_l * west.alpha ** (l + 1) * np.linalg.matrix_power(z_mvu, l) for l, w_l in enumerate(west.weights)
-        )
-        assert relative_error(es.mvu_peach_estimate(model, west, y), p_ext.conj().T @ poly @ u) <= 1e-12
 
 
 @pytest.mark.parametrize("pilot", ["identity", "non-square"])

@@ -5,11 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from peachsim import estimators as es
+from peachsim.adaptive import WEIGHT_COND_LIMIT, guarded_hermitian_solve
 from peachsim.cli import run_monte_carlo
-from peachsim.errors import IllConditionedWeights, IllConditionedWeightsWarning
+from peachsim.errors import IllConditionedWeights
 from peachsim.model import ContaminationSpec, Dims, build_stat_model
 
 from conftest import random_model, random_observation
+from oracles import IllConditionedWeightsWarning, WeightSystem, wpeach_weight_system, wpeach_weights_optimal
 
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0):
@@ -22,7 +24,7 @@ def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0):
 def capped_degree_system(model, max_degree, alpha_w, cond_limit=1e10):
     """Largest degree <= max_degree whose weight system is comfortably solvable."""
     for degree in range(max_degree, -1, -1):
-        ws = es.wpeach_weight_system(model, degree, alpha_w)
+        ws = wpeach_weight_system(model, degree, alpha_w)
         if np.linalg.cond(ws.a_mat) < cond_limit:
             return degree, ws
     raise AssertionError("even the degree-0 system is ill conditioned")
@@ -32,7 +34,7 @@ class TestWeightSystem:
     def test_degree_zero_entries(self, rng):
         model = random_model(rng)
         alpha_w = 0.37
-        ws = es.wpeach_weight_system(model, 0, alpha_w)
+        ws = wpeach_weight_system(model, 0, alpha_w)
         pe = model.pilot_ext
         z = es.z_matrix(model)
         b_mat = pe @ model.r_cov
@@ -45,14 +47,14 @@ class TestWeightSystem:
         r, sigma_sq, pt = 0.8, 0.5, 2.0
         model = scalar_model(r, sigma_sq, pt)
         alpha_w = 0.21
-        ws = es.wpeach_weight_system(model, 0, alpha_w)
+        ws = wpeach_weight_system(model, 0, alpha_w)
         z = pt * r + sigma_sq
         assert_allclose(ws.b_vec[0] / ws.a_mat[0, 0], 1.0 / (alpha_w * z), rtol=1e-12)
 
     def test_entries_match_term_by_term_traces(self, rng):
         model = random_model(rng, n_r=4, n_t=2)  # m = 8
         degree, alpha_w = 3, 0.11
-        ws = es.wpeach_weight_system(model, degree, alpha_w)
+        ws = wpeach_weight_system(model, degree, alpha_w)
         z = es.z_matrix(model)
         pe = model.pilot_ext
         r = model.r_cov
@@ -69,7 +71,7 @@ class TestWeightSystem:
 
     def test_hermitian_with_nonnegative_diagonal(self, rng):
         model = random_model(rng, n_r=3, n_t=2)
-        ws = es.wpeach_weight_system(model, 4, es.default_alpha_w(model))
+        ws = wpeach_weight_system(model, 4, es.default_alpha_w(model))
         assert np.linalg.norm(ws.a_mat - ws.a_mat.conj().T) < 1e-10 * np.linalg.norm(ws.a_mat)
         assert np.all(np.diag(ws.a_mat).real >= 0)
 
@@ -79,7 +81,7 @@ class TestOptimalWeights:
         r, sigma_sq, pt = 0.8, 0.5, 2.0
         model = scalar_model(r, sigma_sq, pt)
         alpha_w = es.default_alpha_w(model)
-        weights = es.wpeach_weights_optimal(es.wpeach_weight_system(model, 0, alpha_w))
+        weights = wpeach_weights_optimal(wpeach_weight_system(model, 0, alpha_w))
         assert_allclose(weights[0] * alpha_w, 1.0 / (pt * r + sigma_sq), rtol=1e-12)
         y = np.array([0.7 - 1.1j])
         west = es.PolyEstimator(es.EstimatorKind.WPEACH, 0, alpha_w, weights)
@@ -90,7 +92,7 @@ class TestOptimalWeights:
             model = random_model(rng, n_r=4, n_t=2, pt_lo=5.0, pt_hi=20.0, eig_lo=0.1)
             alpha_w = es.default_alpha_w(model)
             degree, ws = capped_degree_system(model, 6, alpha_w)
-            w_opt = es.wpeach_weights_optimal(ws)
+            w_opt = wpeach_weights_optimal(ws)
             tr_r = float(np.trace(model.r_cov).real)
             closed = tr_r - float(np.real(ws.b_vec.conj() @ w_opt))
             general = es.wpeach_mse_general(model, degree, alpha_w, w_opt)
@@ -100,7 +102,7 @@ class TestOptimalWeights:
         model = random_model(rng, n_r=4, n_t=2, pt_lo=5.0, pt_hi=20.0, eig_lo=0.1)
         alpha_w = es.default_alpha_w(model)
         degree, ws = capped_degree_system(model, 6, alpha_w)
-        w_opt = es.wpeach_weights_optimal(ws)
+        w_opt = wpeach_weights_optimal(ws)
         best = es.wpeach_mse_general(model, degree, alpha_w, w_opt)
         scale = max(np.linalg.norm(w_opt), 1.0)
         for _ in range(200):
@@ -113,23 +115,23 @@ class TestOptimalWeights:
         model = random_model(rng, n_r=4, n_t=2, pt_lo=5.0, pt_hi=20.0, eig_lo=0.1)
         alpha_w = es.default_alpha_w(model)
         degree, ws = capped_degree_system(model, 6, alpha_w)
-        weights = es.wpeach_weights_optimal(ws)
+        weights = wpeach_weights_optimal(ws)
         assert np.max(np.abs(weights.imag)) < 1e-8 * np.max(np.abs(weights.real))
 
     def test_tikhonov_fallback_warns(self, rng):
         # a noise-dominated observation covariance clusters the eigenvalues and
         # makes the moment matrix numerically singular at moderate degree
         model = random_model(rng, n_r=4, n_t=2, pt_lo=0.01, pt_hi=0.02)
-        ws = es.wpeach_weight_system(model, 7, es.default_alpha_w(model))
-        assert np.linalg.cond(ws.a_mat) > es.WEIGHT_COND_LIMIT
+        ws = wpeach_weight_system(model, 7, es.default_alpha_w(model))
+        assert np.linalg.cond(ws.a_mat) > WEIGHT_COND_LIMIT
         with pytest.warns(IllConditionedWeightsWarning):
-            weights = es.wpeach_weights_optimal(ws)
+            weights = wpeach_weights_optimal(ws)
         assert np.all(np.isfinite(weights))
 
     def test_unresolvable_system_raises(self):
-        ws = es.WeightSystem(a_mat=np.zeros((3, 3), dtype=complex), b_vec=np.ones(3, dtype=complex), alpha_w=1.0)
+        ws = WeightSystem(a_mat=np.zeros((3, 3), dtype=complex), b_vec=np.ones(3, dtype=complex), alpha_w=1.0)
         with pytest.raises(IllConditionedWeights):
-            es.guarded_hermitian_solve(ws.a_mat, ws.b_vec)
+            guarded_hermitian_solve(ws.a_mat, ws.b_vec)
 
 
 class TestGeneralMse:
@@ -151,7 +153,7 @@ class TestGeneralMse:
         model = random_model(rng, n_r=3, n_t=2)
         alpha_w = es.default_alpha_w(model)
         degree = 3
-        ws = es.wpeach_weight_system(model, degree, alpha_w)
+        ws = wpeach_weight_system(model, degree, alpha_w)
         weights = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * 0.5
         tr_r = float(np.trace(model.r_cov).real)
         direct = tr_r + np.real(
@@ -209,7 +211,7 @@ class TestStableFit:
         model = random_model(rng, n_r=4, n_t=2, pt_lo=5.0, pt_hi=20.0, eig_lo=0.1)
         alpha_w = es.default_alpha_w(model)
         degree, ws = capped_degree_system(model, 5, alpha_w)
-        w_direct = es.wpeach_weights_optimal(ws)
+        w_direct = wpeach_weights_optimal(ws)
         w_fit, mse_fit = es._wpeach_fit(model, degree, alpha_w)
         tr_r = float(np.trace(model.r_cov).real)
         closed = tr_r - float(np.real(ws.b_vec.conj() @ w_direct))
@@ -225,9 +227,12 @@ class TestStableFit:
             assert abs(used - opt) < 1e-9 * max(opt, 1.0)
 
     def test_optimal_value_independent_of_alpha(self, rng):
+        # the scaling cancels: the filter the estimator applies has the same MSE
         model = random_model(rng, n_r=3, n_t=2)
-        a = es.wpeach_mse_optimal(model, 4, 0.01)
-        b = es.wpeach_mse_optimal(model, 4, 0.2)
+        a, b = (
+            es.wpeach_mse_general(model, 4, scale, es.make_wpeach(model, 4, alpha_w=scale).weights)
+            for scale in (0.01, 0.2)
+        )
         assert_allclose(a, b, rtol=1e-10)
 
 
