@@ -70,9 +70,6 @@ from .model import (
     correlated_model,
     deviation,
     exp_correlation_matrix,
-    observe,
-    sample_gaussian,
-    spawn_streams,
     stat_model_from_pilot,
 )
 

@@ -6,6 +6,12 @@ with floor overlays (``sweep-snr``), versus receive-antenna count
 covariance robustness (``shrinkage``), and FLOP cost curves (``flops``).
 Every scenario is deterministic under a fixed seed and emits one CSV row per
 (sweep value, estimator) pair plus a JSON twin of the table.
+
+The three sweeps share one runner that walks the config field named in
+``_SWEEP_AXES``; each sweep point builds one table of estimator, closed-form
+MSE and Monte Carlo callable, from which every column and the row order
+follow.  Config-file and flag strings are parsed by the type of the field's
+``ExperimentConfig`` default.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +87,9 @@ class ExperimentConfig:
         for name in ("snr_db", "degrees", "n_r_values", "shrink_samples"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be non-empty")
+        for name in ("snr_db", "betas", "noise_var", "q_ratio", "tau_s", "t_tot"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if any(d < 0 for d in self.degrees) or self.degree < 0:
             raise ConfigError("polynomial degrees must be nonnegative")
         if any(b < 0 for b in self.betas):
@@ -117,11 +126,18 @@ _SCENARIO_DEFAULTS = {
 
 
 def default_config(scenario: str, **overrides) -> ExperimentConfig:
-    """Scenario preset with optional field overrides, validated."""
+    """Scenario preset with optional field overrides, validated.
+
+    An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well,
+    except for ``flops``, whose cost model takes any pilot length.
+    """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
     params = dict(_SCENARIO_DEFAULTS[scenario])
     params.update(overrides)
+    # the identity pilot is square: an n_t set without b sets b too
+    if "n_t" in overrides and "b" not in overrides and scenario != "flops":
+        params["b"] = overrides["n_t"]
     config = ExperimentConfig(scenario=scenario, **params)
     config.validate()
     return config
@@ -148,25 +164,22 @@ class ResultRow:
 def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk_size: int = 512) -> dict:
     """Empirical MSE of each ``estimator(model, y)`` over one set of seeded draws.
 
-    Draws (h, n) pairs, forms y, and scores every estimator of the mapping on
-    the same draws.  Returns ``{name: (mse_hat, standard_error)}``.  Trials
-    are processed in chunks with independent child streams, so results are
-    reproducible, independent of chunk scheduling, and the same for an
+    Draws (h, y) pairs by :meth:`StatModel.draw` and scores every estimator of
+    the mapping on the same draws.  Returns ``{name: (mse_hat,
+    standard_error)}``, with a standard error of None for a single trial.
+    Trials are processed in chunks with independent child streams, so results
+    are reproducible, independent of chunk scheduling, and the same for an
     estimator whether it is scored alone or next to others.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_chunks = (trials + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    factor_r, factor_s = model.r_factor, model.s_factor
     sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
         count = min(chunk_size, trials - pos)
-        rng = np.random.default_rng(child)
-        h = model.h_mean[:, None] + factor_r @ standard_complex_normal(rng, model.dims.n, count)
-        noise = model.n_mean[:, None] + factor_s @ standard_complex_normal(rng, model.dims.m, count)
-        y = model.apply_pilot(h) + noise
+        h, y = model.draw(np.random.default_rng(child), count)
         for name, estimator in estimators.items():
             h_hat = estimator(model, y)
             if h_hat.shape != h.shape:
@@ -176,21 +189,9 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
     return {
         name: (
             float(np.mean(errors)),
-            float(np.std(errors, ddof=1) / np.sqrt(trials)) if trials > 1 else float("nan"),
+            float(np.std(errors, ddof=1) / np.sqrt(trials)) if trials > 1 else None,
         )
         for name, errors in sq_errors.items()
-    }
-
-
-def _estimator_callables(peach_est, wpeach_est, gram, t) -> dict:
-    # the MVU Gram system is built once per point, not on each Monte Carlo chunk;
-    # it is not cached on the model, which would hold two more (m, n) arrays
-    return {
-        "mmse": estimators.mmse_estimate,
-        "mvu": lambda mdl, y: estimators._mvu_apply(mdl, gram, t, y),
-        "diagonalized": estimators.diag_estimate,
-        "peach": lambda mdl, y: estimators.peach_estimate(mdl, peach_est, y),
-        "wpeach": lambda mdl, y: estimators.wpeach_estimate(mdl, wpeach_est, y),
     }
 
 
@@ -198,105 +199,74 @@ def _estimator_callables(peach_est, wpeach_est, gram, t) -> dict:
 # scenario runners
 
 
-def _analytic_mses(model: StatModel, peach_est, wpeach_est, mvu_eigs) -> dict:
-    # the polynomial columns report the MSE of the prepared estimators, so the
-    # Monte Carlo confirmation measures exactly the same filters
-    return {
-        "mmse": estimators.mmse_mse(model),
-        "mvu": float(np.sum(1.0 / mvu_eigs)),
-        "diagonalized": estimators.diag_mse(model),
-        "peach": estimators.peach_mse(model, peach_est.degree, peach_est.alpha),
-        "wpeach": estimators.wpeach_mse_general(
-            model, wpeach_est.degree, wpeach_est.alpha, wpeach_est.weights
-        ),
-    }
-
-
-def _floor_values(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
-    r_cov = model.r_cov
+def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     if any(beta > 0 for beta in config.betas):
         # only the sum is kept: holding the interferer covariances through the
         # floors raised the peak memory at m = 1000 by about two of them
         sum_interf = correlated_contamination(model.dims, config.betas, config.correlation).summed_covariance
-        floors = analysis.floor_contaminated(r_cov, sum_interf, degree)
+        floors = analysis.floor_contaminated(model.r_cov, sum_interf, degree)
         # high-power limit of the unbiased estimator's variance for an identity pilot
-        mvu_floor = float(np.trace(sum_interf).real)
-        return {
-            "mmse": floors.mmse,
-            "mvu": mvu_floor,
-            "diagonalized": floors.diagonalized,
-            "peach": floors.peach,
-            "wpeach": floors.wpeach,
-        }
-    floors = analysis.floor_noise_limited(r_cov, degree)
-    return {
-        "mmse": 0.0,
-        "mvu": 0.0,
-        "diagonalized": 0.0,
-        "peach": floors.peach,
-        "wpeach": floors.wpeach,
-    }
-
-
-_ESTIMATOR_ORDER = ("mmse", "mvu", "diagonalized", "peach", "wpeach")
+        return {**floors._asdict(), "mvu": float(np.trace(sum_interf).real)}
+    floors = analysis.floor_noise_limited(model.r_cov, degree)
+    return {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **floors._asdict()}
 
 
 def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     trace_r = float(np.trace(model.r_cov).real)
     peach_est = estimators.make_peach(model, degree)
     wpeach_est = estimators.make_wpeach(model, degree)
-    floors = _floor_values(model, config, degree)
-    # one MVU Gram system serves mvu_variance's value and the Monte Carlo callable
+    floors = _floors(model, config, degree)
+    # one MVU Gram system serves the analytic variance and the Monte Carlo
+    # callable; it is not cached on the model, which would hold two more (m, n) arrays
     gram, t, mvu_eigs = estimators._mvu_gram(model)
-    mses = _analytic_mses(model, peach_est, wpeach_est, mvu_eigs)
+    # estimator -> (closed-form MSE, Monte Carlo callable), in row order; the
+    # polynomial rows report the MSE of the prepared estimators, so the Monte
+    # Carlo confirmation measures exactly the same filters
+    table = {
+        "mmse": (estimators.mmse_mse(model), estimators.mmse_estimate),
+        "mvu": (float(np.sum(1.0 / mvu_eigs)), lambda mdl, y: estimators._mvu_apply(mdl, gram, t, y)),
+        "diagonalized": (estimators.diag_mse(model), estimators.diag_estimate),
+        "peach": (
+            estimators.peach_mse(model, degree, peach_est.alpha),
+            lambda mdl, y: estimators.peach_estimate(mdl, peach_est, y),
+        ),
+        "wpeach": (
+            estimators.wpeach_mse_general(model, degree, wpeach_est.alpha, wpeach_est.weights),
+            lambda mdl, y: estimators.wpeach_estimate(mdl, wpeach_est, y),
+        ),
+    }
     monte_carlo = {}
     if config.monte_carlo:
-        callables = _estimator_callables(peach_est, wpeach_est, gram, t)
+        callables = {name: estimate for name, (_, estimate) in table.items()}
         monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, point_index))
     rows = []
-    for name in _ESTIMATOR_ORDER:
+    for name, (mse, _) in table.items():
         nmse_mc = stderr = None
         if name in monte_carlo:
             mse_hat, se = monte_carlo[name]
-            nmse_mc, stderr = mse_hat / trace_r, se / trace_r
-        rows.append(
-            ResultRow(
-                scenario=config.scenario,
-                estimator=name,
-                sweep_value=sweep_value,
-                nmse_analytic=mses[name] / trace_r,
-                nmse_monte_carlo=nmse_mc,
-                mc_stderr=stderr,
-                floor=floors[name] / trace_r,
-            )
-        )
+            nmse_mc = mse_hat / trace_r
+            stderr = None if se is None else se / trace_r
+        floor = floors[name] / trace_r
+        rows.append(ResultRow(config.scenario, name, sweep_value, mse / trace_r, nmse_mc, stderr, floor))
     return rows
 
 
-def _run_sweep_l(config: ExperimentConfig):
-    dims = Dims(config.n_r, config.n_t, config.b)
-    model = correlated_model(dims, config.snr_db[0], config.betas, config.correlation, config.noise_var)
+# the config field each sweep scenario walks
+_SWEEP_AXES = {"sweep-l": "degrees", "sweep-snr": "snr_db", "sweep-nr": "n_r_values"}
+
+
+def _run_sweep(config: ExperimentConfig):
+    axis = _SWEEP_AXES[config.scenario]
+    model = None
     rows = []
-    for index, degree in enumerate(config.degrees):
-        rows.extend(_sweep_point_rows(model, config, degree, float(degree), index))
-    return rows
-
-
-def _run_sweep_snr(config: ExperimentConfig):
-    dims = Dims(config.n_r, config.n_t, config.b)
-    rows = []
-    for index, gamma_db in enumerate(config.snr_db):
-        model = correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
-        rows.extend(_sweep_point_rows(model, config, config.degree, float(gamma_db), index))
-    return rows
-
-
-def _run_sweep_nr(config: ExperimentConfig):
-    rows = []
-    for index, n_r in enumerate(config.n_r_values):
-        dims = Dims(n_r, config.n_t, config.b)
-        model = correlated_model(dims, config.snr_db[0], config.betas, config.correlation, config.noise_var)
-        rows.extend(_sweep_point_rows(model, config, config.degree, float(n_r), index))
+    for index, value in enumerate(getattr(config, axis)):
+        # each axis field's value at this point: the swept one from its grid, the others from the config
+        point = {"degrees": config.degree, "snr_db": config.snr_db[0], "n_r_values": config.n_r, axis: value}
+        # every degree of sweep-l shares one model
+        if model is None or axis != "degrees":
+            dims = Dims(point["n_r_values"], config.n_t, config.b)
+            model = correlated_model(dims, point["snr_db"], config.betas, config.correlation, config.noise_var)
+        rows.extend(_sweep_point_rows(model, config, point["degrees"], float(value), index))
     return rows
 
 
@@ -312,16 +282,10 @@ def _run_adaptive(config: ExperimentConfig):
         mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
         child = np.random.SeedSequence((config.seed, index))
         stream_rng, probe_rng = (np.random.default_rng(s) for s in child.spawn(2))
-
-        def draw_y(count):
-            h = model.r_factor @ standard_complex_normal(stream_rng, dims.n, count)
-            noise = model.s_factor @ standard_complex_normal(stream_rng, dims.m, count)
-            return (model.apply_pilot(h) + noise + model.y_mean()[:, None]).T
-
-        warmup = list(draw_y(config.window))
+        warmup = list(model.draw(stream_rng, config.window)[1].T)
         state = adaptive_init(model, config.window, config.degree, alpha_w, warmup, probe_rng)
         w_approx = state.weights
-        for y_new in draw_y(config.window):
+        for y_new in model.draw(stream_rng, config.window)[1].T:
             w_approx = adaptive_update(state, y_new)
         mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, w_approx)
         rows.append(
@@ -388,9 +352,7 @@ def _run_flops(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "sweep-l": _run_sweep_l,
-    "sweep-snr": _run_sweep_snr,
-    "sweep-nr": _run_sweep_nr,
+    **dict.fromkeys(_SWEEP_AXES, _run_sweep),
     "adaptive": _run_adaptive,
     "shrinkage": _run_shrinkage,
     "flops": _run_flops,
@@ -431,7 +393,7 @@ def write_rows(rows, path: Path):
             writer.writerow([_format_value(getattr(row, column)) for column in CSV_COLUMNS])
     payload = [{column: getattr(row, column) for column in CSV_COLUMNS} for row in rows]
     with open(path.with_suffix(".json"), "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -439,38 +401,25 @@ def write_rows(rows, path: Path):
 # command-line interface
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_list(text: str, kind) -> tuple:
     text = text.strip()
-    if ":" in text:
+    if kind is int and ":" in text:
         start, stop = text.split(":", 1)
         return tuple(range(int(start), int(stop) + 1))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return tuple(kind(part) for part in text.split(",") if part.strip())
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+# fields settable from a config file or a flag, with the default whose type parses them
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
-_CONFIG_PARSERS = {
-    "n_r": int,
-    "n_t": int,
-    "b": int,
-    "snr_db": _parse_float_list,
-    "degrees": _parse_int_list,
-    "degree": int,
-    "betas": _parse_float_list,
-    "n_r_values": _parse_int_list,
-    "noise_var": float,
-    "trials": int,
-    "seed": int,
-    "window": int,
-    "shrink_samples": _parse_int_list,
-    "q_ratio": float,
-    "tau_s": float,
-    "t_tot": float,
-    "monte_carlo": lambda text: text.strip().lower() in ("1", "true", "yes", "on"),
-    "out": str,
-}
+def _parse_field(key: str, text: str):
+    default = _FIELD_DEFAULTS[key]
+    if isinstance(default, bool):
+        return text.strip().lower() in ("1", "true", "yes", "on")
+    if isinstance(default, tuple):
+        return _parse_list(text, type(default[0]))
+    return type(default)(text)
 
 
 def load_config_file(path: str, scenario: str) -> dict:
@@ -485,10 +434,10 @@ def load_config_file(path: str, scenario: str) -> dict:
             continue
         for key, raw in parser.items(section):
             key = key.replace("-", "_")
-            if key not in _CONFIG_PARSERS:
+            if key not in _FIELD_DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             try:
-                overrides[key] = _CONFIG_PARSERS[key](raw)
+                overrides[key] = _parse_field(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in section [{section}]: {raw!r}") from exc
     return overrides
@@ -536,19 +485,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {}
     if args.config:
         overrides.update(load_config_file(args.config, args.scenario))
-    field_names = {f.name for f in fields(ExperimentConfig)}
     for key, value in vars(args).items():
-        if key in ("scenario", "config", "no_montecarlo") or value is None:
-            continue
-        if key not in field_names:
-            continue
-        if isinstance(value, str) and key in _CONFIG_PARSERS and key != "out":
-            value = _CONFIG_PARSERS[key](value)
-        overrides[key] = value
+        if key in _FIELD_DEFAULTS and value is not None:
+            overrides[key] = _parse_field(key, value) if isinstance(value, str) else value
     if args.no_montecarlo:
         overrides["monte_carlo"] = False
-    if args.n_t is not None and "b" not in overrides and args.scenario != "flops":
-        overrides["b"] = args.n_t
     return default_config(args.scenario, **overrides)
 
 

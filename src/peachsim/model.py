@@ -5,7 +5,8 @@ Builds the second-order statistics of the vectorized observation
 ``n ~ CN(n_mean, s_cov)``, including Kronecker-structured spatial
 covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
-(:func:`correlated_model`).
+(:func:`correlated_model`).  :meth:`StatModel.draw` is the one sampler of
+``(h, y)`` pairs.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class StatModel:
     property forms the dense (m, n) matrix on demand for the analysis-side
     oracles.  A model is never mutated after construction, so quantities
     derived from it (``z``, ``z_factor``, ``z_spectrum``, ``r_factor``,
-    ``s_factor``) are computed once, on first use.
+    ``s_factor``) are computed once, on first use; :meth:`draw` samples
+    through the two cached factors.
     """
 
     dims: Dims
@@ -226,6 +228,17 @@ class StatModel:
         """pilot_ext^H @ y for an (m,) vector or an (m, k) batch, without forming pilot_ext."""
         y = np.asarray(y)
         return (self.pilot.conj() @ y.reshape(self.dims.b, -1)).reshape(self.dims.n, *y.shape[1:])
+
+    def draw(self, rng: np.random.Generator, count: int):
+        """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
+
+        Draws ``h = h_mean + r_factor @ w`` first, then the disturbance
+        ``n_mean + s_factor @ v`` (``w`` and ``v`` standard complex normal),
+        and returns ``y = apply_pilot(h) + disturbance``.
+        """
+        h = self.h_mean[:, None] + self.r_factor @ standard_complex_normal(rng, self.dims.n, count)
+        noise = self.n_mean[:, None] + self.s_factor @ standard_complex_normal(rng, self.dims.m, count)
+        return h, self.apply_pilot(h) + noise
 
     def y_mean(self) -> np.ndarray:
         """Mean of the observation, pilot_ext @ h_mean + n_mean."""
@@ -451,37 +464,6 @@ def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def sample_gaussian(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    rng: np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Draw from CN(mean, cov); deterministic given the generator state.
-
-    With ``size=None`` returns one vector of shape (n,), otherwise an array
-    of shape (size, n) with independent rows.
-    """
-    mean = np.asarray(mean, dtype=complex)
-    factor = psd_factor(cov)
-    if size is None:
-        return mean + factor @ standard_complex_normal(rng, mean.size)
-    z = standard_complex_normal(rng, mean.size, size)
-    return mean[None, :] + (factor @ z).T
-
-
-def observe(model: StatModel, h: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Vectorized received pilot signal y = pilot_ext @ h + n."""
-    h = np.asarray(h, dtype=complex)
-    n = np.asarray(n, dtype=complex)
-    if h.shape[0] != model.dims.n or n.shape[0] != model.dims.m or h.shape[1:] != n.shape[1:]:
-        raise ShapeError(
-            f"expected h of length {model.dims.n} and n of length {model.dims.m}, "
-            f"got {h.shape} and {n.shape}"
-        )
-    return model.apply_pilot(h) + n
-
-
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean."""
     y = np.asarray(y, dtype=complex)
@@ -492,11 +474,3 @@ def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
         return y - y_bar[:, None]
     return y - y_bar
 
-
-def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent per-trial generators derived from one master seed.
-
-    Streams are reproducible and order-independent, so Monte Carlo trials can
-    run concurrently without sharing state.
-    """
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]

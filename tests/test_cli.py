@@ -49,11 +49,22 @@ class TestConfig:
             dict(window=0),
             dict(noise_var=0.0),
             dict(shrink_samples=(1,)),
+            dict(snr_db=(float("nan"),)),
+            dict(betas=(float("inf"), 1.0)),
+            dict(noise_var=float("nan")),
+            dict(q_ratio=float("nan")),
+            dict(tau_s=float("inf")),
+            dict(t_tot=float("inf")),
         ],
     )
     def test_validation_failures(self, overrides):
         with pytest.raises(ConfigError):
             default_config("sweep-l", **overrides)
+
+    def test_pilot_length_follows_n_t_except_for_flops(self):
+        assert default_config("sweep-l", n_t=3).b == 3
+        assert default_config("sweep-l", n_t=3, b=5).b == 5
+        assert default_config("flops", n_t=3).b == 10
 
     def test_correlation_magnitude_guard(self):
         bad = SpatialCorrelation(desired_rx=1.01)
@@ -77,6 +88,31 @@ class TestConfig:
         path.write_text("[sweep-l]\nwindowing = 3\n")
         with pytest.raises(ConfigError):
             load_config_file(str(path), "sweep-l")
+
+    @pytest.mark.parametrize("line", ["correlation = 0.5", "scenario = flops"])
+    def test_config_file_rejects_fields_without_plain_default(self, tmp_path, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[sweep-l]\n{line}\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config_file(str(path), "sweep-l")
+
+    def test_config_file_values_parsed_by_field_type(self, tmp_path):
+        path = tmp_path / "types.ini"
+        path.write_text(
+            "[shrinkage]\nmonte_carlo = off\nshrink_samples = 4:6\nnoise_var = 2\nwindow = 7\nsnr_db = 1, 2.5\n"
+        )
+        overrides = load_config_file(str(path), "shrinkage")
+        assert overrides == dict(
+            monte_carlo=False, shrink_samples=(4, 5, 6), noise_var=2.0, window=7, snr_db=(1.0, 2.5)
+        )
+        assert type(overrides["noise_var"]) is float and type(overrides["window"]) is int
+
+    def test_config_file_n_t_sets_pilot_length(self, tmp_path, capsys):
+        out = tmp_path / "n_t.csv"
+        ini = tmp_path / "n_t.ini"
+        ini.write_text(f"[sweep-l]\nn_t = 3\ndegrees = 0\nout = {out}\n")
+        assert main(["sweep-l", "--config", str(ini), "--no-montecarlo"]) == 0
+        assert "wrote 5 rows" in capsys.readouterr().out
 
 
 class TestCorrelatedModel:
@@ -330,6 +366,34 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-l", "--snr-db", "nan"],
+            ["sweep-l", "--betas", "inf,1"],
+            ["flops", "--q", "nan"],
+            ["flops", "--t-tot", "inf"],
+        ],
+    )
+    def test_cli_rejects_non_finite_values(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main([*args, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_trial_stderr_cells_are_empty(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert main(["sweep-l", "--n-r", "2", "--degrees", "0,1", "--trials", "1", "--out", str(out)]) == 0
+        records = read_rows(out)
+        assert len(records) == 10
+        assert all(r["nmse_monte_carlo"] and r["mc_stderr"] == "" for r in records)
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        payload = json.loads(out.with_suffix(".json").read_text(), parse_constant=reject)
+        assert all(r["nmse_monte_carlo"] is not None and r["mc_stderr"] is None for r in payload)
+
     def test_cli_reads_config_file(self, tmp_path, capsys):
         out = tmp_path / "from_config.csv"
         ini = tmp_path / "run.ini"
@@ -359,13 +423,21 @@ def test_cli_tables_byte_identical_in_fresh_processes(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    # the adaptive run checks the draws that feed the sliding-window tracker
+    runs = {
+        "snr": ["sweep-snr", "--snr-db", "0,20", "--betas", "0.1,0.1", "--trials", "300"],
+        "adaptive": ["adaptive", "--snr-db", "0,10", "--window", "30"],
+    }
     tables = []
     for run in range(2):
-        out = tmp_path / f"run{run}" / "snr.csv"
-        args = ["sweep-snr", "--n-r", "4", "--n-t", "2", "--snr-db", "0,20", "--betas", "0.1,0.1"]
-        args += ["--degree", "3", "--trials", "300", "--seed", "11", "--out", str(out)]
-        subprocess.run([sys.executable, "-m", "peachsim.cli", *args], env=env, check=True, capture_output=True)
-        tables.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        tables.append({})
+        for name, scenario_args in runs.items():
+            out = tmp_path / f"run{run}" / f"{name}.csv"
+            args = [*scenario_args, "--n-r", "4", "--n-t", "2", "--degree", "3", "--seed", "11", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "peachsim.cli", *args], env=env, check=True, capture_output=True)
+            tables[run][name] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
     assert tables[0] == tables[1]
-    rows = [row for row in csv.DictReader(tables[0][0].decode().splitlines()) if row["nmse_monte_carlo"]]
+    rows = [row for row in csv.DictReader(tables[0]["snr"][0].decode().splitlines()) if row["nmse_monte_carlo"]]
     assert len(rows) == 2 * 5
+    rows = list(csv.DictReader(tables[0]["adaptive"][0].decode().splitlines()))
+    assert [row["estimator"] for row in rows] == ["wpeach", "wpeach-adaptive"] * 2

@@ -25,10 +25,8 @@ from peachsim.model import (
     deviation,
     exp_correlation_matrix,
     extend_pilot,
-    observe,
     psd_factor,
-    sample_gaussian,
-    spawn_streams,
+    standard_complex_normal,
     stat_model_from_pilot,
 )
 
@@ -238,31 +236,40 @@ class TestObservationCovarianceCache:
             mmse_estimate(model, model.y_mean())
 
 
+def channel_model(r_cov, h_mean=None):
+    """Identity-pilot, unit-noise model with one receive antenna and the given channel statistics."""
+    n = r_cov.shape[0]
+    return build_stat_model(Dims(1, n, n), h_mean, r_cov, None, ContaminationSpec(), 1.0)
+
+
 class TestSampleGaussian:
+    """Channel draws of StatModel.draw and the sampling factor psd_factor."""
+
     def test_zero_covariance_returns_mean(self, rng):
         mean = complex_vector(rng, 4)
-        out = sample_gaussian(mean, np.zeros((4, 4)), np.random.default_rng(0))
-        assert_allclose(out, mean)
+        h, _ = channel_model(np.zeros((4, 4)), mean).draw(np.random.default_rng(0), 3)
+        assert_allclose(h, np.repeat(mean[:, None], 3, axis=1))
 
     def test_deterministic_given_seed(self, rng):
-        cov = random_hermitian_psd(rng, 5)
-        a = sample_gaussian(np.zeros(5), cov, np.random.default_rng(33))
-        b = sample_gaussian(np.zeros(5), cov, np.random.default_rng(33))
-        assert_allclose(a, b)
+        model = channel_model(random_hermitian_psd(rng, 5))
+        h_a, y_a = model.draw(np.random.default_rng(33), 2)
+        h_b, y_b = model.draw(np.random.default_rng(33), 2)
+        assert_allclose(h_a, h_b)
+        assert_allclose(y_a, y_b)
 
     def test_empirical_covariance_identity(self):
-        draws = sample_gaussian(np.zeros(4), np.eye(4), np.random.default_rng(7), size=100_000)
-        emp = draws.T @ draws.conj() / draws.shape[0]
+        h, _ = channel_model(np.eye(4)).draw(np.random.default_rng(7), 100_000)
+        emp = h @ h.conj().T / h.shape[1]
         assert np.max(np.abs(emp - np.eye(4))) < 0.05
 
     def test_semidefinite_covariance_accepted(self):
         cov = np.diag([1.0, 0.0, 2.0]).astype(complex)
-        out = sample_gaussian(np.zeros(3), cov, np.random.default_rng(1), size=200)
-        assert_allclose(out[:, 1], 0.0, atol=1e-14)
+        h, _ = channel_model(cov).draw(np.random.default_rng(1), 200)
+        assert_allclose(h[1], 0.0, atol=1e-14)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemiDefinite):
-            sample_gaussian(np.zeros(2), np.diag([1.0, -1.0]), np.random.default_rng(0))
+            psd_factor(np.diag([1.0, -1.0]))
 
     def test_psd_factor_reconstructs(self, rng):
         cov = random_hermitian_psd(rng, 6, eig_lo=0.0, eig_hi=2.0)
@@ -271,30 +278,30 @@ class TestSampleGaussian:
 
 
 class TestObserve:
+    """Observations y = apply_pilot(h) + n, as StatModel.draw forms them."""
+
     def test_zero_inputs(self):
         model = random_model(np.random.default_rng(0), zero_means=True)
-        y = observe(model, np.zeros(model.dims.n), np.zeros(model.dims.m))
+        y = model.apply_pilot(np.zeros(model.dims.n)) + np.zeros(model.dims.m)
         assert_allclose(y, 0.0)
 
     def test_noiseless_identity_pilot_scales_channel(self, rng):
         model = random_model(rng, zero_means=True)
         pilot_power = model.pilot[0, 0].real ** 2
         h = complex_vector(rng, model.dims.n)
-        y = observe(model, h, np.zeros(model.dims.m))
+        y = model.apply_pilot(h) + np.zeros(model.dims.m)
         assert_allclose(y, np.sqrt(pilot_power) * h, rtol=1e-12)
 
     def test_deviation_matches_direct_formula(self, rng):
         model = random_model(rng)
         h = complex_vector(rng, model.dims.n)
         noise = complex_vector(rng, model.dims.m)
-        y = observe(model, h, noise)
+        y = model.apply_pilot(h) + noise
         direct = y - model.pilot_ext @ model.h_mean - model.n_mean
         assert np.max(np.abs(deviation(model, y) - direct)) < 1e-14 * np.linalg.norm(direct)
 
     def test_shape_mismatch(self, rng):
         model = random_model(rng)
-        with pytest.raises(ShapeError):
-            observe(model, np.zeros(model.dims.n + 1), np.zeros(model.dims.m))
         with pytest.raises(ShapeError):
             deviation(model, np.zeros(model.dims.m + 2))
 
@@ -302,10 +309,7 @@ class TestObserve:
         # covariance of y approaches pilot r pilot^H + s over many draws
         model = random_model(rng, n_r=3, n_t=2, zero_means=True)
         draws = 20_000
-        gen = np.random.default_rng(11)
-        h = sample_gaussian(model.h_mean, model.r_cov, gen, size=draws)
-        noise = sample_gaussian(model.n_mean, model.s_cov, gen, size=draws)
-        y = observe(model, h.T, noise.T)
+        _, y = model.draw(np.random.default_rng(11), draws)
         emp = y @ y.conj().T / draws
         expected = model.pilot_ext @ model.r_cov @ model.pilot_ext.conj().T + model.s_cov
         spectral = np.linalg.norm(expected, 2)
@@ -367,8 +371,21 @@ class TestStructuredPilot:
         assert relative_error(model.y_mean(), p_ext @ model.h_mean + model.n_mean) <= 1e-12
         h = complex_vector(rng, (model.dims.n, 4))
         noise = complex_vector(rng, (model.dims.m, 4))
-        assert relative_error(observe(model, h, noise), p_ext @ h + noise) <= 1e-12
-        assert relative_error(observe(model, h[:, 0], noise[:, 0]), p_ext @ h[:, 0] + noise[:, 0]) <= 1e-12
+        assert relative_error(model.apply_pilot(h) + noise, p_ext @ h + noise) <= 1e-12
+        assert relative_error(model.apply_pilot(h[:, 0]) + noise[:, 0], p_ext @ h[:, 0] + noise[:, 0]) <= 1e-12
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    def test_draw_matches_explicit_formula(self, rng, n_t, b):
+        # nonzero means and a non-square pilot; the channel is drawn before the disturbance
+        model = random_pilot_model(rng, n_t, b)
+        h, y = model.draw(np.random.default_rng(5), 7)
+        gen = np.random.default_rng(5)
+        h_ref = model.h_mean[:, None] + model.r_factor @ standard_complex_normal(gen, model.dims.n, 7)
+        noise = model.n_mean[:, None] + model.s_factor @ standard_complex_normal(gen, model.dims.m, 7)
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        assert np.array_equal(h, h_ref)
+        assert relative_error(y, p_ext @ h_ref + noise) <= 1e-12
+        assert np.array_equal(y, model.apply_pilot(h_ref) + noise)
 
     def test_pilot_ext_is_derived_not_stored(self, rng):
         model = random_pilot_model(rng, 2, 3)
@@ -407,10 +424,3 @@ class TestSamplingFactors:
         model.r_factor, model.s_factor, model.r_factor
         assert counts["cholesky"] == built + 2
 
-
-def test_spawn_streams_reproducible_and_distinct():
-    a1, b1 = spawn_streams(99, 2)
-    a2, b2 = spawn_streams(99, 2)
-    x1, x2 = a1.standard_normal(4), a2.standard_normal(4)
-    assert_allclose(x1, x2)
-    assert not np.allclose(b1.standard_normal(4), x1)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from peachsim import analysis
-from peachsim import cli
+from peachsim import model as model_module
 from peachsim import estimators as es
 from peachsim.cli import _sweep_point_rows, default_config
 from peachsim.errors import DivergentExpansionWarning
@@ -126,7 +126,7 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     counts = {}
     count_calls(monkeypatch, np.linalg, ("cholesky", "solve", "inv"), counts)
     count_eig_calls(monkeypatch, counts)
-    count_calls(monkeypatch, cli, ("standard_complex_normal",), counts)
+    count_calls(monkeypatch, model_module, ("standard_complex_normal",), counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
