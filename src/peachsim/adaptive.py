@@ -1,27 +1,23 @@
 """Low-complexity weight tracking and shrinkage covariance estimation.
 
 The weight system of the weighted polynomial estimator is approximated from
-received samples over a sliding window: each trace is replaced by an average
-of per-sample quadratic forms, updated by adding the newest sample and
-removing the oldest.  Large covariance matrices are estimated by shrinking
-the sample covariance towards its diagonal.
+received samples over a sliding window: each trace is replaced by the mean of
+per-sample quadratic forms of the mean-removed observations over the window,
+except the first right-hand-side entry, the exact ``alpha_w ||pilot_ext r||_F^2``.
+Large covariance matrices are estimated by shrinking the sample covariance
+towards its diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditionedWeights,
-    InsufficientSamples,
-    UnsupportedPilot,
-    WindowSizeError,
-)
-from .estimators import _identity_pilot_power
-from .model import StatModel, hermitize, standard_complex_normal
+from .errors import IllConditionedWeights, InsufficientSamples, WindowSizeError
+from .model import StatModel, deviation, hermitize
 
 # Condition number above which weight solves switch to Tikhonov regularization.
 WEIGHT_COND_LIMIT = 1e12
@@ -38,78 +34,60 @@ SAMPLED_RIDGE_SCALE = 0.3
 class AdaptiveState:
     """Sliding-window approximation of the weight system.
 
-    Single-writer: updates are sequential by construction.  ``a_approx`` and
-    ``b_approx`` hold the windowed averages of the per-sample quadratic forms
-    that ``_quad_cache`` keeps for the last ``window_len`` received vectors,
-    oldest first, so the sample leaving the window is subtracted exactly.
-    ``weights`` is the latest solved weight vector (``fallback`` is set when
-    an ill-conditioned update kept the previous weights).
+    Single-writer: updates are sequential by construction.  ``window`` is the
+    only record of the samples: the quadratic forms of the last
+    ``window_len``, oldest first.  ``a_approx`` and ``b_approx`` are
+    read-only views formed from its correctly rounded mean, which depends on
+    which samples the window holds, not their order; ``b_approx[0]`` is the
+    exact ``b1``.  ``fallback`` is set when an ill-conditioned update kept
+    the previous ``weights``.
     """
 
     model: StatModel
-    window_len: int
     degree: int
     alpha_w: float
-    a_approx: np.ndarray
-    b_approx: np.ndarray
+    b1: float
+    window: deque
     weights: np.ndarray
     fallback: bool = False
-    _quad_cache: deque = field(default_factory=deque, repr=False)
 
+    @property
+    def window_len(self) -> int:
+        return self.window.maxlen
 
-def _pilot_r2(model: StatModel, v: np.ndarray) -> np.ndarray:
-    # pilot r^2 pilot^H v, the pilot applied through its Kronecker structure
-    return model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v)))
+    @property
+    def a_approx(self) -> np.ndarray:
+        return _windowed_system(self)[0]
+
+    @property
+    def b_approx(self) -> np.ndarray:
+        return _windowed_system(self)[1]
 
 
 def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
-    """Per-sample quadratic forms q_k = Re(y^H pilot r^2 pilot^H z^k y), k = 0..2L.
+    """Per-sample quadratic forms q_k = Re(d^H pilot r^2 pilot^H z^k d), k = 0..2L.
 
-    The powers z^k y extend the estimator's own matrix-vector recursion, so
-    each sample costs O(L m^2); the real part is taken because the traces the
-    averages approximate are real.
+    ``d`` is the mean-removed observation, whose outer product has mean
+    ``z``; the pilot is applied through its Kronecker structure and each
+    sample costs 2L products with ``z``, O(L m^2).
     """
-    z = model.z
-    f_y = _pilot_r2(model, y)
+    v = deviation(model, y)
+    f_d = model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v)))
     out = np.empty(2 * degree + 1)
-    v = y
-    out[0] = np.vdot(f_y, v).real
+    out[0] = np.vdot(f_d, v).real
     for k in range(1, 2 * degree + 1):
-        v = z @ v
-        out[k] = np.vdot(f_y, v).real
+        v = model.z @ v
+        out[k] = np.vdot(f_d, v).real
     return out
 
 
-def _accumulate(state: AdaptiveState, quad_sum: np.ndarray, scale: float) -> None:
-    # a_approx[i, j] += alpha^(i+j) quad[i+j-2] * scale, one-based i, j;
-    # b_approx[i] likewise with exponent i - 2 for i >= 2 (b_1 is probe-based).
-    degree = state.degree
-    idx = np.arange(degree + 1)
-    k_mat = idx[:, None] + idx[None, :]
-    state.a_approx = state.a_approx + state.alpha_w ** (k_mat + 2) * quad_sum[k_mat] * scale
-    if degree >= 1:
-        i0 = np.arange(1, degree + 1)
-        state.b_approx[1:] = state.b_approx[1:] + state.alpha_w ** (i0 + 1) * quad_sum[i0 - 1] * scale
-
-
-def _probe_b1(model: StatModel, alpha_w: float, count: int, rng: np.random.Generator) -> float:
-    # Random-probe trace estimate (alpha_w / T) sum_i v_i^H pilot r^2 pilot^H v_i.
-    total = 0.0
-    for _ in range(count):
-        v = standard_complex_normal(rng, model.dims.m)
-        total += np.vdot(_pilot_r2(model, v), v).real
-    return alpha_w * total / count
-
-
-def _b1_value(model: StatModel, alpha_w: float, count: int, rng: np.random.Generator) -> float:
-    # First right-hand-side entry alpha_w * tr(pilot r^2 pilot^H).  For a
-    # scaled-identity pilot this trace is pilot_power * ||r||_F^2, computable
-    # exactly from the diagonal of r^2; otherwise fall back to random probes.
-    try:
-        pilot_power = _identity_pilot_power(model)
-    except UnsupportedPilot:
-        return _probe_b1(model, alpha_w, count, rng)
-    return alpha_w * pilot_power * float(np.linalg.norm(model.r_cov) ** 2)
+def _windowed_system(state: AdaptiveState) -> tuple[np.ndarray, np.ndarray]:
+    # one-based A[i, j] = alpha^(i+j) mean(q[i+j-2]); b[1] = b1 and, for
+    # i >= 2, b[i] = alpha^i mean(q[i-2]) = A[1, i-1]
+    mean = np.array([math.fsum(col) for col in np.array(state.window).T.tolist()]) / len(state.window)
+    k_mat = np.add.outer(np.arange(state.degree + 1), np.arange(state.degree + 1))
+    a_mat = state.alpha_w ** (k_mat + 2) * mean[k_mat]
+    return a_mat, np.concatenate(([state.b1], a_mat[0, :-1]))
 
 
 def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -137,47 +115,31 @@ def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.nd
 
 
 def _solve_sampled(state: AdaptiveState) -> np.ndarray:
-    ridge = (SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(
-        np.clip(np.diag(state.a_approx).real, 0.0, None)
-    )
-    weights, _ = guarded_hermitian_solve(state.a_approx + ridge, state.b_approx)
+    a_mat, b_vec = _windowed_system(state)
+    ridge = (SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(np.clip(np.diag(a_mat), 0.0, None))
+    weights, _ = guarded_hermitian_solve(a_mat + ridge, b_vec)
     return weights
 
 
-def adaptive_init(
-    model: StatModel,
-    window_len: int,
-    degree: int,
-    alpha_w: float,
-    warmup: list,
-    rng: np.random.Generator,
-) -> AdaptiveState:
+def adaptive_init(model: StatModel, window_len: int, degree: int, alpha_w: float, warmup: list) -> AdaptiveState:
     """Fill the window from ``warmup`` samples and solve the first weights.
 
-    The first entry of the approximate right-hand side has no window
-    dependence: for scaled-identity pilots it is computed exactly from the
-    diagonal of r^2, otherwise from ``window_len`` random probe vectors drawn
-    once per statistics epoch from ``rng``.
+    The first right-hand-side entry has no window dependence: it is
+    ``alpha_w tr(pilot_ext r^2 pilot_ext^H) = alpha_w ||pilot_ext r||_F^2``,
+    exact for any pilot.  Every other entry comes from the window mean, so a
+    state that has slid through any stream holds the same system as a fresh
+    fill of its current window.
     """
     if len(warmup) != window_len:
         raise WindowSizeError(f"expected {window_len} warmup samples, got {len(warmup)}")
     state = AdaptiveState(
         model=model,
-        window_len=window_len,
         degree=degree,
         alpha_w=alpha_w,
-        a_approx=np.zeros((degree + 1, degree + 1), dtype=complex),
-        b_approx=np.zeros(degree + 1, dtype=complex),
+        b1=alpha_w * float(np.linalg.norm(model.apply_pilot(model.r_cov)) ** 2),
+        window=deque((_quad_forms(model, degree, y) for y in warmup), maxlen=window_len),
         weights=np.zeros(degree + 1, dtype=complex),
     )
-    quad_sum = np.zeros(2 * degree + 1)
-    for y in warmup:
-        y = np.asarray(y, dtype=complex)
-        quad = _quad_forms(model, degree, y)
-        quad_sum += quad
-        state._quad_cache.append(quad)
-    _accumulate(state, quad_sum, 1.0 / window_len)
-    state.b_approx[0] = _b1_value(model, alpha_w, window_len, rng)
     state.weights = _solve_sampled(state)
     return state
 
@@ -185,17 +147,11 @@ def adaptive_init(
 def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
     """Slide the window one step and return the refreshed weights.
 
-    The sample leaving the window is the one inserted ``window_len`` steps
-    ago; its cached quadratic forms are subtracted, so the averages always
-    match the last ``window_len`` samples.  If the updated system is too
-    ill-conditioned to solve, the previous weights are kept and
-    ``state.fallback`` is set.
+    The newest sample's quadratic forms push the oldest out of the window.
+    If the system formed from the new window is too ill-conditioned to
+    solve, the previous weights are kept and ``state.fallback`` is set.
     """
-    y_new = np.asarray(y_new, dtype=complex)
-    quad_old = state._quad_cache.popleft()
-    quad_new = _quad_forms(state.model, state.degree, y_new)
-    _accumulate(state, quad_new - quad_old, 1.0 / state.window_len)
-    state._quad_cache.append(quad_new)
+    state.window.append(_quad_forms(state.model, state.degree, y_new))
     try:
         state.weights = _solve_sampled(state)
         state.fallback = False

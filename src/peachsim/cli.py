@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("interference ratios must be nonnegative")
         if any(n < 2 for n in self.shrink_samples):
             raise ConfigError("shrinkage sample counts must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
         if self.noise_var <= 0 or self.q_ratio <= 0 or self.tau_s <= 0 or self.t_tot <= 0:
@@ -280,14 +282,13 @@ def _run_adaptive(config: ExperimentConfig):
         wpeach_est = estimators.make_wpeach(model, config.degree)
         alpha_w = wpeach_est.alpha
         mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
-        child = np.random.SeedSequence((config.seed, index))
-        stream_rng, probe_rng = (np.random.default_rng(s) for s in child.spawn(2))
-        warmup = list(model.draw(stream_rng, config.window)[1].T)
-        state = adaptive_init(model, config.window, config.degree, alpha_w, warmup, probe_rng)
-        w_approx = state.weights
-        for y_new in model.draw(stream_rng, config.window)[1].T:
-            w_approx = adaptive_update(state, y_new)
-        mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, w_approx)
+        # one stream per SNR point: the first child of (seed, index)
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)).spawn(1)[0])
+        warmup = list(model.draw(rng, config.window)[1].T)
+        state = adaptive_init(model, config.window, config.degree, alpha_w, warmup)
+        for y_new in model.draw(rng, config.window)[1].T:
+            adaptive_update(state, y_new)
+        mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
         rows.append(
             ResultRow(config.scenario, "wpeach", float(gamma_db), nmse_analytic=mse_opt / trace_r)
         )

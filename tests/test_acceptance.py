@@ -235,9 +235,7 @@ def test_criterion_08_windowed_weights_track_the_optimum():
                 noise = factor_s @ standard_complex_normal(gen, model.dims.m, count)
                 return list((model.pilot_ext @ h + noise).T)
 
-            state = adaptive_init(
-                model, window, degree, alpha_w, draw(window), np.random.default_rng(800 + seed)
-            )
+            state = adaptive_init(model, window, degree, alpha_w, draw(window))
             weights = state.weights
             for y_new in draw(window):
                 weights = adaptive_update(state, y_new)

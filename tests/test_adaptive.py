@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,6 @@ from numpy.testing import assert_allclose
 from peachsim import estimators as es
 from peachsim.adaptive import (
     AdaptiveState,
-    _probe_b1,
     adaptive_init,
     adaptive_update,
     shrinkage_covariance,
@@ -22,7 +23,7 @@ from peachsim.model import (
     stat_model_from_pilot,
 )
 
-from conftest import complex_vector, random_hermitian_psd
+from conftest import complex_vector, random_hermitian_psd, random_model
 from oracles import wpeach_weight_system
 
 
@@ -50,7 +51,7 @@ class TestAdaptiveInit:
         degree, window = 3, 7
         y = complex_vector(rng, model.dims.m)
         alpha_w = es.default_alpha_w(model)
-        state = adaptive_init(model, window, degree, alpha_w, [y] * window, np.random.default_rng(5))
+        state = adaptive_init(model, window, degree, alpha_w, [y] * window)
         pe = model.pilot_ext
         f_mat = pe @ model.r_cov @ model.r_cov @ pe.conj().T
         z = es.z_matrix(model)
@@ -62,13 +63,13 @@ class TestAdaptiveInit:
     def test_single_sample_window(self, rng):
         model = tracking_model()
         y = complex_vector(rng, model.dims.m)
-        state = adaptive_init(model, 1, 2, 0.1, [y], np.random.default_rng(5))
-        assert len(state._quad_cache) == 1
+        state = adaptive_init(model, 1, 2, 0.1, [y])
+        assert len(state.window) == 1
 
     def test_wrong_warmup_length(self, rng):
         model = tracking_model()
         with pytest.raises(WindowSizeError):
-            adaptive_init(model, 5, 2, 0.1, [complex_vector(rng, model.dims.m)] * 4, rng)
+            adaptive_init(model, 5, 2, 0.1, [complex_vector(rng, model.dims.m)] * 4)
 
     def test_windowed_system_approaches_exact_system(self):
         model = tracking_model()
@@ -76,9 +77,7 @@ class TestAdaptiveInit:
         degree, window = 4, 200
         ws = wpeach_weight_system(model, degree, alpha_w)
         stream_rng = np.random.default_rng(2024)
-        state = adaptive_init(
-            model, window, degree, alpha_w, draw_stream(model, stream_rng, window), np.random.default_rng(1)
-        )
+        state = adaptive_init(model, window, degree, alpha_w, draw_stream(model, stream_rng, window))
         rel = np.linalg.norm(state.a_approx - ws.a_mat) / np.linalg.norm(ws.a_mat)
         assert rel < 0.15
 
@@ -86,20 +85,31 @@ class TestAdaptiveInit:
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
         ws = wpeach_weight_system(model, 3, alpha_w)
-        state = adaptive_init(
-            model, 4, 3, alpha_w, draw_stream(model, np.random.default_rng(0), 4), np.random.default_rng(1)
-        )
+        state = adaptive_init(model, 4, 3, alpha_w, draw_stream(model, np.random.default_rng(0), 4))
         assert_allclose(state.b_approx[0], ws.b_vec[0], rtol=1e-12)
 
-    def test_probe_fallback_for_general_pilot(self, rng):
+    def test_exact_first_entry_for_general_pilot(self, rng):
         dims = Dims(3, 2, 2)
         pilot = complex_vector(rng, 4).reshape(2, 2)
         model = stat_model_from_pilot(dims, None, random_hermitian_psd(rng, dims.n), None,
                                       ContaminationSpec(), pilot)
         pe = model.pilot_ext
         exact = float(np.trace(pe @ model.r_cov @ model.r_cov @ pe.conj().T).real)
-        probe = _probe_b1(model, 1.0, 4000, np.random.default_rng(8))
-        assert abs(probe - exact) < 0.1 * exact
+        state = adaptive_init(model, 1, 2, 0.3, [complex_vector(rng, dims.m)])
+        assert_allclose(state.b_approx[0], 0.3 * exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_windowed_system_of_nonzero_mean_model(self, seed):
+        # the quadratic forms read the mean-removed observation, whose outer
+        # product has mean z; raw observations would add the mean's outer product
+        model = random_model(np.random.default_rng(seed))
+        assert np.linalg.norm(model.y_mean()) > 0
+        alpha_w = es.default_alpha_w(model)
+        degree, window = 2, 500
+        ws = wpeach_weight_system(model, degree, alpha_w)
+        warmup = list(model.draw(np.random.default_rng(100 + seed), window)[1].T)
+        state = adaptive_init(model, window, degree, alpha_w, warmup)
+        assert np.linalg.norm(state.a_approx - ws.a_mat) / np.linalg.norm(ws.a_mat) < 0.1
 
 
 class TestAdaptiveUpdate:
@@ -107,7 +117,7 @@ class TestAdaptiveUpdate:
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
         warmup = draw_stream(model, np.random.default_rng(3), 6)
-        state = adaptive_init(model, 6, 3, alpha_w, warmup, np.random.default_rng(4))
+        state = adaptive_init(model, 6, 3, alpha_w, warmup)
         before_a = state.a_approx.copy()
         before_w = state.weights.copy()
         weights = adaptive_update(state, warmup[0])
@@ -121,31 +131,45 @@ class TestAdaptiveUpdate:
         gen = np.random.default_rng(12)
         first = draw_stream(model, gen, window)
         second = draw_stream(model, gen, window)
-        state = adaptive_init(model, window, degree, alpha_w, first, np.random.default_rng(99))
+        state = adaptive_init(model, window, degree, alpha_w, first)
         for y in second:
             adaptive_update(state, y)
-        fresh = adaptive_init(model, window, degree, alpha_w, second, np.random.default_rng(99))
+        fresh = adaptive_init(model, window, degree, alpha_w, second)
         assert np.linalg.norm(state.a_approx - fresh.a_approx) < 1e-12 * np.linalg.norm(fresh.a_approx)
         assert np.linalg.norm(state.b_approx - fresh.b_approx) < 1e-12 * np.linalg.norm(fresh.b_approx)
 
     def test_averages_match_a_fresh_init_over_the_current_window(self):
         # after any number of updates (the window mixes warmup and new samples
-        # for the first window_len - 1), the running averages equal a fresh
-        # fill of the current window with the same probe generator
+        # for the first window_len - 1), the windowed system equals a fresh
+        # fill of the current window
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)
         degree, window = 3, 8
         gen = np.random.default_rng(21)
         seen = draw_stream(model, gen, window)
-        state = adaptive_init(model, window, degree, alpha_w, seen, np.random.default_rng(99))
+        state = adaptive_init(model, window, degree, alpha_w, seen)
         for k in range(1, 2 * window + 2):
             seen.append(draw_stream(model, gen, 1)[0])
             adaptive_update(state, seen[-1])
             if k in (1, 3, window - 1, window + 3, 2 * window + 1):
                 current = seen[-window:]
-                fresh = adaptive_init(model, window, degree, alpha_w, current, np.random.default_rng(99))
+                fresh = adaptive_init(model, window, degree, alpha_w, current)
                 for got, want in ((state.a_approx, fresh.a_approx), (state.b_approx, fresh.b_approx)):
                     assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
+
+    def test_no_drift_over_long_streams(self):
+        # the system is formed from the window record alone, so after any
+        # number of updates it equals a fresh fill of the same window bit for bit
+        model = tracking_model()
+        alpha_w = es.default_alpha_w(model)
+        degree, window = 3, 8
+        stream = draw_stream(model, np.random.default_rng(31), window + 2000)
+        state = adaptive_init(model, window, degree, alpha_w, stream[:window])
+        for y in stream[window:]:
+            adaptive_update(state, y)
+        fresh = adaptive_init(model, window, degree, alpha_w, stream[-window:])
+        assert np.array_equal(state.a_approx, fresh.a_approx)
+        assert np.array_equal(state.b_approx, fresh.b_approx)
 
     def test_tracked_weights_stay_near_optimal(self):
         # stationary stream: windowed weights within 5% of the exact optimum
@@ -156,9 +180,7 @@ class TestAdaptiveUpdate:
         ratios = []
         for seed in range(3):
             gen = np.random.default_rng(seed)
-            state = adaptive_init(
-                model, window, degree, alpha_w, draw_stream(model, gen, window), np.random.default_rng(50 + seed)
-            )
+            state = adaptive_init(model, window, degree, alpha_w, draw_stream(model, gen, window))
             weights = state.weights
             for y in draw_stream(model, gen, window):
                 weights = adaptive_update(state, y)
@@ -175,10 +197,7 @@ class TestAdaptiveUpdate:
             errors = []
             for seed in range(9):
                 gen = np.random.default_rng(1000 * window + seed)
-                state = adaptive_init(
-                    model, window, degree, alpha_w, draw_stream(model, gen, window),
-                    np.random.default_rng(7 * window + seed),
-                )
+                state = adaptive_init(model, window, degree, alpha_w, draw_stream(model, gen, window))
                 errors.append(np.linalg.norm(state.a_approx - ws.a_mat) / np.linalg.norm(ws.a_mat))
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
@@ -187,14 +206,12 @@ class TestAdaptiveUpdate:
         model = tracking_model()
         state = AdaptiveState(
             model=model,
-            window_len=2,
             degree=1,
             alpha_w=0.1,
-            a_approx=np.zeros((2, 2), dtype=complex),
-            b_approx=np.ones(2, dtype=complex),
+            b1=1.0,
+            window=deque([np.zeros(3)] * 2, maxlen=2),
             weights=np.array([1.0, 2.0], dtype=complex),
         )
-        state._quad_cache.extend([np.zeros(3)] * 2)
         weights = adaptive_update(state, np.zeros(model.dims.m, dtype=complex))
         assert state.fallback
         assert_allclose(weights, [1.0, 2.0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import peachsim.cli as cli
 from peachsim import estimators as es
 from peachsim.cli import (
     CSV_COLUMNS,
@@ -55,6 +56,7 @@ class TestConfig:
             dict(q_ratio=float("nan")),
             dict(tau_s=float("inf")),
             dict(t_tot=float("inf")),
+            dict(seed=-1),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -381,6 +383,13 @@ class TestMain:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a bad seed"))
+        assert main(["sweep-l", "--seed", "-1", "--n-r", "2", "--degrees", "0", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_trial_stderr_cells_are_empty(self, tmp_path):
         out = tmp_path / "one.csv"
         assert main(["sweep-l", "--n-r", "2", "--degrees", "0,1", "--trials", "1", "--out", str(out)]) == 0
@@ -434,7 +443,8 @@ def test_cli_tables_byte_identical_in_fresh_processes(tmp_path):
         for name, scenario_args in runs.items():
             out = tmp_path / f"run{run}" / f"{name}.csv"
             args = [*scenario_args, "--n-r", "4", "--n-t", "2", "--degree", "3", "--seed", "11", "--out", str(out)]
-            subprocess.run([sys.executable, "-m", "peachsim.cli", *args], env=env, check=True, capture_output=True)
+            done = subprocess.run([sys.executable, "-m", "peachsim", *args], env=env, check=True, capture_output=True)
+            assert b"RuntimeWarning" not in done.stderr
             tables[run][name] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
     assert tables[0] == tables[1]
     rows = [row for row in csv.DictReader(tables[0]["snr"][0].decode().splitlines()) if row["nmse_monte_carlo"]]

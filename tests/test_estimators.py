@@ -385,7 +385,7 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     es.peach_estimate(model, peach_est, y)
     es.wpeach_estimate(model, wpeach_est, y)
     samples = [random_observation(rng, model) for _ in range(5)]
-    state = adaptive_init(model, 4, 3, wpeach_est.alpha, samples[:4], np.random.default_rng(1))
+    state = adaptive_init(model, 4, 3, wpeach_est.alpha, samples[:4])
     adaptive_update(state, samples[4])
     callables = {
         "mmse": es.mmse_estimate,
