@@ -23,8 +23,6 @@ from .analysis import (
     floor_contaminated,
     floor_noise_limited,
     flops,
-    normalized_mse,
-    sinr,
 )
 from .cli import (
     ExperimentConfig,
@@ -45,6 +43,7 @@ from .estimators import (
     linear_filter_mse,
     make_peach,
     make_wpeach,
+    mismatched_mse,
     mmse_estimate,
     mmse_filter_matrix,
     mmse_mse,

@@ -130,6 +130,8 @@ def adaptive_init(model: StatModel, window_len: int, degree: int, alpha_w: float
     state that has slid through any stream holds the same system as a fresh
     fill of its current window.
     """
+    if window_len < 1:
+        raise WindowSizeError(f"window length must be >= 1, got {window_len}")
     if len(warmup) != window_len:
         raise WindowSizeError(f"expected {window_len} warmup samples, got {len(warmup)}")
     state = AdaptiveState(

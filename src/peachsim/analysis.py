@@ -1,9 +1,9 @@
 """Closed-form asymptotics and computational cost models.
 
 High-power MSE floors of the estimators (noise-limited and
-pilot-contaminated regimes), the asymptotic SINR, normalized MSE, exact FLOP
-counts over a total operating time, and the dimension thresholds above which
-the polynomial estimators are cheaper than exact MMSE.
+pilot-contaminated regimes), exact FLOP counts over a total operating time,
+and the dimension thresholds above which the polynomial estimators are
+cheaper than exact MMSE.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularLimit, UnsupportedEstimator, ZeroTraceError
+from .errors import SingularLimit, UnsupportedEstimator
 from .model import Dims, hermitize
 from .spectrum import Spectrum, neumann_values
 
@@ -168,19 +168,3 @@ def floor_contaminated(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -
         wpeach=spectrum.fit(degree)[1],
     )
 
-
-def sinr(gamma: float, k_interferers: int, beta: float) -> float:
-    """Asymptotic signal-to-interference-and-noise ratio gamma / (1 + gamma K beta)."""
-    if gamma < 0 or beta < 0:
-        raise ValueError("gamma and beta must be nonnegative")
-    if k_interferers < 0:
-        raise ValueError("interferer count must be nonnegative")
-    return gamma / (1.0 + gamma * k_interferers * beta)
-
-
-def normalized_mse(mse: float, r_cov: np.ndarray) -> float:
-    """MSE divided by the prior channel energy trace(r)."""
-    trace_r = float(np.trace(np.asarray(r_cov)).real)
-    if trace_r <= 0:
-        raise ZeroTraceError("normalized MSE undefined for trace(r) <= 0")
-    return mse / trace_r

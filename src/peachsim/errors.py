@@ -61,8 +61,8 @@ class UnsupportedEstimator(PeachSimError, ValueError):
     """Unknown estimator kind."""
 
 
-class ZeroTraceError(PeachSimError, ValueError):
-    """Normalization by the channel energy requires a nonzero trace."""
+class ModelMismatch(PeachSimError, ValueError):
+    """Two models that must share all statistics but the channel covariance differ elsewhere."""
 
 
 class ConfigError(PeachSimError, ValueError):

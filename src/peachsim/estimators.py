@@ -7,8 +7,10 @@ MSE-optimal weights (kind ``W-PEACH``).
 
 Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
 MSEs, the default scalings and the optimal weights come from the model's one
-cached spectrum of z (see :mod:`peachsim.spectrum`); the dense filter views
-are kept as independent oracles.
+cached spectrum of z (see :mod:`peachsim.spectrum`).  Estimators prepared
+from an estimated channel covariance are scored under the true statistics in
+the eigenbasis of the estimated z (:func:`mismatched_mse`).  The dense filter
+views are kept as independent oracles only.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ import scipy.linalg
 
 from .errors import (
     DivergentExpansionWarning,
+    ModelMismatch,
     NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedPilot,
 )
 from .model import StatModel, deviation, hermitize, z_matrix
-from .spectrum import neumann_values
+from .spectrum import Spectrum, neumann_values, weighted_values
 
 
 class EstimatorKind(enum.Enum):
@@ -237,7 +240,7 @@ def make_wpeach(
     if alpha_w is None:
         alpha_w = default_alpha_w(model)
     if weights is None:
-        weights, _ = _wpeach_fit(model, degree, alpha_w)
+        weights, _ = _wpeach_fit(model.z_spectrum, degree, alpha_w)
     return PolyEstimator(
         kind=EstimatorKind.WPEACH,
         degree=degree,
@@ -311,9 +314,9 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     return spectrum.mse(neumann_values(spectrum.lam, alpha, degree))
 
 
-def _wpeach_fit(model: StatModel, degree: int, alpha_w: float):
-    """Optimal weights and minimum MSE via the least-squares formulation."""
-    poly, mse = model.z_spectrum.fit(degree)
+def _wpeach_fit(spectrum: Spectrum, degree: int, alpha_w: float):
+    """Optimal weights on ``spectrum`` and their MSE, via the least-squares formulation."""
+    poly, mse = spectrum.fit(degree)
     powers = np.arange(degree + 1)
     return (poly / alpha_w ** (powers + 1)).astype(complex), mse
 
@@ -330,11 +333,7 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     if weights.shape != (degree + 1,):
         raise ValueError(f"weights must have length degree + 1 = {degree + 1}")
     spectrum = model.z_spectrum
-    # v(lam) = sum_l w_l alpha_w^(l+1) lam^l by Horner at the eigenvalue nodes
-    v = np.zeros_like(spectrum.lam, dtype=complex)
-    for w_l in weights[::-1]:
-        v = v * (alpha_w * spectrum.lam) + w_l
-    return spectrum.mse(alpha_w * v)
+    return spectrum.mse(weighted_values(spectrum.lam, alpha_w, weights))
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
@@ -361,14 +360,48 @@ def peach_as_wpeach_weights(degree: int) -> np.ndarray:
     )
 
 
+def mismatched_mse(model: StatModel, model_est: StatModel, degree: int) -> tuple[float, float]:
+    """MSEs ``(mmse, wpeach)`` under ``model`` of the estimators prepared from ``model_est``.
+
+    ``model_est`` may differ from ``model`` only in its channel covariance
+    r_est (else :class:`ModelMismatch`); W-PEACH is :func:`make_wpeach`'s
+    default on it.  Both filters are functions v of z_est = U diag(lam) U^H,
+    so with B = pilot_ext^H U, C = r_est B and D = r B the filter
+    r_est pilot_ext^H v(z_est) has, under the true statistics, MSE =
+    trace(r) - 2 Re sum_k v_k x_k + Re sum_kl v_k E_kl conj(v_l) G_lk, where
+    x_k = sum_i conj(D_ik) C_ik, E = U^H z U = diag(lam) + (D - C)^H B and
+    G = C^H C, whose diagonal holds the estimated energies.  One ``eigh`` of
+    z_est and four O(m^3) products serve both filters; neither is formed densely.
+    """
+    same = ("h_mean", "n_mean", "s_cov", "pilot")
+    if model.dims != model_est.dims or not all(np.array_equal(getattr(model, f), getattr(model_est, f)) for f in same):
+        raise ModelMismatch(f"model_est may differ from model only in r_cov, not in dims or {', '.join(same)}")
+    lam, vecs = scipy.linalg.eigh(model_est.z, driver="evr")
+    b = model.apply_pilot_adjoint(vecs)
+    c_est, d_true = model_est.r_cov @ b, model.r_cov @ b
+    x = np.sum(d_true.conj() * c_est, axis=0)
+    # H_kl = E_kl G_lk, so a filter's quadratic term is Re(v^T H conj(v))
+    quad = (d_true - c_est).conj().T @ b
+    quad[np.diag_indices_from(quad)] += lam
+    quad *= c_est.T @ c_est.conj()
+    spectrum_est = Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(model_est.r_cov).real))
+    alpha_w = 1.0 / lam[-1]
+    weights, _ = _wpeach_fit(spectrum_est, degree, alpha_w)
+    trace_r = float(np.trace(model.r_cov).real)
+    return tuple(
+        float(trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
+        for v in (1.0 / lam, weighted_values(lam, alpha_w, weights))
+    )
+
+
 # ---------------------------------------------------------------------------
-# dense linear-filter views (analysis of mismatched statistics)
+# dense linear-filter views, kept as oracles for the spectral MSE formulas
 
 
 def poly_filter_matrix(model: StatModel, est: PolyEstimator) -> np.ndarray:
     """Dense filter G of a polynomial estimator, with h_hat = h_mean + G d.
 
-    Analysis-side helper; the estimation path never forms this matrix.
+    Oracle only: the estimation and analysis paths never form this matrix.
     """
     z = z_matrix(model)
     m = z.shape[0]
@@ -392,8 +425,8 @@ def mmse_filter_matrix(model: StatModel) -> np.ndarray:
 def linear_filter_mse(model: StatModel, g_mat: np.ndarray) -> float:
     """Exact MSE of any linear estimator h_hat = h_mean + G d under ``model``.
 
-    Useful to evaluate filters built from mismatched statistics against the
-    true ones: trace(r) - 2 Re trace(G pilot r) + trace(G z G^H).
+    trace(r) - 2 Re trace(G pilot r) + trace(G z G^H); the oracle for the
+    spectral closed forms and for :func:`mismatched_mse`.
     """
     b = model.pilot_ext @ model.r_cov
     z = z_matrix(model)

@@ -87,3 +87,11 @@ def neumann_values(lam: np.ndarray, alpha: float, degree: int) -> np.ndarray:
     for _ in range(degree):
         acc = 1.0 + x * acc
     return alpha * acc
+
+
+def weighted_values(lam: np.ndarray, alpha_w: float, weights: np.ndarray) -> np.ndarray:
+    """Weighted filter alpha_w sum_l w_l (alpha_w lam)^l at ``lam``, by Horner in alpha_w lam."""
+    v = np.zeros_like(lam, dtype=complex)
+    for w_l in weights[::-1]:
+        v = v * (alpha_w * lam) + w_l
+    return alpha_w * v

@@ -150,7 +150,7 @@ def test_criterion_05_high_power_floors():
         assert abs(peach_now - floors.peach) < 0.01 * floors.peach
         assert abs(wpeach_now - floors.wpeach) < 0.01 * floors.wpeach
         # the diagonalized estimator has no floor without interference
-        diag_nmse = analysis.normalized_mse(es.diag_mse(noise_limited), noise_limited.r_cov)
+        diag_nmse = es.diag_mse(noise_limited) / float(np.trace(noise_limited.r_cov).real)
         assert diag_nmse < 1e-5
 
         betas = (0.1, 0.1)

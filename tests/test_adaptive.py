@@ -71,6 +71,12 @@ class TestAdaptiveInit:
         with pytest.raises(WindowSizeError):
             adaptive_init(model, 5, 2, 0.1, [complex_vector(rng, model.dims.m)] * 4)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_window_rejected(self, window):
+        # an empty warmup matches a zero window length, so the length is checked first
+        with pytest.raises(WindowSizeError):
+            adaptive_init(tracking_model(), window, 2, 0.1, [])
+
     def test_windowed_system_approaches_exact_system(self):
         model = tracking_model()
         alpha_w = es.default_alpha_w(model)

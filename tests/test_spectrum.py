@@ -1,5 +1,7 @@
 """The spectral closed forms against the dense oracles, and their linear-algebra cost."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,12 +9,20 @@ import scipy.linalg
 from peachsim import analysis
 from peachsim import model as model_module
 from peachsim import estimators as es
-from peachsim.cli import _sweep_point_rows, default_config
-from peachsim.errors import DivergentExpansionWarning
+from peachsim.adaptive import shrinkage_covariance
+from peachsim.cli import _run_shrinkage, _sweep_point_rows, default_config
+from peachsim.errors import DivergentExpansionWarning, ModelMismatch
 from peachsim.model import Dims, correlated_model
 from peachsim.spectrum import Spectrum
 
-from conftest import count_calls, count_eig_calls, complex_vector, random_hermitian_psd, random_model
+from conftest import (
+    complex_vector,
+    count_calls,
+    count_eig_calls,
+    random_hermitian_psd,
+    random_model,
+    random_pilot_model,
+)
 
 DEGREES = (0, 3, 10)
 KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
@@ -65,6 +75,65 @@ def test_wpeach_closed_form_matches_dense_filter(kind, gamma_db, degree):
     assert es.wpeach_mse_general(model, degree, wpeach.alpha, wpeach.weights) == pytest.approx(
         es.linear_filter_mse(model, es.poly_filter_matrix(model, wpeach)), rel=1e-10
     )
+
+
+def shrunk_model(model, n_samples, seed):
+    """``model`` with r_cov replaced by a plug-in shrinkage estimate from ``n_samples`` channel draws."""
+    draws = model.r_factor @ model_module.standard_complex_normal(np.random.default_rng(seed), model.dims.n, n_samples)
+    return replace(model, r_cov=shrinkage_covariance(draws.T, mode="plugin").c_hat)
+
+
+MISMATCH_MODELS = {
+    "desk": lambda: correlated_model(Dims(20, 4, 4), 5.0, ()),
+    "desk-contaminated": lambda: correlated_model(Dims(20, 4, 4), 5.0, (0.1, 0.1)),
+    # nonzero means and a non-square pilot
+    "random-pilot": lambda: random_pilot_model(np.random.default_rng(17), 2, 3, n_r=3),
+}
+
+
+def mismatch_cases():
+    for kind in MISMATCH_MODELS:
+        for n_samples in (3, 20, 160):
+            # three draws of the 80-dimensional desk channel give weights of
+            # 1e9 to 1e10, and the mismatched W-PEACH MSE keeps 7 to 8 digits
+            ill = kind.startswith("desk") and n_samples == 3
+            yield pytest.param(kind, n_samples, marks=MONOMIAL_CANCELLATION if ill else ())
+
+
+@pytest.mark.parametrize("kind, n_samples", mismatch_cases())
+def test_mismatched_mse_matches_dense_filters(kind, n_samples):
+    model = MISMATCH_MODELS[kind]()
+    model_est = shrunk_model(model, n_samples, seed=3)
+    mmse, wpeach = es.mismatched_mse(model, model_est, 8)
+    dense_wpeach = es.poly_filter_matrix(model_est, es.make_wpeach(model_est, 8))
+    assert mmse == pytest.approx(es.linear_filter_mse(model, es.mmse_filter_matrix(model_est)), rel=1e-12)
+    assert wpeach == pytest.approx(es.linear_filter_mse(model, dense_wpeach), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["s_cov", "h_mean", "pilot"])
+def test_mismatched_mse_rejects_models_differing_beyond_r_cov(name):
+    model = MISMATCH_MODELS["random-pilot"]()
+    other = replace(shrunk_model(model, 10, seed=3), **{name: 2.0 * getattr(model, name)})
+    with pytest.raises(ModelMismatch):
+        es.mismatched_mse(model, other, 4)
+
+
+def test_shrinkage_scenario_linear_algebra_calls(monkeypatch):
+    # one eigh of the true z (the true-statistics MSEs) and one of each
+    # estimated z (both mismatched filters); no dense filter and no solve
+    config = default_config("shrinkage")
+    counts = {}
+    count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_eig_calls(monkeypatch, counts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the shrinkage scenario forms no dense filter")
+
+    for name in ("poly_filter_matrix", "mmse_filter_matrix", "linear_filter_mse"):
+        monkeypatch.setattr(es, name, forbidden)
+    rows = _run_shrinkage(config)
+    assert len(rows) == 4 * len(config.shrink_samples)
+    assert counts == {"solve": 0, "inv": 0, "eigh": 1 + len(config.shrink_samples), "eigvalsh": 0}
 
 
 def dense_peach_floor(r_cov, limit, degree):
