@@ -121,25 +121,24 @@ def _solve_sampled(state: AdaptiveState) -> np.ndarray:
     return weights
 
 
-def adaptive_init(model: StatModel, window_len: int, degree: int, alpha_w: float, warmup: list) -> AdaptiveState:
-    """Fill the window from ``warmup`` samples and solve the first weights.
+def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list) -> AdaptiveState:
+    """Fill the window from the ``warmup`` samples and solve the first weights.
 
-    The first right-hand-side entry has no window dependence: it is
-    ``alpha_w tr(pilot_ext r^2 pilot_ext^H) = alpha_w ||pilot_ext r||_F^2``,
-    exact for any pilot.  Every other entry comes from the window mean, so a
-    state that has slid through any stream holds the same system as a fresh
-    fill of its current window.
+    The window length is ``len(warmup)``; an empty warmup raises
+    :class:`WindowSizeError`.  The first right-hand-side entry has no window
+    dependence: it is ``alpha_w tr(pilot_ext r^2 pilot_ext^H) =
+    alpha_w ||pilot_ext r||_F^2``, exact for any pilot.  Every other entry
+    comes from the window mean, so a state that has slid through any stream
+    holds the same system as a fresh fill of its current window.
     """
-    if window_len < 1:
-        raise WindowSizeError(f"window length must be >= 1, got {window_len}")
-    if len(warmup) != window_len:
-        raise WindowSizeError(f"expected {window_len} warmup samples, got {len(warmup)}")
+    if len(warmup) < 1:
+        raise WindowSizeError("the warmup must hold at least one sample")
     state = AdaptiveState(
         model=model,
         degree=degree,
         alpha_w=alpha_w,
         b1=alpha_w * float(np.linalg.norm(model.apply_pilot(model.r_cov)) ** 2),
-        window=deque((_quad_forms(model, degree, y) for y in warmup), maxlen=window_len),
+        window=deque((_quad_forms(model, degree, y) for y in warmup), maxlen=len(warmup)),
         weights=np.zeros(degree + 1, dtype=complex),
     )
     state.weights = _solve_sampled(state)
@@ -196,17 +195,14 @@ def shrinkage_kappa(phi_sample: float, phi_diag: float, psi: float, scale: float
     return float(min(max((phi_sample - psi) / denom, 0.0), 1.0))
 
 
-def shrinkage_covariance(
-    samples: np.ndarray,
-    mode: str = "plugin",
-    c_true: np.ndarray | None = None,
-) -> ShrinkageEstimate:
+def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) -> ShrinkageEstimate:
     """Shrink the sample covariance of ``samples`` towards its diagonal.
 
-    ``samples`` holds one observation per row.  In ``oracle`` mode the
-    quadratic-risk terms are evaluated against the known covariance
-    ``c_true`` (for validation); ``plugin`` mode estimates them from the
-    samples themselves, with the sample covariance standing in for the truth.
+    ``samples`` holds one observation per row.  Given ``c_true``, the
+    quadratic-risk terms are evaluated against that known covariance (the
+    oracle, for validation); without it they are estimated from the samples
+    themselves (the plug-in rule), with the sample covariance standing in for
+    the truth.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2:
@@ -217,16 +213,14 @@ def shrinkage_covariance(
     c_sample = hermitize(samples.T @ samples.conj() / n_samples)
     diag = np.diag(c_sample).real
     c_diag = np.diag(diag.astype(complex))
-    if mode == "oracle":
-        if c_true is None:
-            raise ValueError("oracle mode requires c_true")
+    if c_true is not None:
         c_true = np.asarray(c_true, dtype=complex)
         dev_s = c_sample - c_true
         dev_d = c_diag - c_true
         phi_sample = float(np.linalg.norm(dev_s) ** 2)
         phi_diag = float(np.linalg.norm(dev_d) ** 2)
         psi = float(np.trace(dev_d @ dev_s).real)
-    elif mode == "plugin":
+    else:
         abs2 = np.abs(samples) ** 2
         # sum_i ||c_i c_i^H - c_sample||_F^2 = sum_i ||c_i||^4 - N ||c_sample||_F^2
         phi_sample = (np.sum(abs2.sum(axis=1) ** 2) - n_samples * np.linalg.norm(c_sample) ** 2) / n_samples**2
@@ -235,8 +229,6 @@ def shrinkage_covariance(
         phi_diag = psi + float(np.linalg.norm(c_sample - c_diag) ** 2)
         phi_sample = float(max(phi_sample, 0.0))
         psi = float(max(psi, 0.0))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     kappa = shrinkage_kappa(phi_sample, phi_diag, psi, scale=float(np.linalg.norm(c_sample) ** 2))
     c_hat = hermitize(kappa * c_diag + (1.0 - kappa) * c_sample)
     return ShrinkageEstimate(c_hat=c_hat, kappa=kappa, phi_sample=phi_sample, phi_diag=phi_diag, psi=psi)

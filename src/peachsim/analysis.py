@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SingularLimit, UnsupportedEstimator
 from .model import Dims, hermitize
-from .spectrum import Spectrum, neumann_values
+from .spectrum import Spectrum, check_degree, neumann_values
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    check_degree(degree)
     kind = kind.lower()
     if kind == "peach":
         return q * (1.5 * degree + 0.375)

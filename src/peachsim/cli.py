@@ -21,7 +21,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.n_r < 1 or self.n_t < 1 or self.b < 1:
-            raise ConfigError("antenna and pilot dimensions must be positive")
+        if min(self.n_r, self.n_t, self.b, *self.n_r_values) < 1:
+            raise ConfigError("antenna and pilot dimensions (n_r, n_t, b, n_r_values) must be positive")
         for name in ("snr_db", "degrees", "n_r_values", "shrink_samples"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be non-empty")
@@ -285,7 +285,7 @@ def _run_adaptive(config: ExperimentConfig):
         # one stream per SNR point: the first child of (seed, index)
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)).spawn(1)[0])
         warmup = list(model.draw(rng, config.window)[1].T)
-        state = adaptive_init(model, config.window, config.degree, alpha_w, warmup)
+        state = adaptive_init(model, config.degree, alpha_w, warmup)
         for y_new in model.draw(rng, config.window)[1].T:
             adaptive_update(state, y_new)
         mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
@@ -306,8 +306,9 @@ def _run_adaptive(config: ExperimentConfig):
 def _run_shrinkage(config: ExperimentConfig):
     """Estimators rebuilt from a shrinkage covariance estimate, scored on the truth.
 
-    Each sample count costs one eigendecomposition of the estimated z
-    (:func:`estimators.mismatched_mse`); no dense filter matrix is formed.
+    Each sample count scores the plug-in shrinkage estimate r_est by
+    :func:`estimators.mismatched_mse` on the one true model: one
+    eigendecomposition of the estimated z, no second model, no dense filter.
     """
     dims = Dims(config.n_r, config.n_t, config.b)
     model = correlated_model(dims, config.snr_db[0], config.betas, config.correlation, config.noise_var)
@@ -318,9 +319,8 @@ def _run_shrinkage(config: ExperimentConfig):
     for index, n_samples in enumerate(config.shrink_samples):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
         samples = (model.r_factor @ standard_complex_normal(rng, dims.n, n_samples)).T
-        shrunk = shrinkage_covariance(samples, mode="plugin")
-        model_est = replace(model, r_cov=shrunk.c_hat)
-        mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, model_est, config.degree)
+        r_est = shrinkage_covariance(samples).c_hat
+        mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
         sweep = float(n_samples)
         rows.append(ResultRow(config.scenario, "mmse", sweep, nmse_analytic=mse_mmse / trace_r))
         rows.append(ResultRow(config.scenario, "mmse-est", sweep, nmse_analytic=mse_mmse_est / trace_r))

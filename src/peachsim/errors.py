@@ -46,11 +46,15 @@ class IllConditionedWeights(PeachSimError, ValueError):
 
 
 class WindowSizeError(PeachSimError, ValueError):
-    """Warmup sample count does not match the sliding-window length."""
+    """The warmup holds no sample, so the sliding window would be empty."""
 
 
 class InsufficientSamples(PeachSimError, ValueError):
     """Too few samples to form the requested covariance estimate."""
+
+
+class InvalidDegree(PeachSimError, ValueError):
+    """A polynomial degree is negative, or a weight vector does not have degree + 1 entries."""
 
 
 class SingularLimit(PeachSimError, ValueError):
@@ -59,10 +63,6 @@ class SingularLimit(PeachSimError, ValueError):
 
 class UnsupportedEstimator(PeachSimError, ValueError):
     """Unknown estimator kind."""
-
-
-class ModelMismatch(PeachSimError, ValueError):
-    """Two models that must share all statistics but the channel covariance differ elsewhere."""
 
 
 class ConfigError(PeachSimError, ValueError):

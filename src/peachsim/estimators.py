@@ -25,13 +25,14 @@ import scipy.linalg
 
 from .errors import (
     DivergentExpansionWarning,
-    ModelMismatch,
+    InvalidDegree,
     NotPositiveDefinite,
     RankDeficientPilot,
+    ShapeError,
     UnsupportedPilot,
 )
-from .model import StatModel, deviation, hermitize, z_matrix
-from .spectrum import Spectrum, neumann_values, weighted_values
+from .model import StatModel, check_hermitian_psd, deviation, hermitize, z_matrix
+from .spectrum import Spectrum, check_degree, neumann_values, weighted_values
 
 
 class EstimatorKind(enum.Enum):
@@ -53,13 +54,11 @@ class PolyEstimator:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         weights = np.asarray(self.weights, dtype=complex)
-        if weights.shape != (self.degree + 1,):
-            raise ValueError(f"weights must have length degree + 1 = {self.degree + 1}")
+        if self.degree < 0 or weights.shape != (self.degree + 1,):
+            raise InvalidDegree(f"need degree >= 0 and degree + 1 weights, got {self.degree} and {weights.shape}")
         object.__setattr__(self, "weights", weights)
 
 
@@ -206,6 +205,7 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
     stays defined but no longer approaches the MMSE estimator.
     """
+    check_degree(degree)
     lam = model.z_spectrum.lam
     if alpha is None:
         alpha = 2.0 / (lam[-1] + lam[0])
@@ -223,30 +223,20 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     )
 
 
-def make_wpeach(
-    model: StatModel,
-    degree: int,
-    alpha_w: float | None = None,
-    weights: np.ndarray | None = None,
-) -> PolyEstimator:
-    """Prepare a weighted polynomial estimator.
+def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> PolyEstimator:
+    """Prepare a weighted polynomial estimator with MSE-optimal weights.
 
-    Defaults: ``alpha_w = 1 / lambda_max`` of the observation covariance (a
-    numerically safe choice) and MSE-optimal weights, computed through the
-    least-squares form of the weight system (see
+    The weights come from the least-squares form of the weight system (see
     :meth:`peachsim.spectrum.Spectrum.fit`), which stays accurate where the
-    normal-equations solve degrades.
+    normal-equations solve degrades.  Without ``alpha_w`` the scaling is
+    ``1 / lambda_max`` of the observation covariance (a numerically safe
+    choice).  An estimator with other weights is a :class:`PolyEstimator`
+    built directly.
     """
     if alpha_w is None:
         alpha_w = default_alpha_w(model)
-    if weights is None:
-        weights, _ = _wpeach_fit(model.z_spectrum, degree, alpha_w)
-    return PolyEstimator(
-        kind=EstimatorKind.WPEACH,
-        degree=degree,
-        alpha=float(alpha_w),
-        weights=np.asarray(weights, dtype=complex),
-    )
+    weights, _ = _wpeach_fit(model.z_spectrum, degree, alpha_w)
+    return PolyEstimator(kind=EstimatorKind.WPEACH, degree=degree, alpha=float(alpha_w), weights=weights)
 
 
 def default_alpha_w(model: StatModel) -> float:
@@ -330,8 +320,8 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     produce.
     """
     weights = np.asarray(weights, dtype=complex)
-    if weights.shape != (degree + 1,):
-        raise ValueError(f"weights must have length degree + 1 = {degree + 1}")
+    if degree < 0 or weights.shape != (degree + 1,):
+        raise InvalidDegree(f"need degree >= 0 and degree + 1 weights, got {degree} and {weights.shape}")
     spectrum = model.z_spectrum
     return spectrum.mse(weighted_values(spectrum.lam, alpha_w, weights))
 
@@ -352,39 +342,42 @@ def peach_as_wpeach_weights(degree: int) -> np.ndarray:
 
     w_n = (-1)^n sum_{l=n}^{L} C(l, n), to be combined with alpha_w = alpha.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    check_degree(degree)
     return np.array(
         [(-1) ** n * sum(math.comb(l, n) for l in range(n, degree + 1)) for n in range(degree + 1)],
         dtype=complex,
     )
 
 
-def mismatched_mse(model: StatModel, model_est: StatModel, degree: int) -> tuple[float, float]:
-    """MSEs ``(mmse, wpeach)`` under ``model`` of the estimators prepared from ``model_est``.
+def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[float, float]:
+    """MSEs ``(mmse, wpeach)`` under ``model`` of the estimators prepared from ``r_est``.
 
-    ``model_est`` may differ from ``model`` only in its channel covariance
-    r_est (else :class:`ModelMismatch`); W-PEACH is :func:`make_wpeach`'s
-    default on it.  Both filters are functions v of z_est = U diag(lam) U^H,
-    so with B = pilot_ext^H U, C = r_est B and D = r B the filter
-    r_est pilot_ext^H v(z_est) has, under the true statistics, MSE =
+    The estimators see ``model``'s statistics with ``r_est`` in place of its
+    channel covariance, so z_est = :meth:`StatModel.observation_covariance`
+    of ``r_est``; W-PEACH is :func:`make_wpeach`'s default on those
+    statistics.  ``r_est`` is validated here, once (:class:`ShapeError`
+    unless shaped like ``model.r_cov``, then :func:`check_hermitian_psd`);
+    ``model`` is not validated again.  Both filters are functions v of
+    z_est = U diag(lam) U^H, so with B = pilot_ext^H U, C = r_est B and
+    D = r B the filter r_est pilot_ext^H v(z_est) has, under the true
+    statistics, MSE =
     trace(r) - 2 Re sum_k v_k x_k + Re sum_kl v_k E_kl conj(v_l) G_lk, where
     x_k = sum_i conj(D_ik) C_ik, E = U^H z U = diag(lam) + (D - C)^H B and
     G = C^H C, whose diagonal holds the estimated energies.  One ``eigh`` of
     z_est and four O(m^3) products serve both filters; neither is formed densely.
     """
-    same = ("h_mean", "n_mean", "s_cov", "pilot")
-    if model.dims != model_est.dims or not all(np.array_equal(getattr(model, f), getattr(model_est, f)) for f in same):
-        raise ModelMismatch(f"model_est may differ from model only in r_cov, not in dims or {', '.join(same)}")
-    lam, vecs = scipy.linalg.eigh(model_est.z, driver="evr")
+    if np.shape(r_est) != model.r_cov.shape:
+        raise ShapeError(f"r_est must have the shape {model.r_cov.shape} of r_cov, got {np.shape(r_est)}")
+    r_est, _ = check_hermitian_psd(r_est, "r_est")
+    lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)
-    c_est, d_true = model_est.r_cov @ b, model.r_cov @ b
+    c_est, d_true = r_est @ b, model.r_cov @ b
     x = np.sum(d_true.conj() * c_est, axis=0)
     # H_kl = E_kl G_lk, so a filter's quadratic term is Re(v^T H conj(v))
     quad = (d_true - c_est).conj().T @ b
     quad[np.diag_indices_from(quad)] += lam
     quad *= c_est.T @ c_est.conj()
-    spectrum_est = Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(model_est.r_cov).real))
+    spectrum_est = Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real))
     alpha_w = 1.0 / lam[-1]
     weights, _ = _wpeach_fit(spectrum_est, degree, alpha_w)
     trace_r = float(np.trace(model.r_cov).real)

@@ -66,21 +66,21 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     scale = np.linalg.norm(a)
     if scale == 0.0:
         return True
-    return np.linalg.norm(a - a.conj().T) <= rtol * scale
+    return np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * scale
 
 
-def _factor_hermitian_psd(a: np.ndarray, name: str, rtol: float, vectors: bool):
+def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
     """Validate ``a`` as Hermitian PSD and factor it the cheapest way that decides.
 
     Returns ``(a, factor, eigs, vecs)`` with ``a`` symmetrized.  When a
     Cholesky factorization succeeds the matrix is positive definite, ``factor``
     is its lower Cholesky factor and ``eigs``/``vecs`` are None.  Otherwise
     ``factor`` is None and the ascending eigenvalues (and, with ``vectors``,
-    the eigenvectors) decide semidefiniteness within ``rtol``.
+    the eigenvectors) decide semidefiniteness within ``PSD_RTOL``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -94,24 +94,24 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, rtol: float, vectors: bool):
         pass
     eigs, vecs = scipy.linalg.eigh(a, driver="evr") if vectors else (np.linalg.eigvalsh(a), None)
     scale = max(eigs[-1], 0.0)
-    if eigs[0] < -rtol * max(scale, 1.0):
+    if eigs[0] < -PSD_RTOL * max(scale, 1.0):
         raise NotPositiveSemiDefinite(
             f"{name} has negative eigenvalue {eigs[0]:.3e} (largest {eigs[-1]:.3e})"
         )
     return a, None, eigs, vecs
 
 
-def check_hermitian_psd(a: np.ndarray, name: str = "matrix", rtol: float = PSD_RTOL):
-    """Validate that ``a`` is Hermitian PSD within tolerance.
+def check_hermitian_psd(a: np.ndarray, name: str = "matrix"):
+    """Validate that ``a`` is square and Hermitian PSD within the module tolerances.
 
-    A matrix that Cholesky factors is accepted as positive definite; only
-    when the factorization fails does an ``eigvalsh`` test decide, accepting
-    a smallest eigenvalue down to ``-rtol`` times the largest (or ``-rtol``
-    when the largest is below 1).
+    Hermitian means to ``HERMITIAN_RTOL`` relative.  A matrix that Cholesky
+    factors is accepted as positive definite; only when that fails does an
+    ``eigvalsh`` test decide, accepting a smallest eigenvalue down to
+    ``-PSD_RTOL`` times the largest (or ``-PSD_RTOL`` when it is below 1).
 
     Returns ``a`` symmetrized and whether it is positive definite.
     """
-    a, factor, eigs, _ = _factor_hermitian_psd(a, name, rtol, vectors=False)
+    a, factor, eigs, _ = _factor_hermitian_psd(a, name, vectors=False)
     return a, factor is not None or eigs[0] > 0
 
 
@@ -123,7 +123,7 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     factorization is followed by one MRRR ``eigh``, which both validates the
     matrix and gives the factor with clipped negative eigenvalues.
     """
-    _, factor, eigs, vecs = _factor_hermitian_psd(cov, "covariance", PSD_RTOL, vectors=True)
+    _, factor, eigs, vecs = _factor_hermitian_psd(cov, "covariance", vectors=True)
     if factor is not None:
         return factor
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
@@ -244,10 +244,14 @@ class StatModel:
         """Mean of the observation, pilot_ext @ h_mean + n_mean."""
         return self.apply_pilot(self.h_mean) + self.n_mean
 
+    def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
+        """pilot_ext @ r_cov @ pilot_ext^H + s_cov for a channel covariance ``r_cov`` of this model's shape."""
+        return hermitize(_pilot_sandwich(self.pilot, self.dims.n_r, r_cov) + self.s_cov)
+
     @cached_property
     def z(self) -> np.ndarray:
-        """Dense observation covariance pilot_ext @ r_cov @ pilot_ext^H + s_cov (read-only)."""
-        z = hermitize(_pilot_sandwich(self.pilot, self.dims.n_r, self.r_cov) + self.s_cov)
+        """Dense observation covariance of the model's own ``r_cov`` (read-only)."""
+        z = self.observation_covariance(self.r_cov)
         z.setflags(write=False)
         return z
 

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularLimit
+from .errors import InvalidDegree, SingularLimit
+
+
+def check_degree(degree: int):
+    """Raise :class:`InvalidDegree` unless ``degree`` is nonnegative."""
+    if degree < 0:
+        raise InvalidDegree(f"polynomial degree must be nonnegative, got {degree}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,7 @@ class Spectrum:
         Null eigenvalues are dropped; :class:`SingularLimit` is raised when
         the channel has energy along them.
         """
+        check_degree(degree)
         lam, phi = self.lam, self.phi
         if lam[-1] <= 0:
             return np.zeros(degree + 1), self.trace_r
@@ -82,6 +89,7 @@ class Spectrum:
 
 def neumann_values(lam: np.ndarray, alpha: float, degree: int) -> np.ndarray:
     """Truncated Neumann series alpha sum_{l=0}^{degree} (1 - alpha lam)^l of 1/lam."""
+    check_degree(degree)
     x = 1.0 - alpha * lam
     acc = np.ones_like(x)
     for _ in range(degree):

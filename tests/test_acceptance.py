@@ -235,7 +235,7 @@ def test_criterion_08_windowed_weights_track_the_optimum():
                 noise = factor_s @ standard_complex_normal(gen, model.dims.m, count)
                 return list((model.pilot_ext @ h + noise).T)
 
-            state = adaptive_init(model, window, degree, alpha_w, draw(window))
+            state = adaptive_init(model, degree, alpha_w, draw(window))
             weights = state.weights
             for y_new in draw(window):
                 weights = adaptive_update(state, y_new)
@@ -252,7 +252,7 @@ def test_criterion_09_shrinkage_optimality_and_robustness():
             factor = np.linalg.cholesky(c_true)
             for count in (16, 64, 256):
                 samples = (factor @ standard_complex_normal(rng, dim, count)).T
-                est = shrinkage_covariance(samples, mode="oracle", c_true=c_true)
+                est = shrinkage_covariance(samples, c_true=c_true)
                 c_sample = samples.T @ samples.conj() / count
                 c_diag = np.diag(np.diag(c_sample))
                 achieved = np.linalg.norm(est.c_hat - c_true) ** 2
@@ -271,7 +271,7 @@ def test_criterion_09_shrinkage_optimality_and_robustness():
         for seed in range(5):
             gen = np.random.default_rng(900 + seed)
             samples = (factor_r @ standard_complex_normal(gen, model.dims.n, model.dims.n)).T
-            shrunk = shrinkage_covariance(samples, mode="plugin")
+            shrunk = shrinkage_covariance(samples)
             model_est = StatModel(
                 dims=model.dims,
                 h_mean=model.h_mean,

@@ -57,6 +57,8 @@ class TestConfig:
             dict(tau_s=float("inf")),
             dict(t_tot=float("inf")),
             dict(seed=-1),
+            dict(n_r_values=(40, 0)),
+            dict(n_r_values=(-5,)),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -388,6 +390,13 @@ class TestMain:
         monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a bad seed"))
         assert main(["sweep-l", "--seed", "-1", "--n-r", "2", "--degrees", "0", "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_receive_antenna_grid_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a bad grid"))
+        assert main(["sweep-nr", "--nr-values", "40,0", "--no-montecarlo", "--out", str(out)]) == 2
+        assert "n_r_values" in capsys.readouterr().err
         assert not out.exists()
 
     def test_one_trial_stderr_cells_are_empty(self, tmp_path):

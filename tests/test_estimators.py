@@ -3,11 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import peachsim.model
+from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.adaptive import adaptive_init, adaptive_update
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import (
     DivergentExpansionWarning,
+    InvalidDegree,
     NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedPilot,
@@ -332,6 +334,28 @@ class TestPeachMse:
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
+# every entry point that takes a polynomial degree, called with an empty weight
+# vector where weights are needed, so a degree of -1 has "degree + 1" weights
+NEGATIVE_DEGREE_CALLS = {
+    "peach_mse": lambda model, degree: es.peach_mse(model, degree, 0.1),
+    "wpeach_mse_general": lambda model, degree: es.wpeach_mse_general(model, degree, 0.1, np.ones(0)),
+    "wpeach_mse_optimal": es.wpeach_mse_optimal,
+    "mismatched_mse": lambda model, degree: es.mismatched_mse(model, model.r_cov, degree),
+    "floor_noise_limited": lambda model, degree: analysis.floor_noise_limited(model.r_cov, degree),
+    "floor_contaminated": lambda model, degree: analysis.floor_contaminated(model.r_cov, 0.1 * model.r_cov, degree),
+    "make_peach": es.make_peach,
+    "make_wpeach": es.make_wpeach,
+}
+
+
+@pytest.mark.parametrize("degree", [-1, -2])
+@pytest.mark.parametrize("name", NEGATIVE_DEGREE_CALLS)
+def test_negative_degree_rejected(name, degree):
+    model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
+    with pytest.raises(InvalidDegree):
+        NEGATIVE_DEGREE_CALLS[name](model, degree)
+
+
 PILOT_SHAPES = [(2, 3), (3, 5)]
 
 
@@ -385,7 +409,7 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     es.peach_estimate(model, peach_est, y)
     es.wpeach_estimate(model, wpeach_est, y)
     samples = [random_observation(rng, model) for _ in range(5)]
-    state = adaptive_init(model, 4, 3, wpeach_est.alpha, samples[:4])
+    state = adaptive_init(model, 3, wpeach_est.alpha, samples[:4])
     adaptive_update(state, samples[4])
     callables = {
         "mmse": es.mmse_estimate,

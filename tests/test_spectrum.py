@@ -11,7 +11,7 @@ from peachsim import model as model_module
 from peachsim import estimators as es
 from peachsim.adaptive import shrinkage_covariance
 from peachsim.cli import _run_shrinkage, _sweep_point_rows, default_config
-from peachsim.errors import DivergentExpansionWarning, ModelMismatch
+from peachsim.errors import DivergentExpansionWarning, NotPositiveSemiDefinite, ShapeError
 from peachsim.model import Dims, correlated_model
 from peachsim.spectrum import Spectrum
 
@@ -77,10 +77,10 @@ def test_wpeach_closed_form_matches_dense_filter(kind, gamma_db, degree):
     )
 
 
-def shrunk_model(model, n_samples, seed):
-    """``model`` with r_cov replaced by a plug-in shrinkage estimate from ``n_samples`` channel draws."""
+def shrunk_r_cov(model, n_samples, seed):
+    """Plug-in shrinkage estimate of ``model``'s r_cov from ``n_samples`` channel draws."""
     draws = model.r_factor @ model_module.standard_complex_normal(np.random.default_rng(seed), model.dims.n, n_samples)
-    return replace(model, r_cov=shrinkage_covariance(draws.T, mode="plugin").c_hat)
+    return shrinkage_covariance(draws.T).c_hat
 
 
 MISMATCH_MODELS = {
@@ -103,27 +103,40 @@ def mismatch_cases():
 @pytest.mark.parametrize("kind, n_samples", mismatch_cases())
 def test_mismatched_mse_matches_dense_filters(kind, n_samples):
     model = MISMATCH_MODELS[kind]()
-    model_est = shrunk_model(model, n_samples, seed=3)
-    mmse, wpeach = es.mismatched_mse(model, model_est, 8)
+    r_est = shrunk_r_cov(model, n_samples, seed=3)
+    mmse, wpeach = es.mismatched_mse(model, r_est, 8)
+    # the dense oracles prepare the filters on a second model holding r_est
+    model_est = replace(model, r_cov=r_est)
     dense_wpeach = es.poly_filter_matrix(model_est, es.make_wpeach(model_est, 8))
     assert mmse == pytest.approx(es.linear_filter_mse(model, es.mmse_filter_matrix(model_est)), rel=1e-12)
     assert wpeach == pytest.approx(es.linear_filter_mse(model, dense_wpeach), rel=1e-9)
 
 
-@pytest.mark.parametrize("name", ["s_cov", "h_mean", "pilot"])
-def test_mismatched_mse_rejects_models_differing_beyond_r_cov(name):
+@pytest.mark.parametrize(
+    "case, error",
+    [("wrong-shape", ShapeError), ("not-hermitian", NotPositiveSemiDefinite), ("negative", NotPositiveSemiDefinite)],
+)
+def test_mismatched_mse_rejects_invalid_r_est(case, error):
     model = MISMATCH_MODELS["random-pilot"]()
-    other = replace(shrunk_model(model, 10, seed=3), **{name: 2.0 * getattr(model, name)})
-    with pytest.raises(ModelMismatch):
-        es.mismatched_mse(model, other, 4)
+    r_est = shrunk_r_cov(model, 10, seed=3)
+    n = model.dims.n
+    bad = {
+        "wrong-shape": r_est[:-1, :-1],
+        "not-hermitian": r_est + np.triu(np.ones((n, n)), 1),
+        "negative": r_est - 2.0 * np.trace(r_est).real * np.eye(n),
+    }[case]
+    with pytest.raises(error):
+        es.mismatched_mse(model, bad, 4)
 
 
 def test_shrinkage_scenario_linear_algebra_calls(monkeypatch):
     # one eigh of the true z (the true-statistics MSEs) and one of each
-    # estimated z (both mismatched filters); no dense filter and no solve
+    # estimated z (both mismatched filters); no dense filter and no solve.
+    # One Cholesky each validates r_cov and s_cov, one factors r_cov for the
+    # channel draws and one validates each r_est: s_cov is not validated again
     config = default_config("shrinkage")
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("solve", "inv", "cholesky"), counts)
     count_eig_calls(monkeypatch, counts)
 
     def forbidden(*args, **kwargs):
@@ -133,7 +146,8 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch):
         monkeypatch.setattr(es, name, forbidden)
     rows = _run_shrinkage(config)
     assert len(rows) == 4 * len(config.shrink_samples)
-    assert counts == {"solve": 0, "inv": 0, "eigh": 1 + len(config.shrink_samples), "eigvalsh": 0}
+    n_est = len(config.shrink_samples)
+    assert counts == {"solve": 0, "inv": 0, "cholesky": 3 + n_est, "eigh": 1 + n_est, "eigvalsh": 0}
 
 
 def dense_peach_floor(r_cov, limit, degree):
