@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedWeights, InsufficientSamples, WindowSizeError
+from .errors import IllConditionedWeights, InsufficientSamples, ShapeError, WindowSizeError
 from .model import StatModel, deviation, hermitize
 
 # Condition number above which weight solves switch to Tikhonov regularization.
@@ -202,7 +202,8 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     quadratic-risk terms are evaluated against that known covariance (the
     oracle, for validation); without it they are estimated from the samples
     themselves (the plug-in rule), with the sample covariance standing in for
-    the truth.
+    the truth; it must have the shape of the sample covariance
+    (:class:`ShapeError`).
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2:
@@ -215,6 +216,8 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     c_diag = np.diag(diag.astype(complex))
     if c_true is not None:
         c_true = np.asarray(c_true, dtype=complex)
+        if c_true.shape != c_sample.shape:
+            raise ShapeError(f"c_true must be shaped like the sample covariance {c_sample.shape}, got {c_true.shape}")
         dev_s = c_sample - c_true
         dev_d = c_diag - c_true
         phi_sample = float(np.linalg.norm(dev_s) ** 2)

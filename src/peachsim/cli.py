@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import json
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -90,8 +91,8 @@ class ExperimentConfig:
         for name in ("snr_db", "betas", "noise_var", "q_ratio", "tau_s", "t_tot"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
-        if any(d < 0 for d in self.degrees) or self.degree < 0:
-            raise ConfigError("polynomial degrees must be nonnegative")
+        if any(not isinstance(d, numbers.Integral) or d < 0 for d in (*self.degrees, self.degree)):
+            raise ConfigError("polynomial degrees must be nonnegative integers")
         if any(b < 0 for b in self.betas):
             raise ConfigError("interference ratios must be nonnegative")
         if any(n < 2 for n in self.shrink_samples):
@@ -218,15 +219,15 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     peach_est = estimators.make_peach(model, degree)
     wpeach_est = estimators.make_wpeach(model, degree)
     floors = _floors(model, config, degree)
-    # one MVU Gram system serves the analytic variance and the Monte Carlo
-    # callable; it is not cached on the model, which would hold two more (m, n) arrays
-    gram, t, mvu_eigs = estimators._mvu_gram(model)
+    # one MVU system in the pilot's coordinates serves the analytic variance
+    # and the Monte Carlo callable; it is prepared per point, not cached on the model
+    mvu = estimators._mvu_system(model)
     # estimator -> (closed-form MSE, Monte Carlo callable), in row order; the
     # polynomial rows report the MSE of the prepared estimators, so the Monte
     # Carlo confirmation measures exactly the same filters
     table = {
         "mmse": (estimators.mmse_mse(model), estimators.mmse_estimate),
-        "mvu": (float(np.sum(1.0 / mvu_eigs)), lambda mdl, y: estimators._mvu_apply(mdl, gram, t, y)),
+        "mvu": (mvu.variance, lambda mdl, y: estimators._mvu_apply(mdl, mvu, y)),
         "diagonalized": (estimators.diag_mse(model), estimators.diag_estimate),
         "peach": (
             estimators.peach_mse(model, degree, peach_est.alpha),
@@ -253,6 +254,12 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     return rows
 
 
+def _config_model(config: ExperimentConfig, n_r: int, gamma_db: float) -> StatModel:
+    """The scenarios' correlated model with ``n_r`` receive antennas at pilot SNR ``gamma_db``."""
+    dims = Dims(n_r, config.n_t, config.b)
+    return correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
+
+
 # the config field each sweep scenario walks
 _SWEEP_AXES = {"sweep-l": "degrees", "sweep-snr": "snr_db", "sweep-nr": "n_r_values"}
 
@@ -266,18 +273,16 @@ def _run_sweep(config: ExperimentConfig):
         point = {"degrees": config.degree, "snr_db": config.snr_db[0], "n_r_values": config.n_r, axis: value}
         # every degree of sweep-l shares one model
         if model is None or axis != "degrees":
-            dims = Dims(point["n_r_values"], config.n_t, config.b)
-            model = correlated_model(dims, point["snr_db"], config.betas, config.correlation, config.noise_var)
+            model = _config_model(config, point["n_r_values"], point["snr_db"])
         rows.extend(_sweep_point_rows(model, config, point["degrees"], float(value), index))
     return rows
 
 
 def _run_adaptive(config: ExperimentConfig):
     """Sliding-window weights versus exactly optimized weights, both evaluated exactly."""
-    dims = Dims(config.n_r, config.n_t, config.b)
     rows = []
     for index, gamma_db in enumerate(config.snr_db):
-        model = correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
+        model = _config_model(config, config.n_r, gamma_db)
         trace_r = float(np.trace(model.r_cov).real)
         wpeach_est = estimators.make_wpeach(model, config.degree)
         alpha_w = wpeach_est.alpha
@@ -310,15 +315,14 @@ def _run_shrinkage(config: ExperimentConfig):
     :func:`estimators.mismatched_mse` on the one true model: one
     eigendecomposition of the estimated z, no second model, no dense filter.
     """
-    dims = Dims(config.n_r, config.n_t, config.b)
-    model = correlated_model(dims, config.snr_db[0], config.betas, config.correlation, config.noise_var)
+    model = _config_model(config, config.n_r, config.snr_db[0])
     trace_r = float(np.trace(model.r_cov).real)
     mse_mmse = estimators.mmse_mse(model)
     mse_wpeach = estimators.wpeach_mse_optimal(model, config.degree)
     rows = []
     for index, n_samples in enumerate(config.shrink_samples):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-        samples = (model.r_factor @ standard_complex_normal(rng, dims.n, n_samples)).T
+        samples = (model.r_factor @ standard_complex_normal(rng, model.dims.n, n_samples)).T
         r_est = shrinkage_covariance(samples).c_hat
         mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
         sweep = float(n_samples)

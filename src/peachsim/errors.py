@@ -34,7 +34,7 @@ class SingularCovariance(PeachSimError, ValueError):
 
 
 class RankDeficientPilot(PeachSimError, ValueError):
-    """The pilot-weighted Gram matrix is singular, so no unbiased estimate exists."""
+    """The pilot lacks full row rank, so no unbiased estimate exists."""
 
 
 class UnsupportedPilot(PeachSimError, ValueError):

@@ -7,9 +7,11 @@ MSE-optimal weights (kind ``W-PEACH``).
 
 Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
 MSEs, the default scalings and the optimal weights come from the model's one
-cached spectrum of z (see :mod:`peachsim.spectrum`).  Estimators prepared
-from an estimated channel covariance are scored under the true statistics in
-the eigenbasis of the estimated z (:func:`mismatched_mse`).  The dense filter
+cached spectrum of z (see :mod:`peachsim.spectrum`).  The MVU baseline is
+computed in the coordinates of the pilot's QR decomposition, O(m^2 * b),
+with no O(m^3) work for a square pilot.  Estimators prepared from an
+estimated channel covariance are scored under the true statistics in the
+eigenbasis of the estimated z (:func:`mismatched_mse`).  The dense filter
 views are kept as independent oracles only.
 """
 
@@ -19,6 +21,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +34,7 @@ from .errors import (
     ShapeError,
     UnsupportedPilot,
 )
-from .model import StatModel, check_hermitian_psd, deviation, hermitize, z_matrix
+from .model import StatModel, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
 from .spectrum import Spectrum, check_degree, neumann_values, weighted_values
 
 
@@ -131,34 +134,71 @@ def mmse_mse(model: StatModel) -> float:
 
 
 def mvu_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
-    """Minimum-variance unbiased estimate; uses disturbance statistics only."""
-    gram, t, _ = _mvu_gram(model)
-    return _mvu_apply(model, gram, t, y)
+    """Minimum-variance unbiased estimate; uses disturbance statistics only.
 
-
-def _mvu_apply(model: StatModel, gram: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # one estimate from the Gram system of _mvu_gram, so callers that estimate
-    # many times on one model prepare that system once
-    y = np.asarray(y, dtype=complex)
-    rhs = t.conj().T @ (y - _offset(model.n_mean, y))
-    return np.linalg.solve(gram, rhs)
+    Computed in the pilot's own coordinates (:func:`_mvu_system`), with no
+    O(m^3) work for a square pilot.
+    """
+    return _mvu_apply(model, _mvu_system(model), y)
 
 
 def mvu_variance(model: StatModel) -> float:
-    """Estimation variance trace((pilot_ext^H s_cov^{-1} pilot_ext)^{-1})."""
-    _, _, eigs = _mvu_gram(model)
-    return float(np.sum(1.0 / eigs))
+    """Estimation variance trace((pilot_ext^H s_cov^{-1} pilot_ext)^{-1}), from :func:`_mvu_system`."""
+    return _mvu_system(model).variance
 
 
-def _mvu_gram(model: StatModel):
-    t = np.linalg.solve(model.s_cov, model.pilot_ext)
-    gram = hermitize(model.apply_pilot_adjoint(t))
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-        raise RankDeficientPilot(
-            "pilot_ext^H s_cov^{-1} pilot_ext is singular; the pilot does not excite all channel dimensions"
-        )
-    return gram, t, eigs
+class _MvuSystem(NamedTuple):
+    q: np.ndarray  # (b, b) unitary with pilot.T = q [r1; 0]
+    r1_inv: np.ndarray  # (n_t, n_t) inverse of the upper triangular r1
+    gain: np.ndarray  # (n, m - n) S12 S22^{-1}
+    variance: float
+
+
+def _mvu_system(model: StatModel) -> _MvuSystem:
+    """The MVU estimator in the coordinates of the complete QR pilot.T = Q R.
+
+    With R1 the top n_t x n_t block of R, pilot_ext = (Q (x) I)([R1; 0] (x) I),
+    so the rotated observation x = (Q^H (x) I)(y - n_mean) splits into
+    x1 = (R1 (x) I) h + w1 and x2 = w2, where the disturbance w has covariance
+    S = (Q^H (x) I) s_cov (Q (x) I).  The unbiased estimate is then
+    (R1^{-1} (x) I)(x1 - S12 S22^{-1} x2), with variance
+    trace((R1^{-1} (x) I)(S11 - S12 S22^{-1} S21)(R1^{-1} (x) I)^H).
+    Forming S costs O(m^2 * b); for b > n_t one Cholesky of the (m - n)
+    block S22 follows, and for b == n_t nothing of size m is factored.
+
+    The pilot must have full row rank: :class:`RankDeficientPilot` for
+    b < n_t or a smallest singular value at most 1e-6 times the largest.
+    """
+    n_t, b = model.pilot.shape
+    sing = np.linalg.svd(model.pilot, compute_uv=False)
+    if b < n_t or sing[-1] <= 1e-6 * sing[0]:
+        raise RankDeficientPilot("the pilot does not have full row rank; it does not excite all channel dimensions")
+    n, m, n_r = model.dims.n, model.dims.m, model.dims.n_r
+    q, r = np.linalg.qr(model.pilot.T, mode="complete")
+    r1_inv = scipy.linalg.solve_triangular(r[:n_t], np.eye(n_t))
+    # _pilot_sandwich(p) forms (p.T (x) I) s_cov (p.T (x) I)^H, so p = conj(Q) gives S
+    s = _pilot_sandwich(q.conj(), n_r, model.s_cov)
+    gain, schur = np.zeros((n, m - n), dtype=complex), s[:n, :n]
+    if m > n:
+        gain = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s[n:, n:]), s[n:, :n]).conj().T
+        schur = schur - gain @ s[n:, :n]
+    # the variance is sum_jk M_kj trace(C_jk) over the (n_r, n_r) blocks C_jk
+    # of the Schur complement, with M = R1^{-H} R1^{-1}: no n x n product
+    block_traces = np.einsum("jrkr->jk", schur.reshape(n_t, n_r, n_t, n_r))
+    variance = float(np.sum(block_traces * (r1_inv.conj().T @ r1_inv).T).real)
+    return _MvuSystem(q, r1_inv, gain, variance)
+
+
+def _mvu_apply(model: StatModel, system: _MvuSystem, y: np.ndarray) -> np.ndarray:
+    # one estimate from a prepared _mvu_system, so callers that estimate many
+    # times on one model prepare it once; both Kronecker factors act on
+    # reshaped views, like StatModel.apply_pilot
+    n, n_t, b = model.dims.n, model.dims.n_t, model.dims.b
+    y = np.asarray(y, dtype=complex)
+    d = y - _offset(model.n_mean, y)
+    x = (system.q.conj().T @ d.reshape(b, -1)).reshape(d.shape)
+    x1 = x[:n] - system.gain @ x[n:]
+    return (system.r1_inv @ x1.reshape(n_t, -1)).reshape(x1.shape)
 
 
 def _identity_pilot_power(model: StatModel) -> float:

@@ -12,7 +12,7 @@ from peachsim.adaptive import (
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.errors import InsufficientSamples, WindowSizeError
+from peachsim.errors import InsufficientSamples, ShapeError, WindowSizeError
 from peachsim.model import (
     ContaminationSpec,
     Dims,
@@ -268,6 +268,12 @@ class TestShrinkageCovariance:
         assert np.linalg.norm(est.c_hat - est.c_hat.conj().T) < 1e-12
         assert np.linalg.eigvalsh(est.c_hat)[0] > -1e-12
         assert 0.0 <= est.kappa <= 1.0
+
+    @pytest.mark.parametrize("c_true", [1.0, np.eye(3), np.eye(4)[None]])
+    def test_rejects_c_true_not_shaped_like_the_sample_covariance(self, rng, c_true):
+        # a scalar would broadcast silently, a wrong matrix shape fail untyped
+        with pytest.raises(ShapeError):
+            shrinkage_covariance(self.draw(rng, np.eye(4, dtype=complex), 10), c_true=c_true)
 
     def test_requires_two_samples(self, rng):
         with pytest.raises(InsufficientSamples):

@@ -59,6 +59,8 @@ class TestConfig:
             dict(seed=-1),
             dict(n_r_values=(40, 0)),
             dict(n_r_values=(-5,)),
+            dict(degrees=(2.5,)),
+            dict(degree=2.5),
         ],
     )
     def test_validation_failures(self, overrides):

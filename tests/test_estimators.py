@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import peachsim.model
@@ -26,12 +27,18 @@ from peachsim.model import (
 
 from conftest import (
     complex_vector,
+    count_calls,
+    count_eig_calls,
     random_hermitian_psd,
     random_model,
     random_observation,
     random_pilot_model,
     relative_error,
 )
+
+
+# (n_t, b) shapes of the non-square random pilots
+PILOT_SHAPES = [(2, 3), (3, 5)]
 
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0, h_mean=0.3 + 0.1j, n_mean=-0.2j):
@@ -106,14 +113,32 @@ class TestMvu:
         assert_allclose(es.mvu_estimate(model, y), h, rtol=1e-10)
 
     def test_matches_dense_two_solve_oracle(self, rng):
-        # non-trivial disturbance covariance exercises both solves
-        model = random_model(rng, n_r=2, n_t=2, beta_max=1.0)
-        y = random_observation(rng, model)
-        pe = model.pilot_ext
-        s_inv = np.linalg.inv(model.s_cov)
-        oracle = np.linalg.inv(pe.conj().T @ s_inv @ pe) @ pe.conj().T @ s_inv @ (y - model.n_mean)
-        est = es.mvu_estimate(model, y)
-        assert np.linalg.norm(est - oracle) < 1e-10 * np.linalg.norm(oracle)
+        # a square pilot with a contaminated disturbance, then two longer
+        # pilots, which also take the complement-block path
+        models = [random_model(rng, n_r=2, n_t=2, beta_max=1.0)]
+        models += [random_pilot_model(rng, n_t, b) for n_t, b in PILOT_SHAPES]
+        for model in models:
+            y = random_observation(rng, model)
+            pe = model.pilot_ext
+            s_inv = np.linalg.inv(model.s_cov)
+            gram_inv = np.linalg.inv(pe.conj().T @ s_inv @ pe)
+            oracle = gram_inv @ pe.conj().T @ s_inv @ (y - model.n_mean)
+            assert relative_error(es.mvu_estimate(model, y), oracle) <= 1e-12
+            assert es.mvu_variance(model) == pytest.approx(np.trace(gram_inv).real, rel=1e-12)
+
+    @pytest.mark.parametrize("n_t, b", [(2, 2), (2, 3)])
+    def test_only_a_longer_pilot_factors_its_complement_block(self, rng, monkeypatch, n_t, b):
+        # a square pilot solves, factors and decomposes nothing of size m; a
+        # longer one factors its (m - n) block S22 once per preparation
+        model = random_model(rng, n_t=n_t) if b == n_t else random_pilot_model(rng, n_t, b)
+        counts = {}
+        count_calls(monkeypatch, np.linalg, ("solve", "inv", "cholesky"), counts)
+        count_calls(monkeypatch, scipy.linalg, ("solve", "inv", "cho_factor", "lu_factor"), counts)
+        count_eig_calls(monkeypatch, counts)
+        es.mvu_estimate(model, random_observation(rng, model))
+        es.mvu_variance(model)
+        factored = {name: count for name, count in counts.items() if count}
+        assert factored == ({} if b == n_t else {"cho_factor": 2})
 
     def test_variance_closed_form(self):
         dims = Dims(3, 2, 2)
@@ -135,6 +160,17 @@ class TestMvu:
         # pilot shorter than the transmit dimension cannot be unbiased
         dims = Dims(2, 3, 1)
         pilot = complex_vector(rng, 3).reshape(3, 1)
+        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
+        with pytest.raises(RankDeficientPilot):
+            es.mvu_estimate(model, np.zeros(dims.m))
+        with pytest.raises(RankDeficientPilot):
+            es.mvu_variance(model)
+
+    def test_nearly_dependent_pilot_rows_raise(self, rng):
+        # the second transmit row repeats the first up to 1e-9 noise
+        dims = Dims(2, 2, 3)
+        first = complex_vector(rng, 3)
+        pilot = np.stack([first, first + 1e-9 * complex_vector(rng, 3)])
         model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
         with pytest.raises(RankDeficientPilot):
             es.mvu_estimate(model, np.zeros(dims.m))
@@ -356,7 +392,6 @@ def test_negative_degree_rejected(name, degree):
         NEGATIVE_DEGREE_CALLS[name](model, degree)
 
 
-PILOT_SHAPES = [(2, 3), (3, 5)]
 
 
 class TestStructuredPilotEstimates:
@@ -411,8 +446,10 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     samples = [random_observation(rng, model) for _ in range(5)]
     state = adaptive_init(model, 3, wpeach_est.alpha, samples[:4])
     adaptive_update(state, samples[4])
+    es.mvu_variance(model)
     callables = {
         "mmse": es.mmse_estimate,
+        "mvu": es.mvu_estimate,
         "peach": lambda mdl, obs: es.peach_estimate(mdl, peach_est, obs),
         "wpeach": lambda mdl, obs: es.wpeach_estimate(mdl, wpeach_est, obs),
     }

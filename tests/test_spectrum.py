@@ -185,25 +185,25 @@ def desk_contaminated_point(monte_carlo):
 
 def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
     # one eigh of z (shared by every closed-form MSE, PEACH's alpha and the
-    # W-PEACH fit), one of the limit matrix (all floors); the MVU Gram matrix
-    # keeps one eigvalsh and one solve
+    # W-PEACH fit), one of the limit matrix (all floors); MVU, computed in the
+    # square pilot's coordinates, factors and solves nothing of size m
     config, model = desk_contaminated_point(monte_carlo=False)
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
     count_eig_calls(monkeypatch, counts)
     _sweep_point_rows(model, config, config.degree, 10.0, 0)
     assert counts["eigh"] == 2
-    assert counts["eigvalsh"] == 1
-    assert counts["solve"] == 1
+    assert counts["eigvalsh"] == 0
+    assert counts["solve"] == 0
     assert counts["inv"] == 0
 
 
 def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     # all five estimators are scored on one draw per chunk: one Cholesky
     # factor each of r_cov and s_cov, and two normal draws (h and n) for each
-    # of the four chunks of 2000 trials; the MVU Gram system is prepared once
-    # per point (one solve against s_cov, one eigvalsh) for both the analytic
-    # variance and the Monte Carlo callable, then solved once per chunk
+    # of the four chunks of 2000 trials; the MVU system is prepared once per
+    # point for both the analytic variance and the Monte Carlo callable, and
+    # neither it nor any chunk's estimate solves or factors an m x m matrix
     config, model = desk_contaminated_point(monte_carlo=True)
     assert config.trials == 2000
     counts = {}
@@ -214,8 +214,8 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
     assert counts["eigh"] == 2
-    assert counts["eigvalsh"] == 1
-    assert counts["solve"] == 5
+    assert counts["eigvalsh"] == 0
+    assert counts["solve"] == 0
     assert counts["inv"] == 0
 
 
