@@ -14,8 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularLimit, UnsupportedEstimator
+from .estimators import _peach_on
 from .model import Dims, hermitize
-from .spectrum import Spectrum, check_degree, neumann_values
+from .spectrum import Spectrum, check_degree
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,11 @@ class ContaminatedFloors(NamedTuple):
 
 
 def _peach_floor(spectrum: Spectrum, degree: int) -> float:
-    # high-power limit of the expansion: alpha = 2 / (lambda_max + lambda_min)
-    # of the limit matrix
-    lam = spectrum.lam[-1] + spectrum.lam[0]
-    if lam <= 0:
+    # high-power limit of the expansion: make_peach's default scaling
+    # 2 / (lambda_max + lambda_min), taken on the limit matrix
+    if spectrum.lam[-1] + spectrum.lam[0] <= 0:
         raise SingularLimit("limit matrix must have positive extreme-eigenvalue sum")
-    return spectrum.mse(neumann_values(spectrum.lam, 2.0 / lam, degree))
+    return spectrum.mse(_peach_on(spectrum, degree).values(spectrum.lam))
 
 
 def floor_noise_limited(r_cov: np.ndarray, degree: int) -> NoiseLimitedFloors:

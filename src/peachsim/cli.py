@@ -41,17 +41,6 @@ from .model import (
 
 SCENARIOS = ("sweep-l", "sweep-snr", "sweep-nr", "adaptive", "shrinkage", "flops")
 
-CSV_COLUMNS = (
-    "scenario",
-    "estimator",
-    "sweep_value",
-    "nmse_analytic",
-    "nmse_monte_carlo",
-    "mc_stderr",
-    "floor",
-    "flops",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -160,6 +149,9 @@ class ResultRow:
     flops: float | None = None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 
@@ -214,8 +206,21 @@ def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     return {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **floors._asdict()}
 
 
-def _sweep_point_rows(model, config, degree, sweep_value, point_index):
+def _normalized_rows(config, model, sweep_value, values: dict) -> list:
+    """One row per estimator of ``values``, whose MSE-valued columns are divided by trace(r) here.
+
+    ``values`` maps an estimator to its unnormalized columns in row order from
+    ``nmse_analytic`` on (analytic MSE, then optionally the Monte Carlo MSE,
+    its standard error and the floor); a None stays empty.
+    """
     trace_r = float(np.trace(model.r_cov).real)
+    return [
+        ResultRow(config.scenario, name, sweep_value, *(None if v is None else v / trace_r for v in columns))
+        for name, columns in values.items()
+    ]
+
+
+def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     peach_est = estimators.make_peach(model, degree)
     wpeach_est = estimators.make_wpeach(model, degree)
     floors = _floors(model, config, degree)
@@ -242,16 +247,8 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     if config.monte_carlo:
         callables = {name: estimate for name, (_, estimate) in table.items()}
         monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, point_index))
-    rows = []
-    for name, (mse, _) in table.items():
-        nmse_mc = stderr = None
-        if name in monte_carlo:
-            mse_hat, se = monte_carlo[name]
-            nmse_mc = mse_hat / trace_r
-            stderr = None if se is None else se / trace_r
-        floor = floors[name] / trace_r
-        rows.append(ResultRow(config.scenario, name, sweep_value, mse / trace_r, nmse_mc, stderr, floor))
-    return rows
+    values = {name: (mse, *monte_carlo.get(name, (None, None)), floors[name]) for name, (mse, _) in table.items()}
+    return _normalized_rows(config, model, sweep_value, values)
 
 
 def _config_model(config: ExperimentConfig, n_r: int, gamma_db: float) -> StatModel:
@@ -283,7 +280,6 @@ def _run_adaptive(config: ExperimentConfig):
     rows = []
     for index, gamma_db in enumerate(config.snr_db):
         model = _config_model(config, config.n_r, gamma_db)
-        trace_r = float(np.trace(model.r_cov).real)
         wpeach_est = estimators.make_wpeach(model, config.degree)
         alpha_w = wpeach_est.alpha
         mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
@@ -294,17 +290,8 @@ def _run_adaptive(config: ExperimentConfig):
         for y_new in model.draw(rng, config.window)[1].T:
             adaptive_update(state, y_new)
         mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
-        rows.append(
-            ResultRow(config.scenario, "wpeach", float(gamma_db), nmse_analytic=mse_opt / trace_r)
-        )
-        rows.append(
-            ResultRow(
-                config.scenario,
-                "wpeach-adaptive",
-                float(gamma_db),
-                nmse_analytic=mse_approx / trace_r,
-            )
-        )
+        values = {"wpeach": (mse_opt,), "wpeach-adaptive": (mse_approx,)}
+        rows.extend(_normalized_rows(config, model, float(gamma_db), values))
     return rows
 
 
@@ -316,7 +303,6 @@ def _run_shrinkage(config: ExperimentConfig):
     eigendecomposition of the estimated z, no second model, no dense filter.
     """
     model = _config_model(config, config.n_r, config.snr_db[0])
-    trace_r = float(np.trace(model.r_cov).real)
     mse_mmse = estimators.mmse_mse(model)
     mse_wpeach = estimators.wpeach_mse_optimal(model, config.degree)
     rows = []
@@ -325,11 +311,13 @@ def _run_shrinkage(config: ExperimentConfig):
         samples = (model.r_factor @ standard_complex_normal(rng, model.dims.n, n_samples)).T
         r_est = shrinkage_covariance(samples).c_hat
         mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
-        sweep = float(n_samples)
-        rows.append(ResultRow(config.scenario, "mmse", sweep, nmse_analytic=mse_mmse / trace_r))
-        rows.append(ResultRow(config.scenario, "mmse-est", sweep, nmse_analytic=mse_mmse_est / trace_r))
-        rows.append(ResultRow(config.scenario, "wpeach", sweep, nmse_analytic=mse_wpeach / trace_r))
-        rows.append(ResultRow(config.scenario, "wpeach-est", sweep, nmse_analytic=mse_wpeach_est / trace_r))
+        values = {
+            "mmse": (mse_mmse,),
+            "mmse-est": (mse_mmse_est,),
+            "wpeach": (mse_wpeach,),
+            "wpeach-est": (mse_wpeach_est,),
+        }
+        rows.extend(_normalized_rows(config, model, float(n_samples), values))
     return rows
 
 

@@ -54,7 +54,11 @@ class InsufficientSamples(PeachSimError, ValueError):
 
 
 class InvalidDegree(PeachSimError, ValueError):
-    """A polynomial degree is negative, or a weight vector does not have degree + 1 entries."""
+    """A polynomial degree is not a nonnegative integer, or a weight vector does not have degree + 1 entries."""
+
+
+class InvalidScaling(PeachSimError, ValueError):
+    """A polynomial filter's scaling is not finite and positive, or one of its weights is not finite."""
 
 
 class SingularLimit(PeachSimError, ValueError):

@@ -5,14 +5,17 @@ polynomial-expansion family: the truncated Neumann-series estimator with a
 single scaling (kind ``PEACH``) and its per-term weighted refinement with
 MSE-optimal weights (kind ``W-PEACH``).
 
-Estimation paths use only matrix-vector recursions, O(L * m^2).  Closed-form
-MSEs, the default scalings and the optimal weights come from the model's one
-cached spectrum of z (see :mod:`peachsim.spectrum`).  The MVU baseline is
-computed in the coordinates of the pilot's QR decomposition, O(m^2 * b),
-with no O(m^3) work for a square pilot.  Estimators prepared from an
-estimated channel covariance are scored under the true statistics in the
-eigenbasis of the estimated z (:func:`mismatched_mse`).  The dense filter
-views are kept as independent oracles only.
+Both polynomial kinds are one :class:`PolyEstimator`, whose one Horner loop
+applies the filter to observations with matrix-vector products, O(L * m^2),
+and evaluates it at eigenvalues for the closed-form MSEs, the floors and the
+mismatched scores.  Closed-form MSEs, the default scalings and the optimal
+weights come from the model's one cached spectrum of z (see
+:mod:`peachsim.spectrum`).  The MVU baseline is computed in the coordinates
+of the pilot's QR decomposition, O(m^2 * b), with no O(m^3) work for a
+square pilot.  Estimators prepared from an estimated channel covariance are
+scored under the true statistics in the eigenbasis of the estimated z
+(:func:`mismatched_mse`).  The dense filter views are kept as independent
+oracles only.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ import scipy.linalg
 from .errors import (
     DivergentExpansionWarning,
     InvalidDegree,
+    InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
     ShapeError,
     UnsupportedPilot,
 )
 from .model import StatModel, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
-from .spectrum import Spectrum, check_degree, neumann_values, weighted_values
+from .spectrum import Spectrum, check_degree
 
 
 class EstimatorKind(enum.Enum):
@@ -45,10 +49,12 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PolyEstimator:
-    """A prepared polynomial estimator: degree, scaling, per-term weights.
+    """A prepared polynomial filter v of degree L: scaling alpha, ``degree + 1`` weights w_l.
 
-    ``weights`` has length ``degree + 1``; for the unweighted kind every term
-    carries the scaling ``alpha`` and the weights are all ones.
+    PEACH is the truncated Neumann series v(x) = alpha sum_l (1 - alpha x)^l
+    of 1/x (unit weights), W-PEACH v(x) = alpha sum_l w_l (alpha x)^l.
+    Raises :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite
+    and positive, or a weight not finite).  The weights are kept read-only.
     """
 
     kind: EstimatorKind
@@ -57,12 +63,36 @@ class PolyEstimator:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        weights = np.asarray(self.weights, dtype=complex)
-        if self.degree < 0 or weights.shape != (self.degree + 1,):
-            raise InvalidDegree(f"need degree >= 0 and degree + 1 weights, got {self.degree} and {weights.shape}")
+        check_degree(self.degree)
+        # a read-only copy, so the checked weights cannot change afterwards
+        weights = np.array(self.weights, dtype=complex)
+        weights.flags.writeable = False
+        if weights.shape != (self.degree + 1,):
+            raise InvalidDegree(f"need degree + 1 weights, got {self.degree} and {weights.shape}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0) or not np.all(np.isfinite(weights)):
+            raise InvalidScaling(f"need a finite positive alpha and finite weights, got alpha={self.alpha!r}")
         object.__setattr__(self, "weights", weights)
+
+    def values(self, lam: np.ndarray) -> np.ndarray:
+        """The filter v at the eigenvalues ``lam``."""
+        t = 1.0 - self.alpha * lam if self.kind is EstimatorKind.PEACH else self.alpha * lam
+        return self._horner(lambda acc: t * acc, np.ones(lam.shape))
+
+    def apply(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """v(z) d for a vector or a batch of columns ``d``, with L products by ``z`` and no power of it."""
+        if self.kind is EstimatorKind.PEACH:
+            return self._horner(lambda acc: acc - self.alpha * (z @ acc), d)
+        return self._horner(lambda acc: self.alpha * (z @ acc), d)
+
+    def _horner(self, step, d):
+        # acc <- t(acc) + w_l d from the top weight down, then alpha acc.  A
+        # unit weight skips its multiply, so PEACH pays only its z products,
+        # and no term is bound to a name, so numpy may add into temporaries
+        term = lambda w_l: d if w_l == 1 else w_l * d
+        acc = term(self.weights[-1])
+        for w_l in self.weights[-2::-1]:
+            acc = step(acc) + term(w_l)
+        return self.alpha * acc
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +275,24 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
     stays defined but no longer approaches the MMSE estimator.
     """
-    check_degree(degree)
-    lam = model.z_spectrum.lam
-    if alpha is None:
-        alpha = 2.0 / (lam[-1] + lam[0])
-    elif not 0.0 < alpha < 2.0 / lam[-1]:
+    est = _peach_on(model.z_spectrum, degree, alpha)
+    bound = 2.0 / model.z_spectrum.lam[-1]
+    if alpha is not None and not est.alpha < bound:
         warnings.warn(
-            f"alpha={alpha:.6g} outside the convergence bound (0, {2.0 / lam[-1]:.6g})",
+            f"alpha={est.alpha:.6g} outside the convergence bound (0, {bound:.6g})",
             DivergentExpansionWarning,
             stacklevel=2,
         )
-    return PolyEstimator(
-        kind=EstimatorKind.PEACH,
-        degree=degree,
-        alpha=float(alpha),
-        weights=np.ones(degree + 1, dtype=complex),
-    )
+    return est
+
+
+def _peach_on(spectrum: Spectrum, degree: int, alpha: float | None = None) -> PolyEstimator:
+    # PEACH for the eigenvalues of ``spectrum``, by default with the fastest-converging
+    # scaling 2 / (lambda_max + lambda_min); the degree is checked before it sizes the weights
+    check_degree(degree)
+    if alpha is None:
+        alpha = 2.0 / (spectrum.lam[-1] + spectrum.lam[0])
+    return PolyEstimator(EstimatorKind.PEACH, degree, float(alpha), np.ones(degree + 1))
 
 
 def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> PolyEstimator:
@@ -270,17 +302,24 @@ def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> 
     :meth:`peachsim.spectrum.Spectrum.fit`), which stays accurate where the
     normal-equations solve degrades.  Without ``alpha_w`` the scaling is
     ``1 / lambda_max`` of the observation covariance (a numerically safe
-    choice).  An estimator with other weights is a :class:`PolyEstimator`
-    built directly.
+    choice, :func:`default_alpha_w`).  An estimator with other weights is a
+    :class:`PolyEstimator` built directly.
     """
+    return _wpeach_on(model.z_spectrum, degree, alpha_w)
+
+
+def _wpeach_on(spectrum: Spectrum, degree: int, alpha_w: float | None = None) -> PolyEstimator:
+    # W-PEACH with the optimal weights on ``spectrum``: the monomial
+    # coefficients of Spectrum.fit, rescaled to powers of alpha_w x
     if alpha_w is None:
-        alpha_w = default_alpha_w(model)
-    weights, _ = _wpeach_fit(model.z_spectrum, degree, alpha_w)
-    return PolyEstimator(kind=EstimatorKind.WPEACH, degree=degree, alpha=float(alpha_w), weights=weights)
+        alpha_w = 1.0 / spectrum.lam[-1]
+    poly, _ = spectrum.fit(degree)
+    weights = poly / alpha_w ** (np.arange(degree + 1) + 1)
+    return PolyEstimator(EstimatorKind.WPEACH, degree, float(alpha_w), weights)
 
 
 def default_alpha_w(model: StatModel) -> float:
-    """Weighted-estimator scaling 1 / lambda_max(z)."""
+    """Weighted-estimator scaling 1 / lambda_max(z), :func:`make_wpeach`'s default."""
     return float(1.0 / model.z_spectrum.lam[-1])
 
 
@@ -291,32 +330,24 @@ def default_alpha_w(model: StatModel) -> float:
 def peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
     """Evaluate the unweighted polynomial estimator by the nested recursion.
 
-    Maintains the accumulator v <- d + (I - alpha z) v.  z is formed once
-    per model and each degree costs one m x m matrix product; the powers of
-    z are never formed.  The head r_cov pilot_ext^H applies the pilot
-    through its Kronecker structure, O(m * n_t), plus one O(n^2) product.
+    Maintains the accumulator v <- d + (I - alpha z) v (:meth:`PolyEstimator.apply`).
+    z is formed once per model and each degree costs one m x m matrix product;
+    the powers of z are never formed.  The head r_cov pilot_ext^H applies the
+    pilot through its Kronecker structure, O(m * n_t), plus one O(n^2) product.
     """
-    if est.kind is not EstimatorKind.PEACH:
-        raise ValueError(f"expected a {EstimatorKind.PEACH}, got {est.kind}")
-    d = deviation(model, y)
-    z, alpha = model.z, est.alpha
-    acc = d.copy()
-    for _ in range(est.degree):
-        acc = d + acc - alpha * (z @ acc)
-    head = model.r_cov @ model.apply_pilot_adjoint(alpha * acc)
-    return _offset(model.h_mean, d) + head
+    return _poly_estimate(model, est, y, EstimatorKind.PEACH)
 
 
 def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
-    """Evaluate the weighted polynomial estimator by a Horner-style recursion."""
-    if est.kind is not EstimatorKind.WPEACH:
-        raise ValueError(f"expected a {EstimatorKind.WPEACH}, got {est.kind}")
+    """Evaluate the weighted polynomial estimator by the Horner recursion v <- w_l d + alpha z v."""
+    return _poly_estimate(model, est, y, EstimatorKind.WPEACH)
+
+
+def _poly_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray, kind: EstimatorKind) -> np.ndarray:
+    if est.kind is not kind:
+        raise ValueError(f"expected a {kind}, got {est.kind}")
     d = deviation(model, y)
-    z = model.z
-    acc = est.weights[-1] * d
-    for w_l in est.weights[-2::-1]:
-        acc = w_l * d + est.alpha * (z @ acc)
-    head = model.r_cov @ model.apply_pilot_adjoint(est.alpha * acc)
+    head = model.r_cov @ model.apply_pilot_adjoint(est.apply(model.z, d))
     return _offset(model.h_mean, d) + head
 
 
@@ -341,14 +372,7 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
     """
     spectrum = model.z_spectrum
-    return spectrum.mse(neumann_values(spectrum.lam, alpha, degree))
-
-
-def _wpeach_fit(spectrum: Spectrum, degree: int, alpha_w: float):
-    """Optimal weights on ``spectrum`` and their MSE, via the least-squares formulation."""
-    poly, mse = spectrum.fit(degree)
-    powers = np.arange(degree + 1)
-    return (poly / alpha_w ** (powers + 1)).astype(complex), mse
+    return spectrum.mse(_peach_on(spectrum, degree, alpha).values(spectrum.lam))
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:
@@ -359,11 +383,8 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     for the large, strongly cancelling weight vectors that high degrees
     produce.
     """
-    weights = np.asarray(weights, dtype=complex)
-    if degree < 0 or weights.shape != (degree + 1,):
-        raise InvalidDegree(f"need degree >= 0 and degree + 1 weights, got {degree} and {weights.shape}")
     spectrum = model.z_spectrum
-    return spectrum.mse(weighted_values(spectrum.lam, alpha_w, weights))
+    return spectrum.mse(PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights).values(spectrum.lam))
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
@@ -417,13 +438,11 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     quad = (d_true - c_est).conj().T @ b
     quad[np.diag_indices_from(quad)] += lam
     quad *= c_est.T @ c_est.conj()
-    spectrum_est = Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real))
-    alpha_w = 1.0 / lam[-1]
-    weights, _ = _wpeach_fit(spectrum_est, degree, alpha_w)
+    wpeach = _wpeach_on(Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real)), degree)
     trace_r = float(np.trace(model.r_cov).real)
     return tuple(
         float(trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
-        for v in (1.0 / lam, weighted_values(lam, alpha_w, weights))
+        for v in (1.0 / lam, wpeach.values(lam))
     )
 
 

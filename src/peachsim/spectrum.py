@@ -11,10 +11,14 @@ along its eigenvectors, the spectral measure of the moment view of the
 weight system (Golub & Meurant, Matrices, Moments and Quadrature, 2010).
 The finite-power MSEs use the observation covariance; the high-power floors
 use its limit, ``r`` without and ``r + sum_interf`` with pilot contamination.
+The polynomial filters are evaluated at ``lam_k`` by
+:meth:`peachsim.estimators.PolyEstimator.values`, the same Horner loop that
+applies them to observations.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +28,9 @@ from .errors import InvalidDegree, SingularLimit
 
 
 def check_degree(degree: int):
-    """Raise :class:`InvalidDegree` unless ``degree`` is nonnegative."""
-    if degree < 0:
-        raise InvalidDegree(f"polynomial degree must be nonnegative, got {degree}")
+    """Raise :class:`InvalidDegree` unless ``degree`` is a nonnegative integer (numpy integers pass)."""
+    if not isinstance(degree, numbers.Integral) or degree < 0:
+        raise InvalidDegree(f"polynomial degree must be a nonnegative integer, got {degree!r}")
 
 
 @dataclass(frozen=True)
@@ -85,21 +89,3 @@ class Spectrum:
         residual = float(np.sum((target - design @ coef) ** 2))
         poly = coef / scale ** np.arange(degree + 1)
         return poly, float(self.trace_r - np.sum(phi / lam)) + residual
-
-
-def neumann_values(lam: np.ndarray, alpha: float, degree: int) -> np.ndarray:
-    """Truncated Neumann series alpha sum_{l=0}^{degree} (1 - alpha lam)^l of 1/lam."""
-    check_degree(degree)
-    x = 1.0 - alpha * lam
-    acc = np.ones_like(x)
-    for _ in range(degree):
-        acc = 1.0 + x * acc
-    return alpha * acc
-
-
-def weighted_values(lam: np.ndarray, alpha_w: float, weights: np.ndarray) -> np.ndarray:
-    """Weighted filter alpha_w sum_l w_l (alpha_w lam)^l at ``lam``, by Horner in alpha_w lam."""
-    v = np.zeros_like(lam, dtype=complex)
-    for w_l in weights[::-1]:
-        v = v * (alpha_w * lam) + w_l
-    return alpha_w * v

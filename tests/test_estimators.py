@@ -11,6 +11,7 @@ from peachsim.cli import run_monte_carlo
 from peachsim.errors import (
     DivergentExpansionWarning,
     InvalidDegree,
+    InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedPilot,
@@ -373,6 +374,7 @@ class TestPeachMse:
 # every entry point that takes a polynomial degree, called with an empty weight
 # vector where weights are needed, so a degree of -1 has "degree + 1" weights
 NEGATIVE_DEGREE_CALLS = {
+    "crossover_m": lambda model, degree: analysis.crossover_m("peach", 50, degree),
     "peach_mse": lambda model, degree: es.peach_mse(model, degree, 0.1),
     "wpeach_mse_general": lambda model, degree: es.wpeach_mse_general(model, degree, 0.1, np.ones(0)),
     "wpeach_mse_optimal": es.wpeach_mse_optimal,
@@ -384,12 +386,48 @@ NEGATIVE_DEGREE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("degree", [-1, -2])
+@pytest.mark.parametrize("degree", [-1, -2, 2.5])
 @pytest.mark.parametrize("name", NEGATIVE_DEGREE_CALLS)
 def test_negative_degree_rejected(name, degree):
+    # a negative or a non-integer degree
     model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
     with pytest.raises(InvalidDegree):
         NEGATIVE_DEGREE_CALLS[name](model, degree)
+
+
+# every entry point that takes a polynomial scaling, at degree 1 with weights (1, 1)
+BAD_SCALING_CALLS = {
+    "PolyEstimator": lambda model, alpha, weights: es.PolyEstimator(es.EstimatorKind.WPEACH, 1, alpha, weights),
+    "make_peach": lambda model, alpha, weights: es.make_peach(model, 1, alpha=alpha),
+    "peach_mse": lambda model, alpha, weights: es.peach_mse(model, 1, alpha),
+    "wpeach_mse_general": lambda model, alpha, weights: es.wpeach_mse_general(model, 1, alpha, weights),
+}
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.1, 0.0])
+@pytest.mark.parametrize("name", BAD_SCALING_CALLS)
+def test_non_finite_or_non_positive_scaling_rejected(name, alpha):
+    model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
+    with pytest.raises(InvalidScaling):
+        BAD_SCALING_CALLS[name](model, alpha, np.ones(2))
+
+
+def test_weights_are_a_read_only_copy():
+    # the checked weights cannot be changed later through the caller's array
+    weights = np.ones(3, dtype=complex)
+    est = es.PolyEstimator(es.EstimatorKind.WPEACH, 2, 0.1, weights)
+    weights[0] = np.nan
+    assert np.all(est.weights == 1.0)
+    with pytest.raises(ValueError):
+        est.weights[0] = np.nan
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("name", ["PolyEstimator", "wpeach_mse_general"])
+def test_non_finite_weights_rejected(name, weight):
+    model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
+    with pytest.raises(InvalidScaling):
+        BAD_SCALING_CALLS[name](model, 0.1, np.array([1.0, weight]))
 
 
 

@@ -112,6 +112,39 @@ def test_mismatched_mse_matches_dense_filters(kind, n_samples):
     assert wpeach == pytest.approx(es.linear_filter_mse(model, dense_wpeach), rel=1e-9)
 
 
+# the desk models of the figure battery on which the shared preparation is compared
+PREPARATION_MODELS = {
+    "noise-limited": lambda: correlated_model(Dims(20, 4, 4), 5.0, ()),
+    "beta-0.1-10dB": lambda: correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1)),
+    "beta-1": lambda: correlated_model(Dims(20, 4, 4), 5.0, (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 4, 8])
+@pytest.mark.parametrize("kind", PREPARATION_MODELS)
+def test_mismatched_mse_of_the_true_covariance_is_the_prepared_mse(kind, degree):
+    # with r_est = r, mismatched_mse prepares W-PEACH exactly as make_wpeach
+    # does and scores it, through another formula, under the same statistics
+    model = PREPARATION_MODELS[kind]()
+    est = es.make_wpeach(model, degree)
+    mmse, wpeach = es.mismatched_mse(model, model.r_cov, degree)
+    assert mmse == pytest.approx(es.mmse_mse(model), rel=1e-12, abs=0.0)
+    assert wpeach == pytest.approx(es.wpeach_mse_general(model, degree, est.alpha, est.weights), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("degree", [0, 4])
+@pytest.mark.parametrize("make", [es.make_peach, es.make_wpeach], ids=["peach", "wpeach"])
+@pytest.mark.parametrize("kind", PREPARATION_MODELS)
+def test_filter_applied_to_eigenvectors_scales_them_by_its_values(kind, make, degree):
+    # v(z) u_k = v(lam_k) u_k: the vector and the eigenvalue evaluation are one polynomial
+    model = PREPARATION_MODELS[kind]()
+    est = make(model, degree)
+    lam, vecs = scipy.linalg.eigh(model.z)
+    applied = est.apply(model.z, vecs)
+    expected = vecs * est.values(lam)
+    assert np.linalg.norm(applied - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize(
     "case, error",
     [("wrong-shape", ShapeError), ("not-hermitian", NotPositiveSemiDefinite), ("negative", NotPositiveSemiDefinite)],

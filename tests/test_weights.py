@@ -212,7 +212,8 @@ class TestStableFit:
         alpha_w = es.default_alpha_w(model)
         degree, ws = capped_degree_system(model, 5, alpha_w)
         w_direct = wpeach_weights_optimal(ws)
-        w_fit, mse_fit = es._wpeach_fit(model.z_spectrum, degree, alpha_w)
+        w_fit = es.make_wpeach(model, degree, alpha_w).weights
+        mse_fit = model.z_spectrum.fit(degree)[1]
         tr_r = float(np.trace(model.r_cov).real)
         closed = tr_r - float(np.real(ws.b_vec.conj() @ w_direct))
         assert abs(mse_fit - closed) < 1e-9 * tr_r
