@@ -1,6 +1,8 @@
 """``python -m peachsim``: the command-line entry point."""
 
+import sys
+
 from .cli import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

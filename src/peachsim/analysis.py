@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularLimit, UnsupportedEstimator
+from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator
 from .estimators import _peach_on
 from .model import Dims, hermitize
 from .spectrum import Spectrum, check_degree
@@ -35,7 +35,7 @@ class FlopModel:
 
     def __post_init__(self):
         if self.tau_s <= 0 or self.tau_c <= 0 or self.t_tot <= 0:
-            raise ValueError("coherence times and total time must be positive")
+            raise InvalidParameter("coherence times and total time must be positive")
 
     @property
     def q_ratio(self) -> float:
@@ -98,7 +98,7 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     real threshold; consumers apply the ceiling.
     """
     if q < 0:
-        raise ValueError("q must be nonnegative")
+        raise InvalidParameter("q must be nonnegative")
     check_degree(degree)
     kind = kind.lower()
     if kind == "peach":

@@ -7,10 +7,11 @@ covariance robustness (``shrinkage``), and FLOP cost curves (``flops``).
 Every scenario is deterministic under a fixed seed and emits one CSV row per
 (sweep value, estimator) pair plus a JSON twin of the table.
 
-The three sweeps share one runner that walks the config field named in
-``_SWEEP_AXES``; each sweep point builds one table of estimator, closed-form
-MSE and Monte Carlo callable, from which every column and the row order
-follow.  Config-file and flag strings are parsed by the type of the field's
+One table, ``_SCENARIOS``, describes each scenario: its preset, the config
+field it walks, the function that returns the rows of one point, and the
+config fields it reads.  :func:`run_experiment` walks that field in one loop,
+and each subcommand offers the flags of exactly the fields its scenario
+reads.  Config-file and flag strings are parsed by the type of the field's
 ``ExperimentConfig`` default.
 """
 
@@ -22,6 +23,7 @@ import csv
 import json
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import analysis, estimators
 from .adaptive import adaptive_init, adaptive_update, shrinkage_covariance
-from .errors import ConfigError, PeachSimError, ShapeError
+from .errors import ConfigError, InvalidParameter, PeachSimError, ShapeError
 from .model import (
     Dims,
     SpatialCorrelation,
@@ -38,8 +40,6 @@ from .model import (
     correlated_model,
     standard_complex_normal,
 )
-
-SCENARIOS = ("sweep-l", "sweep-snr", "sweep-nr", "adaptive", "shrinkage", "flops")
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,9 @@ class ExperimentConfig:
         for name in ("snr_db", "degrees", "n_r_values", "shrink_samples"):
             if len(getattr(self, name)) == 0:
                 raise ConfigError(f"{name} must be non-empty")
+        scenario = _SCENARIOS[self.scenario]
+        if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
+            raise ConfigError(f"{self.scenario} reads one pilot SNR, got snr_db = {self.snr_db}")
         for name in ("snr_db", "betas", "noise_var", "q_ratio", "tau_s", "t_tot"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
@@ -94,45 +97,6 @@ class ExperimentConfig:
             raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
         self.correlation.validate()
         return self
-
-
-_SCENARIO_DEFAULTS = {
-    "sweep-l": dict(snr_db=(5.0,), betas=(1.0, 1.0), degrees=tuple(range(13)), out="sweep_l.csv"),
-    "sweep-snr": dict(
-        snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-        degree=10,
-        betas=(0.1, 0.1),
-        out="sweep_snr.csv",
-    ),
-    "sweep-nr": dict(snr_db=(5.0,), degree=4, betas=(1.0, 1.0), out="sweep_nr.csv"),
-    "adaptive": dict(snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), degree=4, betas=(), out="adaptive.csv"),
-    "shrinkage": dict(snr_db=(5.0,), degree=8, betas=(), out="shrinkage.csv"),
-    "flops": dict(
-        n_t=10,
-        b=10,
-        degree=2,
-        n_r_values=(50, 100, 150, 200, 250, 300, 350, 400, 450, 500),
-        out="flops.csv",
-    ),
-}
-
-
-def default_config(scenario: str, **overrides) -> ExperimentConfig:
-    """Scenario preset with optional field overrides, validated.
-
-    An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well,
-    except for ``flops``, whose cost model takes any pilot length.
-    """
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    params = dict(_SCENARIO_DEFAULTS[scenario])
-    params.update(overrides)
-    # the identity pilot is square: an n_t set without b sets b too
-    if "n_t" in overrides and "b" not in overrides and scenario != "flops":
-        params["b"] = overrides["n_t"]
-    config = ExperimentConfig(scenario=scenario, **params)
-    config.validate()
-    return config
 
 
 @dataclass(frozen=True)
@@ -167,7 +131,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
     estimator whether it is scored alone or next to others.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidParameter("trials must be >= 1")
     n_chunks = (trials + chunk_size - 1) // chunk_size
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sq_errors = {name: np.empty(trials) for name in estimators}
@@ -220,7 +184,9 @@ def _normalized_rows(config, model, sweep_value, values: dict) -> list:
     ]
 
 
-def _sweep_point_rows(model, config, degree, sweep_value, point_index):
+def _sweep_point(config, model, point, sweep_value, index):
+    """The five estimators at one point of a sweep, at degree ``point["degrees"]``."""
+    degree = point["degrees"]
     peach_est = estimators.make_peach(model, degree)
     wpeach_est = estimators.make_wpeach(model, degree)
     floors = _floors(model, config, degree)
@@ -246,122 +212,139 @@ def _sweep_point_rows(model, config, degree, sweep_value, point_index):
     monte_carlo = {}
     if config.monte_carlo:
         callables = {name: estimate for name, (_, estimate) in table.items()}
-        monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, point_index))
+        monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, index))
     values = {name: (mse, *monte_carlo.get(name, (None, None)), floors[name]) for name, (mse, _) in table.items()}
     return _normalized_rows(config, model, sweep_value, values)
 
 
-def _config_model(config: ExperimentConfig, n_r: int, gamma_db: float) -> StatModel:
-    """The scenarios' correlated model with ``n_r`` receive antennas at pilot SNR ``gamma_db``."""
-    dims = Dims(n_r, config.n_t, config.b)
-    return correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
-
-
-# the config field each sweep scenario walks
-_SWEEP_AXES = {"sweep-l": "degrees", "sweep-snr": "snr_db", "sweep-nr": "n_r_values"}
-
-
-def _run_sweep(config: ExperimentConfig):
-    axis = _SWEEP_AXES[config.scenario]
-    model = None
-    rows = []
-    for index, value in enumerate(getattr(config, axis)):
-        # each axis field's value at this point: the swept one from its grid, the others from the config
-        point = {"degrees": config.degree, "snr_db": config.snr_db[0], "n_r_values": config.n_r, axis: value}
-        # every degree of sweep-l shares one model
-        if model is None or axis != "degrees":
-            model = _config_model(config, point["n_r_values"], point["snr_db"])
-        rows.extend(_sweep_point_rows(model, config, point["degrees"], float(value), index))
-    return rows
-
-
-def _run_adaptive(config: ExperimentConfig):
+def _adaptive_point(config, model, point, sweep_value, index):
     """Sliding-window weights versus exactly optimized weights, both evaluated exactly."""
-    rows = []
-    for index, gamma_db in enumerate(config.snr_db):
-        model = _config_model(config, config.n_r, gamma_db)
-        wpeach_est = estimators.make_wpeach(model, config.degree)
-        alpha_w = wpeach_est.alpha
-        mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
-        # one stream per SNR point: the first child of (seed, index)
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)).spawn(1)[0])
-        warmup = list(model.draw(rng, config.window)[1].T)
-        state = adaptive_init(model, config.degree, alpha_w, warmup)
-        for y_new in model.draw(rng, config.window)[1].T:
-            adaptive_update(state, y_new)
-        mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
-        values = {"wpeach": (mse_opt,), "wpeach-adaptive": (mse_approx,)}
-        rows.extend(_normalized_rows(config, model, float(gamma_db), values))
-    return rows
+    wpeach_est = estimators.make_wpeach(model, config.degree)
+    alpha_w = wpeach_est.alpha
+    mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
+    # one stream per SNR point: the first child of (seed, index)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)).spawn(1)[0])
+    warmup = list(model.draw(rng, config.window)[1].T)
+    state = adaptive_init(model, config.degree, alpha_w, warmup)
+    for y_new in model.draw(rng, config.window)[1].T:
+        adaptive_update(state, y_new)
+    mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
+    return _normalized_rows(config, model, sweep_value, {"wpeach": (mse_opt,), "wpeach-adaptive": (mse_approx,)})
 
 
-def _run_shrinkage(config: ExperimentConfig):
-    """Estimators rebuilt from a shrinkage covariance estimate, scored on the truth.
+def _shrinkage_point(config, model, point, sweep_value, index):
+    """MMSE and W-PEACH rebuilt from a shrinkage covariance estimate, scored on the truth.
 
-    Each sample count scores the plug-in shrinkage estimate r_est by
-    :func:`estimators.mismatched_mse` on the one true model: one
+    The plug-in estimate r_est from ``point["shrink_samples"]`` channel draws
+    is scored by :func:`estimators.mismatched_mse` on the one true model: one
     eigendecomposition of the estimated z, no second model, no dense filter.
     """
-    model = _config_model(config, config.n_r, config.snr_db[0])
-    mse_mmse = estimators.mmse_mse(model)
-    mse_wpeach = estimators.wpeach_mse_optimal(model, config.degree)
-    rows = []
-    for index, n_samples in enumerate(config.shrink_samples):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-        samples = (model.r_factor @ standard_complex_normal(rng, model.dims.n, n_samples)).T
-        r_est = shrinkage_covariance(samples).c_hat
-        mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
-        values = {
-            "mmse": (mse_mmse,),
-            "mmse-est": (mse_mmse_est,),
-            "wpeach": (mse_wpeach,),
-            "wpeach-est": (mse_wpeach_est,),
-        }
-        rows.extend(_normalized_rows(config, model, float(n_samples), values))
-    return rows
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+    samples = (model.r_factor @ standard_complex_normal(rng, model.dims.n, point["shrink_samples"])).T
+    r_est = shrinkage_covariance(samples).c_hat
+    mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
+    values = {
+        "mmse": (estimators.mmse_mse(model),),
+        "mmse-est": (mse_mmse_est,),
+        "wpeach": (estimators.wpeach_mse_optimal(model, config.degree),),
+        "wpeach-est": (mse_wpeach_est,),
+    }
+    return _normalized_rows(config, model, sweep_value, values)
 
 
-def _run_flops(config: ExperimentConfig):
-    rows = []
-    for n_r in config.n_r_values:
-        dims = Dims(n_r, config.n_t, config.b)
-        fm = analysis.FlopModel(
-            dims=dims,
-            tau_s=config.tau_s,
-            tau_c=config.tau_s / config.q_ratio,
-            t_tot=config.t_tot,
-        )
-        for name in ("mmse", "mvu", "peach", "wpeach"):
-            degree = config.degree if name in ("peach", "wpeach") else None
-            rows.append(
-                ResultRow(
-                    config.scenario,
-                    name,
-                    float(n_r),
-                    flops=analysis.flops(name, fm, degree),
-                )
-            )
-    return rows
+def _flops_point(config, model, point, sweep_value, index):
+    """FLOP counts of four estimators at ``point["n_r_values"]`` receive antennas; no model is read."""
+    dims = Dims(point["n_r_values"], config.n_t, config.b)
+    fm = analysis.FlopModel(dims=dims, tau_s=config.tau_s, tau_c=config.tau_s / config.q_ratio, t_tot=config.t_tot)
+    return [
+        ResultRow(config.scenario, name, sweep_value, flops=analysis.flops(name, fm, degree))
+        for name, degree in (("mmse", None), ("mvu", None), ("peach", config.degree), ("wpeach", config.degree))
+    ]
 
 
-_RUNNERS = {
-    **dict.fromkeys(_SWEEP_AXES, _run_sweep),
-    "adaptive": _run_adaptive,
-    "shrinkage": _run_shrinkage,
-    "flops": _run_flops,
+@dataclass(frozen=True)
+class _Scenario:
+    """Preset, walked field, ``point_rows(config, model, point, sweep_value, index)`` and read fields of a scenario."""
+
+    preset: dict
+    walks: str
+    point_rows: Callable
+    reads: tuple
+
+    @property
+    def builds_model(self) -> bool:
+        # a model needs a pilot SNR; flops evaluates cost formulas only
+        return "snr_db" in self.reads
+
+
+# the correlated model's fields, and the Monte Carlo columns' fields
+_MODEL = ("n_t", "b", "snr_db", "betas", "correlation", "noise_var")
+_MONTE_CARLO = ("trials", "seed", "monte_carlo")
+
+_SCENARIOS = {
+    "sweep-l": _Scenario(
+        dict(snr_db=(5.0,), betas=(1.0, 1.0), degrees=tuple(range(13)), out="sweep_l.csv"),
+        "degrees", _sweep_point, ("degrees", "n_r", *_MODEL, *_MONTE_CARLO),
+    ),
+    "sweep-snr": _Scenario(
+        dict(snr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0), degree=10, betas=(0.1, 0.1), out="sweep_snr.csv"),
+        "snr_db", _sweep_point, ("degree", "n_r", *_MODEL, *_MONTE_CARLO),
+    ),
+    "sweep-nr": _Scenario(
+        dict(snr_db=(5.0,), degree=4, betas=(1.0, 1.0), out="sweep_nr.csv"),
+        "n_r_values", _sweep_point, ("n_r_values", "degree", *_MODEL, *_MONTE_CARLO),
+    ),
+    "adaptive": _Scenario(
+        dict(snr_db=(0.0, 5.0, 10.0, 15.0, 20.0), degree=4, betas=(), out="adaptive.csv"),
+        "snr_db", _adaptive_point, ("degree", "n_r", "seed", "window", *_MODEL),
+    ),
+    "shrinkage": _Scenario(
+        dict(snr_db=(5.0,), degree=8, betas=(), out="shrinkage.csv"),
+        "shrink_samples", _shrinkage_point, ("shrink_samples", "degree", "n_r", "seed", *_MODEL),
+    ),
+    "flops": _Scenario(
+        dict(n_t=10, b=10, degree=2, n_r_values=tuple(range(50, 501, 50)), out="flops.csv"),
+        "n_r_values", _flops_point, ("n_r_values", "n_t", "b", "degree", "q_ratio", "tau_s", "t_tot"),
+    ),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def default_config(scenario: str, **overrides) -> ExperimentConfig:
+    """Scenario preset with optional field overrides, validated.
+
+    An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well,
+    except for ``flops``, whose cost model takes any pilot length.
+    """
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    params = {**_SCENARIOS[scenario].preset, **overrides}
+    # a model's identity pilot is square: an n_t set without b sets b too
+    if "n_t" in overrides and "b" not in overrides and _SCENARIOS[scenario].builds_model:
+        params["b"] = overrides["n_t"]
+    return ExperimentConfig(scenario=scenario, **params).validate()
 
 
 def run_experiment(config: ExperimentConfig):
     """Run one scenario and write its CSV (plus a JSON twin); returns the rows.
 
-    Rows are ordered by sweep value, then estimator.  Re-running with the same
-    configuration and seed produces byte-identical output files at a fixed
-    BLAS thread count; across thread counts the W-PEACH Monte Carlo columns
-    can move in the 9th significant digit.
+    Each point holds the walked field's value and the config's values of the
+    other sweep fields; the model of the point's (n_r, SNR) is built only when
+    that pair changes.  Rows are ordered by sweep value, then estimator.  Re-running with the same configuration and seed produces
+    byte-identical output files at a fixed BLAS thread count; across thread
+    counts the W-PEACH Monte Carlo columns can move in the 9th significant digit.
     """
     config.validate()
-    rows = _RUNNERS[config.scenario](config)
+    scenario = _SCENARIOS[config.scenario]
+    model = built = None
+    rows = []
+    for index, value in enumerate(getattr(config, scenario.walks)):
+        point = {"degrees": config.degree, "snr_db": config.snr_db[0], "n_r_values": config.n_r, scenario.walks: value}
+        if scenario.builds_model and built != (point["n_r_values"], point["snr_db"]):
+            n_r, gamma_db = built = (point["n_r_values"], point["snr_db"])
+            dims = Dims(n_r, config.n_t, config.b)
+            model = correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
+        rows.extend(scenario.point_rows(config, model, point, float(value), index))
     write_rows(rows, Path(config.out))
     return rows
 
@@ -436,6 +419,26 @@ def load_config_file(path: str, scenario: str) -> dict:
     return overrides
 
 
+# flag and help text of each field a subcommand can offer (b, correlation and noise_var: config file only)
+_FLAGS = {
+    "seed": ("--seed", "master seed (64-bit)"),
+    "trials": ("--trials", "Monte Carlo trials per row"),
+    "monte_carlo": ("--no-montecarlo", "skip Monte Carlo confirmation columns"),
+    "n_r": ("--n-r", "receive antennas"),
+    "n_t": ("--n-t", "transmit antennas (the pilot length follows, except for flops)"),
+    "snr_db": ("--snr-db", "comma-separated pilot SNR values in dB"),
+    "betas": ("--betas", "comma-separated interference power ratios"),
+    "degree": ("--degree", "fixed polynomial degree"),
+    "degrees": ("--degrees", "degree grid, e.g. 0:12 or 0,2,4"),
+    "n_r_values": ("--nr-values", "receive-antenna grid, e.g. 10,20,40,80"),
+    "window": ("--window", "sliding-window length"),
+    "shrink_samples": ("--samples", "sample-count grid, e.g. 20,40,80"),
+    "q_ratio": ("--q", "stationarity ratio tau_s / tau_c"),
+    "tau_s": ("--tau-s", "statistics coherence time [s]"),
+    "t_tot": ("--t-tot", "total operating time [s]"),
+}
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peachsim",
@@ -443,52 +446,33 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         "shrinkage robustness and FLOP cost curves, written as CSV.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for scenario in SCENARIOS:
-        p = sub.add_parser(scenario, help=f"run the {scenario} scenario")
+    for name, scenario in _SCENARIOS.items():
+        # no abbreviations: --degree must not stand for sweep-l's --degrees
+        p = sub.add_parser(name, help=f"run the {name} scenario", allow_abbrev=False)
         p.add_argument("--config", help="INI file with [common] and per-scenario sections")
-        p.add_argument("--seed", type=int, help="master seed (64-bit)")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials per row")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument(
-            "--no-montecarlo",
-            action="store_true",
-            help="skip Monte Carlo confirmation columns",
-        )
-        p.add_argument("--n-r", type=int, dest="n_r", help="receive antennas")
-        p.add_argument("--n-t", type=int, dest="n_t", help="transmit antennas (pilot length follows)")
-        p.add_argument("--snr-db", dest="snr_db", help="comma-separated pilot SNR values in dB")
-        p.add_argument("--betas", help="comma-separated interference power ratios")
-        p.add_argument("--degree", type=int, help="fixed polynomial degree")
-        if scenario == "sweep-l":
-            p.add_argument("--degrees", help="degree grid, e.g. 0:12 or 0,2,4")
-        if scenario in ("sweep-nr", "flops"):
-            p.add_argument("--nr-values", dest="n_r_values", help="receive-antenna grid, e.g. 10,20,40,80")
-        if scenario == "adaptive":
-            p.add_argument("--window", type=int, help="sliding-window length")
-        if scenario == "shrinkage":
-            p.add_argument("--samples", dest="shrink_samples", help="sample-count grid, e.g. 20,40,80")
-        if scenario == "flops":
-            p.add_argument("--q", type=float, dest="q_ratio", help="stationarity ratio tau_s / tau_c")
-            p.add_argument("--tau-s", type=float, dest="tau_s", help="statistics coherence time [s]")
-            p.add_argument("--t-tot", type=float, dest="t_tot", help="total operating time [s]")
+        for key, (flag, help_text) in _FLAGS.items():
+            if key not in scenario.reads:
+                continue
+            default = _FIELD_DEFAULTS[key]
+            # a switch turns its field's default off; any other flag's string is parsed like a config-file value
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_const", const=not default, help=help_text)
+            else:
+                p.add_argument(flag, dest=key, help=help_text)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(load_config_file(args.config, args.scenario))
+    overrides = load_config_file(args.config, args.scenario) if args.config else {}
     for key, value in vars(args).items():
         if key in _FIELD_DEFAULTS and value is not None:
             overrides[key] = _parse_field(key, value) if isinstance(value, str) else value
-    if args.no_montecarlo:
-        overrides["monte_carlo"] = False
     return default_config(args.scenario, **overrides)
 
 
 def main(argv=None) -> int:
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _build_arg_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         rows = run_experiment(config)

@@ -69,6 +69,10 @@ class UnsupportedEstimator(PeachSimError, ValueError):
     """Unknown estimator kind."""
 
 
+class InvalidParameter(PeachSimError, ValueError):
+    """A scalar parameter (power, variance, time, ratio or trial count) is outside its range."""
+
+
 class ConfigError(PeachSimError, ValueError):
     """An experiment configuration failed validation."""
 

@@ -36,6 +36,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientPilot,
     ShapeError,
+    UnsupportedEstimator,
     UnsupportedPilot,
 )
 from .model import StatModel, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
@@ -46,15 +47,20 @@ class EstimatorKind(enum.Enum):
     PEACH = "peach"
     WPEACH = "wpeach"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise UnsupportedEstimator(f"unknown estimator kind {value!r}")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PolyEstimator:
     """A prepared polynomial filter v of degree L: scaling alpha, ``degree + 1`` weights w_l.
 
     PEACH is the truncated Neumann series v(x) = alpha sum_l (1 - alpha x)^l
     of 1/x (unit weights), W-PEACH v(x) = alpha sum_l w_l (alpha x)^l.
-    Raises :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite
-    and positive, or a weight not finite).  The weights are kept read-only.
+    Raises :class:`UnsupportedEstimator` (a kind that is not an :class:`EstimatorKind` or its value),
+    :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite and positive, or a weight not
+    finite).  The weights are kept read-only; estimators compare and hash by identity.
     """
 
     kind: EstimatorKind
@@ -63,6 +69,7 @@ class PolyEstimator:
     weights: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", EstimatorKind(self.kind))
         check_degree(self.degree)
         # a read-only copy, so the checked weights cannot change afterwards
         weights = np.array(self.weights, dtype=complex)
@@ -345,7 +352,7 @@ def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.n
 
 def _poly_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray, kind: EstimatorKind) -> np.ndarray:
     if est.kind is not kind:
-        raise ValueError(f"expected a {kind}, got {est.kind}")
+        raise UnsupportedEstimator(f"expected a {kind}, got {est.kind}")
     d = deviation(model, y)
     head = model.r_cov @ model.apply_pilot_adjoint(est.apply(model.z, d))
     return _offset(model.h_mean, d) + head

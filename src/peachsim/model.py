@@ -21,6 +21,7 @@ from .errors import (
     ConfigError,
     EmptyDimension,
     InvalidCorrelation,
+    InvalidParameter,
     NotPositiveDefinite,
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
@@ -147,9 +148,9 @@ class ContaminationSpec:
         if len(self.interferer_covs) != len(self.betas):
             raise ShapeError("interferer_covs and betas must have equal length")
         if any(b < 0 for b in self.betas):
-            raise ValueError("interference power ratios must be nonnegative")
+            raise InvalidParameter("interference power ratios must be nonnegative")
         if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+            raise InvalidParameter("noise variance must be positive")
 
     @property
     def summed_covariance(self):
@@ -324,7 +325,7 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
             f"identity pilot requires b == n_t, got b={dims.b}, n_t={dims.n_t}"
         )
     if pilot_power <= 0:
-        raise ValueError("pilot power must be positive")
+        raise InvalidParameter("pilot power must be positive")
     return np.sqrt(pilot_power) * np.eye(dims.n_t, dtype=complex)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +436,118 @@ class TestMain:
         text = out.read_text()
         assert "j" not in text.replace("sweep-l", "")
         assert "(" not in text
+
+
+# the flags each subcommand offers besides --config and --out: one per config
+# field its scenario reads (b, correlation and noise_var have no flag)
+SCENARIO_FLAGS = {
+    "sweep-l": {"--seed", "--trials", "--no-montecarlo", "--n-r", "--n-t", "--snr-db", "--betas", "--degrees"},
+    "sweep-snr": {"--seed", "--trials", "--no-montecarlo", "--n-r", "--n-t", "--snr-db", "--betas", "--degree"},
+    "sweep-nr": {"--seed", "--trials", "--no-montecarlo", "--n-t", "--snr-db", "--betas", "--degree", "--nr-values"},
+    "adaptive": {"--seed", "--n-r", "--n-t", "--snr-db", "--betas", "--degree", "--window"},
+    "shrinkage": {"--seed", "--n-r", "--n-t", "--snr-db", "--betas", "--degree", "--samples"},
+    "flops": {"--n-t", "--degree", "--nr-values", "--q", "--tau-s", "--t-tot"},
+}
+# each flag's argument (None for a switch), the field it sets and the value it sets it to
+FLAG_FIELDS = {
+    "--seed": ("7", "seed", 7),
+    "--trials": ("3", "trials", 3),
+    "--no-montecarlo": (None, "monte_carlo", False),
+    "--n-r": ("3", "n_r", 3),
+    "--n-t": ("3", "n_t", 3),
+    "--snr-db": ("7", "snr_db", (7.0,)),
+    "--betas": ("0.5", "betas", (0.5,)),
+    "--degree": ("3", "degree", 3),
+    "--degrees": ("1:2", "degrees", (1, 2)),
+    "--nr-values": ("3,5", "n_r_values", (3, 5)),
+    "--window": ("5", "window", 5),
+    "--samples": ("4", "shrink_samples", (4,)),
+    "--q": ("20", "q_ratio", 20.0),
+    "--tau-s": ("2", "tau_s", 2.0),
+    "--t-tot": ("3", "t_tot", 3.0),
+}
+# flag/scenario pairs that used to be accepted without changing the output
+REMOVED_FLAGS = [
+    ("flops", "--seed"),
+    ("flops", "--trials"),
+    ("flops", "--betas"),
+    ("flops", "--snr-db"),
+    ("flops", "--n-r"),
+    ("flops", "--no-montecarlo"),
+    ("sweep-l", "--degree"),
+    ("sweep-nr", "--n-r"),
+    ("adaptive", "--trials"),
+    ("adaptive", "--no-montecarlo"),
+    ("shrinkage", "--trials"),
+    ("shrinkage", "--no-montecarlo"),
+]
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("scenario", SCENARIO_FLAGS)
+    def test_help_lists_exactly_the_read_fields_flags(self, capsys, scenario):
+        with pytest.raises(SystemExit) as exc:
+            main([scenario, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert flags == SCENARIO_FLAGS[scenario] | {"--config", "--out"}
+
+    @pytest.mark.parametrize("scenario", SCENARIO_FLAGS)
+    def test_every_offered_flag_sets_its_field(self, scenario):
+        args = [scenario]
+        for flag in sorted(SCENARIO_FLAGS[scenario]):
+            args += [flag] if FLAG_FIELDS[flag][0] is None else [flag, FLAG_FIELDS[flag][0]]
+        config = cli._config_from_args(cli._build_arg_parser().parse_args(args))
+        for flag in SCENARIO_FLAGS[scenario]:
+            _, key, value = FLAG_FIELDS[flag]
+            assert getattr(config, key) == value, flag
+
+    @pytest.mark.parametrize("scenario, flag", REMOVED_FLAGS, ids=[f"{s} {f}" for s, f in REMOVED_FLAGS])
+    def test_flag_the_scenario_does_not_read_is_rejected(self, tmp_path, monkeypatch, scenario, flag):
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a rejected flag"))
+        argument = FLAG_FIELDS[flag][0]
+        with pytest.raises(SystemExit) as exc:
+            main([scenario, flag, *([] if argument is None else [argument]), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, overrides, builds",
+        [
+            ("sweep-l", dict(degrees=(0, 1, 2)), 1),
+            ("shrinkage", dict(shrink_samples=(4, 8)), 1),
+            ("sweep-snr", dict(snr_db=(0.0, 10.0)), 2),
+            ("sweep-nr", dict(n_r_values=(2, 3)), 2),
+            ("adaptive", dict(snr_db=(0.0, 10.0), window=16), 2),
+            ("flops", dict(n_r_values=(2, 3)), 0),
+        ],
+    )
+    def test_one_model_per_receive_count_and_snr(self, tmp_path, monkeypatch, scenario, overrides, builds):
+        calls = []
+        build = cli.correlated_model
+        monkeypatch.setattr(cli, "correlated_model", lambda *args: calls.append(args) or build(*args))
+        out = str(tmp_path / "t.csv")
+        run_experiment(default_config(scenario, n_r=2, n_t=2, degree=2, monte_carlo=False, out=out, **overrides))
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("scenario", ["sweep-l", "sweep-nr", "shrinkage"])
+    def test_scenario_reading_one_snr_rejects_several(self, scenario):
+        with pytest.raises(ConfigError, match="one pilot SNR"):
+            default_config(scenario, snr_db=(0.0, 30.0))
+
+    def test_cli_rejects_several_snrs_where_one_is_read(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-l", "--snr-db", "0,30", "--out", str(out)]) == 2
+        assert "one pilot SNR" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flops_ignores_a_common_snr_list(self, tmp_path):
+        out = tmp_path / "flops.csv"
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[common]\nsnr_db = 0, 30\n\n[flops]\nn_r_values = 100\nout = {out}\n")
+        assert main(["flops", "--config", str(ini)]) == 0
+        assert out.exists()
 
 
 def test_cli_tables_byte_identical_in_fresh_processes(tmp_path):

@@ -14,6 +14,7 @@ from peachsim.errors import (
     InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
+    UnsupportedEstimator,
     UnsupportedPilot,
 )
 from peachsim.model import (
@@ -428,6 +429,28 @@ def test_non_finite_weights_rejected(name, weight):
     model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
     with pytest.raises(InvalidScaling):
         BAD_SCALING_CALLS[name](model, 0.1, np.array([1.0, weight]))
+
+
+@pytest.mark.parametrize("kind", list(es.EstimatorKind))
+def test_kind_given_by_value_is_the_kind(kind):
+    # "peach" is PEACH, not a W-PEACH filter with unit weights
+    lam = np.array([1.0, 2.0])
+    by_value = es.PolyEstimator(kind.value, 2, 0.1, np.ones(3))
+    assert by_value.kind is kind
+    assert_allclose(by_value.values(lam), es.PolyEstimator(kind, 2, 0.1, np.ones(3)).values(lam), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["mmse", "PEACH", None])
+def test_unknown_kind_rejected(kind):
+    with pytest.raises(UnsupportedEstimator):
+        es.PolyEstimator(kind, 2, 0.1, np.ones(3))
+
+
+def test_estimators_compare_and_hash_by_identity():
+    a = es.PolyEstimator(es.EstimatorKind.PEACH, 2, 0.1, np.ones(3))
+    b = es.PolyEstimator(es.EstimatorKind.PEACH, 2, 0.1, np.ones(3))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 

@@ -10,7 +10,7 @@ from peachsim import analysis
 from peachsim import model as model_module
 from peachsim import estimators as es
 from peachsim.adaptive import shrinkage_covariance
-from peachsim.cli import _run_shrinkage, _sweep_point_rows, default_config
+from peachsim.cli import _sweep_point, default_config, run_experiment
 from peachsim.errors import DivergentExpansionWarning, NotPositiveSemiDefinite, ShapeError
 from peachsim.model import Dims, correlated_model
 from peachsim.spectrum import Spectrum
@@ -162,12 +162,12 @@ def test_mismatched_mse_rejects_invalid_r_est(case, error):
         es.mismatched_mse(model, bad, 4)
 
 
-def test_shrinkage_scenario_linear_algebra_calls(monkeypatch):
+def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     # one eigh of the true z (the true-statistics MSEs) and one of each
     # estimated z (both mismatched filters); no dense filter and no solve.
     # One Cholesky each validates r_cov and s_cov, one factors r_cov for the
     # channel draws and one validates each r_est: s_cov is not validated again
-    config = default_config("shrinkage")
+    config = default_config("shrinkage", out=str(tmp_path / "shrinkage.csv"))
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv", "cholesky"), counts)
     count_eig_calls(monkeypatch, counts)
@@ -177,7 +177,7 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch):
 
     for name in ("poly_filter_matrix", "mmse_filter_matrix", "linear_filter_mse"):
         monkeypatch.setattr(es, name, forbidden)
-    rows = _run_shrinkage(config)
+    rows = run_experiment(config)
     assert len(rows) == 4 * len(config.shrink_samples)
     n_est = len(config.shrink_samples)
     assert counts == {"solve": 0, "inv": 0, "cholesky": 3 + n_est, "eigh": 1 + n_est, "eigvalsh": 0}
@@ -224,7 +224,7 @@ def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
     count_eig_calls(monkeypatch, counts)
-    _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
     assert counts["eigh"] == 2
     assert counts["eigvalsh"] == 0
     assert counts["solve"] == 0
@@ -243,7 +243,7 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     count_calls(monkeypatch, np.linalg, ("cholesky", "solve", "inv"), counts)
     count_eig_calls(monkeypatch, counts)
     count_calls(monkeypatch, model_module, ("standard_complex_normal",), counts)
-    _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
     assert counts["eigh"] == 2
@@ -254,7 +254,7 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
 
 def test_sweep_point_mvu_variance_matches_public_evaluator():
     config, model = desk_contaminated_point(monte_carlo=False)
-    rows = _sweep_point_rows(model, config, config.degree, 10.0, 0)
+    rows = _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
     (mvu,) = [row for row in rows if row.estimator == "mvu"]
     assert mvu.nmse_analytic == es.mvu_variance(model) / float(np.trace(model.r_cov).real)
 
