@@ -66,6 +66,7 @@ from .model import (
     StatModel,
     build_stat_model,
     correlated_contamination,
+    correlated_limit,
     correlated_model,
     deviation,
     exp_correlation_matrix,

@@ -1,9 +1,10 @@
 """Closed-form asymptotics and computational cost models.
 
 High-power MSE floors of the estimators (noise-limited and
-pilot-contaminated regimes), exact FLOP counts over a total operating time,
-and the dimension thresholds above which the polynomial estimators are
-cheaper than exact MMSE.
+pilot-contaminated regimes) on the spectrum of the limit matrix, which
+:func:`peachsim.model.correlated_limit` computes once per sweep; exact FLOP
+counts over a total operating time, and the dimension thresholds above which
+the polynomial estimators are cheaper than exact MMSE.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator
 from .estimators import _peach_on
-from .model import Dims, hermitize
+from .model import Dims
 from .spectrum import Spectrum, check_degree
 
 
@@ -128,42 +129,36 @@ def _peach_floor(spectrum: Spectrum, degree: int) -> float:
     return spectrum.mse(_peach_on(spectrum, degree).values(spectrum.lam))
 
 
-def floor_noise_limited(r_cov: np.ndarray, degree: int) -> NoiseLimitedFloors:
+def floor_noise_limited(limit: Spectrum, degree: int) -> NoiseLimitedFloors:
     """High-power MSE floors of the polynomial estimators without interference.
 
     The exact estimators have no floor here; the polynomial ones saturate at
-    values set entirely by the channel covariance and the degree.  Both come
-    from the eigenvalues of r_cov alone; the channel is r_cov, so phi_k = lam_k^2.
+    values set entirely by the channel covariance and the degree.  ``limit``
+    is the spectrum of r_cov with the channel r_cov, so phi_k = lam_k^2
+    (:func:`peachsim.model.correlated_limit` without interferers).
     """
-    r_cov = hermitize(np.asarray(r_cov, dtype=complex))
-    lam = np.linalg.eigvalsh(r_cov)
-    spectrum = Spectrum(lam, lam**2, float(np.trace(r_cov).real))
-    return NoiseLimitedFloors(peach=_peach_floor(spectrum, degree), wpeach=spectrum.fit(degree)[1])
+    return NoiseLimitedFloors(peach=_peach_floor(limit, degree), wpeach=limit.fit(degree)[1])
 
 
-def floor_contaminated(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -> ContaminatedFloors:
+def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, degree: int) -> ContaminatedFloors:
     """High-power MSE floors of all estimators under pilot contamination.
 
-    ``sum_interf`` is the summed interferer covariance (power ratios already
-    applied).  All floors depend only on the channel and interference
-    covariances, not the pilot or noise power; the MMSE, PEACH and W-PEACH
-    floors come from one eigendecomposition of the limit matrix
-    r_cov + sum_interf.
+    All floors depend only on the channel and interference covariances, not
+    the pilot or noise power.  The MMSE, PEACH and W-PEACH floors come from
+    ``limit``, the spectrum of r_cov + sum_interf with the channel r_cov
+    (:func:`peachsim.model.correlated_limit`), where ``sum_interf`` is the
+    summed interferer covariance, power ratios applied.  The diagonalized
+    floor reads only the diagonals ``r_diag`` of r_cov and ``s_diag`` of
+    sum_interf.
     """
-    r_cov = np.asarray(r_cov, dtype=complex)
-    sum_interf = np.asarray(sum_interf, dtype=complex)
-    spectrum = Spectrum.of(hermitize(r_cov + sum_interf), r_cov, float(np.trace(r_cov).real))
-    if spectrum.lam[0] <= 1e-14 * max(spectrum.lam[-1], 1.0):
+    if limit.lam[0] <= 1e-14 * max(limit.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
-    r_diag = np.diag(r_cov).real
-    s_diag = np.diag(sum_interf).real
     denom = r_diag + s_diag
     ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
     diagonalized = float(np.sum(r_diag) - np.sum(ratio))
     return ContaminatedFloors(
-        mmse=spectrum.mmse(),
+        mmse=limit.mmse(),
         diagonalized=diagonalized,
-        peach=_peach_floor(spectrum, degree),
-        wpeach=spectrum.fit(degree)[1],
+        peach=_peach_floor(limit, degree),
+        wpeach=limit.fit(degree)[1],
     )
-

@@ -36,7 +36,8 @@ from .model import (
     Dims,
     SpatialCorrelation,
     StatModel,
-    correlated_contamination,
+    correlated_diagonals,
+    correlated_limit,
     correlated_model,
     standard_complex_normal,
 )
@@ -159,14 +160,15 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
 
 
 def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
+    # the limit spectrum depends on neither the SNR nor the degree; it is the
+    # one the model's z_spectrum maps, so a sweep decomposes it once
+    limit = correlated_limit(model.dims, tuple(config.betas), config.correlation)
     if any(beta > 0 for beta in config.betas):
-        # only the sum is kept: holding the interferer covariances through the
-        # floors raised the peak memory at m = 1000 by about two of them
-        sum_interf = correlated_contamination(model.dims, config.betas, config.correlation).summed_covariance
-        floors = analysis.floor_contaminated(model.r_cov, sum_interf, degree)
-        # high-power limit of the unbiased estimator's variance for an identity pilot
-        return {**floors._asdict(), "mvu": float(np.trace(sum_interf).real)}
-    floors = analysis.floor_noise_limited(model.r_cov, degree)
+        r_diag, s_diag = correlated_diagonals(model.dims, config.betas, config.correlation)
+        floors = analysis.floor_contaminated(limit, r_diag, s_diag, degree)
+        # high-power limit of the unbiased estimator's variance for an identity pilot: trace(sum_interf)
+        return {**floors._asdict(), "mvu": float(np.sum(s_diag))}
+    floors = analysis.floor_noise_limited(limit, degree)
     return {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **floors._asdict()}
 
 
@@ -439,13 +441,23 @@ _FLAGS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports an argument it does not take itself, with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peachsim",
         description="Channel-estimation experiments: MSE sweeps, floors, adaptive weights, "
         "shrinkage robustness and FLOP cost curves, written as CSV.",
     )
-    sub = parser.add_subparsers(dest="scenario", required=True)
+    sub = parser.add_subparsers(dest="scenario", required=True, parser_class=_SubcommandParser)
     for name, scenario in _SCENARIOS.items():
         # no abbreviations: --degree must not stand for sweep-l's --degrees
         p = sub.add_parser(name, help=f"run the {name} scenario", allow_abbrev=False)

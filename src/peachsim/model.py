@@ -6,13 +6,15 @@ Builds the second-order statistics of the vectorized observation
 covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  :meth:`StatModel.draw` is the one sampler of
-``(h, y)`` pairs.
+``(h, y)`` pairs.  The correlated model's limit ``r + sum_i beta_i R_i``
+(:func:`correlated_limit`) is eigendecomposed once per sweep, and the
+spectrum of ``z`` at each pilot SNR is an affine map of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -179,6 +181,12 @@ class StatModel:
     derived from it (``z``, ``z_factor``, ``z_spectrum``, ``r_factor``,
     ``s_factor``) are computed once, on first use; :meth:`draw` samples
     through the two cached factors.
+
+    ``limit`` is set by :func:`correlated_model` only: ``(source, power,
+    noise_var)`` with ``z = power * limit + noise_var * I`` and ``source()``
+    the limit's :class:`Spectrum`.  It is not an init field, so
+    ``dataclasses.replace`` leaves a derived model without it, on the dense
+    path.
     """
 
     dims: Dims
@@ -187,6 +195,7 @@ class StatModel:
     n_mean: np.ndarray
     s_cov: np.ndarray
     pilot: np.ndarray
+    limit: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
@@ -268,11 +277,21 @@ class StatModel:
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
-        """Spectrum of z by one MRRR ``eigh``, shared by every closed-form MSE and default scaling."""
-        lam, vecs = scipy.linalg.eigh(self.z, driver="evr")
-        # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
-        channel = self.apply_pilot(self.r_cov).conj().T
-        spectrum = Spectrum(lam, Spectrum.energies(channel, vecs), float(np.trace(self.r_cov).real))
+        """Spectrum of z, shared by every closed-form MSE and default scaling.
+
+        With a ``limit``, ``lam = power * mu + noise_var`` and ``phi = power *
+        phi_limit`` of the limit's spectrum, and z is not formed; otherwise one
+        MRRR ``eigh`` of z.
+        """
+        if self.limit is not None:
+            source, power, noise_var = self.limit
+            mu = source()
+            spectrum = Spectrum(power * mu.lam + noise_var, power * mu.phi, mu.trace_r)
+        else:
+            lam, vecs = scipy.linalg.eigh(self.z, driver="evr")
+            # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
+            channel = self.apply_pilot(self.r_cov).conj().T
+            spectrum = Spectrum(lam, Spectrum.energies(channel, vecs), float(np.trace(self.r_cov).real))
         if spectrum.lam[0] <= 0:
             raise NotPositiveDefinite("observation covariance must be positive definite")
         return spectrum
@@ -429,6 +448,64 @@ def _kronecker_correlation(dims: Dims, tx: complex, rx: complex) -> np.ndarray:
     return np.kron(exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx))
 
 
+def _kronecker_factors(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
+    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of
+    :func:`correlated_contamination` with a positive ``beta`` (weight ``beta``)."""
+    pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
+    terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
+    terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas) if beta > 0]
+    return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
+
+
+@lru_cache(maxsize=1)
+def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:
+    """Spectrum of the limit ``r + sum_i beta_i R_i`` of :func:`correlated_model`, with channel ``r``.
+
+    The high-power floors read it directly, and each model's ``z_spectrum``
+    maps it affinely, so it depends on neither the SNR nor the degree.
+    Without a positive ``beta`` the limit is ``r = R_t (x) R_r``, whose
+    eigenvalues are the products of the factors' (Horn & Johnson, Topics in
+    Matrix Analysis, Thm 4.2.12) and whose energies are ``mu**2``: no m x m
+    decomposition.  With interference, the limit is built in one buffer and
+    decomposed by one MRRR ``eigh``; the energies ``||r u_k||^2`` apply ``r``
+    through its factors.  Only the latest spectrum is kept (two length-m
+    vectors, read-only), as the experiment runner keeps only its latest
+    model; ``betas`` is a tuple, the cache key.
+    """
+    n_t, n_r, n = dims.n_t, dims.n_r, dims.n
+    (_, r_t, r_r), *interferers = _kronecker_factors(dims, betas, correlation)
+    trace_r = float(np.trace(r_t).real * np.trace(r_r).real)
+    if not interferers:
+        mu = np.sort(np.kron(np.linalg.eigvalsh(r_t), np.linalg.eigvalsh(r_r)))
+        phi = mu**2
+    else:
+        # the buffer holds conj(limit) in C order; its transpose is the Hermitian
+        # limit in the Fortran order that LAPACK overwrites without a copy
+        buffer = np.kron(r_t.conj(), r_r.conj())
+        for beta, i_t, i_r in interferers:
+            buffer += np.kron(beta * i_t.conj(), i_r.conj())
+        mu, vecs = scipy.linalg.eigh(buffer.T, driver="evr", overwrite_a=True)
+        del buffer
+        # r u = vec(R_t U R_r^T) for the row-major (n_t, n_r) view U of each
+        # eigenvector u, a row of the C-ordered vecs.T; vecs is released before
+        # the second product, so at most two n x n arrays coexist
+        r_vecs = vecs.T.reshape(n * n_t, n_r) @ r_r.T
+        del vecs
+        r_vecs = np.matmul(r_t, r_vecs.reshape(n, n_t, n_r))
+        phi = np.sum(np.abs(r_vecs) ** 2, axis=(1, 2))
+    # every caller shares the cached arrays
+    mu.setflags(write=False)
+    phi.setflags(write=False)
+    return Spectrum(mu, phi, trace_r)
+
+
+def correlated_diagonals(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION):
+    """Diagonals of r and of ``sum_i beta_i R_i`` of :func:`correlated_model`, read off their Kronecker factors."""
+    (_, r_t, r_r), *interferers = _kronecker_factors(dims, betas, correlation)
+    diag = lambda a, b: np.kron(np.diag(a), np.diag(b)).real
+    return diag(r_t, r_r), sum((beta * diag(i_t, i_r) for beta, i_t, i_r in interferers), np.zeros(dims.n))
+
+
 def correlated_contamination(
     dims: Dims,
     betas: tuple,
@@ -456,12 +533,17 @@ def correlated_model(
 
     ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
     ``noise_var * 10**(gamma_db / 10)``; the interferers are those of
-    :func:`correlated_contamination`.
+    :func:`correlated_contamination`.  With the identity pilot,
+    ``z = pilot_power * (r + sum_i beta_i R_i) + noise_var * I``, so the
+    model's ``z_spectrum`` is read off :func:`correlated_limit`, on first use.
     """
     pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
     r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
     contamination = correlated_contamination(dims, betas, correlation, noise_var)
-    return build_stat_model(dims, None, r_cov, None, contamination, pilot_power)
+    model = build_stat_model(dims, None, r_cov, None, contamination, pilot_power)
+    source = partial(correlated_limit, dims, contamination.betas, correlation)
+    object.__setattr__(model, "limit", (source, pilot_power, noise_var))
+    return model
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

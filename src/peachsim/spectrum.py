@@ -10,7 +10,9 @@ with ``lam_k`` the eigenvalues of ``z`` and ``phi_k`` the channel energy
 along its eigenvectors, the spectral measure of the moment view of the
 weight system (Golub & Meurant, Matrices, Moments and Quadrature, 2010).
 The finite-power MSEs use the observation covariance; the high-power floors
-use its limit, ``r`` without and ``r + sum_interf`` with pilot contamination.
+use its limit, ``r`` without and ``r + sum_interf`` with pilot contamination
+(:func:`peachsim.model.correlated_limit`), of which the correlated model's
+spectrum of z is an affine image.
 The polynomial filters are evaluated at ``lam_k`` by
 :meth:`peachsim.estimators.PolyEstimator.values`, the same Horner loop that
 applies them to observations.
@@ -22,7 +24,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidDegree, SingularLimit
 
@@ -40,12 +41,6 @@ class Spectrum:
     lam: np.ndarray
     phi: np.ndarray
     trace_r: float
-
-    @classmethod
-    def of(cls, matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> "Spectrum":
-        """Eigendecompose ``matrix`` once (MRRR, ``zheevr``); phi_k = ||channel @ u_k||^2."""
-        lam, vecs = scipy.linalg.eigh(matrix, driver="evr")
-        return cls(lam, cls.energies(channel, vecs), trace_r)
 
     @staticmethod
     def energies(channel: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from peachsim.model import ContaminationSpec, Dims, build_stat_model, stat_model_from_pilot
+from peachsim.model import ContaminationSpec, Dims, build_stat_model, correlated_limit, stat_model_from_pilot
 
 
 def random_hermitian_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -85,18 +85,21 @@ def count_calls(monkeypatch, namespace, names, counts):
         monkeypatch.setattr(namespace, name, counted(name, getattr(namespace, name)))
 
 
-def count_eig_calls(monkeypatch, counts):
+def count_eig_calls(monkeypatch, counts, min_dim=0):
     """Count eigendecompositions made through ``numpy.linalg`` or ``scipy.linalg`` into ``counts``.
 
     ``counts["eigh"]`` counts the calls that return eigenvectors and
     ``counts["eigvalsh"]`` those that return eigenvalues only, whichever
-    module, function or LAPACK routine made them.
+    module, function or LAPACK routine made them.  Only matrices of at least
+    ``min_dim`` rows are counted, so ``min_dim = m`` leaves out the small
+    Kronecker factors of a correlated model.
     """
 
     def counted(fn, values_only):
         def wrapper(*args, **kwargs):
             # scipy.linalg.eigh(..., eigvals_only=True) returns eigenvalues only
-            counts["eigvalsh" if values_only or kwargs.get("eigvals_only") else "eigh"] += 1
+            if np.shape(args[0] if args else kwargs["a"])[0] >= min_dim:
+                counts["eigvalsh" if values_only or kwargs.get("eigvals_only") else "eigh"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -110,3 +113,12 @@ def count_eig_calls(monkeypatch, counts):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def fresh_correlated_limit():
+    # correlated_limit keeps its latest spectrum across calls; each test starts
+    # without it, so linear-algebra counts do not depend on the test order
+    correlated_limit.cache_clear()
+    yield
+    correlated_limit.cache_clear()

@@ -1,19 +1,27 @@
-"""Dense normal-equations form of the W-PEACH weight system.
+"""Dense references for the spectral library paths.
 
-An independent reference for the optimal weights, which the library computes
-through the least-squares fit on the spectrum of z
+The normal-equations form of the W-PEACH weight system is an independent
+reference for the optimal weights, which the library computes through the
+least-squares fit on the spectrum of z
 (:meth:`peachsim.spectrum.Spectrum.fit`).  It powers z densely and solves the
 moment (Hankel-type) system directly, so it is only trusted at degrees where
 that system is well conditioned.
+
+The matrix forms of the high-power floors decompose dense covariances and
+hand the limit spectrum to :mod:`peachsim.analysis`, which the library feeds
+from the Kronecker-structured :func:`peachsim.model.correlated_limit`.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from peachsim import analysis
 from peachsim.adaptive import guarded_hermitian_solve
-from peachsim.model import StatModel, z_matrix
+from peachsim.model import StatModel, hermitize, z_matrix
+from peachsim.spectrum import Spectrum
 
 
 class IllConditionedWeightsWarning(UserWarning):
@@ -67,3 +75,24 @@ def wpeach_weights_optimal(ws: WeightSystem) -> np.ndarray:
             stacklevel=2,
         )
     return weights
+
+
+def dense_spectrum(matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> Spectrum:
+    """Spectrum of a dense Hermitian ``matrix`` by one MRRR ``eigh``; phi_k = ||channel @ u_k||^2."""
+    lam, vecs = scipy.linalg.eigh(matrix, driver="evr")
+    return Spectrum(lam, Spectrum.energies(channel, vecs), trace_r)
+
+
+def noise_limited_floors(r_cov: np.ndarray, degree: int) -> analysis.NoiseLimitedFloors:
+    """Noise-limited floors of a dense channel covariance: its eigenvalues, with phi = lam^2."""
+    r_cov = hermitize(np.asarray(r_cov, dtype=complex))
+    lam = np.linalg.eigvalsh(r_cov)
+    return analysis.floor_noise_limited(Spectrum(lam, lam**2, float(np.trace(r_cov).real)), degree)
+
+
+def contaminated_floors(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -> analysis.ContaminatedFloors:
+    """Contaminated floors of dense covariances: one eigh of r_cov + sum_interf, and both diagonals."""
+    r_cov = np.asarray(r_cov, dtype=complex)
+    sum_interf = np.asarray(sum_interf, dtype=complex)
+    limit = dense_spectrum(hermitize(r_cov + sum_interf), r_cov, float(np.trace(r_cov).real))
+    return analysis.floor_contaminated(limit, np.diag(r_cov).real, np.diag(sum_interf).real, degree)

@@ -23,7 +23,7 @@ from peachsim.model import (
 )
 
 from conftest import complex_vector, random_hermitian_psd, random_model
-from oracles import wpeach_weight_system, wpeach_weights_optimal
+from oracles import contaminated_floors, noise_limited_floors, wpeach_weight_system, wpeach_weights_optimal
 
 DESK_DIMS = Dims(20, 4, 4)
 
@@ -144,7 +144,7 @@ def test_criterion_05_high_power_floors():
         gamma_db = 60.0  # pilot power 1e6 times the unit noise variance
         noise_limited = correlated_model(DESK_DIMS, gamma_db, ())
         alpha = es.alpha_optimal(es.z_matrix(noise_limited))
-        floors = analysis.floor_noise_limited(noise_limited.r_cov, degree)
+        floors = noise_limited_floors(noise_limited.r_cov, degree)
         peach_now = es.peach_mse(noise_limited, degree, alpha)
         wpeach_now = es.wpeach_mse_optimal(noise_limited, degree)
         assert abs(peach_now - floors.peach) < 0.01 * floors.peach
@@ -157,7 +157,7 @@ def test_criterion_05_high_power_floors():
         contaminated = correlated_model(DESK_DIMS, gamma_db, betas)
         alpha_c = es.alpha_optimal(es.z_matrix(contaminated))
         sum_interf = correlated_contamination(contaminated.dims, betas).summed_covariance
-        cf = analysis.floor_contaminated(contaminated.r_cov, sum_interf, degree)
+        cf = contaminated_floors(contaminated.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(contaminated) - cf.mmse) < 0.01 * cf.mmse
         assert abs(es.diag_mse(contaminated) - cf.diagonalized) < 0.01 * cf.diagonalized
         assert abs(es.peach_mse(contaminated, degree, alpha_c) - cf.peach) < 0.01 * cf.peach

@@ -7,6 +7,7 @@ from peachsim.errors import SingularLimit, UnsupportedEstimator
 from peachsim.model import Dims, correlated_contamination, correlated_model
 
 from conftest import random_hermitian_psd, random_model
+from oracles import contaminated_floors, noise_limited_floors
 
 
 def square_flop_model(m, q=50.0, tau_s=5.0, t_tot=5.0):
@@ -114,12 +115,12 @@ class TestCrossover:
 
 class TestNoiseLimitedFloors:
     def test_identity_covariance_floors_vanish(self):
-        floors = analysis.floor_noise_limited(np.eye(6), 3)
+        floors = noise_limited_floors(np.eye(6), 3)
         assert floors.peach == pytest.approx(0.0, abs=1e-12)
         assert floors.wpeach == pytest.approx(0.0, abs=1e-12)
 
     def test_degree_zero_identity(self):
-        floors = analysis.floor_noise_limited(np.eye(4), 0)
+        floors = noise_limited_floors(np.eye(4), 0)
         assert floors.wpeach == pytest.approx(0.0, abs=1e-12)
 
     def test_high_power_mses_reach_floors(self, rng):
@@ -127,7 +128,7 @@ class TestNoiseLimitedFloors:
         model = correlated_model(Dims(6, 2, 2), 60.0, ())
         degree = 6
         alpha = es.alpha_optimal(es.z_matrix(model))
-        floors = analysis.floor_noise_limited(model.r_cov, degree)
+        floors = noise_limited_floors(model.r_cov, degree)
         peach_now = es.peach_mse(model, degree, alpha)
         wpeach_now = es.wpeach_mse_optimal(model, degree)
         assert abs(peach_now - floors.peach) < 0.01 * floors.peach
@@ -138,7 +139,7 @@ class TestNoiseLimitedFloors:
         trace_r = float(np.trace(r_cov).real)
         previous = np.inf
         for degree in range(8):
-            floors = analysis.floor_noise_limited(r_cov, degree)
+            floors = noise_limited_floors(r_cov, degree)
             assert -1e-10 <= floors.peach <= trace_r + 1e-10
             assert -1e-10 <= floors.wpeach <= trace_r + 1e-10
             assert floors.peach <= previous + 1e-10
@@ -146,20 +147,20 @@ class TestNoiseLimitedFloors:
 
     def test_singular_channel_covariance_supported(self, rng):
         r_cov = np.diag([2.0, 1.0, 0.0, 0.0]).astype(complex)
-        floors = analysis.floor_noise_limited(r_cov, 2)
+        floors = noise_limited_floors(r_cov, 2)
         assert np.isfinite(floors.peach) and np.isfinite(floors.wpeach)
 
 
 class TestContaminatedFloors:
     def test_identity_closed_form(self):
         n, k, beta = 6, 2, 0.4
-        floors = analysis.floor_contaminated(np.eye(n), k * beta * np.eye(n), 3)
+        floors = contaminated_floors(np.eye(n), k * beta * np.eye(n), 3)
         assert floors.mmse == pytest.approx(n * k * beta / (1.0 + k * beta), rel=1e-12)
 
     def test_diagonal_case_equals_mmse_floor(self, rng):
         r_diag = np.diag(rng.uniform(0.3, 2.0, 5))
         s_diag = np.diag(rng.uniform(0.1, 1.0, 5))
-        floors = analysis.floor_contaminated(r_diag, s_diag, 4)
+        floors = contaminated_floors(r_diag, s_diag, 4)
         assert floors.diagonalized == pytest.approx(floors.mmse, rel=1e-12)
 
     def test_high_power_mses_reach_floors(self):
@@ -169,7 +170,7 @@ class TestContaminatedFloors:
         degree = 6
         alpha = es.alpha_optimal(es.z_matrix(model))
         sum_interf = correlated_contamination(model.dims, betas).summed_covariance
-        floors = analysis.floor_contaminated(model.r_cov, sum_interf, degree)
+        floors = contaminated_floors(model.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(model) - floors.mmse) < 0.01 * floors.mmse
         assert abs(es.diag_mse(model) - floors.diagonalized) < 0.01 * floors.diagonalized
         assert abs(es.peach_mse(model, degree, alpha) - floors.peach) < 0.01 * floors.peach
@@ -179,7 +180,7 @@ class TestContaminatedFloors:
         r_cov = np.eye(5)
         previous = -1.0
         for beta in (0.1, 0.3, 1.0, 3.0):
-            floors = analysis.floor_contaminated(r_cov, beta * np.eye(5), 2)
+            floors = contaminated_floors(r_cov, beta * np.eye(5), 2)
             assert floors.mmse >= previous - 1e-12
             previous = floors.mmse
 
@@ -187,7 +188,7 @@ class TestContaminatedFloors:
         r_cov = np.diag([1.0, 0.0]).astype(complex)
         sum_interf = np.zeros((2, 2))
         with pytest.raises(SingularLimit):
-            analysis.floor_contaminated(r_cov, sum_interf, 2)
+            contaminated_floors(r_cov, sum_interf, 2)
 
 
 class TestNormalizedMse:

@@ -512,6 +512,16 @@ class TestScenarioTable:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_unoffered_flag_is_reported_by_the_subcommand(self, capsys):
+        # the message names the subcommand and lists the flags it does take
+        with pytest.raises(SystemExit) as exc:
+            main(["flops", "--seed", "9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: peachsim flops ")
+        assert "--nr-values" in err
+        assert err.rstrip().endswith("peachsim flops: error: unrecognized arguments: --seed 9")
+
     @pytest.mark.parametrize(
         "scenario, overrides, builds",
         [

@@ -1,0 +1,106 @@
+"""The correlated model's structured spectrum against the dense ``eigh`` of z.
+
+:func:`peachsim.model.correlated_limit` decomposes ``r + sum_i beta_i R_i``
+once (or multiplies the Kronecker factors' spectra without interference), and
+a correlated model maps it affinely to the spectrum of ``z``.  A model derived
+by ``dataclasses.replace`` drops that structure and decomposes ``z`` densely:
+that path is the oracle here.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from peachsim import estimators as es
+from peachsim.cli import _floors, default_config
+from peachsim.model import Dims, correlated_contamination, correlated_limit, correlated_model
+
+from conftest import count_eig_calls
+from oracles import contaminated_floors, noise_limited_floors
+
+DESK = Dims(20, 4, 4)
+BETAS = {"none": (), "zero": (0.0, 0.0), "0.1": (0.1, 0.1), "1": (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("noise_var", [1.0, 0.5])
+@pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
+@pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 30.0])
+def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
+    model = correlated_model(DESK, gamma_db, betas, noise_var=noise_var)
+    dense = replace(model)
+    assert model.limit is not None and dense.limit is None
+    got, want = model.z_spectrum, dense.z_spectrum
+    assert np.max(np.abs(got.lam - want.lam) / want.lam) <= 1e-12
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * np.max(want.phi)
+    assert got.trace_r == want.trace_r
+    assert es.mmse_mse(model) == pytest.approx(es.mmse_mse(dense), rel=1e-12, abs=0.0)
+    for degree in (1, 4, 10):
+        alpha = es.make_peach(dense, degree).alpha
+        assert es.peach_mse(model, degree, alpha) == pytest.approx(es.peach_mse(dense, degree, alpha), rel=1e-12, abs=0.0)
+
+
+def test_noise_limited_limit_is_the_kronecker_spectrum():
+    limit = correlated_limit(DESK, ())
+    assert np.all(np.diff(limit.lam) >= 0)
+    np.testing.assert_array_equal(limit.phi, limit.lam**2)
+    r_cov = correlated_model(DESK, 0.0, ()).r_cov
+    np.testing.assert_allclose(limit.lam, np.linalg.eigvalsh(r_cov), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1)], ids=["noise-limited", "contaminated"])
+def test_derived_model_uses_the_dense_path(monkeypatch, betas):
+    model = correlated_model(DESK, 10.0, betas)
+    derived = replace(model, r_cov=2.0 * model.r_cov)
+    assert derived.limit is None
+    counts = {}
+    count_eig_calls(monkeypatch, counts, min_dim=DESK.m)
+    spectrum = derived.z_spectrum
+    assert counts == {"eigh": 1, "eigvalsh": 0}
+    assert correlated_limit.cache_info().misses == 0
+    assert spectrum.lam[-1] > model.z_spectrum.lam[-1]
+
+
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1)], ids=["noise-limited", "contaminated"])
+def test_building_a_model_runs_no_eigendecomposition(monkeypatch, betas):
+    counts = {}
+    count_eig_calls(monkeypatch, counts)
+    model = correlated_model(DESK, 10.0, betas)
+    assert counts == {"eigh": 0, "eigvalsh": 0}
+    # the limit is computed on first use of the spectrum, not at the build
+    assert correlated_limit.cache_info().misses == 0
+    assert "z" not in vars(model)
+
+
+def test_one_read_only_limit_is_kept():
+    correlated_limit(DESK, (0.1, 0.1))
+    correlated_limit(DESK, ())
+    limit = correlated_limit(DESK, (0.1, 0.1))
+    info = correlated_limit.cache_info()
+    assert (info.maxsize, info.currsize, info.misses, info.hits) == (1, 1, 3, 0)
+    assert correlated_limit(DESK, (0.1, 0.1)) is limit
+    with pytest.raises(ValueError):
+        limit.lam[0] = 0.0
+    with pytest.raises(ValueError):
+        limit.phi[0] = 0.0
+
+
+@pytest.mark.parametrize("degree", [0, 4, 10])
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 1.0)], ids=["noise-limited", "0.1", "1"])
+def test_sweep_floors_match_dense_floors(betas, degree):
+    # the runner's floors read the limit spectrum and the factors' diagonals;
+    # the dense forms decompose r_cov (+ the summed interferer covariance)
+    config = default_config("sweep-snr", betas=betas)
+    model = correlated_model(DESK, 10.0, betas)
+    floors = _floors(model, config, degree)
+    if betas:
+        sum_interf = correlated_contamination(DESK, betas).summed_covariance
+        dense = {**contaminated_floors(model.r_cov, sum_interf, degree)._asdict(), "mvu": np.trace(sum_interf).real}
+    else:
+        dense = {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **noise_limited_floors(model.r_cov, degree)._asdict()}
+    assert floors.keys() == dense.keys()
+    for name, value in dense.items():
+        # the W-PEACH floor is a monomial least-squares residual, which loses
+        # about a digit per degree on either spectrum
+        rel = 1e-9 if name == "wpeach" and degree == 10 else 1e-12
+        assert floors[name] == pytest.approx(value, rel=rel, abs=1e-14), name

@@ -380,8 +380,10 @@ NEGATIVE_DEGREE_CALLS = {
     "wpeach_mse_general": lambda model, degree: es.wpeach_mse_general(model, degree, 0.1, np.ones(0)),
     "wpeach_mse_optimal": es.wpeach_mse_optimal,
     "mismatched_mse": lambda model, degree: es.mismatched_mse(model, model.r_cov, degree),
-    "floor_noise_limited": lambda model, degree: analysis.floor_noise_limited(model.r_cov, degree),
-    "floor_contaminated": lambda model, degree: analysis.floor_contaminated(model.r_cov, 0.1 * model.r_cov, degree),
+    "floor_noise_limited": lambda model, degree: analysis.floor_noise_limited(model.z_spectrum, degree),
+    "floor_contaminated": lambda model, degree: analysis.floor_contaminated(
+        model.z_spectrum, np.ones(model.dims.n), np.full(model.dims.n, 0.2), degree
+    ),
     "make_peach": es.make_peach,
     "make_wpeach": es.make_wpeach,
 }

@@ -13,7 +13,6 @@ from peachsim.adaptive import shrinkage_covariance
 from peachsim.cli import _sweep_point, default_config, run_experiment
 from peachsim.errors import DivergentExpansionWarning, NotPositiveSemiDefinite, ShapeError
 from peachsim.model import Dims, correlated_model
-from peachsim.spectrum import Spectrum
 
 from conftest import (
     complex_vector,
@@ -23,6 +22,7 @@ from conftest import (
     random_model,
     random_pilot_model,
 )
+from oracles import contaminated_floors, dense_spectrum, noise_limited_floors
 
 DEGREES = (0, 3, 10)
 KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
@@ -163,14 +163,16 @@ def test_mismatched_mse_rejects_invalid_r_est(case, error):
 
 
 def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
-    # one eigh of the true z (the true-statistics MSEs) and one of each
-    # estimated z (both mismatched filters); no dense filter and no solve.
-    # One Cholesky each validates r_cov and s_cov, one factors r_cov for the
-    # channel draws and one validates each r_est: s_cov is not validated again
+    # the true z's spectrum (the true-statistics MSEs) comes from the Kronecker
+    # factors of the noise-limited channel, with no m x m decomposition, and
+    # each estimated z takes one eigh (both mismatched filters); no dense
+    # filter and no solve.  One Cholesky each validates r_cov and s_cov, one
+    # factors r_cov for the channel draws and one validates each r_est: s_cov
+    # is not validated again
     config = default_config("shrinkage", out=str(tmp_path / "shrinkage.csv"))
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv", "cholesky"), counts)
-    count_eig_calls(monkeypatch, counts)
+    count_eig_calls(monkeypatch, counts, min_dim=config.n_r * config.b)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the shrinkage scenario forms no dense filter")
@@ -180,7 +182,7 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     rows = run_experiment(config)
     assert len(rows) == 4 * len(config.shrink_samples)
     n_est = len(config.shrink_samples)
-    assert counts == {"solve": 0, "inv": 0, "cholesky": 3 + n_est, "eigh": 1 + n_est, "eigvalsh": 0}
+    assert counts == {"solve": 0, "inv": 0, "cholesky": 3 + n_est, "eigh": n_est, "eigvalsh": 0}
 
 
 def dense_peach_floor(r_cov, limit, degree):
@@ -203,8 +205,8 @@ def test_peach_floors_match_dense_truncated_inverse(degree):
     for _ in range(3):
         r_cov = random_hermitian_psd(rng, 8, eig_lo=0.05, eig_hi=3.0)
         sum_interf = random_hermitian_psd(rng, 8, eig_lo=0.0, eig_hi=0.5)
-        noise_limited = analysis.floor_noise_limited(r_cov, degree)
-        contaminated = analysis.floor_contaminated(r_cov, sum_interf, degree)
+        noise_limited = noise_limited_floors(r_cov, degree)
+        contaminated = contaminated_floors(r_cov, sum_interf, degree)
         assert noise_limited.peach == pytest.approx(dense_peach_floor(r_cov, r_cov, degree), rel=1e-10)
         assert contaminated.peach == pytest.approx(
             dense_peach_floor(r_cov, r_cov + sum_interf, degree), rel=1e-10
@@ -217,15 +219,15 @@ def desk_contaminated_point(monte_carlo):
 
 
 def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
-    # one eigh of z (shared by every closed-form MSE, PEACH's alpha and the
-    # W-PEACH fit), one of the limit matrix (all floors); MVU, computed in the
-    # square pilot's coordinates, factors and solves nothing of size m
+    # one eigh of the limit matrix serves all floors and, mapped affinely, z's
+    # spectrum (every closed-form MSE, PEACH's alpha and the W-PEACH fit); MVU,
+    # computed in the square pilot's coordinates, factors and solves nothing of size m
     config, model = desk_contaminated_point(monte_carlo=False)
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
-    count_eig_calls(monkeypatch, counts)
+    count_eig_calls(monkeypatch, counts, min_dim=model.dims.m)
     _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
-    assert counts["eigh"] == 2
+    assert counts["eigh"] == 1
     assert counts["eigvalsh"] == 0
     assert counts["solve"] == 0
     assert counts["inv"] == 0
@@ -241,12 +243,12 @@ def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
     assert config.trials == 2000
     counts = {}
     count_calls(monkeypatch, np.linalg, ("cholesky", "solve", "inv"), counts)
-    count_eig_calls(monkeypatch, counts)
+    count_eig_calls(monkeypatch, counts, min_dim=model.dims.m)
     count_calls(monkeypatch, model_module, ("standard_complex_normal",), counts)
     _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
     assert counts["cholesky"] == 2
     assert counts["standard_complex_normal"] == 8
-    assert counts["eigh"] == 2
+    assert counts["eigh"] == 1
     assert counts["eigvalsh"] == 0
     assert counts["solve"] == 0
     assert counts["inv"] == 0
@@ -262,16 +264,33 @@ def test_sweep_point_mvu_variance_matches_public_evaluator():
 @pytest.mark.parametrize("kind", ["random-contaminated", "correlated-contaminated", "correlated"])
 def test_one_eigendecomposition_per_model(monkeypatch, kind):
     # PEACH's alpha, W-PEACH's scaling and weights and every closed-form MSE
-    # read the model's one spectrum of z, whatever entry point could compute it
+    # read the model's one spectrum of z, whatever entry point could compute
+    # it: one m x m eigh, of z or of the correlated limit, and none for the
+    # noise-limited correlated model, whose spectrum is a Kronecker product
     model = make_model(kind, 10.0)
     counts = {}
-    count_eig_calls(monkeypatch, counts)
+    count_eig_calls(monkeypatch, counts, min_dim=model.dims.m)
     peach = es.make_peach(model, 4)
     wpeach = es.make_wpeach(model, 4)
     es.peach_mse(model, 4, peach.alpha)
     es.wpeach_mse_general(model, 4, wpeach.alpha, wpeach.weights)
     es.mmse_mse(model)
-    assert counts == {"eigh": 1, "eigvalsh": 0}
+    assert counts == {"eigh": 0 if kind == "correlated" else 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize(
+    "scenario, betas, points, eighs",
+    [("sweep-snr", (0.1, 0.1), 7, 1), ("sweep-l", (1.0, 1.0), 13, 1), ("sweep-l", (), 13, 0)],
+    ids=["sweep-snr-contaminated", "sweep-l-contaminated", "sweep-l-noise-limited"],
+)
+def test_sweep_table_decomposes_its_limit_once(monkeypatch, tmp_path, scenario, betas, points, eighs):
+    # a 7-point SNR table and a 13-degree table share one limit spectrum over
+    # all their models and floors: one m x m eigh with interference, none without
+    config = default_config(scenario, betas=betas, monte_carlo=False, out=str(tmp_path / "table.csv"))
+    counts = {}
+    count_eig_calls(monkeypatch, counts, min_dim=config.n_r * config.b)
+    assert len(run_experiment(config)) == 5 * points
+    assert counts == {"eigh": eighs, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -316,7 +335,7 @@ def test_spectrum_of_eigenvalues_and_energies(matrix):
     rng = np.random.default_rng(43)
     dim = matrix.shape[0]
     for channel in (matrix, complex_vector(rng, (7, dim))):
-        spectrum = Spectrum.of(matrix, channel, 1.0)
+        spectrum = dense_spectrum(matrix, channel, 1.0)
         reference = np.linalg.eigvalsh(matrix)
         assert np.max(np.abs(spectrum.lam - reference)) <= 1e-13 * reference[-1]
         frobenius = np.linalg.norm(channel) ** 2
@@ -341,9 +360,9 @@ def test_noise_limited_floor_from_eigenvalues_matches_eigenvectors(r_cov):
     # on which the fit is backward stable and the NMSE floor is reported.
     r_cov = 0.5 * (r_cov + r_cov.conj().T)
     trace_r = float(np.trace(r_cov).real)
-    spectrum = Spectrum.of(r_cov, r_cov, trace_r)
+    spectrum = dense_spectrum(r_cov, r_cov, trace_r)
     for degree in range(9):
-        floors = analysis.floor_noise_limited(r_cov, degree)
+        floors = noise_limited_floors(r_cov, degree)
         assert floors.peach == pytest.approx(analysis._peach_floor(spectrum, degree), rel=1e-10, abs=0.0)
         assert floors.wpeach == pytest.approx(spectrum.fit(degree)[1], rel=1e-10, abs=1e-12 * trace_r)
 
