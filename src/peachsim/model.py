@@ -5,7 +5,9 @@ Builds the second-order statistics of the vectorized observation
 ``n ~ CN(n_mean, s_cov)``, including Kronecker-structured spatial
 covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
-(:func:`correlated_model`).  :meth:`StatModel.draw` is the one sampler of
+(:func:`correlated_model`).  Every covariance is validated densely at
+construction, except that :func:`correlated_model` validates only the
+Kronecker factors of its own.  :meth:`StatModel.draw` is the one sampler of
 ``(h, y)`` pairs.  The correlated model's limit ``r + sum_i beta_i R_i``
 (:func:`correlated_limit`) is eigendecomposed once per sweep, and the
 spectrum of ``z`` at each pilot SNR is an affine map of it.
@@ -149,10 +151,11 @@ class ContaminationSpec:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if len(self.interferer_covs) != len(self.betas):
             raise ShapeError("interferer_covs and betas must have equal length")
-        if any(b < 0 for b in self.betas):
-            raise InvalidParameter("interference power ratios must be nonnegative")
-        if self.noise_var <= 0:
-            raise InvalidParameter("noise variance must be positive")
+        # written so that NaN fails each comparison
+        if not all(0 <= b < np.inf for b in self.betas):
+            raise InvalidParameter("interference power ratios must be finite and nonnegative")
+        if not 0 < self.noise_var < np.inf:
+            raise InvalidParameter("noise variance must be finite and positive")
 
     @property
     def summed_covariance(self):
@@ -217,6 +220,25 @@ class StatModel:
         object.__setattr__(self, "r_cov", r_cov)
         object.__setattr__(self, "s_cov", s_cov)
         object.__setattr__(self, "pilot", pilot)
+
+    @classmethod
+    def _of_kronecker_factors(cls, dims: Dims, r_cov, s_cov, pilot, limit) -> StatModel:
+        """Zero-mean model of :func:`correlated_model`: the one place that skips ``__post_init__``'s checks.
+
+        ``r_cov`` and each interferer covariance are ``np.kron`` of Hermitian
+        factors validated as PSD, so each is exactly Hermitian (an entry and
+        its mirror are products of conjugates) and PSD (its eigenvalues are
+        the products of the factors'; Horn & Johnson, Topics in Matrix
+        Analysis, Thm 4.2.12).  The identity ``pilot`` scales each sandwich
+        entrywise, so ``s_cov = noise_var * I + sum_i beta_i * pilot_power *
+        R_i`` with finite ``noise_var > 0`` and ``beta_i >= 0`` is exactly
+        Hermitian and positive definite: the m x m Cholesky, norms and
+        ``hermitize`` copies would change nothing.
+        """
+        model = object.__new__(cls)
+        model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
+                              n_mean=np.zeros(dims.m, dtype=complex), s_cov=s_cov, pilot=pilot, limit=limit)
+        return model
 
     @property
     def pilot_ext(self) -> np.ndarray:
@@ -343,8 +365,8 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
         raise PilotShapeMismatch(
             f"identity pilot requires b == n_t, got b={dims.b}, n_t={dims.n_t}"
         )
-    if pilot_power <= 0:
-        raise InvalidParameter("pilot power must be positive")
+    if not 0 < pilot_power < np.inf:
+        raise InvalidParameter("pilot power must be finite and positive")
     return np.sqrt(pilot_power) * np.eye(dims.n_t, dtype=complex)
 
 
@@ -445,7 +467,10 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 
 def _kronecker_correlation(dims: Dims, tx: complex, rx: complex) -> np.ndarray:
-    return np.kron(exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx))
+    """``R_t (x) R_r``, each exponential factor validated Hermitian PSD first (O(n_t^3 + n_r^3))."""
+    r_t, _ = check_hermitian_psd(exp_correlation_matrix(dims.n_t, tx), "R_t")
+    r_r, _ = check_hermitian_psd(exp_correlation_matrix(dims.n_r, rx), "R_r")
+    return np.kron(r_t, r_r)
 
 
 def _kronecker_factors(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
@@ -536,14 +561,22 @@ def correlated_model(
     :func:`correlated_contamination`.  With the identity pilot,
     ``z = pilot_power * (r + sum_i beta_i R_i) + noise_var * I``, so the
     model's ``z_spectrum`` is read off :func:`correlated_limit`, on first use.
+
+    Only the factors ``R_t`` and ``R_r`` of r and of each interferer are
+    validated, in O(n_t^3 + n_r^3) (:meth:`StatModel._of_kronecker_factors`);
+    the model equals :func:`build_stat_model`'s on the same covariances.
     """
     pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
     r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
     contamination = correlated_contamination(dims, betas, correlation, noise_var)
-    model = build_stat_model(dims, None, r_cov, None, contamination, pilot_power)
+    pilot = identity_pilot(dims, pilot_power)
+    s_cov = contamination.noise_var * np.eye(dims.m, dtype=complex)
+    for beta, cov in zip(contamination.betas, contamination.interferer_covs):
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+    if not np.isfinite(s_cov).all():
+        raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     source = partial(correlated_limit, dims, contamination.betas, correlation)
-    object.__setattr__(model, "limit", (source, pilot_power, noise_var))
-    return model
+    return StatModel._of_kronecker_factors(dims, r_cov, s_cov, pilot, (source, pilot_power, noise_var))
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -70,12 +70,18 @@ def random_observation(rng, model):
     return model.y_mean() + complex_vector(rng, model.dims.m)
 
 
-def count_calls(monkeypatch, namespace, names, counts):
-    """Count the calls made to each of ``names`` in ``namespace`` into ``counts``."""
+def count_calls(monkeypatch, namespace, names, counts, min_dim=0):
+    """Count the calls made to each of ``names`` in ``namespace`` into ``counts``.
+
+    With ``min_dim``, only calls whose first argument is a matrix of at least
+    ``min_dim`` rows are counted, so ``min_dim = m`` leaves out the small
+    Kronecker factors of a correlated model, as in :func:`count_eig_calls`.
+    """
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            if not min_dim or np.shape(args[0])[0] >= min_dim:
+                counts[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper

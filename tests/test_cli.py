@@ -231,16 +231,16 @@ class TestSweepL:
 
 
 def test_sweep_l_factors_each_covariance_once_per_model(tmp_path, monkeypatch):
-    # a contaminated build validates r_cov, s_cov and both interferer
-    # covariances by one Cholesky each; the Monte Carlo points of every degree
-    # then draw from the model's two cached sampling factors
+    # a contaminated build validates only the small Kronecker factors, with no
+    # m x m Cholesky; the Monte Carlo points of every degree then draw from
+    # the model's two cached sampling factors
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("cholesky",), counts)
     config = default_config(
         "sweep-l", n_r=4, degrees=(0, 1, 2), trials=16, betas=(0.1, 0.1), out=str(tmp_path / "l.csv")
     )
+    count_calls(monkeypatch, np.linalg, ("cholesky",), counts, min_dim=config.n_r * config.b)
     run_experiment(config)
-    assert counts["cholesky"] == 4 + 2
+    assert counts["cholesky"] == 0 + 2
 
 
 class TestSweepSnr:

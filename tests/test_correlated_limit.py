@@ -14,7 +14,18 @@ import pytest
 
 from peachsim import estimators as es
 from peachsim.cli import _floors, default_config
-from peachsim.model import Dims, correlated_contamination, correlated_limit, correlated_model
+from peachsim.errors import InvalidCorrelation, NotPositiveSemiDefinite
+from peachsim.model import (
+    DEFAULT_CORRELATION,
+    Dims,
+    SpatialCorrelation,
+    build_stat_model,
+    check_hermitian_psd,
+    correlated_contamination,
+    correlated_limit,
+    correlated_model,
+    exp_correlation_matrix,
+)
 
 from conftest import count_eig_calls
 from oracles import contaminated_floors, noise_limited_floors
@@ -38,6 +49,50 @@ def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
     for degree in (1, 4, 10):
         alpha = es.make_peach(dense, degree).alpha
         assert es.peach_mse(model, degree, alpha) == pytest.approx(es.peach_mse(dense, degree, alpha), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("noise_var", [1.0, 0.5])
+@pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
+@pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 30.0])
+def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, noise_var):
+    # correlated_model validates only R_t and R_r; what it builds is exactly
+    # what the generic path builds, and passes the generic path's dense check
+    model = correlated_model(DESK, gamma_db, betas, noise_var=noise_var)
+    r_t = exp_correlation_matrix(DESK.n_t, DEFAULT_CORRELATION.desired_tx)
+    r_r = exp_correlation_matrix(DESK.n_r, DEFAULT_CORRELATION.desired_rx)
+    contamination = correlated_contamination(DESK, betas, noise_var=noise_var)
+    generic = build_stat_model(DESK, None, np.kron(r_t, r_r), None, contamination, noise_var * 10.0 ** (gamma_db / 10.0))
+    for name in ("r_cov", "s_cov", "pilot", "h_mean", "n_mean"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
+    assert check_hermitian_psd(model.r_cov, "r_cov")[1]
+    assert check_hermitian_psd(model.s_cov, "s_cov")[1]
+
+
+BAD_COEFFICIENTS = {
+    "desired tx": dict(desired_tx=1.0),
+    "desired rx": dict(desired_rx=-1.5j),
+    "interferer tx": dict(interferer_tx=(0.3, 1.0)),
+    "interferer rx": dict(interferer_rx=(np.exp(0.5j), 0.3)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COEFFICIENTS.values(), ids=BAD_COEFFICIENTS.keys())
+def test_unit_correlation_coefficient_is_rejected(bad):
+    with pytest.raises(InvalidCorrelation):
+        correlated_model(DESK, 10.0, (0.1, 0.1), SpatialCorrelation(**bad))
+
+
+@pytest.mark.parametrize("name", ["r_cov", "s_cov"])
+def test_derived_model_is_validated_densely(name):
+    model = correlated_model(DESK, 10.0, (0.1, 0.1))
+    indefinite = getattr(model, name) - 1e3 * np.eye(DESK.m)
+    with pytest.raises(NotPositiveSemiDefinite):
+        replace(model, **{name: indefinite})
+
+
+def test_overflowing_powers_are_rejected():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveSemiDefinite):
+        correlated_model(DESK, 10.0, (1e308, 1e308))
 
 
 def test_noise_limited_limit_is_the_kronecker_spectrum():

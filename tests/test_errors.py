@@ -11,7 +11,7 @@ from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import InvalidParameter, PeachSimError, UnsupportedEstimator
-from peachsim.model import ContaminationSpec, Dims, identity_pilot
+from peachsim.model import ContaminationSpec, Dims, correlated_model, identity_pilot
 
 from conftest import random_model, random_observation
 
@@ -49,6 +49,32 @@ def test_parameter_out_of_range_is_typed(rng, case):
     with pytest.raises(InvalidParameter):
         OUT_OF_RANGE[case](rng)
     assert issubclass(InvalidParameter, ValueError)
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1)], ids=["noise-limited", "contaminated"])
+@pytest.mark.parametrize("scalar", ["gamma_db", "beta", "noise_var"])
+def test_non_finite_scalar_is_rejected_at_the_boundary(scalar, betas, value):
+    # the SNR reaches identity_pilot as a pilot power, beta and noise_var
+    # reach ContaminationSpec; a non-finite beta brings interference with it
+    args = dict(gamma_db=10.0, betas=betas + (value,) if scalar == "beta" else betas, noise_var=1.0)
+    if scalar != "beta":
+        args[scalar] = value
+    with pytest.raises(InvalidParameter):
+        correlated_model(Dims(4, 2, 2), **args)
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_pilot_power_and_noise_variance_are_invalid(value):
+    with pytest.raises(InvalidParameter):
+        identity_pilot(Dims(2, 2, 2), value)
+    with pytest.raises(InvalidParameter):
+        ContaminationSpec(noise_var=value)
+    with pytest.raises(InvalidParameter):
+        ContaminationSpec((np.eye(2),), (value,))
 
 
 def test_polynomial_kind_mismatch_is_typed(rng):

@@ -151,17 +151,19 @@ def hermitian_with_spectrum(rng, eigs):
 
 
 class TestValidation:
-    def test_correlated_build_validates_by_cholesky(self, monkeypatch):
-        # r_cov, s_cov and the two interferer covariances are positive
-        # definite, so each is accepted by one Cholesky and no eigensolver runs
-        # (counted through numpy.linalg and scipy.linalg)
-        counts = {}
-        count_calls(monkeypatch, np.linalg, ("cholesky",), counts)
-        count_eig_calls(monkeypatch, counts)
-        correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
-        assert counts["eigvalsh"] == 0
-        assert counts["eigh"] == 0
-        assert counts["cholesky"] == 4
+    def test_correlated_build_validates_only_the_kronecker_factors(self, monkeypatch):
+        # each of the six positive definite factors (R_t and R_r of r and of
+        # the two interferers) is accepted by one small Cholesky; no m x m
+        # Cholesky or eigensolver runs (counted through numpy.linalg and
+        # scipy.linalg)
+        dims = Dims(20, 4, 4)
+        dense, every = {}, {}
+        count_calls(monkeypatch, np.linalg, ("cholesky",), every)
+        count_calls(monkeypatch, np.linalg, ("cholesky",), dense, min_dim=dims.m)
+        count_eig_calls(monkeypatch, every)
+        correlated_model(dims, 10.0, (0.1, 0.1))
+        assert every == {"cholesky": 6, "eigh": 0, "eigvalsh": 0}
+        assert dense["cholesky"] == 0
 
     def test_negative_eigenvalue_rejected_with_message(self, rng):
         dims = Dims(2, 2, 2)

@@ -166,12 +166,13 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     # the true z's spectrum (the true-statistics MSEs) comes from the Kronecker
     # factors of the noise-limited channel, with no m x m decomposition, and
     # each estimated z takes one eigh (both mismatched filters); no dense
-    # filter and no solve.  One Cholesky each validates r_cov and s_cov, one
-    # factors r_cov for the channel draws and one validates each r_est: s_cov
-    # is not validated again
+    # filter and no solve.  The model is built from its validated Kronecker
+    # factors with no m x m Cholesky; one factors r_cov for the channel draws
+    # and one validates each r_est: s_cov is not validated again
     config = default_config("shrinkage", out=str(tmp_path / "shrinkage.csv"))
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("solve", "inv", "cholesky"), counts)
+    count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("cholesky",), counts, min_dim=config.n_r * config.b)
     count_eig_calls(monkeypatch, counts, min_dim=config.n_r * config.b)
 
     def forbidden(*args, **kwargs):
@@ -182,7 +183,7 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     rows = run_experiment(config)
     assert len(rows) == 4 * len(config.shrink_samples)
     n_est = len(config.shrink_samples)
-    assert counts == {"solve": 0, "inv": 0, "cholesky": 3 + n_est, "eigh": n_est, "eigvalsh": 0}
+    assert counts == {"solve": 0, "inv": 0, "cholesky": 1 + n_est, "eigh": n_est, "eigvalsh": 0}
 
 
 def dense_peach_floor(r_cov, limit, degree):
