@@ -34,9 +34,11 @@ from .cli import (
 from .estimators import (
     EstimatorKind,
     PolyEstimator,
+    Prepared,
     alpha_gershgorin,
     alpha_optimal,
     alpha_trace,
+    bind,
     default_alpha_w,
     diag_estimate,
     diag_mse,
@@ -53,6 +55,7 @@ from .estimators import (
     peach_estimate,
     peach_mse,
     poly_filter_matrix,
+    prepare,
     wpeach_estimate,
     wpeach_mse_general,
     wpeach_mse_optimal,

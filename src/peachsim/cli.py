@@ -122,14 +122,14 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk_size: int = 512) -> dict:
-    """Empirical MSE of each ``estimator(model, y)`` over one set of seeded draws.
+    """Empirical MSE of each ``estimator(y)`` (say :meth:`estimators.Prepared.apply`) over one set of seeded draws.
 
-    Draws (h, y) pairs by :meth:`StatModel.draw` and scores every estimator of
-    the mapping on the same draws.  Returns ``{name: (mse_hat,
-    standard_error)}``, with a standard error of None for a single trial.
-    Trials are processed in chunks with independent child streams, so results
-    are reproducible, independent of chunk scheduling, and the same for an
-    estimator whether it is scored alone or next to others.
+    Draws (h, y) pairs from ``model`` by :meth:`StatModel.draw` and scores
+    every estimator of the mapping on the same (m, k) batches of y.  Returns
+    ``{name: (mse_hat, standard_error)}``, with a standard error of None for
+    a single trial.  Trials are processed in chunks with independent child
+    streams, so results are reproducible, independent of chunk scheduling,
+    and the same for an estimator whether it is scored alone or next to others.
     """
     if trials < 1:
         raise InvalidParameter("trials must be >= 1")
@@ -141,7 +141,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk
         count = min(chunk_size, trials - pos)
         h, y = model.draw(np.random.default_rng(child), count)
         for name, estimator in estimators.items():
-            h_hat = estimator(model, y)
+            h_hat = estimator(y)
             if h_hat.shape != h.shape:
                 raise ShapeError(f"estimator {name!r} returned shape {h_hat.shape}, expected {h.shape}")
             sq_errors[name][pos : pos + count] = np.sum(np.abs(h - h_hat) ** 2, axis=0)
@@ -187,35 +187,17 @@ def _normalized_rows(config, model, sweep_value, values: dict) -> list:
 
 
 def _sweep_point(config, model, point, sweep_value, index):
-    """The five estimators at one point of a sweep, at degree ``point["degrees"]``."""
-    degree = point["degrees"]
-    peach_est = estimators.make_peach(model, degree)
-    wpeach_est = estimators.make_wpeach(model, degree)
-    floors = _floors(model, config, degree)
-    # one MVU system in the pilot's coordinates serves the analytic variance
-    # and the Monte Carlo callable; it is prepared per point, not cached on the model
-    mvu = estimators._mvu_system(model)
-    # estimator -> (closed-form MSE, Monte Carlo callable), in row order; the
-    # polynomial rows report the MSE of the prepared estimators, so the Monte
-    # Carlo confirmation measures exactly the same filters
-    table = {
-        "mmse": (estimators.mmse_mse(model), estimators.mmse_estimate),
-        "mvu": (mvu.variance, lambda mdl, y: estimators._mvu_apply(mdl, mvu, y)),
-        "diagonalized": (estimators.diag_mse(model), estimators.diag_estimate),
-        "peach": (
-            estimators.peach_mse(model, degree, peach_est.alpha),
-            lambda mdl, y: estimators.peach_estimate(mdl, peach_est, y),
-        ),
-        "wpeach": (
-            estimators.wpeach_mse_general(model, degree, wpeach_est.alpha, wpeach_est.weights),
-            lambda mdl, y: estimators.wpeach_estimate(mdl, wpeach_est, y),
-        ),
-    }
+    """The five estimators of :data:`estimators.NAMES`, prepared once at one sweep point, at degree ``point["degrees"]``.
+
+    The analytic and Monte Carlo columns score the same prepared filters.
+    Without Monte Carlo nothing is applied, so z and MMSE's factor of it are not formed.
+    """
+    prepared = {name: estimators.prepare(model, name, point["degrees"]) for name in estimators.NAMES}
+    floors = _floors(model, config, point["degrees"])
     monte_carlo = {}
     if config.monte_carlo:
-        callables = {name: estimate for name, (_, estimate) in table.items()}
-        monte_carlo = run_monte_carlo(model, callables, config.trials, (config.seed, index))
-    values = {name: (mse, *monte_carlo.get(name, (None, None)), floors[name]) for name, (mse, _) in table.items()}
+        monte_carlo = run_monte_carlo(model, {n: p.apply for n, p in prepared.items()}, config.trials, (config.seed, index))
+    values = {name: (p.mse(), *monte_carlo.get(name, (None, None)), floors[name]) for name, p in prepared.items()}
     return _normalized_rows(config, model, sweep_value, values)
 
 

@@ -5,6 +5,11 @@ polynomial-expansion family: the truncated Neumann-series estimator with a
 single scaling (kind ``PEACH``) and its per-term weighted refinement with
 MSE-optimal weights (kind ``W-PEACH``).
 
+:func:`prepare` (or :func:`bind`, for a given polynomial filter) does an
+estimator's per-epoch work once; its :class:`Prepared` has ``apply(y)``, the
+per-realization estimate, and ``mse()``, the closed form.  The free functions
+(``mmse_estimate``, ``diag_mse``, ...) are wrappers that prepare per call.
+
 Both polynomial kinds are one :class:`PolyEstimator`, whose one Horner loop
 applies the filter to observations with matrix-vector products, O(L * m^2),
 and evaluates it at eigenvalues for the closed-form MSEs, the floors and the
@@ -23,8 +28,8 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -138,73 +143,100 @@ def alpha_gershgorin(z: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# prepared estimators
+
+
+NAMES = ("mmse", "mvu", "diagonalized", "peach", "wpeach")  # the CSV names, in the sweep tables' row order
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """An estimator prepared on ``model``: h_mean + ``head(d)`` per observation, ``mse()`` its closed-form MSE.
+
+    Work that only one of the two needs runs on its first call, so an
+    estimator that is only scored forms nothing it needs only to estimate.
+    """
+
+    model: StatModel
+    head: Callable[[np.ndarray], np.ndarray]
+    mse: Callable[[], float]
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The estimate of an (m,) observation or of each column of an (m, k) batch, from d = :func:`deviation`."""
+        d = deviation(self.model, y)
+        return (self.model.h_mean[:, None] if d.ndim == 2 else self.model.h_mean) + self.head(d)
+
+
+def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
+    """Prepare the estimator ``name`` of :data:`NAMES` on ``model``, at ``degree`` for the polynomials.
+
+    The per-epoch half of the paper's cost split; :meth:`Prepared.apply` is
+    the per-realization half.  ``mmse`` solves against the model's cached
+    Cholesky factor of z, formed on the first ``apply`` and never by ``mse``,
+    in two O(m^2) triangular solves per estimate, and rejects a non-finite
+    observation (``ValueError``); ``mvu`` is :func:`_mvu_system`,
+    ``diagonalized`` :func:`_diagonalized`, and ``peach`` and ``wpeach`` bind
+    :func:`make_peach` and :func:`make_wpeach` at their default scalings.  Any
+    other name raises :class:`UnsupportedEstimator`.
+    """
+    if name == "mmse":
+        solve = lambda d: scipy.linalg.cho_solve(model.z_factor, np.asarray_chkfinite(d), check_finite=False)
+        return Prepared(model, lambda d: model.r_cov @ model.apply_pilot_adjoint(solve(d)), lambda: model.z_spectrum.mmse())
+    if name == "mvu":
+        return _mvu_system(model)
+    if name == "diagonalized":
+        return _diagonalized(model)
+    if name in ("peach", "wpeach"):
+        return bind(model, (make_peach if name == "peach" else make_wpeach)(model, degree))
+    raise UnsupportedEstimator(f"unknown estimator {name!r}; choose from {', '.join(NAMES)}")
+
+
+def bind(model: StatModel, est: PolyEstimator) -> Prepared:
+    """The polynomial filter ``est`` prepared on ``model``: r_cov pilot_ext^H v(z) d, and v on the spectrum of z.
+
+    Each degree costs one product of z (formed once per model) with d; no power of z is formed.
+    """
+    head = lambda d: model.r_cov @ model.apply_pilot_adjoint(est.apply(model.z, d))
+    return Prepared(model, head, lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam)))
+
+
+# ---------------------------------------------------------------------------
 # exact baselines
 
 
-def _offset(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return vec[:, None] if like.ndim == 2 else vec
-
-
 def mmse_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
-    """Bayesian MMSE estimate h_mean + r_cov pilot_ext^H z^{-1} d.
-
-    The inverse is realized as two triangular solves against the model's
-    cached Cholesky factor of the observation covariance, so the O(m^3)
-    factorization is paid once per model.  Each estimate then costs the two
-    O(m^2) solves, the structured adjoint pilot_ext^H in O(m * n_t) and one
-    O(n^2) product with r_cov.  The observation is checked for non-finite
-    entries (``ValueError``); the read-only factor, already checked when it
-    was formed, is not scanned again.
-    """
-    d = deviation(model, y)
-    x = scipy.linalg.cho_solve(model.z_factor, np.asarray_chkfinite(d), check_finite=False)
-    return _offset(model.h_mean, d) + model.r_cov @ model.apply_pilot_adjoint(x)
+    """Bayesian MMSE estimate h_mean + r_cov pilot_ext^H z^{-1} d (:func:`prepare`'s ``mmse``)."""
+    return prepare(model, "mmse").apply(y)
 
 
 def mmse_mse(model: StatModel) -> float:
-    """Closed-form MSE of the MMSE estimator.
-
-    trace(r_cov - r_cov pilot_ext^H z^{-1} pilot_ext r_cov), evaluated on the
-    spectrum of z (the filter v(lam) = 1 / lam).
-    """
-    return model.z_spectrum.mmse()
+    """Closed-form MSE trace(r_cov - r_cov pilot_ext^H z^{-1} pilot_ext r_cov) of the MMSE estimator."""
+    return prepare(model, "mmse").mse()
 
 
 def mvu_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
-    """Minimum-variance unbiased estimate; uses disturbance statistics only.
-
-    Computed in the pilot's own coordinates (:func:`_mvu_system`), with no
-    O(m^3) work for a square pilot.
-    """
-    return _mvu_apply(model, _mvu_system(model), y)
+    """Minimum-variance unbiased estimate; uses disturbance statistics only (:func:`_mvu_system`)."""
+    return prepare(model, "mvu").apply(y)
 
 
 def mvu_variance(model: StatModel) -> float:
     """Estimation variance trace((pilot_ext^H s_cov^{-1} pilot_ext)^{-1}), from :func:`_mvu_system`."""
-    return _mvu_system(model).variance
+    return prepare(model, "mvu").mse()
 
 
-class _MvuSystem(NamedTuple):
-    q: np.ndarray  # (b, b) unitary with pilot.T = q [r1; 0]
-    r1_inv: np.ndarray  # (n_t, n_t) inverse of the upper triangular r1
-    gain: np.ndarray  # (n, m - n) S12 S22^{-1}
-    variance: float
-
-
-def _mvu_system(model: StatModel) -> _MvuSystem:
+def _mvu_system(model: StatModel) -> Prepared:
     """The MVU estimator in the coordinates of the complete QR pilot.T = Q R.
 
     With R1 the top n_t x n_t block of R, pilot_ext = (Q (x) I)([R1; 0] (x) I),
-    so the rotated observation x = (Q^H (x) I)(y - n_mean) splits into
-    x1 = (R1 (x) I) h + w1 and x2 = w2, where the disturbance w has covariance
-    S = (Q^H (x) I) s_cov (Q (x) I).  The unbiased estimate is then
-    (R1^{-1} (x) I)(x1 - S12 S22^{-1} x2), with variance
-    trace((R1^{-1} (x) I)(S11 - S12 S22^{-1} S21)(R1^{-1} (x) I)^H).
+    so the rotated deviation x = (Q^H (x) I) d splits into
+    x1 = (R1 (x) I)(h - h_mean) + w1 and x2 = w2, where the disturbance w has
+    covariance S = (Q^H (x) I) s_cov (Q (x) I).  The estimate is h_mean +
+    (R1^{-1} (x) I)(x1 - S12 S22^{-1} x2), both factors applied to reshaped
+    views, with variance trace((R1^{-1} (x) I)(S11 - S12 S22^{-1} S21)(R1^{-1} (x) I)^H).
     Forming S costs O(m^2 * b); for b > n_t one Cholesky of the (m - n)
     block S22 follows, and for b == n_t nothing of size m is factored.
-
-    The pilot must have full row rank: :class:`RankDeficientPilot` for
-    b < n_t or a smallest singular value at most 1e-6 times the largest.
+    :class:`RankDeficientPilot` unless the pilot has full row rank (b >= n_t
+    and a smallest singular value above 1e-6 times the largest).
     """
     n_t, b = model.pilot.shape
     sing = np.linalg.svd(model.pilot, compute_uv=False)
@@ -223,49 +255,41 @@ def _mvu_system(model: StatModel) -> _MvuSystem:
     # of the Schur complement, with M = R1^{-H} R1^{-1}: no n x n product
     block_traces = np.einsum("jrkr->jk", schur.reshape(n_t, n_r, n_t, n_r))
     variance = float(np.sum(block_traces * (r1_inv.conj().T @ r1_inv).T).real)
-    return _MvuSystem(q, r1_inv, gain, variance)
+
+    def head(d):
+        x = (q.conj().T @ d.reshape(b, -1)).reshape(d.shape)
+        x1 = x[:n] - gain @ x[n:]
+        return (r1_inv @ x1.reshape(n_t, -1)).reshape(x1.shape)
+
+    return Prepared(model, head, lambda: variance)
 
 
-def _mvu_apply(model: StatModel, system: _MvuSystem, y: np.ndarray) -> np.ndarray:
-    # one estimate from a prepared _mvu_system, so callers that estimate many
-    # times on one model prepare it once; both Kronecker factors act on
-    # reshaped views, like StatModel.apply_pilot
-    n, n_t, b = model.dims.n, model.dims.n_t, model.dims.b
-    y = np.asarray(y, dtype=complex)
-    d = y - _offset(model.n_mean, y)
-    x = (system.q.conj().T @ d.reshape(b, -1)).reshape(d.shape)
-    x1 = x[:n] - system.gain @ x[n:]
-    return (system.r1_inv @ x1.reshape(n_t, -1)).reshape(x1.shape)
+def _diagonalized(model: StatModel) -> Prepared:
+    """MMSE after zeroing all off-diagonal covariance entries, for a positive scaled-identity pilot sqrt(p_t) I only.
 
-
-def _identity_pilot_power(model: StatModel) -> float:
-    pilot = model.pilot
-    if pilot.shape[0] != pilot.shape[1]:
-        raise UnsupportedPilot("requires a square scaled-identity pilot (b == n_t)")
-    root = pilot[0, 0]
-    if root.real <= 0 or abs(root.imag) > 1e-12 * abs(root):
-        raise UnsupportedPilot("requires a positive scaled-identity pilot")
-    if not np.allclose(pilot, root * np.eye(pilot.shape[0]), rtol=0.0, atol=1e-12 * abs(root)):
-        raise UnsupportedPilot("requires a scaled-identity pilot")
-    return float(root.real**2)
+    :class:`UnsupportedPilot` for any other pilot.  Zero diagonal entries contribute zero MSE.
+    """
+    pilot, root = model.pilot, model.pilot[0, 0]
+    if pilot.shape[0] != pilot.shape[1] or root.real <= 0 or abs(root.imag) > 1e-12 * abs(root) or not np.allclose(
+        pilot, root * np.eye(pilot.shape[0]), rtol=0.0, atol=1e-12 * abs(root)
+    ):
+        raise UnsupportedPilot("requires a positive scaled-identity pilot (b == n_t)")
+    p_t = float(root.real**2)
+    r_diag = np.diag(model.r_cov).real
+    s_diag = np.diag(model.s_cov).real
+    coeff = (np.sqrt(p_t) * r_diag / (p_t * r_diag + s_diag)).astype(complex)
+    mse = float(np.sum(r_diag * s_diag / (s_diag + p_t * r_diag)))
+    return Prepared(model, lambda d: (coeff[:, None] if d.ndim == 2 else coeff) * d, lambda: mse)
 
 
 def diag_estimate(model: StatModel, y: np.ndarray) -> np.ndarray:
     """MMSE after zeroing all off-diagonal covariance entries; O(m) per estimate."""
-    p_t = _identity_pilot_power(model)
-    d = deviation(model, y)
-    r_diag = np.diag(model.r_cov).real
-    s_diag = np.diag(model.s_cov).real
-    coeff = np.sqrt(p_t) * r_diag / (p_t * r_diag + s_diag)
-    return _offset(model.h_mean, d) + _offset(coeff.astype(complex), d) * d
+    return prepare(model, "diagonalized").apply(y)
 
 
 def diag_mse(model: StatModel) -> float:
     """MSE of the diagonalized estimator; zero diagonal entries contribute zero."""
-    p_t = _identity_pilot_power(model)
-    r_diag = np.diag(model.r_cov).real
-    s_diag = np.diag(model.s_cov).real
-    return float(np.sum(r_diag * s_diag / (s_diag + p_t * r_diag)))
+    return prepare(model, "diagonalized").mse()
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +359,12 @@ def default_alpha_w(model: StatModel) -> float:
 
 
 def peach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
-    """Evaluate the unweighted polynomial estimator by the nested recursion.
-
-    Maintains the accumulator v <- d + (I - alpha z) v (:meth:`PolyEstimator.apply`).
-    z is formed once per model and each degree costs one m x m matrix product;
-    the powers of z are never formed.  The head r_cov pilot_ext^H applies the
-    pilot through its Kronecker structure, O(m * n_t), plus one O(n^2) product.
-    """
-    return _poly_estimate(model, est, y, EstimatorKind.PEACH)
+    """Evaluate the polynomial estimator ``est``, PEACH or W-PEACH by the kind it carries (:func:`bind`)."""
+    return bind(model, est).apply(y)
 
 
-def wpeach_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray) -> np.ndarray:
-    """Evaluate the weighted polynomial estimator by the Horner recursion v <- w_l d + alpha z v."""
-    return _poly_estimate(model, est, y, EstimatorKind.WPEACH)
-
-
-def _poly_estimate(model: StatModel, est: PolyEstimator, y: np.ndarray, kind: EstimatorKind) -> np.ndarray:
-    if est.kind is not kind:
-        raise UnsupportedEstimator(f"expected a {kind}, got {est.kind}")
-    d = deviation(model, y)
-    head = model.r_cov @ model.apply_pilot_adjoint(est.apply(model.z, d))
-    return _offset(model.h_mean, d) + head
+# the estimator carries its kind, so one function evaluates both
+wpeach_estimate = peach_estimate
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +387,7 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     trace(r + r pilot^H A_L z A_L^H pilot r - 2 r pilot^H A_L pilot r) with
     A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
     """
-    spectrum = model.z_spectrum
-    return spectrum.mse(_peach_on(spectrum, degree, alpha).values(spectrum.lam))
+    return bind(model, _peach_on(model.z_spectrum, degree, alpha)).mse()
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:
@@ -390,8 +398,7 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     for the large, strongly cancelling weight vectors that high degrees
     produce.
     """
-    spectrum = model.z_spectrum
-    return spectrum.mse(PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights).values(spectrum.lam))
+    return bind(model, PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)).mse()
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:

@@ -15,6 +15,7 @@ spectrum of ``z`` at each pilot SNR is an affine map of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -557,7 +558,8 @@ def correlated_model(
     """Kronecker-correlated desired channel plus pilot-reusing interferers.
 
     ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
-    ``noise_var * 10**(gamma_db / 10)``; the interferers are those of
+    ``noise_var * 10**(gamma_db / 10)`` (:class:`InvalidParameter` where that
+    is not finite and positive); the interferers are those of
     :func:`correlated_contamination`.  With the identity pilot,
     ``z = pilot_power * (r + sum_i beta_i R_i) + noise_var * I``, so the
     model's ``z_spectrum`` is read off :func:`correlated_limit`, on first use.
@@ -566,7 +568,10 @@ def correlated_model(
     validated, in O(n_t^3 + n_r^3) (:meth:`StatModel._of_kronecker_factors`);
     the model equals :func:`build_stat_model`'s on the same covariances.
     """
-    pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
+    try:  # math.pow overflows with an OverflowError, never with a numpy warning
+        pilot_power = float(noise_var) * math.pow(10.0, gamma_db / 10.0)
+    except OverflowError:
+        raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
     r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
     contamination = correlated_contamination(dims, betas, correlation, noise_var)
     pilot = identity_pilot(dims, pilot_power)

@@ -114,23 +114,10 @@ def test_criterion_04_monte_carlo_confirms_closed_forms():
         start = time.time()
         model = correlated_model(DESK_DIMS, 5.0, (1.0, 1.0))
         degree = 4
-        pest = es.make_peach(model, degree)
-        west = es.make_wpeach(model, degree)
-        cases = {
-            "mmse": (es.mmse_estimate, es.mmse_mse(model)),
-            "mvu": (es.mvu_estimate, es.mvu_variance(model)),
-            "diagonalized": (es.diag_estimate, es.diag_mse(model)),
-            "peach": (
-                lambda m, y: es.peach_estimate(m, pest, y),
-                es.peach_mse(model, degree, pest.alpha),
-            ),
-            "wpeach": (
-                lambda m, y: es.wpeach_estimate(m, west, y),
-                es.wpeach_mse_general(model, degree, west.alpha, west.weights),
-            ),
-        }
-        for index, (name, (estimator, closed_form)) in enumerate(cases.items()):
-            mse_hat, stderr = run_monte_carlo(model, {name: estimator}, 20_000, (1404, index))[name]
+        for index, name in enumerate(es.NAMES):
+            prepared = es.prepare(model, name, degree)
+            closed_form = prepared.mse()
+            mse_hat, stderr = run_monte_carlo(model, {name: prepared.apply}, 20_000, (1404, index))[name]
             assert abs(mse_hat - closed_form) < 3 * stderr, (
                 f"{name}: {mse_hat:.6g} vs {closed_form:.6g} (se {stderr:.2g})"
             )

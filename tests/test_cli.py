@@ -137,13 +137,13 @@ class TestCorrelatedModel:
 class TestRunMonteCarlo:
     def test_exact_estimator_matches_closed_form(self, rng):
         model = random_model(rng, n_r=3, n_t=2)  # m = 6
-        mse_hat, stderr = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 20_000, 2024)["mmse"]
+        mse_hat, stderr = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 20_000, 2024)["mmse"]
         assert abs(mse_hat - es.mmse_mse(model)) < 3 * stderr
 
     def test_zero_channel_covariance_gives_zero_error(self):
         dims = Dims(2, 1, 1)
         model = build_stat_model(dims, None, np.zeros((dims.n, dims.n)), None, ContaminationSpec(), 1.0)
-        mse_hat, _ = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 500, 1)["mmse"]
+        mse_hat, _ = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 500, 1)["mmse"]
         assert mse_hat == 0.0
 
     def test_binomial_weights_give_identical_trials(self, rng):
@@ -153,20 +153,15 @@ class TestRunMonteCarlo:
         west = es.PolyEstimator(
             es.EstimatorKind.WPEACH, degree, pest.alpha, es.peach_as_wpeach_weights(degree)
         )
-        mse_a, se_a = run_monte_carlo(
-            model, {"peach": lambda m, y: es.peach_estimate(m, pest, y)}, 2_000, 7
-        )["peach"]
-        mse_b, se_b = run_monte_carlo(
-            model, {"wpeach": lambda m, y: es.wpeach_estimate(m, west, y)}, 2_000, 7
-        )["wpeach"]
+        mse_a, se_a = run_monte_carlo(model, {"peach": es.bind(model, pest).apply}, 2_000, 7)["peach"]
+        mse_b, se_b = run_monte_carlo(model, {"wpeach": es.bind(model, west).apply}, 2_000, 7)["wpeach"]
         assert mse_a == pytest.approx(mse_b, rel=1e-12)
         assert se_a == pytest.approx(se_b, rel=1e-10)
 
     def test_shared_draws_match_one_entry_calls(self, rng):
         # 1100 trials: two full chunks and a partial one
         model = random_model(rng, n_r=3, n_t=2)
-        pest = es.make_peach(model, 3)
-        scored = {"mmse": es.mmse_estimate, "peach": lambda m, y: es.peach_estimate(m, pest, y)}
+        scored = {name: es.prepare(model, name, 3).apply for name in ("mmse", "peach")}
         together = run_monte_carlo(model, scored, 1_100, 11)
         assert list(together) == ["mmse", "peach"]
         for name, estimator in scored.items():
@@ -174,18 +169,19 @@ class TestRunMonteCarlo:
 
     def test_deterministic_under_fixed_seed(self, rng):
         model = random_model(rng)
-        a = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 300, 5)
-        b = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 300, 5)
+        a = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 300, 5)
+        b = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 300, 5)
         assert a == b
 
     def test_estimator_shape_checked(self, rng):
         model = random_model(rng)
         with pytest.raises(ShapeError):
-            run_monte_carlo(model, {"bad": lambda m, y: y[:-1]}, 10, 0)
+            run_monte_carlo(model, {"bad": lambda y: y[:-1]}, 10, 0)
 
     def test_rejects_zero_trials(self, rng):
+        model = random_model(rng)
         with pytest.raises(ValueError):
-            run_monte_carlo(random_model(rng), {"mmse": es.mmse_estimate}, 0, 0)
+            run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 0, 0)
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from peachsim import estimators as es
-from peachsim.cli import _floors, default_config
-from peachsim.errors import InvalidCorrelation, NotPositiveSemiDefinite
+from peachsim.cli import _floors, default_config, main
+from peachsim.errors import InvalidCorrelation, InvalidParameter, NotPositiveSemiDefinite
 from peachsim.model import (
     DEFAULT_CORRELATION,
     Dims,
@@ -93,6 +93,20 @@ def test_derived_model_is_validated_densely(name):
 def test_overflowing_powers_are_rejected():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveSemiDefinite):
         correlated_model(DESK, 10.0, (1e308, 1e308))
+
+
+@pytest.mark.parametrize("gamma_db", [4000.0, np.float64(4000.0)], ids=["float", "float64"])
+def test_overflowing_snr_is_invalid(gamma_db):
+    # 10**400 overflows a Python float with OverflowError and a numpy scalar with a RuntimeWarning
+    with pytest.raises(InvalidParameter, match="overflows"):
+        correlated_model(DESK, gamma_db, (0.1, 0.1))
+
+
+def test_cli_reports_an_overflowing_snr(tmp_path, capsys):
+    argv = ["sweep-snr", "--snr-db", "4000", "--no-montecarlo", "--n-r", "4", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: a pilot SNR of 4000.0 dB overflows")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_noise_limited_limit_is_the_kronecker_spectrum():

@@ -13,7 +13,7 @@ from peachsim.cli import run_monte_carlo
 from peachsim.errors import InvalidParameter, PeachSimError, UnsupportedEstimator
 from peachsim.model import ContaminationSpec, Dims, correlated_model, identity_pilot
 
-from conftest import random_model, random_observation
+from conftest import random_model
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "peachsim"
 
@@ -33,22 +33,28 @@ def test_every_raise_names_a_package_error(path):
         assert isinstance(cls, type) and issubclass(cls, PeachSimError), f"{path.name}:{line} raises {name}"
 
 
-# scalar parameters outside their range, at each place that checks one
+# arguments outside their range, at each place that checks one, with the error each raises
 OUT_OF_RANGE = {
-    "negative interference ratio": lambda rng: ContaminationSpec((np.eye(2),), (-0.1,)),
-    "zero noise variance": lambda rng: ContaminationSpec(noise_var=0.0),
-    "zero pilot power": lambda rng: identity_pilot(Dims(2, 2, 2), 0.0),
-    "zero coherence time": lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=0.0, tau_c=0.1, t_tot=1.0),
-    "negative stationarity ratio": lambda rng: analysis.crossover_m("peach", -1.0, 2),
-    "zero trials": lambda rng: run_monte_carlo(random_model(rng), {"mmse": es.mmse_estimate}, 0, 0),
+    "negative interference ratio": (InvalidParameter, lambda rng: ContaminationSpec((np.eye(2),), (-0.1,))),
+    "zero noise variance": (InvalidParameter, lambda rng: ContaminationSpec(noise_var=0.0)),
+    "zero pilot power": (InvalidParameter, lambda rng: identity_pilot(Dims(2, 2, 2), 0.0)),
+    "overflowing pilot SNR": (InvalidParameter, lambda rng: correlated_model(Dims(4, 2, 2), 4000.0, (0.1, 0.1))),
+    "zero coherence time": (
+        InvalidParameter,
+        lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=0.0, tau_c=0.1, t_tot=1.0),
+    ),
+    "negative stationarity ratio": (InvalidParameter, lambda rng: analysis.crossover_m("peach", -1.0, 2)),
+    "zero trials": (InvalidParameter, lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, 0, 0)),
+    "unknown estimator name": (UnsupportedEstimator, lambda rng: es.prepare(random_model(rng), "lmmse", 2)),
 }
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_parameter_out_of_range_is_typed(rng, case):
-    with pytest.raises(InvalidParameter):
-        OUT_OF_RANGE[case](rng)
-    assert issubclass(InvalidParameter, ValueError)
+    error, call = OUT_OF_RANGE[case]
+    with pytest.raises(error):
+        call(rng)
+    assert issubclass(error, PeachSimError) and issubclass(error, ValueError)
 
 
 NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
@@ -75,9 +81,3 @@ def test_non_finite_pilot_power_and_noise_variance_are_invalid(value):
         ContaminationSpec(noise_var=value)
     with pytest.raises(InvalidParameter):
         ContaminationSpec((np.eye(2),), (value,))
-
-
-def test_polynomial_kind_mismatch_is_typed(rng):
-    model = random_model(rng)
-    with pytest.raises(UnsupportedEstimator):
-        es.wpeach_estimate(model, es.make_peach(model, 2), random_observation(rng, model))

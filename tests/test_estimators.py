@@ -97,7 +97,7 @@ class TestMmse:
 
     def test_mse_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)  # m = 6
-        mse_hat, stderr = run_monte_carlo(model, {"mmse": es.mmse_estimate}, 20_000, 314)["mmse"]
+        mse_hat, stderr = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 20_000, 314)["mmse"]
         assert abs(mse_hat - es.mmse_mse(model)) < 3 * stderr
 
 
@@ -155,7 +155,7 @@ class TestMvu:
 
     def test_variance_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)
-        mse_hat, stderr = run_monte_carlo(model, {"mvu": es.mvu_estimate}, 20_000, 217)["mvu"]
+        mse_hat, stderr = run_monte_carlo(model, {"mvu": es.prepare(model, "mvu").apply}, 20_000, 217)["mvu"]
         assert abs(mse_hat - es.mvu_variance(model)) < 3 * stderr
 
     def test_rank_deficient_pilot_raises(self, rng):
@@ -227,7 +227,7 @@ class TestDiagonalized:
 
     def test_mse_matches_monte_carlo(self, rng):
         model = random_model(rng, n_r=3, n_t=2)
-        mse_hat, stderr = run_monte_carlo(model, {"diag": es.diag_estimate}, 20_000, 515)["diag"]
+        mse_hat, stderr = run_monte_carlo(model, {"diag": es.prepare(model, "diagonalized").apply}, 20_000, 515)["diag"]
         assert abs(mse_hat - es.diag_mse(model)) < 3 * stderr
 
 
@@ -327,12 +327,6 @@ class TestPeachEstimate:
         y = random_observation(rng, model)
         assert np.all(np.isfinite(es.peach_estimate(model, est, y)))
 
-    def test_wrong_kind_rejected(self, rng):
-        model = random_model(rng)
-        west = es.make_wpeach(model, 2)
-        with pytest.raises(ValueError):
-            es.peach_estimate(model, west, random_observation(rng, model))
-
 
 class TestPeachMse:
     def test_approaches_mmse_mse(self, rng):
@@ -344,9 +338,7 @@ class TestPeachMse:
         model = random_model(rng, n_r=3, n_t=2)
         degree = 4
         est = es.make_peach(model, degree)
-        mse_hat, stderr = run_monte_carlo(
-            model, {"peach": lambda m, y: es.peach_estimate(m, est, y)}, 20_000, 616
-        )["peach"]
+        mse_hat, stderr = run_monte_carlo(model, {"peach": es.bind(model, est).apply}, 20_000, 616)["peach"]
         assert abs(mse_hat - es.peach_mse(model, degree, est.alpha)) < 3 * stderr
 
     def test_truncation_error_bound_and_monotone(self, rng):
@@ -457,8 +449,54 @@ def test_estimators_compare_and_hash_by_identity():
 
 
 
+def dense_filter(model, name, degree):
+    """Dense filter G of the estimator ``name``, with h_hat = h_mean + G d."""
+    if name == "mmse":
+        return es.mmse_filter_matrix(model)
+    if name == "mvu":
+        # G pilot_ext = I, so G (y - n_mean) = h_mean + G d
+        p_ext = extend_pilot(model.pilot, model.dims.n_r)
+        t = np.linalg.solve(model.s_cov, p_ext)
+        return np.linalg.solve(p_ext.conj().T @ t, t.conj().T)
+    if name == "diagonalized":
+        pt = model.pilot[0, 0].real ** 2
+        r_d = np.diag(np.diag(model.r_cov))
+        return np.sqrt(pt) * r_d @ np.linalg.inv(pt * r_d + np.diag(np.diag(model.s_cov)))
+    return es.poly_filter_matrix(model, (es.make_peach if name == "peach" else es.make_wpeach)(model, degree))
+
+
+def closed_form(model, name, degree):
+    """The closed-form MSE of ``name`` from its public evaluator."""
+    if name == "peach":
+        return es.peach_mse(model, degree, es.make_peach(model, degree).alpha)
+    if name == "wpeach":
+        west = es.make_wpeach(model, degree)
+        return es.wpeach_mse_general(model, degree, west.alpha, west.weights)
+    return {"mmse": es.mmse_mse, "mvu": es.mvu_variance, "diagonalized": es.diag_mse}[name](model)
+
+
 class TestStructuredPilotEstimates:
     """Estimates through the structured pilot applies agree with dense filters."""
+
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    @pytest.mark.parametrize("name", es.NAMES)
+    def test_prepared_estimator_matches_dense_filter(self, rng, name, batch):
+        # a non-square pilot, except for diagonalized, which needs a scaled identity
+        if name == "diagonalized":
+            model = random_model(rng, n_r=3, n_t=2, beta_max=1.0)
+        else:
+            model = random_pilot_model(rng, 2, 3)
+        prepared = es.prepare(model, name, 3)
+        g_mat = dense_filter(model, name, 3)
+        y = model.y_mean()[(...,) + (None,) * len(batch)] + complex_vector(rng, (model.dims.m, *batch))
+        h_mean = model.h_mean[(...,) + (None,) * len(batch)]
+        assert relative_error(prepared.apply(y), h_mean + g_mat @ deviation(model, y)) <= 1e-12
+        assert prepared.mse() == closed_form(model, name, 3)
+        assert prepared.mse() == pytest.approx(es.linear_filter_mse(model, g_mat), rel=1e-10)
+
+    def test_diagonalized_rejects_a_non_square_pilot(self, rng):
+        with pytest.raises(UnsupportedPilot):
+            es.prepare(random_pilot_model(rng, 2, 3), "diagonalized")
 
     @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
     @pytest.mark.parametrize("batch", [(), (4,)])
@@ -489,8 +527,8 @@ class TestStructuredPilotEstimates:
 
 @pytest.mark.parametrize("pilot", ["identity", "non-square"])
 def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
-    # building, preparing, estimating, tracking and Monte Carlo scoring all
-    # apply the pilot through its Kronecker structure
+    # building, preparing, estimating, scoring, tracking and Monte Carlo
+    # sampling all apply the pilot through its Kronecker structure
     def refuse(*args, **kwargs):
         raise AssertionError("the dense extended pilot was formed on the estimation path")
 
@@ -500,21 +538,15 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     else:
         model = random_pilot_model(rng, 3, 5)
     model.z, model.z_spectrum
-    peach_est = es.make_peach(model, 3)
-    wpeach_est = es.make_wpeach(model, 3)
+    # the diagonalized estimator needs the identity pilot
+    names = [name for name in es.NAMES if pilot == "identity" or name != "diagonalized"]
+    prepared = {name: es.prepare(model, name, 3) for name in names}
     y = random_observation(rng, model)
-    es.mmse_estimate(model, y)
-    es.peach_estimate(model, peach_est, y)
-    es.wpeach_estimate(model, wpeach_est, y)
+    for estimator in prepared.values():
+        estimator.apply(y)
+        estimator.mse()
     samples = [random_observation(rng, model) for _ in range(5)]
-    state = adaptive_init(model, 3, wpeach_est.alpha, samples[:4])
+    state = adaptive_init(model, 3, es.default_alpha_w(model), samples[:4])
     adaptive_update(state, samples[4])
-    es.mvu_variance(model)
-    callables = {
-        "mmse": es.mmse_estimate,
-        "mvu": es.mvu_estimate,
-        "peach": lambda mdl, obs: es.peach_estimate(mdl, peach_est, obs),
-        "wpeach": lambda mdl, obs: es.wpeach_estimate(mdl, wpeach_est, obs),
-    }
-    results = run_monte_carlo(model, callables, 20, 3, chunk_size=8)
-    assert set(results) == set(callables)
+    results = run_monte_carlo(model, {name: p.apply for name, p in prepared.items()}, 20, 3, chunk_size=8)
+    assert set(results) == set(prepared)

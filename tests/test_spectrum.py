@@ -222,16 +222,20 @@ def desk_contaminated_point(monte_carlo):
 def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
     # one eigh of the limit matrix serves all floors and, mapped affinely, z's
     # spectrum (every closed-form MSE, PEACH's alpha and the W-PEACH fit); MVU,
-    # computed in the square pilot's coordinates, factors and solves nothing of size m
+    # computed in the square pilot's coordinates, factors and solves nothing of
+    # size m; MMSE, prepared but never applied, forms neither z nor its factor
     config, model = desk_contaminated_point(monte_carlo=False)
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_calls(monkeypatch, scipy.linalg, ("cho_factor",), counts)
     count_eig_calls(monkeypatch, counts, min_dim=model.dims.m)
     _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
     assert counts["eigh"] == 1
     assert counts["eigvalsh"] == 0
     assert counts["solve"] == 0
     assert counts["inv"] == 0
+    assert counts["cho_factor"] == 0
+    assert "z" not in model.__dict__
 
 
 def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):

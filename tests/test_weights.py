@@ -193,17 +193,9 @@ class TestWpeachEstimate:
         model = random_model(rng, n_r=3, n_t=2)  # m = 6
         degree = 4
         west = es.make_wpeach(model, degree)
-        mse_hat, stderr = run_monte_carlo(
-            model, {"wpeach": lambda m, y: es.wpeach_estimate(m, west, y)}, 20_000, 718
-        )["wpeach"]
+        mse_hat, stderr = run_monte_carlo(model, {"wpeach": es.bind(model, west).apply}, 20_000, 718)["wpeach"]
         analytic = es.wpeach_mse_general(model, degree, west.alpha, west.weights)
         assert abs(mse_hat - analytic) < 3 * stderr
-
-    def test_wrong_kind_rejected(self, rng):
-        model = random_model(rng)
-        pest = es.make_peach(model, 2)
-        with pytest.raises(ValueError):
-            es.wpeach_estimate(model, pest, random_observation(rng, model))
 
 
 class TestStableFit:
