@@ -7,9 +7,11 @@ two ``scripts/reproduce_figures.py --outdir`` directories made at two commits.
 For each ``.csv`` and ``.json`` table in either directory it prints
 ``<file>: identical`` when the two files have the same bytes, and otherwise
 one line per differing cell: file, row, column, old value, new value and the
-relative change.  It exits 1 when a CSV table differs or a table is missing
-from one side.  JSON cells carry every digit, so a JSON cell that moves below
-the CSV's 9 significant digits is listed but does not fail the comparison.
+relative change, then a summary line with the number of moved cells and the
+largest relative move, with its row and column.  It exits 1 when a CSV table
+differs or a table is missing from one side.  JSON cells carry every digit,
+so a JSON cell that moves below the CSV's 9 significant digits is listed but
+does not fail the comparison.
 """
 
 import csv
@@ -26,12 +28,17 @@ def read_cells(path: Path) -> list:
     return json.loads(path.read_text())
 
 
-def relative_change(old, new) -> str:
+def relative_change(old, new) -> float | None:
+    """|new - old| / |old| (inf from 0), or None when either value is not a number."""
     try:
         old, new = float(old), float(new)
     except (TypeError, ValueError):
-        return "n/a"
-    return f"{abs(new - old) / abs(old):.2e}" if old else "inf"
+        return None
+    return abs(new - old) / abs(old) if old else float("inf")
+
+
+def show(change) -> str:
+    return "n/a" if change is None else f"{change:.2e}"
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
@@ -50,15 +57,20 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         old_rows, new_rows = read_cells(old), read_cells(new)
         if len(old_rows) != len(new_rows):
             print(f"{name}: {len(old_rows)} rows -> {len(new_rows)} rows")
-        moved = 0
+        moved, largest = 0, None
         for index, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
             label = f"row {index} ({a.get('estimator')}, {a.get('sweep_value')})"
             for column in dict.fromkeys([*a, *b]):
                 if a.get(column) != b.get(column):
                     moved += 1
                     change = relative_change(a.get(column), b.get(column))
-                    print(f"{name}: {label} {column}: {a.get(column)} -> {b.get(column)} (relative {change})")
-        if not moved and len(old_rows) == len(new_rows):
+                    print(f"{name}: {label} {column}: {a.get(column)} -> {b.get(column)} (relative {show(change)})")
+                    if change is not None and (largest is None or change > largest[0]):
+                        largest = (change, f"{label} {column}")
+        if moved:
+            summary = f"largest relative move {largest[0]:.2e} at {largest[1]}" if largest else "none numeric"
+            print(f"{name}: {moved} cells moved, {summary}")
+        elif len(old_rows) == len(new_rows):
             print(f"{name}: bytes differ, every cell equal")
     return 1 if failed else 0
 

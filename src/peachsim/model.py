@@ -9,8 +9,9 @@ disturbance covariances and the correlated model of the simulations
 construction, except that :func:`correlated_model` validates only the
 Kronecker factors of its own.  :meth:`StatModel.draw` is the one sampler of
 ``(h, y)`` pairs.  The correlated model's limit ``r + sum_i beta_i R_i``
-(:func:`correlated_limit`) is eigendecomposed once per sweep, and the
-spectrum of ``z`` at each pilot SNR is an affine map of it.
+(:func:`correlated_limit`) is eigendecomposed once per sweep, in real
+arithmetic since it is centro-Hermitian, and the spectrum of ``z`` at each
+pilot SNR is an affine map of it.
 """
 
 from __future__ import annotations
@@ -231,10 +232,10 @@ class StatModel:
         its mirror are products of conjugates) and PSD (its eigenvalues are
         the products of the factors'; Horn & Johnson, Topics in Matrix
         Analysis, Thm 4.2.12).  The identity ``pilot`` scales each sandwich
-        entrywise, so ``s_cov = noise_var * I + sum_i beta_i * pilot_power *
-        R_i`` with finite ``noise_var > 0`` and ``beta_i >= 0`` is exactly
-        Hermitian and positive definite: the m x m Cholesky, norms and
-        ``hermitize`` copies would change nothing.
+        entrywise, so ``s_cov = noise_var * I + sum_i beta_i * (root * (root *
+        R_i))`` with ``root = sqrt(pilot_power)``, finite ``noise_var > 0`` and
+        ``beta_i >= 0`` is exactly Hermitian and positive definite: the m x m
+        Cholesky, norms and ``hermitize`` copies would change nothing.
         """
         model = object.__new__(cls)
         model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
@@ -483,6 +484,53 @@ def _kronecker_factors(dims: Dims, betas: tuple, correlation: SpatialCorrelation
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
 
 
+def _centro_real_form(top: np.ndarray) -> np.ndarray:
+    """Real symmetric ``S = K^H L K`` of a centro-Hermitian ``L`` (``J conj(L) J = L``), in O(n^2).
+
+    ``top`` holds the first ``n - n // 2`` rows of ``L``, which determine it.
+    ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` is unitary, with a middle unit
+    column for odd ``n``, and ``conj(K) = J K``, so ``S`` is real.  With ``p =
+    n // 2``, ``A = L[:p, :p]`` and ``B = L[:p, n-p:]``, ``S = [[Re(A + BJ),
+    -Im(AJ - B)], [., J Re(AJ - B)]]``; for odd ``n`` the middle row and column
+    are ``sqrt(2)`` times the real and the flipped imaginary part of ``x =
+    L[:p, p]``, about ``L[p, p]``.
+    """
+    n = top.shape[1]
+    p = n // 2
+    a, b = top[:p, :p], top[:p, n - p :]
+    aj_b = a[:, ::-1] - b
+    s = np.empty((n, n))
+    s[:p, :p] = a.real + b.real[:, ::-1]
+    s[:p, n - p :] = -aj_b.imag
+    s[n - p :, :p] = s[:p, n - p :].T
+    s[n - p :, n - p :] = aj_b.real[::-1]
+    if n % 2:
+        x = math.sqrt(2.0) * top[:p, p]
+        s[:p, p] = s[p, :p] = x.real
+        s[n - p :, p] = s[p, n - p :] = x.imag[::-1]
+        s[p, p] = top[p, p].real
+    return s
+
+
+def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
+    """``K @ vecs`` for the ``K`` of :func:`_centro_real_form` and real ``vecs``, in O(n^2).
+
+    The top ``p`` entries of ``K v`` are ``(v_top + iJ v_bottom) / sqrt(2)``,
+    the bottom ``p`` their flipped conjugates and an odd ``n``'s middle one
+    ``v``'s.  Built by rows, so the result is the Fortran-ordered transpose
+    of a C-ordered array.
+    """
+    n = vecs.shape[0]
+    p = n // 2
+    rows = np.empty(vecs.shape[::-1], dtype=complex)
+    half = rows[:, :p]
+    half.real, half.imag = math.sqrt(0.5) * vecs[:p].T, math.sqrt(0.5) * vecs[n - p :][::-1].T
+    np.conjugate(half[:, ::-1], out=rows[:, n - p :])
+    if n % 2:
+        rows[:, p] = vecs[p]
+    return rows.T
+
+
 @lru_cache(maxsize=1)
 def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:
     """Spectrum of the limit ``r + sum_i beta_i R_i`` of :func:`correlated_model`, with channel ``r``.
@@ -492,11 +540,17 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     Without a positive ``beta`` the limit is ``r = R_t (x) R_r``, whose
     eigenvalues are the products of the factors' (Horn & Johnson, Topics in
     Matrix Analysis, Thm 4.2.12) and whose energies are ``mu**2``: no m x m
-    decomposition.  With interference, the limit is built in one buffer and
-    decomposed by one MRRR ``eigh``; the energies ``||r u_k||^2`` apply ``r``
-    through its factors.  Only the latest spectrum is kept (two length-m
-    vectors, read-only), as the experiment runner keeps only its latest
-    model; ``betas`` is a tuple, the cache key.
+    decomposition.  With interference, every term is a Kronecker product of
+    Hermitian Toeplitz factors, each centro-Hermitian (``J conj(T) J = T``
+    for the exchange matrix ``J``), and ``J_n = J_{n_t} (x) J_{n_r}``, so the
+    limit is centro-Hermitian too.  It is unitarily similar to a real
+    symmetric matrix (Lee, Linear Algebra Appl. 29, 1980; Hill, Bates &
+    Waters, SIAM J. Matrix Anal. Appl. 11, 1990; :func:`_centro_real_form`),
+    which one real MRRR ``eigh`` (``dsyevr``) decomposes; its eigenvectors
+    map back in O(m^2) (:func:`_centro_vectors`).  The energies
+    ``||r u_k||^2`` apply ``r`` through its factors.  Only the latest
+    spectrum is kept (two length-m vectors, read-only), as the experiment
+    runner keeps only its latest model; ``betas`` is a tuple, the cache key.
     """
     n_t, n_r, n = dims.n_t, dims.n_r, dims.n
     (_, r_t, r_r), *interferers = _kronecker_factors(dims, betas, correlation)
@@ -505,16 +559,19 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
         mu = np.sort(np.kron(np.linalg.eigvalsh(r_t), np.linalg.eigvalsh(r_r)))
         phi = mu**2
     else:
-        # the buffer holds conj(limit) in C order; its transpose is the Hermitian
-        # limit in the Fortran order that LAPACK overwrites without a copy
-        buffer = np.kron(r_t.conj(), r_r.conj())
+        # the limit's first n - n // 2 rows determine it; the first k * n_r
+        # rows of R_t (x) R_r are R_t[:k] (x) R_r
+        rows = n - n // 2
+        t_rows = -(-rows // n_r)
+        top = np.kron(r_t[:t_rows], r_r)[:rows]
         for beta, i_t, i_r in interferers:
-            buffer += np.kron(beta * i_t.conj(), i_r.conj())
-        mu, vecs = scipy.linalg.eigh(buffer.T, driver="evr", overwrite_a=True)
-        del buffer
+            top += np.kron(beta * i_t[:t_rows], i_r)[:rows]
+        mu, vecs = scipy.linalg.eigh(_centro_real_form(top).T, driver="evr", overwrite_a=True)
+        del top
+        vecs = _centro_vectors(vecs)
         # r u = vec(R_t U R_r^T) for the row-major (n_t, n_r) view U of each
         # eigenvector u, a row of the C-ordered vecs.T; vecs is released before
-        # the second product, so at most two n x n arrays coexist
+        # the second product, so at most two n x n complex arrays coexist
         r_vecs = vecs.T.reshape(n * n_t, n_r) @ r_r.T
         del vecs
         r_vecs = np.matmul(r_t, r_vecs.reshape(n, n_t, n_r))
@@ -575,9 +632,12 @@ def correlated_model(
     r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
     contamination = correlated_contamination(dims, betas, correlation, noise_var)
     pilot = identity_pilot(dims, pilot_power)
+    # the identity pilot's sandwich scales each entry by its real diagonal
+    # entry twice, the same bits as _pilot_sandwich's two contractions
+    root = pilot[0, 0].real
     s_cov = contamination.noise_var * np.eye(dims.m, dtype=complex)
     for beta, cov in zip(contamination.betas, contamination.interferer_covs):
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+        s_cov += beta * (root * (root * cov))
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     source = partial(correlated_limit, dims, contamination.betas, correlation)

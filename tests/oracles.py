@@ -9,7 +9,9 @@ that system is well conditioned.
 
 The matrix forms of the high-power floors decompose dense covariances and
 hand the limit spectrum to :mod:`peachsim.analysis`, which the library feeds
-from the Kronecker-structured :func:`peachsim.model.correlated_limit`.
+from the Kronecker-structured :func:`peachsim.model.correlated_limit`; the
+dense unitary of :func:`centro_unitary` checks the real form that function
+decomposes.
 """
 
 import warnings
@@ -81,6 +83,23 @@ def dense_spectrum(matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> S
     """Spectrum of a dense Hermitian ``matrix`` by one MRRR ``eigh``; phi_k = ||channel @ u_k||^2."""
     lam, vecs = scipy.linalg.eigh(matrix, driver="evr")
     return Spectrum(lam, Spectrum.energies(channel, vecs), trace_r)
+
+
+def centro_unitary(n: int) -> np.ndarray:
+    """Dense unitary ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` of order ``n``, with a middle unit column for odd ``n``.
+
+    ``conj(K) = J K`` for the exchange matrix ``J``, so ``K^H L K`` is real for
+    every centro-Hermitian ``L`` (``J conj(L) J = L``).
+    """
+    p = n // 2
+    eye, flip = np.eye(p), np.eye(p)[::-1]
+    k = np.zeros((n, n), dtype=complex)
+    k[:p, :p], k[:p, n - p :] = eye, 1j * flip
+    k[n - p :, :p], k[n - p :, n - p :] = flip, -1j * eye
+    k /= np.sqrt(2.0)
+    if n % 2:
+        k[p, p] = 1.0
+    return k
 
 
 def noise_limited_floors(r_cov: np.ndarray, degree: int) -> analysis.NoiseLimitedFloors:

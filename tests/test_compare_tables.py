@@ -30,10 +30,24 @@ def test_identical_tables_pass_and_a_moved_cell_fails(tmp_path):
     moved = compare(tmp_path / "old", tmp_path / "moved")
     assert moved.returncode == 1
     lines = moved.stdout.splitlines()
-    assert len(lines) == 2
-    for line in lines:
+    # each differing file: its moved cells, then one summary line
+    assert len(lines) == 4
+    for line in lines[0::2]:
         assert "row 2 (wpeach, 0" in line and "nmse_analytic: 0.25 -> 0.3 (relative 2.00e-01)" in line
-    assert lines[0].startswith("t.csv:") and lines[1].startswith("t.json:")
+    for line in lines[1::2]:
+        assert ": 1 cells moved, largest relative move 2.00e-01 at row 2 (wpeach, 0" in line
+        assert line.endswith(") nmse_analytic")
+    assert lines[0].startswith("t.csv:") and lines[1].startswith("t.csv:")
+    assert lines[2].startswith("t.json:") and lines[3].startswith("t.json:")
+
+    # the summary names the largest of several moves, and a text cell has none
+    write_rows(
+        [replace(rows[0], nmse_analytic=0.1251, estimator="MMSE"), replace(rows[1], nmse_analytic=0.3)],
+        tmp_path / "several" / "t.csv",
+    )
+    several = compare(tmp_path / "old", tmp_path / "several").stdout.splitlines()
+    assert "t.csv: 3 cells moved, largest relative move 2.00e-01 at row 2 (wpeach, 0) nmse_analytic" in several
+    assert any("estimator: mmse -> MMSE (relative n/a)" in line for line in several)
 
     (tmp_path / "same" / "t.json").unlink()
     missing = compare(tmp_path / "old", tmp_path / "same")

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from peachsim import estimators as es
 from peachsim.cli import _floors, default_config, main
@@ -19,6 +20,7 @@ from peachsim.model import (
     DEFAULT_CORRELATION,
     Dims,
     SpatialCorrelation,
+    _centro_real_form,
     build_stat_model,
     check_hermitian_psd,
     correlated_contamination,
@@ -28,9 +30,14 @@ from peachsim.model import (
 )
 
 from conftest import count_eig_calls
-from oracles import contaminated_floors, noise_limited_floors
+from oracles import centro_unitary, contaminated_floors, dense_spectrum, noise_limited_floors
 
 DESK = Dims(20, 4, 4)
+SHAPES = {"20x4": DESK, "5x3": Dims(5, 3, 3), "3x1": Dims(3, 1, 1)}
+CORRELATIONS = {
+    "default": DEFAULT_CORRELATION,
+    "other": SpatialCorrelation(0.3 + 0.2j, -0.5 + 0.1j, (0.1j, 0.7), (0.2 - 0.6j, 0.5j)),
+}
 BETAS = {"none": (), "zero": (0.0, 0.0), "0.1": (0.1, 0.1), "1": (1.0, 1.0)}
 
 
@@ -57,15 +64,75 @@ def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
 def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, noise_var):
     # correlated_model validates only R_t and R_r; what it builds is exactly
     # what the generic path builds, and passes the generic path's dense check
-    model = correlated_model(DESK, gamma_db, betas, noise_var=noise_var)
-    r_t = exp_correlation_matrix(DESK.n_t, DEFAULT_CORRELATION.desired_tx)
-    r_r = exp_correlation_matrix(DESK.n_r, DEFAULT_CORRELATION.desired_rx)
-    contamination = correlated_contamination(DESK, betas, noise_var=noise_var)
-    generic = build_stat_model(DESK, None, np.kron(r_t, r_r), None, contamination, noise_var * 10.0 ** (gamma_db / 10.0))
-    for name in ("r_cov", "s_cov", "pilot", "h_mean", "n_mean"):
-        np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
-    assert check_hermitian_psd(model.r_cov, "r_cov")[1]
-    assert check_hermitian_psd(model.s_cov, "s_cov")[1]
+    for dims in (DESK, SHAPES["5x3"]):
+        model = correlated_model(dims, gamma_db, betas, noise_var=noise_var)
+        r_t = exp_correlation_matrix(dims.n_t, DEFAULT_CORRELATION.desired_tx)
+        r_r = exp_correlation_matrix(dims.n_r, DEFAULT_CORRELATION.desired_rx)
+        contamination = correlated_contamination(dims, betas, noise_var=noise_var)
+        pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
+        generic = build_stat_model(dims, None, np.kron(r_t, r_r), None, contamination, pilot_power)
+        for name in ("r_cov", "s_cov", "pilot", "h_mean", "n_mean"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
+        assert check_hermitian_psd(model.r_cov, "r_cov")[1]
+        assert check_hermitian_psd(model.s_cov, "s_cov")[1]
+
+
+def dense_limit(dims, betas, correlation):
+    """The limit ``r + sum_i beta_i R_i`` and ``r``, formed densely."""
+    r_cov = correlated_model(dims, 0.0, betas, correlation).r_cov
+    return r_cov + correlated_contamination(dims, betas, correlation).summed_covariance, r_cov
+
+
+@pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
+@pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
+def test_real_form_spectrum_matches_dense_eigh(dims, correlation):
+    # even n (20 x 4) and odd n (5 x 3, 3 x 1, with its middle unit column of K)
+    betas = (0.1, 0.3)
+    limit, r_cov = dense_limit(dims, betas, correlation)
+    got = correlated_limit(dims, betas, correlation)
+    want = dense_spectrum(limit, r_cov, float(np.trace(r_cov).real))
+    assert np.max(np.abs(got.lam - want.lam) / want.lam) <= 1e-12
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * np.max(want.phi)
+    model = correlated_model(dims, 10.0, betas, correlation)
+    got, want = model.z_spectrum, replace(model).z_spectrum
+    assert np.max(np.abs(got.lam - want.lam) / want.lam) <= 1e-12
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * np.max(want.phi)
+
+
+@pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
+@pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
+def test_real_form_is_the_unitary_similarity(dims, correlation):
+    limit, _ = dense_limit(dims, (0.1, 0.3), correlation)
+    k = centro_unitary(dims.n)
+    np.testing.assert_allclose(k.conj().T @ k, np.eye(dims.n), rtol=0.0, atol=1e-15)
+    similar = k.conj().T @ limit @ k
+    scale = np.linalg.norm(limit)
+    assert np.linalg.norm(similar.imag) <= 1e-15 * scale
+    real_form = _centro_real_form(limit[: dims.n - dims.n // 2])
+    assert real_form.dtype == np.float64
+    assert np.linalg.norm(real_form - similar.real) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("dims", [DESK, SHAPES["5x3"]], ids=["20x4", "5x3"])
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1)], ids=["noise-limited", "contaminated"])
+def test_limit_runs_one_real_eigensolver(monkeypatch, betas, dims):
+    # every m x m eigensolver call, with the dtype of the matrix it decomposes;
+    # the Kronecker factors are smaller than m (unlike those of Dims(3, 1, 1))
+    calls = []
+
+    def recorded(fn):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a)[0] >= dims.m:
+                calls.append(np.asarray(a).dtype)
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for namespace in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eig", "eigvalsh", "eigvals"):
+            monkeypatch.setattr(namespace, name, recorded(getattr(namespace, name)))
+    correlated_limit(dims, betas)
+    assert calls == ([np.dtype(np.float64)] if betas else [])
 
 
 BAD_COEFFICIENTS = {
