@@ -37,7 +37,6 @@ from .estimators import (
     Prepared,
     alpha_gershgorin,
     alpha_optimal,
-    alpha_trace,
     bind,
     default_alpha_w,
     diag_estimate,

@@ -122,14 +122,6 @@ def alpha_optimal(z: np.ndarray) -> float:
     return float(2.0 / (eigs[-1] + eigs[0]))
 
 
-def alpha_trace(z: np.ndarray) -> float:
-    """Cheap scaling 2 / trace(z); always inside the convergence bound."""
-    tr = float(np.trace(np.asarray(z)).real)
-    if tr <= 0:
-        raise NotPositiveDefinite("matrix must be positive definite")
-    return 2.0 / tr
-
-
 def alpha_gershgorin(z: np.ndarray) -> float:
     """Scaling from Gershgorin eigenvalue bounds, avoiding an eigendecomposition."""
     z = np.asarray(z, dtype=complex)
@@ -233,8 +225,9 @@ def _mvu_system(model: StatModel) -> Prepared:
     covariance S = (Q^H (x) I) s_cov (Q (x) I).  The estimate is h_mean +
     (R1^{-1} (x) I)(x1 - S12 S22^{-1} x2), both factors applied to reshaped
     views, with variance trace((R1^{-1} (x) I)(S11 - S12 S22^{-1} S21)(R1^{-1} (x) I)^H).
-    Forming S costs O(m^2 * b); for b > n_t one Cholesky of the (m - n)
-    block S22 follows, and for b == n_t nothing of size m is factored.
+    Forming S costs O(m^2 * b), or O(m^2) for an identity pilot, whose Q is
+    I; for b > n_t one Cholesky of the (m - n) block S22 follows, and for
+    b == n_t nothing of size m is factored.
     :class:`RankDeficientPilot` unless the pilot has full row rank (b >= n_t
     and a smallest singular value above 1e-6 times the largest).
     """
@@ -302,7 +295,7 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     Without ``alpha`` the scaling is 2 / (lambda_max + lambda_min) of the
     model's shared spectrum of z, the fastest-converging one (as
     :func:`alpha_optimal`).  Another rule is passed as ``alpha``, for example
-    ``alpha_trace(z_matrix(model))``; outside the convergence bound of that
+    ``alpha_gershgorin(z_matrix(model))``; outside the convergence bound of that
     spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
     stays defined but no longer approaches the MMSE estimator.
     """

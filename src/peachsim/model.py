@@ -7,11 +7,13 @@ covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  Every covariance is validated densely at
 construction, except that :func:`correlated_model` validates only the
-Kronecker factors of its own.  :meth:`StatModel.draw` is the one sampler of
-``(h, y)`` pairs.  The correlated model's limit ``r + sum_i beta_i R_i``
-(:func:`correlated_limit`) is eigendecomposed once per sweep, in real
-arithmetic since it is centro-Hermitian, and the spectrum of ``z`` at each
-pilot SNR is an affine map of it.
+Kronecker factors of its one term list.  ``z`` is the pilot sandwich of
+``r_cov`` plus ``s_cov``; for the identity pilot the sandwich only scales.
+:meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
+correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
+is eigendecomposed once per sweep, in real arithmetic since it is
+centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
+map of it.
 """
 
 from __future__ import annotations
@@ -231,11 +233,12 @@ class StatModel:
         factors validated as PSD, so each is exactly Hermitian (an entry and
         its mirror are products of conjugates) and PSD (its eigenvalues are
         the products of the factors'; Horn & Johnson, Topics in Matrix
-        Analysis, Thm 4.2.12).  The identity ``pilot`` scales each sandwich
-        entrywise, so ``s_cov = noise_var * I + sum_i beta_i * (root * (root *
-        R_i))`` with ``root = sqrt(pilot_power)``, finite ``noise_var > 0`` and
-        ``beta_i >= 0`` is exactly Hermitian and positive definite: the m x m
-        Cholesky, norms and ``hermitize`` copies would change nothing.
+        Analysis, Thm 4.2.12).  The identity ``pilot``'s sandwich of ``R_i``
+        scales each entry by the same real scalar (:func:`_pilot_sandwich`),
+        so ``s_cov``, ``noise_var * I`` plus the sandwiches weighted by
+        ``beta_i >= 0``, with finite ``noise_var > 0``, is exactly Hermitian
+        and positive definite: the m x m Cholesky, norms and ``hermitize``
+        copies would change nothing.
         """
         model = object.__new__(cls)
         model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
@@ -279,8 +282,8 @@ class StatModel:
         return self.apply_pilot(self.h_mean) + self.n_mean
 
     def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
-        """pilot_ext @ r_cov @ pilot_ext^H + s_cov for a channel covariance ``r_cov`` of this model's shape."""
-        return hermitize(_pilot_sandwich(self.pilot, self.dims.n_r, r_cov) + self.s_cov)
+        """pilot_ext @ r_cov @ pilot_ext^H + s_cov for a validated channel covariance ``r_cov`` of this model's shape."""
+        return _pilot_sandwich(self.pilot, self.dims.n_r, r_cov) + self.s_cov
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -373,18 +376,21 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
 
 
 def _pilot_sandwich(pilot: np.ndarray, n_r: int, cov: np.ndarray) -> np.ndarray:
-    """pilot_ext @ cov @ pilot_ext^H without the dense (m, n) factor.
+    """pilot_ext @ cov @ pilot_ext^H without the dense factor; exactly Hermitian when ``cov`` is.
 
-    With ``pilot_ext = pilot.T (x) I_{n_r}``, ``cov`` is viewed as an
-    (n_t, n_r, n_t, n_r) array and the pilot is contracted on both transmit
-    axes, which costs O(b * n_t * n * n_r) instead of O(m * n^2).
+    A pilot ``root * I`` with real ``root`` scales each entry twice.  Any
+    other pilot is contracted on both transmit axes of ``cov`` viewed as an
+    (n_t, n_r, n_t, n_r) array, in O(b * n_t * n * n_r) rather than
+    O(m * n^2), and the result is symmetrized.
     """
     n_t, b = pilot.shape
-    m = b * n_r
+    root = pilot[0, 0].real
+    if n_t == b and np.array_equal(pilot, root * np.eye(n_t)):
+        return root * (root * cov)
     # pilot on the row transmit axis gives (j, r, u, s), conj(pilot) on the
     # column one (j, r, s, k); rows are (j, r) and columns (k, s)
     left = np.tensordot(pilot, cov.reshape(n_t, n_r, n_t, n_r), axes=(0, 0))
-    return np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(m, m)
+    return hermitize(np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(b * n_r, -1))
 
 
 def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: ContaminationSpec) -> np.ndarray:
@@ -400,8 +406,8 @@ def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: Contamina
         cov, _ = check_hermitian_psd(cov, "interferer covariance")
         if cov.shape != (n_t * n_r,) * 2:
             raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
-        s_cov = s_cov + beta * _pilot_sandwich(pilot, n_r, cov)
-    return hermitize(s_cov)
+        s_cov += beta * _pilot_sandwich(pilot, n_r, cov)
+    return s_cov
 
 
 def build_stat_model(
@@ -468,20 +474,18 @@ class SpatialCorrelation:
 DEFAULT_CORRELATION = SpatialCorrelation()
 
 
-def _kronecker_correlation(dims: Dims, tx: complex, rx: complex) -> np.ndarray:
-    """``R_t (x) R_r``, each exponential factor validated Hermitian PSD first (O(n_t^3 + n_r^3))."""
-    r_t, _ = check_hermitian_psd(exp_correlation_matrix(dims.n_t, tx), "R_t")
-    r_r, _ = check_hermitian_psd(exp_correlation_matrix(dims.n_r, rx), "R_r")
-    return np.kron(r_t, r_r)
-
-
-def _kronecker_factors(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
-    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of
-    :func:`correlated_contamination` with a positive ``beta`` (weight ``beta``)."""
+def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
+    """Unvalidated ``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
+    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically."""
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
-    terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas) if beta > 0]
+    terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
+
+
+def _kronecker_covariance(r_t: np.ndarray, r_r: np.ndarray) -> np.ndarray:
+    """``R_t (x) R_r``, each factor validated Hermitian PSD first (O(n_t^3 + n_r^3))."""
+    return np.kron(check_hermitian_psd(r_t, "R_t")[0], check_hermitian_psd(r_r, "R_r")[0])
 
 
 def _centro_real_form(top: np.ndarray) -> np.ndarray:
@@ -553,7 +557,8 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     runner keeps only its latest model; ``betas`` is a tuple, the cache key.
     """
     n_t, n_r, n = dims.n_t, dims.n_r, dims.n
-    (_, r_t, r_r), *interferers = _kronecker_factors(dims, betas, correlation)
+    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
+    interferers = [term for term in interferers if term[0] > 0]
     trace_r = float(np.trace(r_t).real * np.trace(r_r).real)
     if not interferers:
         mu = np.sort(np.kron(np.linalg.eigvalsh(r_t), np.linalg.eigvalsh(r_r)))
@@ -584,7 +589,7 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
 
 def correlated_diagonals(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION):
     """Diagonals of r and of ``sum_i beta_i R_i`` of :func:`correlated_model`, read off their Kronecker factors."""
-    (_, r_t, r_r), *interferers = _kronecker_factors(dims, betas, correlation)
+    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     diag = lambda a, b: np.kron(np.diag(a), np.diag(b)).real
     return diag(r_t, r_r), sum((beta * diag(i_t, i_r) for beta, i_t, i_r in interferers), np.zeros(dims.n))
 
@@ -595,14 +600,9 @@ def correlated_contamination(
     correlation: SpatialCorrelation = DEFAULT_CORRELATION,
     noise_var: float = 1.0,
 ) -> ContaminationSpec:
-    """Pilot-reusing interferers of :func:`correlated_model`.
-
-    Interferer ``i`` uses the ``i``-th correlation coefficient pair
-    (cyclically) weakened by ``betas[i]``.
-    """
-    pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
-    covs = tuple(_kronecker_correlation(dims, *pairs[i % len(pairs)]) for i in range(len(betas)))
-    return ContaminationSpec(covs, tuple(betas), noise_var)
+    """Pilot-reusing interferers of :func:`correlated_model` (:func:`_correlated_terms`), from validated factors."""
+    _, *interferers = _correlated_terms(dims, betas, correlation)
+    return ContaminationSpec(tuple(_kronecker_covariance(r_t, r_r) for _, r_t, r_r in interferers), betas, noise_var)
 
 
 def correlated_model(
@@ -629,15 +629,13 @@ def correlated_model(
         pilot_power = float(noise_var) * math.pow(10.0, gamma_db / 10.0)
     except OverflowError:
         raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
-    r_cov = _kronecker_correlation(dims, correlation.desired_tx, correlation.desired_rx)
+    _, r_t, r_r = _correlated_terms(dims, (), correlation)[0]
+    r_cov = _kronecker_covariance(r_t, r_r)
     contamination = correlated_contamination(dims, betas, correlation, noise_var)
     pilot = identity_pilot(dims, pilot_power)
-    # the identity pilot's sandwich scales each entry by its real diagonal
-    # entry twice, the same bits as _pilot_sandwich's two contractions
-    root = pilot[0, 0].real
     s_cov = contamination.noise_var * np.eye(dims.m, dtype=complex)
     for beta, cov in zip(contamination.betas, contamination.interferer_covs):
-        s_cov += beta * (root * (root * cov))
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     source = partial(correlated_limit, dims, contamination.betas, correlation)

@@ -11,7 +11,8 @@ The matrix forms of the high-power floors decompose dense covariances and
 hand the limit spectrum to :mod:`peachsim.analysis`, which the library feeds
 from the Kronecker-structured :func:`peachsim.model.correlated_limit`; the
 dense unitary of :func:`centro_unitary` checks the real form that function
-decomposes.
+decomposes.  :func:`pilot_sandwich` contracts the pilot for every pilot,
+where the library only scales for an identity pilot.
 """
 
 import warnings
@@ -100,6 +101,17 @@ def centro_unitary(n: int) -> np.ndarray:
     if n % 2:
         k[p, p] = 1.0
     return k
+
+
+def pilot_sandwich(pilot: np.ndarray, n_r: int, cov: np.ndarray) -> np.ndarray:
+    """pilot_ext @ cov @ pilot_ext^H by contracting the pilot on both transmit axes of ``cov``, unsymmetrized.
+
+    With ``pilot_ext = pilot.T (x) I_{n_r}``, ``cov`` is viewed as an
+    (n_t, n_r, n_t, n_r) array; rows of the result are (j, r) and columns (k, s).
+    """
+    n_t, b = pilot.shape
+    left = np.tensordot(pilot, cov.reshape(n_t, n_r, n_t, n_r), axes=(0, 0))
+    return np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(b * n_r, b * n_r)
 
 
 def noise_limited_floors(r_cov: np.ndarray, degree: int) -> analysis.NoiseLimitedFloors:

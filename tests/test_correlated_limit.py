@@ -24,6 +24,7 @@ from peachsim.model import (
     build_stat_model,
     check_hermitian_psd,
     correlated_contamination,
+    correlated_diagonals,
     correlated_limit,
     correlated_model,
     exp_correlation_matrix,
@@ -38,7 +39,8 @@ CORRELATIONS = {
     "default": DEFAULT_CORRELATION,
     "other": SpatialCorrelation(0.3 + 0.2j, -0.5 + 0.1j, (0.1j, 0.7), (0.2 - 0.6j, 0.5j)),
 }
-BETAS = {"none": (), "zero": (0.0, 0.0), "0.1": (0.1, 0.1), "1": (1.0, 1.0)}
+# a third interferer wraps around to the first coefficient pair, past a zero weight
+BETAS = {"none": (), "zero": (0.0, 0.0), "0.1": (0.1, 0.1), "1": (1.0, 1.0), "cyclic": (1.0, 0.0, 0.7)}
 
 
 @pytest.mark.parametrize("noise_var", [1.0, 0.5])
@@ -83,11 +85,11 @@ def dense_limit(dims, betas, correlation):
     return r_cov + correlated_contamination(dims, betas, correlation).summed_covariance, r_cov
 
 
+@pytest.mark.parametrize("betas", [(0.1, 0.3), BETAS["cyclic"]], ids=["0.1-0.3", "cyclic"])
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
 @pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
-def test_real_form_spectrum_matches_dense_eigh(dims, correlation):
+def test_real_form_spectrum_matches_dense_eigh(dims, correlation, betas):
     # even n (20 x 4) and odd n (5 x 3, 3 x 1, with its middle unit column of K)
-    betas = (0.1, 0.3)
     limit, r_cov = dense_limit(dims, betas, correlation)
     got = correlated_limit(dims, betas, correlation)
     want = dense_spectrum(limit, r_cov, float(np.trace(r_cov).real))
@@ -221,8 +223,27 @@ def test_one_read_only_limit_is_kept():
         limit.phi[0] = 0.0
 
 
+@pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
+def test_interferers_cycle_through_the_coefficient_pairs(correlation):
+    covs = correlated_contamination(DESK, BETAS["cyclic"], correlation).interferer_covs
+    pairs = [*zip(correlation.interferer_tx, correlation.interferer_rx)] * 2
+    for cov, (tx, rx) in zip(covs, pairs, strict=False):
+        want = np.kron(exp_correlation_matrix(DESK.n_t, tx), exp_correlation_matrix(DESK.n_r, rx))
+        np.testing.assert_array_equal(cov, want)
+    assert len(covs) == 3
+
+
+@pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
+@pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
+def test_diagonals_are_the_dense_diagonals(betas, correlation):
+    r_diag, s_diag = correlated_diagonals(DESK, betas, correlation)
+    sum_interf = correlated_contamination(DESK, betas, correlation).summed_covariance + np.zeros((DESK.n, DESK.n))
+    np.testing.assert_array_equal(r_diag, np.diag(correlated_model(DESK, 0.0, (), correlation).r_cov).real)
+    np.testing.assert_array_equal(s_diag, np.diag(sum_interf).real)
+
+
 @pytest.mark.parametrize("degree", [0, 4, 10])
-@pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 1.0)], ids=["noise-limited", "0.1", "1"])
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 1.0), BETAS["cyclic"]], ids=["noise-limited", "0.1", "1", "cyclic"])
 def test_sweep_floors_match_dense_floors(betas, degree):
     # the runner's floors read the limit spectrum and the factors' diagonals;
     # the dense forms decompose r_cov (+ the summed interferer covariance)

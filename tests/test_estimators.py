@@ -37,6 +37,7 @@ from conftest import (
     random_pilot_model,
     relative_error,
 )
+from oracles import pilot_sandwich
 
 
 # (n_t, b) shapes of the non-square random pilots
@@ -141,6 +142,21 @@ class TestMvu:
         es.mvu_variance(model)
         factored = {name: count for name, count in counts.items() if count}
         assert factored == ({} if b == n_t else {"cho_factor": 2})
+
+    @pytest.mark.parametrize("gamma_db", [-10.0, 7.3, 30.0])
+    @pytest.mark.parametrize("betas", [(), (1.0, 0.3, 0.7)], ids=["noise-limited", "cyclic"])
+    @pytest.mark.parametrize("dims", [Dims(20, 4, 4), Dims(5, 3, 3)], ids=["20x4", "5x3"])
+    def test_identity_pilot_rotation_is_the_contraction_bit_for_bit(self, monkeypatch, dims, gamma_db, betas):
+        # QR of an identity pilot gives Q = I exactly, whose sandwich of s_cov
+        # is s_cov; the oracle contracts it, unsymmetrized, as the estimator
+        # once did
+        model = correlated_model(dims, gamma_db, betas)
+        y = np.random.default_rng(3).standard_normal((dims.m, 2)) + 0j
+        mvu = es.prepare(model, "mvu")
+        monkeypatch.setattr(es, "_pilot_sandwich", pilot_sandwich)
+        contracted = es.prepare(model, "mvu")
+        assert mvu.mse() == contracted.mse()
+        assert mvu.apply(y).tobytes() == contracted.apply(y).tobytes()
 
     def test_variance_closed_form(self):
         dims = Dims(3, 2, 2)
@@ -253,12 +269,6 @@ class TestAlphaRules:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             es.alpha_optimal(np.diag([1.0, -0.1]))
-
-    def test_trace_rule(self, rng):
-        assert es.alpha_trace(np.eye(7)) == pytest.approx(2.0 / 7.0)
-        assert es.alpha_trace(np.diag([1.0, 3.0])) == pytest.approx(0.5)
-        z = random_hermitian_psd(rng, 6)
-        assert es.alpha_trace(z) <= 2.0 / np.linalg.eigvalsh(z)[-1] + 1e-15
 
     def test_gershgorin_rule_within_bound(self, rng):
         z = random_hermitian_psd(rng, 6, eig_lo=0.5, eig_hi=3.0)

@@ -21,10 +21,14 @@ from peachsim.model import (
     Dims,
     StatModel,
     build_stat_model,
+    correlated_contamination,
     correlated_model,
     deviation,
+    disturbance_covariance,
     exp_correlation_matrix,
     extend_pilot,
+    hermitize,
+    identity_pilot,
     psd_factor,
     standard_complex_normal,
     stat_model_from_pilot,
@@ -39,6 +43,7 @@ from conftest import (
     random_pilot_model,
     relative_error,
 )
+from oracles import pilot_sandwich
 
 
 # §IV-C-style correlation coefficient used by the entry-value check below
@@ -347,6 +352,68 @@ class TestArbitraryPilot:
             stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), np.eye(3))
 
 
+SANDWICH_DIMS = {"20x4": Dims(20, 4, 4), "5x3": Dims(5, 3, 3), "100x10": Dims(100, 10, 10), "3x1": Dims(3, 1, 1)}
+SANDWICH_BETAS = {"none": (), "0.1": (0.1, 0.1), "cyclic": (1.0, 0.3, 0.7)}
+
+
+class TestPilotSandwich:
+    """The identity pilot's sandwich scales; every other pilot is contracted and symmetrized."""
+
+    @pytest.mark.parametrize("noise_var", [1.0, 0.5])
+    @pytest.mark.parametrize("betas", SANDWICH_BETAS.values(), ids=SANDWICH_BETAS.keys())
+    @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 7.3, 30.0])
+    @pytest.mark.parametrize("dims", SANDWICH_DIMS.values(), ids=SANDWICH_DIMS.keys())
+    def test_correlated_z_is_the_symmetrized_contraction_bit_for_bit(self, dims, gamma_db, betas, noise_var):
+        # the scaled sandwich is the same bits as the contraction of
+        # oracles.pilot_sandwich, symmetrized as the dense path does
+        model = correlated_model(dims, gamma_db, betas, noise_var=noise_var)
+        assert model.z.tobytes() == hermitize(pilot_sandwich(model.pilot, dims.n_r, model.r_cov) + model.s_cov).tobytes()
+
+    @pytest.mark.parametrize("betas", SANDWICH_BETAS.values(), ids=SANDWICH_BETAS.keys())
+    @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 7.3, 30.0])
+    @pytest.mark.parametrize("dims", [SANDWICH_DIMS[key] for key in ("20x4", "5x3", "3x1")], ids=["20x4", "5x3", "3x1"])
+    def test_correlated_disturbance_is_the_symmetrized_contraction_bit_for_bit(self, dims, gamma_db, betas):
+        contamination = correlated_contamination(dims, betas, noise_var=0.5)
+        pilot = identity_pilot(dims, 0.5 * 10.0 ** (gamma_db / 10.0))
+        s_cov = 0.5 * np.eye(dims.m, dtype=complex)
+        for beta, cov in zip(betas, contamination.interferer_covs):
+            s_cov = s_cov + beta * pilot_sandwich(pilot, dims.n_r, cov)
+        want = hermitize(s_cov).tobytes()
+        assert correlated_model(dims, gamma_db, betas, noise_var=0.5).s_cov.tobytes() == want
+        assert disturbance_covariance(pilot, dims.n_r, contamination).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "pilot",
+        [
+            lambda rng: complex_vector(rng, 9).reshape(3, 3),
+            lambda rng: np.diag([1.0, 2.0, 3.0]).astype(complex),
+            lambda rng: 1j * np.eye(3),
+        ],
+        ids=["random", "diagonal", "imaginary-scalar"],
+    )
+    def test_square_pilots_other_than_a_real_scalar_are_contracted(self, rng, pilot):
+        pilot = pilot(rng)
+        dims = Dims(2, 3, 3)
+        covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
+        contamination = ContaminationSpec(covs, (0.3, 0.7), 0.8)
+        model = stat_model_from_pilot(dims, None, random_hermitian_psd(rng, dims.n), None, contamination, pilot)
+        p_ext = extend_pilot(pilot, dims.n_r)
+        dense = 0.8 * np.eye(dims.m) + p_ext @ model.r_cov @ p_ext.conj().T
+        for beta, cov in zip(contamination.betas, covs):
+            dense = dense + beta * p_ext @ cov @ p_ext.conj().T
+        assert np.array_equal(model.z, model.z.conj().T)
+        assert relative_error(model.z, dense) <= 1e-12
+
+    @pytest.mark.parametrize("root", [2.5, -0.5, 1.0])
+    def test_scaled_identity_pilot_is_scaled_not_contracted(self, rng, root, monkeypatch):
+        dims = Dims(3, 2, 2)
+        model = stat_model_from_pilot(
+            dims, None, random_hermitian_psd(rng, dims.n), None, ContaminationSpec(), root * np.eye(2, dtype=complex)
+        )
+        monkeypatch.setattr(np, "tensordot", None)
+        assert model.z.tobytes() == (root * (root * model.r_cov) + model.s_cov).tobytes()
+
+
 PILOT_SHAPES = [(2, 3), (3, 5)]
 
 
@@ -370,6 +437,7 @@ class TestStructuredPilot:
         model = random_pilot_model(rng, n_t, b)
         p_ext = extend_pilot(model.pilot, model.dims.n_r)
         assert relative_error(model.z, p_ext @ model.r_cov @ p_ext.conj().T + model.s_cov) <= 1e-12
+        assert np.array_equal(model.z, model.z.conj().T)
         assert relative_error(model.y_mean(), p_ext @ model.h_mean + model.n_mean) <= 1e-12
         h = complex_vector(rng, (model.dims.n, 4))
         noise = complex_vector(rng, (model.dims.m, 4))

@@ -22,7 +22,7 @@ from conftest import (
     random_model,
     random_pilot_model,
 )
-from oracles import contaminated_floors, dense_spectrum, noise_limited_floors
+from oracles import contaminated_floors, dense_spectrum, noise_limited_floors, pilot_sandwich
 
 DEGREES = (0, 3, 10)
 KINDS = ("random", "random-contaminated", "correlated", "correlated-contaminated")
@@ -110,6 +110,19 @@ def test_mismatched_mse_matches_dense_filters(kind, n_samples):
     dense_wpeach = es.poly_filter_matrix(model_est, es.make_wpeach(model_est, 8))
     assert mmse == pytest.approx(es.linear_filter_mse(model, es.mmse_filter_matrix(model_est)), rel=1e-12)
     assert wpeach == pytest.approx(es.linear_filter_mse(model, dense_wpeach), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_samples", [3, 160])
+@pytest.mark.parametrize("betas", [(), (1.0, 0.3, 0.7)], ids=["noise-limited", "cyclic"])
+@pytest.mark.parametrize("gamma_db", [-10.0, 30.0])
+@pytest.mark.parametrize("dims", [Dims(20, 4, 4), Dims(5, 3, 3)], ids=["20x4", "5x3"])
+def test_mismatched_observation_covariance_is_the_contraction_bit_for_bit(dims, gamma_db, betas, n_samples):
+    # r_est validated as mismatched_mse does; the identity pilot's scaled
+    # sandwich gives the symmetrized contraction's bits
+    model = correlated_model(dims, gamma_db, betas)
+    r_est, _ = model_module.check_hermitian_psd(shrunk_r_cov(model, n_samples, seed=3))
+    want = model_module.hermitize(pilot_sandwich(model.pilot, model.dims.n_r, r_est) + model.s_cov)
+    assert model.observation_covariance(r_est).tobytes() == want.tobytes()
 
 
 # the desk models of the figure battery on which the shared preparation is compared
