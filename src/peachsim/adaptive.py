@@ -36,11 +36,14 @@ class AdaptiveState:
 
     Single-writer: updates are sequential by construction.  ``window`` is the
     only record of the samples: the quadratic forms of the last
-    ``window_len``, oldest first.  ``a_approx`` and ``b_approx`` are
-    read-only views formed from its correctly rounded mean, which depends on
-    which samples the window holds, not their order; ``b_approx[0]`` is the
-    exact ``b1``.  ``fallback`` is set when an ill-conditioned update kept
-    the previous ``weights``.
+    ``window_len``, oldest first, one row per sample whether the samples
+    arrived one at a time or as the columns of a block.  ``a_approx`` and
+    ``b_approx`` are read-only views formed from its correctly rounded mean,
+    which depends on which rows the window holds, not their order; so within
+    one feeding mode a slid state equals a fresh fill of its window bit for
+    bit.  ``b_approx[0]`` is the exact ``b1``.  ``fallback`` is set when the
+    latest step's system was too ill-conditioned and the previous
+    ``weights`` were kept.
     """
 
     model: StatModel
@@ -65,19 +68,24 @@ class AdaptiveState:
 
 
 def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
-    """Per-sample quadratic forms q_k = Re(d^H pilot r^2 pilot^H z^k d), k = 0..2L.
+    """Quadratic forms q_k = Re(d^H pilot r^2 pilot^H z^k d), k = 0..2L, of a sample or a block.
 
     ``d`` is the mean-removed observation, whose outer product has mean
-    ``z``; the pilot is applied through its Kronecker structure and each
-    sample costs 2L products with ``z``, O(L m^2).
+    ``z``.  An ``(m,)`` sample gives the ``(2L + 1,)`` row of its forms; an
+    ``(m, k)`` block gives one such row per column, ``(k, 2L + 1)``.  Either
+    costs one chain of ``2L`` products with ``z``, two with ``r_cov`` and a
+    column-wise conjugate dot per power, O(L m^2 k); the pilot is applied
+    through its Kronecker structure.  A block turns the chain's
+    matrix-vector products into matrix products, several times cheaper per
+    column.
     """
     v = deviation(model, y)
-    f_d = model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v)))
-    out = np.empty(2 * degree + 1)
-    out[0] = np.vdot(f_d, v).real
+    f_d = model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v))).conj()
+    out = np.empty((*v.shape[1:], 2 * degree + 1))
+    out[..., 0] = (f_d * v).sum(axis=0).real
     for k in range(1, 2 * degree + 1):
         v = model.z @ v
-        out[k] = np.vdot(f_d, v).real
+        out[..., k] = (f_d * v).sum(axis=0).real
     return out
 
 
@@ -121,24 +129,35 @@ def _solve_sampled(state: AdaptiveState) -> np.ndarray:
     return weights
 
 
-def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list) -> AdaptiveState:
+def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | np.ndarray) -> AdaptiveState:
     """Fill the window from the ``warmup`` samples and solve the first weights.
 
-    The window length is ``len(warmup)``; an empty warmup raises
-    :class:`WindowSizeError`.  The first right-hand-side entry has no window
-    dependence: it is ``alpha_w tr(pilot_ext r^2 pilot_ext^H) =
-    alpha_w ||pilot_ext r||_F^2``, exact for any pilot.  Every other entry
-    comes from the window mean, so a state that has slid through any stream
-    holds the same system as a fresh fill of its current window.
+    ``warmup`` is a list of ``(m,)`` samples or one ``(m, k)`` block; the
+    window length is the number of samples or columns, and an empty warmup
+    raises :class:`WindowSizeError`.  A list's forms are computed sample by
+    sample, as single updates compute them; stacked into a block they would
+    round differently (about 1e-16 relative), since a block product
+    accumulates in another order than a matrix-vector product.  The first
+    right-hand-side entry has no window dependence: it is ``alpha_w
+    tr(pilot_ext r^2 pilot_ext^H) = alpha_w ||pilot_ext r||_F^2``, exact for
+    any pilot.  Every other entry comes from the window mean, so a state
+    that has slid through any stream holds the same system as a fresh fill
+    of its current window.
     """
-    if len(warmup) < 1:
+    if isinstance(warmup, np.ndarray):
+        if warmup.ndim != 2:
+            raise ShapeError(f"a warmup array must be an (m, k) block, got shape {warmup.shape}")
+        rows = list(_quad_forms(model, degree, warmup))
+    else:
+        rows = [_quad_forms(model, degree, y) for y in warmup]
+    if not rows:
         raise WindowSizeError("the warmup must hold at least one sample")
     state = AdaptiveState(
         model=model,
         degree=degree,
         alpha_w=alpha_w,
         b1=alpha_w * float(np.linalg.norm(model.apply_pilot(model.r_cov)) ** 2),
-        window=deque((_quad_forms(model, degree, y) for y in warmup), maxlen=len(warmup)),
+        window=deque(rows, maxlen=len(rows)),
         weights=np.zeros(degree + 1, dtype=complex),
     )
     state.weights = _solve_sampled(state)
@@ -146,18 +165,23 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list) -
 
 
 def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
-    """Slide the window one step and return the refreshed weights.
+    """Slide the window by an ``(m,)`` sample or by each column of an ``(m, k)`` block; return the weights.
 
-    The newest sample's quadratic forms push the oldest out of the window.
-    If the system formed from the new window is too ill-conditioned to
-    solve, the previous weights are kept and ``state.fallback`` is set.
+    The block's forms come from one chain of block products; then each
+    column's forms push the oldest out of the window and the system is
+    solved again, as ``k`` single updates would.  If a window's system is
+    too ill-conditioned to solve, the previous weights are kept and
+    ``state.fallback`` is set; the last step decides the flag.  An ``(m, 0)``
+    block leaves the state unchanged.
     """
-    state.window.append(_quad_forms(state.model, state.degree, y_new))
-    try:
-        state.weights = _solve_sampled(state)
-        state.fallback = False
-    except IllConditionedWeights:
-        state.fallback = True
+    rows = _quad_forms(state.model, state.degree, y_new)
+    for row in rows.reshape(-1, rows.shape[-1]):
+        state.window.append(row)
+        try:
+            state.weights = _solve_sampled(state)
+            state.fallback = False
+        except IllConditionedWeights:
+            state.fallback = True
     return state.weights
 
 

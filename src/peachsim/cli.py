@@ -202,16 +202,20 @@ def _sweep_point(config, model, point, sweep_value, index):
 
 
 def _adaptive_point(config, model, point, sweep_value, index):
-    """Sliding-window weights versus exactly optimized weights, both evaluated exactly."""
+    """Sliding-window weights versus exactly optimized weights, both evaluated exactly.
+
+    The tracker is fed the two ``(m, window)`` blocks that ``model.draw``
+    returns: the first fills the window, and the second replaces it column
+    by column, one solve per column.  Each block's quadratic forms come from
+    one chain of ``2L`` block products with ``z``.
+    """
     wpeach_est = estimators.make_wpeach(model, config.degree)
     alpha_w = wpeach_est.alpha
     mse_opt = estimators.wpeach_mse_general(model, config.degree, alpha_w, wpeach_est.weights)
     # one stream per SNR point: the first child of (seed, index)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)).spawn(1)[0])
-    warmup = list(model.draw(rng, config.window)[1].T)
-    state = adaptive_init(model, config.degree, alpha_w, warmup)
-    for y_new in model.draw(rng, config.window)[1].T:
-        adaptive_update(state, y_new)
+    state = adaptive_init(model, config.degree, alpha_w, model.draw(rng, config.window)[1])
+    adaptive_update(state, model.draw(rng, config.window)[1])
     mse_approx = estimators.wpeach_mse_general(model, config.degree, alpha_w, state.weights)
     return _normalized_rows(config, model, sweep_value, {"wpeach": (mse_opt,), "wpeach-adaptive": (mse_approx,)})
 

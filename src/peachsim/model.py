@@ -648,10 +648,10 @@ def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray
 
 
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
-    """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean."""
+    """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean of an (m,) observation or an (m, k) block."""
     y = np.asarray(y, dtype=complex)
-    if y.shape[0] != model.dims.m:
-        raise ShapeError(f"expected observation of length {model.dims.m}, got {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[0] != model.dims.m:
+        raise ShapeError(f"expected an ({model.dims.m},) observation or an ({model.dims.m}, k) block, got {y.shape}")
     y_bar = model.y_mean()
     if y.ndim == 2:
         return y - y_bar[:, None]

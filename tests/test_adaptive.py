@@ -66,11 +66,20 @@ class TestAdaptiveInit:
         state = adaptive_init(model, 2, 0.1, [y])
         assert len(state.window) == 1
 
-    @pytest.mark.parametrize("window", [0])
-    def test_empty_window_rejected(self, window):
+    @pytest.mark.parametrize("warmup", [lambda m: [], lambda m: np.zeros((m, 0))], ids=["list", "block"])
+    def test_empty_window_rejected(self, warmup):
         # the window length is the warmup's, so an empty warmup is a zero-length window
+        model = tracking_model()
         with pytest.raises(WindowSizeError):
-            adaptive_init(tracking_model(), 2, 0.1, [None] * window)
+            adaptive_init(model, 2, 0.1, warmup(model.dims.m))
+
+    @pytest.mark.parametrize("shape", [lambda m: (m,), lambda m: (m, 2, 3), lambda m: (m + 1, 4)],
+                             ids=["sample", "3-d", "long"])
+    def test_warmup_array_must_be_a_block(self, shape):
+        # an array warmup is one (m, k) block of k samples
+        model = tracking_model()
+        with pytest.raises(ShapeError):
+            adaptive_init(model, 2, 0.1, np.zeros(shape(model.dims.m), dtype=complex))
 
     def test_windowed_system_approaches_exact_system(self):
         model = tracking_model()
@@ -203,7 +212,9 @@ class TestAdaptiveUpdate:
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
 
-    def test_fallback_keeps_previous_weights(self):
+    # one zero sample, or a block of three, on a window of zero forms
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["sample", "block"])
+    def test_fallback_keeps_previous_weights(self, columns):
         model = tracking_model()
         state = AdaptiveState(
             model=model,
@@ -213,9 +224,89 @@ class TestAdaptiveUpdate:
             window=deque([np.zeros(3)] * 2, maxlen=2),
             weights=np.array([1.0, 2.0], dtype=complex),
         )
-        weights = adaptive_update(state, np.zeros(model.dims.m, dtype=complex))
+        weights = adaptive_update(state, np.zeros((model.dims.m, *columns), dtype=complex))
         assert state.fallback
         assert_allclose(weights, [1.0, 2.0])
+
+
+def desk_model():
+    """The adaptive scenario's model at desk scale, m = 80."""
+    return correlated_model(Dims(20, 4, 4), 5.0, ())
+
+
+FEEDING_MODELS = {"tracking": tracking_model, "desk": desk_model}
+
+
+class CountingMatrix:
+    """Stands in for ``model.z`` and counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
+
+
+class TestBlockFeeding:
+    """A block of observations enters the window as its columns would one by one."""
+
+    @pytest.mark.parametrize("name", FEEDING_MODELS)
+    def test_block_and_sample_feeding_agree(self, name):
+        model = FEEDING_MODELS[name]()
+        alpha_w = es.default_alpha_w(model)
+        degree, window = 4, 16
+        rng = np.random.default_rng(41)
+        first = model.draw(rng, window)[1]
+        second = model.draw(rng, window + 9)[1]
+        by_block = adaptive_init(model, degree, alpha_w, first)
+        adaptive_update(by_block, second)
+        by_sample = adaptive_init(model, degree, alpha_w, list(first.T))
+        for y in second.T:
+            adaptive_update(by_sample, y)
+        for got, want in ((by_block.a_approx, by_sample.a_approx), (by_block.b_approx, by_sample.b_approx)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(by_block.weights - by_sample.weights) <= 1e-12 * np.linalg.norm(by_sample.weights)
+        assert by_block.fallback == by_sample.fallback
+
+    @pytest.mark.parametrize("name", FEEDING_MODELS)
+    def test_no_drift_over_one_block_window(self, name):
+        # the block form of the no-drift test: a window slid through one
+        # window-long block equals a fresh fill from that block bit for bit
+        model = FEEDING_MODELS[name]()
+        alpha_w = es.default_alpha_w(model)
+        degree, window = 3, 12
+        rng = np.random.default_rng(43)
+        first, second = model.draw(rng, window)[1], model.draw(rng, window)[1]
+        state = adaptive_init(model, degree, alpha_w, first)
+        adaptive_update(state, second)
+        fresh = adaptive_init(model, degree, alpha_w, second)
+        assert np.array_equal(state.a_approx, fresh.a_approx)
+        assert np.array_equal(state.b_approx, fresh.b_approx)
+        assert np.array_equal(state.weights, fresh.weights)
+
+    def test_empty_block_leaves_the_state_unchanged(self):
+        model = tracking_model()
+        state = adaptive_init(model, 3, es.default_alpha_w(model), draw_stream(model, np.random.default_rng(5), 6))
+        rows, weights = [id(row) for row in state.window], state.weights
+        assert adaptive_update(state, np.zeros((model.dims.m, 0), dtype=complex)) is weights
+        assert [id(row) for row in state.window] == rows and not state.fallback
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 20])
+    def test_one_chain_of_2l_z_products_per_call(self, k):
+        # a block costs one chain of 2L products with z whatever its width;
+        # a list keeps one chain per sample
+        model = tracking_model()
+        degree = 3
+        counter = vars(model)["z"] = CountingMatrix(model.z)
+        block = model.draw(np.random.default_rng(k), k)[1]
+        state = adaptive_init(model, degree, 0.1, block)
+        assert counter.products == 2 * degree
+        adaptive_update(state, block)
+        assert counter.products == 4 * degree
+        adaptive_init(model, degree, 0.1, list(block.T))
+        assert counter.products == (4 + 2 * k) * degree
 
 
 class TestShrinkageKappa:

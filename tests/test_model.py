@@ -307,10 +307,15 @@ class TestObserve:
         direct = y - model.pilot_ext @ model.h_mean - model.n_mean
         assert np.max(np.abs(deviation(model, y) - direct)) < 1e-14 * np.linalg.norm(direct)
 
-    def test_shape_mismatch(self, rng):
+    # a wrong length, a scalar, and a 3-D array that would otherwise reach
+    # numpy broadcasting untyped
+    @pytest.mark.parametrize(
+        "shape", [lambda m: (m + 2,), lambda m: (), lambda m: (m, 2, 3)], ids=["long", "scalar", "3-d"]
+    )
+    def test_shape_mismatch(self, rng, shape):
         model = random_model(rng)
         with pytest.raises(ShapeError):
-            deviation(model, np.zeros(model.dims.m + 2))
+            deviation(model, np.zeros(shape(model.dims.m)))
 
     def test_empirical_observation_covariance(self, rng):
         # covariance of y approaches pilot r pilot^H + s over many draws
