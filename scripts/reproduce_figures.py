@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
 """Run the full set of simulation scenarios and collect their CSV tables.
 
-Desk scale (the default, n_r = 20, n_t = b = 4) keeps every dense oracle
-sub-second; ``--full-scale`` switches to n_r = 100, n_t = b = 10, which takes
-a few minutes because the analytic sweeps then factor 1000 x 1000 matrices.
+Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 10 s,
+nearly all of it in the Monte Carlo columns of the seven sweep tables; with
+``--no-montecarlo`` it takes about 0.3 s.  ``--full-scale`` switches to
+n_r = 100, n_t = b = 10 (m = 1000).  With ``--no-montecarlo`` that takes
+about 17 s: half in the shrinkage table (one dense eigendecomposition of the
+estimated z per sample count, and the products that score it) and a quarter
+in the adaptive table (drawing the windows and forming their quadratic
+forms), while the analytic sweeps take about 4 s.  With Monte Carlo on it
+takes about 9 minutes, nearly all in sampling and applying the estimators
+in the six degree and SNR sweeps.  (One BLAS thread, 2-vCPU x86 host.)
 """
 
 import argparse

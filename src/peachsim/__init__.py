@@ -50,7 +50,6 @@ from .estimators import (
     mmse_mse,
     mvu_estimate,
     mvu_variance,
-    peach_as_wpeach_weights,
     peach_estimate,
     peach_mse,
     poly_filter_matrix,

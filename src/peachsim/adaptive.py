@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedWeights, InsufficientSamples, ShapeError, WindowSizeError
+from .errors import IllConditionedWeights, InsufficientSamples, InvalidScaling, ShapeError, WindowSizeError
 from .model import StatModel, deviation, hermitize
+from .spectrum import check_degree
 
 # Condition number above which weight solves switch to Tikhonov regularization.
 WEIGHT_COND_LIMIT = 1e12
@@ -41,9 +42,9 @@ class AdaptiveState:
     ``b_approx`` are read-only views formed from its correctly rounded mean,
     which depends on which rows the window holds, not their order; so within
     one feeding mode a slid state equals a fresh fill of its window bit for
-    bit.  ``b_approx[0]`` is the exact ``b1``.  ``fallback`` is set when the
-    latest step's system was too ill-conditioned and the previous
-    ``weights`` were kept.
+    bit.  ``b_approx[0]`` is the exact ``b1``.  Each update is one step with
+    one solve; ``fallback`` is set when the latest step's system was too
+    ill-conditioned and the ``weights`` from before that step were kept.
     """
 
     model: StatModel
@@ -134,16 +135,24 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
 
     ``warmup`` is a list of ``(m,)`` samples or one ``(m, k)`` block; the
     window length is the number of samples or columns, and an empty warmup
-    raises :class:`WindowSizeError`.  A list's forms are computed sample by
-    sample, as single updates compute them; stacked into a block they would
-    round differently (about 1e-16 relative), since a block product
-    accumulates in another order than a matrix-vector product.  The first
-    right-hand-side entry has no window dependence: it is ``alpha_w
-    tr(pilot_ext r^2 pilot_ext^H) = alpha_w ||pilot_ext r||_F^2``, exact for
-    any pilot.  Every other entry comes from the window mean, so a state
-    that has slid through any stream holds the same system as a fresh fill
-    of its current window.
+    raises :class:`WindowSizeError`.  A ``degree`` that is not a nonnegative
+    integer raises :class:`InvalidDegree` and an ``alpha_w`` that is not
+    finite and positive :class:`InvalidScaling`, before any work.
+
+    A list's forms are computed sample by sample, as single updates compute
+    them; stacked into a block they would round differently (about 1e-16
+    relative), since a block product accumulates in another order than a
+    matrix-vector product.  The first right-hand-side entry has no window
+    dependence: it is ``alpha_w tr(pilot_ext r^2 pilot_ext^H) = alpha_w
+    ||pilot_ext r||_F^2``, exact for any pilot.  Every other entry comes
+    from the window mean, so a state that has slid through any stream holds
+    the same system as a fresh fill of its current window.  The first
+    weights are one solve; if that system is too ill-conditioned,
+    :class:`IllConditionedWeights` is raised.
     """
+    check_degree(degree)
+    if not (np.isfinite(alpha_w) and alpha_w > 0):
+        raise InvalidScaling(f"need a finite positive alpha_w, got {alpha_w!r}")
     if isinstance(warmup, np.ndarray):
         if warmup.ndim != 2:
             raise ShapeError(f"a warmup array must be an (m, k) block, got shape {warmup.shape}")
@@ -165,23 +174,23 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
 
 
 def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
-    """Slide the window by an ``(m,)`` sample or by each column of an ``(m, k)`` block; return the weights.
+    """Slide the window by an ``(m,)`` sample or an ``(m, k)`` block in one step; return the weights.
 
-    The block's forms come from one chain of block products; then each
-    column's forms push the oldest out of the window and the system is
-    solved again, as ``k`` single updates would.  If a window's system is
-    too ill-conditioned to solve, the previous weights are kept and
-    ``state.fallback`` is set; the last step decides the flag.  An ``(m, 0)``
-    block leaves the state unchanged.
+    The forms of every column, from one chain of block products, push as
+    many of the oldest rows out of the window, and the system of the new
+    window is solved once.  If it is too ill-conditioned to solve, the
+    weights the state had before the call are kept and ``state.fallback``
+    is set.  An ``(m, 0)`` block leaves the state unchanged.
     """
-    rows = _quad_forms(state.model, state.degree, y_new)
-    for row in rows.reshape(-1, rows.shape[-1]):
-        state.window.append(row)
-        try:
-            state.weights = _solve_sampled(state)
-            state.fallback = False
-        except IllConditionedWeights:
-            state.fallback = True
+    rows = _quad_forms(state.model, state.degree, y_new).reshape(-1, 2 * state.degree + 1)
+    if not len(rows):
+        return state.weights
+    state.window.extend(rows)
+    try:
+        state.weights = _solve_sampled(state)
+        state.fallback = False
+    except IllConditionedWeights:
+        state.fallback = True
     return state.weights
 
 

@@ -205,9 +205,9 @@ def _adaptive_point(config, model, point, sweep_value, index):
     """Sliding-window weights versus exactly optimized weights, both evaluated exactly.
 
     The tracker is fed the two ``(m, window)`` blocks that ``model.draw``
-    returns: the first fills the window, and the second replaces it column
-    by column, one solve per column.  Each block's quadratic forms come from
-    one chain of ``2L`` block products with ``z``.
+    returns: the first fills the window, and the second replaces it in one
+    step, so each block costs one weight solve.  Each block's quadratic
+    forms come from one chain of ``2L`` block products with ``z``.
     """
     wpeach_est = estimators.make_wpeach(model, config.degree)
     alpha_w = wpeach_est.alpha

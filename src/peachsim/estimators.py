@@ -26,7 +26,6 @@ oracles only.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -403,18 +402,6 @@ def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
     singular.
     """
     return model.z_spectrum.fit(degree)[1]
-
-
-def peach_as_wpeach_weights(degree: int) -> np.ndarray:
-    """Weights that make the weighted estimator reproduce the unweighted one.
-
-    w_n = (-1)^n sum_{l=n}^{L} C(l, n), to be combined with alpha_w = alpha.
-    """
-    check_degree(degree)
-    return np.array(
-        [(-1) ** n * sum(math.comb(l, n) for l in range(n, degree + 1)) for n in range(degree + 1)],
-        dtype=complex,
-    )
 
 
 def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[float, float]:

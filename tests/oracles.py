@@ -13,8 +13,11 @@ from the Kronecker-structured :func:`peachsim.model.correlated_limit`; the
 dense unitary of :func:`centro_unitary` checks the real form that function
 decomposes.  :func:`pilot_sandwich` contracts the pilot for every pilot,
 where the library only scales for an identity pilot.
+:func:`peach_as_wpeach_weights` gives the weights under which W-PEACH is
+PEACH, an identity the tests check the weighted paths against.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +27,7 @@ import scipy.linalg
 from peachsim import analysis
 from peachsim.adaptive import guarded_hermitian_solve
 from peachsim.model import StatModel, hermitize, z_matrix
-from peachsim.spectrum import Spectrum
+from peachsim.spectrum import Spectrum, check_degree
 
 
 class IllConditionedWeightsWarning(UserWarning):
@@ -78,6 +81,18 @@ def wpeach_weights_optimal(ws: WeightSystem) -> np.ndarray:
             stacklevel=2,
         )
     return weights
+
+
+def peach_as_wpeach_weights(degree: int) -> np.ndarray:
+    """Weights that make the weighted estimator reproduce the unweighted one.
+
+    w_n = (-1)^n sum_{l=n}^{L} C(l, n), to be combined with alpha_w = alpha.
+    """
+    check_degree(degree)
+    return np.array(
+        [(-1) ** n * sum(math.comb(l, n) for l in range(n, degree + 1)) for n in range(degree + 1)],
+        dtype=complex,
+    )
 
 
 def dense_spectrum(matrix: np.ndarray, channel: np.ndarray, trace_r: float) -> Spectrum:

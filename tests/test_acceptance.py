@@ -23,7 +23,13 @@ from peachsim.model import (
 )
 
 from conftest import complex_vector, random_hermitian_psd, random_model
-from oracles import contaminated_floors, noise_limited_floors, wpeach_weight_system, wpeach_weights_optimal
+from oracles import (
+    contaminated_floors,
+    noise_limited_floors,
+    peach_as_wpeach_weights,
+    wpeach_weight_system,
+    wpeach_weights_optimal,
+)
 
 DESK_DIMS = Dims(20, 4, 4)
 
@@ -102,7 +108,7 @@ def test_criterion_03_binomial_weights_reproduce_unweighted_estimator():
             for degree in range(7):
                 pest = es.make_peach(model, degree)
                 west = es.PolyEstimator(
-                    es.EstimatorKind.WPEACH, degree, pest.alpha, es.peach_as_wpeach_weights(degree)
+                    es.EstimatorKind.WPEACH, degree, pest.alpha, peach_as_wpeach_weights(degree)
                 )
                 a = es.peach_estimate(model, pest, y)
                 b = es.wpeach_estimate(model, west, y)

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from peachsim import adaptive
 from peachsim import estimators as es
 from peachsim.adaptive import (
     AdaptiveState,
+    _quad_forms,
     adaptive_init,
     adaptive_update,
+    guarded_hermitian_solve,
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.errors import InsufficientSamples, ShapeError, WindowSizeError
+from peachsim.errors import IllConditionedWeights, InsufficientSamples, ShapeError, WindowSizeError
 from peachsim.model import (
     ContaminationSpec,
     Dims,
@@ -80,6 +83,15 @@ class TestAdaptiveInit:
         model = tracking_model()
         with pytest.raises(ShapeError):
             adaptive_init(model, 2, 0.1, np.zeros(shape(model.dims.m), dtype=complex))
+
+    @pytest.mark.parametrize("feeding", [lambda block: list(block.T), lambda block: block], ids=["list", "block"])
+    def test_zero_deviation_warmup_raises(self, feeding):
+        # observations at the mean have zero quadratic forms, so the first
+        # system is zero and no weights can be solved
+        model = desk_model()
+        at_mean = np.tile(model.y_mean()[:, None], (1, 8))
+        with pytest.raises(IllConditionedWeights):
+            adaptive_init(model, 3, es.default_alpha_w(model), feeding(at_mean))
 
     def test_windowed_system_approaches_exact_system(self):
         model = tracking_model()
@@ -286,6 +298,19 @@ class TestBlockFeeding:
         assert np.array_equal(state.b_approx, fresh.b_approx)
         assert np.array_equal(state.weights, fresh.weights)
 
+    @pytest.mark.parametrize("name", FEEDING_MODELS)
+    def test_list_warmup_rows_are_the_single_sample_forms(self, name):
+        # a list warmup keeps one chain per sample, so each window row is the
+        # row a single update of that sample appends, bit for bit; stacked
+        # into a block, some rows would round differently
+        model = FEEDING_MODELS[name]()
+        degree = 3
+        samples = list(model.draw(np.random.default_rng(45), 8)[1].T)
+        state = adaptive_init(model, degree, es.default_alpha_w(model), samples)
+        assert len(state.window) == len(samples)
+        for row, y in zip(state.window, samples):
+            assert np.array_equal(row, _quad_forms(model, degree, y))
+
     def test_empty_block_leaves_the_state_unchanged(self):
         model = tracking_model()
         state = adaptive_init(model, 3, es.default_alpha_w(model), draw_stream(model, np.random.default_rng(5), 6))
@@ -307,6 +332,42 @@ class TestBlockFeeding:
         assert counter.products == 4 * degree
         adaptive_init(model, degree, 0.1, list(block.T))
         assert counter.products == (4 + 2 * k) * degree
+
+
+class TestOneStepPerCall:
+    """A call slides the window once, by all its columns, and solves the weight system once."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 20])
+    def test_one_weight_solve_per_call(self, k, monkeypatch):
+        solves = []
+
+        def counting_solve(a_mat, b_vec):
+            solves.append(a_mat)
+            return guarded_hermitian_solve(a_mat, b_vec)
+
+        monkeypatch.setattr(adaptive, "guarded_hermitian_solve", counting_solve)
+        model = tracking_model()
+        block = model.draw(np.random.default_rng(k), k)[1]
+        state = adaptive_init(model, 3, 0.1, block)
+        assert len(solves) == 1
+        adaptive_update(state, block)
+        assert len(solves) == 2
+        adaptive_update(state, block[:, 0])
+        assert len(solves) == 3
+        adaptive_init(model, 3, 0.1, list(block.T))
+        assert len(solves) == 4
+
+    def test_failed_solve_keeps_the_weights_from_before_the_call(self):
+        # a window-long block at the mean leaves a window of zero forms, whose
+        # one solve fails; the call keeps the weights it started with
+        model = desk_model()
+        window = 8
+        state = adaptive_init(model, 3, es.default_alpha_w(model), model.draw(np.random.default_rng(47), window)[1])
+        before = state.weights.copy()
+        assert not state.fallback
+        weights = adaptive_update(state, np.tile(model.y_mean()[:, None], (1, window)))
+        assert state.fallback
+        assert np.array_equal(weights, before) and np.array_equal(state.weights, before)
 
 
 class TestShrinkageKappa:

@@ -24,6 +24,7 @@ from peachsim.errors import ConfigError, ShapeError
 from peachsim.model import ContaminationSpec, Dims, SpatialCorrelation, build_stat_model, correlated_model
 
 from conftest import count_calls, random_model
+from oracles import peach_as_wpeach_weights
 
 
 def read_rows(path):
@@ -151,7 +152,7 @@ class TestRunMonteCarlo:
         degree = 3
         pest = es.make_peach(model, degree)
         west = es.PolyEstimator(
-            es.EstimatorKind.WPEACH, degree, pest.alpha, es.peach_as_wpeach_weights(degree)
+            es.EstimatorKind.WPEACH, degree, pest.alpha, peach_as_wpeach_weights(degree)
         )
         mse_a, se_a = run_monte_carlo(model, {"peach": es.bind(model, pest).apply}, 2_000, 7)["peach"]
         mse_b, se_b = run_monte_carlo(model, {"wpeach": es.bind(model, west).apply}, 2_000, 7)["wpeach"]

@@ -388,10 +388,11 @@ NEGATIVE_DEGREE_CALLS = {
     ),
     "make_peach": es.make_peach,
     "make_wpeach": es.make_wpeach,
+    "adaptive_init": lambda model, degree: adaptive_init(model, degree, 0.1, model.draw(np.random.default_rng(0), 3)[1]),
 }
 
 
-@pytest.mark.parametrize("degree", [-1, -2, 2.5])
+@pytest.mark.parametrize("degree", [-1, -2, 1.5, 2.5])
 @pytest.mark.parametrize("name", NEGATIVE_DEGREE_CALLS)
 def test_negative_degree_rejected(name, degree):
     # a negative or a non-integer degree
@@ -406,10 +407,11 @@ BAD_SCALING_CALLS = {
     "make_peach": lambda model, alpha, weights: es.make_peach(model, 1, alpha=alpha),
     "peach_mse": lambda model, alpha, weights: es.peach_mse(model, 1, alpha),
     "wpeach_mse_general": lambda model, alpha, weights: es.wpeach_mse_general(model, 1, alpha, weights),
+    "adaptive_init": lambda model, alpha, weights: adaptive_init(model, 1, alpha, model.draw(np.random.default_rng(0), 3)[1]),
 }
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.1, 0.0])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.1, -1.0, 0.0])
 @pytest.mark.parametrize("name", BAD_SCALING_CALLS)
 def test_non_finite_or_non_positive_scaling_rejected(name, alpha):
     model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))

@@ -11,7 +11,13 @@ from peachsim.errors import IllConditionedWeights
 from peachsim.model import ContaminationSpec, Dims, build_stat_model
 
 from conftest import random_model, random_observation
-from oracles import IllConditionedWeightsWarning, WeightSystem, wpeach_weight_system, wpeach_weights_optimal
+from oracles import (
+    IllConditionedWeightsWarning,
+    WeightSystem,
+    peach_as_wpeach_weights,
+    wpeach_weight_system,
+    wpeach_weights_optimal,
+)
 
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0):
@@ -145,7 +151,7 @@ class TestGeneralMse:
         alpha = es.alpha_optimal(es.z_matrix(model))
         tr_r = float(np.trace(model.r_cov).real)
         for degree in range(7):
-            weights = es.peach_as_wpeach_weights(degree)
+            weights = peach_as_wpeach_weights(degree)
             general = es.wpeach_mse_general(model, degree, alpha, weights)
             assert abs(general - es.peach_mse(model, degree, alpha)) < 1e-10 * max(tr_r, 1.0)
 
@@ -164,14 +170,14 @@ class TestGeneralMse:
 
 class TestBinomialWeights:
     def test_small_degrees(self):
-        assert_allclose(es.peach_as_wpeach_weights(0), [1.0])
-        assert_allclose(es.peach_as_wpeach_weights(1), [2.0, -1.0])
-        assert_allclose(es.peach_as_wpeach_weights(2), [3.0, -3.0, 1.0])
+        assert_allclose(peach_as_wpeach_weights(0), [1.0])
+        assert_allclose(peach_as_wpeach_weights(1), [2.0, -1.0])
+        assert_allclose(peach_as_wpeach_weights(2), [3.0, -3.0, 1.0])
 
     def test_hockey_stick_identity(self):
         # sum_{l=n}^{L} C(l, n) telescopes to C(L+1, n+1)
         for degree in range(13):
-            weights = es.peach_as_wpeach_weights(degree)
+            weights = peach_as_wpeach_weights(degree)
             expected = [(-1.0) ** n * math.comb(degree + 1, n + 1) for n in range(degree + 1)]
             assert_allclose(weights, expected)
 
@@ -183,7 +189,7 @@ class TestWpeachEstimate:
         for degree in range(7):
             pest = es.make_peach(model, degree)
             west = es.PolyEstimator(
-                es.EstimatorKind.WPEACH, degree, pest.alpha, es.peach_as_wpeach_weights(degree)
+                es.EstimatorKind.WPEACH, degree, pest.alpha, peach_as_wpeach_weights(degree)
             )
             a = es.peach_estimate(model, pest, y)
             b = es.wpeach_estimate(model, west, y)
@@ -249,5 +255,5 @@ class TestOrderings:
             model = random_model(rng, n_r=3, n_t=2)
             degree = int(rng.integers(0, 7))
             alpha = es.alpha_optimal(es.z_matrix(model))
-            fixed = es.wpeach_mse_general(model, degree, alpha, es.peach_as_wpeach_weights(degree))
+            fixed = es.wpeach_mse_general(model, degree, alpha, peach_as_wpeach_weights(degree))
             assert es.wpeach_mse_optimal(model, degree) <= fixed + 1e-10
