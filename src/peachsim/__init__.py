@@ -65,8 +65,6 @@ from .model import (
     Dims,
     SpatialCorrelation,
     StatModel,
-    build_stat_model,
-    correlated_contamination,
     correlated_limit,
     correlated_model,
     deviation,

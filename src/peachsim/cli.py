@@ -23,7 +23,7 @@ import csv
 import json
 import numbers
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -71,29 +71,28 @@ class ExperimentConfig:
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if min(self.n_r, self.n_t, self.b, *self.n_r_values) < 1:
-            raise ConfigError("antenna and pilot dimensions (n_r, n_t, b, n_r_values) must be positive")
-        for name in ("snr_db", "degrees", "n_r_values", "shrink_samples"):
-            if len(getattr(self, name)) == 0:
+        for name in ("snr_db", "degrees", "betas", "n_r_values", "shrink_samples"):
+            grid = getattr(self, name)
+            if isinstance(grid, str) or not isinstance(grid, Sequence):
+                raise ConfigError(f"{name} must be a sequence, got {grid!r}")
+            if len(grid) == 0 and name != "betas":
                 raise ConfigError(f"{name} must be non-empty")
+        # (field, value, least value) of each integer field and of each entry of an integer grid
+        integers = [("seed", self.seed, 0), ("trials", self.trials, 1), ("window", self.window, 1)]
+        integers += [("degree", self.degree, 0), ("n_r", self.n_r, 1), ("n_t", self.n_t, 1), ("b", self.b, 1)]
+        for name, least in (("degrees", 0), ("n_r_values", 1), ("shrink_samples", 2)):
+            integers += [(name, value, least) for value in getattr(self, name)]
+        for name, value, least in integers:
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name}: {value!r} is not an integer >= {least}")
         scenario = _SCENARIOS[self.scenario]
         if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
             raise ConfigError(f"{self.scenario} reads one pilot SNR, got snr_db = {self.snr_db}")
         for name in ("snr_db", "betas", "noise_var", "q_ratio", "tau_s", "t_tot"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite")
-        if any(not isinstance(d, numbers.Integral) or d < 0 for d in (*self.degrees, self.degree)):
-            raise ConfigError("polynomial degrees must be nonnegative integers")
         if any(b < 0 for b in self.betas):
             raise ConfigError("interference ratios must be nonnegative")
-        if any(n < 2 for n in self.shrink_samples):
-            raise ConfigError("shrinkage sample counts must be >= 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
         if self.noise_var <= 0 or self.q_ratio <= 0 or self.tau_s <= 0 or self.t_tot <= 0:
             raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
         self.correlation.validate()
@@ -121,24 +120,29 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 # Monte Carlo harness
 
 
-def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed, chunk_size: int = 512) -> dict:
+# trials drawn and scored per batch of run_monte_carlo
+MONTE_CARLO_CHUNK = 512
+
+
+def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> dict:
     """Empirical MSE of each ``estimator(y)`` (say :meth:`estimators.Prepared.apply`) over one set of seeded draws.
 
     Draws (h, y) pairs from ``model`` by :meth:`StatModel.draw` and scores
     every estimator of the mapping on the same (m, k) batches of y.  Returns
     ``{name: (mse_hat, standard_error)}``, with a standard error of None for
-    a single trial.  Trials are processed in chunks with independent child
-    streams, so results are reproducible, independent of chunk scheduling,
-    and the same for an estimator whether it is scored alone or next to others.
+    a single trial.  Trials are processed in chunks of ``MONTE_CARLO_CHUNK``
+    with independent child streams, so results are reproducible, independent
+    of chunk scheduling, and the same for an estimator whether it is scored
+    alone or next to others.
     """
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
-    n_chunks = (trials + chunk_size - 1) // chunk_size
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise InvalidParameter(f"trials must be an integer >= 1, got {trials!r}")
+    n_chunks = (trials + MONTE_CARLO_CHUNK - 1) // MONTE_CARLO_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
-        count = min(chunk_size, trials - pos)
+        count = min(MONTE_CARLO_CHUNK, trials - pos)
         h, y = model.draw(np.random.default_rng(child), count)
         for name, estimator in estimators.items():
             h_hat = estimator(y)

@@ -7,7 +7,8 @@ covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  Every covariance is validated densely at
 construction, except that :func:`correlated_model` validates only the
-Kronecker factors of its one term list.  ``z`` is the pilot sandwich of
+Kronecker factors of its one term list and adds each interferer's sandwich
+to the disturbance covariance as it forms it.  ``z`` is the pilot sandwich of
 ``r_cov`` plus ``s_cov``; for the identity pilot the sandwich only scales.
 :meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
 correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
@@ -155,16 +156,16 @@ class ContaminationSpec:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if len(self.interferer_covs) != len(self.betas):
             raise ShapeError("interferer_covs and betas must have equal length")
-        # written so that NaN fails each comparison
-        if not all(0 <= b < np.inf for b in self.betas):
-            raise InvalidParameter("interference power ratios must be finite and nonnegative")
-        if not 0 < self.noise_var < np.inf:
-            raise InvalidParameter("noise variance must be finite and positive")
+        _check_powers(self.betas, self.noise_var)
 
-    @property
-    def summed_covariance(self):
-        """Sum of beta_i * cov_i over the interferers (0 without any)."""
-        return sum((beta * cov for beta, cov in zip(self.betas, self.interferer_covs)), 0)
+
+def _check_powers(betas: tuple, noise_var: float):
+    """Interference power ratios finite and nonnegative, the noise variance finite and positive."""
+    # written so that NaN fails each comparison
+    if not all(0 <= b < np.inf for b in betas):
+        raise InvalidParameter("interference power ratios must be finite and nonnegative")
+    if not 0 < noise_var < np.inf:
+        raise InvalidParameter("noise variance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -410,23 +411,6 @@ def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: Contamina
     return s_cov
 
 
-def build_stat_model(
-    dims: Dims,
-    h_mean: np.ndarray | None,
-    r_cov: np.ndarray,
-    n_mean: np.ndarray | None,
-    contamination: ContaminationSpec,
-    pilot_power: float,
-) -> StatModel:
-    """Assemble a StatModel with the built-in scaled-identity pilot.
-
-    Arbitrary pilot matrices are supported by :func:`stat_model_from_pilot`
-    or by constructing :class:`StatModel` directly.
-    """
-    pilot = identity_pilot(dims, pilot_power)
-    return stat_model_from_pilot(dims, h_mean, r_cov, n_mean, contamination, pilot)
-
-
 def stat_model_from_pilot(
     dims: Dims,
     h_mean: np.ndarray | None,
@@ -594,17 +578,6 @@ def correlated_diagonals(dims: Dims, betas: tuple, correlation: SpatialCorrelati
     return diag(r_t, r_r), sum((beta * diag(i_t, i_r) for beta, i_t, i_r in interferers), np.zeros(dims.n))
 
 
-def correlated_contamination(
-    dims: Dims,
-    betas: tuple,
-    correlation: SpatialCorrelation = DEFAULT_CORRELATION,
-    noise_var: float = 1.0,
-) -> ContaminationSpec:
-    """Pilot-reusing interferers of :func:`correlated_model` (:func:`_correlated_terms`), from validated factors."""
-    _, *interferers = _correlated_terms(dims, betas, correlation)
-    return ContaminationSpec(tuple(_kronecker_covariance(r_t, r_r) for _, r_t, r_r in interferers), betas, noise_var)
-
-
 def correlated_model(
     dims: Dims,
     gamma_db: float,
@@ -616,29 +589,34 @@ def correlated_model(
 
     ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
     ``noise_var * 10**(gamma_db / 10)`` (:class:`InvalidParameter` where that
-    is not finite and positive); the interferers are those of
-    :func:`correlated_contamination`.  With the identity pilot,
-    ``z = pilot_power * (r + sum_i beta_i R_i) + noise_var * I``, so the
-    model's ``z_spectrum`` is read off :func:`correlated_limit`, on first use.
+    is not finite and positive).  Interferer ``i`` has power ratio
+    ``betas[i]`` and covariance ``R_i``, a Kronecker product of the ``i``-th
+    interferer coefficient pair of ``correlation``, taken cyclically.  With the
+    identity pilot, ``z = pilot_power * (r + sum_i beta_i R_i) + noise_var *
+    I``, so the model's ``z_spectrum`` is read off :func:`correlated_limit`,
+    on first use.
 
     Only the factors ``R_t`` and ``R_r`` of r and of each interferer are
     validated, in O(n_t^3 + n_r^3) (:meth:`StatModel._of_kronecker_factors`);
-    the model equals :func:`build_stat_model`'s on the same covariances.
+    the model equals :func:`stat_model_from_pilot`'s on the same covariances.
+    Each ``R_i`` is formed, sandwiched and added to ``s_cov`` before the
+    next, so the build holds at most one of them.
     """
     try:  # math.pow overflows with an OverflowError, never with a numpy warning
         pilot_power = float(noise_var) * math.pow(10.0, gamma_db / 10.0)
     except OverflowError:
         raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
-    _, r_t, r_r = _correlated_terms(dims, (), correlation)[0]
+    betas = tuple(float(beta) for beta in betas)
+    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
+    _check_powers(betas, noise_var)
     r_cov = _kronecker_covariance(r_t, r_r)
-    contamination = correlated_contamination(dims, betas, correlation, noise_var)
     pilot = identity_pilot(dims, pilot_power)
-    s_cov = contamination.noise_var * np.eye(dims.m, dtype=complex)
-    for beta, cov in zip(contamination.betas, contamination.interferer_covs):
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+    s_cov = noise_var * np.eye(dims.m, dtype=complex)
+    for beta, i_t, i_r in interferers:
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, _kronecker_covariance(i_t, i_r))
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
-    source = partial(correlated_limit, dims, contamination.betas, correlation)
+    source = partial(correlated_limit, dims, betas, correlation)
     return StatModel._of_kronecker_factors(dims, r_cov, s_cov, pilot, (source, pilot_power, noise_var))
 
 

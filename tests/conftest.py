@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from peachsim.model import ContaminationSpec, Dims, build_stat_model, correlated_limit, stat_model_from_pilot
+from peachsim.model import ContaminationSpec, Dims, correlated_limit, identity_pilot, stat_model_from_pilot
 
 
 def random_hermitian_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -43,7 +43,7 @@ def random_model(
     n_mean = None if zero_means else complex_vector(rng, dims.m)
     contamination = ContaminationSpec(covs, betas, noise_var)
     pilot_power = rng.uniform(pt_lo, pt_hi)
-    return build_stat_model(dims, h_mean, r_cov, n_mean, contamination, pilot_power)
+    return stat_model_from_pilot(dims, h_mean, r_cov, n_mean, contamination, identity_pilot(dims, pilot_power))
 
 
 def random_pilot_model(rng, n_t, b, n_r=2):

@@ -16,7 +16,6 @@ from peachsim.cli import run_monte_carlo
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
-    correlated_contamination,
     correlated_model,
     psd_factor,
     standard_complex_normal,
@@ -25,8 +24,10 @@ from peachsim.model import (
 from conftest import complex_vector, random_hermitian_psd, random_model
 from oracles import (
     contaminated_floors,
+    correlated_contamination,
     noise_limited_floors,
     peach_as_wpeach_weights,
+    summed_covariance,
     wpeach_weight_system,
     wpeach_weights_optimal,
 )
@@ -149,7 +150,7 @@ def test_criterion_05_high_power_floors():
         betas = (0.1, 0.1)
         contaminated = correlated_model(DESK_DIMS, gamma_db, betas)
         alpha_c = es.alpha_optimal(es.z_matrix(contaminated))
-        sum_interf = correlated_contamination(contaminated.dims, betas).summed_covariance
+        sum_interf = summed_covariance(correlated_contamination(contaminated.dims, betas))
         cf = contaminated_floors(contaminated.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(contaminated) - cf.mmse) < 0.01 * cf.mmse
         assert abs(es.diag_mse(contaminated) - cf.diagonalized) < 0.01 * cf.diagonalized

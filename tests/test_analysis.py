@@ -4,10 +4,10 @@ import pytest
 from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.errors import SingularLimit, UnsupportedEstimator
-from peachsim.model import Dims, correlated_contamination, correlated_model
+from peachsim.model import Dims, correlated_model
 
 from conftest import random_hermitian_psd, random_model
-from oracles import contaminated_floors, noise_limited_floors
+from oracles import contaminated_floors, correlated_contamination, noise_limited_floors, summed_covariance
 
 
 def square_flop_model(m, q=50.0, tau_s=5.0, t_tot=5.0):
@@ -169,7 +169,7 @@ class TestContaminatedFloors:
         model = correlated_model(dims, 60.0, betas)
         degree = 6
         alpha = es.alpha_optimal(es.z_matrix(model))
-        sum_interf = correlated_contamination(model.dims, betas).summed_covariance
+        sum_interf = summed_covariance(correlated_contamination(model.dims, betas))
         floors = contaminated_floors(model.r_cov, sum_interf, degree)
         assert abs(es.mmse_mse(model) - floors.mmse) < 0.01 * floors.mmse
         assert abs(es.diag_mse(model) - floors.diagonalized) < 0.01 * floors.diagonalized

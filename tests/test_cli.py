@@ -21,7 +21,14 @@ from peachsim.cli import (
     run_monte_carlo,
 )
 from peachsim.errors import ConfigError, ShapeError
-from peachsim.model import ContaminationSpec, Dims, SpatialCorrelation, build_stat_model, correlated_model
+from peachsim.model import (
+    ContaminationSpec,
+    Dims,
+    SpatialCorrelation,
+    correlated_model,
+    identity_pilot,
+    stat_model_from_pilot,
+)
 
 from conftest import count_calls, random_model
 from oracles import peach_as_wpeach_weights
@@ -63,6 +70,19 @@ class TestConfig:
             dict(n_r_values=(-5,)),
             dict(degrees=(2.5,)),
             dict(degree=2.5),
+            dict(seed=1.5),
+            dict(trials=2.5),
+            dict(window=2.5),
+            dict(shrink_samples=(4.5,)),
+            dict(n_r=2.5),
+            dict(n_t=2.5),
+            dict(b=2.5),
+            dict(n_r_values=(2.5,)),
+            dict(snr_db=5.0),
+            dict(degrees=3),
+            dict(betas=0.1),
+            dict(n_r_values=20),
+            dict(snr_db="5"),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -143,7 +163,9 @@ class TestRunMonteCarlo:
 
     def test_zero_channel_covariance_gives_zero_error(self):
         dims = Dims(2, 1, 1)
-        model = build_stat_model(dims, None, np.zeros((dims.n, dims.n)), None, ContaminationSpec(), 1.0)
+        model = stat_model_from_pilot(
+            dims, None, np.zeros((dims.n, dims.n)), None, ContaminationSpec(), identity_pilot(dims, 1.0)
+        )
         mse_hat, _ = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 500, 1)["mmse"]
         assert mse_hat == 0.0
 

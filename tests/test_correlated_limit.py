@@ -21,17 +21,25 @@ from peachsim.model import (
     Dims,
     SpatialCorrelation,
     _centro_real_form,
-    build_stat_model,
     check_hermitian_psd,
-    correlated_contamination,
     correlated_diagonals,
     correlated_limit,
     correlated_model,
+    disturbance_covariance,
     exp_correlation_matrix,
+    identity_pilot,
+    stat_model_from_pilot,
 )
 
 from conftest import count_eig_calls
-from oracles import centro_unitary, contaminated_floors, dense_spectrum, noise_limited_floors
+from oracles import (
+    centro_unitary,
+    contaminated_floors,
+    correlated_contamination,
+    dense_spectrum,
+    noise_limited_floors,
+    summed_covariance,
+)
 
 DESK = Dims(20, 4, 4)
 SHAPES = {"20x4": DESK, "5x3": Dims(5, 3, 3), "3x1": Dims(3, 1, 1)}
@@ -41,6 +49,8 @@ CORRELATIONS = {
 }
 # a third interferer wraps around to the first coefficient pair, past a zero weight
 BETAS = {"none": (), "zero": (0.0, 0.0), "0.1": (0.1, 0.1), "1": (1.0, 1.0), "cyclic": (1.0, 0.0, 0.7)}
+# integer weights, one of them zero, which the build converts to floats
+BUILD_BETAS = {**BETAS, "integer": (1, 0)}
 
 
 @pytest.mark.parametrize("noise_var", [1.0, 0.5])
@@ -61,7 +71,7 @@ def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
 
 
 @pytest.mark.parametrize("noise_var", [1.0, 0.5])
-@pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
+@pytest.mark.parametrize("betas", BUILD_BETAS.values(), ids=BUILD_BETAS.keys())
 @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 30.0])
 def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, noise_var):
     # correlated_model validates only R_t and R_r; what it builds is exactly
@@ -72,7 +82,9 @@ def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, 
         r_r = exp_correlation_matrix(dims.n_r, DEFAULT_CORRELATION.desired_rx)
         contamination = correlated_contamination(dims, betas, noise_var=noise_var)
         pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
-        generic = build_stat_model(dims, None, np.kron(r_t, r_r), None, contamination, pilot_power)
+        generic = stat_model_from_pilot(
+            dims, None, np.kron(r_t, r_r), None, contamination, identity_pilot(dims, pilot_power)
+        )
         for name in ("r_cov", "s_cov", "pilot", "h_mean", "n_mean"):
             np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
         assert check_hermitian_psd(model.r_cov, "r_cov")[1]
@@ -82,7 +94,7 @@ def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, 
 def dense_limit(dims, betas, correlation):
     """The limit ``r + sum_i beta_i R_i`` and ``r``, formed densely."""
     r_cov = correlated_model(dims, 0.0, betas, correlation).r_cov
-    return r_cov + correlated_contamination(dims, betas, correlation).summed_covariance, r_cov
+    return r_cov + summed_covariance(correlated_contamination(dims, betas, correlation)), r_cov
 
 
 @pytest.mark.parametrize("betas", [(0.1, 0.3), BETAS["cyclic"]], ids=["0.1-0.3", "cyclic"])
@@ -234,10 +246,18 @@ def test_interferers_cycle_through_the_coefficient_pairs(correlation):
 
 
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
+def test_build_adds_the_cycled_interferers(correlation):
+    # the disturbance of the generic path over the dense interferers above
+    model = correlated_model(DESK, 10.0, BETAS["cyclic"], correlation)
+    contamination = correlated_contamination(DESK, BETAS["cyclic"], correlation)
+    assert model.s_cov.tobytes() == disturbance_covariance(model.pilot, DESK.n_r, contamination).tobytes()
+
+
+@pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
 @pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
 def test_diagonals_are_the_dense_diagonals(betas, correlation):
     r_diag, s_diag = correlated_diagonals(DESK, betas, correlation)
-    sum_interf = correlated_contamination(DESK, betas, correlation).summed_covariance + np.zeros((DESK.n, DESK.n))
+    sum_interf = summed_covariance(correlated_contamination(DESK, betas, correlation)) + np.zeros((DESK.n, DESK.n))
     np.testing.assert_array_equal(r_diag, np.diag(correlated_model(DESK, 0.0, (), correlation).r_cov).real)
     np.testing.assert_array_equal(s_diag, np.diag(sum_interf).real)
 
@@ -251,7 +271,7 @@ def test_sweep_floors_match_dense_floors(betas, degree):
     model = correlated_model(DESK, 10.0, betas)
     floors = _floors(model, config, degree)
     if betas:
-        sum_interf = correlated_contamination(DESK, betas).summed_covariance
+        sum_interf = summed_covariance(correlated_contamination(DESK, betas))
         dense = {**contaminated_floors(model.r_cov, sum_interf, degree)._asdict(), "mvu": np.trace(sum_interf).real}
     else:
         dense = {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **noise_limited_floors(model.r_cov, degree)._asdict()}

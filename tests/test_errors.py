@@ -45,6 +45,10 @@ OUT_OF_RANGE = {
     ),
     "negative stationarity ratio": (InvalidParameter, lambda rng: analysis.crossover_m("peach", -1.0, 2)),
     "zero trials": (InvalidParameter, lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, 0, 0)),
+    "fractional trials": (
+        InvalidParameter,
+        lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, 2.5, 0),
+    ),
     "unknown estimator name": (UnsupportedEstimator, lambda rng: es.prepare(random_model(rng), "lmmse", 2)),
 }
 

@@ -20,10 +20,10 @@ from peachsim.errors import (
 from peachsim.model import (
     ContaminationSpec,
     Dims,
-    build_stat_model,
     correlated_model,
     deviation,
     extend_pilot,
+    identity_pilot,
     stat_model_from_pilot,
 )
 
@@ -46,13 +46,13 @@ PILOT_SHAPES = [(2, 3), (3, 5)]
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0, h_mean=0.3 + 0.1j, n_mean=-0.2j):
     dims = Dims(1, 1, 1)
-    return build_stat_model(
+    return stat_model_from_pilot(
         dims,
         np.array([h_mean]),
         np.array([[r]], dtype=complex),
         np.array([n_mean]),
         ContaminationSpec(noise_var=sigma_sq),
-        pilot_power,
+        identity_pilot(dims, pilot_power),
     )
 
 
@@ -88,12 +88,16 @@ class TestMmse:
     def test_mse_diagonal_closed_form(self):
         dims = Dims(3, 2, 2)
         sigma_sq, pt = 0.7, 2.5
-        model = build_stat_model(dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), pt)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+        )
         assert_allclose(es.mmse_mse(model), dims.n * sigma_sq / (sigma_sq + pt), rtol=1e-12)
 
     def test_mse_zero_channel_covariance(self):
         dims = Dims(2, 1, 1)
-        model = build_stat_model(dims, None, np.zeros((2, 2)), None, ContaminationSpec(), 1.0)
+        model = stat_model_from_pilot(
+            dims, None, np.zeros((2, 2)), None, ContaminationSpec(), identity_pilot(dims, 1.0)
+        )
         assert es.mmse_mse(model) == pytest.approx(0.0, abs=1e-14)
 
     def test_mse_matches_monte_carlo(self, rng):
@@ -161,7 +165,9 @@ class TestMvu:
     def test_variance_closed_form(self):
         dims = Dims(3, 2, 2)
         sigma_sq, pt = 0.7, 2.5
-        model = build_stat_model(dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), pt)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+        )
         assert_allclose(es.mvu_variance(model), dims.n * sigma_sq / pt, rtol=1e-12)
 
     def test_variance_dominates_mmse(self, rng):
@@ -200,8 +206,8 @@ class TestDiagonalized:
     def test_exact_for_diagonal_covariances(self, rng):
         dims = Dims(3, 2, 2)
         r_diag = np.diag(rng.uniform(0.2, 2.0, dims.n))
-        model = build_stat_model(dims, complex_vector(rng, dims.n), r_diag, complex_vector(rng, dims.m),
-                                 ContaminationSpec(noise_var=0.9), 1.7)
+        model = stat_model_from_pilot(dims, complex_vector(rng, dims.n), r_diag, complex_vector(rng, dims.m),
+                                      ContaminationSpec(noise_var=0.9), identity_pilot(dims, 1.7))
         y = random_observation(rng, model)
         a = es.diag_estimate(model, y)
         b = es.mmse_estimate(model, y)
@@ -231,14 +237,18 @@ class TestDiagonalized:
     def test_mse_identity_covariance(self):
         dims = Dims(2, 2, 2)
         sigma_sq, pt = 1.3, 0.9
-        model = build_stat_model(dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), pt)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+        )
         assert_allclose(es.diag_mse(model), dims.n / (1.0 + pt / sigma_sq), rtol=1e-12)
 
     def test_mse_vanishes_at_high_power(self, rng):
         dims = Dims(3, 2, 2)
         r_cov = random_hermitian_psd(rng, dims.n, eig_lo=0.1, eig_hi=2.0)
         r_cov = r_cov / np.max(np.diag(r_cov).real)
-        model = build_stat_model(dims, None, r_cov, None, ContaminationSpec(noise_var=1.0), 1e8)
+        model = stat_model_from_pilot(
+            dims, None, r_cov, None, ContaminationSpec(noise_var=1.0), identity_pilot(dims, 1e8)
+        )
         assert es.diag_mse(model) < 1e-6 * dims.n
 
     def test_mse_matches_monte_carlo(self, rng):
@@ -560,5 +570,5 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     samples = [random_observation(rng, model) for _ in range(5)]
     state = adaptive_init(model, 3, es.default_alpha_w(model), samples[:4])
     adaptive_update(state, samples[4])
-    results = run_monte_carlo(model, {name: p.apply for name, p in prepared.items()}, 20, 3, chunk_size=8)
+    results = run_monte_carlo(model, {name: p.apply for name, p in prepared.items()}, 20, 3)
     assert set(results) == set(prepared)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -20,8 +21,6 @@ from peachsim.model import (
     ContaminationSpec,
     Dims,
     StatModel,
-    build_stat_model,
-    correlated_contamination,
     correlated_model,
     deviation,
     disturbance_covariance,
@@ -43,7 +42,7 @@ from conftest import (
     random_pilot_model,
     relative_error,
 )
-from oracles import pilot_sandwich
+from oracles import correlated_contamination, pilot_sandwich
 
 
 # §IV-C-style correlation coefficient used by the entry-value check below
@@ -101,7 +100,9 @@ class TestExpCorrelation:
 class TestBuildStatModel:
     def test_noise_limited_disturbance_is_identity(self):
         dims = Dims(2, 2, 2)
-        model = build_stat_model(dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=1.0), 2.0)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=1.0), identity_pilot(dims, 2.0)
+        )
         assert_allclose(model.s_cov, np.eye(dims.m))
         assert_allclose(model.pilot, np.sqrt(2.0) * np.eye(2))
 
@@ -109,7 +110,9 @@ class TestBuildStatModel:
         dims = Dims(2, 2, 2)
         pilot_power = 3.0
         contamination = ContaminationSpec((np.eye(dims.n),), (0.5,), 1.0)
-        model = build_stat_model(dims, None, np.eye(dims.n), None, contamination, pilot_power)
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, contamination, identity_pilot(dims, pilot_power)
+        )
         assert_allclose(model.s_cov, (0.5 * pilot_power + 1.0) * np.eye(dims.m), rtol=1e-12)
 
     def test_two_interferers_match_direct_evaluation(self):
@@ -124,8 +127,9 @@ class TestBuildStatModel:
                     exp_correlation_matrix(3, 0.9 * np.exp(-1j * 0.2649 * np.pi))),
         )
         betas = (0.3, 1.0)
-        model = build_stat_model(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(covs, betas, sigma_sq), pilot_power
+        model = stat_model_from_pilot(
+            dims, None, np.eye(dims.n), None, ContaminationSpec(covs, betas, sigma_sq),
+            identity_pilot(dims, pilot_power)
         )
         p_ext = np.kron(np.sqrt(pilot_power) * np.eye(2), np.eye(3))
         expected = sigma_sq * np.eye(dims.m)
@@ -135,19 +139,20 @@ class TestBuildStatModel:
 
     def test_identity_pilot_requires_square(self):
         with pytest.raises(PilotShapeMismatch):
-            build_stat_model(Dims(2, 2, 3), None, np.eye(4), None, ContaminationSpec(), 1.0)
+            dims = Dims(2, 2, 3)
+            stat_model_from_pilot(dims, None, np.eye(4), None, ContaminationSpec(), identity_pilot(dims, 1.0))
 
     def test_rejects_non_psd_channel_covariance(self):
         dims = Dims(2, 1, 1)
         bad = np.diag([1.0, -0.5])
         with pytest.raises(NotPositiveSemiDefinite):
-            build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
 
     def test_rejects_non_hermitian(self):
         dims = Dims(2, 1, 1)
         bad = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveSemiDefinite):
-            build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
 
 
 def hermitian_with_spectrum(rng, eigs):
@@ -174,19 +179,19 @@ class TestValidation:
         dims = Dims(2, 2, 2)
         bad = hermitian_with_spectrum(rng, [-1e-3, 1.0, 2.0, 3.0])
         with pytest.raises(NotPositiveSemiDefinite, match=r"^r_cov has negative eigenvalue -1\.000e-03 \(largest 3\.000e\+00\)$"):
-            build_stat_model(dims, None, bad, None, ContaminationSpec(), 1.0)
+            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
 
     def test_negative_eigenvalue_within_tolerance_accepted(self, rng):
         dims = Dims(2, 2, 2)
         r_cov = hermitian_with_spectrum(rng, [-1e-13 * 3.0, 1.0, 2.0, 3.0])
-        model = build_stat_model(dims, None, r_cov, None, ContaminationSpec(), 1.0)
+        model = stat_model_from_pilot(dims, None, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
         assert_allclose(model.r_cov, r_cov, atol=1e-14)
 
     def test_zero_block_channel_covariance_accepted_and_factored(self, rng):
         dims = Dims(2, 2, 2)
         r_cov = np.zeros((dims.n, dims.n), dtype=complex)
         r_cov[:2, :2] = random_hermitian_psd(rng, 2)
-        model = build_stat_model(dims, None, r_cov, None, ContaminationSpec(), 1.0)
+        model = stat_model_from_pilot(dims, None, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
         factor = psd_factor(model.r_cov)
         assert_allclose(factor @ factor.conj().T, r_cov, atol=1e-12)
 
@@ -201,6 +206,22 @@ class TestValidation:
         dims = Dims(2, 1, 1)
         with pytest.raises(NotPositiveSemiDefinite, match="s_cov must be positive definite"):
             StatModel(dims, None, np.eye(dims.n), None, np.diag([1.0, 0.0]), np.eye(1))
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("betas", [(0.1, 0.1), (1.0, 0.3, 0.7)], ids=["two", "three"])
+    def test_contaminated_build_holds_one_interferer_covariance_at_a_time(self, betas):
+        # r_cov and s_cov, one interferer covariance and the two scaled copies
+        # of its sandwich: about 5 m x m complex arrays, whatever the number
+        # of interferers
+        dims = Dims(40, 5, 5)
+        tracemalloc.start()
+        try:
+            correlated_model(dims, 5.0, betas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * dims.m**2 * 16
 
 
 class TestObservationCovarianceCache:
@@ -246,7 +267,8 @@ class TestObservationCovarianceCache:
 def channel_model(r_cov, h_mean=None):
     """Identity-pilot, unit-noise model with one receive antenna and the given channel statistics."""
     n = r_cov.shape[0]
-    return build_stat_model(Dims(1, n, n), h_mean, r_cov, None, ContaminationSpec(), 1.0)
+    dims = Dims(1, n, n)
+    return stat_model_from_pilot(dims, h_mean, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
 
 
 class TestSampleGaussian:

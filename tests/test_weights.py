@@ -8,7 +8,7 @@ from peachsim import estimators as es
 from peachsim.adaptive import WEIGHT_COND_LIMIT, guarded_hermitian_solve
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import IllConditionedWeights
-from peachsim.model import ContaminationSpec, Dims, build_stat_model
+from peachsim.model import ContaminationSpec, Dims, identity_pilot, stat_model_from_pilot
 
 from conftest import random_model, random_observation
 from oracles import (
@@ -22,8 +22,9 @@ from oracles import (
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0):
     dims = Dims(1, 1, 1)
-    return build_stat_model(
-        dims, None, np.array([[r]], dtype=complex), None, ContaminationSpec(noise_var=sigma_sq), pilot_power
+    return stat_model_from_pilot(
+        dims, None, np.array([[r]], dtype=complex), None, ContaminationSpec(noise_var=sigma_sq),
+        identity_pilot(dims, pilot_power)
     )
 
 
