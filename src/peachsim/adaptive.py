@@ -20,9 +20,6 @@ from .errors import IllConditionedWeights, InsufficientSamples, InvalidScaling, 
 from .model import StatModel, deviation, hermitize
 from .spectrum import check_degree
 
-# Condition number above which weight solves switch to Tikhonov regularization.
-WEIGHT_COND_LIMIT = 1e12
-
 # Ridge scale for solving the sampled weight system.  The sampled moments
 # carry O(1/sqrt(T)) relative noise which the ill-conditioned moment matrix
 # would amplify into useless weights, so the solve adds a diagonal ridge
@@ -43,8 +40,9 @@ class AdaptiveState:
     which depends on which rows the window holds, not their order; so within
     one feeding mode a slid state equals a fresh fill of its window bit for
     bit.  ``b_approx[0]`` is the exact ``b1``.  Each update is one step with
-    one solve; ``fallback`` is set when the latest step's system was too
-    ill-conditioned and the ``weights`` from before that step were kept.
+    one solve of the system plus its ridge; ``fallback`` is set when the
+    latest step's system was singular and the ``weights`` from before that
+    step were kept.
     """
 
     model: StatModel
@@ -99,34 +97,15 @@ def _windowed_system(state: AdaptiveState) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, np.concatenate(([state.b1], a_mat[0, :-1]))
 
 
-def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Hermitian solve with a Tikhonov fallback when badly conditioned.
-
-    Returns the solution and a flag telling whether regularization was used.
-    The fallback adds delta * I with delta = 1e-12 trace(A) / (L + 1), which
-    keeps the perturbation far below the diagonal scale.
-    """
-    a_mat = np.asarray(a_mat, dtype=complex)
-    b_vec = np.asarray(b_vec, dtype=complex)
-    cond = np.linalg.cond(a_mat)
-    regularized = False
-    if not np.isfinite(cond) or cond > WEIGHT_COND_LIMIT:
-        delta = 1e-12 * np.trace(a_mat).real / a_mat.shape[0]
-        a_mat = a_mat + delta * np.eye(a_mat.shape[0])
-        regularized = True
-    try:
-        solution = np.linalg.solve(a_mat, b_vec)
-    except np.linalg.LinAlgError:
-        solution = np.full_like(b_vec, np.nan)
-    if not np.all(np.isfinite(solution)):
-        raise IllConditionedWeights("weight system is singular even after regularization")
-    return solution, regularized
-
-
 def _solve_sampled(state: AdaptiveState) -> np.ndarray:
     a_mat, b_vec = _windowed_system(state)
     ridge = (SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(np.clip(np.diag(a_mat), 0.0, None))
-    weights, _ = guarded_hermitian_solve(a_mat + ridge, b_vec)
+    try:
+        weights = np.linalg.solve((a_mat + ridge).astype(complex), b_vec.astype(complex))
+    except np.linalg.LinAlgError:
+        weights = np.full(len(b_vec), np.nan)
+    if not np.all(np.isfinite(weights)):
+        raise IllConditionedWeights("sampled weight system is singular")
     return weights
 
 
@@ -147,8 +126,8 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
     ||pilot_ext r||_F^2``, exact for any pilot.  Every other entry comes
     from the window mean, so a state that has slid through any stream holds
     the same system as a fresh fill of its current window.  The first
-    weights are one solve; if that system is too ill-conditioned,
-    :class:`IllConditionedWeights` is raised.
+    weights are one solve of the system plus its ridge; if that system is
+    singular, :class:`IllConditionedWeights` is raised.
     """
     check_degree(degree)
     if not (np.isfinite(alpha_w) and alpha_w > 0):
@@ -178,9 +157,9 @@ def adaptive_update(state: AdaptiveState, y_new: np.ndarray):
 
     The forms of every column, from one chain of block products, push as
     many of the oldest rows out of the window, and the system of the new
-    window is solved once.  If it is too ill-conditioned to solve, the
-    weights the state had before the call are kept and ``state.fallback``
-    is set.  An ``(m, 0)`` block leaves the state unchanged.
+    window is solved once.  If that system plus its ridge is singular, the
+    weights the state had before the call are kept and ``state.fallback`` is
+    set.  An ``(m, 0)`` block leaves the state unchanged.
     """
     rows = _quad_forms(state.model, state.degree, y_new).reshape(-1, 2 * state.degree + 1)
     if not len(rows):
@@ -266,5 +245,6 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
         phi_sample = float(max(phi_sample, 0.0))
         psi = float(max(psi, 0.0))
     kappa = shrinkage_kappa(phi_sample, phi_diag, psi, scale=float(np.linalg.norm(c_sample) ** 2))
-    c_hat = hermitize(kappa * c_diag + (1.0 - kappa) * c_sample)
+    # a real diagonal plus a real multiple of the Hermitian c_sample: exactly Hermitian
+    c_hat = kappa * c_diag + (1.0 - kappa) * c_sample
     return ShrinkageEstimate(c_hat=c_hat, kappa=kappa, phi_sample=phi_sample, phi_diag=phi_diag, psi=psi)

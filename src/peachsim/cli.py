@@ -88,13 +88,17 @@ class ExperimentConfig:
         scenario = _SCENARIOS[self.scenario]
         if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
             raise ConfigError(f"{self.scenario} reads one pilot SNR, got snr_db = {self.snr_db}")
-        for name in ("snr_db", "betas", "noise_var", "q_ratio", "tau_s", "t_tot"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite")
+        reals = [(name, value) for name in ("snr_db", "betas") for value in getattr(self, name)]
+        reals += [(name, getattr(self, name)) for name in ("noise_var", "q_ratio", "tau_s", "t_tot")]
+        for name, value in reals:
+            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite and real, got {value!r}")
         if any(b < 0 for b in self.betas):
             raise ConfigError("interference ratios must be nonnegative")
         if self.noise_var <= 0 or self.q_ratio <= 0 or self.tau_s <= 0 or self.t_tot <= 0:
             raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
+        if not isinstance(self.correlation, SpatialCorrelation):
+            raise ConfigError(f"correlation must be a SpatialCorrelation, got {self.correlation!r}")
         self.correlation.validate()
         return self
 

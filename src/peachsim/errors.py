@@ -42,7 +42,7 @@ class UnsupportedPilot(PeachSimError, ValueError):
 
 
 class IllConditionedWeights(PeachSimError, ValueError):
-    """The weight system is singular even after regularization."""
+    """The weight system is singular: its solve fails or gives a non-finite weight."""
 
 
 class WindowSizeError(PeachSimError, ValueError):

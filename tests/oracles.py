@@ -5,7 +5,11 @@ reference for the optimal weights, which the library computes through the
 least-squares fit on the spectrum of z
 (:meth:`peachsim.spectrum.Spectrum.fit`).  It powers z densely and solves the
 moment (Hankel-type) system directly, so it is only trusted at degrees where
-that system is well conditioned.
+that system is well conditioned.  Its solve, :func:`guarded_hermitian_solve`,
+adds a Tikhonov shift once the condition number passes
+:data:`WEIGHT_COND_LIMIT`, which these exact normal equations do at high
+degree; the library's sliding-window tracker needs no such guard, since the
+ridge it adds to its sampled system bounds that system.
 
 The matrix forms of the high-power floors decompose dense covariances and
 hand the limit spectrum to :mod:`peachsim.analysis`, which the library feeds
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from peachsim import analysis
-from peachsim.adaptive import guarded_hermitian_solve
+from peachsim.errors import IllConditionedWeights
 from peachsim.model import (
     DEFAULT_CORRELATION,
     ContaminationSpec,
@@ -42,6 +46,10 @@ from peachsim.model import (
     z_matrix,
 )
 from peachsim.spectrum import Spectrum, check_degree
+
+
+# Condition number above which the normal-equations solve switches to Tikhonov regularization.
+WEIGHT_COND_LIMIT = 1e12
 
 
 class IllConditionedWeightsWarning(UserWarning):
@@ -83,6 +91,30 @@ def wpeach_weight_system(model: StatModel, degree: int, alpha_w: float) -> Weigh
     a_mat = powers * traces[idx[:, None] + idx[None, :] - 1]
     b_vec = alpha_w**idx * traces[idx - 1]
     return WeightSystem(a_mat=a_mat.astype(complex), b_vec=b_vec.astype(complex), alpha_w=alpha_w)
+
+
+def guarded_hermitian_solve(a_mat: np.ndarray, b_vec: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Hermitian solve with a Tikhonov fallback when badly conditioned.
+
+    Returns the solution and a flag telling whether regularization was used.
+    The fallback adds delta * I with delta = 1e-12 trace(A) / (L + 1), which
+    keeps the perturbation far below the diagonal scale.
+    """
+    a_mat = np.asarray(a_mat, dtype=complex)
+    b_vec = np.asarray(b_vec, dtype=complex)
+    cond = np.linalg.cond(a_mat)
+    regularized = False
+    if not np.isfinite(cond) or cond > WEIGHT_COND_LIMIT:
+        delta = 1e-12 * np.trace(a_mat).real / a_mat.shape[0]
+        a_mat = a_mat + delta * np.eye(a_mat.shape[0])
+        regularized = True
+    try:
+        solution = np.linalg.solve(a_mat, b_vec)
+    except np.linalg.LinAlgError:
+        solution = np.full_like(b_vec, np.nan)
+    if not np.all(np.isfinite(solution)):
+        raise IllConditionedWeights("weight system is singular even after regularization")
+    return solution, regularized
 
 
 def wpeach_weights_optimal(ws: WeightSystem) -> np.ndarray:

@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from peachsim import adaptive
@@ -11,7 +13,6 @@ from peachsim.adaptive import (
     _quad_forms,
     adaptive_init,
     adaptive_update,
-    guarded_hermitian_solve,
     shrinkage_covariance,
     shrinkage_kappa,
 )
@@ -340,12 +341,13 @@ class TestOneStepPerCall:
     @pytest.mark.parametrize("k", [1, 3, 8, 20])
     def test_one_weight_solve_per_call(self, k, monkeypatch):
         solves = []
+        solve_sampled = adaptive._solve_sampled
 
-        def counting_solve(a_mat, b_vec):
-            solves.append(a_mat)
-            return guarded_hermitian_solve(a_mat, b_vec)
+        def counting_solve(state):
+            solves.append(len(state.window))
+            return solve_sampled(state)
 
-        monkeypatch.setattr(adaptive, "guarded_hermitian_solve", counting_solve)
+        monkeypatch.setattr(adaptive, "_solve_sampled", counting_solve)
         model = tracking_model()
         block = model.draw(np.random.default_rng(k), k)[1]
         state = adaptive_init(model, 3, 0.1, block)
@@ -368,6 +370,51 @@ class TestOneStepPerCall:
         weights = adaptive_update(state, np.tile(model.y_mean()[:, None], (1, window)))
         assert state.fallback
         assert np.array_equal(weights, before) and np.array_equal(state.weights, before)
+
+
+def ridged_system(state):
+    """The system the tracker solves: the windowed system plus its ridge, as complex arrays."""
+    a_mat, b_vec = state.a_approx, state.b_approx
+    ridge = (adaptive.SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(np.clip(np.diag(a_mat), 0.0, None))
+    return (a_mat + ridge).astype(complex), b_vec.astype(complex)
+
+
+class TestOneRegularizer:
+    """The ridge is the tracker's one regularizer: the weights are one plain solve of the ridged system."""
+
+    @pytest.mark.parametrize(
+        ("degree", "window", "snr_db", "betas", "seed"),
+        [
+            (4, 1, 5.0, (), 0),
+            (4, 16, 5.0, (), 1),
+            (4, 100, 40.0, (1.0, 1.0), 2),
+            # a one-sample window whose ridged system has condition number 1.2e14
+            (12, 1, 40.0, (1.0, 1.0), 18),
+            (12, 16, 40.0, (1.0, 1.0), 3),
+            (12, 100, 5.0, (0.1, 0.1), 4),
+        ],
+    )
+    def test_weights_are_one_solve_of_the_ridged_system(self, degree, window, snr_db, betas, seed):
+        model = correlated_model(Dims(20, 4, 4), snr_db, betas)
+        block = model.draw(np.random.default_rng(seed), window)[1]
+        state = adaptive_init(model, degree, es.default_alpha_w(model), block)
+        assert np.array_equal(state.weights, np.linalg.solve(*ridged_system(state)))
+
+    @given(
+        name=st.sampled_from(["desk", "tracking"]),
+        snr_db=st.sampled_from([-10.0, 0.0, 20.0, 40.0, 60.0]),
+        betas=st.sampled_from([(), (0.1, 0.1), (1.0, 1.0)]),
+        degree=st.integers(min_value=0, max_value=12),
+        window=st.integers(min_value=16, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ridge_bounds_the_condition_number_from_16_samples(self, name, snr_db, betas, degree, window, seed):
+        # the premise of solving without a condition-number guard
+        model = tracking_model(snr_db, betas) if name == "tracking" else correlated_model(Dims(20, 4, 4), snr_db, betas)
+        block = model.draw(np.random.default_rng(seed), window)[1]
+        state = adaptive_init(model, degree, es.default_alpha_w(model), block)
+        assert np.linalg.cond(ridged_system(state)[0]) < 1e6
 
 
 class TestShrinkageKappa:
@@ -420,6 +467,13 @@ class TestShrinkageCovariance:
         assert np.linalg.norm(est.c_hat - est.c_hat.conj().T) < 1e-12
         assert np.linalg.eigvalsh(est.c_hat)[0] > -1e-12
         assert 0.0 <= est.kappa <= 1.0
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plug-in", "c_true"])
+    def test_estimate_is_exactly_hermitian(self, rng, oracle):
+        c_true = random_hermitian_psd(rng, 6, eig_lo=0.1, eig_hi=2.0)
+        est = shrinkage_covariance(self.draw(rng, c_true, 10), c_true=c_true if oracle else None)
+        assert 0.0 < est.kappa < 1.0
+        assert np.array_equal(est.c_hat, est.c_hat.conj().T)
 
     @pytest.mark.parametrize("c_true", [1.0, np.eye(3), np.eye(4)[None]])
     def test_rejects_c_true_not_shaped_like_the_sample_covariance(self, rng, c_true):

@@ -83,6 +83,10 @@ class TestConfig:
             dict(betas=0.1),
             dict(n_r_values=20),
             dict(snr_db="5"),
+            dict(snr_db=("a",)),
+            dict(noise_var="1"),
+            dict(betas=(None,)),
+            dict(correlation=None),
         ],
     )
     def test_validation_failures(self, overrides):

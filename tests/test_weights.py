@@ -5,15 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from peachsim import estimators as es
-from peachsim.adaptive import WEIGHT_COND_LIMIT, guarded_hermitian_solve
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import IllConditionedWeights
 from peachsim.model import ContaminationSpec, Dims, identity_pilot, stat_model_from_pilot
 
 from conftest import random_model, random_observation
 from oracles import (
+    WEIGHT_COND_LIMIT,
     IllConditionedWeightsWarning,
     WeightSystem,
+    guarded_hermitian_solve,
     peach_as_wpeach_weights,
     wpeach_weight_system,
     wpeach_weights_optimal,
