@@ -74,12 +74,13 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     ``(m, k)`` block gives one such row per column, ``(k, 2L + 1)``.  Either
     costs one chain of ``2L`` products with ``z``, two with ``r_cov`` and a
     column-wise conjugate dot per power, O(L m^2 k); the pilot is applied
-    through its Kronecker structure.  A block turns the chain's
+    through its Kronecker structure, and so is ``r_cov`` on a model with
+    Kronecker factors (:meth:`StatModel.apply_r`).  A block turns the chain's
     matrix-vector products into matrix products, several times cheaper per
     column.
     """
     v = deviation(model, y)
-    f_d = model.apply_pilot(model.r_cov @ (model.r_cov @ model.apply_pilot_adjoint(v))).conj()
+    f_d = model.apply_pilot(model.apply_r(model.apply_r(model.apply_pilot_adjoint(v)))).conj()
     out = np.empty((*v.shape[1:], 2 * degree + 1))
     out[..., 0] = (f_d * v).sum(axis=0).real
     for k in range(1, 2 * degree + 1):

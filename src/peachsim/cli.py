@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, estimators
 from .adaptive import adaptive_init, adaptive_update, shrinkage_covariance
-from .errors import ConfigError, InvalidParameter, PeachSimError, ShapeError
+from .errors import ConfigError, InvalidCorrelation, InvalidParameter, PeachSimError, ShapeError
 from .model import (
     Dims,
     SpatialCorrelation,
@@ -99,7 +99,10 @@ class ExperimentConfig:
             raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
         if not isinstance(self.correlation, SpatialCorrelation):
             raise ConfigError(f"correlation must be a SpatialCorrelation, got {self.correlation!r}")
-        self.correlation.validate()
+        try:
+            self.correlation.validate(len(self.betas))
+        except InvalidCorrelation as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 

@@ -14,7 +14,7 @@ class EmptyDimension(PeachSimError, ValueError):
 
 
 class InvalidCorrelation(PeachSimError, ValueError):
-    """Correlation coefficient magnitude is not strictly below one."""
+    """A correlation coefficient is not a finite complex number of magnitude below one, or the interferer ones do not pair up."""
 
 
 class PilotShapeMismatch(PeachSimError, ValueError):

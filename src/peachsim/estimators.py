@@ -164,15 +164,16 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
     The per-epoch half of the paper's cost split; :meth:`Prepared.apply` is
     the per-realization half.  ``mmse`` solves against the model's cached
     Cholesky factor of z, formed on the first ``apply`` and never by ``mse``,
-    in two O(m^2) triangular solves per estimate, and rejects a non-finite
-    observation (``ValueError``); ``mvu`` is :func:`_mvu_system`,
+    in two O(m^2) triangular solves per estimate, then applies r_cov with
+    :meth:`StatModel.apply_r`, and rejects a non-finite observation
+    (``ValueError``); ``mvu`` is :func:`_mvu_system`,
     ``diagonalized`` :func:`_diagonalized`, and ``peach`` and ``wpeach`` bind
     :func:`make_peach` and :func:`make_wpeach` at their default scalings.  Any
     other name raises :class:`UnsupportedEstimator`.
     """
     if name == "mmse":
         solve = lambda d: scipy.linalg.cho_solve(model.z_factor, np.asarray_chkfinite(d), check_finite=False)
-        return Prepared(model, lambda d: model.r_cov @ model.apply_pilot_adjoint(solve(d)), lambda: model.z_spectrum.mmse())
+        return Prepared(model, lambda d: model.apply_r(model.apply_pilot_adjoint(solve(d))), lambda: model.z_spectrum.mmse())
     if name == "mvu":
         return _mvu_system(model)
     if name == "diagonalized":
@@ -185,9 +186,10 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
 def bind(model: StatModel, est: PolyEstimator) -> Prepared:
     """The polynomial filter ``est`` prepared on ``model``: r_cov pilot_ext^H v(z) d, and v on the spectrum of z.
 
-    Each degree costs one product of z (formed once per model) with d; no power of z is formed.
+    Each degree costs one product of z (formed once per model) with d; no power of z is formed.  r_cov
+    is applied once, by :meth:`StatModel.apply_r`, through its Kronecker factors when the model has them.
     """
-    head = lambda d: model.r_cov @ model.apply_pilot_adjoint(est.apply(model.z, d))
+    head = lambda d: model.apply_r(model.apply_pilot_adjoint(est.apply(model.z, d)))
     return Prepared(model, head, lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam)))
 
 
@@ -420,13 +422,15 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     x_k = sum_i conj(D_ik) C_ik, E = U^H z U = diag(lam) + (D - C)^H B and
     G = C^H C, whose diagonal holds the estimated energies.  One ``eigh`` of
     z_est and four O(m^3) products serve both filters; neither is formed densely.
+    D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
+    when ``model`` has them.
     """
     if np.shape(r_est) != model.r_cov.shape:
         raise ShapeError(f"r_est must have the shape {model.r_cov.shape} of r_cov, got {np.shape(r_est)}")
     r_est, _ = check_hermitian_psd(r_est, "r_est")
     lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)
-    c_est, d_true = r_est @ b, model.r_cov @ b
+    c_est, d_true = r_est @ b, model.apply_r(b)
     x = np.sum(d_true.conj() * c_est, axis=0)
     # H_kl = E_kl G_lk, so a filter's quadratic term is Re(v^T H conj(v))
     quad = (d_true - c_est).conj().T @ b

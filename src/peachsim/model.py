@@ -8,9 +8,10 @@ disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  Every covariance is validated densely at
 construction, except that :func:`correlated_model` validates only the
 Kronecker factors of its one term list and adds each interferer's sandwich
-to the disturbance covariance as it forms it.  ``z`` is the pilot sandwich of
-``r_cov`` plus ``s_cov``; for the identity pilot the sandwich only scales.
-:meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
+to the disturbance covariance as it forms it; the model keeps the factors
+of ``r_cov``, and :meth:`StatModel.apply_r` multiplies through them.  ``z``
+is the pilot sandwich of ``r_cov`` plus ``s_cov``; for the identity pilot the
+sandwich only scales.  :meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
 correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
 is eigendecomposed once per sweep, in real arithmetic since it is
 centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
@@ -19,7 +20,9 @@ map of it.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -27,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ConfigError,
     EmptyDimension,
     InvalidCorrelation,
     InvalidParameter,
@@ -42,6 +44,8 @@ from .spectrum import Spectrum
 # Relative tolerance for Hermitian / PSD validation of covariance inputs.
 HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
+# Columns per block in which correlated_limit maps its eigenvectors back and applies r.
+LIMIT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,9 @@ class Dims:
     """Antenna and pilot dimensions.
 
     ``m = b * n_r`` is the length of the vectorized observation and
-    ``n = n_t * n_r`` the length of the vectorized channel.
+    ``n = n_t * n_r`` the length of the vectorized channel.  Each is a
+    ``numbers.Integral`` of at least 1 (numpy integers included), or
+    :class:`EmptyDimension` is raised.
     """
 
     n_r: int
@@ -59,7 +65,7 @@ class Dims:
     def __post_init__(self):
         for name in ("n_r", "n_t", "b"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not isinstance(value, numbers.Integral) or value < 1:
                 raise EmptyDimension(f"{name} must be a positive integer, got {value!r}")
 
     @property
@@ -190,11 +196,14 @@ class StatModel:
     ``s_factor``) are computed once, on first use; :meth:`draw` samples
     through the two cached factors.
 
-    ``limit`` is set by :func:`correlated_model` only: ``(source, power,
-    noise_var)`` with ``z = power * limit + noise_var * I`` and ``source()``
-    the limit's :class:`Spectrum`.  It is not an init field, so
-    ``dataclasses.replace`` leaves a derived model without it, on the dense
-    path.
+    ``limit`` and ``r_factors`` are set by :func:`correlated_model` only:
+    ``limit`` is ``(source, power, noise_var)`` with ``z = power * limit +
+    noise_var * I`` and ``source()`` the limit's :class:`Spectrum`, and
+    ``r_factors`` is ``(R_t, R_r)`` with ``r_cov = R_t (x) R_r``, through
+    which :meth:`apply_r` multiplies by ``r_cov`` in O(n (n_t + n_r)) per
+    column instead of O(n^2).  Neither is an init field, so
+    ``dataclasses.replace`` leaves a derived model without them, on the
+    dense path.
     """
 
     dims: Dims
@@ -204,6 +213,7 @@ class StatModel:
     s_cov: np.ndarray
     pilot: np.ndarray
     limit: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    r_factors: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
@@ -227,14 +237,14 @@ class StatModel:
         object.__setattr__(self, "pilot", pilot)
 
     @classmethod
-    def _of_kronecker_factors(cls, dims: Dims, r_cov, s_cov, pilot, limit) -> StatModel:
+    def _of_kronecker_factors(cls, dims: Dims, r_cov, r_factors, s_cov, pilot, limit) -> StatModel:
         """Zero-mean model of :func:`correlated_model`: the one place that skips ``__post_init__``'s checks.
 
-        ``r_cov`` and each interferer covariance are ``np.kron`` of Hermitian
-        factors validated as PSD, so each is exactly Hermitian (an entry and
-        its mirror are products of conjugates) and PSD (its eigenvalues are
-        the products of the factors'; Horn & Johnson, Topics in Matrix
-        Analysis, Thm 4.2.12).  The identity ``pilot``'s sandwich of ``R_i``
+        ``r_cov = np.kron(*r_factors)`` and each interferer covariance are
+        ``np.kron`` of Hermitian factors validated as PSD, so each is exactly
+        Hermitian (an entry and its mirror are products of conjugates) and
+        PSD (its eigenvalues are the products of the factors'; Horn & Johnson,
+        Topics in Matrix Analysis, Thm 4.2.12).  The identity ``pilot``'s sandwich of ``R_i``
         scales each entry by the same real scalar (:func:`_pilot_sandwich`),
         so ``s_cov``, ``noise_var * I`` plus the sandwiches weighted by
         ``beta_i >= 0``, with finite ``noise_var > 0``, is exactly Hermitian
@@ -243,7 +253,8 @@ class StatModel:
         """
         model = object.__new__(cls)
         model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
-                              n_mean=np.zeros(dims.m, dtype=complex), s_cov=s_cov, pilot=pilot, limit=limit)
+                              n_mean=np.zeros(dims.m, dtype=complex), s_cov=s_cov, pilot=pilot, limit=limit,
+                              r_factors=r_factors)
         return model
 
     @property
@@ -266,6 +277,12 @@ class StatModel:
         """pilot_ext^H @ y for an (m,) vector or an (m, k) batch, without forming pilot_ext."""
         y = np.asarray(y)
         return (self.pilot.conj() @ y.reshape(self.dims.b, -1)).reshape(self.dims.n, *y.shape[1:])
+
+    def apply_r(self, x: np.ndarray) -> np.ndarray:
+        """r_cov @ x for an (n,) vector or an (n, k) block; through ``r_factors`` when the model has them."""
+        if self.r_factors is None:
+            return self.r_cov @ x
+        return _kronecker_apply(*self.r_factors, np.asarray(x))
 
     def draw(self, rng: np.random.Generator, count: int):
         """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
@@ -449,10 +466,23 @@ class SpatialCorrelation:
         0.9 * np.exp(-1j * 0.2649 * np.pi),
     )
 
-    def validate(self):
+    def validate(self, interferers: int):
+        """Raise :class:`InvalidCorrelation` unless these coefficients serve ``interferers`` interfering cells.
+
+        The interferer fields must be tuples of one length, nonzero when
+        ``interferers`` is, and every coefficient a finite ``numbers.Complex``
+        of magnitude below 1.
+        """
+        pairs = (self.interferer_tx, self.interferer_rx)
+        if not all(isinstance(p, tuple) for p in pairs) or len(pairs[0]) != len(pairs[1]):
+            raise InvalidCorrelation(f"interferer_tx and interferer_rx must be tuples of one length, got {pairs!r}")
+        if interferers and not pairs[0]:
+            raise InvalidCorrelation(f"{interferers} interferers need at least one interferer coefficient pair")
         coeffs = (self.desired_tx, self.desired_rx, *self.interferer_tx, *self.interferer_rx)
+        if not all(isinstance(c, numbers.Complex) and cmath.isfinite(c) for c in coeffs):
+            raise InvalidCorrelation(f"correlation coefficients must be finite complex numbers, got {coeffs!r}")
         if any(abs(c) >= 1.0 for c in coeffs):
-            raise ConfigError("all correlation coefficient magnitudes must be < 1")
+            raise InvalidCorrelation("all correlation coefficient magnitudes must be < 1")
 
 
 DEFAULT_CORRELATION = SpatialCorrelation()
@@ -460,16 +490,30 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
     """Unvalidated ``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
-    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically."""
+    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically.
+    The coefficients are checked first (:meth:`SpatialCorrelation.validate`)."""
+    correlation.validate(len(betas))
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
     terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
 
 
-def _kronecker_covariance(r_t: np.ndarray, r_r: np.ndarray) -> np.ndarray:
-    """``R_t (x) R_r``, each factor validated Hermitian PSD first (O(n_t^3 + n_r^3))."""
-    return np.kron(check_hermitian_psd(r_t, "R_t")[0], check_hermitian_psd(r_r, "R_r")[0])
+def _kronecker_factors(r_t: np.ndarray, r_r: np.ndarray) -> tuple:
+    """``(R_t, R_r)`` of ``R_t (x) R_r``, each validated Hermitian PSD and symmetrized (O(n_t^3 + n_r^3))."""
+    return check_hermitian_psd(r_t, "R_t")[0], check_hermitian_psd(r_r, "R_r")[0]
+
+
+def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(R_t (x) R_r) @ x`` for an (n,) vector or an (n, k) block, in O(n (n_t + n_r) k).
+
+    Viewed as ``(n_t, n_r, k)``, ``x`` is contracted with ``R_r`` per
+    transmit block, then with ``R_t`` on the transmit axis.  The view of a
+    Fortran-ordered block splits its first axis, so it is not copied either.
+    """
+    n_t, n_r = len(r_t), len(r_r)
+    rx = np.matmul(r_r, x.reshape(n_t, n_r, -1))
+    return (r_t @ rx.reshape(n_t, -1)).reshape(x.shape)
 
 
 def _centro_real_form(top: np.ndarray) -> np.ndarray:
@@ -536,11 +580,12 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     Waters, SIAM J. Matrix Anal. Appl. 11, 1990; :func:`_centro_real_form`),
     which one real MRRR ``eigh`` (``dsyevr``) decomposes; its eigenvectors
     map back in O(m^2) (:func:`_centro_vectors`).  The energies
-    ``||r u_k||^2`` apply ``r`` through its factors.  Only the latest
+    ``||r u_k||^2`` apply ``r`` through its factors (:func:`_kronecker_apply`),
+    ``LIMIT_BLOCK`` eigenvectors at a time.  Only the latest
     spectrum is kept (two length-m vectors, read-only), as the experiment
     runner keeps only its latest model; ``betas`` is a tuple, the cache key.
     """
-    n_t, n_r, n = dims.n_t, dims.n_r, dims.n
+    n_r, n = dims.n_r, dims.n
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     interferers = [term for term in interferers if term[0] > 0]
     trace_r = float(np.trace(r_t).real * np.trace(r_r).real)
@@ -557,14 +602,13 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
             top += np.kron(beta * i_t[:t_rows], i_r)[:rows]
         mu, vecs = scipy.linalg.eigh(_centro_real_form(top).T, driver="evr", overwrite_a=True)
         del top
-        vecs = _centro_vectors(vecs)
-        # r u = vec(R_t U R_r^T) for the row-major (n_t, n_r) view U of each
-        # eigenvector u, a row of the C-ordered vecs.T; vecs is released before
-        # the second product, so at most two n x n complex arrays coexist
-        r_vecs = vecs.T.reshape(n * n_t, n_r) @ r_r.T
-        del vecs
-        r_vecs = np.matmul(r_t, r_vecs.reshape(n, n_t, n_r))
-        phi = np.sum(np.abs(r_vecs) ** 2, axis=(1, 2))
+        # the energies of LIMIT_BLOCK eigenvectors at a time, so no n x n
+        # complex array is formed; each is summed along a contiguous row, where
+        # numpy sums pairwise, as it did before the blocks
+        phi = np.empty(n)
+        for j in range(0, n, LIMIT_BLOCK):
+            r_vecs = _kronecker_apply(r_t, r_r, _centro_vectors(vecs[:, j : j + LIMIT_BLOCK]))
+            phi[j : j + LIMIT_BLOCK] = np.sum(np.abs(r_vecs.T, order="C") ** 2, axis=1)
     # every caller shares the cached arrays
     mu.setflags(write=False)
     phi.setflags(write=False)
@@ -609,15 +653,16 @@ def correlated_model(
     betas = tuple(float(beta) for beta in betas)
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     _check_powers(betas, noise_var)
-    r_cov = _kronecker_covariance(r_t, r_r)
+    r_factors = _kronecker_factors(r_t, r_r)
+    r_cov = np.kron(*r_factors)
     pilot = identity_pilot(dims, pilot_power)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, i_t, i_r in interferers:
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, _kronecker_covariance(i_t, i_r))
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, np.kron(*_kronecker_factors(i_t, i_r)))
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     source = partial(correlated_limit, dims, betas, correlation)
-    return StatModel._of_kronecker_factors(dims, r_cov, s_cov, pilot, (source, pilot_power, noise_var))
+    return StatModel._of_kronecker_factors(dims, r_cov, r_factors, s_cov, pilot, (source, pilot_power, noise_var))
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

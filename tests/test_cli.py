@@ -87,6 +87,9 @@ class TestConfig:
             dict(noise_var="1"),
             dict(betas=(None,)),
             dict(correlation=None),
+            dict(correlation=SpatialCorrelation(interferer_tx=(), interferer_rx=())),
+            dict(correlation=SpatialCorrelation(desired_rx="a")),
+            dict(correlation=SpatialCorrelation(interferer_tx=(0.3,), interferer_rx=(0.5, 0.6))),
         ],
     )
     def test_validation_failures(self, overrides):

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from peachsim import estimators as es
+from peachsim.adaptive import _quad_forms
 from peachsim.cli import _floors, default_config, main
 from peachsim.errors import InvalidCorrelation, InvalidParameter, NotPositiveSemiDefinite
 from peachsim.model import (
@@ -161,6 +162,75 @@ BAD_COEFFICIENTS = {
 def test_unit_correlation_coefficient_is_rejected(bad):
     with pytest.raises(InvalidCorrelation):
         correlated_model(DESK, 10.0, (0.1, 0.1), SpatialCorrelation(**bad))
+
+
+# without the typed check these were cut short by zip, divided by zero in the
+# cyclic pairing, raised a bare ValueError from complex(), or reached R_t as NaN
+MALFORMED_CORRELATIONS = {
+    "unequal interferer tuples": SpatialCorrelation(interferer_tx=(0.3,), interferer_rx=(0.5, 0.6)),
+    "empty interferer tuples": SpatialCorrelation(interferer_tx=(), interferer_rx=()),
+    "string coefficient": SpatialCorrelation(desired_rx="a"),
+    "nan coefficient": SpatialCorrelation(interferer_tx=(0.3, complex("nan"))),
+}
+
+
+@pytest.mark.parametrize("correlation", MALFORMED_CORRELATIONS.values(), ids=MALFORMED_CORRELATIONS.keys())
+@pytest.mark.parametrize("build", [correlated_model, correlated_limit, correlated_diagonals], ids=lambda f: f.__name__)
+def test_malformed_correlation_is_rejected(build, correlation):
+    args = (DESK, 10.0) if build is correlated_model else (DESK,)
+    with pytest.raises(InvalidCorrelation):
+        build(*args, (0.1, 0.1), correlation)
+
+
+def test_noise_limited_model_needs_no_interferer_pair():
+    model = correlated_model(DESK, 10.0, (), SpatialCorrelation(interferer_tx=(), interferer_rx=()))
+    assert model.r_cov.tobytes() == correlated_model(DESK, 10.0, ()).r_cov.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["vector", "block"])
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1)], ids=["noise-limited", "contaminated"])
+@pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
+def test_apply_r_is_the_dense_product(dims, betas, batch):
+    model = correlated_model(dims, 10.0, betas)
+    assert model.r_factors is not None
+    x = np.random.default_rng(5).standard_normal((dims.n, *batch, 2)) @ np.array([1.0, 1j])
+    for layout in (x, np.asfortranarray(x)):
+        got, want = model.apply_r(layout), model.r_cov @ x
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_derived_model_applies_its_own_r_cov():
+    model = correlated_model(DESK, 10.0, (0.1, 0.1))
+    r_est = 2.0 * model.r_cov + np.eye(DESK.n)
+    derived = replace(model, r_cov=r_est)
+    assert derived.r_factors is None
+    x = np.random.default_rng(6).standard_normal((DESK.n, 4)) + 1j
+    assert np.array_equal(derived.apply_r(x), r_est @ x)
+
+
+class NoProducts(np.ndarray):
+    """A dense covariance that fails any matrix product with it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc is not np.matmul, "a matrix product read the dense r_cov"
+        inputs = [np.asarray(a) if isinstance(a, NoProducts) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_estimates_apply_r_through_its_factors():
+    model, shielded = (correlated_model(DESK, 10.0, (0.1, 0.1)) for _ in range(2))
+    shielded.z  # formed before its r_cov is shielded
+    object.__setattr__(shielded, "r_cov", shielded.r_cov.view(NoProducts))
+    y = model.draw(np.random.default_rng(7), 3)[1]
+    r_est = model.r_cov + 0.1 * np.eye(DESK.n)
+
+    def results(target):
+        estimates = [es.prepare(target, name, 4).apply(obs) for name in ("mmse", "peach", "wpeach") for obs in (y, y[:, 0])]
+        return [*estimates, _quad_forms(target, 3, y), es.mismatched_mse(target, r_est, 4)]
+
+    for got, want in zip(results(shielded), results(model), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["r_cov", "s_cov"])

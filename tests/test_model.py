@@ -60,6 +60,15 @@ class TestDims:
         with pytest.raises(EmptyDimension):
             Dims(**bad)
 
+    @pytest.mark.parametrize("value", [None, 3.0, float("nan")], ids=["none", "float", "nan"])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(EmptyDimension):
+            Dims(value, 2, 2)
+
+    def test_accepts_numpy_integers(self):
+        dims = Dims(np.int64(3), np.int32(2), np.int64(2))
+        assert (dims.m, dims.n) == (6, 6)
+
 
 class TestExpCorrelation:
     def test_zero_coefficient_gives_identity(self):
