@@ -16,9 +16,8 @@ from .adaptive import (
     shrinkage_kappa,
 )
 from .analysis import (
-    ContaminatedFloors,
+    Floors,
     FlopModel,
-    NoiseLimitedFloors,
     crossover_m,
     floor_contaminated,
     floor_noise_limited,

@@ -1,21 +1,21 @@
 """Closed-form asymptotics and computational cost models.
 
-High-power MSE floors of the estimators (noise-limited and
-pilot-contaminated regimes) on the spectrum of the limit matrix, which
-:func:`peachsim.model.correlated_limit` computes once per sweep; exact FLOP
-counts over a total operating time, and the dimension thresholds above which
-the polynomial estimators are cheaper than exact MMSE.
+High-power MSE floors of the five estimators (noise-limited and
+pilot-contaminated regimes, one :class:`Floors` record) on the spectrum of
+the limit matrix, which :func:`peachsim.model.correlated_limit` computes once
+per sweep; exact FLOP counts over a total operating time, and the dimension
+thresholds above which the polynomial estimators are cheaper than exact MMSE.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator
-from .estimators import _peach_on
+from .estimators import NAMES, _peach_on, _wpeach_on
 from .model import Dims
 from .spectrum import Spectrum, check_degree
 
@@ -109,56 +109,47 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     raise UnsupportedEstimator(f"no crossover threshold for kind {kind!r}")
 
 
-class NoiseLimitedFloors(NamedTuple):
-    peach: float
-    wpeach: float
+Floors = namedtuple("Floors", NAMES)
+Floors.__doc__ = "High-power MSE floors, one field per estimator of :data:`peachsim.estimators.NAMES`, in that order."
 
 
-class ContaminatedFloors(NamedTuple):
-    mmse: float
-    diagonalized: float
-    peach: float
-    wpeach: float
-
-
-def _peach_floor(spectrum: Spectrum, degree: int) -> float:
-    # high-power limit of the expansion: make_peach's default scaling
-    # 2 / (lambda_max + lambda_min), taken on the limit matrix
-    if spectrum.lam[-1] + spectrum.lam[0] <= 0:
+def _polynomial_floors(limit: Spectrum, degree: int) -> dict:
+    # make_peach's and make_wpeach's default filters on the limit spectrum, scored as they are applied
+    if limit.lam[-1] + limit.lam[0] <= 0:
         raise SingularLimit("limit matrix must have positive extreme-eigenvalue sum")
-    return spectrum.mse(_peach_on(spectrum, degree).values(spectrum.lam))
+    rules = {"peach": _peach_on, "wpeach": _wpeach_on}
+    return {name: limit.mse(rule(limit, degree).values(limit.lam)) for name, rule in rules.items()}
 
 
-def floor_noise_limited(limit: Spectrum, degree: int) -> NoiseLimitedFloors:
-    """High-power MSE floors of the polynomial estimators without interference.
+def floor_noise_limited(limit: Spectrum, degree: int) -> Floors:
+    """High-power MSE floors without interference.
 
-    The exact estimators have no floor here; the polynomial ones saturate at
+    The exact estimators' floors are 0.0; the polynomial ones saturate at
     values set entirely by the channel covariance and the degree.  ``limit``
     is the spectrum of r_cov with the channel r_cov, so phi_k = lam_k^2
     (:func:`peachsim.model.correlated_limit` without interferers).
     """
-    return NoiseLimitedFloors(peach=_peach_floor(limit, degree), wpeach=limit.fit(degree)[1])
+    return Floors(mmse=0.0, mvu=0.0, diagonalized=0.0, **_polynomial_floors(limit, degree))
 
 
-def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, degree: int) -> ContaminatedFloors:
-    """High-power MSE floors of all estimators under pilot contamination.
+def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, degree: int) -> Floors:
+    """High-power MSE floors of all estimators under pilot contamination, for the identity pilot.
 
     All floors depend only on the channel and interference covariances, not
     the pilot or noise power.  The MMSE, PEACH and W-PEACH floors come from
     ``limit``, the spectrum of r_cov + sum_interf with the channel r_cov
     (:func:`peachsim.model.correlated_limit`), where ``sum_interf`` is the
-    summed interferer covariance, power ratios applied.  The diagonalized
-    floor reads only the diagonals ``r_diag`` of r_cov and ``s_diag`` of
-    sum_interf.
+    summed interferer covariance, power ratios applied.  The MVU floor,
+    trace(sum_interf), and the diagonalized one read only the diagonals
+    ``r_diag`` of r_cov and ``s_diag`` of sum_interf.
     """
     if limit.lam[0] <= 1e-14 * max(limit.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
     denom = r_diag + s_diag
     ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
-    diagonalized = float(np.sum(r_diag) - np.sum(ratio))
-    return ContaminatedFloors(
+    return Floors(
         mmse=limit.mmse(),
-        diagonalized=diagonalized,
-        peach=_peach_floor(limit, degree),
-        wpeach=limit.fit(degree)[1],
+        mvu=float(np.sum(s_diag)),
+        diagonalized=float(np.sum(r_diag) - np.sum(ratio)),
+        **_polynomial_floors(limit, degree),
     )

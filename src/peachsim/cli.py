@@ -176,11 +176,8 @@ def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     limit = correlated_limit(model.dims, tuple(config.betas), config.correlation)
     if any(beta > 0 for beta in config.betas):
         r_diag, s_diag = correlated_diagonals(model.dims, config.betas, config.correlation)
-        floors = analysis.floor_contaminated(limit, r_diag, s_diag, degree)
-        # high-power limit of the unbiased estimator's variance for an identity pilot: trace(sum_interf)
-        return {**floors._asdict(), "mvu": float(np.sum(s_diag))}
-    floors = analysis.floor_noise_limited(limit, degree)
-    return {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **floors._asdict()}
+        return analysis.floor_contaminated(limit, r_diag, s_diag, degree)._asdict()
+    return analysis.floor_noise_limited(limit, degree)._asdict()
 
 
 def _normalized_rows(config, model, sweep_value, values: dict) -> list:

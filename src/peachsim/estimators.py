@@ -12,13 +12,13 @@ per-realization estimate, and ``mse()``, the closed form.  The free functions
 
 Both polynomial kinds are one :class:`PolyEstimator`, whose one Horner loop
 applies the filter to observations with matrix-vector products, O(L * m^2),
-and evaluates it at eigenvalues for the closed-form MSEs, the floors and the
-mismatched scores.  Closed-form MSEs, the default scalings and the optimal
-weights come from the model's one cached spectrum of z (see
-:mod:`peachsim.spectrum`).  The MVU baseline is computed in the coordinates
-of the pilot's QR decomposition, O(m^2 * b), with no O(m^3) work for a
-square pilot.  Estimators prepared from an estimated channel covariance are
-scored under the true statistics in the eigenbasis of the estimated z
+and evaluates it at eigenvalues for every closed-form MSE (the optimal W-PEACH
+one too), the floors and the mismatched scores.  Closed-form MSEs, the default
+scalings and the optimal weights come from the model's one cached spectrum of
+z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
+coordinates of the pilot's QR decomposition, O(m^2 * b), with no O(m^3) work
+for a square pilot.  Estimators prepared from an estimated channel covariance
+are scored under the true statistics in the eigenbasis of the estimated z
 (:func:`mismatched_mse`).  The dense filter views are kept as independent
 oracles only.
 """
@@ -338,8 +338,7 @@ def _wpeach_on(spectrum: Spectrum, degree: int, alpha_w: float | None = None) ->
     # coefficients of Spectrum.fit, rescaled to powers of alpha_w x
     if alpha_w is None:
         alpha_w = 1.0 / spectrum.lam[-1]
-    poly, _ = spectrum.fit(degree)
-    weights = poly / alpha_w ** (np.arange(degree + 1) + 1)
+    weights = spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1)
     return PolyEstimator(EstimatorKind.WPEACH, degree, float(alpha_w), weights)
 
 
@@ -396,14 +395,10 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
-    """Minimum MSE trace(r) - b^H A^{-1} b of the weighted estimator.
+    """Minimum MSE trace(r) - b^H A^{-1} b of the weighted estimator, at any scaling alpha_w.
 
-    The value does not depend on the scaling alpha_w, which cancels inside
-    the quadratic.  It is evaluated through the least-squares form, which
-    keeps it accurate for degrees where the moment matrix is numerically
-    singular.
-    """
-    return model.z_spectrum.fit(degree)[1]
+    It is the MSE of the filter that :func:`prepare`'s ``wpeach`` applies."""
+    return prepare(model, "wpeach", degree).mse()
 
 
 def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[float, float]:

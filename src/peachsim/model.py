@@ -54,8 +54,8 @@ class Dims:
 
     ``m = b * n_r`` is the length of the vectorized observation and
     ``n = n_t * n_r`` the length of the vectorized channel.  Each is a
-    ``numbers.Integral`` of at least 1 (numpy integers included), or
-    :class:`EmptyDimension` is raised.
+    ``numbers.Integral`` other than ``bool`` of at least 1, stored as ``int``
+    (so numpy integers pass, and cannot wrap), or :class:`EmptyDimension`.
     """
 
     n_r: int
@@ -65,8 +65,9 @@ class Dims:
     def __post_init__(self):
         for name in ("n_r", "n_t", "b"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
                 raise EmptyDimension(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def m(self) -> int:
@@ -644,7 +645,7 @@ def correlated_model(
     validated, in O(n_t^3 + n_r^3) (:meth:`StatModel._of_kronecker_factors`);
     the model equals :func:`stat_model_from_pilot`'s on the same covariances.
     Each ``R_i`` is formed, sandwiched and added to ``s_cov`` before the
-    next, so the build holds at most one of them.
+    next, and ``r_cov`` after the last: the build holds at most one of them.
     """
     try:  # math.pow overflows with an OverflowError, never with a numpy warning
         pilot_power = float(noise_var) * math.pow(10.0, gamma_db / 10.0)
@@ -654,13 +655,13 @@ def correlated_model(
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     _check_powers(betas, noise_var)
     r_factors = _kronecker_factors(r_t, r_r)
-    r_cov = np.kron(*r_factors)
     pilot = identity_pilot(dims, pilot_power)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, i_t, i_r in interferers:
         s_cov += beta * _pilot_sandwich(pilot, dims.n_r, np.kron(*_kronecker_factors(i_t, i_r)))
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
+    r_cov = np.kron(*r_factors)
     source = partial(correlated_limit, dims, betas, correlation)
     return StatModel._of_kronecker_factors(dims, r_cov, r_factors, s_cov, pilot, (source, pilot_power, noise_var))
 

@@ -13,9 +13,10 @@ The finite-power MSEs use the observation covariance; the high-power floors
 use its limit, ``r`` without and ``r + sum_interf`` with pilot contamination
 (:func:`peachsim.model.correlated_limit`), of which the correlated model's
 spectrum of z is an affine image.
-The polynomial filters are evaluated at ``lam_k`` by
-:meth:`peachsim.estimators.PolyEstimator.values`, the same Horner loop that
-applies them to observations.
+Every polynomial MSE, the optimal W-PEACH one and the floors included,
+evaluates the applied filter at ``lam_k`` with
+:meth:`peachsim.estimators.PolyEstimator.values`, the Horner loop that
+applies it to observations; :meth:`Spectrum.fit` gives only its coefficients.
 """
 
 from __future__ import annotations
@@ -56,21 +57,20 @@ class Spectrum:
         """MSE of the exact inverse, v = 1 / lam."""
         return float(self.trace_r - np.sum(self.phi / self.lam))
 
-    def fit(self, degree: int):
-        """Optimal degree-``degree`` polynomial filter and its MSE.
+    def fit(self, degree: int) -> np.ndarray:
+        """Monomial coefficients of the optimal degree-``degree`` polynomial filter v, in lam (increasing order).
 
         MSE(v) = mmse + sum_k phi_k lam_k |v(lam_k) - 1/lam_k|^2, so the
         optimum is a weighted least-squares fit of 1/lam, computed in the
         scaled variable lam / max(lam); this square-roots the condition number
-        of the equivalent moment (Hankel-type) system.  Returns the monomial
-        coefficients of v in lam (increasing order) and the minimum MSE.
-        Null eigenvalues are dropped; :class:`SingularLimit` is raised when
-        the channel has energy along them.
+        of the equivalent moment (Hankel-type) system; :meth:`mse` scores the
+        filter.  Null eigenvalues are dropped; :class:`SingularLimit` is raised
+        when the channel has energy along them.
         """
         check_degree(degree)
         lam, phi = self.lam, self.phi
         if lam[-1] <= 0:
-            return np.zeros(degree + 1), self.trace_r
+            return np.zeros(degree + 1)
         keep = lam > 1e-14 * lam[-1]
         dropped = phi[~keep]
         if dropped.size and np.any(dropped > 1e-12 * max(phi.max(), 1e-300)):
@@ -81,6 +81,4 @@ class Spectrum:
         design = sqrt_w[:, None] * np.vander(lam / scale, degree + 1, increasing=True)
         target = sqrt_w / lam
         coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        residual = float(np.sum((target - design @ coef) ** 2))
-        poly = coef / scale ** np.arange(degree + 1)
-        return poly, float(self.trace_r - np.sum(phi / lam)) + residual
+        return coef / scale ** np.arange(degree + 1)

@@ -1,9 +1,9 @@
 """Dense references for the spectral library paths.
 
 The normal-equations form of the W-PEACH weight system is an independent
-reference for the optimal weights, which the library computes through the
-least-squares fit on the spectrum of z
-(:meth:`peachsim.spectrum.Spectrum.fit`).  It powers z densely and solves the
+reference for the optimal weights, which the library fits by least squares
+on the spectrum of z (:meth:`peachsim.spectrum.Spectrum.fit`) and scores as
+the filter it applies.  It powers z densely and solves the
 moment (Hankel-type) system directly, so it is only trusted at degrees where
 that system is well conditioned.  Its solve, :func:`guarded_hermitian_solve`,
 adds a Tikhonov shift once the condition number passes
@@ -175,14 +175,14 @@ def pilot_sandwich(pilot: np.ndarray, n_r: int, cov: np.ndarray) -> np.ndarray:
     return np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(b * n_r, b * n_r)
 
 
-def noise_limited_floors(r_cov: np.ndarray, degree: int) -> analysis.NoiseLimitedFloors:
+def noise_limited_floors(r_cov: np.ndarray, degree: int) -> analysis.Floors:
     """Noise-limited floors of a dense channel covariance: its eigenvalues, with phi = lam^2."""
     r_cov = hermitize(np.asarray(r_cov, dtype=complex))
     lam = np.linalg.eigvalsh(r_cov)
     return analysis.floor_noise_limited(Spectrum(lam, lam**2, float(np.trace(r_cov).real)), degree)
 
 
-def contaminated_floors(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -> analysis.ContaminatedFloors:
+def contaminated_floors(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) -> analysis.Floors:
     """Contaminated floors of dense covariances: one eigh of r_cov + sum_interf, and both diagonals."""
     r_cov = np.asarray(r_cov, dtype=complex)
     sum_interf = np.asarray(sum_interf, dtype=complex)

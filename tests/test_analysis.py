@@ -113,7 +113,7 @@ class TestCrossover:
             analysis.crossover_m("mmse", 50.0, 2)
 
 
-class TestNoiseLimitedFloors:
+class TestFloorNoiseLimited:
     def test_identity_covariance_floors_vanish(self):
         floors = noise_limited_floors(np.eye(6), 3)
         assert floors.peach == pytest.approx(0.0, abs=1e-12)
@@ -122,6 +122,13 @@ class TestNoiseLimitedFloors:
     def test_degree_zero_identity(self):
         floors = noise_limited_floors(np.eye(4), 0)
         assert floors.wpeach == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_estimators_have_zero_floors(self, rng):
+        # one record for the five estimators, in the sweep tables' row order
+        floors = noise_limited_floors(random_hermitian_psd(rng, 6, eig_lo=0.1, eig_hi=3.0), 3)
+        assert floors._fields == es.NAMES
+        assert (floors.mmse, floors.mvu, floors.diagonalized) == (0.0, 0.0, 0.0)
+        assert floors.peach > 0.0 and floors.wpeach > 0.0
 
     def test_high_power_mses_reach_floors(self, rng):
         # the closed-form MSEs at pilot power 1e6 sit on the floors within 1%
@@ -151,11 +158,14 @@ class TestNoiseLimitedFloors:
         assert np.isfinite(floors.peach) and np.isfinite(floors.wpeach)
 
 
-class TestContaminatedFloors:
+class TestFloorContaminated:
     def test_identity_closed_form(self):
         n, k, beta = 6, 2, 0.4
         floors = contaminated_floors(np.eye(n), k * beta * np.eye(n), 3)
+        assert floors._fields == es.NAMES
         assert floors.mmse == pytest.approx(n * k * beta / (1.0 + k * beta), rel=1e-12)
+        # the unbiased estimator's variance tends to trace(sum_interf)
+        assert floors.mvu == pytest.approx(n * k * beta, rel=1e-12)
 
     def test_diagonal_case_equals_mmse_floor(self, rng):
         r_diag = np.diag(rng.uniform(0.3, 2.0, 5))

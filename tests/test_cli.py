@@ -362,6 +362,16 @@ class TestShrinkageScenario:
         # more samples bring the estimated-statistics filter closer to the truth
         assert by[("wpeach-est", 160.0)] < by[("wpeach-est", 40.0)]
 
+    def test_true_statistics_wpeach_cell_scores_the_prepared_filter(self, tmp_path):
+        # the wpeach row is the MSE of the filter that prepare applies, by the one scorer
+        config = default_config("shrinkage", out=str(tmp_path / "shrink.csv"))
+        rows = run_experiment(config)
+        model = correlated_model(
+            Dims(config.n_r, config.n_t, config.b), config.snr_db[0], config.betas, config.correlation, config.noise_var
+        )
+        want = es.prepare(model, "wpeach", config.degree).mse() / float(np.trace(model.r_cov).real)
+        assert [r.nmse_analytic for r in rows if r.estimator == "wpeach"] == [want] * len(config.shrink_samples)
+
 
 class TestFlopsScenario:
     def test_flop_rows(self, tmp_path):

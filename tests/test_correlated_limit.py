@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.adaptive import _quad_forms
 from peachsim.cli import _floors, default_config, main
@@ -342,12 +343,27 @@ def test_sweep_floors_match_dense_floors(betas, degree):
     floors = _floors(model, config, degree)
     if betas:
         sum_interf = summed_covariance(correlated_contamination(DESK, betas))
-        dense = {**contaminated_floors(model.r_cov, sum_interf, degree)._asdict(), "mvu": np.trace(sum_interf).real}
+        dense = contaminated_floors(model.r_cov, sum_interf, degree)._asdict()
     else:
-        dense = {"mmse": 0.0, "mvu": 0.0, "diagonalized": 0.0, **noise_limited_floors(model.r_cov, degree)._asdict()}
+        dense = noise_limited_floors(model.r_cov, degree)._asdict()
     assert floors.keys() == dense.keys()
     for name, value in dense.items():
-        # the W-PEACH floor is a monomial least-squares residual, which loses
-        # about a digit per degree on either spectrum
+        # the W-PEACH floor is the MSE of a monomial least-squares fit, which
+        # loses about a digit per degree on either spectrum
         rel = 1e-9 if name == "wpeach" and degree == 10 else 1e-12
         assert floors[name] == pytest.approx(value, rel=rel, abs=1e-14), name
+
+
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 1.0)], ids=["noise-limited", "0.1", "1"])
+def test_polynomial_floors_score_the_filters_prepared_on_the_limit(betas):
+    # each polynomial floor is the one closed-form MSE of the filter that the
+    # estimator's own rule prepares on the limit spectrum, so it matches exactly
+    limit = correlated_limit(DESK, betas)
+    r_diag, s_diag = correlated_diagonals(DESK, betas)
+    for degree in range(13):
+        if betas:
+            floors = analysis.floor_contaminated(limit, r_diag, s_diag, degree)
+        else:
+            floors = analysis.floor_noise_limited(limit, degree)
+        assert floors.peach == limit.mse(es._peach_on(limit, degree).values(limit.lam)), degree
+        assert floors.wpeach == limit.mse(es._wpeach_on(limit, degree).values(limit.lam)), degree

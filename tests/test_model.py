@@ -60,7 +60,7 @@ class TestDims:
         with pytest.raises(EmptyDimension):
             Dims(**bad)
 
-    @pytest.mark.parametrize("value", [None, 3.0, float("nan")], ids=["none", "float", "nan"])
+    @pytest.mark.parametrize("value", [None, 3.0, float("nan"), True], ids=["none", "float", "nan", "bool"])
     def test_rejects_non_integers(self, value):
         with pytest.raises(EmptyDimension):
             Dims(value, 2, 2)
@@ -68,6 +68,10 @@ class TestDims:
     def test_accepts_numpy_integers(self):
         dims = Dims(np.int64(3), np.int32(2), np.int64(2))
         assert (dims.m, dims.n) == (6, 6)
+        # stored as int, so a narrow numpy integer cannot wrap m or n
+        dims = Dims(np.uint8(20), np.uint8(20), np.uint8(20))
+        assert (dims.m, dims.n) == (400, 400)
+        assert all(type(getattr(dims, name)) is int for name in ("n_r", "n_t", "b"))
 
 
 class TestExpCorrelation:
@@ -220,17 +224,17 @@ class TestValidation:
 class TestBuildMemory:
     @pytest.mark.parametrize("betas", [(0.1, 0.1), (1.0, 0.3, 0.7)], ids=["two", "three"])
     def test_contaminated_build_holds_one_interferer_covariance_at_a_time(self, betas):
-        # r_cov and s_cov, one interferer covariance and the two scaled copies
-        # of its sandwich: about 5 m x m complex arrays, whatever the number
-        # of interferers
-        dims = Dims(40, 5, 5)
-        tracemalloc.start()
-        try:
-            correlated_model(dims, 5.0, betas)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5 * dims.m**2 * 16
+        # s_cov, one interferer covariance and the two scaled copies of its
+        # sandwich: about 4 m x m complex arrays, whatever the number of
+        # interferers, since r_cov is formed only after the last of them
+        for dims in (Dims(20, 4, 4), Dims(40, 5, 5)):
+            tracemalloc.start()
+            try:
+                correlated_model(dims, 5.0, betas)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4.6 * dims.m**2 * 16, dims
 
 
 class TestObservationCovarianceCache:

@@ -371,7 +371,7 @@ def noise_limited_floor_cases():
 @pytest.mark.parametrize("r_cov", noise_limited_floor_cases())
 def test_noise_limited_floor_from_eigenvalues_matches_eigenvectors(r_cov):
     # the channel of the noise-limited limit is r itself, so phi_k = lam_k^2.
-    # The W-PEACH floor is the residual of a monomial least-squares fit whose
+    # The W-PEACH floor is the MSE of a monomial least-squares fit whose
     # conditioning grows with the degree: at L = 8 on 12 nonzero eigenvalues
     # both evaluations sit 1e-10 to 1e-9 (relative) from the floor of the
     # exact spectrum, so it is also accepted within 1e-12 trace(r), the scale
@@ -381,8 +381,9 @@ def test_noise_limited_floor_from_eigenvalues_matches_eigenvectors(r_cov):
     spectrum = dense_spectrum(r_cov, r_cov, trace_r)
     for degree in range(9):
         floors = noise_limited_floors(r_cov, degree)
-        assert floors.peach == pytest.approx(analysis._peach_floor(spectrum, degree), rel=1e-10, abs=0.0)
-        assert floors.wpeach == pytest.approx(spectrum.fit(degree)[1], rel=1e-10, abs=1e-12 * trace_r)
+        dense = analysis.floor_noise_limited(spectrum, degree)
+        assert floors.peach == pytest.approx(dense.peach, rel=1e-10, abs=0.0)
+        assert floors.wpeach == pytest.approx(dense.wpeach, rel=1e-10, abs=1e-12 * trace_r)
 
 
 def test_mmse_epoch_factors_z_once(monkeypatch):

@@ -213,7 +213,7 @@ class TestStableFit:
         degree, ws = capped_degree_system(model, 5, alpha_w)
         w_direct = wpeach_weights_optimal(ws)
         w_fit = es.make_wpeach(model, degree, alpha_w).weights
-        mse_fit = model.z_spectrum.fit(degree)[1]
+        mse_fit = es.wpeach_mse_optimal(model, degree)
         tr_r = float(np.trace(model.r_cov).real)
         closed = tr_r - float(np.real(ws.b_vec.conj() @ w_direct))
         assert abs(mse_fit - closed) < 1e-9 * tr_r
