@@ -35,7 +35,8 @@ class FlopModel:
     t_tot: float
 
     def __post_init__(self):
-        if self.tau_s <= 0 or self.tau_c <= 0 or self.t_tot <= 0:
+        # written so that NaN fails each comparison; an infinite tau_c freezes the channel
+        if not (self.tau_s > 0 and self.tau_c > 0 and self.t_tot > 0):
             raise InvalidParameter("coherence times and total time must be positive")
 
     @property
@@ -98,8 +99,8 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     unweighted kind and q (3 L + 9 / 8) for the weighted one.  Returned as a
     real threshold; consumers apply the ceiling.
     """
-    if q < 0:
-        raise InvalidParameter("q must be nonnegative")
+    if not q >= 0:  # NaN fails the comparison
+        raise InvalidParameter(f"q must be nonnegative, got {q!r}")
     check_degree(degree)
     kind = kind.lower()
     if kind == "peach":

@@ -36,7 +36,6 @@ from .model import (
     Dims,
     SpatialCorrelation,
     StatModel,
-    correlated_diagonals,
     correlated_limit,
     correlated_model,
     standard_complex_normal,
@@ -83,7 +82,7 @@ class ExperimentConfig:
         for name, least in (("degrees", 0), ("n_r_values", 1), ("shrink_samples", 2)):
             integers += [(name, value, least) for value in getattr(self, name)]
         for name, value, least in integers:
-            if not isinstance(value, numbers.Integral) or value < least:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
                 raise ConfigError(f"{name}: {value!r} is not an integer >= {least}")
         scenario = _SCENARIOS[self.scenario]
         if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
@@ -91,7 +90,7 @@ class ExperimentConfig:
         reals = [(name, value) for name in ("snr_db", "betas") for value in getattr(self, name)]
         reals += [(name, getattr(self, name)) for name in ("noise_var", "q_ratio", "tau_s", "t_tot")]
         for name, value in reals:
-            if not isinstance(value, numbers.Real) or not np.isfinite(value):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite and real, got {value!r}")
         if any(b < 0 for b in self.betas):
             raise ConfigError("interference ratios must be nonnegative")
@@ -142,7 +141,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
     of chunk scheduling, and the same for an estimator whether it is scored
     alone or next to others.
     """
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) or trials < 1:
         raise InvalidParameter(f"trials must be an integer >= 1, got {trials!r}")
     n_chunks = (trials + MONTE_CARLO_CHUNK - 1) // MONTE_CARLO_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -175,8 +174,9 @@ def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     # one the model's z_spectrum maps, so a sweep decomposes it once
     limit = correlated_limit(model.dims, tuple(config.betas), config.correlation)
     if any(beta > 0 for beta in config.betas):
-        r_diag, s_diag = correlated_diagonals(model.dims, config.betas, config.correlation)
-        return analysis.floor_contaminated(limit, r_diag, s_diag, degree)._asdict()
+        # every correlation factor's diagonal is coeff**0 = 1: r's diagonal is 1, sum_i beta_i R_i's sum(betas)
+        ones = np.ones(model.dims.n)
+        return analysis.floor_contaminated(limit, ones, sum(beta * ones for beta in config.betas), degree)._asdict()
     return analysis.floor_noise_limited(limit, degree)._asdict()
 
 
@@ -388,7 +388,7 @@ _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.defa
 def _parse_field(key: str, text: str):
     default = _FIELD_DEFAULTS[key]
     if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes", "on")
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     if isinstance(default, tuple):
         return _parse_list(text, type(default[0]))
     return type(default)(text)
@@ -410,12 +410,12 @@ def load_config_file(path: str, scenario: str) -> dict:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
             try:
                 overrides[key] = _parse_field(key, raw)
-            except ValueError as exc:
+            except (KeyError, ValueError) as exc:  # KeyError: a word that is not a boolean
                 raise ConfigError(f"bad value for {key!r} in section [{section}]: {raw!r}") from exc
     return overrides
 
 
-# flag and help text of each field a subcommand can offer (b, correlation and noise_var: config file only)
+# flag and help text of each field a subcommand can offer (b and noise_var: config file only)
 _FLAGS = {
     "seed": ("--seed", "master seed (64-bit)"),
     "trials": ("--trials", "Monte Carlo trials per row"),

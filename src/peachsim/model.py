@@ -6,10 +6,10 @@ Builds the second-order statistics of the vectorized observation
 covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  Every covariance is validated densely at
-construction, except that :func:`correlated_model` validates only the
-Kronecker factors of its one term list and adds each interferer's sandwich
-to the disturbance covariance as it forms it; the model keeps the factors
-of ``r_cov``, and :meth:`StatModel.apply_r` multiplies through them.  ``z``
+construction, except that :func:`correlated_model` checks none: its
+Kronecker factors are fixed by validated coefficients, and it adds each
+interferer's sandwich to the disturbance covariance as it forms it; the
+model keeps the factors of ``r_cov``, and :meth:`StatModel.apply_r` multiplies through them.  ``z``
 is the pilot sandwich of ``r_cov`` plus ``s_cov``; for the identity pilot the
 sandwich only scales.  :meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
 correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
@@ -242,15 +242,16 @@ class StatModel:
         """Zero-mean model of :func:`correlated_model`: the one place that skips ``__post_init__``'s checks.
 
         ``r_cov = np.kron(*r_factors)`` and each interferer covariance are
-        ``np.kron`` of Hermitian factors validated as PSD, so each is exactly
-        Hermitian (an entry and its mirror are products of conjugates) and
-        PSD (its eigenvalues are the products of the factors'; Horn & Johnson,
-        Topics in Matrix Analysis, Thm 4.2.12).  The identity ``pilot``'s sandwich of ``R_i``
-        scales each entry by the same real scalar (:func:`_pilot_sandwich`),
-        so ``s_cov``, ``noise_var * I`` plus the sandwiches weighted by
-        ``beta_i >= 0``, with finite ``noise_var > 0``, is exactly Hermitian
-        and positive definite: the m x m Cholesky, norms and ``hermitize``
-        copies would change nothing.
+        ``np.kron`` of factors fixed by validated coefficients
+        (:func:`exp_correlation_matrix`), so each is exactly Hermitian (an
+        entry and its mirror are products of conjugates) and positive definite
+        (its eigenvalues are the products of the factors'; Horn & Johnson,
+        Topics in Matrix Analysis, Thm 4.2.12).  The identity ``pilot``'s
+        sandwich of ``R_i`` scales each entry by the same real scalar
+        (:func:`_pilot_sandwich`), so ``s_cov``, ``noise_var * I`` plus the
+        sandwiches weighted by ``beta_i >= 0``, with finite ``noise_var > 0``,
+        is exactly Hermitian and positive definite: the m x m Cholesky, norms
+        and ``hermitize`` copies would change nothing.
         """
         model = object.__new__(cls)
         model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
@@ -365,13 +366,16 @@ def z_matrix(model: StatModel) -> np.ndarray:
 def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
     """Hermitian Toeplitz correlation matrix with entry (i, j) = coeff**(j - i) for j >= i.
 
-    Requires |coeff| < 1 strictly, which makes the matrix positive definite.
+    The one place that guarantees a correlation factor: ``dim`` is an integer (not ``bool``) of at least 1
+    (:class:`EmptyDimension`) and ``coeff`` finite with ``|coeff| < 1`` (:class:`InvalidCorrelation`).  Then
+    each entry below the diagonal is exactly the conjugate of its mirror, each diagonal entry exactly ``coeff**0 = 1``,
+    and the eigenvalues lie in ``[(1-|c|)/(1+|c|), (1+|c|)/(1-|c|)]`` (Grenander & Szegő, Toeplitz Forms, 1958).
     """
-    if dim < 1:
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
         raise EmptyDimension(f"dim must be a positive integer, got {dim!r}")
     coeff = complex(coeff)
-    if abs(coeff) >= 1.0:
-        raise InvalidCorrelation(f"|coeff| must be < 1, got {abs(coeff):.6g}")
+    if not abs(coeff) < 1.0:  # NaN fails the comparison
+        raise InvalidCorrelation(f"coeff must be finite with |coeff| < 1, got {coeff!r}")
     lags = np.arange(dim)
     offsets = lags[None, :] - lags[:, None]
     powers = coeff ** np.abs(offsets)
@@ -490,19 +494,14 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
-    """Unvalidated ``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
-    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically.
-    The coefficients are checked first (:meth:`SpatialCorrelation.validate`)."""
+    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
+    interferer ``i`` has weight ``betas[i]`` (unchecked) and the ``i``-th interferer coefficient pair, cyclically.
+    The coefficients are checked first (:meth:`SpatialCorrelation.validate`), which fixes every factor."""
     correlation.validate(len(betas))
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
     terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
-
-
-def _kronecker_factors(r_t: np.ndarray, r_r: np.ndarray) -> tuple:
-    """``(R_t, R_r)`` of ``R_t (x) R_r``, each validated Hermitian PSD and symmetrized (O(n_t^3 + n_r^3))."""
-    return check_hermitian_psd(r_t, "R_t")[0], check_hermitian_psd(r_r, "R_r")[0]
 
 
 def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -616,13 +615,6 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     return Spectrum(mu, phi, trace_r)
 
 
-def correlated_diagonals(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION):
-    """Diagonals of r and of ``sum_i beta_i R_i`` of :func:`correlated_model`, read off their Kronecker factors."""
-    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
-    diag = lambda a, b: np.kron(np.diag(a), np.diag(b)).real
-    return diag(r_t, r_r), sum((beta * diag(i_t, i_r) for beta, i_t, i_r in interferers), np.zeros(dims.n))
-
-
 def correlated_model(
     dims: Dims,
     gamma_db: float,
@@ -641,9 +633,9 @@ def correlated_model(
     I``, so the model's ``z_spectrum`` is read off :func:`correlated_limit`,
     on first use.
 
-    Only the factors ``R_t`` and ``R_r`` of r and of each interferer are
-    validated, in O(n_t^3 + n_r^3) (:meth:`StatModel._of_kronecker_factors`);
-    the model equals :func:`stat_model_from_pilot`'s on the same covariances.
+    No covariance is checked or factored: the validated coefficients fix every factor ``R_t`` and
+    ``R_r`` (:meth:`StatModel._of_kronecker_factors`); the model equals :func:`stat_model_from_pilot`'s
+    on the same covariances.
     Each ``R_i`` is formed, sandwiched and added to ``s_cov`` before the
     next, and ``r_cov`` after the last: the build holds at most one of them.
     """
@@ -654,16 +646,15 @@ def correlated_model(
     betas = tuple(float(beta) for beta in betas)
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     _check_powers(betas, noise_var)
-    r_factors = _kronecker_factors(r_t, r_r)
     pilot = identity_pilot(dims, pilot_power)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, i_t, i_r in interferers:
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, np.kron(*_kronecker_factors(i_t, i_r)))
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, np.kron(i_t, i_r))
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
-    r_cov = np.kron(*r_factors)
+    r_cov = np.kron(r_t, r_r)
     source = partial(correlated_limit, dims, betas, correlation)
-    return StatModel._of_kronecker_factors(dims, r_cov, r_factors, s_cov, pilot, (source, pilot_power, noise_var))
+    return StatModel._of_kronecker_factors(dims, r_cov, (r_t, r_r), s_cov, pilot, (source, pilot_power, noise_var))
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -30,8 +30,8 @@ from .errors import InvalidDegree, SingularLimit
 
 
 def check_degree(degree: int):
-    """Raise :class:`InvalidDegree` unless ``degree`` is a nonnegative integer (numpy integers pass)."""
-    if not isinstance(degree, numbers.Integral) or degree < 0:
+    """Raise :class:`InvalidDegree` unless ``degree`` is a nonnegative integer other than ``bool`` (numpy integers pass)."""
+    if not isinstance(degree, numbers.Integral) or isinstance(degree, bool) or degree < 0:
         raise InvalidDegree(f"polynomial degree must be a nonnegative integer, got {degree!r}")
 
 

@@ -90,6 +90,18 @@ class TestConfig:
             dict(correlation=SpatialCorrelation(interferer_tx=(), interferer_rx=())),
             dict(correlation=SpatialCorrelation(desired_rx="a")),
             dict(correlation=SpatialCorrelation(interferer_tx=(0.3,), interferer_rx=(0.5, 0.6))),
+            # bool is an int to Python, but never a count, a seed or a power
+            dict(window=True),
+            dict(n_r=True),
+            dict(trials=True),
+            dict(seed=False),
+            dict(degree=True),
+            dict(degrees=(True, 2)),
+            dict(n_r_values=(True,)),
+            dict(noise_var=True),
+            dict(snr_db=(False,)),
+            dict(betas=(True, 1.0)),
+            dict(q_ratio=True),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -141,6 +153,20 @@ class TestConfig:
             monte_carlo=False, shrink_samples=(4, 5, 6), noise_var=2.0, window=7, snr_db=(1.0, 2.5)
         )
         assert type(overrides["noise_var"]) is float and type(overrides["window"]) is int
+
+    @pytest.mark.parametrize("word, value", [("No", False), (" 0", False), ("false", False), ("YES", True), ("1", True)])
+    def test_config_file_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "bool.ini"
+        path.write_text(f"[sweep-l]\nmonte_carlo = {word}\n")
+        assert load_config_file(str(path), "sweep-l") == dict(monte_carlo=value)
+
+    @pytest.mark.parametrize("word", ["flase", "2", "y", "offf"])
+    def test_config_file_rejects_a_word_that_is_not_a_boolean(self, tmp_path, word):
+        # "flase" used to turn Monte Carlo off
+        path = tmp_path / "bool.ini"
+        path.write_text(f"[sweep-l]\nmonte_carlo = {word}\n")
+        with pytest.raises(ConfigError, match="bad value for 'monte_carlo'"):
+            load_config_file(str(path), "sweep-l")
 
     def test_config_file_n_t_sets_pilot_length(self, tmp_path, capsys):
         out = tmp_path / "n_t.csv"
@@ -257,9 +283,8 @@ class TestSweepL:
 
 
 def test_sweep_l_factors_each_covariance_once_per_model(tmp_path, monkeypatch):
-    # a contaminated build validates only the small Kronecker factors, with no
-    # m x m Cholesky; the Monte Carlo points of every degree then draw from
-    # the model's two cached sampling factors
+    # a contaminated build runs no Cholesky; the Monte Carlo points of every
+    # degree then draw from the model's two cached sampling factors
     counts = {}
     config = default_config(
         "sweep-l", n_r=4, degrees=(0, 1, 2), trials=16, betas=(0.1, 0.1), out=str(tmp_path / "l.csv")

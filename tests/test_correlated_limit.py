@@ -24,7 +24,6 @@ from peachsim.model import (
     SpatialCorrelation,
     _centro_real_form,
     check_hermitian_psd,
-    correlated_diagonals,
     correlated_limit,
     correlated_model,
     disturbance_covariance,
@@ -76,8 +75,8 @@ def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
 @pytest.mark.parametrize("betas", BUILD_BETAS.values(), ids=BUILD_BETAS.keys())
 @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 10.0, 30.0])
 def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, noise_var):
-    # correlated_model validates only R_t and R_r; what it builds is exactly
-    # what the generic path builds, and passes the generic path's dense check
+    # correlated_model checks no covariance; what it builds is exactly what
+    # the generic path builds, and passes the generic path's dense check
     for dims in (DESK, SHAPES["5x3"]):
         model = correlated_model(dims, gamma_db, betas, noise_var=noise_var)
         r_t = exp_correlation_matrix(dims.n_t, DEFAULT_CORRELATION.desired_tx)
@@ -176,7 +175,7 @@ MALFORMED_CORRELATIONS = {
 
 
 @pytest.mark.parametrize("correlation", MALFORMED_CORRELATIONS.values(), ids=MALFORMED_CORRELATIONS.keys())
-@pytest.mark.parametrize("build", [correlated_model, correlated_limit, correlated_diagonals], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("build", [correlated_model, correlated_limit], ids=lambda f: f.__name__)
 def test_malformed_correlation_is_rejected(build, correlation):
     args = (DESK, 10.0) if build is correlated_model else (DESK,)
     with pytest.raises(InvalidCorrelation):
@@ -326,11 +325,19 @@ def test_build_adds_the_cycled_interferers(correlation):
 
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
 @pytest.mark.parametrize("betas", BETAS.values(), ids=BETAS.keys())
-def test_diagonals_are_the_dense_diagonals(betas, correlation):
-    r_diag, s_diag = correlated_diagonals(DESK, betas, correlation)
+def test_dense_diagonals_are_one_and_the_summed_betas(betas, correlation):
+    # the runner's contaminated floors take r's diagonal as 1 and the summed
+    # interferer covariance's as sum(betas), which the dense forms bear out
+    # exactly, so they are the floors of the dense diagonals
+    r_diag = np.diag(correlated_model(DESK, 0.0, betas, correlation).r_cov)
     sum_interf = summed_covariance(correlated_contamination(DESK, betas, correlation)) + np.zeros((DESK.n, DESK.n))
-    np.testing.assert_array_equal(r_diag, np.diag(correlated_model(DESK, 0.0, (), correlation).r_cov).real)
-    np.testing.assert_array_equal(s_diag, np.diag(sum_interf).real)
+    s_diag = np.diag(sum_interf)
+    np.testing.assert_array_equal(r_diag, np.ones(DESK.n))
+    np.testing.assert_array_equal(s_diag, np.full(DESK.n, sum(betas)))
+    if any(betas):
+        config = default_config("sweep-snr", betas=betas, correlation=correlation)
+        dense = analysis.floor_contaminated(correlated_limit(DESK, betas, correlation), r_diag.real, s_diag.real, 4)
+        assert _floors(correlated_model(DESK, 10.0, betas, correlation), config, 4) == dense._asdict()
 
 
 @pytest.mark.parametrize("degree", [0, 4, 10])
@@ -359,7 +366,7 @@ def test_polynomial_floors_score_the_filters_prepared_on_the_limit(betas):
     # each polynomial floor is the one closed-form MSE of the filter that the
     # estimator's own rule prepares on the limit spectrum, so it matches exactly
     limit = correlated_limit(DESK, betas)
-    r_diag, s_diag = correlated_diagonals(DESK, betas)
+    r_diag, s_diag = np.ones(DESK.n), np.full(DESK.n, sum(betas))
     for degree in range(13):
         if betas:
             floors = analysis.floor_contaminated(limit, r_diag, s_diag, degree)

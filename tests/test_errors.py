@@ -43,11 +43,28 @@ OUT_OF_RANGE = {
         InvalidParameter,
         lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=0.0, tau_c=0.1, t_tot=1.0),
     ),
+    "NaN coherence time": (
+        InvalidParameter,
+        lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=np.nan, tau_c=0.1, t_tot=1.0),
+    ),
+    "NaN channel coherence time": (
+        InvalidParameter,
+        lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=1.0, tau_c=np.nan, t_tot=1.0),
+    ),
+    "NaN total time": (
+        InvalidParameter,
+        lambda rng: analysis.FlopModel(dims=Dims(4, 2, 2), tau_s=1.0, tau_c=0.1, t_tot=np.nan),
+    ),
     "negative stationarity ratio": (InvalidParameter, lambda rng: analysis.crossover_m("peach", -1.0, 2)),
+    "NaN stationarity ratio": (InvalidParameter, lambda rng: analysis.crossover_m("peach", np.nan, 2)),
     "zero trials": (InvalidParameter, lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, 0, 0)),
     "fractional trials": (
         InvalidParameter,
         lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, 2.5, 0),
+    ),
+    "boolean trials": (
+        InvalidParameter,
+        lambda rng: run_monte_carlo(random_model(rng), {"mmse": lambda y: y}, True, 0),
     ),
     "unknown estimator name": (UnsupportedEstimator, lambda rng: es.prepare(random_model(rng), "lmmse", 2)),
 }

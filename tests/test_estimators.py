@@ -402,10 +402,10 @@ NEGATIVE_DEGREE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("degree", [-1, -2, 1.5, 2.5])
+@pytest.mark.parametrize("degree", [-1, -2, 1.5, 2.5, True])
 @pytest.mark.parametrize("name", NEGATIVE_DEGREE_CALLS)
 def test_negative_degree_rejected(name, degree):
-    # a negative or a non-integer degree
+    # a negative or a non-integer degree; bool is an int to Python, not a degree
     model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
     with pytest.raises(InvalidDegree):
         NEGATIVE_DEGREE_CALLS[name](model, degree)

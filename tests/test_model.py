@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,6 +20,7 @@ from peachsim.estimators import mmse_estimate
 from peachsim.model import (
     ContaminationSpec,
     Dims,
+    SpatialCorrelation,
     StatModel,
     correlated_model,
     deviation,
@@ -96,6 +97,40 @@ class TestExpCorrelation:
     def test_rejects_empty(self):
         with pytest.raises(EmptyDimension):
             exp_correlation_matrix(0, 0.5)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, None], ids=["2.5", "3.0", "bool", "none"])
+    def test_rejects_non_integer_dimension(self, dim):
+        # 2.5 used to build a 3 x 3 matrix
+        with pytest.raises(EmptyDimension):
+            exp_correlation_matrix(dim, 0.5)
+
+    @pytest.mark.parametrize("coeff", [np.nan, complex(0.3, np.nan)], ids=["nan", "nan-imag"])
+    def test_rejects_nan_coefficient(self, coeff):
+        # a NaN coefficient used to give a NaN matrix
+        with pytest.raises(InvalidCorrelation):
+            exp_correlation_matrix(3, coeff)
+
+    @given(
+        dim=st.integers(min_value=1, max_value=400),
+        magnitude=st.floats(min_value=0.0, max_value=np.nextafter(1.0, 0.0)),
+        phase=st.floats(min_value=-np.pi, max_value=np.pi),
+    )
+    @example(dim=400, magnitude=np.nextafter(1.0, 0.0), phase=0.0)
+    @example(dim=400, magnitude=np.nextafter(1.0, 0.0), phase=np.pi / 2)
+    @example(dim=400, magnitude=np.nextafter(1.0, 0.0), phase=-0.9289 * np.pi)
+    @example(dim=1, magnitude=0.0, phase=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_every_accepted_coefficient_gives_an_exact_factor(self, dim, magnitude, phase):
+        # what correlated_model trusts in place of checking its factors: any
+        # coefficient the boundary accepts gives an exactly Hermitian matrix
+        # with an exactly unit diagonal
+        coeff = magnitude * complex(np.cos(phase), np.sin(phase))
+        assume(abs(coeff) < 1.0)  # the rotation can round a magnitude next to 1 up to 1
+        SpatialCorrelation(desired_tx=coeff, desired_rx=coeff).validate(0)
+        mat = exp_correlation_matrix(dim, coeff)
+        assert mat.dtype == np.complex128 and mat.shape == (dim, dim)
+        assert np.array_equal(mat, mat.conj().T)
+        assert np.array_equal(np.diag(mat), np.ones(dim))
 
     @given(
         dim=st.integers(min_value=1, max_value=12),
@@ -174,19 +209,17 @@ def hermitian_with_spectrum(rng, eigs):
 
 
 class TestValidation:
-    def test_correlated_build_validates_only_the_kronecker_factors(self, monkeypatch):
-        # each of the six positive definite factors (R_t and R_r of r and of
-        # the two interferers) is accepted by one small Cholesky; no m x m
-        # Cholesky or eigensolver runs (counted through numpy.linalg and
-        # scipy.linalg)
-        dims = Dims(20, 4, 4)
-        dense, every = {}, {}
-        count_calls(monkeypatch, np.linalg, ("cholesky",), every)
-        count_calls(monkeypatch, np.linalg, ("cholesky",), dense, min_dim=dims.m)
-        count_eig_calls(monkeypatch, every)
-        correlated_model(dims, 10.0, (0.1, 0.1))
-        assert every == {"cholesky": 6, "eigh": 0, "eigvalsh": 0}
-        assert dense["cholesky"] == 0
+    @pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 0.0, 0.7)], ids=["noise-limited", "two", "cyclic"])
+    def test_correlated_build_runs_no_factorization(self, monkeypatch, betas):
+        # the validated coefficients fix every Kronecker factor, so no
+        # Cholesky or eigensolver of any size runs (counted through
+        # numpy.linalg and scipy.linalg)
+        counts = {}
+        count_calls(monkeypatch, np.linalg, ("cholesky",), counts)
+        count_calls(monkeypatch, scipy.linalg, ("cholesky", "cho_factor"), counts)
+        count_eig_calls(monkeypatch, counts)
+        correlated_model(Dims(20, 4, 4), 10.0, betas)
+        assert counts == {"cholesky": 0, "cho_factor": 0, "eigh": 0, "eigvalsh": 0}
 
     def test_negative_eigenvalue_rejected_with_message(self, rng):
         dims = Dims(2, 2, 2)

@@ -179,9 +179,9 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     # the true z's spectrum (the true-statistics MSEs) comes from the Kronecker
     # factors of the noise-limited channel, with no m x m decomposition, and
     # each estimated z takes one eigh (both mismatched filters); no dense
-    # filter and no solve.  The model is built from its validated Kronecker
-    # factors with no m x m Cholesky; one factors r_cov for the channel draws
-    # and one validates each r_est: s_cov is not validated again
+    # filter and no solve.  The model's build runs no Cholesky; one factors
+    # r_cov for the channel draws and one validates each r_est: s_cov is not
+    # validated again
     config = default_config("shrinkage", out=str(tmp_path / "shrinkage.csv"))
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
