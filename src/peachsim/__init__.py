@@ -60,7 +60,6 @@ from .estimators import (
 )
 from .model import (
     DEFAULT_CORRELATION,
-    ContaminationSpec,
     Dims,
     SpatialCorrelation,
     StatModel,

@@ -22,6 +22,7 @@ import configparser
 import csv
 import json
 import numbers
+import os
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import MISSING, dataclass, field, fields
@@ -96,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("interference ratios must be nonnegative")
         if self.noise_var <= 0 or self.q_ratio <= 0 or self.tau_s <= 0 or self.t_tot <= 0:
             raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
+        if not isinstance(self.monte_carlo, bool) or not isinstance(self.out, str | os.PathLike):
+            raise ConfigError(f"monte_carlo must be a bool and out a path, got {self.monte_carlo!r} and {self.out!r}")
         if not isinstance(self.correlation, SpatialCorrelation):
             raise ConfigError(f"correlation must be a SpatialCorrelation, got {self.correlation!r}")
         try:

@@ -83,13 +83,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * scale
-
-
 def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
     """Validate ``a`` as Hermitian PSD and factor it the cheapest way that decides.
 
@@ -102,7 +95,7 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {a.shape}")
-    if not is_hermitian(a):
+    if not np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(a):  # NaN fails the comparison
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
     try:
@@ -144,26 +137,6 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     if factor is not None:
         return factor
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
-
-
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """Interference entering the disturbance covariance through pilot reuse.
-
-    Each interferer contributes ``beta * pilot_ext @ cov @ pilot_ext^H`` and
-    uncorrelated receiver noise adds ``noise_var * I``.
-    """
-
-    interferer_covs: tuple = ()
-    betas: tuple = ()
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "interferer_covs", tuple(np.asarray(c, dtype=complex) for c in self.interferer_covs))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if len(self.interferer_covs) != len(self.betas):
-            raise ShapeError("interferer_covs and betas must have equal length")
-        _check_powers(self.betas, self.noise_var)
 
 
 def _check_powers(betas: tuple, noise_var: float):
@@ -367,18 +340,18 @@ def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
     """Hermitian Toeplitz correlation matrix with entry (i, j) = coeff**(j - i) for j >= i.
 
     The one place that guarantees a correlation factor: ``dim`` is an integer (not ``bool``) of at least 1
-    (:class:`EmptyDimension`) and ``coeff`` finite with ``|coeff| < 1`` (:class:`InvalidCorrelation`).  Then
-    each entry below the diagonal is exactly the conjugate of its mirror, each diagonal entry exactly ``coeff**0 = 1``,
-    and the eigenvalues lie in ``[(1-|c|)/(1+|c|), (1+|c|)/(1-|c|)]`` (Grenander & Szegő, Toeplitz Forms, 1958).
+    (:class:`EmptyDimension`) and ``coeff`` a finite ``numbers.Complex`` with ``|coeff| < 1``
+    (:class:`InvalidCorrelation`).  Then each entry below the diagonal is exactly the conjugate of its mirror,
+    each diagonal entry exactly ``coeff**0 = 1``, and the eigenvalues lie in
+    ``[(1-|c|)/(1+|c|), (1+|c|)/(1-|c|)]`` (Grenander & Szegő, Toeplitz Forms, 1958).
     """
     if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
         raise EmptyDimension(f"dim must be a positive integer, got {dim!r}")
-    coeff = complex(coeff)
-    if not abs(coeff) < 1.0:  # NaN fails the comparison
-        raise InvalidCorrelation(f"coeff must be finite with |coeff| < 1, got {coeff!r}")
+    if not isinstance(coeff, numbers.Complex) or not abs(coeff) < 1.0:  # NaN fails the comparison
+        raise InvalidCorrelation(f"coeff must be a finite number with |coeff| < 1, got {coeff!r}")
     lags = np.arange(dim)
     offsets = lags[None, :] - lags[:, None]
-    powers = coeff ** np.abs(offsets)
+    powers = complex(coeff) ** np.abs(offsets)
     return np.where(offsets >= 0, powers, np.conj(powers))
 
 
@@ -416,44 +389,36 @@ def _pilot_sandwich(pilot: np.ndarray, n_r: int, cov: np.ndarray) -> np.ndarray:
     return hermitize(np.tensordot(left, pilot.conj(), axes=(2, 0)).transpose(0, 1, 3, 2).reshape(b * n_r, -1))
 
 
-def disturbance_covariance(pilot: np.ndarray, n_r: int, contamination: ContaminationSpec) -> np.ndarray:
-    """Pilot-contaminated disturbance covariance.
-
-    Sums ``beta_i * pilot_ext @ cov_i @ pilot_ext^H`` over the interfering
-    cells, each formed by :func:`_pilot_sandwich`, and adds the
-    receiver-noise term ``noise_var * I``.
-    """
-    n_t, b = pilot.shape
-    s_cov = contamination.noise_var * np.eye(b * n_r, dtype=complex)
-    for beta, cov in zip(contamination.betas, contamination.interferer_covs):
-        cov, _ = check_hermitian_psd(cov, "interferer covariance")
-        if cov.shape != (n_t * n_r,) * 2:
-            raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
-        s_cov += beta * _pilot_sandwich(pilot, n_r, cov)
-    return s_cov
-
-
 def stat_model_from_pilot(
     dims: Dims,
     h_mean: np.ndarray | None,
     r_cov: np.ndarray,
     n_mean: np.ndarray | None,
-    contamination: ContaminationSpec,
     pilot: np.ndarray,
+    interferers=(),
+    noise_var: float = 1.0,
 ) -> StatModel:
-    """Assemble a StatModel from an arbitrary pilot matrix."""
+    """Assemble a StatModel from an arbitrary pilot matrix and the interferers reusing it.
+
+    Each ``(beta, cov)`` pair of ``interferers`` adds ``beta * pilot_ext @ cov
+    @ pilot_ext^H`` (:func:`_pilot_sandwich`) to the disturbance covariance,
+    and receiver noise adds ``noise_var * I``.
+    """
     pilot = np.asarray(pilot, dtype=complex)
     if pilot.shape != (dims.n_t, dims.b):
         raise PilotShapeMismatch(f"pilot must be {dims.n_t}x{dims.b}, got {pilot.shape}")
-    s_cov = disturbance_covariance(pilot, dims.n_r, contamination)
-    return StatModel(
-        dims=dims,
-        h_mean=h_mean,
-        r_cov=r_cov,
-        n_mean=n_mean,
-        s_cov=s_cov,
-        pilot=pilot,
-    )
+    interferers = tuple(interferers)
+    if not all(isinstance(pair, tuple | list) and len(pair) == 2 for pair in interferers):
+        raise ShapeError("each interferer must be a (beta, cov) pair")
+    betas = tuple(float(beta) for beta, _ in interferers)
+    _check_powers(betas, noise_var)
+    s_cov = noise_var * np.eye(dims.m, dtype=complex)
+    for beta, (_, cov) in zip(betas, interferers):
+        cov, _ = check_hermitian_psd(cov, "interferer covariance")
+        if cov.shape != (dims.n, dims.n):
+            raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
+        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+    return StatModel(dims=dims, h_mean=h_mean, r_cov=r_cov, n_mean=n_mean, s_cov=s_cov, pilot=pilot)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from peachsim.model import ContaminationSpec, Dims, correlated_limit, identity_pilot, stat_model_from_pilot
+from peachsim.model import Dims, correlated_limit, identity_pilot, stat_model_from_pilot
 
 
 def random_hermitian_psd(rng, dim, eig_lo=0.3, eig_hi=3.0):
@@ -41,9 +41,9 @@ def random_model(
     betas = tuple(rng.uniform(0.0, beta_max) for _ in range(n_interferers))
     h_mean = None if zero_means else complex_vector(rng, dims.n)
     n_mean = None if zero_means else complex_vector(rng, dims.m)
-    contamination = ContaminationSpec(covs, betas, noise_var)
     pilot_power = rng.uniform(pt_lo, pt_hi)
-    return stat_model_from_pilot(dims, h_mean, r_cov, n_mean, contamination, identity_pilot(dims, pilot_power))
+    pilot = identity_pilot(dims, pilot_power)
+    return stat_model_from_pilot(dims, h_mean, r_cov, n_mean, pilot, tuple(zip(betas, covs)), noise_var)
 
 
 def random_pilot_model(rng, n_t, b, n_r=2):
@@ -51,14 +51,14 @@ def random_pilot_model(rng, n_t, b, n_r=2):
     dims = Dims(n_r, n_t, b)
     pilot = complex_vector(rng, n_t * b).reshape(n_t, b)
     covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
-    contamination = ContaminationSpec(covs, (0.3, 0.7), 0.8)
     return stat_model_from_pilot(
         dims,
         complex_vector(rng, dims.n),
         random_hermitian_psd(rng, dims.n),
         complex_vector(rng, dims.m),
-        contamination,
         pilot,
+        tuple(zip((0.3, 0.7), covs)),
+        0.8,
     )
 
 

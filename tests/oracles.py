@@ -20,8 +20,8 @@ where the library only scales for an identity pilot.
 :func:`peach_as_wpeach_weights` gives the weights under which W-PEACH is
 PEACH, an identity the tests check the weighted paths against.
 
-:func:`correlated_contamination` lists the dense interferer covariances of
-:func:`peachsim.model.correlated_model`, restated from the public correlation
+:func:`correlated_contamination` lists the ``(beta_i, R_i)`` interferer pairs of
+:func:`peachsim.model.correlated_model`, with dense ``R_i`` restated from the public correlation
 coefficients, for the generic build path (which validates each of them
 densely) and for :func:`summed_covariance`, the dense ``sum_i beta_i R_i``;
 the library forms each ``R_i`` only while it adds that interferer's sandwich.
@@ -38,7 +38,6 @@ from peachsim import analysis
 from peachsim.errors import IllConditionedWeights
 from peachsim.model import (
     DEFAULT_CORRELATION,
-    ContaminationSpec,
     SpatialCorrelation,
     StatModel,
     exp_correlation_matrix,
@@ -190,22 +189,20 @@ def contaminated_floors(r_cov: np.ndarray, sum_interf: np.ndarray, degree: int) 
     return analysis.floor_contaminated(limit, np.diag(r_cov).real, np.diag(sum_interf).real, degree)
 
 
-def correlated_contamination(
-    dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION, noise_var: float = 1.0
-) -> ContaminationSpec:
-    """Dense interferers of :func:`peachsim.model.correlated_model`.
+def correlated_contamination(dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> tuple:
+    """Dense ``(beta, cov)`` interferer pairs of :func:`peachsim.model.correlated_model`.
 
     Interferer ``i`` has weight ``betas[i]`` and covariance ``R_t (x) R_r`` of
     the ``i``-th interferer coefficient pair of ``correlation``, cyclically.
     """
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
-    covs = tuple(
+    covs = (
         np.kron(exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx))
         for tx, rx in (pairs[i % len(pairs)] for i in range(len(betas)))
     )
-    return ContaminationSpec(covs, betas, noise_var)
+    return tuple(zip(betas, covs))
 
 
-def summed_covariance(contamination: ContaminationSpec):
-    """Sum of beta_i * cov_i over the interferers (0 without any)."""
-    return sum((beta * cov for beta, cov in zip(contamination.betas, contamination.interferer_covs)), 0)
+def summed_covariance(interferers):
+    """Sum of beta_i * cov_i over the ``(beta, cov)`` interferers (0 without any)."""
+    return sum((beta * cov for beta, cov in interferers), 0)

@@ -18,7 +18,6 @@ from peachsim.adaptive import (
 )
 from peachsim.errors import IllConditionedWeights, InsufficientSamples, ShapeError, WindowSizeError
 from peachsim.model import (
-    ContaminationSpec,
     Dims,
     SpatialCorrelation,
     correlated_model,
@@ -114,8 +113,7 @@ class TestAdaptiveInit:
     def test_exact_first_entry_for_general_pilot(self, rng):
         dims = Dims(3, 2, 2)
         pilot = complex_vector(rng, 4).reshape(2, 2)
-        model = stat_model_from_pilot(dims, None, random_hermitian_psd(rng, dims.n), None,
-                                      ContaminationSpec(), pilot)
+        model = stat_model_from_pilot(dims, None, random_hermitian_psd(rng, dims.n), None, pilot)
         pe = model.pilot_ext
         exact = float(np.trace(pe @ model.r_cov @ model.r_cov @ pe.conj().T).real)
         state = adaptive_init(model, 2, 0.3, [complex_vector(rng, dims.m)])

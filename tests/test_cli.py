@@ -22,7 +22,6 @@ from peachsim.cli import (
 )
 from peachsim.errors import ConfigError, ShapeError
 from peachsim.model import (
-    ContaminationSpec,
     Dims,
     SpatialCorrelation,
     correlated_model,
@@ -102,6 +101,11 @@ class TestConfig:
             dict(snr_db=(False,)),
             dict(betas=(True, 1.0)),
             dict(q_ratio=True),
+            # "no" is truthy and ran Monte Carlo; out=5 failed in write_rows after every table
+            dict(monte_carlo="no"),
+            dict(monte_carlo=1),
+            dict(out=5),
+            dict(out=None),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -197,7 +201,7 @@ class TestRunMonteCarlo:
     def test_zero_channel_covariance_gives_zero_error(self):
         dims = Dims(2, 1, 1)
         model = stat_model_from_pilot(
-            dims, None, np.zeros((dims.n, dims.n)), None, ContaminationSpec(), identity_pilot(dims, 1.0)
+            dims, None, np.zeros((dims.n, dims.n)), None, identity_pilot(dims, 1.0)
         )
         mse_hat, _ = run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 500, 1)["mmse"]
         assert mse_hat == 0.0

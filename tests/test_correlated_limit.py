@@ -26,7 +26,6 @@ from peachsim.model import (
     check_hermitian_psd,
     correlated_limit,
     correlated_model,
-    disturbance_covariance,
     exp_correlation_matrix,
     identity_pilot,
     stat_model_from_pilot,
@@ -81,10 +80,10 @@ def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, 
         model = correlated_model(dims, gamma_db, betas, noise_var=noise_var)
         r_t = exp_correlation_matrix(dims.n_t, DEFAULT_CORRELATION.desired_tx)
         r_r = exp_correlation_matrix(dims.n_r, DEFAULT_CORRELATION.desired_rx)
-        contamination = correlated_contamination(dims, betas, noise_var=noise_var)
         pilot_power = noise_var * 10.0 ** (gamma_db / 10.0)
         generic = stat_model_from_pilot(
-            dims, None, np.kron(r_t, r_r), None, contamination, identity_pilot(dims, pilot_power)
+            dims, None, np.kron(r_t, r_r), None, identity_pilot(dims, pilot_power),
+            correlated_contamination(dims, betas), noise_var
         )
         for name in ("r_cov", "s_cov", "pilot", "h_mean", "n_mean"):
             np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
@@ -307,7 +306,7 @@ def test_one_read_only_limit_is_kept():
 
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
 def test_interferers_cycle_through_the_coefficient_pairs(correlation):
-    covs = correlated_contamination(DESK, BETAS["cyclic"], correlation).interferer_covs
+    covs = [cov for _, cov in correlated_contamination(DESK, BETAS["cyclic"], correlation)]
     pairs = [*zip(correlation.interferer_tx, correlation.interferer_rx)] * 2
     for cov, (tx, rx) in zip(covs, pairs, strict=False):
         want = np.kron(exp_correlation_matrix(DESK.n_t, tx), exp_correlation_matrix(DESK.n_r, rx))
@@ -319,8 +318,9 @@ def test_interferers_cycle_through_the_coefficient_pairs(correlation):
 def test_build_adds_the_cycled_interferers(correlation):
     # the disturbance of the generic path over the dense interferers above
     model = correlated_model(DESK, 10.0, BETAS["cyclic"], correlation)
-    contamination = correlated_contamination(DESK, BETAS["cyclic"], correlation)
-    assert model.s_cov.tobytes() == disturbance_covariance(model.pilot, DESK.n_r, contamination).tobytes()
+    interferers = correlated_contamination(DESK, BETAS["cyclic"], correlation)
+    generic = stat_model_from_pilot(DESK, None, model.r_cov, None, model.pilot, interferers)
+    assert model.s_cov.tobytes() == generic.s_cov.tobytes()
 
 
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())

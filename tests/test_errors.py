@@ -11,7 +11,7 @@ from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import InvalidParameter, PeachSimError, UnsupportedEstimator
-from peachsim.model import ContaminationSpec, Dims, correlated_model, identity_pilot
+from peachsim.model import Dims, correlated_model, identity_pilot, stat_model_from_pilot
 
 from conftest import random_model
 
@@ -33,10 +33,16 @@ def test_every_raise_names_a_package_error(path):
         assert isinstance(cls, type) and issubclass(cls, PeachSimError), f"{path.name}:{line} raises {name}"
 
 
+def build(**contamination):
+    """A one-antenna model through the generic builder, with ``interferers`` and ``noise_var`` as given."""
+    dims = Dims(2, 1, 1)
+    return stat_model_from_pilot(dims, None, np.eye(dims.n), None, identity_pilot(dims, 1.0), **contamination)
+
+
 # arguments outside their range, at each place that checks one, with the error each raises
 OUT_OF_RANGE = {
-    "negative interference ratio": (InvalidParameter, lambda rng: ContaminationSpec((np.eye(2),), (-0.1,))),
-    "zero noise variance": (InvalidParameter, lambda rng: ContaminationSpec(noise_var=0.0)),
+    "negative interference ratio": (InvalidParameter, lambda rng: build(interferers=((-0.1, np.eye(2)),))),
+    "zero noise variance": (InvalidParameter, lambda rng: build(noise_var=0.0)),
     "zero pilot power": (InvalidParameter, lambda rng: identity_pilot(Dims(2, 2, 2), 0.0)),
     "overflowing pilot SNR": (InvalidParameter, lambda rng: correlated_model(Dims(4, 2, 2), 4000.0, (0.1, 0.1))),
     "zero coherence time": (
@@ -86,7 +92,7 @@ NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
 @pytest.mark.parametrize("scalar", ["gamma_db", "beta", "noise_var"])
 def test_non_finite_scalar_is_rejected_at_the_boundary(scalar, betas, value):
     # the SNR reaches identity_pilot as a pilot power, beta and noise_var
-    # reach ContaminationSpec; a non-finite beta brings interference with it
+    # reach the power check; a non-finite beta brings interference with it
     args = dict(gamma_db=10.0, betas=betas + (value,) if scalar == "beta" else betas, noise_var=1.0)
     if scalar != "beta":
         args[scalar] = value
@@ -99,6 +105,6 @@ def test_non_finite_pilot_power_and_noise_variance_are_invalid(value):
     with pytest.raises(InvalidParameter):
         identity_pilot(Dims(2, 2, 2), value)
     with pytest.raises(InvalidParameter):
-        ContaminationSpec(noise_var=value)
+        build(noise_var=value)
     with pytest.raises(InvalidParameter):
-        ContaminationSpec((np.eye(2),), (value,))
+        build(interferers=((value, np.eye(2)),))

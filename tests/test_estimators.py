@@ -18,7 +18,6 @@ from peachsim.errors import (
     UnsupportedPilot,
 )
 from peachsim.model import (
-    ContaminationSpec,
     Dims,
     correlated_model,
     deviation,
@@ -51,8 +50,8 @@ def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0, h_mean=0.3 + 0.1j, n_mean
         np.array([h_mean]),
         np.array([[r]], dtype=complex),
         np.array([n_mean]),
-        ContaminationSpec(noise_var=sigma_sq),
         identity_pilot(dims, pilot_power),
+        noise_var=sigma_sq,
     )
 
 
@@ -89,14 +88,14 @@ class TestMmse:
         dims = Dims(3, 2, 2)
         sigma_sq, pt = 0.7, 2.5
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, pt), noise_var=sigma_sq
         )
         assert_allclose(es.mmse_mse(model), dims.n * sigma_sq / (sigma_sq + pt), rtol=1e-12)
 
     def test_mse_zero_channel_covariance(self):
         dims = Dims(2, 1, 1)
         model = stat_model_from_pilot(
-            dims, None, np.zeros((2, 2)), None, ContaminationSpec(), identity_pilot(dims, 1.0)
+            dims, None, np.zeros((2, 2)), None, identity_pilot(dims, 1.0)
         )
         assert es.mmse_mse(model) == pytest.approx(0.0, abs=1e-14)
 
@@ -166,7 +165,7 @@ class TestMvu:
         dims = Dims(3, 2, 2)
         sigma_sq, pt = 0.7, 2.5
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, pt), noise_var=sigma_sq
         )
         assert_allclose(es.mvu_variance(model), dims.n * sigma_sq / pt, rtol=1e-12)
 
@@ -184,7 +183,7 @@ class TestMvu:
         # pilot shorter than the transmit dimension cannot be unbiased
         dims = Dims(2, 3, 1)
         pilot = complex_vector(rng, 3).reshape(3, 1)
-        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
+        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot)
         with pytest.raises(RankDeficientPilot):
             es.mvu_estimate(model, np.zeros(dims.m))
         with pytest.raises(RankDeficientPilot):
@@ -195,7 +194,7 @@ class TestMvu:
         dims = Dims(2, 2, 3)
         first = complex_vector(rng, 3)
         pilot = np.stack([first, first + 1e-9 * complex_vector(rng, 3)])
-        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
+        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot)
         with pytest.raises(RankDeficientPilot):
             es.mvu_estimate(model, np.zeros(dims.m))
         with pytest.raises(RankDeficientPilot):
@@ -207,7 +206,7 @@ class TestDiagonalized:
         dims = Dims(3, 2, 2)
         r_diag = np.diag(rng.uniform(0.2, 2.0, dims.n))
         model = stat_model_from_pilot(dims, complex_vector(rng, dims.n), r_diag, complex_vector(rng, dims.m),
-                                      ContaminationSpec(noise_var=0.9), identity_pilot(dims, 1.7))
+                                      identity_pilot(dims, 1.7), noise_var=0.9)
         y = random_observation(rng, model)
         a = es.diag_estimate(model, y)
         b = es.mmse_estimate(model, y)
@@ -230,7 +229,7 @@ class TestDiagonalized:
     def test_requires_identity_pilot(self, rng):
         dims = Dims(2, 2, 2)
         pilot = complex_vector(rng, 4).reshape(2, 2)
-        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
+        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot)
         with pytest.raises(UnsupportedPilot):
             es.diag_estimate(model, np.zeros(dims.m))
 
@@ -238,7 +237,7 @@ class TestDiagonalized:
         dims = Dims(2, 2, 2)
         sigma_sq, pt = 1.3, 0.9
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=sigma_sq), identity_pilot(dims, pt)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, pt), noise_var=sigma_sq
         )
         assert_allclose(es.diag_mse(model), dims.n / (1.0 + pt / sigma_sq), rtol=1e-12)
 
@@ -247,7 +246,7 @@ class TestDiagonalized:
         r_cov = random_hermitian_psd(rng, dims.n, eig_lo=0.1, eig_hi=2.0)
         r_cov = r_cov / np.max(np.diag(r_cov).real)
         model = stat_model_from_pilot(
-            dims, None, r_cov, None, ContaminationSpec(noise_var=1.0), identity_pilot(dims, 1e8)
+            dims, None, r_cov, None, identity_pilot(dims, 1e8), noise_var=1.0
         )
         assert es.diag_mse(model) < 1e-6 * dims.n
 

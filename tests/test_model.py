@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from peachsim.errors import (
     EmptyDimension,
     InvalidCorrelation,
+    InvalidParameter,
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
     ShapeError,
@@ -18,13 +19,11 @@ from peachsim.errors import (
 )
 from peachsim.estimators import mmse_estimate
 from peachsim.model import (
-    ContaminationSpec,
     Dims,
     SpatialCorrelation,
     StatModel,
     correlated_model,
     deviation,
-    disturbance_covariance,
     exp_correlation_matrix,
     extend_pilot,
     hermitize,
@@ -110,6 +109,12 @@ class TestExpCorrelation:
         with pytest.raises(InvalidCorrelation):
             exp_correlation_matrix(3, coeff)
 
+    @pytest.mark.parametrize("coeff", ["a", None, "0.5"], ids=["word", "none", "numeric-string"])
+    def test_rejects_non_numeric_coefficient(self, coeff):
+        # complex() raised a bare ValueError or TypeError here, and parsed "0.5"
+        with pytest.raises(InvalidCorrelation):
+            exp_correlation_matrix(3, coeff)
+
     @given(
         dim=st.integers(min_value=1, max_value=400),
         magnitude=st.floats(min_value=0.0, max_value=np.nextafter(1.0, 0.0)),
@@ -149,7 +154,7 @@ class TestBuildStatModel:
     def test_noise_limited_disturbance_is_identity(self):
         dims = Dims(2, 2, 2)
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(noise_var=1.0), identity_pilot(dims, 2.0)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, 2.0), noise_var=1.0
         )
         assert_allclose(model.s_cov, np.eye(dims.m))
         assert_allclose(model.pilot, np.sqrt(2.0) * np.eye(2))
@@ -157,9 +162,8 @@ class TestBuildStatModel:
     def test_single_identity_interferer(self):
         dims = Dims(2, 2, 2)
         pilot_power = 3.0
-        contamination = ContaminationSpec((np.eye(dims.n),), (0.5,), 1.0)
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, contamination, identity_pilot(dims, pilot_power)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, pilot_power), ((0.5, np.eye(dims.n)),), 1.0
         )
         assert_allclose(model.s_cov, (0.5 * pilot_power + 1.0) * np.eye(dims.m), rtol=1e-12)
 
@@ -176,8 +180,7 @@ class TestBuildStatModel:
         )
         betas = (0.3, 1.0)
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(covs, betas, sigma_sq),
-            identity_pilot(dims, pilot_power)
+            dims, None, np.eye(dims.n), None, identity_pilot(dims, pilot_power), tuple(zip(betas, covs)), sigma_sq
         )
         p_ext = np.kron(np.sqrt(pilot_power) * np.eye(2), np.eye(3))
         expected = sigma_sq * np.eye(dims.m)
@@ -188,19 +191,38 @@ class TestBuildStatModel:
     def test_identity_pilot_requires_square(self):
         with pytest.raises(PilotShapeMismatch):
             dims = Dims(2, 2, 3)
-            stat_model_from_pilot(dims, None, np.eye(4), None, ContaminationSpec(), identity_pilot(dims, 1.0))
+            stat_model_from_pilot(dims, None, np.eye(4), None, identity_pilot(dims, 1.0))
 
     def test_rejects_non_psd_channel_covariance(self):
         dims = Dims(2, 1, 1)
         bad = np.diag([1.0, -0.5])
         with pytest.raises(NotPositiveSemiDefinite):
-            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+            stat_model_from_pilot(dims, None, bad, None, identity_pilot(dims, 1.0))
 
     def test_rejects_non_hermitian(self):
         dims = Dims(2, 1, 1)
         bad = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NotPositiveSemiDefinite):
-            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+            stat_model_from_pilot(dims, None, bad, None, identity_pilot(dims, 1.0))
+
+    @pytest.mark.parametrize(
+        "interferers, error",
+        [
+            ((np.eye(4),), ShapeError),
+            (((0.5,),), ShapeError),
+            (((0.5, np.eye(4), 1.0),), ShapeError),
+            (((0.5, np.eye(2)),), ShapeError),
+            (((0.5, np.diag([1.0, -0.5, 1.0, 1.0])),), NotPositiveSemiDefinite),
+            (((0.5, np.triu(np.ones((4, 4)))),), NotPositiveSemiDefinite),
+            # the powers are checked before any covariance
+            (((-0.5, np.eye(2)),), InvalidParameter),
+        ],
+        ids=["bare-covariance", "single", "triple", "wrong-shape", "not-psd", "not-hermitian", "negative-beta"],
+    )
+    def test_rejects_malformed_interferer(self, interferers, error):
+        dims = Dims(2, 2, 2)
+        with pytest.raises(error):
+            stat_model_from_pilot(dims, None, np.eye(dims.n), None, identity_pilot(dims, 1.0), interferers)
 
 
 def hermitian_with_spectrum(rng, eigs):
@@ -225,19 +247,19 @@ class TestValidation:
         dims = Dims(2, 2, 2)
         bad = hermitian_with_spectrum(rng, [-1e-3, 1.0, 2.0, 3.0])
         with pytest.raises(NotPositiveSemiDefinite, match=r"^r_cov has negative eigenvalue -1\.000e-03 \(largest 3\.000e\+00\)$"):
-            stat_model_from_pilot(dims, None, bad, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+            stat_model_from_pilot(dims, None, bad, None, identity_pilot(dims, 1.0))
 
     def test_negative_eigenvalue_within_tolerance_accepted(self, rng):
         dims = Dims(2, 2, 2)
         r_cov = hermitian_with_spectrum(rng, [-1e-13 * 3.0, 1.0, 2.0, 3.0])
-        model = stat_model_from_pilot(dims, None, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+        model = stat_model_from_pilot(dims, None, r_cov, None, identity_pilot(dims, 1.0))
         assert_allclose(model.r_cov, r_cov, atol=1e-14)
 
     def test_zero_block_channel_covariance_accepted_and_factored(self, rng):
         dims = Dims(2, 2, 2)
         r_cov = np.zeros((dims.n, dims.n), dtype=complex)
         r_cov[:2, :2] = random_hermitian_psd(rng, 2)
-        model = stat_model_from_pilot(dims, None, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+        model = stat_model_from_pilot(dims, None, r_cov, None, identity_pilot(dims, 1.0))
         factor = psd_factor(model.r_cov)
         assert_allclose(factor @ factor.conj().T, r_cov, atol=1e-12)
 
@@ -314,7 +336,7 @@ def channel_model(r_cov, h_mean=None):
     """Identity-pilot, unit-noise model with one receive antenna and the given channel statistics."""
     n = r_cov.shape[0]
     dims = Dims(1, n, n)
-    return stat_model_from_pilot(dims, h_mean, r_cov, None, ContaminationSpec(), identity_pilot(dims, 1.0))
+    return stat_model_from_pilot(dims, h_mean, r_cov, None, identity_pilot(dims, 1.0))
 
 
 class TestSampleGaussian:
@@ -400,7 +422,7 @@ class TestArbitraryPilot:
     def test_injected_pilot_shapes(self, rng):
         dims = Dims(2, 3, 4)
         pilot = complex_vector(rng, 12).reshape(3, 4)
-        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), pilot)
+        model = stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot)
         assert model.pilot_ext.shape == (dims.m, dims.n)
         assert_allclose(model.pilot_ext, np.kron(pilot.T, np.eye(2)))
 
@@ -411,7 +433,7 @@ class TestArbitraryPilot:
         covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
         betas = (0.3, 0.7)
         model = stat_model_from_pilot(
-            dims, None, np.eye(dims.n), None, ContaminationSpec(covs, betas, 0.8), pilot
+            dims, None, np.eye(dims.n), None, pilot, tuple(zip(betas, covs)), 0.8
         )
         p_ext = extend_pilot(pilot, dims.n_r)
         expected = 0.8 * np.eye(dims.m)
@@ -422,7 +444,7 @@ class TestArbitraryPilot:
     def test_pilot_shape_mismatch(self, rng):
         dims = Dims(2, 3, 4)
         with pytest.raises(PilotShapeMismatch):
-            stat_model_from_pilot(dims, None, np.eye(dims.n), None, ContaminationSpec(), np.eye(3))
+            stat_model_from_pilot(dims, None, np.eye(dims.n), None, np.eye(3))
 
 
 SANDWICH_DIMS = {"20x4": Dims(20, 4, 4), "5x3": Dims(5, 3, 3), "100x10": Dims(100, 10, 10), "3x1": Dims(3, 1, 1)}
@@ -446,14 +468,14 @@ class TestPilotSandwich:
     @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 7.3, 30.0])
     @pytest.mark.parametrize("dims", [SANDWICH_DIMS[key] for key in ("20x4", "5x3", "3x1")], ids=["20x4", "5x3", "3x1"])
     def test_correlated_disturbance_is_the_symmetrized_contraction_bit_for_bit(self, dims, gamma_db, betas):
-        contamination = correlated_contamination(dims, betas, noise_var=0.5)
+        interferers = correlated_contamination(dims, betas)
         pilot = identity_pilot(dims, 0.5 * 10.0 ** (gamma_db / 10.0))
         s_cov = 0.5 * np.eye(dims.m, dtype=complex)
-        for beta, cov in zip(betas, contamination.interferer_covs):
+        for beta, cov in interferers:
             s_cov = s_cov + beta * pilot_sandwich(pilot, dims.n_r, cov)
         want = hermitize(s_cov).tobytes()
         assert correlated_model(dims, gamma_db, betas, noise_var=0.5).s_cov.tobytes() == want
-        assert disturbance_covariance(pilot, dims.n_r, contamination).tobytes() == want
+        assert stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot, interferers, 0.5).s_cov.tobytes() == want
 
     @pytest.mark.parametrize(
         "pilot",
@@ -468,11 +490,12 @@ class TestPilotSandwich:
         pilot = pilot(rng)
         dims = Dims(2, 3, 3)
         covs = tuple(random_hermitian_psd(rng, dims.n) for _ in range(2))
-        contamination = ContaminationSpec(covs, (0.3, 0.7), 0.8)
-        model = stat_model_from_pilot(dims, None, random_hermitian_psd(rng, dims.n), None, contamination, pilot)
+        betas = (0.3, 0.7)
+        r_cov = random_hermitian_psd(rng, dims.n)
+        model = stat_model_from_pilot(dims, None, r_cov, None, pilot, tuple(zip(betas, covs)), 0.8)
         p_ext = extend_pilot(pilot, dims.n_r)
         dense = 0.8 * np.eye(dims.m) + p_ext @ model.r_cov @ p_ext.conj().T
-        for beta, cov in zip(contamination.betas, covs):
+        for beta, cov in zip(betas, covs):
             dense = dense + beta * p_ext @ cov @ p_ext.conj().T
         assert np.array_equal(model.z, model.z.conj().T)
         assert relative_error(model.z, dense) <= 1e-12
@@ -481,7 +504,7 @@ class TestPilotSandwich:
     def test_scaled_identity_pilot_is_scaled_not_contracted(self, rng, root, monkeypatch):
         dims = Dims(3, 2, 2)
         model = stat_model_from_pilot(
-            dims, None, random_hermitian_psd(rng, dims.n), None, ContaminationSpec(), root * np.eye(2, dtype=complex)
+            dims, None, random_hermitian_psd(rng, dims.n), None, root * np.eye(2, dtype=complex)
         )
         monkeypatch.setattr(np, "tensordot", None)
         assert model.z.tobytes() == (root * (root * model.r_cov) + model.s_cov).tobytes()

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from peachsim import estimators as es
 from peachsim.cli import run_monte_carlo
 from peachsim.errors import IllConditionedWeights
-from peachsim.model import ContaminationSpec, Dims, identity_pilot, stat_model_from_pilot
+from peachsim.model import Dims, identity_pilot, stat_model_from_pilot
 
 from conftest import random_model, random_observation
 from oracles import (
@@ -24,8 +24,7 @@ from oracles import (
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0):
     dims = Dims(1, 1, 1)
     return stat_model_from_pilot(
-        dims, None, np.array([[r]], dtype=complex), None, ContaminationSpec(noise_var=sigma_sq),
-        identity_pilot(dims, pilot_power)
+        dims, None, np.array([[r]], dtype=complex), None, identity_pilot(dims, pilot_power), noise_var=sigma_sq
     )
 
 
