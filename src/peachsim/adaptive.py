@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedWeights, InsufficientSamples, InvalidScaling, ShapeError, WindowSizeError
+from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, ShapeError,
+                     WindowSizeError, check_array, check_real)
 from .model import StatModel, deviation, hermitize
 from .spectrum import check_degree
 
@@ -130,10 +131,10 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
     weights are one solve of the system plus its ridge; if that system is
     singular, :class:`IllConditionedWeights` is raised.
     """
-    check_degree(degree)
-    if not (np.isfinite(alpha_w) and alpha_w > 0):
-        raise InvalidScaling(f"need a finite positive alpha_w, got {alpha_w!r}")
-    if isinstance(warmup, np.ndarray):
+    degree = check_degree(degree)
+    alpha_w = check_real("alpha_w", alpha_w, InvalidScaling, 0.0, strict=True)
+    if not isinstance(warmup, list | tuple):
+        warmup = check_array("warmup", warmup)
         if warmup.ndim != 2:
             raise ShapeError(f"a warmup array must be an (m, k) block, got shape {warmup.shape}")
         rows = list(_quad_forms(model, degree, warmup))
@@ -202,6 +203,8 @@ def shrinkage_kappa(phi_sample: float, phi_diag: float, psi: float, scale: float
     between the two candidate estimates, so a vanishing denominator means
     they already coincide and the sample matrix is kept (kappa = 0).
     """
+    terms = (phi_sample, phi_diag, psi, scale)
+    phi_sample, phi_diag, psi, scale = (check_real("risk term", t, InvalidParameter, finite=False) for t in terms)
     denom = phi_sample + phi_diag - 2.0 * psi
     if not np.isfinite(denom) or denom <= 1e-14 * max(scale, 1e-300):
         return 0.0
@@ -218,7 +221,7 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     the truth; it must have the shape of the sample covariance
     (:class:`ShapeError`).
     """
-    samples = np.asarray(samples, dtype=complex)
+    samples = check_array("samples", samples)
     if samples.ndim != 2:
         raise InsufficientSamples("samples must be a 2-D array with one vector per row")
     n_samples = samples.shape[0]
@@ -228,9 +231,7 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     diag = np.diag(c_sample).real
     c_diag = np.diag(diag.astype(complex))
     if c_true is not None:
-        c_true = np.asarray(c_true, dtype=complex)
-        if c_true.shape != c_sample.shape:
-            raise ShapeError(f"c_true must be shaped like the sample covariance {c_sample.shape}, got {c_true.shape}")
+        c_true = check_array("c_true", c_true, c_sample.shape)
         dev_s = c_sample - c_true
         dev_d = c_diag - c_true
         phi_sample = float(np.linalg.norm(dev_s) ** 2)

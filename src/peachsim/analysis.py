@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator
+from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator, check_array, check_real
 from .estimators import NAMES, _peach_on, _wpeach_on
 from .model import Dims
 from .spectrum import Spectrum, check_degree
@@ -26,7 +26,9 @@ class FlopModel:
 
     ``q_ratio = tau_s / tau_c`` counts channel realizations per statistics
     coherence time; ``k_s`` and ``k_c`` count how many times the per-epoch and
-    per-realization parts run within ``t_tot`` seconds.
+    per-realization parts run within ``t_tot`` seconds.  Each time is a
+    positive real, stored as ``float``, and finite except ``tau_c``, whose
+    infinity freezes the channel; anything else raises :class:`InvalidParameter`.
     """
 
     dims: Dims
@@ -35,9 +37,9 @@ class FlopModel:
     t_tot: float
 
     def __post_init__(self):
-        # written so that NaN fails each comparison; an infinite tau_c freezes the channel
-        if not (self.tau_s > 0 and self.tau_c > 0 and self.t_tot > 0):
-            raise InvalidParameter("coherence times and total time must be positive")
+        for name in ("tau_s", "tau_c", "t_tot"):
+            time = check_real(name, getattr(self, name), InvalidParameter, 0.0, strict=True, finite=name != "tau_c")
+            object.__setattr__(self, name, time)
 
     @property
     def q_ratio(self) -> float:
@@ -61,7 +63,7 @@ def flops(kind: str, fm: FlopModel, degree: int | None = None) -> float:
     """
     m, n = float(fm.dims.m), float(fm.dims.n)
     k_c, k_s = fm.k_c, fm.k_s
-    kind = kind.lower()
+    kind = kind.lower() if isinstance(kind, str) else kind
     if kind == "mmse":
         return k_c * (n * (2 * m - 1)) + k_s * (
             m**3 / 3 + (3 * n - 0.5) * m**2 + (2 * n**2 + 2 * n - 1.5) * m
@@ -73,7 +75,7 @@ def flops(kind: str, fm: FlopModel, degree: int | None = None) -> float:
     if kind in ("peach", "wpeach"):
         if degree is None:
             raise UnsupportedEstimator(f"{kind} FLOP count requires a polynomial degree")
-        ell = float(degree)
+        ell = float(check_degree(degree))
         if kind == "peach":
             per_real = 2 * ell * m**2 + ((4 * ell + 2) * n - 2 * ell) * m + 2 * (ell + 1) * n**2 - 2 * (ell + 1) * n
         else:
@@ -99,10 +101,9 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     unweighted kind and q (3 L + 9 / 8) for the weighted one.  Returned as a
     real threshold; consumers apply the ceiling.
     """
-    if not q >= 0:  # NaN fails the comparison
-        raise InvalidParameter(f"q must be nonnegative, got {q!r}")
-    check_degree(degree)
-    kind = kind.lower()
+    q = check_real("q", q, InvalidParameter, 0.0)
+    degree = check_degree(degree)
+    kind = kind.lower() if isinstance(kind, str) else kind
     if kind == "peach":
         return q * (1.5 * degree + 0.375)
     if kind == "wpeach":
@@ -141,11 +142,14 @@ def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, 
     ``limit``, the spectrum of r_cov + sum_interf with the channel r_cov
     (:func:`peachsim.model.correlated_limit`), where ``sum_interf`` is the
     summed interferer covariance, power ratios applied.  The MVU floor,
-    trace(sum_interf), and the diagonalized one read only the diagonals
-    ``r_diag`` of r_cov and ``s_diag`` of sum_interf.
+    trace(sum_interf), and the diagonalized one read only the real parts of the
+    diagonals ``r_diag`` of r_cov and ``s_diag`` of sum_interf, length-n
+    vectors (:class:`ShapeError`).
     """
     if limit.lam[0] <= 1e-14 * max(limit.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
+    r_diag = check_array("r_diag", r_diag, limit.lam.shape).real
+    s_diag = check_array("s_diag", s_diag, limit.lam.shape).real
     denom = r_diag + s_diag
     ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
     return Floors(

@@ -21,7 +21,7 @@ import argparse
 import configparser
 import csv
 import json
-import numbers
+import math
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analysis, estimators
 from .adaptive import adaptive_init, adaptive_update, shrinkage_covariance
-from .errors import ConfigError, InvalidCorrelation, InvalidParameter, PeachSimError, ShapeError
+from .errors import ConfigError, InvalidCorrelation, InvalidParameter, PeachSimError, ShapeError, check_integer, check_real
 from .model import (
     Dims,
     SpatialCorrelation,
@@ -67,38 +67,36 @@ class ExperimentConfig:
     t_tot: float = 5.0
     monte_carlo: bool = True
     out: str = "results.csv"
+    # the least value of each integer field or grid whose least is not 1, and of each real one that may be 0 or below
+    _LEAST = {"seed": 0, "degree": 0, "degrees": 0, "shrink_samples": 2, "betas": 0.0, "snr_db": -math.inf}
 
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name in ("snr_db", "degrees", "betas", "n_r_values", "shrink_samples"):
-            grid = getattr(self, name)
-            if isinstance(grid, str) or not isinstance(grid, Sequence):
-                raise ConfigError(f"{name} must be a sequence, got {grid!r}")
-            if len(grid) == 0 and name != "betas":
+        # each number, alone or in a grid, is checked by the type of its field's default, the type that parses
+        # it (_parse_field): an integer is at least _LEAST or 1, a real finite and at least _LEAST or above 0
+        for name, default in _FIELD_DEFAULTS.items():
+            value = getattr(self, name)
+            if not isinstance(default, tuple):
+                entries, kind = (value,), type(default)
+            elif isinstance(value, str) or not isinstance(value, Sequence):
+                raise ConfigError(f"{name} must be a sequence, got {value!r}")
+            elif len(value) == 0 and name != "betas":
                 raise ConfigError(f"{name} must be non-empty")
-        # (field, value, least value) of each integer field and of each entry of an integer grid
-        integers = [("seed", self.seed, 0), ("trials", self.trials, 1), ("window", self.window, 1)]
-        integers += [("degree", self.degree, 0), ("n_r", self.n_r, 1), ("n_t", self.n_t, 1), ("b", self.b, 1)]
-        for name, least in (("degrees", 0), ("n_r_values", 1), ("shrink_samples", 2)):
-            integers += [(name, value, least) for value in getattr(self, name)]
-        for name, value, least in integers:
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-                raise ConfigError(f"{name}: {value!r} is not an integer >= {least}")
+            else:
+                entries, kind = value, type(default[0])
+            for entry in entries:
+                if kind is int:
+                    check_integer(name, entry, self._LEAST.get(name, 1), ConfigError)
+                elif kind is float:
+                    check_real(name, entry, ConfigError, self._LEAST.get(name, 0.0), strict=name not in self._LEAST)
         scenario = _SCENARIOS[self.scenario]
         if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
             raise ConfigError(f"{self.scenario} reads one pilot SNR, got snr_db = {self.snr_db}")
-        reals = [(name, value) for name in ("snr_db", "betas") for value in getattr(self, name)]
-        reals += [(name, getattr(self, name)) for name in ("noise_var", "q_ratio", "tau_s", "t_tot")]
-        for name, value in reals:
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not np.isfinite(value):
-                raise ConfigError(f"{name} must be finite and real, got {value!r}")
-        if any(b < 0 for b in self.betas):
-            raise ConfigError("interference ratios must be nonnegative")
-        if self.noise_var <= 0 or self.q_ratio <= 0 or self.tau_s <= 0 or self.t_tot <= 0:
-            raise ConfigError("noise_var, q_ratio, tau_s and t_tot must be positive")
         if not isinstance(self.monte_carlo, bool) or not isinstance(self.out, str | os.PathLike):
             raise ConfigError(f"monte_carlo must be a bool and out a path, got {self.monte_carlo!r} and {self.out!r}")
+        if Path(self.out).is_dir():  # "" reads as "."
+            raise ConfigError(f"out must name a file, got the directory {self.out!r}")
         if not isinstance(self.correlation, SpatialCorrelation):
             raise ConfigError(f"correlation must be a SpatialCorrelation, got {self.correlation!r}")
         try:
@@ -144,10 +142,12 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
     of chunk scheduling, and the same for an estimator whether it is scored
     alone or next to others.
     """
-    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) or trials < 1:
-        raise InvalidParameter(f"trials must be an integer >= 1, got {trials!r}")
+    trials = check_integer("trials", trials, 1, InvalidParameter)
     n_chunks = (trials + MONTE_CARLO_CHUNK - 1) // MONTE_CARLO_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    try:
+        children = np.random.SeedSequence(seed).spawn(n_chunks)
+    except (TypeError, ValueError):  # numpy's own rule: None, or nonnegative integers alone or in a sequence
+        raise InvalidParameter(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}") from None
     sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
@@ -317,6 +317,8 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    if unknown := sorted(set(overrides) - {*_FIELD_DEFAULTS, "correlation"}):
+        raise ConfigError(f"unknown config field {', '.join(unknown)}")
     params = {**_SCENARIOS[scenario].preset, **overrides}
     # a model's identity pilot is square: an n_t set without b sets b too
     if "n_t" in overrides and "b" not in overrides and _SCENARIOS[scenario].builds_model:
@@ -359,8 +361,7 @@ def _format_value(value) -> str:
 def write_rows(rows, path: Path):
     """Write rows as CSV with 9-significant-digit floats, plus ``<path>.json``."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         rows = run_experiment(config)
-    except (PeachSimError, ValueError) as exc:
+    except (PeachSimError, ValueError, OSError) as exc:  # OSError: out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{config.scenario}: wrote {len(rows)} rows to {config.out} (seed {config.seed})")

@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the checks of outside values that raise them."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class PeachSimError(Exception):
@@ -6,11 +11,11 @@ class PeachSimError(Exception):
 
 
 class ShapeError(PeachSimError, ValueError):
-    """A vector or matrix has dimensions incompatible with the model."""
+    """A vector or matrix is not numeric, or has dimensions incompatible with the model."""
 
 
 class EmptyDimension(PeachSimError, ValueError):
-    """A dimension that must be a positive integer is zero or negative."""
+    """A dimension is not an integer of at least 1."""
 
 
 class InvalidCorrelation(PeachSimError, ValueError):
@@ -70,7 +75,7 @@ class UnsupportedEstimator(PeachSimError, ValueError):
 
 
 class InvalidParameter(PeachSimError, ValueError):
-    """A scalar parameter (power, variance, time, ratio or trial count) is outside its range."""
+    """A scalar parameter (power, variance, time, ratio, trial count or seed) is not a number in its range."""
 
 
 class ConfigError(PeachSimError, ValueError):
@@ -79,3 +84,32 @@ class ConfigError(PeachSimError, ValueError):
 
 class DivergentExpansionWarning(UserWarning):
     """Scaling factor violates the polynomial-expansion convergence bound."""
+
+
+def check_integer(name: str, value, least: int, error: type) -> int:
+    """``value`` as an ``int`` if it is a ``numbers.Integral`` other than ``bool`` of at least ``least``, else ``error``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, error: type, least: float = -math.inf, strict: bool = False, finite: bool = True) -> float:
+    """``value`` as a ``float`` if it is a ``numbers.Real`` other than ``bool`` of at least ``least`` (above it when
+    ``strict``), finite unless ``finite`` is false, else ``error``; NaN fails every comparison."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (value > least if strict else value >= least) or finite and not math.isfinite(value)):
+        bound = f" and {'>' if strict else '>='} {least}" if least > -math.inf else ""
+        raise error(f"{name} must be {'finite and ' if finite else ''}real{bound}, got {value!r}")
+    return float(value)
+
+
+def check_array(name: str, value, shape: tuple | None = None, square: bool = False) -> np.ndarray:
+    """``value`` as a complex array (of ``shape`` if given, square if ``square``), else :class:`ShapeError`;
+    so is a value that numpy cannot read as numbers, such as a string."""
+    try:
+        array = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{name} must be a numeric array, got {value!r}") from None
+    if shape is not None and array.shape != shape or square and (array.ndim != 2 or len(array) != array.shape[1]):
+        raise ShapeError(f"{name} must be {'square' if square else f'of shape {shape}'}, got shape {array.shape}")
+    return array

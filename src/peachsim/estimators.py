@@ -39,9 +39,10 @@ from .errors import (
     InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
-    ShapeError,
     UnsupportedEstimator,
     UnsupportedPilot,
+    check_array,
+    check_real,
 )
 from .model import StatModel, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
 from .spectrum import Spectrum, check_degree
@@ -74,14 +75,15 @@ class PolyEstimator:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
-        check_degree(self.degree)
+        object.__setattr__(self, "degree", check_degree(self.degree))
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, InvalidScaling, 0.0, strict=True))
         # a read-only copy, so the checked weights cannot change afterwards
-        weights = np.array(self.weights, dtype=complex)
+        weights = check_array("weights", self.weights).copy()
         weights.flags.writeable = False
         if weights.shape != (self.degree + 1,):
             raise InvalidDegree(f"need degree + 1 weights, got {self.degree} and {weights.shape}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0) or not np.all(np.isfinite(weights)):
-            raise InvalidScaling(f"need a finite positive alpha and finite weights, got alpha={self.alpha!r}")
+        if not np.all(np.isfinite(weights)):
+            raise InvalidScaling(f"need finite weights, got {weights!r}")
         object.__setattr__(self, "weights", weights)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
@@ -115,7 +117,7 @@ def alpha_optimal(z: np.ndarray) -> float:
 
     Minimizes the spectral radius of I - alpha * z over the convergent range.
     """
-    eigs = np.linalg.eigvalsh(hermitize(np.asarray(z, dtype=complex)))
+    eigs = np.linalg.eigvalsh(hermitize(check_array("z", z, square=True)))
     if eigs[0] <= 0:
         raise NotPositiveDefinite(f"matrix must be positive definite, min eigenvalue {eigs[0]:.3e}")
     return float(2.0 / (eigs[-1] + eigs[0]))
@@ -123,7 +125,7 @@ def alpha_optimal(z: np.ndarray) -> float:
 
 def alpha_gershgorin(z: np.ndarray) -> float:
     """Scaling from Gershgorin eigenvalue bounds, avoiding an eigendecomposition."""
-    z = np.asarray(z, dtype=complex)
+    z = check_array("z", z, square=True)
     radii = np.sum(np.abs(z), axis=1) - np.abs(np.diag(z))
     diag = np.diag(z).real
     if np.any(diag <= 0):
@@ -314,10 +316,10 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
 def _peach_on(spectrum: Spectrum, degree: int, alpha: float | None = None) -> PolyEstimator:
     # PEACH for the eigenvalues of ``spectrum``, by default with the fastest-converging
     # scaling 2 / (lambda_max + lambda_min); the degree is checked before it sizes the weights
-    check_degree(degree)
+    degree = check_degree(degree)
     if alpha is None:
         alpha = 2.0 / (spectrum.lam[-1] + spectrum.lam[0])
-    return PolyEstimator(EstimatorKind.PEACH, degree, float(alpha), np.ones(degree + 1))
+    return PolyEstimator(EstimatorKind.PEACH, degree, alpha, np.ones(degree + 1))
 
 
 def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> PolyEstimator:
@@ -334,12 +336,11 @@ def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> 
 
 
 def _wpeach_on(spectrum: Spectrum, degree: int, alpha_w: float | None = None) -> PolyEstimator:
-    # W-PEACH with the optimal weights on ``spectrum``: the monomial
-    # coefficients of Spectrum.fit, rescaled to powers of alpha_w x
-    if alpha_w is None:
-        alpha_w = 1.0 / spectrum.lam[-1]
+    # W-PEACH with the optimal weights on ``spectrum``: the monomial coefficients
+    # of Spectrum.fit, rescaled to powers of alpha_w x once alpha_w is checked
+    alpha_w = check_real("alpha_w", 1.0 / spectrum.lam[-1] if alpha_w is None else alpha_w, InvalidScaling, 0.0, strict=True)
     weights = spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1)
-    return PolyEstimator(EstimatorKind.WPEACH, degree, float(alpha_w), weights)
+    return PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)
 
 
 def default_alpha_w(model: StatModel) -> float:
@@ -407,8 +408,8 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     The estimators see ``model``'s statistics with ``r_est`` in place of its
     channel covariance, so z_est = :meth:`StatModel.observation_covariance`
     of ``r_est``; W-PEACH is :func:`make_wpeach`'s default on those
-    statistics.  ``r_est`` is validated here, once (:class:`ShapeError`
-    unless shaped like ``model.r_cov``, then :func:`check_hermitian_psd`);
+    statistics.  ``r_est`` is validated here, once (:func:`check_hermitian_psd`,
+    with :class:`ShapeError` unless it is shaped like ``model.r_cov``);
     ``model`` is not validated again.  Both filters are functions v of
     z_est = U diag(lam) U^H, so with B = pilot_ext^H U, C = r_est B and
     D = r B the filter r_est pilot_ext^H v(z_est) has, under the true
@@ -420,9 +421,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
     when ``model`` has them.
     """
-    if np.shape(r_est) != model.r_cov.shape:
-        raise ShapeError(f"r_est must have the shape {model.r_cov.shape} of r_cov, got {np.shape(r_est)}")
-    r_est, _ = check_hermitian_psd(r_est, "r_est")
+    r_est, _ = check_hermitian_psd(r_est, "r_est", model.r_cov.shape)
     lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)
     c_est, d_true = r_est @ b, model.apply_r(b)
@@ -473,6 +472,7 @@ def linear_filter_mse(model: StatModel, g_mat: np.ndarray) -> float:
     trace(r) - 2 Re trace(G pilot r) + trace(G z G^H); the oracle for the
     spectral closed forms and for :func:`mismatched_mse`.
     """
+    g_mat = check_array("g_mat", g_mat, (model.dims.n, model.dims.m))
     b = model.pilot_ext @ model.r_cov
     z = z_matrix(model)
     tr_r = float(np.trace(model.r_cov).real)

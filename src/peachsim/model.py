@@ -20,7 +20,6 @@ map of it.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -38,6 +37,9 @@ from .errors import (
     PilotShapeMismatch,
     ShapeError,
     SingularCovariance,
+    check_array,
+    check_integer,
+    check_real,
 )
 from .spectrum import Spectrum
 
@@ -53,9 +55,9 @@ class Dims:
     """Antenna and pilot dimensions.
 
     ``m = b * n_r`` is the length of the vectorized observation and
-    ``n = n_t * n_r`` the length of the vectorized channel.  Each is a
-    ``numbers.Integral`` other than ``bool`` of at least 1, stored as ``int``
-    (so numpy integers pass, and cannot wrap), or :class:`EmptyDimension`.
+    ``n = n_t * n_r`` the length of the vectorized channel.  Each is an
+    integer of at least 1 (:func:`~peachsim.errors.check_integer`), stored as
+    ``int`` (so numpy integers pass, and cannot wrap), or :class:`EmptyDimension`.
     """
 
     n_r: int
@@ -64,10 +66,7 @@ class Dims:
 
     def __post_init__(self):
         for name in ("n_r", "n_t", "b"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise EmptyDimension(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1, EmptyDimension))
 
     @property
     def m(self) -> int:
@@ -83,7 +82,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
+def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple | None = None):
     """Validate ``a`` as Hermitian PSD and factor it the cheapest way that decides.
 
     Returns ``(a, factor, eigs, vecs)`` with ``a`` symmetrized.  When a
@@ -92,9 +91,7 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
     ``factor`` is None and the ascending eigenvalues (and, with ``vectors``,
     the eigenvectors) decide semidefiniteness within ``PSD_RTOL``.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {a.shape}")
+    a = check_array(name, a, shape, square=True)
     if not np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(a):  # NaN fails the comparison
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
@@ -111,8 +108,8 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool):
     return a, None, eigs, vecs
 
 
-def check_hermitian_psd(a: np.ndarray, name: str = "matrix"):
-    """Validate that ``a`` is square and Hermitian PSD within the module tolerances.
+def check_hermitian_psd(a: np.ndarray, name: str = "matrix", shape: tuple | None = None):
+    """Validate that ``a`` is square (of ``shape`` if given) and Hermitian PSD within the module tolerances.
 
     Hermitian means to ``HERMITIAN_RTOL`` relative.  A matrix that Cholesky
     factors is accepted as positive definite; only when that fails does an
@@ -121,7 +118,7 @@ def check_hermitian_psd(a: np.ndarray, name: str = "matrix"):
 
     Returns ``a`` symmetrized and whether it is positive definite.
     """
-    a, factor, eigs, _ = _factor_hermitian_psd(a, name, vectors=False)
+    a, factor, eigs, _ = _factor_hermitian_psd(a, name, vectors=False, shape=shape)
     return a, factor is not None or eigs[0] > 0
 
 
@@ -139,13 +136,11 @@ def psd_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(eigs, 0.0, None))
 
 
-def _check_powers(betas: tuple, noise_var: float):
-    """Interference power ratios finite and nonnegative, the noise variance finite and positive."""
-    # written so that NaN fails each comparison
-    if not all(0 <= b < np.inf for b in betas):
-        raise InvalidParameter("interference power ratios must be finite and nonnegative")
-    if not 0 < noise_var < np.inf:
-        raise InvalidParameter("noise variance must be finite and positive")
+def _check_betas(betas) -> tuple:
+    """The interference power ratios as a tuple of finite nonnegative floats, or :class:`InvalidParameter`."""
+    if not np.iterable(betas):
+        raise InvalidParameter(f"betas must be a sequence of interference power ratios, got {betas!r}")
+    return tuple(check_real("interference power ratio", beta, InvalidParameter, 0.0) for beta in betas)
 
 
 @dataclass(frozen=True)
@@ -191,17 +186,11 @@ class StatModel:
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
-        h_mean = np.zeros(n, dtype=complex) if self.h_mean is None else np.asarray(self.h_mean, dtype=complex)
-        n_mean = np.zeros(m, dtype=complex) if self.n_mean is None else np.asarray(self.n_mean, dtype=complex)
-        pilot = np.asarray(self.pilot, dtype=complex)
-        if pilot.shape != (self.dims.n_t, self.dims.b):
-            raise ShapeError(f"pilot must be {self.dims.n_t}x{self.dims.b}, got {pilot.shape}")
-        if h_mean.shape != (n,) or n_mean.shape != (m,):
-            raise ShapeError("mean vectors inconsistent with dims")
-        r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov")
-        s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov")
-        if r_cov.shape != (n, n) or s_cov.shape != (m, m):
-            raise ShapeError("covariance shapes inconsistent with dims")
+        h_mean = np.zeros(n, dtype=complex) if self.h_mean is None else check_array("h_mean", self.h_mean, (n,))
+        n_mean = np.zeros(m, dtype=complex) if self.n_mean is None else check_array("n_mean", self.n_mean, (m,))
+        pilot = check_array("pilot", self.pilot, (self.dims.n_t, self.dims.b))
+        r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov", (n, n))
+        s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov", (m, m))
         if not s_definite:
             raise NotPositiveSemiDefinite("s_cov must be positive definite")
         object.__setattr__(self, "h_mean", h_mean)
@@ -339,17 +328,16 @@ def z_matrix(model: StatModel) -> np.ndarray:
 def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
     """Hermitian Toeplitz correlation matrix with entry (i, j) = coeff**(j - i) for j >= i.
 
-    The one place that guarantees a correlation factor: ``dim`` is an integer (not ``bool``) of at least 1
+    The one place that guarantees a correlation factor, and so the one coefficient rule, which
+    :meth:`SpatialCorrelation.validate` applies through it: ``dim`` is an integer of at least 1
     (:class:`EmptyDimension`) and ``coeff`` a finite ``numbers.Complex`` with ``|coeff| < 1``
     (:class:`InvalidCorrelation`).  Then each entry below the diagonal is exactly the conjugate of its mirror,
     each diagonal entry exactly ``coeff**0 = 1``, and the eigenvalues lie in
     ``[(1-|c|)/(1+|c|), (1+|c|)/(1-|c|)]`` (Grenander & Szegő, Toeplitz Forms, 1958).
     """
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
-        raise EmptyDimension(f"dim must be a positive integer, got {dim!r}")
+    lags = np.arange(check_integer("dim", dim, 1, EmptyDimension))
     if not isinstance(coeff, numbers.Complex) or not abs(coeff) < 1.0:  # NaN fails the comparison
-        raise InvalidCorrelation(f"coeff must be a finite number with |coeff| < 1, got {coeff!r}")
-    lags = np.arange(dim)
+        raise InvalidCorrelation(f"correlation coefficients must be finite numbers with |c| < 1, got {coeff!r}")
     offsets = lags[None, :] - lags[:, None]
     powers = complex(coeff) ** np.abs(offsets)
     return np.where(offsets >= 0, powers, np.conj(powers))
@@ -366,8 +354,7 @@ def identity_pilot(dims: Dims, pilot_power: float) -> np.ndarray:
         raise PilotShapeMismatch(
             f"identity pilot requires b == n_t, got b={dims.b}, n_t={dims.n_t}"
         )
-    if not 0 < pilot_power < np.inf:
-        raise InvalidParameter("pilot power must be finite and positive")
+    pilot_power = check_real("pilot power", pilot_power, InvalidParameter, 0.0, strict=True)
     return np.sqrt(pilot_power) * np.eye(dims.n_t, dtype=complex)
 
 
@@ -404,19 +391,17 @@ def stat_model_from_pilot(
     @ pilot_ext^H`` (:func:`_pilot_sandwich`) to the disturbance covariance,
     and receiver noise adds ``noise_var * I``.
     """
-    pilot = np.asarray(pilot, dtype=complex)
+    pilot = check_array("pilot", pilot)
     if pilot.shape != (dims.n_t, dims.b):
         raise PilotShapeMismatch(f"pilot must be {dims.n_t}x{dims.b}, got {pilot.shape}")
-    interferers = tuple(interferers)
+    interferers = tuple(interferers) if np.iterable(interferers) else (interferers,)  # a lone value is no pair
     if not all(isinstance(pair, tuple | list) and len(pair) == 2 for pair in interferers):
-        raise ShapeError("each interferer must be a (beta, cov) pair")
-    betas = tuple(float(beta) for beta, _ in interferers)
-    _check_powers(betas, noise_var)
+        raise ShapeError(f"each interferer must be a (beta, cov) pair, got {interferers!r}")
+    betas = _check_betas([beta for beta, _ in interferers])
+    noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, (_, cov) in zip(betas, interferers):
-        cov, _ = check_hermitian_psd(cov, "interferer covariance")
-        if cov.shape != (dims.n, dims.n):
-            raise ShapeError("interferer covariance shape inconsistent with pilot_ext")
+        cov, _ = check_hermitian_psd(cov, "interferer covariance", (dims.n, dims.n))
         s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
     return StatModel(dims=dims, h_mean=h_mean, r_cov=r_cov, n_mean=n_mean, s_cov=s_cov, pilot=pilot)
 
@@ -440,19 +425,15 @@ class SpatialCorrelation:
         """Raise :class:`InvalidCorrelation` unless these coefficients serve ``interferers`` interfering cells.
 
         The interferer fields must be tuples of one length, nonzero when
-        ``interferers`` is, and every coefficient a finite ``numbers.Complex``
-        of magnitude below 1.
+        ``interferers`` is, and every coefficient one that :func:`exp_correlation_matrix` accepts.
         """
         pairs = (self.interferer_tx, self.interferer_rx)
         if not all(isinstance(p, tuple) for p in pairs) or len(pairs[0]) != len(pairs[1]):
             raise InvalidCorrelation(f"interferer_tx and interferer_rx must be tuples of one length, got {pairs!r}")
         if interferers and not pairs[0]:
             raise InvalidCorrelation(f"{interferers} interferers need at least one interferer coefficient pair")
-        coeffs = (self.desired_tx, self.desired_rx, *self.interferer_tx, *self.interferer_rx)
-        if not all(isinstance(c, numbers.Complex) and cmath.isfinite(c) for c in coeffs):
-            raise InvalidCorrelation(f"correlation coefficients must be finite complex numbers, got {coeffs!r}")
-        if any(abs(c) >= 1.0 for c in coeffs):
-            raise InvalidCorrelation("all correlation coefficient magnitudes must be < 1")
+        for coeff in (self.desired_tx, self.desired_rx, *self.interferer_tx, *self.interferer_rx):
+            exp_correlation_matrix(1, coeff)  # the one coefficient rule, on a 1 x 1 factor
 
 
 DEFAULT_CORRELATION = SpatialCorrelation()
@@ -460,9 +441,8 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
     """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
-    interferer ``i`` has weight ``betas[i]`` (unchecked) and the ``i``-th interferer coefficient pair, cyclically.
-    The coefficients are checked first (:meth:`SpatialCorrelation.validate`), which fixes every factor."""
-    correlation.validate(len(betas))
+    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically.
+    The caller has checked both (:meth:`SpatialCorrelation.validate`, which fixes every factor)."""
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
     terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
@@ -528,7 +508,6 @@ def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-@lru_cache(maxsize=1)
 def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:
     """Spectrum of the limit ``r + sum_i beta_i R_i`` of :func:`correlated_model`, with channel ``r``.
 
@@ -548,8 +527,18 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     ``||r u_k||^2`` apply ``r`` through its factors (:func:`_kronecker_apply`),
     ``LIMIT_BLOCK`` eigenvectors at a time.  Only the latest
     spectrum is kept (two length-m vectors, read-only), as the experiment
-    runner keeps only its latest model; ``betas`` is a tuple, the cache key.
+    runner keeps only its latest model.  ``betas`` and ``correlation`` are
+    checked before they key the cache, whose ``cache_info`` and
+    ``cache_clear`` this function carries.
     """
+    betas = _check_betas(betas)
+    correlation.validate(len(betas))
+    return _limit_spectrum(dims, betas, correlation)
+
+
+@lru_cache(maxsize=1)
+def _limit_spectrum(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> Spectrum:
+    # the spectrum of correlated_limit, for checked arguments
     n_r, n = dims.n_r, dims.n
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
     interferers = [term for term in interferers if term[0] > 0]
@@ -580,6 +569,9 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     return Spectrum(mu, phi, trace_r)
 
 
+correlated_limit.cache_info, correlated_limit.cache_clear = _limit_spectrum.cache_info, _limit_spectrum.cache_clear
+
+
 def correlated_model(
     dims: Dims,
     gamma_db: float,
@@ -604,13 +596,14 @@ def correlated_model(
     Each ``R_i`` is formed, sandwiched and added to ``s_cov`` before the
     next, and ``r_cov`` after the last: the build holds at most one of them.
     """
+    noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     try:  # math.pow overflows with an OverflowError, never with a numpy warning
-        pilot_power = float(noise_var) * math.pow(10.0, gamma_db / 10.0)
+        pilot_power = noise_var * math.pow(10.0, check_real("gamma_db", gamma_db, InvalidParameter) / 10.0)
     except OverflowError:
         raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
-    betas = tuple(float(beta) for beta in betas)
+    betas = _check_betas(betas)
+    correlation.validate(len(betas))
     (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
-    _check_powers(betas, noise_var)
     pilot = identity_pilot(dims, pilot_power)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, i_t, i_r in interferers:
@@ -618,7 +611,7 @@ def correlated_model(
     if not np.isfinite(s_cov).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     r_cov = np.kron(r_t, r_r)
-    source = partial(correlated_limit, dims, betas, correlation)
+    source = partial(_limit_spectrum, dims, betas, correlation)
     return StatModel._of_kronecker_factors(dims, r_cov, (r_t, r_r), s_cov, pilot, (source, pilot_power, noise_var))
 
 
@@ -629,7 +622,7 @@ def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray
 
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean of an (m,) observation or an (m, k) block."""
-    y = np.asarray(y, dtype=complex)
+    y = check_array("observation", y)
     if y.ndim not in (1, 2) or y.shape[0] != model.dims.m:
         raise ShapeError(f"expected an ({model.dims.m},) observation or an ({model.dims.m}, k) block, got {y.shape}")
     y_bar = model.y_mean()

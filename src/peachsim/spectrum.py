@@ -21,18 +21,16 @@ applies it to observations; :meth:`Spectrum.fit` gives only its coefficients.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegree, SingularLimit
+from .errors import InvalidDegree, SingularLimit, check_integer
 
 
-def check_degree(degree: int):
-    """Raise :class:`InvalidDegree` unless ``degree`` is a nonnegative integer other than ``bool`` (numpy integers pass)."""
-    if not isinstance(degree, numbers.Integral) or isinstance(degree, bool) or degree < 0:
-        raise InvalidDegree(f"polynomial degree must be a nonnegative integer, got {degree!r}")
+def check_degree(degree: int) -> int:
+    """``degree`` as an ``int`` if it is an integer of at least 0 (:func:`check_integer`), else :class:`InvalidDegree`."""
+    return check_integer("polynomial degree", degree, 0, InvalidDegree)
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class Spectrum:
         filter.  Null eigenvalues are dropped; :class:`SingularLimit` is raised
         when the channel has energy along them.
         """
-        check_degree(degree)
+        degree = check_degree(degree)
         lam, phi = self.lam, self.phi
         if lam[-1] <= 0:
             return np.zeros(degree + 1)

@@ -106,6 +106,8 @@ class TestConfig:
             dict(monte_carlo=1),
             dict(out=5),
             dict(out=None),
+            # an unknown field was a bare TypeError from the dataclass
+            dict(foo=1),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -452,6 +454,19 @@ class TestMain:
         assert main([*args, "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_out_naming_a_directory_rejected_before_any_work(self, capsys, monkeypatch, out):
+        # --out '' computed every table, then died with a bare IsADirectoryError and exit status 1
+        monkeypatch.setattr(cli.analysis, "flops", lambda *args: pytest.fail("table computed for a directory out"))
+        assert main(["flops", "--out", out]) == 2
+        assert "out must name a file" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        parent = tmp_path / "file.txt"
+        parent.write_text("a file, not a directory\n")
+        assert main(["flops", "--nr-values", "50", "--out", str(parent / "flops.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "x.csv"
