@@ -144,10 +144,13 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
     """
     trials = check_integer("trials", trials, 1, InvalidParameter)
     n_chunks = (trials + MONTE_CARLO_CHUNK - 1) // MONTE_CARLO_CHUNK
+    message = f"seed must be a nonnegative integer or a sequence of them, got {seed!r}"
+    if any(s is None or isinstance(s, bool) for s in (seed if np.iterable(seed) else (seed,))):
+        raise InvalidParameter(message)  # numpy would draw fresh entropy for None and read a bool as 0 or 1
     try:
         children = np.random.SeedSequence(seed).spawn(n_chunks)
-    except (TypeError, ValueError):  # numpy's own rule: None, or nonnegative integers alone or in a sequence
-        raise InvalidParameter(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}") from None
+    except (TypeError, ValueError):  # numpy's own rule: nonnegative integers alone or in a sequence
+        raise InvalidParameter(message) from None
     sq_errors = {name: np.empty(trials) for name in estimators}
     pos = 0
     for child in children:
@@ -177,9 +180,8 @@ def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
     # one the model's z_spectrum maps, so a sweep decomposes it once
     limit = correlated_limit(model.dims, tuple(config.betas), config.correlation)
     if any(beta > 0 for beta in config.betas):
-        # every correlation factor's diagonal is coeff**0 = 1: r's diagonal is 1, sum_i beta_i R_i's sum(betas)
-        ones = np.ones(model.dims.n)
-        return analysis.floor_contaminated(limit, ones, sum(beta * ones for beta in config.betas), degree)._asdict()
+        r_diag, _, interference = model.diagonals()
+        return analysis.floor_contaminated(limit, r_diag, interference, degree)._asdict()
     return analysis.floor_noise_limited(limit, degree)._asdict()
 
 
@@ -190,7 +192,7 @@ def _normalized_rows(config, model, sweep_value, values: dict) -> list:
     ``nmse_analytic`` on (analytic MSE, then optionally the Monte Carlo MSE,
     its standard error and the floor); a None stays empty.
     """
-    trace_r = float(np.trace(model.r_cov).real)
+    trace_r = model.trace_r
     return [
         ResultRow(config.scenario, name, sweep_value, *(None if v is None else v / trace_r for v in columns))
         for name, columns in values.items()

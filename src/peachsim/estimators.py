@@ -16,8 +16,8 @@ and evaluates it at eigenvalues for every closed-form MSE (the optimal W-PEACH
 one too), the floors and the mismatched scores.  Closed-form MSEs, the default
 scalings and the optimal weights come from the model's one cached spectrum of
 z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
-coordinates of the pilot's QR decomposition, O(m^2 * b), with no O(m^3) work
-for a square pilot.  Estimators prepared from an estimated channel covariance
+coordinates of the pilot's QR decomposition, O(m^2 * b), and from the block
+traces of s_cov alone for a square pilot.  Estimators prepared from an estimated channel covariance
 are scored under the true statistics in the eigenbasis of the estimated z
 (:func:`mismatched_mse`).  The dense filter views are kept as independent
 oracles only.
@@ -228,9 +228,9 @@ def _mvu_system(model: StatModel) -> Prepared:
     covariance S = (Q^H (x) I) s_cov (Q (x) I).  The estimate is h_mean +
     (R1^{-1} (x) I)(x1 - S12 S22^{-1} x2), both factors applied to reshaped
     views, with variance trace((R1^{-1} (x) I)(S11 - S12 S22^{-1} S21)(R1^{-1} (x) I)^H).
-    Forming S costs O(m^2 * b), or O(m^2) for an identity pilot, whose Q is
-    I; for b > n_t one Cholesky of the (m - n) block S22 follows, and for
-    b == n_t nothing of size m is factored.
+    For b > n_t, forming S costs O(m^2 * b) and one Cholesky of the (m - n)
+    block S22 follows; for b == n_t, S is S11, whose block traces are Q^H T Q
+    for T those of s_cov (:meth:`StatModel.s_block_traces`): nothing of size m.
     :class:`RankDeficientPilot` unless the pilot has full row rank (b >= n_t
     and a smallest singular value above 1e-6 times the largest).
     """
@@ -241,15 +241,16 @@ def _mvu_system(model: StatModel) -> Prepared:
     n, m, n_r = model.dims.n, model.dims.m, model.dims.n_r
     q, r = np.linalg.qr(model.pilot.T, mode="complete")
     r1_inv = scipy.linalg.solve_triangular(r[:n_t], np.eye(n_t))
-    # _pilot_sandwich(p) forms (p.T (x) I) s_cov (p.T (x) I)^H, so p = conj(Q) gives S
-    s = _pilot_sandwich(q.conj(), n_r, model.s_cov)
-    gain, schur = np.zeros((n, m - n), dtype=complex), s[:n, :n]
-    if m > n:
+    gain = np.zeros((n, m - n), dtype=complex)
+    if m == n:
+        block_traces = q.conj().T @ model.s_block_traces() @ q
+    else:
+        # _pilot_sandwich(p) forms (p.T (x) I) s_cov (p.T (x) I)^H, so p = conj(Q) gives S
+        s = _pilot_sandwich(q.conj(), n_r, model.s_cov)
         gain = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s[n:, n:]), s[n:, :n]).conj().T
-        schur = schur - gain @ s[n:, :n]
+        block_traces = np.einsum("jrkr->jk", (s[:n, :n] - gain @ s[n:, :n]).reshape(n_t, n_r, n_t, n_r))
     # the variance is sum_jk M_kj trace(C_jk) over the (n_r, n_r) blocks C_jk
     # of the Schur complement, with M = R1^{-H} R1^{-1}: no n x n product
-    block_traces = np.einsum("jrkr->jk", schur.reshape(n_t, n_r, n_t, n_r))
     variance = float(np.sum(block_traces * (r1_inv.conj().T @ r1_inv).T).real)
 
     def head(d):
@@ -271,8 +272,7 @@ def _diagonalized(model: StatModel) -> Prepared:
     ):
         raise UnsupportedPilot("requires a positive scaled-identity pilot (b == n_t)")
     p_t = float(root.real**2)
-    r_diag = np.diag(model.r_cov).real
-    s_diag = np.diag(model.s_cov).real
+    r_diag, s_diag, _ = model.diagonals()
     coeff = (np.sqrt(p_t) * r_diag / (p_t * r_diag + s_diag)).astype(complex)
     mse = float(np.sum(r_diag * s_diag / (s_diag + p_t * r_diag)))
     return Prepared(model, lambda d: (coeff[:, None] if d.ndim == 2 else coeff) * d, lambda: mse)
@@ -421,7 +421,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
     when ``model`` has them.
     """
-    r_est, _ = check_hermitian_psd(r_est, "r_est", model.r_cov.shape)
+    r_est, _ = check_hermitian_psd(r_est, "r_est", (model.dims.n, model.dims.n))
     lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)
     c_est, d_true = r_est @ b, model.apply_r(b)
@@ -431,9 +431,8 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     quad[np.diag_indices_from(quad)] += lam
     quad *= c_est.T @ c_est.conj()
     wpeach = _wpeach_on(Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real)), degree)
-    trace_r = float(np.trace(model.r_cov).real)
     return tuple(
-        float(trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
+        float(model.trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
         for v in (1.0 / lam, wpeach.values(lam))
     )
 

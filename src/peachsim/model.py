@@ -6,12 +6,13 @@ Builds the second-order statistics of the vectorized observation
 covariances, exponential correlation matrices, pilot-contaminated
 disturbance covariances and the correlated model of the simulations
 (:func:`correlated_model`).  Every covariance is validated densely at
-construction, except that :func:`correlated_model` checks none: its
-Kronecker factors are fixed by validated coefficients, and it adds each
-interferer's sandwich to the disturbance covariance as it forms it; the
-model keeps the factors of ``r_cov``, and :meth:`StatModel.apply_r` multiplies through them.  ``z``
-is the pilot sandwich of ``r_cov`` plus ``s_cov``; for the identity pilot the
-sandwich only scales.  :meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
+construction, except that :func:`correlated_model` checks and forms none:
+validated coefficients fix its Kronecker factors, which the model keeps in
+one :class:`KroneckerTerms` record.  Its ``r_cov`` and ``s_cov`` are formed on
+first read; ``apply_r`` and the summaries (``trace_r``, ``diagonals``,
+``s_block_traces``) read the terms.  ``z`` is the pilot sandwich of ``r_cov``
+plus ``s_cov``; for the identity pilot the sandwich only scales.
+:meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
 correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
 is eigendecomposed once per sweep, in real arithmetic since it is
 centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
@@ -143,6 +145,11 @@ def _check_betas(betas) -> tuple:
     return tuple(check_real("interference power ratio", beta, InvalidParameter, 0.0) for beta in betas)
 
 
+# A correlated model's Kronecker form: the ``(weight, R_t, R_r)`` terms of r (weight 1), then of each interferer;
+# the pilot ``power`` and ``noise_var``, with ``z = power * limit + noise_var * I``; the limit's Spectrum ``source()``.
+KroneckerTerms = namedtuple("KroneckerTerms", "terms power noise_var source")
+
+
 @dataclass(frozen=True)
 class StatModel:
     """Full second-order statistics of the channel and disturbance.
@@ -165,14 +172,12 @@ class StatModel:
     ``s_factor``) are computed once, on first use; :meth:`draw` samples
     through the two cached factors.
 
-    ``limit`` and ``r_factors`` are set by :func:`correlated_model` only:
-    ``limit`` is ``(source, power, noise_var)`` with ``z = power * limit +
-    noise_var * I`` and ``source()`` the limit's :class:`Spectrum`, and
-    ``r_factors`` is ``(R_t, R_r)`` with ``r_cov = R_t (x) R_r``, through
-    which :meth:`apply_r` multiplies by ``r_cov`` in O(n (n_t + n_r)) per
-    column instead of O(n^2).  Neither is an init field, so
-    ``dataclasses.replace`` leaves a derived model without them, on the
-    dense path.
+    ``kronecker`` (:class:`KroneckerTerms`) is set by :func:`correlated_model`
+    only, whose ``r_cov`` and ``s_cov`` are formed from it on first read.
+    :meth:`apply_r` multiplies by ``r_cov = R_t (x) R_r`` through its factors,
+    in O(n (n_t + n_r)) per column, and ``z_spectrum`` maps the limit's.  It is
+    not an init field, so ``dataclasses.replace`` gives a densely validated
+    model on the dense path.
     """
 
     dims: Dims
@@ -181,8 +186,7 @@ class StatModel:
     n_mean: np.ndarray
     s_cov: np.ndarray
     pilot: np.ndarray
-    limit: tuple | None = field(init=False, default=None, repr=False, compare=False)
-    r_factors: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    kronecker: KroneckerTerms | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
@@ -200,26 +204,60 @@ class StatModel:
         object.__setattr__(self, "pilot", pilot)
 
     @classmethod
-    def _of_kronecker_factors(cls, dims: Dims, r_cov, r_factors, s_cov, pilot, limit) -> StatModel:
+    def _of_kronecker_terms(cls, dims: Dims, pilot, kronecker: KroneckerTerms) -> StatModel:
         """Zero-mean model of :func:`correlated_model`: the one place that skips ``__post_init__``'s checks.
 
-        ``r_cov = np.kron(*r_factors)`` and each interferer covariance are
-        ``np.kron`` of factors fixed by validated coefficients
-        (:func:`exp_correlation_matrix`), so each is exactly Hermitian (an
-        entry and its mirror are products of conjugates) and positive definite
-        (its eigenvalues are the products of the factors'; Horn & Johnson,
-        Topics in Matrix Analysis, Thm 4.2.12).  The identity ``pilot``'s
-        sandwich of ``R_i`` scales each entry by the same real scalar
-        (:func:`_pilot_sandwich`), so ``s_cov``, ``noise_var * I`` plus the
-        sandwiches weighted by ``beta_i >= 0``, with finite ``noise_var > 0``,
-        is exactly Hermitian and positive definite: the m x m Cholesky, norms
-        and ``hermitize`` copies would change nothing.
+        ``r_cov`` and each interferer covariance are ``np.kron`` of factors
+        fixed by validated coefficients (:func:`exp_correlation_matrix`), so
+        each is exactly Hermitian and positive definite (its eigenvalues are
+        the products of the factors'; Horn & Johnson, Topics in Matrix
+        Analysis, Thm 4.2.12).  The identity ``pilot`` scales each entry of
+        ``R_i`` by one real scalar (:func:`_pilot_sandwich`), so ``s_cov``,
+        ``noise_var * I`` plus the sandwiches weighted by ``beta_i >= 0``, is
+        too: the m x m Cholesky, norms and ``hermitize`` copies would change nothing.
         """
         model = object.__new__(cls)
-        model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), r_cov=r_cov,
-                              n_mean=np.zeros(dims.m, dtype=complex), s_cov=s_cov, pilot=pilot, limit=limit,
-                              r_factors=r_factors)
+        model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), n_mean=np.zeros(dims.m, dtype=complex),
+                              pilot=pilot, kronecker=kronecker)
         return model
+
+    def _formed(self, name: str) -> np.ndarray:
+        # r_cov or s_cov of a correlated model from its terms, in the order of stat_model_from_pilot on the same
+        # covariances, so the bytes are its; s_cov adds each interferer's sandwich before it forms the next
+        (_, r_t, r_r), *interferers = self.kronecker.terms
+        if name == "r_cov":
+            return np.kron(r_t, r_r)
+        s_cov = self.kronecker.noise_var * np.eye(self.dims.m, dtype=complex)
+        for beta, i_t, i_r in interferers:
+            s_cov += beta * _pilot_sandwich(self.pilot, self.dims.n_r, np.kron(i_t, i_r))
+        return s_cov
+
+    @property
+    def trace_r(self) -> float:
+        """trace(r_cov); exactly ``n`` on a correlated model, whose every factor has diagonal ``coeff**0 = 1``."""
+        return float(np.trace(self.r_cov).real) if self.kronecker is None else float(self.dims.n)
+
+    def diagonals(self) -> tuple:
+        """Real diagonals of ``r_cov``, ``s_cov`` and the interference ``sum_i beta_i R_i`` (None on a dense model).
+
+        Every factor's diagonal is 1, so on a correlated model ``s_cov``'s is
+        ``noise_var + sum_i beta_i (sqrt(p) sqrt(p))``, as :meth:`_formed` forms it."""
+        if self.kronecker is None:
+            return np.diag(self.r_cov).real, np.diag(self.s_cov).real, None
+        ones, root, s_diag = np.ones(self.dims.n), math.sqrt(self.kronecker.power), self.kronecker.noise_var
+        for beta, *_ in self.kronecker.terms[1:]:
+            s_diag += beta * (root * root)
+        return ones, s_diag * ones, sum((beta * ones for beta, *_ in self.kronecker.terms[1:]), 0 * ones)
+
+    def s_block_traces(self) -> np.ndarray:
+        """(b, b) traces of the (n_r, n_r) blocks of ``s_cov``; ``R_t (x) R_r``'s block (j, k) has ``n_r R_t[j, k]``."""
+        b, n_r = self.dims.b, self.dims.n_r
+        if self.kronecker is None:
+            return np.einsum("jrkr->jk", self.s_cov.reshape(b, n_r, b, n_r))
+        traces = self.kronecker.noise_var * n_r * np.eye(b, dtype=complex)
+        for beta, i_t, _ in self.kronecker.terms[1:]:
+            traces += beta * self.kronecker.power * n_r * i_t
+        return traces
 
     @property
     def pilot_ext(self) -> np.ndarray:
@@ -243,10 +281,10 @@ class StatModel:
         return (self.pilot.conj() @ y.reshape(self.dims.b, -1)).reshape(self.dims.n, *y.shape[1:])
 
     def apply_r(self, x: np.ndarray) -> np.ndarray:
-        """r_cov @ x for an (n,) vector or an (n, k) block; through ``r_factors`` when the model has them."""
-        if self.r_factors is None:
+        """r_cov @ x for an (n,) vector or an (n, k) block; through its Kronecker factors on a correlated model."""
+        if self.kronecker is None:
             return self.r_cov @ x
-        return _kronecker_apply(*self.r_factors, np.asarray(x))
+        return _kronecker_apply(*self.kronecker.terms[0][1:], np.asarray(x))
 
     def draw(self, rng: np.random.Generator, count: int):
         """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
@@ -288,12 +326,12 @@ class StatModel:
     def z_spectrum(self) -> Spectrum:
         """Spectrum of z, shared by every closed-form MSE and default scaling.
 
-        With a ``limit``, ``lam = power * mu + noise_var`` and ``phi = power *
-        phi_limit`` of the limit's spectrum, and z is not formed; otherwise one
-        MRRR ``eigh`` of z.
+        On a correlated model, ``lam = power * mu + noise_var`` and ``phi =
+        power * phi_limit`` of the limit's spectrum, and z is not formed;
+        otherwise one MRRR ``eigh`` of z.
         """
-        if self.limit is not None:
-            source, power, noise_var = self.limit
+        if self.kronecker is not None:
+            _, power, noise_var, source = self.kronecker
             mu = source()
             spectrum = Spectrum(power * mu.lam + noise_var, power * mu.phi, mu.trace_r)
         else:
@@ -320,6 +358,11 @@ class StatModel:
         return factor
 
 
+for _name in ("r_cov", "s_cov"):  # a correlated model's, formed on first read; a dense model's own value wins
+    setattr(StatModel, _name, cached_property(partial(StatModel._formed, name=_name)))
+    getattr(StatModel, _name).__set_name__(StatModel, _name)
+
+
 def z_matrix(model: StatModel) -> np.ndarray:
     """Dense observation covariance of ``model``, formed once per model (read-only)."""
     return model.z
@@ -330,13 +373,13 @@ def exp_correlation_matrix(dim: int, coeff: complex) -> np.ndarray:
 
     The one place that guarantees a correlation factor, and so the one coefficient rule, which
     :meth:`SpatialCorrelation.validate` applies through it: ``dim`` is an integer of at least 1
-    (:class:`EmptyDimension`) and ``coeff`` a finite ``numbers.Complex`` with ``|coeff| < 1``
+    (:class:`EmptyDimension`) and ``coeff`` a finite ``numbers.Complex`` other than ``bool`` with ``|coeff| < 1``
     (:class:`InvalidCorrelation`).  Then each entry below the diagonal is exactly the conjugate of its mirror,
     each diagonal entry exactly ``coeff**0 = 1``, and the eigenvalues lie in
     ``[(1-|c|)/(1+|c|), (1+|c|)/(1-|c|)]`` (Grenander & Szegő, Toeplitz Forms, 1958).
     """
     lags = np.arange(check_integer("dim", dim, 1, EmptyDimension))
-    if not isinstance(coeff, numbers.Complex) or not abs(coeff) < 1.0:  # NaN fails the comparison
+    if not isinstance(coeff, numbers.Complex) or isinstance(coeff, bool) or not abs(coeff) < 1.0:  # NaN fails it
         raise InvalidCorrelation(f"correlation coefficients must be finite numbers with |c| < 1, got {coeff!r}")
     offsets = lags[None, :] - lags[:, None]
     powers = complex(coeff) ** np.abs(offsets)
@@ -590,11 +633,10 @@ def correlated_model(
     I``, so the model's ``z_spectrum`` is read off :func:`correlated_limit`,
     on first use.
 
-    No covariance is checked or factored: the validated coefficients fix every factor ``R_t`` and
-    ``R_r`` (:meth:`StatModel._of_kronecker_factors`); the model equals :func:`stat_model_from_pilot`'s
-    on the same covariances.
-    Each ``R_i`` is formed, sandwiched and added to ``s_cov`` before the
-    next, and ``r_cov`` after the last: the build holds at most one of them.
+    No covariance is checked, factored or formed: the validated coefficients fix every factor
+    (:meth:`StatModel._of_kronecker_terms`); ``r_cov`` and ``s_cov``, formed on first read, equal
+    :func:`stat_model_from_pilot`'s on the same covariances.  Powers whose product overflows ``s_cov``'s
+    diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
     """
     noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     try:  # math.pow overflows with an OverflowError, never with a numpy warning
@@ -603,16 +645,13 @@ def correlated_model(
         raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
     betas = _check_betas(betas)
     correlation.validate(len(betas))
-    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
-    pilot = identity_pilot(dims, pilot_power)
-    s_cov = noise_var * np.eye(dims.m, dtype=complex)
-    for beta, i_t, i_r in interferers:
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, np.kron(i_t, i_r))
-    if not np.isfinite(s_cov).all():
-        raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
-    r_cov = np.kron(r_t, r_r)
+    terms = tuple(_correlated_terms(dims, betas, correlation))
     source = partial(_limit_spectrum, dims, betas, correlation)
-    return StatModel._of_kronecker_factors(dims, r_cov, (r_t, r_r), s_cov, pilot, (source, pilot_power, noise_var))
+    model = StatModel._of_kronecker_terms(dims, identity_pilot(dims, pilot_power),
+                                          KroneckerTerms(terms, pilot_power, noise_var, source))
+    if not np.isfinite(model.diagonals()[1]).all():
+        raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
+    return model
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from peachsim.cli import (
     run_experiment,
     run_monte_carlo,
 )
-from peachsim.errors import ConfigError, ShapeError
+from peachsim.errors import ConfigError, InvalidParameter, ShapeError
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
@@ -244,6 +244,23 @@ class TestRunMonteCarlo:
         model = random_model(rng)
         with pytest.raises(ValueError):
             run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 0, 0)
+
+    @pytest.mark.parametrize("seed", [None, True, False, (True, 0), [0, None], (1, False)], ids=repr)
+    def test_rejects_none_and_boolean_seeds(self, seed):
+        # None drew fresh entropy, so two calls differed, and True drew as 1
+        model = correlated_model(Dims(2, 2, 2), 5.0, ())
+        with pytest.raises(InvalidParameter, match="seed must be"):
+            run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, (7, 3), [1, 2], np.uint8(3), np.array([4, 5])], ids=repr)
+    def test_accepted_seeds_draw_as_numpy_seeds_them(self, seed):
+        # one child stream of the seed per chunk of MONTE_CARLO_CHUNK trials, here a full chunk and 88 trials
+        model = correlated_model(Dims(2, 2, 2), 5.0, ())
+        zero = lambda y: np.zeros((model.dims.n, y.shape[1]), dtype=complex)
+        mse_hat, _ = run_monte_carlo(model, {"zero": zero}, 600, seed)["zero"]
+        children = np.random.SeedSequence(seed).spawn(2)
+        h = np.hstack([model.draw(np.random.default_rng(child), count)[0] for child, count in zip(children, (512, 88))])
+        assert mse_hat == float(np.mean(np.sum(np.abs(h) ** 2, axis=0)))
 
 
 @pytest.fixture(scope="module")

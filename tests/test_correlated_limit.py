@@ -59,7 +59,7 @@ BUILD_BETAS = {**BETAS, "integer": (1, 0)}
 def test_structured_spectrum_matches_dense_eigh(gamma_db, betas, noise_var):
     model = correlated_model(DESK, gamma_db, betas, noise_var=noise_var)
     dense = replace(model)
-    assert model.limit is not None and dense.limit is None
+    assert model.kronecker is not None and dense.kronecker is None
     got, want = model.z_spectrum, dense.z_spectrum
     assert np.max(np.abs(got.lam - want.lam) / want.lam) <= 1e-12
     assert np.max(np.abs(got.phi - want.phi)) <= 1e-12 * np.max(want.phi)
@@ -89,6 +89,41 @@ def test_build_from_factors_equals_the_densely_validated_build(gamma_db, betas, 
             np.testing.assert_array_equal(getattr(model, name), getattr(generic, name))
         assert check_hermitian_psd(model.r_cov, "r_cov")[1]
         assert check_hermitian_psd(model.s_cov, "s_cov")[1]
+
+
+@pytest.mark.parametrize("betas", [(), (0.1, 0.1), (1.0, 0.0, 0.7)], ids=["noise-limited", "contaminated", "cyclic"])
+@pytest.mark.parametrize("first", ["r_cov", "s_cov", "z"])
+def test_covariances_formed_on_first_read_are_the_generic_build_bytes(first, betas):
+    # the build forms neither r_cov nor s_cov; whichever is read first, each
+    # is formed once and has the bytes of the generic path on the same covariances
+    dims, gamma_db = SHAPES["5x3"], 7.3
+    model = correlated_model(dims, gamma_db, betas)
+    assert "r_cov" not in vars(model) and "s_cov" not in vars(model)
+    getattr(model, first)
+    assert model.r_cov is model.r_cov and model.s_cov is model.s_cov
+    r_cov = np.kron(exp_correlation_matrix(dims.n_t, DEFAULT_CORRELATION.desired_tx),
+                    exp_correlation_matrix(dims.n_r, DEFAULT_CORRELATION.desired_rx))
+    generic = stat_model_from_pilot(dims, None, r_cov, None, identity_pilot(dims, 10.0 ** (gamma_db / 10.0)),
+                                    correlated_contamination(dims, betas))
+    for name in ("r_cov", "s_cov", "z"):
+        assert getattr(model, name).tobytes() == getattr(generic, name).tobytes(), name
+
+
+@pytest.mark.parametrize("betas", [(), (0.1, 0.3), (1.0, 0.0, 0.7)], ids=["noise-limited", "contaminated", "cyclic"])
+@pytest.mark.parametrize("gamma_db", [-10.0, 7.3, 30.0])
+def test_summaries_read_off_the_terms_are_the_dense_ones(gamma_db, betas):
+    # the diagonals and trace(r) as the dense matrices hold them, bit for bit;
+    # the block traces of s_cov to rounding
+    model = correlated_model(SHAPES["5x3"], gamma_db, betas, noise_var=0.7)
+    dense = replace(model)
+    r_diag, s_diag, interference = model.diagonals()
+    assert r_diag.tobytes() == dense.diagonals()[0].tobytes()
+    assert s_diag.tobytes() == dense.diagonals()[1].tobytes()
+    summed = summed_covariance(correlated_contamination(model.dims, betas)) + np.zeros((model.dims.n, model.dims.n))
+    assert np.array_equal(interference, np.diag(summed).real)
+    assert model.trace_r == dense.trace_r == float(np.trace(dense.r_cov).real)
+    want = dense.s_block_traces()
+    assert np.max(np.abs(model.s_block_traces() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def dense_limit(dims, betas, correlation):
@@ -191,7 +226,7 @@ def test_noise_limited_model_needs_no_interferer_pair():
 @pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
 def test_apply_r_is_the_dense_product(dims, betas, batch):
     model = correlated_model(dims, 10.0, betas)
-    assert model.r_factors is not None
+    assert model.kronecker is not None
     x = np.random.default_rng(5).standard_normal((dims.n, *batch, 2)) @ np.array([1.0, 1j])
     for layout in (x, np.asfortranarray(x)):
         got, want = model.apply_r(layout), model.r_cov @ x
@@ -203,7 +238,7 @@ def test_derived_model_applies_its_own_r_cov():
     model = correlated_model(DESK, 10.0, (0.1, 0.1))
     r_est = 2.0 * model.r_cov + np.eye(DESK.n)
     derived = replace(model, r_cov=r_est)
-    assert derived.r_factors is None
+    assert derived.kronecker is None
     x = np.random.default_rng(6).standard_normal((DESK.n, 4)) + 1j
     assert np.array_equal(derived.apply_r(x), r_est @ x)
 
@@ -271,7 +306,7 @@ def test_noise_limited_limit_is_the_kronecker_spectrum():
 def test_derived_model_uses_the_dense_path(monkeypatch, betas):
     model = correlated_model(DESK, 10.0, betas)
     derived = replace(model, r_cov=2.0 * model.r_cov)
-    assert derived.limit is None
+    assert derived.kronecker is None
     counts = {}
     count_eig_calls(monkeypatch, counts, min_dim=DESK.m)
     spectrum = derived.z_spectrum

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -41,6 +43,24 @@ from oracles import pilot_sandwich
 
 # (n_t, b) shapes of the non-square random pilots
 PILOT_SHAPES = [(2, 3), (3, 5)]
+
+
+def dense_schur_mvu(model, y):
+    """MVU estimates of the (m, k) block ``y`` and the variance, from the dense Schur complement of S11.
+
+    S is the disturbance covariance in the coordinates of the complete QR
+    pilot.T = Q R, contracted densely by :func:`oracles.pilot_sandwich`, and
+    the channel part is mapped back by the dense (R1^{-1} (x) I).
+    """
+    (n_t, b), n, n_r = model.pilot.shape, model.dims.n, model.dims.n_r
+    q, r = np.linalg.qr(model.pilot.T, mode="complete")
+    s = pilot_sandwich(q.conj(), n_r, model.s_cov)
+    x = np.kron(q.conj().T, np.eye(n_r)) @ (y - model.y_mean()[:, None])
+    solve = lambda rhs: np.linalg.solve(s[n:, n:], rhs) if b > n_t else np.zeros((0, rhs.shape[1]))
+    back = np.kron(np.linalg.inv(r[:n_t]), np.eye(n_r))
+    schur = s[:n, :n] - s[:n, n:] @ solve(s[n:, :n])
+    estimate = model.h_mean[:, None] + back @ (x[:n] - s[:n, n:] @ solve(x[n:]))
+    return estimate, np.trace(back @ schur @ back.conj().T).real
 
 
 def scalar_model(r=0.8, sigma_sq=0.5, pilot_power=2.0, h_mean=0.3 + 0.1j, n_mean=-0.2j):
@@ -149,17 +169,30 @@ class TestMvu:
     @pytest.mark.parametrize("gamma_db", [-10.0, 7.3, 30.0])
     @pytest.mark.parametrize("betas", [(), (1.0, 0.3, 0.7)], ids=["noise-limited", "cyclic"])
     @pytest.mark.parametrize("dims", [Dims(20, 4, 4), Dims(5, 3, 3)], ids=["20x4", "5x3"])
-    def test_identity_pilot_rotation_is_the_contraction_bit_for_bit(self, monkeypatch, dims, gamma_db, betas):
-        # QR of an identity pilot gives Q = I exactly, whose sandwich of s_cov
-        # is s_cov; the oracle contracts it, unsymmetrized, as the estimator
-        # once did
+    def test_square_pilot_matches_the_dense_schur_oracle_without_a_sandwich(self, monkeypatch, dims, gamma_db, betas):
+        # a square pilot reads s_cov's block traces, from the Kronecker terms
+        # of a correlated model or from the dense matrix of one derived from
+        # it, and forms no sandwich of s_cov
         model = correlated_model(dims, gamma_db, betas)
         y = np.random.default_rng(3).standard_normal((dims.m, 2)) + 0j
+        estimate, variance = dense_schur_mvu(model, y)
+        monkeypatch.setattr(es, "_pilot_sandwich", None)
+        for target in (model, replace(model)):
+            mvu = es.prepare(target, "mvu")
+            assert mvu.mse() == pytest.approx(variance, rel=1e-13, abs=0.0)
+            assert relative_error(mvu.apply(y), estimate) <= 1e-13
+
+    @pytest.mark.parametrize("n_t, b", PILOT_SHAPES)
+    def test_longer_pilot_matches_the_dense_schur_oracle_through_one_sandwich(self, rng, monkeypatch, n_t, b):
+        model = random_pilot_model(rng, n_t, b)
+        y = random_observation(rng, model)[:, None]
+        estimate, variance = dense_schur_mvu(model, y)
+        counts = {}
+        count_calls(monkeypatch, es, ("_pilot_sandwich",), counts)
         mvu = es.prepare(model, "mvu")
-        monkeypatch.setattr(es, "_pilot_sandwich", pilot_sandwich)
-        contracted = es.prepare(model, "mvu")
-        assert mvu.mse() == contracted.mse()
-        assert mvu.apply(y).tobytes() == contracted.apply(y).tobytes()
+        assert counts == {"_pilot_sandwich": 1}
+        assert mvu.mse() == pytest.approx(variance, rel=1e-12, abs=0.0)
+        assert relative_error(mvu.apply(y), estimate) <= 1e-12
 
     def test_variance_closed_form(self):
         dims = Dims(3, 2, 2)

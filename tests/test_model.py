@@ -17,11 +17,13 @@ from peachsim.errors import (
     ShapeError,
     SingularCovariance,
 )
-from peachsim.estimators import mmse_estimate
+from peachsim.cli import _sweep_point, default_config
+from peachsim.estimators import NAMES, mmse_estimate
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
     StatModel,
+    correlated_limit,
     correlated_model,
     deviation,
     exp_correlation_matrix,
@@ -114,6 +116,14 @@ class TestExpCorrelation:
         # complex() raised a bare ValueError or TypeError here, and parsed "0.5"
         with pytest.raises(InvalidCorrelation):
             exp_correlation_matrix(3, coeff)
+
+    @pytest.mark.parametrize("coeff", [False, True, np.bool_(False)], ids=["false", "true", "numpy-false"])
+    def test_rejects_boolean_coefficient(self, coeff):
+        # a bool is a numbers.Complex, so False used to give the identity
+        with pytest.raises(InvalidCorrelation):
+            exp_correlation_matrix(2, coeff)
+        with pytest.raises(InvalidCorrelation):
+            SpatialCorrelation(desired_tx=coeff).validate(0)
 
     @given(
         dim=st.integers(min_value=1, max_value=400),
@@ -276,20 +286,55 @@ class TestValidation:
             StatModel(dims, None, np.eye(dims.n), None, np.diag([1.0, 0.0]), np.eye(1))
 
 
+def traced_peak(fn) -> tuple:
+    """``fn()`` and the peak bytes it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MEMORY_BETAS = {"noise-limited": (), "two": (0.1, 0.1), "three": (1.0, 0.3, 0.7)}
+
+
 class TestBuildMemory:
+    @pytest.mark.parametrize("betas", MEMORY_BETAS.values(), ids=MEMORY_BETAS.keys())
+    def test_build_forms_no_m_by_m_array(self, betas):
+        # the build keeps the (n_t, n_t) and (n_r, n_r) factors of each term
+        # and forms neither r_cov nor s_cov: its peak is below a tenth of one
+        # m x m complex array, whatever the number of interferers
+        for dims in (Dims(40, 10, 10), Dims(20, 20, 20)):
+            model, peak = traced_peak(lambda: correlated_model(dims, 5.0, betas))
+            assert peak < 0.1 * dims.m**2 * 16, dims
+            assert "r_cov" not in vars(model) and "s_cov" not in vars(model)
+
     @pytest.mark.parametrize("betas", [(0.1, 0.1), (1.0, 0.3, 0.7)], ids=["two", "three"])
-    def test_contaminated_build_holds_one_interferer_covariance_at_a_time(self, betas):
+    def test_first_s_cov_read_holds_one_interferer_covariance_at_a_time(self, betas):
         # s_cov, one interferer covariance and the two scaled copies of its
         # sandwich: about 4 m x m complex arrays, whatever the number of
-        # interferers, since r_cov is formed only after the last of them
+        # interferers, since each is added before the next is formed
         for dims in (Dims(20, 4, 4), Dims(40, 5, 5)):
-            tracemalloc.start()
-            try:
-                correlated_model(dims, 5.0, betas)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 4.6 * dims.m**2 * 16, dims
+            model = correlated_model(dims, 5.0, betas)
+            assert traced_peak(lambda: model.s_cov)[1] < 4.6 * dims.m**2 * 16, dims
+
+
+    def test_build_and_one_analytic_sweep_point_form_no_covariance(self):
+        # the closed forms, floors and normalized rows read the limit spectrum
+        # and the O(m) summaries of the Kronecker terms; the limit, which a
+        # table decomposes once for all its points, is computed beforehand
+        dims = Dims(40, 10, 10)
+        config = default_config("sweep-snr", n_r=40, n_t=10, snr_db=(10.0,), betas=(0.1, 0.1), monte_carlo=False)
+        correlated_limit(dims, config.betas)
+
+        def point():
+            model = correlated_model(dims, 10.0, config.betas)
+            return model, _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
+
+        (model, rows), peak = traced_peak(point)
+        assert [row.estimator for row in rows] == list(NAMES)
+        assert peak < 2 * dims.m**2 * 16
+        assert "r_cov" not in vars(model) and "s_cov" not in vars(model)
 
 
 class TestObservationCovarianceCache:
