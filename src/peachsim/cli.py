@@ -11,14 +11,13 @@ One table, ``_SCENARIOS``, describes each scenario: its preset, the config
 field it walks, the function that returns the rows of one point, and the
 config fields it reads.  :func:`run_experiment` walks that field in one loop,
 and each subcommand offers the flags of exactly the fields its scenario
-reads.  Config-file and flag strings are parsed by the type of the field's
-``ExperimentConfig`` default.
+reads.  ``--config`` reads a JSON object of ``ExperimentConfig`` fields, whose
+lists become tuples; flag strings are parsed by the type of the field's default.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import math
@@ -74,7 +73,7 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         # each number, alone or in a grid, is checked by the type of its field's default, the type that parses
-        # it (_parse_field): an integer is at least _LEAST or 1, a real finite and at least _LEAST or above 0
+        # its flag (_parse_field): an integer is at least _LEAST or 1, a real finite and at least _LEAST or above 0
         for name, default in _FIELD_DEFAULTS.items():
             value = getattr(self, name)
             if not isinstance(default, tuple):
@@ -311,7 +310,7 @@ _SCENARIOS = {
 SCENARIOS = tuple(_SCENARIOS)
 
 
-def default_config(scenario: str, **overrides) -> ExperimentConfig:
+def default_config(scenario: str, /, **overrides) -> ExperimentConfig:
     """Scenario preset with optional field overrides, validated.
 
     An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well,
@@ -387,41 +386,29 @@ def _parse_list(text: str, kind) -> tuple:
     return tuple(kind(part) for part in text.split(",") if part.strip())
 
 
-# fields settable from a config file or a flag, with the default whose type parses them
+# fields settable from a config file or a flag, with the default whose type parses a flag's string
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
 def _parse_field(key: str, text: str):
     default = _FIELD_DEFAULTS[key]
-    if isinstance(default, bool):
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     if isinstance(default, tuple):
         return _parse_list(text, type(default[0]))
     return type(default)(text)
 
 
-def load_config_file(path: str, scenario: str) -> dict:
-    """Read overrides from a flat key = value file with one section per scenario."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    overrides = {}
-    for section in ("common", scenario):
-        if not parser.has_section(section):
-            continue
-        for key, raw in parser.items(section):
-            key = key.replace("-", "_")
-            if key not in _FIELD_DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            try:
-                overrides[key] = _parse_field(key, raw)
-            except (KeyError, ValueError) as exc:  # KeyError: a word that is not a boolean
-                raise ConfigError(f"bad value for {key!r} in section [{section}]: {raw!r}") from exc
-    return overrides
+def _read_config(path: str) -> dict:
+    """The fields of a JSON config file's one object, each list as a tuple; validate types the values."""
+    try:
+        overrides = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"config file {path!r} holds a {type(overrides).__name__}, not a JSON object of fields")
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in overrides.items()}
 
 
-# flag and help text of each field a subcommand can offer (b and noise_var: config file only)
+# flag and help text of each field a subcommand can offer (b and noise_var: from a --config file only)
 _FLAGS = {
     "seed": ("--seed", "master seed (64-bit)"),
     "trials": ("--trials", "Monte Carlo trials per row"),
@@ -461,13 +448,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     for name, scenario in _SCENARIOS.items():
         # no abbreviations: --degree must not stand for sweep-l's --degrees
         p = sub.add_parser(name, help=f"run the {name} scenario", allow_abbrev=False)
-        p.add_argument("--config", help="INI file with [common] and per-scenario sections")
+        p.add_argument("--config", help="JSON file with one object of config fields; flags override it")
         p.add_argument("--out", help="output CSV path")
         for key, (flag, help_text) in _FLAGS.items():
             if key not in scenario.reads:
                 continue
             default = _FIELD_DEFAULTS[key]
-            # a switch turns its field's default off; any other flag's string is parsed like a config-file value
+            # a switch turns its field's default off; any other flag's string is parsed by _parse_field
             if isinstance(default, bool):
                 p.add_argument(flag, dest=key, action="store_const", const=not default, help=help_text)
             else:
@@ -476,10 +463,13 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = load_config_file(args.config, args.scenario) if args.config else {}
+    overrides = _read_config(args.config) if args.config else {}
     for key, value in vars(args).items():
         if key in _FIELD_DEFAULTS and value is not None:
-            overrides[key] = _parse_field(key, value) if isinstance(value, str) else value
+            try:
+                overrides[key] = _parse_field(key, value) if isinstance(value, str) else value
+            except ValueError:  # --out is a plain string, so every flag that can fail is in _FLAGS
+                raise ConfigError(f"bad value for {_FLAGS[key][0]}: {value!r}") from None
     return default_config(args.scenario, **overrides)
 
 

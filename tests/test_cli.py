@@ -15,7 +15,6 @@ from peachsim import estimators as es
 from peachsim.cli import (
     CSV_COLUMNS,
     default_config,
-    load_config_file,
     main,
     run_experiment,
     run_monte_carlo,
@@ -36,6 +35,16 @@ from oracles import peach_as_wpeach_weights
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def write_config(tmp_path, fields):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+def config_from(argv):
+    return cli._config_from_args(cli._build_arg_parser().parse_args(argv))
 
 
 class TestConfig:
@@ -108,6 +117,8 @@ class TestConfig:
             dict(out=None),
             # an unknown field was a bare TypeError from the dataclass
             dict(foo=1),
+            # the scenario is default_config's positional argument, not a field to override
+            dict(scenario="flops"),
         ],
     )
     def test_validation_failures(self, overrides):
@@ -125,61 +136,96 @@ class TestConfig:
             default_config("sweep-l", correlation=bad)
 
     def test_config_file_round_trip(self, tmp_path):
-        path = tmp_path / "experiment.ini"
-        path.write_text(
-            "[common]\nseed = 99\ntrials = 50\n\n"
-            "[sweep-l]\ndegrees = 0:4\nsnr_db = 5\nbetas = 1, 1\nout = here.csv\n"
-        )
-        overrides = load_config_file(str(path), "sweep-l")
-        assert overrides["seed"] == 99
-        assert overrides["degrees"] == (0, 1, 2, 3, 4)
-        assert overrides["betas"] == (1.0, 1.0)
-        assert overrides["out"] == "here.csv"
+        fields = dict(seed=99, trials=50, degrees=[0, 1, 2, 3, 4], snr_db=[5], betas=[1, 1], out="here.csv")
+        path = write_config(tmp_path, fields)
+        config = config_from(["sweep-l", "--config", path])
+        assert config.seed == 99 and config.trials == 50
+        assert config.degrees == (0, 1, 2, 3, 4)
+        assert config.betas == (1, 1)
+        assert config.out == "here.csv"
 
     def test_config_file_unknown_key(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[sweep-l]\nwindowing = 3\n")
+        with pytest.raises(ConfigError, match="unknown config field windowing"):
+            config_from(["sweep-l", "--config", write_config(tmp_path, dict(windowing=3))])
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # a JSON file with a scenario key crashed main with a TypeError traceback
+            (dict(scenario="flops"), "unknown config field scenario"),
+            (dict(correlation=0.5), "correlation must be a SpatialCorrelation"),
+            (dict(correlation=dict(desired_rx=0.5)), "correlation must be a SpatialCorrelation"),
+        ],
+        ids=["scenario", "correlation number", "correlation object"],
+    )
+    def test_config_file_rejects_fields_without_plain_default(self, tmp_path, capsys, fields, message):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-l", "--config", write_config(tmp_path, fields), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_lists_become_tuples(self, tmp_path):
+        fields = dict(monte_carlo=False, shrink_samples=[4, 5, 6], noise_var=2.0, window=7, snr_db=[2.5])
+        config = config_from(["shrinkage", "--config", write_config(tmp_path, fields)])
+        assert config.shrink_samples == (4, 5, 6) and type(config.shrink_samples) is tuple
+        assert (config.monte_carlo, config.noise_var, config.window, config.snr_db) == (False, 2.0, 7, (2.5,))
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_config_file_monte_carlo_must_be_a_json_bool(self, tmp_path, value):
+        # the INI dialect read boolean words; a JSON file spells a bool true or false
+        with pytest.raises(ConfigError, match="monte_carlo must be a bool"):
+            config_from(["sweep-l", "--config", write_config(tmp_path, dict(monte_carlo=value))])
+
+    @pytest.mark.parametrize("fields", [dict(seed=1e3), dict(degrees=[0, 1.0]), dict(snr_db=5), dict(betas="1, 1")])
+    def test_config_file_values_typed_by_validate(self, tmp_path, fields):
+        # a file's values are not parsed: a float for an integer, or a scalar or string for a grid, fails
         with pytest.raises(ConfigError):
-            load_config_file(str(path), "sweep-l")
+            config_from(["sweep-l", "--config", write_config(tmp_path, fields)])
 
-    @pytest.mark.parametrize("line", ["correlation = 0.5", "scenario = flops"])
-    def test_config_file_rejects_fields_without_plain_default(self, tmp_path, line):
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[sweep-l]\n{line}\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config_file(str(path), "sweep-l")
-
-    def test_config_file_values_parsed_by_field_type(self, tmp_path):
-        path = tmp_path / "types.ini"
-        path.write_text(
-            "[shrinkage]\nmonte_carlo = off\nshrink_samples = 4:6\nnoise_var = 2\nwindow = 7\nsnr_db = 1, 2.5\n"
-        )
-        overrides = load_config_file(str(path), "shrinkage")
-        assert overrides == dict(
-            monte_carlo=False, shrink_samples=(4, 5, 6), noise_var=2.0, window=7, snr_db=(1.0, 2.5)
-        )
-        assert type(overrides["noise_var"]) is float and type(overrides["window"]) is int
-
-    @pytest.mark.parametrize("word, value", [("No", False), (" 0", False), ("false", False), ("YES", True), ("1", True)])
-    def test_config_file_boolean_words(self, tmp_path, word, value):
-        path = tmp_path / "bool.ini"
-        path.write_text(f"[sweep-l]\nmonte_carlo = {word}\n")
-        assert load_config_file(str(path), "sweep-l") == dict(monte_carlo=value)
-
-    @pytest.mark.parametrize("word", ["flase", "2", "y", "offf"])
-    def test_config_file_rejects_a_word_that_is_not_a_boolean(self, tmp_path, word):
-        # "flase" used to turn Monte Carlo off
-        path = tmp_path / "bool.ini"
-        path.write_text(f"[sweep-l]\nmonte_carlo = {word}\n")
-        with pytest.raises(ConfigError, match="bad value for 'monte_carlo'"):
-            load_config_file(str(path), "sweep-l")
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda path: None, "cannot read config file"),
+            (Path.mkdir, "cannot read config file"),
+            (lambda path: path.write_text("{seed: 1}"), "cannot read config file"),
+            (lambda path: path.write_text("[sweep-l]\nseed = 1\n"), "cannot read config file"),
+            (lambda path: path.write_bytes(b"\xff\xfe{}"), "cannot read config file"),
+            (lambda path: path.write_text("[1, 2]"), "holds a list, not a JSON object"),
+            (lambda path: path.write_text("null"), "holds a NoneType, not a JSON object"),
+        ],
+        ids=["missing", "directory", "not JSON", "INI", "not UTF-8", "list", "null"],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, make, message):
+        path = tmp_path / "run.json"
+        make(path)
+        assert main(["flops", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_file_n_t_sets_pilot_length(self, tmp_path, capsys):
         out = tmp_path / "n_t.csv"
-        ini = tmp_path / "n_t.ini"
-        ini.write_text(f"[sweep-l]\nn_t = 3\ndegrees = 0\nout = {out}\n")
-        assert main(["sweep-l", "--config", str(ini), "--no-montecarlo"]) == 0
+        path = write_config(tmp_path, dict(n_t=3, degrees=[0], out=str(out)))
+        assert main(["sweep-l", "--config", path, "--no-montecarlo"]) == 0
         assert "wrote 5 rows" in capsys.readouterr().out
+        assert config_from(["sweep-l", "--config", path]).b == 3
+
+
+# a small desk config of each scenario, every field set; noise_var and b are settable from a file only
+DESK = dict(n_r=4, n_t=2, degree=2, degrees=(0, 1), n_r_values=(2, 4), window=8, shrink_samples=(4, 8), noise_var=0.5,
+            seed=7, monte_carlo=False)
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_json_config_of_every_field_rewrites_the_api_tables(tmp_path, scenario):
+    snr_db = (0.0, 10.0) if cli._SCENARIOS[scenario].walks == "snr_db" else (5.0,)
+    config = default_config(scenario, **DESK, snr_db=snr_db, out=str(tmp_path / "api" / "t.csv"))
+    run_experiment(config)
+    from_file = tmp_path / "cli" / "t.csv"
+    fields = {name: getattr(config, name) for name in cli._FIELD_DEFAULTS} | {"out": str(from_file)}
+    assert main([scenario, "--config", write_config(tmp_path, fields)]) == 0
+    for suffix in (".csv", ".json"):
+        assert from_file.with_suffix(suffix).read_bytes() == Path(config.out).with_suffix(suffix).read_bytes()
 
 
 class TestCorrelatedModel:
@@ -514,18 +560,27 @@ class TestMain:
 
     def test_cli_reads_config_file(self, tmp_path, capsys):
         out = tmp_path / "from_config.csv"
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[flops]\nn_r_values = 100\nout = {out}\n")
-        assert main(["flops", "--config", str(ini)]) == 0
-        assert out.exists()
+        assert main(["flops", "--config", write_config(tmp_path, dict(n_r_values=[100], out=str(out)))]) == 0
+        assert "wrote 4 rows" in capsys.readouterr().out
+        assert {row["sweep_value"] for row in read_rows(out)} == {"100"}
 
     def test_cli_flag_overrides_config(self, tmp_path):
-        out_ini = tmp_path / "a.csv"
+        out_file = tmp_path / "a.csv"
         out_flag = tmp_path / "b.csv"
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[flops]\nn_r_values = 100\nout = {out_ini}\n")
-        assert main(["flops", "--config", str(ini), "--out", str(out_flag)]) == 0
-        assert out_flag.exists() and not out_ini.exists()
+        path = write_config(tmp_path, dict(n_r_values=[100], degree=3, out=str(out_file)))
+        assert main(["flops", "--config", path, "--out", str(out_flag), "--degree", "2"]) == 0
+        assert out_flag.exists() and not out_file.exists()
+        assert config_from(["flops", "--config", path, "--degree", "2"]).degree == 2
+
+    @pytest.mark.parametrize(
+        "flag, text", [("--seed", "abc"), ("--n-r", "2.5"), ("--seed", "1e3"), ("--degrees", "0:x"), ("--betas", "1,a")]
+    )
+    def test_unparsable_flag_is_named(self, tmp_path, capsys, flag, text):
+        # the message used to be Python's own, without the flag: invalid literal for int() with base 10: 'abc'
+        out = tmp_path / "x.csv"
+        assert main(["sweep-l", flag, text, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {flag}: {text!r}\n"
+        assert not out.exists()
 
     def test_no_complex_values_in_csv(self, tmp_path):
         out = tmp_path / "plain.csv"
@@ -594,7 +649,7 @@ class TestScenarioTable:
         args = [scenario]
         for flag in sorted(SCENARIO_FLAGS[scenario]):
             args += [flag] if FLAG_FIELDS[flag][0] is None else [flag, FLAG_FIELDS[flag][0]]
-        config = cli._config_from_args(cli._build_arg_parser().parse_args(args))
+        config = config_from(args)
         for flag in SCENARIO_FLAGS[scenario]:
             _, key, value = FLAG_FIELDS[flag]
             assert getattr(config, key) == value, flag
@@ -649,11 +704,10 @@ class TestScenarioTable:
         assert "one pilot SNR" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flops_ignores_a_common_snr_list(self, tmp_path):
+    def test_flops_ignores_a_file_snr_list(self, tmp_path):
+        # a field the scenario does not read is validated, not used: flops builds no model
         out = tmp_path / "flops.csv"
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[common]\nsnr_db = 0, 30\n\n[flops]\nn_r_values = 100\nout = {out}\n")
-        assert main(["flops", "--config", str(ini)]) == 0
+        assert main(["flops", "--config", write_config(tmp_path, dict(snr_db=[0, 30], n_r_values=[100], out=str(out)))]) == 0
         assert out.exists()
 
 
