@@ -63,7 +63,6 @@ def flops(kind: str, fm: FlopModel, degree: int | None = None) -> float:
     """
     m, n = float(fm.dims.m), float(fm.dims.n)
     k_c, k_s = fm.k_c, fm.k_s
-    kind = kind.lower() if isinstance(kind, str) else kind
     if kind == "mmse":
         return k_c * (n * (2 * m - 1)) + k_s * (
             m**3 / 3 + (3 * n - 0.5) * m**2 + (2 * n**2 + 2 * n - 1.5) * m
@@ -103,7 +102,6 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     """
     q = check_real("q", q, InvalidParameter, 0.0)
     degree = check_degree(degree)
-    kind = kind.lower() if isinstance(kind, str) else kind
     if kind == "peach":
         return q * (1.5 * degree + 0.375)
     if kind == "wpeach":

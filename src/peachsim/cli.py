@@ -2,10 +2,11 @@
 
 Six scenarios: MSE versus polynomial degree (``sweep-l``), versus pilot SNR
 with floor overlays (``sweep-snr``), versus receive-antenna count
-(``sweep-nr``), sliding-window weight tracking (``adaptive``), shrinkage
-covariance robustness (``shrinkage``), and FLOP cost curves (``flops``).
-Every scenario is deterministic under a fixed seed and emits one CSV row per
-(sweep value, estimator) pair plus a JSON twin of the table.
+(``sweep-nr``), sliding-window weight tracking (``adaptive``) and shrinkage
+covariance robustness (``shrinkage``), all on the square identity pilot
+(``b == n_t``), and FLOPs per statistics epoch of q realizations (``flops``).
+Each is deterministic under a fixed seed and emits one CSV row per (sweep
+value, estimator) pair plus a JSON twin of the table.
 
 One table, ``_SCENARIOS``, describes each scenario: its preset, the config
 field it walks, the function that returns the rows of one point, and the
@@ -62,8 +63,6 @@ class ExperimentConfig:
     window: int = 100
     shrink_samples: tuple = (20, 40, 80, 160)
     q_ratio: float = 50.0
-    tau_s: float = 5.0
-    t_tot: float = 5.0
     monte_carlo: bool = True
     out: str = "results.csv"
     # the least value of each integer field or grid whose least is not 1, and of each real one that may be 0 or below
@@ -90,6 +89,8 @@ class ExperimentConfig:
                 elif kind is float:
                     check_real(name, entry, ConfigError, self._LEAST.get(name, 0.0), strict=name not in self._LEAST)
         scenario = _SCENARIOS[self.scenario]
+        if scenario.builds_model and self.b != self.n_t:
+            raise ConfigError(f"{self.scenario}'s identity pilot needs b == n_t, got b={self.b}, n_t={self.n_t}")
         if "snr_db" in scenario.reads and scenario.walks != "snr_db" and len(self.snr_db) > 1:
             raise ConfigError(f"{self.scenario} reads one pilot SNR, got snr_db = {self.snr_db}")
         if not isinstance(self.monte_carlo, bool) or not isinstance(self.out, str | os.PathLike):
@@ -255,7 +256,8 @@ def _shrinkage_point(config, model, point, sweep_value, index):
 def _flops_point(config, model, point, sweep_value, index):
     """FLOP counts of four estimators at ``point["n_r_values"]`` receive antennas; no model is read."""
     dims = Dims(point["n_r_values"], config.n_t, config.b)
-    fm = analysis.FlopModel(dims=dims, tau_s=config.tau_s, tau_c=config.tau_s / config.q_ratio, t_tot=config.t_tot)
+    # one statistics epoch in coherence times: one preparation (k_s = 1) and q_ratio realizations (k_c)
+    fm = analysis.FlopModel(dims, tau_s=config.q_ratio, tau_c=1.0, t_tot=config.q_ratio)
     return [
         ResultRow(config.scenario, name, sweep_value, flops=analysis.flops(name, fm, degree))
         for name, degree in (("mmse", None), ("mvu", None), ("peach", config.degree), ("wpeach", config.degree))
@@ -304,7 +306,7 @@ _SCENARIOS = {
     ),
     "flops": _Scenario(
         dict(n_t=10, b=10, degree=2, n_r_values=tuple(range(50, 501, 50)), out="flops.csv"),
-        "n_r_values", _flops_point, ("n_r_values", "n_t", "b", "degree", "q_ratio", "tau_s", "t_tot"),
+        "n_r_values", _flops_point, ("n_r_values", "n_t", "b", "degree", "q_ratio"),
     ),
 }
 SCENARIOS = tuple(_SCENARIOS)
@@ -313,15 +315,14 @@ SCENARIOS = tuple(_SCENARIOS)
 def default_config(scenario: str, /, **overrides) -> ExperimentConfig:
     """Scenario preset with optional field overrides, validated.
 
-    An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well,
-    except for ``flops``, whose cost model takes any pilot length.
+    An ``n_t`` override without a ``b`` override sets ``b = n_t`` as well (a
+    model's identity pilot is square), except for ``flops``, which takes any ``b``.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
     if unknown := sorted(set(overrides) - {*_FIELD_DEFAULTS, "correlation"}):
         raise ConfigError(f"unknown config field {', '.join(unknown)}")
     params = {**_SCENARIOS[scenario].preset, **overrides}
-    # a model's identity pilot is square: an n_t set without b sets b too
     if "n_t" in overrides and "b" not in overrides and _SCENARIOS[scenario].builds_model:
         params["b"] = overrides["n_t"]
     return ExperimentConfig(scenario=scenario, **params).validate()
@@ -423,8 +424,6 @@ _FLAGS = {
     "window": ("--window", "sliding-window length"),
     "shrink_samples": ("--samples", "sample-count grid, e.g. 20,40,80"),
     "q_ratio": ("--q", "stationarity ratio tau_s / tau_c"),
-    "tau_s": ("--tau-s", "statistics coherence time [s]"),
-    "t_tot": ("--t-tot", "total operating time [s]"),
 }
 
 

@@ -223,13 +223,18 @@ class StatModel:
 
     def _formed(self, name: str) -> np.ndarray:
         # r_cov or s_cov of a correlated model from its terms, in the order of stat_model_from_pilot on the same
-        # covariances, so the bytes are its; s_cov adds each interferer's sandwich before it forms the next
+        # covariances, so the bytes are its; s_cov adds each interferer's np.kron(i_t, i_r), formed in one reused
+        # buffer and scaled in place as _pilot_sandwich scales it (root * (root * cov), then beta), before the next
         (_, r_t, r_r), *interferers = self.kronecker.terms
         if name == "r_cov":
             return np.kron(r_t, r_r)
         s_cov = self.kronecker.noise_var * np.eye(self.dims.m, dtype=complex)
+        term = np.empty((self.dims.n_t, self.dims.n_r) * 2, dtype=complex) if interferers else None
         for beta, i_t, i_r in interferers:
-            s_cov += beta * _pilot_sandwich(self.pilot, self.dims.n_r, np.kron(i_t, i_r))
+            np.multiply(i_t[:, None, :, None], i_r[None, :, None, :], out=term)
+            for factor in (self.pilot[0, 0].real, self.pilot[0, 0].real, beta):
+                term *= factor
+            s_cov += term.reshape(s_cov.shape)
         return s_cov
 
     @property
@@ -434,9 +439,7 @@ def stat_model_from_pilot(
     @ pilot_ext^H`` (:func:`_pilot_sandwich`) to the disturbance covariance,
     and receiver noise adds ``noise_var * I``.
     """
-    pilot = check_array("pilot", pilot)
-    if pilot.shape != (dims.n_t, dims.b):
-        raise PilotShapeMismatch(f"pilot must be {dims.n_t}x{dims.b}, got {pilot.shape}")
+    pilot = check_array("pilot", pilot, (dims.n_t, dims.b))
     interferers = tuple(interferers) if np.iterable(interferers) else (interferers,)  # a lone value is no pair
     if not all(isinstance(pair, tuple | list) and len(pair) == 2 for pair in interferers):
         raise ShapeError(f"each interferer must be a (beta, cov) pair, got {interferers!r}")

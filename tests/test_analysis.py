@@ -82,6 +82,13 @@ class TestFlops:
         with pytest.raises(UnsupportedEstimator):
             analysis.flops("peach", fm)  # missing degree
 
+    @pytest.mark.parametrize("kind", ["PEACH", "MMSE", "WPeach"])
+    def test_kind_is_the_lower_case_table_name(self, kind):
+        with pytest.raises(UnsupportedEstimator, match=repr(kind)):
+            analysis.flops(kind, square_flop_model(10), 2)
+        with pytest.raises(UnsupportedEstimator, match=repr(kind)):
+            analysis.crossover_m(kind, 50.0, 2)
+
 
 class TestCrossover:
     def test_published_thresholds(self):

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import peachsim.cli as cli
+from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.cli import (
     CSV_COLUMNS,
@@ -71,8 +72,9 @@ class TestConfig:
             dict(betas=(float("inf"), 1.0)),
             dict(noise_var=float("nan")),
             dict(q_ratio=float("nan")),
-            dict(tau_s=float("inf")),
-            dict(t_tot=float("inf")),
+            dict(q_ratio=float("inf")),
+            # the identity pilot of a model is square
+            dict(b=5),
             dict(seed=-1),
             dict(n_r_values=(40, 0)),
             dict(n_r_values=(-5,)),
@@ -127,8 +129,19 @@ class TestConfig:
 
     def test_pilot_length_follows_n_t_except_for_flops(self):
         assert default_config("sweep-l", n_t=3).b == 3
-        assert default_config("sweep-l", n_t=3, b=5).b == 5
         assert default_config("flops", n_t=3).b == 10
+        assert default_config("flops", n_t=3, b=5).b == 5
+
+    @pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS if s != "flops"])
+    def test_model_scenario_rejects_a_pilot_length_other_than_n_t(self, tmp_path, capsys, monkeypatch, scenario):
+        # b = 5 validated, and the first model build raised PilotShapeMismatch
+        monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a bad pilot length"))
+        with pytest.raises(ConfigError, match="needs b == n_t, got b=5, n_t=4"):
+            default_config(scenario, b=5)
+        out = tmp_path / "x.csv"
+        assert main([scenario, "--config", write_config(tmp_path, dict(b=5)), "--out", str(out)]) == 2
+        assert "needs b == n_t" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_correlation_magnitude_guard(self):
         bad = SpatialCorrelation(desired_rx=1.01)
@@ -147,6 +160,12 @@ class TestConfig:
     def test_config_file_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config field windowing"):
             config_from(["sweep-l", "--config", write_config(tmp_path, dict(windowing=3))])
+
+    @pytest.mark.parametrize("key", ["tau_s", "t_tot"])
+    def test_config_file_flops_times_are_unknown_fields(self, tmp_path, key):
+        # the flops table counts one statistics epoch; these only rescaled every cell
+        with pytest.raises(ConfigError, match=f"unknown config field {key}"):
+            config_from(["flops", "--config", write_config(tmp_path, {key: 5.0})])
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -468,6 +487,15 @@ class TestShrinkageScenario:
 
 
 class TestFlopsScenario:
+    @pytest.mark.parametrize("q", [50.0, 100.0])
+    def test_each_row_counts_one_statistics_epoch(self, tmp_path, q):
+        # one preparation and q realizations: the epoch form of perfbench's cost_model_flops
+        config = default_config("flops", q_ratio=q, out=str(tmp_path / "flops.csv"))
+        degrees = {"mmse": None, "mvu": None, "peach": config.degree, "wpeach": config.degree}
+        for row in run_experiment(config):
+            epoch = analysis.FlopModel(Dims(int(row.sweep_value), config.n_t, config.b), q, 1.0, q)
+            assert row.flops == analysis.flops(row.estimator, epoch, degrees[row.estimator]), row
+
     def test_flop_rows(self, tmp_path):
         config = default_config("flops", n_r_values=(100, 200), out=str(tmp_path / "flops.csv"))
         rows = run_experiment(config)
@@ -509,7 +537,7 @@ class TestMain:
             ["sweep-l", "--snr-db", "nan"],
             ["sweep-l", "--betas", "inf,1"],
             ["flops", "--q", "nan"],
-            ["flops", "--t-tot", "inf"],
+            ["flops", "--q", "inf"],
         ],
     )
     def test_cli_rejects_non_finite_values(self, tmp_path, capsys, args):
@@ -598,7 +626,7 @@ SCENARIO_FLAGS = {
     "sweep-nr": {"--seed", "--trials", "--no-montecarlo", "--n-t", "--snr-db", "--betas", "--degree", "--nr-values"},
     "adaptive": {"--seed", "--n-r", "--n-t", "--snr-db", "--betas", "--degree", "--window"},
     "shrinkage": {"--seed", "--n-r", "--n-t", "--snr-db", "--betas", "--degree", "--samples"},
-    "flops": {"--n-t", "--degree", "--nr-values", "--q", "--tau-s", "--t-tot"},
+    "flops": {"--n-t", "--degree", "--nr-values", "--q"},
 }
 # each flag's argument (None for a switch), the field it sets and the value it sets it to
 FLAG_FIELDS = {
@@ -615,8 +643,6 @@ FLAG_FIELDS = {
     "--window": ("5", "window", 5),
     "--samples": ("4", "shrink_samples", (4,)),
     "--q": ("20", "q_ratio", 20.0),
-    "--tau-s": ("2", "tau_s", 2.0),
-    "--t-tot": ("3", "t_tot", 3.0),
 }
 # flag/scenario pairs that used to be accepted without changing the output
 REMOVED_FLAGS = [
@@ -626,6 +652,8 @@ REMOVED_FLAGS = [
     ("flops", "--snr-db"),
     ("flops", "--n-r"),
     ("flops", "--no-montecarlo"),
+    ("flops", "--tau-s"),
+    ("flops", "--t-tot"),
     ("sweep-l", "--degree"),
     ("sweep-nr", "--n-r"),
     ("adaptive", "--trials"),
@@ -658,7 +686,7 @@ class TestScenarioTable:
     def test_flag_the_scenario_does_not_read_is_rejected(self, tmp_path, monkeypatch, scenario, flag):
         out = tmp_path / "x.csv"
         monkeypatch.setattr(cli, "correlated_model", lambda *args: pytest.fail("model built for a rejected flag"))
-        argument = FLAG_FIELDS[flag][0]
+        argument = FLAG_FIELDS[flag][0] if flag in FLAG_FIELDS else "2"  # a flag that no subcommand offers
         with pytest.raises(SystemExit) as exc:
             main([scenario, flag, *([] if argument is None else [argument]), "--out", str(out)])
         assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -318,6 +319,13 @@ class TestBuildMemory:
             model = correlated_model(dims, 5.0, betas)
             assert traced_peak(lambda: model.s_cov)[1] < 4.6 * dims.m**2 * 16, dims
 
+    @pytest.mark.parametrize("betas", [(0.1, 0.1), (1.0, 0.3, 0.7)], ids=["two", "three"])
+    def test_first_s_cov_read_forms_each_interferer_term_in_one_buffer(self, betas):
+        # s_cov and one reused (n_t, n_r, n_t, n_r) term, scaled in place: about 2 m x m
+        # complex arrays where the sandwich's scaled copies made it 4
+        dims = Dims(40, 10, 10)
+        model = correlated_model(dims, 5.0, betas)
+        assert traced_peak(lambda: model.s_cov)[1] < 2.5 * dims.m**2 * 16
 
     def test_build_and_one_analytic_sweep_point_form_no_covariance(self):
         # the closed forms, floors and normalized rows read the limit spectrum
@@ -486,10 +494,14 @@ class TestArbitraryPilot:
             expected = expected + beta * p_ext @ cov @ p_ext.conj().T
         assert np.linalg.norm(model.s_cov - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_pilot_shape_mismatch(self, rng):
-        dims = Dims(2, 3, 4)
-        with pytest.raises(PilotShapeMismatch):
-            stat_model_from_pilot(dims, None, np.eye(dims.n), None, np.eye(3))
+    def test_pilot_shape_mismatch(self):
+        # the builder and the model name a pilot that is not n_t x b with one error, check_array's
+        dims, pilot = Dims(2, 2, 3), np.ones((3, 2))
+        message = re.escape("pilot must be of shape (2, 3), got shape (3, 2)")
+        with pytest.raises(ShapeError, match=message):
+            stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot)
+        with pytest.raises(ShapeError, match=message):
+            StatModel(dims, None, np.eye(dims.n), None, np.eye(dims.m), pilot)
 
 
 SANDWICH_DIMS = {"20x4": Dims(20, 4, 4), "5x3": Dims(5, 3, 3), "100x10": Dims(100, 10, 10), "3x1": Dims(3, 1, 1)}
