@@ -26,6 +26,10 @@ class PilotShapeMismatch(PeachSimError, ValueError):
     """Identity pilots require the pilot length to equal the transmit-antenna count."""
 
 
+class NonFiniteObservation(PeachSimError, ValueError):
+    """An observation holds NaN or infinity."""
+
+
 class NotPositiveSemiDefinite(PeachSimError, ValueError):
     """A covariance-role matrix is not Hermitian positive semi-definite."""
 

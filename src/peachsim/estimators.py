@@ -13,9 +13,13 @@ per-realization estimate, and ``mse()``, the closed form.  The free functions
 Both polynomial kinds are one :class:`PolyEstimator`, whose one Horner loop
 applies the filter to observations with matrix-vector products, O(L * m^2),
 and evaluates it at eigenvalues for every closed-form MSE (the optimal W-PEACH
-one too), the floors and the mismatched scores.  Closed-form MSEs, the default
-scalings and the optimal weights come from the model's one cached spectrum of
-z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
+one too), the floors and the mismatched scores.  The products, and MMSE's
+solves, take the operator the model gives (:meth:`StatModel.z_operator`): on a
+correlated model the real symmetric form of its centro-Hermitian z and its
+real Cholesky factor, which read each complex block as its real view, with one
+O(m) map into their coordinates and one back; on a dense model z itself.
+Closed-form MSEs, the default scalings and the optimal weights come from the
+model's one cached spectrum of z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
 coordinates of the pilot's QR decomposition, O(m^2 * b), and from the block
 traces of s_cov alone for a square pilot.  Estimators prepared from an estimated channel covariance
 are scored under the true statistics in the eigenbasis of the estimated z
@@ -26,6 +30,7 @@ oracles only.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -165,17 +170,16 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
 
     The per-epoch half of the paper's cost split; :meth:`Prepared.apply` is
     the per-realization half.  ``mmse`` solves against the model's cached
-    Cholesky factor of z, formed on the first ``apply`` and never by ``mse``,
-    in two O(m^2) triangular solves per estimate, then applies r_cov with
-    :meth:`StatModel.apply_r`, and rejects a non-finite observation
-    (``ValueError``); ``mvu`` is :func:`_mvu_system`,
-    ``diagonalized`` :func:`_diagonalized`, and ``peach`` and ``wpeach`` bind
+    Cholesky factor of z (of its real form on a correlated model,
+    :meth:`StatModel.z_operator`), formed on the first ``apply`` and never by
+    ``mse``, in two O(m^2) triangular solves per estimate, then applies
+    ``r_cov pilot_ext^H`` (:meth:`StatModel.apply_r_pilot_adjoint`); ``mvu``
+    is :func:`_mvu_system`, ``diagonalized`` :func:`_diagonalized`, and ``peach`` and ``wpeach`` bind
     :func:`make_peach` and :func:`make_wpeach` at their default scalings.  Any
     other name raises :class:`UnsupportedEstimator`.
     """
     if name == "mmse":
-        solve = lambda d: scipy.linalg.cho_solve(model.z_factor, np.asarray_chkfinite(d), check_finite=False)
-        return Prepared(model, lambda d: model.apply_r(model.apply_pilot_adjoint(solve(d))), lambda: model.z_spectrum.mmse())
+        return Prepared(model, lambda d: _through(model, d, True, operator.matmul), lambda: model.z_spectrum.mmse())
     if name == "mvu":
         return _mvu_system(model)
     if name == "diagonalized":
@@ -188,11 +192,18 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
 def bind(model: StatModel, est: PolyEstimator) -> Prepared:
     """The polynomial filter ``est`` prepared on ``model``: r_cov pilot_ext^H v(z) d, and v on the spectrum of z.
 
-    Each degree costs one product of z (formed once per model) with d; no power of z is formed.  r_cov
-    is applied once, by :meth:`StatModel.apply_r`, through its Kronecker factors when the model has them.
+    Each degree costs one product with d of the operator the model gives (:meth:`StatModel.z_operator`,
+    formed once per model, on the first ``apply``); no power of z is formed.  ``r_cov pilot_ext^H`` is applied
+    once (:meth:`StatModel.apply_r_pilot_adjoint`), through its Kronecker factors when the model has them.
     """
-    head = lambda d: model.apply_r(model.apply_pilot_adjoint(est.apply(model.z, d)))
-    return Prepared(model, head, lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam)))
+    mse = lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam))
+    return Prepared(model, lambda d: _through(model, d, False, est.apply), mse)
+
+
+def _through(model: StatModel, d: np.ndarray, inverse: bool, apply) -> np.ndarray:
+    # r_cov pilot_ext^H of apply(op, d) in the coordinates of the model's operator (StatModel.z_operator)
+    op, into, back = model.z_operator(inverse)
+    return model.apply_r_pilot_adjoint(back(apply(op, into(d))).reshape(d.shape))
 
 
 # ---------------------------------------------------------------------------

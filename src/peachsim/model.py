@@ -16,7 +16,13 @@ plus ``s_cov``; for the identity pilot the sandwich only scales.
 correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
 is eigendecomposed once per sweep, in real arithmetic since it is
 centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
-map of it.
+map of it.  Its ``z`` is centro-Hermitian too, so the estimators' products and
+MMSE solves run on the real symmetric ``S`` with ``z = K S K^H``
+(:meth:`StatModel.z_operator`), formed from the limit's top rows on the first
+estimate, with one O(m) map by ``K^H`` in and by ``K`` out (Lee, Linear
+Algebra Appl. 29, 1980; Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11,
+1990).  The tracker's quadratic forms, the mismatched scores and sampling
+still read the complex ``z`` and covariances.
 """
 
 from __future__ import annotations
@@ -29,11 +35,13 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import (
     EmptyDimension,
     InvalidCorrelation,
     InvalidParameter,
+    NonFiniteObservation,
     NotPositiveDefinite,
     NotPositiveSemiDefinite,
     PilotShapeMismatch,
@@ -50,6 +58,9 @@ HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
 # Columns per block in which correlated_limit maps its eigenvectors back and applies r.
 LIMIT_BLOCK = 256
+# Length from which a vector is multiplied by a real form as two dsymv, which read one triangle; below it, and
+# for every block, one dgemm on the real view is faster (one OpenBLAS thread: equal near m = 500, 1.6x at 1000).
+SYMV_MIN = 500
 
 
 @dataclass(frozen=True)
@@ -175,9 +186,13 @@ class StatModel:
     ``kronecker`` (:class:`KroneckerTerms`) is set by :func:`correlated_model`
     only, whose ``r_cov`` and ``s_cov`` are formed from it on first read.
     :meth:`apply_r` multiplies by ``r_cov = R_t (x) R_r`` through its factors,
-    in O(n (n_t + n_r)) per column, and ``z_spectrum`` maps the limit's.  It is
-    not an init field, so ``dataclasses.replace`` gives a densely validated
-    model on the dense path.
+    in O(n (n_t + n_r)) per column, and ``z_spectrum`` maps the limit's.  The
+    estimators ask :meth:`z_operator` for z: a correlated model gives its real
+    form ``z_real`` (m x m float64, half of z's bytes) or that form's real
+    Cholesky factor ``z_real_factor``, each formed on the first estimate that
+    needs it, and forms neither z nor a covariance.  ``kronecker`` is not an
+    init field, so ``dataclasses.replace`` gives a densely validated model on
+    the dense path, whose operator is z (or ``z_factor``) itself.
     """
 
     dims: Dims
@@ -224,14 +239,18 @@ class StatModel:
     def _formed(self, name: str) -> np.ndarray:
         # r_cov or s_cov of a correlated model from its terms, in the order of stat_model_from_pilot on the same
         # covariances, so the bytes are its; s_cov adds each interferer's np.kron(i_t, i_r), formed in one reused
-        # buffer and scaled in place as _pilot_sandwich scales it (root * (root * cov), then beta), before the next
+        # buffer and scaled in place as _pilot_sandwich scales it (root * (root * cov), then beta), before the next.
+        # The buffer is filled by assignment, then multiplied in place one transmit row at a time: a ufunc over the
+        # whole buffer and a broadcast operand holds iterator buffers, one to two m x m arrays at m = 80
         (_, r_t, r_r), *interferers = self.kronecker.terms
         if name == "r_cov":
             return np.kron(r_t, r_r)
         s_cov = self.kronecker.noise_var * np.eye(self.dims.m, dtype=complex)
         term = np.empty((self.dims.n_t, self.dims.n_r) * 2, dtype=complex) if interferers else None
         for beta, i_t, i_r in interferers:
-            np.multiply(i_t[:, None, :, None], i_r[None, :, None, :], out=term)
+            term[...] = i_t[:, None, :, None]
+            for row in term:
+                row *= i_r[:, None, :]
             for factor in (self.pilot[0, 0].real, self.pilot[0, 0].real, beta):
                 term *= factor
             s_cov += term.reshape(s_cov.shape)
@@ -291,6 +310,20 @@ class StatModel:
             return self.r_cov @ x
         return _kronecker_apply(*self.kronecker.terms[0][1:], np.asarray(x))
 
+    def apply_r_pilot_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """r_cov @ pilot_ext^H @ y for an (m,) vector or an (m, k) block, the last step of every linear estimate.
+
+        On a correlated model ``r_cov pilot_ext^H = (R_t conj(pilot)) (x) R_r``
+        (its pilot is square), so both are one Kronecker apply.
+        """
+        if self.kronecker is None:
+            return self.apply_r(self.apply_pilot_adjoint(y))
+        return _kronecker_apply(self._pilot_r_t, self.kronecker.terms[0][2], y)
+
+    @cached_property
+    def _pilot_r_t(self) -> np.ndarray:
+        return self.kronecker.terms[0][1] @ self.pilot.conj()
+
     def draw(self, rng: np.random.Generator, count: int):
         """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
 
@@ -303,8 +336,14 @@ class StatModel:
         return h, self.apply_pilot(h) + noise
 
     def y_mean(self) -> np.ndarray:
-        """Mean of the observation, pilot_ext @ h_mean + n_mean."""
-        return self.apply_pilot(self.h_mean) + self.n_mean
+        """Mean of the observation, pilot_ext @ h_mean + n_mean (read-only, formed once per model)."""
+        return self._y_mean
+
+    @cached_property
+    def _y_mean(self) -> np.ndarray:
+        y_mean = self.apply_pilot(self.h_mean) + self.n_mean
+        y_mean.setflags(write=False)
+        return y_mean
 
     def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
         """pilot_ext @ r_cov @ pilot_ext^H + s_cov for a validated channel covariance ``r_cov`` of this model's shape."""
@@ -326,6 +365,47 @@ class StatModel:
             raise SingularCovariance("observation covariance is singular") from exc
         factor.setflags(write=False)
         return factor, lower
+
+    @cached_property
+    def z_real(self) -> np.ndarray:
+        """A correlated model's z in real form: the real symmetric S with ``z = K S K^H`` (read-only, m x m float64).
+
+        ``power * S_limit + noise_var * I`` for the real form of the limit
+        (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed.
+        """
+        _, power, noise_var, _ = self.kronecker
+        s = _limit_real_form(self.dims.n_r, [term for term in self.kronecker.terms if term[0] > 0])
+        s *= power
+        s.flat[:: len(s) + 1] += noise_var
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def z_real_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of :attr:`z_real` (read-only, Fortran order), for a correlated model's MMSE solves."""
+        try:
+            factor, _ = scipy.linalg.cho_factor(self.z_real, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("observation covariance is singular") from exc
+        factor.setflags(write=False)
+        return factor
+
+    def z_operator(self, inverse: bool = False) -> tuple:
+        """``(op, into, back)`` with ``back(op @ into(d))`` equal to ``z d``, or ``z^{-1} d`` when ``inverse``.
+
+        ``d`` is a complex (m,) vector or (m, k) block, which ``into`` may
+        overwrite.  On a correlated model ``op`` applies :attr:`z_real` (or
+        solves against :attr:`z_real_factor`) in real arithmetic, and ``into``
+        and ``back`` are ``sqrt(2) K^H`` and ``K / sqrt(2)``, O(mk) each, on
+        (m, k) blocks (a vector becomes one column); on a dense model ``op`` is
+        ``z`` (or solves against ``z_factor``) and both maps are the identity.
+        Nothing is formed until this is called.
+        """
+        if self.kronecker is None:
+            return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, _same
+        if inverse:
+            return _Operator(self.z_real_factor, _real_solve), _centro_in, _centro_out
+        return _Operator(self.z_real, _real_product), _centro_in, _centro_out
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
@@ -535,6 +615,81 @@ def _centro_real_form(top: np.ndarray) -> np.ndarray:
     return s
 
 
+def _limit_real_form(n_r: int, terms: list) -> np.ndarray:
+    """Real symmetric form (:func:`_centro_real_form`) of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
+
+    The first term is r's, of weight 1.  The centro-Hermitian sum's first
+    ``n - n // 2`` rows determine it, and the first ``k * n_r`` rows of
+    ``R_t (x) R_r`` are ``R_t[:k] (x) R_r``.
+    """
+    (_, r_t, r_r), *interferers = terms
+    n = len(r_t) * n_r
+    rows = n - n // 2
+    t_rows = -(-rows // n_r)
+    top = np.kron(r_t[:t_rows], r_r)[:rows]
+    for beta, i_t, i_r in interferers:
+        top += np.kron(beta * i_t[:t_rows], i_r)[:rows]
+    return _centro_real_form(top)
+
+
+# The maps of a correlated model's z = K S K^H, for the K of _centro_real_form: K = U / sqrt(2) with U = [[I, iJ],
+# [J, -iI]] (J reverses the rows) and, for an odd m, a unit middle entry.  _centro_in gives sqrt(2) K^H d and
+# _centro_out K x / sqrt(2), so _centro_out(op @ _centro_in(d)) = K op K^H d for the product and the solve alike.
+# A block is mapped in place with one half-block copy: at m = 80, 512 columns, a whole-block temporary costs more
+# in fresh pages than in arithmetic (0.6 against 0.1 ms per map).  A vector takes two products and a sum instead,
+# half the calls (about 5 against 9 us per estimate at m = 80).  Both keep (m, k) blocks, a vector being one
+# column, so each real view below is one call: x.view(float), (m, 2k).
+
+
+@lru_cache(maxsize=4)
+def _centro_columns(m: int) -> tuple:
+    # (m, 1) columns (a, b, c, e) with _centro_in(d) = a d + b Jd and _centro_out(x) = c x + e Jx (read-only)
+    p = m // 2
+    columns = np.zeros((4, m), dtype=complex)
+    columns[:, :p] = np.array([1, 1, 0.5, 0.5j])[:, None]
+    columns[:, m - p :] = np.array([1j, -1j, -0.5j, 0.5])[:, None]
+    if m % 2:
+        columns[:, p] = (math.sqrt(2.0), 0.0, math.sqrt(0.5), 0.0)
+    columns.setflags(write=False)
+    return tuple(columns[:, :, None])
+
+
+def _centro_in(d: np.ndarray) -> np.ndarray:
+    """``sqrt(2) K^H d`` for a complex (m,) vector or (m, k) block, as a C-contiguous (m, k) block (a block in
+    ``d``'s memory when ``d`` is C-contiguous): top ``d_top + J d_bottom``, bottom ``i (d_bottom - J d_top)``."""
+    x = d.reshape(len(d), -1)
+    if x.shape[1] == 1:
+        a, b, _, _ = _centro_columns(len(x))
+        return a * x + b * x[::-1]
+    x = np.ascontiguousarray(x)
+    p = len(x) // 2
+    top, bottom = x[:p], x[len(x) - p :]
+    old_top = top.copy()
+    top += bottom[::-1]
+    bottom -= old_top[::-1]
+    bottom *= 1j
+    if len(x) % 2:
+        x[p] *= math.sqrt(2.0)
+    return x
+
+
+def _centro_out(x: np.ndarray) -> np.ndarray:
+    """``K x / sqrt(2)`` for a C-contiguous complex (m, k) block (a block in place): top ``(x_top + i J x_bottom) / 2``,
+    bottom ``(J x_top - i x_bottom) / 2``."""
+    if x.shape[1] == 1:
+        _, _, c, e = _centro_columns(len(x))
+        return c * x + e * x[::-1]
+    p = len(x) // 2
+    top, bottom = x[:p], x[len(x) - p :]
+    bottom *= -0.5j
+    old_top = 0.5 * top
+    np.subtract(old_top, bottom[::-1], out=top)
+    bottom += old_top[::-1]
+    if len(x) % 2:
+        x[p] *= math.sqrt(0.5)
+    return x
+
+
 def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
     """``K @ vecs`` for the ``K`` of :func:`_centro_real_form` and real ``vecs``, in O(n^2).
 
@@ -552,6 +707,62 @@ def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
     if n % 2:
         rows[:, p] = vecs[p]
     return rows.T
+
+
+def _real_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``S x`` for a real symmetric S and a C-contiguous complex (m, k) block, in real arithmetic; S is never upcast.
+
+    One ``dgemm`` reads the real view, except that a column of at least
+    ``SYMV_MIN`` entries has its real and imaginary parts multiplied by
+    ``dsymv`` each, which reads one triangle of S.
+    """
+    if x.shape[1] == 1 and len(x) < SYMV_MIN:
+        return np.dot(s, x.view(float)).view(complex)
+    out = np.empty(x.shape, dtype=complex)  # owns its data, so numpy may reuse a block as a temporary
+    if x.shape[1] == 1:
+        for part, result in zip(x.view(float).T, out.view(float).T):
+            result[:] = blas.dsymv(1.0, s.T, part)
+    else:
+        np.matmul(s, x.view(float), out=out.view(float))
+    return out
+
+
+def _real_solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``S^{-1} x`` for ``S = factor factor^T`` (lower, Fortran order) and a C-contiguous complex (m, k) block.
+
+    A column's real and imaginary parts each take two ``dtrsv``.  A wider
+    block is solved in place: its real view, read as the Fortran (2k, m)
+    array ``x^T``, takes two right-side ``dtrsm``, to ``x^T L^{-T} L^{-1}``.
+    """
+    if x.shape[1] == 1:
+        out = np.empty(x.shape, dtype=complex)
+        for part, result in zip(x.view(float).T, out.view(float).T):
+            part = blas.dtrsv(factor, part, lower=1)
+            result[:] = blas.dtrsv(factor, part, lower=1, trans=1, overwrite_x=1)
+        return out
+    rows = x.view(float).T
+    blas.dtrsm(1.0, factor, rows, side=1, lower=1, trans_a=1, overwrite_b=1)
+    blas.dtrsm(1.0, factor, rows, side=1, lower=1, overwrite_b=1)
+    return x
+
+
+def _cho_solve(factor: tuple, x: np.ndarray) -> np.ndarray:
+    # z^{-1} x against a dense model's z_factor; the observation was checked finite at the boundary
+    return scipy.linalg.cho_solve(factor, x, check_finite=False)
+
+
+def _same(x: np.ndarray) -> np.ndarray:
+    # a dense model's map into and out of z's coordinates
+    return x
+
+
+class _Operator(namedtuple("_Operator", "matrix apply")):
+    """``self @ x`` is ``apply(matrix, x)``: a real form, or a factor to solve against, read as a matrix."""
+
+    __slots__ = ()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(self.matrix, x)
 
 
 def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:
@@ -585,23 +796,15 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
 @lru_cache(maxsize=1)
 def _limit_spectrum(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> Spectrum:
     # the spectrum of correlated_limit, for checked arguments
-    n_r, n = dims.n_r, dims.n
-    (_, r_t, r_r), *interferers = _correlated_terms(dims, betas, correlation)
-    interferers = [term for term in interferers if term[0] > 0]
+    n = dims.n
+    terms = [term for term in _correlated_terms(dims, betas, correlation) if term[0] > 0]
+    (_, r_t, r_r), *interferers = terms
     trace_r = float(np.trace(r_t).real * np.trace(r_r).real)
     if not interferers:
         mu = np.sort(np.kron(np.linalg.eigvalsh(r_t), np.linalg.eigvalsh(r_r)))
         phi = mu**2
     else:
-        # the limit's first n - n // 2 rows determine it; the first k * n_r
-        # rows of R_t (x) R_r are R_t[:k] (x) R_r
-        rows = n - n // 2
-        t_rows = -(-rows // n_r)
-        top = np.kron(r_t[:t_rows], r_r)[:rows]
-        for beta, i_t, i_r in interferers:
-            top += np.kron(beta * i_t[:t_rows], i_r)[:rows]
-        mu, vecs = scipy.linalg.eigh(_centro_real_form(top).T, driver="evr", overwrite_a=True)
-        del top
+        mu, vecs = scipy.linalg.eigh(_limit_real_form(dims.n_r, terms).T, driver="evr", overwrite_a=True)
         # the energies of LIMIT_BLOCK eigenvectors at a time, so no n x n
         # complex array is formed; each is summed along a contiguous row, where
         # numpy sums pairwise, as it did before the blocks
@@ -663,10 +866,15 @@ def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray
 
 
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
-    """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean of an (m,) observation or an (m, k) block."""
+    """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean of an (m,) observation or an (m, k) block.
+
+    Every estimator and the tracker read observations through it, so a shape other than these raises
+    :class:`ShapeError` and a NaN or infinite entry :class:`NonFiniteObservation`, the same for all of them."""
     y = check_array("observation", y)
     if y.ndim not in (1, 2) or y.shape[0] != model.dims.m:
         raise ShapeError(f"expected an ({model.dims.m},) observation or an ({model.dims.m}, k) block, got {y.shape}")
+    if not np.isfinite(y).all():
+        raise NonFiniteObservation("an observation holds NaN or infinity")
     y_bar = model.y_mean()
     if y.ndim == 2:
         return y - y_bar[:, None]

@@ -327,6 +327,14 @@ class TestBuildMemory:
         model = correlated_model(dims, 5.0, betas)
         assert traced_peak(lambda: model.s_cov)[1] < 2.5 * dims.m**2 * 16
 
+    @pytest.mark.parametrize("betas", [(0.1, 0.1), (1.0, 0.3, 0.7)], ids=["two", "three"])
+    def test_first_s_cov_read_at_desk_scale_holds_no_iterator_buffer(self, betas):
+        # at m = 80 a broadcast ufunc over the whole term buffers about one or two m x m
+        # arrays more (4.03 in all); scaled by transmit rows, s_cov and the term stay near 2
+        dims = Dims(20, 4, 4)
+        model = correlated_model(dims, 5.0, betas)
+        assert traced_peak(lambda: model.s_cov)[1] < 2.5 * dims.m**2 * 16
+
     def test_build_and_one_analytic_sweep_point_form_no_covariance(self):
         # the closed forms, floors and normalized rows read the limit spectrum
         # and the O(m) summaries of the Kronecker terms; the limit, which a

@@ -1,0 +1,184 @@
+"""A correlated model's z products and MMSE solves run in the real form of its centro-Hermitian z.
+
+``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary ``K`` of
+``model._centro_real_form``; the estimators map by ``K^H`` on the way in and
+by ``K`` on the way out, and a dense model keeps its complex ``z``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import peachsim.model
+from peachsim import estimators as es
+from peachsim.cli import _sweep_point, default_config
+from peachsim.errors import NonFiniteObservation, PeachSimError
+from peachsim.model import Dims, correlated_model, deviation
+
+from conftest import complex_vector, relative_error
+
+# noise-limited and contaminated, for an even n, an odd n and three interferers
+TWIN_MODELS = {
+    "desk": (Dims(20, 4, 4), ()),
+    "desk-contaminated": (Dims(20, 4, 4), (0.1, 0.1)),
+    "odd": (Dims(5, 3, 3), ()),
+    "odd-contaminated": (Dims(5, 3, 3), (0.1, 0.1)),
+    "three": (Dims(7, 3, 3), ()),
+    "three-contaminated": (Dims(7, 3, 3), (0.1, 0.2, 0.3)),
+}
+# The W-PEACH weights reach about 1e10 at L = 12, so there two evaluations of one filter differ far above 1e-12,
+# and the dense twin's own distance from the dense filter (poly_filter_matrix) measures that scale.  The real
+# form's z also differs from the complex one in its last bits, which the weights amplify too: the real-form
+# estimate lies 2.3 to 34 times that distance from the twin's in these cases, and up to 71 times over 240
+# random observations at 5 and 20 dB; a wrong map or form would be off by O(1).
+ROUNDING_SCALE_FACTOR = 1e3
+FORMED = ("z", "z_factor", "z_real", "z_real_factor")
+
+
+def twin_pair(name, gamma_db=10.0):
+    dims, betas = TWIN_MODELS[name]
+    model = correlated_model(dims, gamma_db, betas)
+    return model, replace(model)
+
+
+def observation(model, shape, seed):
+    return model.y_mean()[(...,) + (None,) * (len(shape) - 1)] + complex_vector(np.random.default_rng(seed), shape)
+
+
+class Counting:
+    """Stands in for a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+CASES = [("mmse", 0)] + [(name, degree) for name in ("peach", "wpeach") for degree in (0, 1, 4, 12)]
+
+
+class TestDenseTwin:
+    @pytest.mark.parametrize("k", [None, 6], ids=["vector", "block"])
+    @pytest.mark.parametrize("name, degree", CASES)
+    @pytest.mark.parametrize("model_name", TWIN_MODELS)
+    def test_estimate_matches_the_dense_twin(self, model_name, name, degree, k):
+        model, dense = twin_pair(model_name)
+        shape = (model.dims.m,) if k is None else (model.dims.m, k)
+        y = observation(model, shape, seed=degree)
+        estimate, expected = es.prepare(model, name, degree).apply(y), es.prepare(dense, name, degree).apply(y)
+        tolerance = 1e-12
+        if (name, degree) == ("wpeach", 12):
+            est = es.make_wpeach(dense, degree)
+            g_mat = es.poly_filter_matrix(dense, est)
+            d = deviation(dense, y)
+            oracle = (dense.h_mean if k is None else dense.h_mean[:, None]) + g_mat @ d
+            tolerance = max(tolerance, ROUNDING_SCALE_FACTOR * relative_error(expected, oracle))
+        assert relative_error(estimate, expected) <= tolerance
+        # the real form ran, and the complex z was never formed
+        assert ("z_real_factor" if name == "mmse" else "z_real") in vars(model)
+        assert "z" not in vars(model) and "z_factor" not in vars(model)
+
+    @pytest.mark.parametrize("name", ["mmse", "peach"])
+    def test_a_long_vector_takes_the_one_triangle_products_and_solves(self, name):
+        # from SYMV_MIN entries a vector's parts are multiplied by dsymv; every vector is solved by dtrsv
+        dims = Dims(50, 10, 10)
+        assert dims.m >= peachsim.model.SYMV_MIN
+        model = correlated_model(dims, 5.0, (0.1, 0.1))
+        y = observation(model, (dims.m,), seed=3)
+        estimate = es.prepare(model, name, 4).apply(y)
+        assert relative_error(estimate, es.prepare(replace(model), name, 4).apply(y)) <= 1e-12
+
+
+class TestFormedOnFirstApply:
+    @pytest.mark.parametrize("name", es.NAMES)
+    def test_mse_forms_no_operator(self, name):
+        model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        prepared = es.prepare(model, name, 4)
+        prepared.mse()
+        assert not set(FORMED) & set(vars(model))
+        prepared.apply(observation(model, (model.dims.m,), seed=1))
+        formed = {"mmse": {"z_real", "z_real_factor"}, "peach": {"z_real"}, "wpeach": {"z_real"}}.get(name, set())
+        assert set(FORMED) & set(vars(model)) == formed
+
+    @pytest.mark.parametrize("monte_carlo", [False, True])
+    def test_analytic_sweep_point_forms_no_operator(self, monte_carlo):
+        # the analytic columns read the limit spectrum; only Monte Carlo applies the estimators
+        config = default_config("sweep-snr", betas=(0.1, 0.1), snr_db=(10.0,), trials=8, monte_carlo=monte_carlo)
+        model = correlated_model(Dims(config.n_r, config.n_t, config.b), 10.0, config.betas)
+        _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
+        assert set(FORMED) & set(vars(model)) == ({"z_real", "z_real_factor"} if monte_carlo else set())
+
+    def test_real_form_is_half_of_z(self):
+        model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        for matrix in (model.z_real, model.z_real_factor):
+            assert matrix.dtype == np.float64 and matrix.shape == (80, 80) and not matrix.flags.writeable
+        assert model.z_real.nbytes * 2 == model.z.nbytes
+
+    @pytest.mark.parametrize("model_name", TWIN_MODELS)
+    def test_maps_carry_the_real_form_to_z(self, model_name):
+        # the maps are sqrt(2) K^H and K / sqrt(2) for a unitary K with z = K S K^H
+        model, _ = twin_pair(model_name)
+        m = model.dims.m
+        k = np.sqrt(2.0) * peachsim.model._centro_out(np.eye(m, dtype=complex))
+        assert relative_error(k.conj().T @ k, np.eye(m)) <= 1e-15
+        assert relative_error(peachsim.model._centro_in(np.eye(m, dtype=complex)), np.sqrt(2.0) * k.conj().T) <= 1e-15
+        # a single vector takes the coefficient path, a block the in-place one: the same maps
+        v = complex_vector(np.random.default_rng(m), m)
+        assert relative_error(peachsim.model._centro_in(v), np.sqrt(2.0) * k.conj().T @ v[:, None]) <= 1e-15
+        assert relative_error(np.sqrt(2.0) * peachsim.model._centro_out(v[:, None]), k @ v[:, None]) <= 1e-15
+        assert relative_error(k @ model.z_real @ k.conj().T, model.z) <= 1e-14
+        assert relative_error(peachsim.model._centro_vectors(np.eye(m)), k) <= 1e-15
+
+
+class TestProductCount:
+    def test_no_complex_z_after_every_estimator(self):
+        model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        for k in (None, 5):
+            y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=2)
+            for name in es.NAMES:
+                es.prepare(model, name, 4).apply(y)
+        assert "z" not in vars(model) and "z_factor" not in vars(model)
+
+    @pytest.mark.parametrize("k", [None, 1, 7], ids=["vector", "column", "block"])
+    @pytest.mark.parametrize("degree", [0, 1, 4, 12])
+    @pytest.mark.parametrize("name", ["peach", "wpeach"])
+    def test_one_apply_makes_degree_real_products(self, monkeypatch, name, degree, k):
+        model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        prepared = es.prepare(model, name, degree)
+        products = Counting(peachsim.model._real_product)
+        monkeypatch.setattr(peachsim.model, "_real_product", products)
+        prepared.apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=4))
+        assert products.calls == degree
+
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    def test_one_mmse_apply_makes_one_real_solve(self, monkeypatch, k):
+        model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
+        solves = Counting(peachsim.model._real_solve)
+        monkeypatch.setattr(peachsim.model, "_real_solve", solves)
+        es.prepare(model, "mmse").apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=5))
+        assert solves.calls == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imaginary-inf"])
+@pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
+@pytest.mark.parametrize("name", es.NAMES)
+def test_non_finite_observation_is_one_typed_error(name, k, bad):
+    model = correlated_model(Dims(3, 2, 2), 5.0, ())
+    y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=6)
+    y[0] = bad
+    with pytest.raises(NonFiniteObservation, match="NaN or infinity") as raised:
+        es.prepare(model, name, 2).apply(y)
+    assert isinstance(raised.value, PeachSimError) and isinstance(raised.value, ValueError)
+
+
+def test_fortran_ordered_block_is_read_as_it_lies():
+    # the map into the real form's coordinates gives a C-contiguous block, whose real view the products read
+    model, dense = twin_pair("odd-contaminated")
+    y = np.asfortranarray(observation(model, (model.dims.m, 4), seed=7))
+    for name in ("mmse", "peach"):
+        estimate = es.prepare(model, name, 3).apply(y)
+        assert relative_error(estimate, es.prepare(dense, name, 3).apply(y)) <= 1e-12
