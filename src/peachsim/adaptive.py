@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, ShapeError,
                      WindowSizeError, check_array, check_real)
-from .model import StatModel, deviation, hermitize
+from .model import StatModel, check_hermitian_psd, deviation, hermitize
 from .spectrum import check_degree
 
 # Ridge scale for solving the sampled weight system.  The sampled moments
@@ -40,10 +40,13 @@ class AdaptiveState:
     ``b_approx`` are read-only views formed from its correctly rounded mean,
     which depends on which rows the window holds, not their order; so within
     one feeding mode a slid state equals a fresh fill of its window bit for
-    bit.  ``b_approx[0]`` is the exact ``b1``.  Each update is one step with
-    one solve of the system plus its ridge; ``fallback`` is set when the
-    latest step's system was singular and the ``weights`` from before that
-    step were kept.
+    bit.  ``b_approx[0]`` is the exact ``b1``
+    (:meth:`StatModel.pilot_r_energy`).  Each update is one step with one
+    solve of the system plus its ridge; ``fallback`` is set when the latest
+    step's system was singular and the ``weights`` from before that step were
+    kept.  On a correlated model the rows come from chains in the real form
+    of ``z`` and ``b1`` from the Kronecker factors, so tracking forms no
+    complex m x m array; the first step forms the model's ``z_real``.
     """
 
     model: StatModel
@@ -68,26 +71,38 @@ class AdaptiveState:
 
 
 def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
-    """Quadratic forms q_k = Re(d^H pilot r^2 pilot^H z^k d), k = 0..2L, of a sample or a block.
+    """Quadratic forms q_k = Re(f^H z^k d), k = 0..2L, with f = pilot r^2 pilot^H d, of a sample or a block.
 
     ``d`` is the mean-removed observation, whose outer product has mean
     ``z``.  An ``(m,)`` sample gives the ``(2L + 1,)`` row of its forms; an
     ``(m, k)`` block gives one such row per column, ``(k, 2L + 1)``.  Either
-    costs one chain of ``2L`` products with ``z``, two with ``r_cov`` and a
-    column-wise conjugate dot per power, O(L m^2 k); the pilot is applied
-    through its Kronecker structure, and so is ``r_cov`` on a model with
-    Kronecker factors (:meth:`StatModel.apply_r`).  A block turns the chain's
-    matrix-vector products into matrix products, several times cheaper per
-    column.
+    costs one chain of ``2L`` products with the operator the model gives for
+    ``z`` (:meth:`StatModel.z_operator`), two with ``r_cov`` and a column-wise
+    conjugate dot per power, O(L m^2 k); the pilot is applied through its
+    Kronecker structure, and so is ``r_cov`` on a model with Kronecker factors
+    (:meth:`StatModel.apply_r`).  ``d`` and ``f`` are mapped into the
+    operator's coordinates once: on a correlated model the map is ``sqrt(2)
+    K^H`` with ``z = K S K^H``, so ``q_k = Re(g^H S^k x) / 2`` for the mapped
+    ``g`` and ``x``, in real arithmetic on ``S``, and no complex m x m array is
+    formed; on a dense model the map is the identity and the operator ``z``.
+    A block turns the chain's matrix-vector products into matrix products,
+    several times cheaper per column.
     """
-    v = deviation(model, y)
-    f_d = model.apply_pilot(model.apply_r(model.apply_r(model.apply_pilot_adjoint(v)))).conj()
-    out = np.empty((*v.shape[1:], 2 * degree + 1))
-    out[..., 0] = (f_d * v).sum(axis=0).real
-    for k in range(1, 2 * degree + 1):
-        v = model.z @ v
-        out[..., k] = (f_d * v).sum(axis=0).real
-    return out
+    d = deviation(model, y)
+    op, into, _ = model.z_operator()
+    f = model.apply_pilot(model.apply_r(model.apply_r(model.apply_pilot_adjoint(d))))
+    g = into(f.reshape(len(d), -1)).view(float)
+    x = into(np.ascontiguousarray(d.reshape(len(d), -1)))  # a real view needs C order; a block may be Fortran's
+    # per power, the real dots of the real views' columns: each column's Re(g^H x) is the sum of a pair
+    parts = np.empty((2 * degree + 1, 2 * x.shape[1]))
+    for k in range(2 * degree + 1):
+        if k:
+            x = op @ x
+        np.einsum("ij,ij->j", g, x.view(float), out=parts[k])
+    out = parts.reshape(2 * degree + 1, -1, 2).sum(axis=2).T
+    if model.kronecker is not None:
+        out *= 0.5  # into is sqrt(2) K^H, so each product of two mapped vectors is doubled
+    return out.reshape(*d.shape[1:], 2 * degree + 1)
 
 
 def _windowed_system(state: AdaptiveState) -> tuple[np.ndarray, np.ndarray]:
@@ -115,17 +130,19 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
     """Fill the window from the ``warmup`` samples and solve the first weights.
 
     ``warmup`` is a list of ``(m,)`` samples or one ``(m, k)`` block; the
-    window length is the number of samples or columns, and an empty warmup
-    raises :class:`WindowSizeError`.  A ``degree`` that is not a nonnegative
-    integer raises :class:`InvalidDegree` and an ``alpha_w`` that is not
-    finite and positive :class:`InvalidScaling`, before any work.
+    window length is the number of samples or columns, an empty warmup
+    raises :class:`WindowSizeError` and a block inside a list
+    :class:`ShapeError`.  A ``degree`` that is not a nonnegative integer
+    raises :class:`InvalidDegree` and an ``alpha_w`` that is not finite and
+    positive :class:`InvalidScaling`, before any work.
 
     A list's forms are computed sample by sample, as single updates compute
     them; stacked into a block they would round differently (about 1e-16
     relative), since a block product accumulates in another order than a
     matrix-vector product.  The first right-hand-side entry has no window
     dependence: it is ``alpha_w tr(pilot_ext r^2 pilot_ext^H) = alpha_w
-    ||pilot_ext r||_F^2``, exact for any pilot.  Every other entry comes
+    ||pilot_ext r||_F^2`` (:meth:`StatModel.pilot_r_energy`), exact for any
+    pilot.  Every other entry comes
     from the window mean, so a state that has slid through any stream holds
     the same system as a fresh fill of its current window.  The first
     weights are one solve of the system plus its ridge; if that system is
@@ -140,13 +157,15 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
         rows = list(_quad_forms(model, degree, warmup))
     else:
         rows = [_quad_forms(model, degree, y) for y in warmup]
+        if any(row.ndim != 1 for row in rows):
+            raise ShapeError(f"a warmup list must hold ({model.dims.m},) samples, got an (m, k) block in it")
     if not rows:
         raise WindowSizeError("the warmup must hold at least one sample")
     state = AdaptiveState(
         model=model,
         degree=degree,
         alpha_w=alpha_w,
-        b1=alpha_w * float(np.linalg.norm(model.apply_pilot(model.r_cov)) ** 2),
+        b1=alpha_w * model.pilot_r_energy(),
         window=deque(rows, maxlen=len(rows)),
         weights=np.zeros(degree + 1, dtype=complex),
     )
@@ -218,8 +237,9 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     quadratic-risk terms are evaluated against that known covariance (the
     oracle, for validation); without it they are estimated from the samples
     themselves (the plug-in rule), with the sample covariance standing in for
-    the truth; it must have the shape of the sample covariance
-    (:class:`ShapeError`).
+    the truth.  ``c_true`` must have the shape of the sample covariance
+    (:class:`ShapeError`) and be Hermitian positive semidefinite
+    (:class:`NotPositiveSemiDefinite`, :func:`check_hermitian_psd`).
     """
     samples = check_array("samples", samples)
     if samples.ndim != 2:
@@ -231,7 +251,7 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     diag = np.diag(c_sample).real
     c_diag = np.diag(diag.astype(complex))
     if c_true is not None:
-        c_true = check_array("c_true", c_true, c_sample.shape)
+        c_true, _ = check_hermitian_psd(c_true, "c_true", c_sample.shape)
         dev_s = c_sample - c_true
         dev_d = c_diag - c_true
         phi_sample = float(np.linalg.norm(dev_s) ** 2)

@@ -39,7 +39,6 @@ from .model import (
     StatModel,
     correlated_limit,
     correlated_model,
-    standard_complex_normal,
 )
 
 
@@ -220,7 +219,8 @@ def _adaptive_point(config, model, point, sweep_value, index):
     The tracker is fed the two ``(m, window)`` blocks that ``model.draw``
     returns: the first fills the window, and the second replaces it in one
     step, so each block costs one weight solve.  Each block's quadratic
-    forms come from one chain of ``2L`` block products with ``z``.
+    forms come from one chain of ``2L`` block products with the model's
+    operator for ``z``, its real form on this correlated model.
     """
     wpeach_est = estimators.make_wpeach(model, config.degree)
     alpha_w = wpeach_est.alpha
@@ -237,11 +237,12 @@ def _shrinkage_point(config, model, point, sweep_value, index):
     """MMSE and W-PEACH rebuilt from a shrinkage covariance estimate, scored on the truth.
 
     The plug-in estimate r_est from ``point["shrink_samples"]`` channel draws
+    (:meth:`StatModel.draw_channel`, through the channel's Kronecker factors)
     is scored by :func:`estimators.mismatched_mse` on the one true model: one
     eigendecomposition of the estimated z, no second model, no dense filter.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-    samples = (model.r_factor @ standard_complex_normal(rng, model.dims.n, point["shrink_samples"])).T
+    samples = model.draw_channel(rng, point["shrink_samples"]).T
     r_est = shrinkage_covariance(samples).c_hat
     mse_mmse_est, mse_wpeach_est = estimators.mismatched_mse(model, r_est, config.degree)
     values = {

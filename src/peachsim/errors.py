@@ -115,5 +115,5 @@ def check_array(name: str, value, shape: tuple | None = None, square: bool = Fal
     except (TypeError, ValueError):
         raise ShapeError(f"{name} must be a numeric array, got {value!r}") from None
     if shape is not None and array.shape != shape or square and (array.ndim != 2 or len(array) != array.shape[1]):
-        raise ShapeError(f"{name} must be {'square' if square else f'of shape {shape}'}, got shape {array.shape}")
+        raise ShapeError(f"{name} must be {'square' if shape is None else f'of shape {shape}'}, got shape {array.shape}")
     return array

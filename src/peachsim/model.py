@@ -17,12 +17,16 @@ correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
 is eigendecomposed once per sweep, in real arithmetic since it is
 centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
 map of it.  Its ``z`` is centro-Hermitian too, so the estimators' products and
-MMSE solves run on the real symmetric ``S`` with ``z = K S K^H``
-(:meth:`StatModel.z_operator`), formed from the limit's top rows on the first
-estimate, with one O(m) map by ``K^H`` in and by ``K`` out (Lee, Linear
-Algebra Appl. 29, 1980; Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11,
-1990).  The tracker's quadratic forms, the mismatched scores and sampling
-still read the complex ``z`` and covariances.
+MMSE solves and the tracker's quadratic forms run on the real symmetric ``S``
+with ``z = K S K^H`` (:meth:`StatModel.z_operator`), formed from the limit's
+top rows, a block of rows at a time, on the first estimate, with one O(m) map
+by ``K^H`` in and by ``K`` out (Lee, Linear Algebra Appl. 29, 1980; Hill,
+Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 1990).  It samples its channel
+through ``chol(R_t) (x) chol(R_r)``, the Cholesky factor of ``r_cov``, and,
+without a positive-power interferer, its disturbance as ``sqrt(noise_var)``
+times a standard draw, so neither tracking nor sampling forms a complex m x m
+array.  The mismatched scores, and the disturbance draws of a model with
+interferers, still read the complex ``z`` and ``s_cov``.
 """
 
 from __future__ import annotations
@@ -181,16 +185,18 @@ class StatModel:
     oracles.  A model is never mutated after construction, so quantities
     derived from it (``z``, ``z_factor``, ``z_spectrum``, ``r_factor``,
     ``s_factor``) are computed once, on first use; :meth:`draw` samples
-    through the two cached factors.
+    through the two cached factors, or on a correlated model through the
+    channel's Kronecker factors (:meth:`draw_channel`) and, without a
+    positive-power interferer, the scalar ``sqrt(noise_var)``.
 
     ``kronecker`` (:class:`KroneckerTerms`) is set by :func:`correlated_model`
     only, whose ``r_cov`` and ``s_cov`` are formed from it on first read.
     :meth:`apply_r` multiplies by ``r_cov = R_t (x) R_r`` through its factors,
     in O(n (n_t + n_r)) per column, and ``z_spectrum`` maps the limit's.  The
-    estimators ask :meth:`z_operator` for z: a correlated model gives its real
-    form ``z_real`` (m x m float64, half of z's bytes) or that form's real
-    Cholesky factor ``z_real_factor``, each formed on the first estimate that
-    needs it, and forms neither z nor a covariance.  ``kronecker`` is not an
+    estimators and the tracker ask :meth:`z_operator` for z: a correlated
+    model gives its real form ``z_real`` (m x m float64, half of z's bytes)
+    or that form's real Cholesky factor ``z_real_factor``, each formed on the
+    first estimate that needs it, and forms neither z nor a covariance.  ``kronecker`` is not an
     init field, so ``dataclasses.replace`` gives a densely validated model on
     the dense path, whose operator is z (or ``z_factor``) itself.
     """
@@ -255,6 +261,13 @@ class StatModel:
                 term *= factor
             s_cov += term.reshape(s_cov.shape)
         return s_cov
+
+    def pilot_r_energy(self) -> float:
+        """``||pilot_ext r_cov||_F^2``; on a correlated model ``||pilot^T R_t||_F^2 ||R_r||_F^2``, with no n x n array."""
+        if self.kronecker is None:
+            return float(np.linalg.norm(self.apply_pilot(self.r_cov)) ** 2)
+        _, r_t, r_r = self.kronecker.terms[0]
+        return float(np.linalg.norm(self.pilot.T @ r_t) ** 2 * np.linalg.norm(r_r) ** 2)
 
     @property
     def trace_r(self) -> float:
@@ -327,13 +340,45 @@ class StatModel:
     def draw(self, rng: np.random.Generator, count: int):
         """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
 
-        Draws ``h = h_mean + r_factor @ w`` first, then the disturbance
-        ``n_mean + s_factor @ v`` (``w`` and ``v`` standard complex normal),
-        and returns ``y = apply_pilot(h) + disturbance``.
+        Draws the channel first (:meth:`draw_channel`), then the disturbance
+        ``n_mean + s_factor @ v`` (``v`` standard complex normal), and returns
+        ``y = apply_pilot(h) + disturbance``.  A correlated model without a
+        positive-power interferer has ``s_cov = noise_var I``, whose Cholesky
+        factor is ``sqrt(noise_var) I``, so its disturbance is ``sqrt(noise_var)
+        v``, the bytes of the factor's product, and ``s_cov`` is not formed.
+        ``count`` is an integer of at least 0, else :class:`InvalidParameter`.
         """
-        h = self.h_mean[:, None] + self.r_factor @ standard_complex_normal(rng, self.dims.n, count)
-        noise = self.n_mean[:, None] + self.s_factor @ standard_complex_normal(rng, self.dims.m, count)
-        return h, self.apply_pilot(h) + noise
+        h = self.draw_channel(rng, count)
+        noise = standard_complex_normal(rng, self.dims.m, count)
+        if self.kronecker is not None and not any(beta > 0 for beta, *_ in self.kronecker.terms[1:]):
+            noise *= math.sqrt(self.kronecker.noise_var)
+        else:
+            noise = self.s_factor @ noise
+        # in place, each sum is the one its operands give in either order
+        noise += self.n_mean[:, None]
+        noise += self.apply_pilot(h)
+        return h, noise
+
+    def draw_channel(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` seeded channel draws ``h = h_mean + L w``, (n, count), for ``w`` standard complex normal.
+
+        ``L`` is the Cholesky factor of ``r_cov``: on a correlated model
+        ``chol(R_t) (x) chol(R_r)``, lower triangular with a positive diagonal
+        and so the factor itself (Horn & Johnson, Topics in Matrix Analysis,
+        Thm 4.2.12), applied through its two factors (:func:`_kronecker_apply`,
+        into ``w``'s memory) with no n x n array; on a dense model
+        :attr:`r_factor`.  ``count`` is an integer of at least 0, else
+        :class:`InvalidParameter`.
+        """
+        w = standard_complex_normal(rng, self.dims.n, check_integer("count", count, 0, InvalidParameter))
+        h = self.r_factor @ w if self.kronecker is None else _kronecker_apply(*self._channel_factors, w, out=w)
+        h += self.h_mean[:, None]
+        return h
+
+    @cached_property
+    def _channel_factors(self) -> tuple:
+        # the Cholesky factors of a correlated model's R_t and R_r, which exp_correlation_matrix makes definite
+        return tuple(np.linalg.cholesky(factor) for factor in self.kronecker.terms[0][1:])
 
     def y_mean(self) -> np.ndarray:
         """Mean of the observation, pilot_ext @ h_mean + n_mean (read-only, formed once per model)."""
@@ -430,7 +475,7 @@ class StatModel:
 
     @cached_property
     def r_factor(self) -> np.ndarray:
-        """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for drawing channels."""
+        """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for a dense model's channel draws."""
         factor = psd_factor(self.r_cov)
         factor.setflags(write=False)
         return factor
@@ -575,16 +620,18 @@ def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation)
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
 
 
-def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``(R_t (x) R_r) @ x`` for an (n,) vector or an (n, k) block, in O(n (n_t + n_r) k).
 
     Viewed as ``(n_t, n_r, k)``, ``x`` is contracted with ``R_r`` per
     transmit block, then with ``R_t`` on the transmit axis.  The view of a
     Fortran-ordered block splits its first axis, so it is not copied either.
+    The second product is written into ``out`` if given, a C-contiguous array
+    of ``x``'s shape that may be ``x`` itself, which the first has read.
     """
     n_t, n_r = len(r_t), len(r_r)
     rx = np.matmul(r_r, x.reshape(n_t, n_r, -1))
-    return (r_t @ rx.reshape(n_t, -1)).reshape(x.shape)
+    return np.matmul(r_t, rx.reshape(n_t, -1), out=None if out is None else out.reshape(n_t, -1)).reshape(x.shape)
 
 
 def _centro_real_form(top: np.ndarray) -> np.ndarray:
@@ -598,38 +645,61 @@ def _centro_real_form(top: np.ndarray) -> np.ndarray:
     are ``sqrt(2)`` times the real and the flipped imaginary part of ``x =
     L[:p, p]``, about ``L[p, p]``.
     """
-    n = top.shape[1]
-    p = n // 2
-    a, b = top[:p, :p], top[:p, n - p :]
-    aj_b = a[:, ::-1] - b
-    s = np.empty((n, n))
-    s[:p, :p] = a.real + b.real[:, ::-1]
-    s[:p, n - p :] = -aj_b.imag
-    s[n - p :, :p] = s[:p, n - p :].T
-    s[n - p :, n - p :] = aj_b.real[::-1]
-    if n % 2:
-        x = math.sqrt(2.0) * top[:p, p]
-        s[:p, p] = s[p, :p] = x.real
-        s[n - p :, p] = s[p, n - p :] = x.imag[::-1]
-        s[p, p] = top[p, p].real
+    s = np.empty((top.shape[1],) * 2)
+    _centro_rows(s, top, 0)
     return s
+
+
+def _centro_rows(s: np.ndarray, top: np.ndarray, start: int):
+    """Write into ``S`` (:func:`_centro_real_form`) every entry that rows ``start`` on of ``L``'s top rows fix.
+
+    ``top`` holds those rows, a block of the ``n - n // 2`` that determine
+    ``L``.  Row ``i < p`` of ``L`` fixes row ``i`` of ``S``'s top half, column
+    ``i`` of its bottom-left block, row ``n - 1 - i`` of its bottom-right one
+    and, for odd ``n``, the middle entries ``i`` and ``n - 1 - i``; the middle
+    row of ``L`` fixes the middle diagonal entry.  Each entry is computed as
+    from the whole top, so a form filled block by block is the same bytes.
+    """
+    n = len(s)
+    p = n // 2
+    stop = min(start + len(top), p)
+    rows, flipped = slice(start, stop), slice(n - 1 - start, n - 1 - stop, -1)
+    a, b = top[: stop - start, :p], top[: stop - start, n - p :]
+    aj_b = a[:, ::-1] - b
+    s[rows, :p] = a.real + b.real[:, ::-1]
+    s[rows, n - p :] = -aj_b.imag
+    s[n - p :, rows] = s[rows, n - p :].T
+    s[flipped, n - p :] = aj_b.real
+    if n % 2:
+        x = math.sqrt(2.0) * top[: stop - start, p]
+        s[rows, p] = s[p, rows] = x.real
+        s[flipped, p] = s[p, flipped] = x.imag
+        if start + len(top) > p:
+            s[p, p] = top[p - start, p].real
 
 
 def _limit_real_form(n_r: int, terms: list) -> np.ndarray:
     """Real symmetric form (:func:`_centro_real_form`) of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
 
     The first term is r's, of weight 1.  The centro-Hermitian sum's first
-    ``n - n // 2`` rows determine it, and the first ``k * n_r`` rows of
-    ``R_t (x) R_r`` are ``R_t[:k] (x) R_r``.
+    ``n - n // 2`` rows determine it, and rows ``j n_r`` to ``(j + 1) n_r``
+    of ``R_t (x) R_r`` are ``R_t[j] (x) R_r``, the ``(n_r, n_t, n_r)`` outer
+    product ``R_t[j, c] R_r[k, l]``, in ``np.kron``'s operand order and so its
+    bytes.  The form is filled from one such block of rows at a time, in
+    reused buffers, so no complex array of more than ``n_r`` rows is formed.
     """
     (_, r_t, r_r), *interferers = terms
-    n = len(r_t) * n_r
-    rows = n - n // 2
-    t_rows = -(-rows // n_r)
-    top = np.kron(r_t[:t_rows], r_r)[:rows]
-    for beta, i_t, i_r in interferers:
-        top += np.kron(beta * i_t[:t_rows], i_r)[:rows]
-    return _centro_real_form(top)
+    n_t = len(r_t)
+    n = n_t * n_r
+    s = np.empty((n, n))
+    top = np.empty((n_r, n_t, n_r), dtype=complex)
+    term = np.empty_like(top) if interferers else None
+    for j in range(-(-(n - n // 2) // n_r)):
+        np.multiply(r_t[j][:, None], r_r[:, None, :], out=top)
+        for beta, i_t, i_r in interferers:
+            top += np.multiply((beta * i_t[j])[:, None], i_r[:, None, :], out=term)
+        _centro_rows(s, top.reshape(n_r, n), j * n_r)
+    return s
 
 
 # The maps of a correlated model's z = K S K^H, for the K of _centro_real_form: K = U / sqrt(2) with U = [[I, iJ],

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from peachsim import adaptive
+from peachsim import model as model_module
 from peachsim import estimators as es
 from peachsim.adaptive import (
     AdaptiveState,
@@ -16,7 +18,8 @@ from peachsim.adaptive import (
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.errors import IllConditionedWeights, InsufficientSamples, ShapeError, WindowSizeError
+from peachsim.errors import (IllConditionedWeights, InsufficientSamples, NotPositiveSemiDefinite, ShapeError,
+                             WindowSizeError)
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
@@ -318,19 +321,33 @@ class TestBlockFeeding:
         assert [id(row) for row in state.window] == rows and not state.fallback
 
     @pytest.mark.parametrize("k", [1, 3, 8, 20])
-    def test_one_chain_of_2l_z_products_per_call(self, k):
-        # a block costs one chain of 2L products with z whatever its width;
-        # a list keeps one chain per sample
+    def test_one_chain_of_2l_z_products_per_call(self, k, monkeypatch):
+        # a block costs one chain of 2L products with the model's operator
+        # for z whatever its width, and a list one chain per sample: real
+        # products with z_real on a correlated model, which forms no complex
+        # z, and products with z on its dense twin
         model = tracking_model()
+        dense = dataclasses.replace(model)
+        counter = vars(dense)["z"] = CountingMatrix(dense.z)
+        real_products = []
+        real_product = model_module._real_product
+
+        def counting_real_product(s, x):
+            real_products.append(x.shape)
+            return real_product(s, x)
+
+        monkeypatch.setattr(model_module, "_real_product", counting_real_product)
         degree = 3
-        counter = vars(model)["z"] = CountingMatrix(model.z)
         block = model.draw(np.random.default_rng(k), k)[1]
-        state = adaptive_init(model, degree, 0.1, block)
-        assert counter.products == 2 * degree
-        adaptive_update(state, block)
-        assert counter.products == 4 * degree
-        adaptive_init(model, degree, 0.1, list(block.T))
-        assert counter.products == (4 + 2 * k) * degree
+        for stats, products in ((model, lambda: len(real_products)), (dense, lambda: counter.products)):
+            state = adaptive_init(stats, degree, 0.1, block)
+            assert products() == 2 * degree
+            adaptive_update(state, block)
+            assert products() == 4 * degree
+            adaptive_init(stats, degree, 0.1, list(block.T))
+            assert products() == (4 + 2 * k) * degree
+        assert "z" not in vars(model)
+        assert real_products == [(model.dims.m, k)] * 4 * degree + [(model.dims.m, 1)] * 2 * k * degree
 
 
 class TestOneStepPerCall:
@@ -477,6 +494,17 @@ class TestShrinkageCovariance:
     def test_rejects_c_true_not_shaped_like_the_sample_covariance(self, rng, c_true):
         # a scalar would broadcast silently, a wrong matrix shape fail untyped
         with pytest.raises(ShapeError):
+            shrinkage_covariance(self.draw(rng, np.eye(4, dtype=complex), 10), c_true=c_true)
+
+    @pytest.mark.parametrize("case", ["not-hermitian", "negative", "nan"])
+    def test_rejects_c_true_that_is_not_hermitian_psd(self, rng, case):
+        # a kappa scored against a matrix that is no covariance would mean nothing
+        c_true = {
+            "not-hermitian": np.eye(4) + np.triu(np.ones((4, 4)), 1),
+            "negative": -np.eye(4),
+            "nan": np.full((4, 4), np.nan),
+        }[case]
+        with pytest.raises(NotPositiveSemiDefinite):
             shrinkage_covariance(self.draw(rng, np.eye(4, dtype=complex), 10), c_true=c_true)
 
     def test_requires_two_samples(self, rng):

@@ -37,7 +37,7 @@ from peachsim import (
     mmse_filter_matrix,
     prepare,
 )
-from peachsim.errors import PeachSimError
+from peachsim.errors import InvalidParameter, PeachSimError, ShapeError
 from peachsim.model import identity_pilot
 
 DIMS = Dims(2, 2, 2)
@@ -219,3 +219,25 @@ def test_hostile_argument_is_typed_or_plain(name):
 
     audit()
     assert drawn == set(range(len(cases)))
+
+
+@pytest.mark.parametrize("count", [-1, 1.5, True, None, "2", np.float64(2.0), math.nan])
+def test_draw_count_is_a_nonnegative_integer(count):
+    # numpy would raise its own ValueError or TypeError, or read True as 1
+    with pytest.raises(InvalidParameter):
+        MODEL.draw(np.random.default_rng(0), count)
+
+
+@pytest.mark.parametrize("count", [0, np.int8(2), np.int64(3)])
+def test_draw_count_of_zero_or_a_numpy_integer_is_its_plain_value(count):
+    h, y = MODEL.draw(np.random.default_rng(0), count)
+    want_h, want_y = MODEL.draw(np.random.default_rng(0), int(count))
+    assert h.shape == (DIMS.n, int(count)) and y.shape == (DIMS.m, int(count))
+    assert np.array_equal(h, want_h) and np.array_equal(y, want_y)
+
+
+@pytest.mark.parametrize("warmup", [[Y], [Y[:, 0], Y]], ids=["block", "sample-then-block"])
+def test_warmup_list_holds_samples_not_blocks(warmup):
+    # a list's entries are (m,) samples; an (m, k) block belongs on its own
+    with pytest.raises(ShapeError):
+        peachsim.adaptive_init(MODEL, 2, ALPHA_W, warmup)

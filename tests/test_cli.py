@@ -372,14 +372,15 @@ class TestSweepL:
 
 def test_sweep_l_factors_each_covariance_once_per_model(tmp_path, monkeypatch):
     # a contaminated build runs no Cholesky; the Monte Carlo points of every
-    # degree then draw from the model's two cached sampling factors
+    # degree then draw the channel through its Kronecker factors, with no
+    # m x m Cholesky, and the disturbance through the one cached s_cov factor
     counts = {}
     config = default_config(
         "sweep-l", n_r=4, degrees=(0, 1, 2), trials=16, betas=(0.1, 0.1), out=str(tmp_path / "l.csv")
     )
     count_calls(monkeypatch, np.linalg, ("cholesky",), counts, min_dim=config.n_r * config.b)
     run_experiment(config)
-    assert counts["cholesky"] == 0 + 2
+    assert counts["cholesky"] == 0 + 1
 
 
 class TestSweepSnr:

@@ -160,3 +160,21 @@ def test_non_finite_pilot_power_and_noise_variance_are_invalid(value):
     with pytest.raises(InvalidParameter):
         build(interferers=((value, np.eye(2)),))
 
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: es.mismatched_mse(desk_model(), np.eye(4), 2), r"r_est must be of shape \(8, 8\), got shape \(4, 4\)"),
+        (lambda: build(interferers=((0.1, np.eye(3)),)),
+         r"interferer covariance must be of shape \(2, 2\), got shape \(3, 3\)"),
+        (lambda: stat_model_from_pilot(Dims(2, 1, 1), None, np.eye(3), None, np.eye(1)),
+         r"r_cov must be of shape \(2, 2\), got shape \(3, 3\)"),
+        (lambda: es.mismatched_mse(desk_model(), np.ones((8, 7)), 2), r"r_est must be of shape \(8, 8\), got shape \(8, 7\)"),
+    ],
+    ids=["mismatched_mse", "interferer", "stat_model_from_pilot", "mismatched_mse-not-square"],
+)
+def test_a_covariance_of_the_wrong_shape_is_told_the_shape_it_needs(call, message):
+    # a square array of the wrong size is not told to be square
+    with pytest.raises(errors.ShapeError, match=message):
+        call()

@@ -179,9 +179,9 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     # the true z's spectrum (the true-statistics MSEs) comes from the Kronecker
     # factors of the noise-limited channel, with no m x m decomposition, and
     # each estimated z takes one eigh (both mismatched filters); no dense
-    # filter and no solve.  The model's build runs no Cholesky; one factors
-    # r_cov for the channel draws and one validates each r_est: s_cov is not
-    # validated again
+    # filter and no solve.  The model's build runs no m x m Cholesky, nor do
+    # the channel draws, which go through r's Kronecker factors; one
+    # validates each r_est: s_cov is not validated again
     config = default_config("shrinkage", out=str(tmp_path / "shrinkage.csv"))
     counts = {}
     count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
@@ -196,7 +196,7 @@ def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
     rows = run_experiment(config)
     assert len(rows) == 4 * len(config.shrink_samples)
     n_est = len(config.shrink_samples)
-    assert counts == {"solve": 0, "inv": 0, "cholesky": 1 + n_est, "eigh": n_est, "eigvalsh": 0}
+    assert counts == {"solve": 0, "inv": 0, "cholesky": n_est, "eigh": n_est, "eigvalsh": 0}
 
 
 def dense_peach_floor(r_cov, limit, degree):
@@ -252,19 +252,21 @@ def test_contaminated_sweep_point_linear_algebra_calls(monkeypatch):
 
 
 def test_contaminated_sweep_point_monte_carlo_draws_once(monkeypatch):
-    # all five estimators are scored on one draw per chunk: one Cholesky
-    # factor each of r_cov and s_cov, and two normal draws (h and n) for each
-    # of the four chunks of 2000 trials; the MVU system is prepared once per
-    # point for both the analytic variance and the Monte Carlo callable, and
-    # neither it nor any chunk's estimate solves or factors an m x m matrix
+    # all five estimators are scored on one draw per chunk: one m x m
+    # Cholesky factor, of s_cov (the channel is drawn through r's Kronecker
+    # factors), and two normal draws (h and n) for each of the four chunks
+    # of 2000 trials; the MVU system is prepared once per point for both the
+    # analytic variance and the Monte Carlo callable, and neither it nor any
+    # chunk's estimate solves or factors an m x m matrix
     config, model = desk_contaminated_point(monte_carlo=True)
     assert config.trials == 2000
     counts = {}
-    count_calls(monkeypatch, np.linalg, ("cholesky", "solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("solve", "inv"), counts)
+    count_calls(monkeypatch, np.linalg, ("cholesky",), counts, min_dim=model.dims.m)
     count_eig_calls(monkeypatch, counts, min_dim=model.dims.m)
     count_calls(monkeypatch, model_module, ("standard_complex_normal",), counts)
     _sweep_point(config, model, {"degrees": config.degree}, 10.0, 0)
-    assert counts["cholesky"] == 2
+    assert counts["cholesky"] == 1
     assert counts["standard_complex_normal"] == 8
     assert counts["eigh"] == 1
     assert counts["eigvalsh"] == 0
