@@ -46,7 +46,7 @@ class AdaptiveState:
     step's system was singular and the ``weights`` from before that step were
     kept.  On a correlated model the rows come from chains in the real form
     of ``z`` and ``b1`` from the Kronecker factors, so tracking forms no
-    complex m x m array; the first step forms the model's ``z_real``.
+    complex m x m array; the first step forms that real form.
     """
 
     model: StatModel
@@ -81,15 +81,15 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     conjugate dot per power, O(L m^2 k); the pilot is applied through its
     Kronecker structure, and so is ``r_cov`` on a model with Kronecker factors
     (:meth:`StatModel.apply_r`).  ``d`` and ``f`` are mapped into the
-    operator's coordinates once: on a correlated model the map is ``sqrt(2)
-    K^H`` with ``z = K S K^H``, so ``q_k = Re(g^H S^k x) / 2`` for the mapped
-    ``g`` and ``x``, in real arithmetic on ``S``, and no complex m x m array is
-    formed; on a dense model the map is the identity and the operator ``z``.
-    A block turns the chain's matrix-vector products into matrix products,
-    several times cheaper per column.
+    operator's coordinates once, to ``x`` and ``g``, so ``q_k = Re(g^H op^k
+    x)`` times the operator's ``scale``: on a correlated model in real
+    arithmetic on the real form of ``z``, with no complex m x m array formed;
+    on a dense model with ``z`` itself.  A block turns the chain's
+    matrix-vector products into matrix products, several times cheaper per
+    column.
     """
     d = deviation(model, y)
-    op, into, _ = model.z_operator()
+    op, into, _, scale = model.z_operator()
     f = model.apply_pilot(model.apply_r(model.apply_r(model.apply_pilot_adjoint(d))))
     g = into(f.reshape(len(d), -1)).view(float)
     x = into(np.ascontiguousarray(d.reshape(len(d), -1)))  # a real view needs C order; a block may be Fortran's
@@ -100,8 +100,7 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
             x = op @ x
         np.einsum("ij,ij->j", g, x.view(float), out=parts[k])
     out = parts.reshape(2 * degree + 1, -1, 2).sum(axis=2).T
-    if model.kronecker is not None:
-        out *= 0.5  # into is sqrt(2) K^H, so each product of two mapped vectors is doubled
+    out *= scale
     return out.reshape(*d.shape[1:], 2 * degree + 1)
 
 

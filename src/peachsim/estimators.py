@@ -202,7 +202,7 @@ def bind(model: StatModel, est: PolyEstimator) -> Prepared:
 
 def _through(model: StatModel, d: np.ndarray, inverse: bool, apply) -> np.ndarray:
     # r_cov pilot_ext^H of apply(op, d) in the coordinates of the model's operator (StatModel.z_operator)
-    op, into, back = model.z_operator(inverse)
+    op, into, back, _ = model.z_operator(inverse)
     return model.apply_r_pilot_adjoint(back(apply(op, into(d))).reshape(d.shape))
 
 

@@ -3,30 +3,18 @@
 Builds the second-order statistics of the vectorized observation
 ``y = pilot_ext @ h + n`` with ``h ~ CN(h_mean, r_cov)`` and
 ``n ~ CN(n_mean, s_cov)``, including Kronecker-structured spatial
-covariances, exponential correlation matrices, pilot-contaminated
-disturbance covariances and the correlated model of the simulations
-(:func:`correlated_model`).  Every covariance is validated densely at
-construction, except that :func:`correlated_model` checks and forms none:
-validated coefficients fix its Kronecker factors, which the model keeps in
-one :class:`KroneckerTerms` record.  Its ``r_cov`` and ``s_cov`` are formed on
-first read; ``apply_r`` and the summaries (``trace_r``, ``diagonals``,
-``s_block_traces``) read the terms.  ``z`` is the pilot sandwich of ``r_cov``
-plus ``s_cov``; for the identity pilot the sandwich only scales.
-:meth:`StatModel.draw` is the one sampler of ``(h, y)`` pairs.  The
-correlated model's limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`)
-is eigendecomposed once per sweep, in real arithmetic since it is
-centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine
-map of it.  Its ``z`` is centro-Hermitian too, so the estimators' products and
-MMSE solves and the tracker's quadratic forms run on the real symmetric ``S``
-with ``z = K S K^H`` (:meth:`StatModel.z_operator`), formed from the limit's
-top rows, a block of rows at a time, on the first estimate, with one O(m) map
-by ``K^H`` in and by ``K`` out (Lee, Linear Algebra Appl. 29, 1980; Hill,
-Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 1990).  It samples its channel
-through ``chol(R_t) (x) chol(R_r)``, the Cholesky factor of ``r_cov``, and,
-without a positive-power interferer, its disturbance as ``sqrt(noise_var)``
-times a standard draw, so neither tracking nor sampling forms a complex m x m
-array.  The mismatched scores, and the disturbance draws of a model with
-interferers, still read the complex ``z`` and ``s_cov``.
+covariances, exponential correlation matrices and pilot-contaminated
+disturbance covariances, in two classes.  :class:`StatModel` holds arbitrary
+statistics as dense arrays, validated at construction; ``z`` is the pilot
+sandwich of ``r_cov`` plus ``s_cov``.  :class:`KroneckerModel`, the correlated
+model of the simulations (:func:`correlated_model`), keeps the Kronecker
+factors that validated coefficients fix and overrides what they make cheaper.
+Its limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`) is
+eigendecomposed once per sweep, in real arithmetic since it is
+centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine map
+of it.  Its ``z`` is centro-Hermitian too, so its estimates and tracking run on
+the real symmetric ``S`` with ``z = K S K^H`` (Lee, Linear Algebra Appl. 29,
+1980; Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 1990).
 """
 
 from __future__ import annotations
@@ -34,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -160,14 +148,9 @@ def _check_betas(betas) -> tuple:
     return tuple(check_real("interference power ratio", beta, InvalidParameter, 0.0) for beta in betas)
 
 
-# A correlated model's Kronecker form: the ``(weight, R_t, R_r)`` terms of r (weight 1), then of each interferer;
-# the pilot ``power`` and ``noise_var``, with ``z = power * limit + noise_var * I``; the limit's Spectrum ``source()``.
-KroneckerTerms = namedtuple("KroneckerTerms", "terms power noise_var source")
-
-
 @dataclass(frozen=True)
 class StatModel:
-    """Full second-order statistics of the channel and disturbance.
+    """Full second-order statistics of the channel and disturbance, held as dense arrays.
 
     Fields
     ------
@@ -178,27 +161,14 @@ class StatModel:
     s_cov : (m, m) disturbance covariance, Hermitian positive definite
     pilot : (n_t, b) pilot matrix
 
-    The extended pilot ``pilot_ext = pilot.T (x) I_{n_r}`` is not stored:
-    :meth:`apply_pilot` and :meth:`apply_pilot_adjoint` apply it through its
-    Kronecker structure in O(m * n_t) per vector, and the ``pilot_ext``
-    property forms the dense (m, n) matrix on demand for the analysis-side
-    oracles.  A model is never mutated after construction, so quantities
-    derived from it (``z``, ``z_factor``, ``z_spectrum``, ``r_factor``,
-    ``s_factor``) are computed once, on first use; :meth:`draw` samples
-    through the two cached factors, or on a correlated model through the
-    channel's Kronecker factors (:meth:`draw_channel`) and, without a
-    positive-power interferer, the scalar ``sqrt(noise_var)``.
-
-    ``kronecker`` (:class:`KroneckerTerms`) is set by :func:`correlated_model`
-    only, whose ``r_cov`` and ``s_cov`` are formed from it on first read.
-    :meth:`apply_r` multiplies by ``r_cov = R_t (x) R_r`` through its factors,
-    in O(n (n_t + n_r)) per column, and ``z_spectrum`` maps the limit's.  The
-    estimators and the tracker ask :meth:`z_operator` for z: a correlated
-    model gives its real form ``z_real`` (m x m float64, half of z's bytes)
-    or that form's real Cholesky factor ``z_real_factor``, each formed on the
-    first estimate that needs it, and forms neither z nor a covariance.  ``kronecker`` is not an
-    init field, so ``dataclasses.replace`` gives a densely validated model on
-    the dense path, whose operator is z (or ``z_factor``) itself.
+    Every covariance is validated densely at construction.  The extended
+    pilot ``pilot_ext = pilot.T (x) I_{n_r}`` is not stored: :meth:`apply_pilot`
+    and :meth:`apply_pilot_adjoint` apply it in O(m * n_t) per vector, and the
+    ``pilot_ext`` property forms it for the analysis-side oracles.  A model is
+    never mutated after construction, so what is derived from it (``z``,
+    ``z_factor``, ``z_spectrum``, ``r_factor``, ``s_factor``) is computed once,
+    on first use.  :meth:`draw` is the one sampler of ``(h, y)`` pairs, and
+    :meth:`z_operator` gives the estimators and the tracker ``z``.
     """
 
     dims: Dims
@@ -207,7 +177,6 @@ class StatModel:
     n_mean: np.ndarray
     s_cov: np.ndarray
     pilot: np.ndarray
-    kronecker: KroneckerTerms | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
@@ -224,77 +193,23 @@ class StatModel:
         object.__setattr__(self, "s_cov", s_cov)
         object.__setattr__(self, "pilot", pilot)
 
-    @classmethod
-    def _of_kronecker_terms(cls, dims: Dims, pilot, kronecker: KroneckerTerms) -> StatModel:
-        """Zero-mean model of :func:`correlated_model`: the one place that skips ``__post_init__``'s checks.
-
-        ``r_cov`` and each interferer covariance are ``np.kron`` of factors
-        fixed by validated coefficients (:func:`exp_correlation_matrix`), so
-        each is exactly Hermitian and positive definite (its eigenvalues are
-        the products of the factors'; Horn & Johnson, Topics in Matrix
-        Analysis, Thm 4.2.12).  The identity ``pilot`` scales each entry of
-        ``R_i`` by one real scalar (:func:`_pilot_sandwich`), so ``s_cov``,
-        ``noise_var * I`` plus the sandwiches weighted by ``beta_i >= 0``, is
-        too: the m x m Cholesky, norms and ``hermitize`` copies would change nothing.
-        """
-        model = object.__new__(cls)
-        model.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), n_mean=np.zeros(dims.m, dtype=complex),
-                              pilot=pilot, kronecker=kronecker)
-        return model
-
-    def _formed(self, name: str) -> np.ndarray:
-        # r_cov or s_cov of a correlated model from its terms, in the order of stat_model_from_pilot on the same
-        # covariances, so the bytes are its; s_cov adds each interferer's np.kron(i_t, i_r), formed in one reused
-        # buffer and scaled in place as _pilot_sandwich scales it (root * (root * cov), then beta), before the next.
-        # The buffer is filled by assignment, then multiplied in place one transmit row at a time: a ufunc over the
-        # whole buffer and a broadcast operand holds iterator buffers, one to two m x m arrays at m = 80
-        (_, r_t, r_r), *interferers = self.kronecker.terms
-        if name == "r_cov":
-            return np.kron(r_t, r_r)
-        s_cov = self.kronecker.noise_var * np.eye(self.dims.m, dtype=complex)
-        term = np.empty((self.dims.n_t, self.dims.n_r) * 2, dtype=complex) if interferers else None
-        for beta, i_t, i_r in interferers:
-            term[...] = i_t[:, None, :, None]
-            for row in term:
-                row *= i_r[:, None, :]
-            for factor in (self.pilot[0, 0].real, self.pilot[0, 0].real, beta):
-                term *= factor
-            s_cov += term.reshape(s_cov.shape)
-        return s_cov
-
     def pilot_r_energy(self) -> float:
-        """``||pilot_ext r_cov||_F^2``; on a correlated model ``||pilot^T R_t||_F^2 ||R_r||_F^2``, with no n x n array."""
-        if self.kronecker is None:
-            return float(np.linalg.norm(self.apply_pilot(self.r_cov)) ** 2)
-        _, r_t, r_r = self.kronecker.terms[0]
-        return float(np.linalg.norm(self.pilot.T @ r_t) ** 2 * np.linalg.norm(r_r) ** 2)
+        """``||pilot_ext r_cov||_F^2``."""
+        return float(np.linalg.norm(self.apply_pilot(self.r_cov)) ** 2)
 
     @property
     def trace_r(self) -> float:
-        """trace(r_cov); exactly ``n`` on a correlated model, whose every factor has diagonal ``coeff**0 = 1``."""
-        return float(np.trace(self.r_cov).real) if self.kronecker is None else float(self.dims.n)
+        """trace(r_cov)."""
+        return float(np.trace(self.r_cov).real)
 
     def diagonals(self) -> tuple:
-        """Real diagonals of ``r_cov``, ``s_cov`` and the interference ``sum_i beta_i R_i`` (None on a dense model).
-
-        Every factor's diagonal is 1, so on a correlated model ``s_cov``'s is
-        ``noise_var + sum_i beta_i (sqrt(p) sqrt(p))``, as :meth:`_formed` forms it."""
-        if self.kronecker is None:
-            return np.diag(self.r_cov).real, np.diag(self.s_cov).real, None
-        ones, root, s_diag = np.ones(self.dims.n), math.sqrt(self.kronecker.power), self.kronecker.noise_var
-        for beta, *_ in self.kronecker.terms[1:]:
-            s_diag += beta * (root * root)
-        return ones, s_diag * ones, sum((beta * ones for beta, *_ in self.kronecker.terms[1:]), 0 * ones)
+        """Real diagonals of ``r_cov``, ``s_cov`` and the interference ``sum_i beta_i R_i`` (None: not kept apart)."""
+        return np.diag(self.r_cov).real, np.diag(self.s_cov).real, None
 
     def s_block_traces(self) -> np.ndarray:
-        """(b, b) traces of the (n_r, n_r) blocks of ``s_cov``; ``R_t (x) R_r``'s block (j, k) has ``n_r R_t[j, k]``."""
+        """(b, b) traces of the (n_r, n_r) blocks of ``s_cov``."""
         b, n_r = self.dims.b, self.dims.n_r
-        if self.kronecker is None:
-            return np.einsum("jrkr->jk", self.s_cov.reshape(b, n_r, b, n_r))
-        traces = self.kronecker.noise_var * n_r * np.eye(b, dtype=complex)
-        for beta, i_t, _ in self.kronecker.terms[1:]:
-            traces += beta * self.kronecker.power * n_r * i_t
-        return traces
+        return np.einsum("jrkr->jk", self.s_cov.reshape(b, n_r, b, n_r))
 
     @property
     def pilot_ext(self) -> np.ndarray:
@@ -318,42 +233,23 @@ class StatModel:
         return (self.pilot.conj() @ y.reshape(self.dims.b, -1)).reshape(self.dims.n, *y.shape[1:])
 
     def apply_r(self, x: np.ndarray) -> np.ndarray:
-        """r_cov @ x for an (n,) vector or an (n, k) block; through its Kronecker factors on a correlated model."""
-        if self.kronecker is None:
-            return self.r_cov @ x
-        return _kronecker_apply(*self.kronecker.terms[0][1:], np.asarray(x))
+        """r_cov @ x for an (n,) vector or an (n, k) block."""
+        return self.r_cov @ x
 
     def apply_r_pilot_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """r_cov @ pilot_ext^H @ y for an (m,) vector or an (m, k) block, the last step of every linear estimate.
-
-        On a correlated model ``r_cov pilot_ext^H = (R_t conj(pilot)) (x) R_r``
-        (its pilot is square), so both are one Kronecker apply.
-        """
-        if self.kronecker is None:
-            return self.apply_r(self.apply_pilot_adjoint(y))
-        return _kronecker_apply(self._pilot_r_t, self.kronecker.terms[0][2], y)
-
-    @cached_property
-    def _pilot_r_t(self) -> np.ndarray:
-        return self.kronecker.terms[0][1] @ self.pilot.conj()
+        """r_cov @ pilot_ext^H @ y for an (m,) vector or an (m, k) block, the last step of every linear estimate."""
+        return self.apply_r(self.apply_pilot_adjoint(y))
 
     def draw(self, rng: np.random.Generator, count: int):
         """``count`` seeded channel and observation draws ``(h, y)``, of shapes (n, count) and (m, count).
 
         Draws the channel first (:meth:`draw_channel`), then the disturbance
-        ``n_mean + s_factor @ v`` (``v`` standard complex normal), and returns
-        ``y = apply_pilot(h) + disturbance``.  A correlated model without a
-        positive-power interferer has ``s_cov = noise_var I``, whose Cholesky
-        factor is ``sqrt(noise_var) I``, so its disturbance is ``sqrt(noise_var)
-        v``, the bytes of the factor's product, and ``s_cov`` is not formed.
+        ``n_mean + L v`` for ``v`` standard complex normal and the factor ``L =
+        s_factor``, and returns ``y = apply_pilot(h) + disturbance``.
         ``count`` is an integer of at least 0, else :class:`InvalidParameter`.
         """
         h = self.draw_channel(rng, count)
-        noise = standard_complex_normal(rng, self.dims.m, count)
-        if self.kronecker is not None and not any(beta > 0 for beta, *_ in self.kronecker.terms[1:]):
-            noise *= math.sqrt(self.kronecker.noise_var)
-        else:
-            noise = self.s_factor @ noise
+        noise = self._disturbance(standard_complex_normal(rng, self.dims.m, count))
         # in place, each sum is the one its operands give in either order
         noise += self.n_mean[:, None]
         noise += self.apply_pilot(h)
@@ -362,23 +258,21 @@ class StatModel:
     def draw_channel(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` seeded channel draws ``h = h_mean + L w``, (n, count), for ``w`` standard complex normal.
 
-        ``L`` is the Cholesky factor of ``r_cov``: on a correlated model
-        ``chol(R_t) (x) chol(R_r)``, lower triangular with a positive diagonal
-        and so the factor itself (Horn & Johnson, Topics in Matrix Analysis,
-        Thm 4.2.12), applied through its two factors (:func:`_kronecker_apply`,
-        into ``w``'s memory) with no n x n array; on a dense model
-        :attr:`r_factor`.  ``count`` is an integer of at least 0, else
-        :class:`InvalidParameter`.
+        ``L`` is the factor :attr:`r_factor`.  ``count`` is an integer of at
+        least 0, else :class:`InvalidParameter`.
         """
         w = standard_complex_normal(rng, self.dims.n, check_integer("count", count, 0, InvalidParameter))
-        h = self.r_factor @ w if self.kronecker is None else _kronecker_apply(*self._channel_factors, w, out=w)
+        h = self._channel(w)
         h += self.h_mean[:, None]
         return h
 
-    @cached_property
-    def _channel_factors(self) -> tuple:
-        # the Cholesky factors of a correlated model's R_t and R_r, which exp_correlation_matrix makes definite
-        return tuple(np.linalg.cholesky(factor) for factor in self.kronecker.terms[0][1:])
+    def _channel(self, w: np.ndarray) -> np.ndarray:
+        # the channel's deviation from its mean, L w for a factor L of r_cov
+        return self.r_factor @ w
+
+    def _disturbance(self, v: np.ndarray) -> np.ndarray:
+        # the disturbance's deviation from its mean, L v for a factor L of s_cov
+        return self.s_factor @ v
 
     def y_mean(self) -> np.ndarray:
         """Mean of the observation, pilot_ext @ h_mean + n_mean (read-only, formed once per model)."""
@@ -411,71 +305,27 @@ class StatModel:
         factor.setflags(write=False)
         return factor, lower
 
-    @cached_property
-    def z_real(self) -> np.ndarray:
-        """A correlated model's z in real form: the real symmetric S with ``z = K S K^H`` (read-only, m x m float64).
-
-        ``power * S_limit + noise_var * I`` for the real form of the limit
-        (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed.
-        """
-        _, power, noise_var, _ = self.kronecker
-        s = _limit_real_form(self.dims.n_r, [term for term in self.kronecker.terms if term[0] > 0])
-        s *= power
-        s.flat[:: len(s) + 1] += noise_var
-        s.setflags(write=False)
-        return s
-
-    @cached_property
-    def z_real_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of :attr:`z_real` (read-only, Fortran order), for a correlated model's MMSE solves."""
-        try:
-            factor, _ = scipy.linalg.cho_factor(self.z_real, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("observation covariance is singular") from exc
-        factor.setflags(write=False)
-        return factor
-
     def z_operator(self, inverse: bool = False) -> tuple:
-        """``(op, into, back)`` with ``back(op @ into(d))`` equal to ``z d``, or ``z^{-1} d`` when ``inverse``.
+        """``(op, into, back, scale)`` with ``back(op @ into(d))`` equal to ``z d``, or ``z^{-1} d`` when ``inverse``.
 
         ``d`` is a complex (m,) vector or (m, k) block, which ``into`` may
-        overwrite.  On a correlated model ``op`` applies :attr:`z_real` (or
-        solves against :attr:`z_real_factor`) in real arithmetic, and ``into``
-        and ``back`` are ``sqrt(2) K^H`` and ``K / sqrt(2)``, O(mk) each, on
-        (m, k) blocks (a vector becomes one column); on a dense model ``op`` is
-        ``z`` (or solves against ``z_factor``) and both maps are the identity.
-        Nothing is formed until this is called.
+        overwrite, and ``Re(into(f)^H op^j into(d)) * scale = Re(f^H z^j d)``.
+        Here ``op`` is ``z`` (or solves against ``z_factor``), the maps are the
+        identity and ``scale`` is 1; nothing is formed until this is called.
         """
-        if self.kronecker is None:
-            return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, _same
-        if inverse:
-            return _Operator(self.z_real_factor, _real_solve), _centro_in, _centro_out
-        return _Operator(self.z_real, _real_product), _centro_in, _centro_out
+        return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, _same, 1.0
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
-        """Spectrum of z, shared by every closed-form MSE and default scaling.
-
-        On a correlated model, ``lam = power * mu + noise_var`` and ``phi =
-        power * phi_limit`` of the limit's spectrum, and z is not formed;
-        otherwise one MRRR ``eigh`` of z.
-        """
-        if self.kronecker is not None:
-            _, power, noise_var, source = self.kronecker
-            mu = source()
-            spectrum = Spectrum(power * mu.lam + noise_var, power * mu.phi, mu.trace_r)
-        else:
-            lam, vecs = scipy.linalg.eigh(self.z, driver="evr")
-            # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
-            channel = self.apply_pilot(self.r_cov).conj().T
-            spectrum = Spectrum(lam, Spectrum.energies(channel, vecs), float(np.trace(self.r_cov).real))
-        if spectrum.lam[0] <= 0:
-            raise NotPositiveDefinite("observation covariance must be positive definite")
-        return spectrum
+        """Spectrum of z, from one MRRR ``eigh``, for every closed-form MSE and default scaling (:func:`_definite`)."""
+        lam, vecs = scipy.linalg.eigh(self.z, driver="evr")
+        # formed after eigh, so the (n, m) channel and eigh's workspace never coexist
+        channel = self.apply_pilot(self.r_cov).conj().T
+        return _definite(Spectrum(lam, Spectrum.energies(channel, vecs), self.trace_r))
 
     @cached_property
     def r_factor(self) -> np.ndarray:
-        """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for a dense model's channel draws."""
+        """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for drawing channels."""
         factor = psd_factor(self.r_cov)
         factor.setflags(write=False)
         return factor
@@ -488,9 +338,166 @@ class StatModel:
         return factor
 
 
-for _name in ("r_cov", "s_cov"):  # a correlated model's, formed on first read; a dense model's own value wins
-    setattr(StatModel, _name, cached_property(partial(StatModel._formed, name=_name)))
-    getattr(StatModel, _name).__set_name__(StatModel, _name)
+@dataclass(frozen=True, init=False)  # frozen in its own attributes too
+class KroneckerModel(StatModel):
+    """The zero-mean correlated model of :func:`correlated_model`, kept in its Kronecker factors.
+
+    ``terms`` lists the ``(weight, R_t, R_r)`` of r (weight 1), then of each
+    interferer, and ``z = power * (r + sum_i beta_i R_i) + noise_var * I`` for
+    the identity ``pilot``; ``source()`` is the limit's :class:`Spectrum`.
+    ``r_cov`` and ``s_cov`` are formed on first read, with the bytes
+    :func:`stat_model_from_pilot` gives them; the overrides form neither.
+    :meth:`z_operator` gives the real form ``z_real`` of z (m x m float64) or
+    its real Cholesky factor ``z_real_factor``.
+
+    Its constructor skips :class:`StatModel`'s checks: each covariance is
+    ``np.kron`` of factors fixed by validated coefficients
+    (:func:`exp_correlation_matrix`), so exactly Hermitian and positive
+    definite (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12), and the
+    identity pilot scales each entry by one real scalar, so ``s_cov`` is too.
+    Called with fields by name, as ``dataclasses.replace`` calls it, it
+    returns the densely validated :class:`StatModel` of those fields.
+    """
+
+    def __new__(cls, *args, **fields):
+        return StatModel(**fields) if fields else super().__new__(cls)
+
+    def __init__(self, dims: Dims, pilot: np.ndarray, terms: tuple, power: float, noise_var: float, source):
+        self.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), n_mean=np.zeros(dims.m, dtype=complex),
+                             pilot=pilot, terms=terms, power=power, noise_var=noise_var, source=source)
+
+    @cached_property
+    def r_cov(self) -> np.ndarray:
+        """``R_t (x) R_r``, formed on first read."""
+        _, r_t, r_r = self.terms[0]
+        return np.kron(r_t, r_r)
+
+    @cached_property
+    def s_cov(self) -> np.ndarray:
+        """``noise_var * I`` plus the interferers' sandwiches, formed on first read."""
+        # in the order of stat_model_from_pilot; each interferer's np.kron(i_t, i_r) is formed in one reused buffer
+        # and scaled in place as _pilot_sandwich scales it (root * (root * cov), then beta), before the next.  The
+        # buffer is filled by assignment, then multiplied in place one transmit row at a time: a ufunc over the whole
+        # buffer and a broadcast operand holds iterator buffers, one to two m x m arrays at m = 80
+        s_cov = self.noise_var * np.eye(self.dims.m, dtype=complex)
+        interferers = self.terms[1:]
+        term = np.empty((self.dims.n_t, self.dims.n_r) * 2, dtype=complex) if interferers else None
+        for beta, i_t, i_r in interferers:
+            term[...] = i_t[:, None, :, None]
+            for row in term:
+                row *= i_r[:, None, :]
+            for factor in (self.pilot[0, 0].real, self.pilot[0, 0].real, beta):
+                term *= factor
+            s_cov += term.reshape(s_cov.shape)
+        return s_cov
+
+    @property
+    def _interfered(self) -> bool:
+        # whether an interferer has positive power; without one s_cov is noise_var * I
+        return any(beta > 0 for beta, *_ in self.terms[1:])
+
+    def pilot_r_energy(self) -> float:
+        """``||pilot^T R_t||_F^2 ||R_r||_F^2``, with no n x n array."""
+        _, r_t, r_r = self.terms[0]
+        return float(np.linalg.norm(self.pilot.T @ r_t) ** 2 * np.linalg.norm(r_r) ** 2)
+
+    @property
+    def trace_r(self) -> float:
+        """Exactly ``n``: every factor has diagonal ``coeff**0 = 1``."""
+        return float(self.dims.n)
+
+    def diagonals(self) -> tuple:
+        """Every factor's diagonal is 1, so ``s_cov``'s is ``noise_var + sum_i beta_i (sqrt(p) sqrt(p))``, as formed."""
+        ones, root, s_diag = np.ones(self.dims.n), math.sqrt(self.power), self.noise_var
+        for beta, *_ in self.terms[1:]:
+            s_diag += beta * (root * root)
+        return ones, s_diag * ones, sum((beta * ones for beta, *_ in self.terms[1:]), 0 * ones)
+
+    def s_block_traces(self) -> np.ndarray:
+        """:meth:`StatModel.s_block_traces` from the factors: ``R_t (x) R_r``'s block (j, k) has ``n_r R_t[j, k]``."""
+        n_r = self.dims.n_r
+        traces = self.noise_var * n_r * np.eye(self.dims.b, dtype=complex)
+        for beta, i_t, _ in self.terms[1:]:
+            traces += beta * self.power * n_r * i_t
+        return traces
+
+    def apply_r(self, x: np.ndarray) -> np.ndarray:
+        """r_cov @ x through the Kronecker factors of ``r_cov``."""
+        return _kronecker_apply(*self.terms[0][1:], np.asarray(x))
+
+    def apply_r_pilot_adjoint(self, y: np.ndarray) -> np.ndarray:
+        """r_cov @ pilot_ext^H @ y as one Kronecker apply: ``r_cov pilot_ext^H = (R_t conj(pilot)) (x) R_r``."""
+        return _kronecker_apply(self._pilot_r_t, self.terms[0][2], y)
+
+    @cached_property
+    def _pilot_r_t(self) -> np.ndarray:
+        return self.terms[0][1] @ self.pilot.conj()
+
+    def _channel(self, w: np.ndarray) -> np.ndarray:
+        # chol(R_t) (x) chol(R_r) w, into w's memory: that product is lower triangular with a positive diagonal, so
+        # it is the Cholesky factor of r_cov (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12)
+        return _kronecker_apply(*self._channel_factors, w, out=w)
+
+    @cached_property
+    def _channel_factors(self) -> tuple:
+        # the Cholesky factors of R_t and R_r, which exp_correlation_matrix makes definite
+        return tuple(np.linalg.cholesky(factor) for factor in self.terms[0][1:])
+
+    def _disturbance(self, v: np.ndarray) -> np.ndarray:
+        # without a positive-power interferer s_cov = noise_var I, whose Cholesky factor sqrt(noise_var) I gives
+        # these bytes, and s_cov is not formed
+        if self._interfered:
+            return super()._disturbance(v)
+        v *= math.sqrt(self.noise_var)
+        return v
+
+    def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
+        """:meth:`StatModel.observation_covariance`; without a positive-power interferer ``noise_var`` is added on
+        the sandwich's diagonal, the sum ``s_cov = noise_var * I`` gives there, and ``s_cov`` is not formed."""
+        if self._interfered:
+            return super().observation_covariance(r_cov)
+        z = _pilot_sandwich(self.pilot, self.dims.n_r, r_cov)
+        z.flat[:: len(z) + 1] += self.noise_var
+        return z
+
+    @cached_property
+    def z_real(self) -> np.ndarray:
+        """The real symmetric S with ``z = K S K^H`` (read-only, m x m float64), ``power * S_limit + noise_var * I``
+        for the limit's real form (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed."""
+        s = _limit_real_form(self.dims.n_r, [term for term in self.terms if term[0] > 0])
+        s *= self.power
+        s.flat[:: len(s) + 1] += self.noise_var
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def z_real_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of :attr:`z_real` (read-only, Fortran order), for MMSE solves."""
+        try:
+            factor, _ = scipy.linalg.cho_factor(self.z_real, lower=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("observation covariance is singular") from exc
+        factor.setflags(write=False)
+        return factor
+
+    def z_operator(self, inverse: bool = False) -> tuple:
+        """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`); ``into`` and ``back`` are
+        ``sqrt(2) K^H`` and ``K / sqrt(2)``, O(mk) each, and ``scale`` is 1/2, since ``into`` doubles inner products."""
+        op = _Operator(self.z_real_factor, _real_solve) if inverse else _Operator(self.z_real, _real_product)
+        return op, _centro_in, _centro_out, 0.5
+
+    @cached_property
+    def z_spectrum(self) -> Spectrum:
+        """``lam = power * mu + noise_var`` and ``phi = power * phi_limit`` of the limit's spectrum; z is not formed."""
+        mu = self.source()
+        return _definite(Spectrum(self.power * mu.lam + self.noise_var, self.power * mu.phi, mu.trace_r))
+
+
+def _definite(spectrum: Spectrum) -> Spectrum:
+    # the spectrum of z, or NotPositiveDefinite unless every eigenvalue is positive
+    if spectrum.lam[0] <= 0:
+        raise NotPositiveDefinite("observation covariance must be positive definite")
+    return spectrum
 
 
 def z_matrix(model: StatModel) -> np.ndarray:
@@ -634,27 +641,19 @@ def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray, out: np.nd
     return np.matmul(r_t, rx.reshape(n_t, -1), out=None if out is None else out.reshape(n_t, -1)).reshape(x.shape)
 
 
-def _centro_real_form(top: np.ndarray) -> np.ndarray:
-    """Real symmetric ``S = K^H L K`` of a centro-Hermitian ``L`` (``J conj(L) J = L``), in O(n^2).
-
-    ``top`` holds the first ``n - n // 2`` rows of ``L``, which determine it.
-    ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` is unitary, with a middle unit
-    column for odd ``n``, and ``conj(K) = J K``, so ``S`` is real.  With ``p =
-    n // 2``, ``A = L[:p, :p]`` and ``B = L[:p, n-p:]``, ``S = [[Re(A + BJ),
-    -Im(AJ - B)], [., J Re(AJ - B)]]``; for odd ``n`` the middle row and column
-    are ``sqrt(2)`` times the real and the flipped imaginary part of ``x =
-    L[:p, p]``, about ``L[p, p]``.
-    """
-    s = np.empty((top.shape[1],) * 2)
-    _centro_rows(s, top, 0)
-    return s
-
-
 def _centro_rows(s: np.ndarray, top: np.ndarray, start: int):
-    """Write into ``S`` (:func:`_centro_real_form`) every entry that rows ``start`` on of ``L``'s top rows fix.
+    """Write into ``s`` every entry of ``S = K^H L K`` that rows ``start`` on of ``L``'s top rows fix, in O(n) each.
 
-    ``top`` holds those rows, a block of the ``n - n // 2`` that determine
-    ``L``.  Row ``i < p`` of ``L`` fixes row ``i`` of ``S``'s top half, column
+    ``S`` is the real symmetric form of a centro-Hermitian ``L`` (``J conj(L)
+    J = L``).  ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` is unitary, with a middle
+    unit column for odd ``n``, and ``conj(K) = J K``, so ``S`` is real.  With
+    ``p = n // 2``, ``A = L[:p, :p]`` and ``B = L[:p, n-p:]``, ``S = [[Re(A +
+    BJ), -Im(AJ - B)], [., J Re(AJ - B)]]``; for odd ``n`` the middle row and
+    column are ``sqrt(2)`` times the real and the flipped imaginary part of
+    ``x = L[:p, p]``, about ``L[p, p]``.
+
+    ``top`` holds the rows from ``start``, a block of the ``n - n // 2`` that
+    determine ``L``.  Row ``i < p`` of ``L`` fixes row ``i`` of ``S``'s top half, column
     ``i`` of its bottom-left block, row ``n - 1 - i`` of its bottom-right one
     and, for odd ``n``, the middle entries ``i`` and ``n - 1 - i``; the middle
     row of ``L`` fixes the middle diagonal entry.  Each entry is computed as
@@ -679,7 +678,7 @@ def _centro_rows(s: np.ndarray, top: np.ndarray, start: int):
 
 
 def _limit_real_form(n_r: int, terms: list) -> np.ndarray:
-    """Real symmetric form (:func:`_centro_real_form`) of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
+    """Real symmetric form (:func:`_centro_rows`) of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
 
     The first term is r's, of weight 1.  The centro-Hermitian sum's first
     ``n - n // 2`` rows determine it, and rows ``j n_r`` to ``(j + 1) n_r``
@@ -702,36 +701,18 @@ def _limit_real_form(n_r: int, terms: list) -> np.ndarray:
     return s
 
 
-# The maps of a correlated model's z = K S K^H, for the K of _centro_real_form: K = U / sqrt(2) with U = [[I, iJ],
+# The maps of a correlated model's z = K S K^H, for the K of _centro_rows: K = U / sqrt(2) with U = [[I, iJ],
 # [J, -iI]] (J reverses the rows) and, for an odd m, a unit middle entry.  _centro_in gives sqrt(2) K^H d and
 # _centro_out K x / sqrt(2), so _centro_out(op @ _centro_in(d)) = K op K^H d for the product and the solve alike.
-# A block is mapped in place with one half-block copy: at m = 80, 512 columns, a whole-block temporary costs more
-# in fresh pages than in arithmetic (0.6 against 0.1 ms per map).  A vector takes two products and a sum instead,
-# half the calls (about 5 against 9 us per estimate at m = 80).  Both keep (m, k) blocks, a vector being one
-# column, so each real view below is one call: x.view(float), (m, 2k).
-
-
-@lru_cache(maxsize=4)
-def _centro_columns(m: int) -> tuple:
-    # (m, 1) columns (a, b, c, e) with _centro_in(d) = a d + b Jd and _centro_out(x) = c x + e Jx (read-only)
-    p = m // 2
-    columns = np.zeros((4, m), dtype=complex)
-    columns[:, :p] = np.array([1, 1, 0.5, 0.5j])[:, None]
-    columns[:, m - p :] = np.array([1j, -1j, -0.5j, 0.5])[:, None]
-    if m % 2:
-        columns[:, p] = (math.sqrt(2.0), 0.0, math.sqrt(0.5), 0.0)
-    columns.setflags(write=False)
-    return tuple(columns[:, :, None])
+# A block, a vector being one column, is mapped in place with one half-block copy: at m = 80, 512 columns, a
+# whole-block temporary costs more in fresh pages than in arithmetic (0.6 against 0.1 ms per map).  Both keep (m, k)
+# blocks, so each real view below is one call: x.view(float), (m, 2k).
 
 
 def _centro_in(d: np.ndarray) -> np.ndarray:
-    """``sqrt(2) K^H d`` for a complex (m,) vector or (m, k) block, as a C-contiguous (m, k) block (a block in
-    ``d``'s memory when ``d`` is C-contiguous): top ``d_top + J d_bottom``, bottom ``i (d_bottom - J d_top)``."""
-    x = d.reshape(len(d), -1)
-    if x.shape[1] == 1:
-        a, b, _, _ = _centro_columns(len(x))
-        return a * x + b * x[::-1]
-    x = np.ascontiguousarray(x)
+    """``sqrt(2) K^H d`` for a complex (m,) vector or (m, k) block, as a C-contiguous (m, k) block (in ``d``'s
+    memory when ``d`` is C-contiguous): top ``d_top + J d_bottom``, bottom ``i (d_bottom - J d_top)``."""
+    x = np.ascontiguousarray(d.reshape(len(d), -1))
     p = len(x) // 2
     top, bottom = x[:p], x[len(x) - p :]
     old_top = top.copy()
@@ -744,11 +725,8 @@ def _centro_in(d: np.ndarray) -> np.ndarray:
 
 
 def _centro_out(x: np.ndarray) -> np.ndarray:
-    """``K x / sqrt(2)`` for a C-contiguous complex (m, k) block (a block in place): top ``(x_top + i J x_bottom) / 2``,
+    """``K x / sqrt(2)`` for a C-contiguous complex (m, k) block, in place: top ``(x_top + i J x_bottom) / 2``,
     bottom ``(J x_top - i x_bottom) / 2``."""
-    if x.shape[1] == 1:
-        _, _, c, e = _centro_columns(len(x))
-        return c * x + e * x[::-1]
     p = len(x) // 2
     top, bottom = x[:p], x[len(x) - p :]
     bottom *= -0.5j
@@ -761,7 +739,7 @@ def _centro_out(x: np.ndarray) -> np.ndarray:
 
 
 def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
-    """``K @ vecs`` for the ``K`` of :func:`_centro_real_form` and real ``vecs``, in O(n^2).
+    """``K @ vecs`` for the ``K`` of :func:`_centro_rows` and real ``vecs``, in O(n^2).
 
     The top ``p`` entries of ``K v`` are ``(v_top + iJ v_bottom) / sqrt(2)``,
     the bottom ``p`` their flipped conjugates and an odd ``n``'s middle one
@@ -786,10 +764,8 @@ def _real_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``SYMV_MIN`` entries has its real and imaginary parts multiplied by
     ``dsymv`` each, which reads one triangle of S.
     """
-    if x.shape[1] == 1 and len(x) < SYMV_MIN:
-        return np.dot(s, x.view(float)).view(complex)
     out = np.empty(x.shape, dtype=complex)  # owns its data, so numpy may reuse a block as a temporary
-    if x.shape[1] == 1:
+    if x.shape[1] == 1 and len(x) >= SYMV_MIN:
         for part, result in zip(x.view(float).T, out.view(float).T):
             result[:] = blas.dsymv(1.0, s.T, part)
     else:
@@ -848,7 +824,7 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     for the exchange matrix ``J``), and ``J_n = J_{n_t} (x) J_{n_r}``, so the
     limit is centro-Hermitian too.  It is unitarily similar to a real
     symmetric matrix (Lee, Linear Algebra Appl. 29, 1980; Hill, Bates &
-    Waters, SIAM J. Matrix Anal. Appl. 11, 1990; :func:`_centro_real_form`),
+    Waters, SIAM J. Matrix Anal. Appl. 11, 1990; :func:`_centro_rows`),
     which one real MRRR ``eigh`` (``dsyevr``) decomposes; its eigenvectors
     map back in O(m^2) (:func:`_centro_vectors`).  The energies
     ``||r u_k||^2`` apply ``r`` through its factors (:func:`_kronecker_apply`),
@@ -897,7 +873,7 @@ def correlated_model(
     betas: tuple,
     correlation: SpatialCorrelation = DEFAULT_CORRELATION,
     noise_var: float = 1.0,
-) -> StatModel:
+) -> KroneckerModel:
     """Kronecker-correlated desired channel plus pilot-reusing interferers.
 
     ``gamma_db`` is the normalized pilot SNR in dB, so the pilot power is
@@ -910,7 +886,7 @@ def correlated_model(
     on first use.
 
     No covariance is checked, factored or formed: the validated coefficients fix every factor
-    (:meth:`StatModel._of_kronecker_terms`); ``r_cov`` and ``s_cov``, formed on first read, equal
+    (:class:`KroneckerModel`); ``r_cov`` and ``s_cov``, formed on first read, equal
     :func:`stat_model_from_pilot`'s on the same covariances.  Powers whose product overflows ``s_cov``'s
     diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
     """
@@ -923,16 +899,24 @@ def correlated_model(
     correlation.validate(len(betas))
     terms = tuple(_correlated_terms(dims, betas, correlation))
     source = partial(_limit_spectrum, dims, betas, correlation)
-    model = StatModel._of_kronecker_terms(dims, identity_pilot(dims, pilot_power),
-                                          KroneckerTerms(terms, pilot_power, noise_var, source))
+    model = KroneckerModel(dims, identity_pilot(dims, pilot_power), terms, pilot_power, noise_var, source)
     if not np.isfinite(model.diagonals()[1]).all():
         raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
     return model
 
 
 def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Circularly symmetric complex Gaussian entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly symmetric complex Gaussian entries with unit variance, real parts drawn first.
+
+    Filled in place, so it peaks at one real draw above the array it returns.
+    The in-place division is the complex one of ``(a + 1j * b) / sqrt(2)``, so
+    the bytes are that expression's.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:

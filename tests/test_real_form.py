@@ -1,7 +1,7 @@
 """A correlated model's z products and MMSE solves run in the real form of its centro-Hermitian z.
 
 ``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary ``K`` of
-``model._centro_real_form``; the estimators map by ``K^H`` on the way in and
+``model._centro_rows``; the estimators map by ``K^H`` on the way in and
 by ``K`` on the way out, and a dense model keeps its complex ``z``.
 """
 
@@ -126,10 +126,10 @@ class TestFormedOnFirstApply:
         k = np.sqrt(2.0) * peachsim.model._centro_out(np.eye(m, dtype=complex))
         assert relative_error(k.conj().T @ k, np.eye(m)) <= 1e-15
         assert relative_error(peachsim.model._centro_in(np.eye(m, dtype=complex)), np.sqrt(2.0) * k.conj().T) <= 1e-15
-        # a single vector takes the coefficient path, a block the in-place one: the same maps
+        # a single vector is one column, mapped in place as a block is
         v = complex_vector(np.random.default_rng(m), m)
-        assert relative_error(peachsim.model._centro_in(v), np.sqrt(2.0) * k.conj().T @ v[:, None]) <= 1e-15
-        assert relative_error(np.sqrt(2.0) * peachsim.model._centro_out(v[:, None]), k @ v[:, None]) <= 1e-15
+        assert relative_error(peachsim.model._centro_in(v.copy()), np.sqrt(2.0) * k.conj().T @ v[:, None]) <= 1e-15
+        assert relative_error(np.sqrt(2.0) * peachsim.model._centro_out(v[:, None].copy()), k @ v[:, None]) <= 1e-15
         assert relative_error(k @ model.z_real @ k.conj().T, model.z) <= 1e-14
         assert relative_error(peachsim.model._centro_vectors(np.eye(m)), k) <= 1e-15
 

@@ -142,3 +142,24 @@ def test_cold_tracker_and_draws_peak_below_one_complex_m_by_m_array(dims):
         tracemalloc.stop()
     assert peak < 16 * dims.m**2
     assert "z_real" in vars(model) and not set(DENSE_ARRAYS) & set(vars(model))
+
+
+@pytest.mark.parametrize("shape", [(400, 100), (7,), (80, 512)], ids=["400x100", "7", "80x512"])
+def test_standard_draw_keeps_its_bytes(shape):
+    # filled in place, real parts first, then divided as (a + 1j * b) / sqrt(2) is
+    draw = standard_complex_normal(np.random.default_rng(41), *shape)
+    rng = np.random.default_rng(41)
+    assert draw.tobytes() == ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(400, 100), (80, 512)], ids=["400x100", "80x512"])
+def test_standard_draw_peaks_at_one_real_draw_above_its_result(shape):
+    # one real draw above the returned complex array, 1.5 times it
+    rng = np.random.default_rng(41)
+    tracemalloc.start()
+    try:
+        draw = standard_complex_normal(rng, *shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * draw.nbytes
