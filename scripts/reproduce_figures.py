@@ -57,10 +57,7 @@ def main(argv=None):
         "flops_q100": ("flops", dict(q_ratio=100.0)),
     }
     for name, (scenario, overrides) in runs.items():
-        params = dict(common)
-        if scenario == "flops" and args.full_scale:
-            params.pop("n_r", None)
-        params.update(overrides)
+        params = {**common, **overrides}
         params["out"] = str(outdir / f"{name}.csv")
         config = default_config(scenario, **params)
         rows = run_experiment(config)

@@ -9,6 +9,7 @@ thresholds above which the polynomial estimators are cheaper than exact MMSE.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -59,8 +60,25 @@ def flops(kind: str, fm: FlopModel, degree: int | None = None) -> float:
 
     ``kind`` is one of ``mmse``, ``mvu``, ``peach``, ``wpeach``; the
     polynomial kinds require ``degree``.  Counts are a cost model evaluated in
-    floating point, not an integer ledger.
+    floating point, not an integer ledger; one beyond the float range raises
+    :class:`InvalidParameter`.
     """
+    return _finite(lambda: _flops(kind, fm, degree), f"{kind} FLOP count")
+
+
+def _finite(count, what: str) -> float:
+    # count(), or InvalidParameter where it, or a number it reads, overflows the float range
+    try:
+        value = count()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidParameter(f"the {what} is not finite: its inputs overflow the float range")
+    return value
+
+
+def _flops(kind: str, fm: FlopModel, degree: int | None) -> float:
+    # the count of flops, in floating point
     m, n = float(fm.dims.m), float(fm.dims.n)
     k_c, k_s = fm.k_c, fm.k_s
     if kind == "mmse":
@@ -102,11 +120,10 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     """
     q = check_real("q", q, InvalidParameter, 0.0)
     degree = check_degree(degree)
-    if kind == "peach":
-        return q * (1.5 * degree + 0.375)
-    if kind == "wpeach":
-        return q * (3.0 * degree + 1.125)
-    raise UnsupportedEstimator(f"no crossover threshold for kind {kind!r}")
+    if kind not in ("peach", "wpeach"):
+        raise UnsupportedEstimator(f"no crossover threshold for kind {kind!r}")
+    slope, offset = (1.5, 0.375) if kind == "peach" else (3.0, 1.125)
+    return _finite(lambda: q * (slope * degree + offset), "crossover threshold")
 
 
 Floors = namedtuple("Floors", NAMES)

@@ -348,7 +348,8 @@ def run_experiment(config: ExperimentConfig):
             n_r, gamma_db = built = (point["n_r_values"], point["snr_db"])
             dims = Dims(n_r, config.n_t, config.b)
             model = correlated_model(dims, gamma_db, config.betas, config.correlation, config.noise_var)
-        rows.extend(scenario.point_rows(config, model, point, float(value), index))
+        sweep_value = check_real(scenario.walks, value, InvalidParameter)  # an integer beyond the float range fails
+        rows.extend(scenario.point_rows(config, model, point, sweep_value, index))
     write_rows(rows, Path(config.out))
     return rows
 

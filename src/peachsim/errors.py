@@ -99,12 +99,17 @@ def check_integer(name: str, value, least: int, error: type) -> int:
 
 def check_real(name: str, value, error: type, least: float = -math.inf, strict: bool = False, finite: bool = True) -> float:
     """``value`` as a ``float`` if it is a ``numbers.Real`` other than ``bool`` of at least ``least`` (above it when
-    ``strict``), finite unless ``finite`` is false, else ``error``; NaN fails every comparison."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not (value > least if strict else value >= least) or finite and not math.isfinite(value)):
+    ``strict``), finite unless ``finite`` is false, else ``error``; NaN fails every comparison, and an integer beyond
+    the float range is infinite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not real or not (number > least if strict else number >= least) or finite and not math.isfinite(number):
         bound = f" and {'>' if strict else '>='} {least}" if least > -math.inf else ""
         raise error(f"{name} must be {'finite and ' if finite else ''}real{bound}, got {value!r}")
-    return float(value)
+    return number
 
 
 def check_array(name: str, value, shape: tuple | None = None, square: bool = False) -> np.ndarray:

@@ -17,7 +17,8 @@ one too), the floors and the mismatched scores.  The products, and MMSE's
 solves, take the operator the model gives (:meth:`StatModel.z_operator`): on a
 correlated model the real symmetric form of its centro-Hermitian z and its
 real Cholesky factor, which read each complex block as its real view, with one
-O(m) map into their coordinates and one back; on a dense model z itself.
+O(m) map into their coordinates and ``r_cov pilot_ext^H`` applied from them, as
+one Kronecker apply; on a dense model z itself.
 Closed-form MSEs, the default scalings and the optimal weights come from the
 model's one cached spectrum of z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
 coordinates of the pilot's QR decomposition, O(m^2 * b), and from the block
@@ -173,7 +174,7 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
     Cholesky factor of z (of its real form on a correlated model,
     :meth:`StatModel.z_operator`), formed on the first ``apply`` and never by
     ``mse``, in two O(m^2) triangular solves per estimate, then applies
-    ``r_cov pilot_ext^H`` (:meth:`StatModel.apply_r_pilot_adjoint`); ``mvu``
+    ``r_cov pilot_ext^H`` in the operator's coordinates (its ``head``); ``mvu``
     is :func:`_mvu_system`, ``diagonalized`` :func:`_diagonalized`, and ``peach`` and ``wpeach`` bind
     :func:`make_peach` and :func:`make_wpeach` at their default scalings.  Any
     other name raises :class:`UnsupportedEstimator`.
@@ -194,16 +195,16 @@ def bind(model: StatModel, est: PolyEstimator) -> Prepared:
 
     Each degree costs one product with d of the operator the model gives (:meth:`StatModel.z_operator`,
     formed once per model, on the first ``apply``); no power of z is formed.  ``r_cov pilot_ext^H`` is applied
-    once (:meth:`StatModel.apply_r_pilot_adjoint`), through its Kronecker factors when the model has them.
+    once, in the operator's coordinates (its ``head``), through its Kronecker factors when the model has them.
     """
     mse = lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam))
     return Prepared(model, lambda d: _through(model, d, False, est.apply), mse)
 
 
 def _through(model: StatModel, d: np.ndarray, inverse: bool, apply) -> np.ndarray:
-    # r_cov pilot_ext^H of apply(op, d) in the coordinates of the model's operator (StatModel.z_operator)
-    op, into, back, _ = model.z_operator(inverse)
-    return model.apply_r_pilot_adjoint(back(apply(op, into(d))).reshape(d.shape))
+    # r_cov pilot_ext^H of apply(op, d), both in the coordinates of the model's operator (StatModel.z_operator)
+    op, into, head, _ = model.z_operator(inverse)
+    return head(apply(op, into(d))).reshape(-1, *d.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,7 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
     stays defined but no longer approaches the MMSE estimator.
     """
+    degree, alpha = _scalars(degree, alpha, "alpha")
     est = _peach_on(model.z_spectrum, degree, alpha)
     bound = 2.0 / model.z_spectrum.lam[-1]
     if alpha is not None and not est.alpha < bound:
@@ -343,7 +345,13 @@ def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> 
     choice, :func:`default_alpha_w`).  An estimator with other weights is a
     :class:`PolyEstimator` built directly.
     """
+    degree, alpha_w = _scalars(degree, alpha_w, "alpha_w")
     return _wpeach_on(model.z_spectrum, degree, alpha_w)
+
+
+def _scalars(degree: int, alpha: float | None, name: str) -> tuple:
+    # the degree and a given scaling, checked before the spectrum is read, so a bad one costs no eigensolver call
+    return check_degree(degree), None if alpha is None else check_real(name, alpha, InvalidScaling, 0.0, strict=True)
 
 
 def _wpeach_on(spectrum: Spectrum, degree: int, alpha_w: float | None = None) -> PolyEstimator:
@@ -392,6 +400,7 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     trace(r + r pilot^H A_L z A_L^H pilot r - 2 r pilot^H A_L pilot r) with
     A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
     """
+    degree, alpha = _scalars(degree, alpha, "alpha")
     return bind(model, _peach_on(model.z_spectrum, degree, alpha)).mse()
 
 
@@ -432,6 +441,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
     when ``model`` has them.
     """
+    degree = check_degree(degree)
     r_est, _ = check_hermitian_psd(r_est, "r_est", (model.dims.n, model.dims.n))
     lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)

@@ -13,8 +13,9 @@ Its limit ``r + sum_i beta_i R_i`` (:func:`correlated_limit`) is
 eigendecomposed once per sweep, in real arithmetic since it is
 centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine map
 of it.  Its ``z`` is centro-Hermitian too, so its estimates and tracking run on
-the real symmetric ``S`` with ``z = K S K^H`` (Lee, Linear Algebra Appl. 29,
-1980; Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 1990).
+the real symmetric ``S`` with ``z = K S K^H`` for ``K = K_t (x) K_r``, a sum of
+Kronecker products of the factors' real forms (Lee, Linear Algebra Appl. 29,
+1980; Van Loan, J. Comput. Appl. Math. 123, 2000).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .spectrum import Spectrum
 # Relative tolerance for Hermitian / PSD validation of covariance inputs.
 HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
-# Columns per block in which correlated_limit maps its eigenvectors back and applies r.
+# Columns per block in which correlated_limit applies r's real form to its eigenvectors.
 LIMIT_BLOCK = 256
 # Length from which a vector is multiplied by a real form as two dsymv, which read one triangle; below it, and
 # for every block, one dgemm on the real view is faster (one OpenBLAS thread: equal near m = 500, 1.6x at 1000).
@@ -306,14 +307,15 @@ class StatModel:
         return factor, lower
 
     def z_operator(self, inverse: bool = False) -> tuple:
-        """``(op, into, back, scale)`` with ``back(op @ into(d))`` equal to ``z d``, or ``z^{-1} d`` when ``inverse``.
+        """``(op, into, head, scale)``: ``head(op @ into(d))`` is ``r_cov pilot_ext^H z d`` (``z^{-1} d`` if ``inverse``).
 
         ``d`` is a complex (m,) vector or (m, k) block, which ``into`` may
         overwrite, and ``Re(into(f)^H op^j into(d)) * scale = Re(f^H z^j d)``.
-        Here ``op`` is ``z`` (or solves against ``z_factor``), the maps are the
-        identity and ``scale`` is 1; nothing is formed until this is called.
+        Here ``op`` is ``z`` (or solves against ``z_factor``), ``into`` the
+        identity, ``head`` :meth:`apply_r_pilot_adjoint` and ``scale`` 1;
+        nothing is formed until this is called.
         """
-        return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, _same, 1.0
+        return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, self.apply_r_pilot_adjoint, 1.0
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
@@ -347,8 +349,8 @@ class KroneckerModel(StatModel):
     the identity ``pilot``; ``source()`` is the limit's :class:`Spectrum`.
     ``r_cov`` and ``s_cov`` are formed on first read, with the bytes
     :func:`stat_model_from_pilot` gives them; the overrides form neither.
-    :meth:`z_operator` gives the real form ``z_real`` of z (m x m float64) or
-    its real Cholesky factor ``z_real_factor``.
+    :meth:`z_operator` gives the real form ``z_real = K^H z K``, ``K = K_t (x)
+    K_r`` (m x m float64), or its real Cholesky factor ``z_real_factor``.
 
     Its constructor skips :class:`StatModel`'s checks: each covariance is
     ``np.kron`` of factors fixed by validated coefficients
@@ -425,14 +427,6 @@ class KroneckerModel(StatModel):
         """r_cov @ x through the Kronecker factors of ``r_cov``."""
         return _kronecker_apply(*self.terms[0][1:], np.asarray(x))
 
-    def apply_r_pilot_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """r_cov @ pilot_ext^H @ y as one Kronecker apply: ``r_cov pilot_ext^H = (R_t conj(pilot)) (x) R_r``."""
-        return _kronecker_apply(self._pilot_r_t, self.terms[0][2], y)
-
-    @cached_property
-    def _pilot_r_t(self) -> np.ndarray:
-        return self.terms[0][1] @ self.pilot.conj()
-
     def _channel(self, w: np.ndarray) -> np.ndarray:
         # chol(R_t) (x) chol(R_r) w, into w's memory: that product is lower triangular with a positive diagonal, so
         # it is the Cholesky factor of r_cov (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12)
@@ -464,7 +458,7 @@ class KroneckerModel(StatModel):
     def z_real(self) -> np.ndarray:
         """The real symmetric S with ``z = K S K^H`` (read-only, m x m float64), ``power * S_limit + noise_var * I``
         for the limit's real form (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed."""
-        s = _limit_real_form(self.dims.n_r, [term for term in self.terms if term[0] > 0])
+        s = _limit_real_form([term for term in self.terms if term[0] > 0])
         s *= self.power
         s.flat[:: len(s) + 1] += self.noise_var
         s.setflags(write=False)
@@ -481,10 +475,18 @@ class KroneckerModel(StatModel):
         return factor
 
     def z_operator(self, inverse: bool = False) -> tuple:
-        """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`); ``into`` and ``back`` are
-        ``sqrt(2) K^H`` and ``K / sqrt(2)``, O(mk) each, and ``scale`` is 1/2, since ``into`` doubles inner products."""
+        """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
+        (:func:`_centro_in`), ``head`` is ``r_cov pilot_ext^H K / 2``, one Kronecker apply, and ``scale`` is 1/4,
+        since ``into`` multiplies inner products by 4."""
         op = _Operator(self.z_real_factor, _real_solve) if inverse else _Operator(self.z_real, _real_product)
-        return op, _centro_in, _centro_out, 0.5
+        return (op, *self._maps, 0.25)
+
+    @cached_property
+    def _maps(self) -> tuple:
+        # into and head: r_cov pilot_ext^H K / 2 = (R_t conj(pilot) K_t / 2) (x) (R_r K_r)
+        _, r_t, r_r = self.terms[0]
+        head = (r_t @ self.pilot.conj() @ _real_form(r_t)[1] / 2, r_r @ _real_form(r_r)[1])
+        return partial(_centro_in, self.dims.n_r), partial(_kronecker_apply, *head)
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
@@ -641,78 +643,46 @@ def _kronecker_apply(r_t: np.ndarray, r_r: np.ndarray, x: np.ndarray, out: np.nd
     return np.matmul(r_t, rx.reshape(n_t, -1), out=None if out is None else out.reshape(n_t, -1)).reshape(x.shape)
 
 
-def _centro_rows(s: np.ndarray, top: np.ndarray, start: int):
-    """Write into ``s`` every entry of ``S = K^H L K`` that rows ``start`` on of ``L``'s top rows fix, in O(n) each.
+def _real_form(r: np.ndarray) -> tuple:
+    """``(S, K)`` for a Hermitian Toeplitz, so centro-Hermitian, factor ``R``: ``S = Re(K^H R K)``, symmetrized to be
+    exactly symmetric, for the unitary ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` (a middle unit column for an odd order,
+    ``J`` the exchange matrix), read off :func:`_centro_butterfly` on the identity.  ``conj(K) = J K``, so ``K^H R K``
+    is real (Lee, Linear Algebra Appl. 29, 1980)."""
+    k = _centro_butterfly(np.eye(len(r), dtype=complex)).conj().T / math.sqrt(2.0)
+    s = (k.conj().T @ r @ k).real
+    return (s + s.T) / 2, k
 
-    ``S`` is the real symmetric form of a centro-Hermitian ``L`` (``J conj(L)
-    J = L``).  ``K = [[I, iJ], [J, -iI]] / sqrt(2)`` is unitary, with a middle
-    unit column for odd ``n``, and ``conj(K) = J K``, so ``S`` is real.  With
-    ``p = n // 2``, ``A = L[:p, :p]`` and ``B = L[:p, n-p:]``, ``S = [[Re(A +
-    BJ), -Im(AJ - B)], [., J Re(AJ - B)]]``; for odd ``n`` the middle row and
-    column are ``sqrt(2)`` times the real and the flipped imaginary part of
-    ``x = L[:p, p]``, about ``L[p, p]``.
 
-    ``top`` holds the rows from ``start``, a block of the ``n - n // 2`` that
-    determine ``L``.  Row ``i < p`` of ``L`` fixes row ``i`` of ``S``'s top half, column
-    ``i`` of its bottom-left block, row ``n - 1 - i`` of its bottom-right one
-    and, for odd ``n``, the middle entries ``i`` and ``n - 1 - i``; the middle
-    row of ``L`` fixes the middle diagonal entry.  Each entry is computed as
-    from the whole top, so a form filled block by block is the same bytes.
+def _limit_real_form(terms: list) -> np.ndarray:
+    """Real symmetric form ``sum_i w_i S_t,i (x) S_r,i`` of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
+
+    The first term is r's, of weight 1.  For ``K = K_t (x) K_r``, ``K^H (R_t (x)
+    R_r) K = S_t (x) S_r`` (:func:`_real_form`; Van Loan, J. Comput. Appl. Math.
+    123, 2000), exactly symmetric since each ``S`` is.  It is filled one
+    transmit row, ``S_t[j, c] S_r[k, l]`` over ``(k, c, l)``, at a time: one
+    ufunc over the whole array holds iterator buffers of one to two m x m arrays.
     """
-    n = len(s)
-    p = n // 2
-    stop = min(start + len(top), p)
-    rows, flipped = slice(start, stop), slice(n - 1 - start, n - 1 - stop, -1)
-    a, b = top[: stop - start, :p], top[: stop - start, n - p :]
-    aj_b = a[:, ::-1] - b
-    s[rows, :p] = a.real + b.real[:, ::-1]
-    s[rows, n - p :] = -aj_b.imag
-    s[n - p :, rows] = s[rows, n - p :].T
-    s[flipped, n - p :] = aj_b.real
-    if n % 2:
-        x = math.sqrt(2.0) * top[: stop - start, p]
-        s[rows, p] = s[p, rows] = x.real
-        s[flipped, p] = s[p, flipped] = x.imag
-        if start + len(top) > p:
-            s[p, p] = top[p - start, p].real
-
-
-def _limit_real_form(n_r: int, terms: list) -> np.ndarray:
-    """Real symmetric form (:func:`_centro_rows`) of ``sum_i w_i R_t,i (x) R_r,i`` over ``(w_i, R_t,i, R_r,i)``.
-
-    The first term is r's, of weight 1.  The centro-Hermitian sum's first
-    ``n - n // 2`` rows determine it, and rows ``j n_r`` to ``(j + 1) n_r``
-    of ``R_t (x) R_r`` are ``R_t[j] (x) R_r``, the ``(n_r, n_t, n_r)`` outer
-    product ``R_t[j, c] R_r[k, l]``, in ``np.kron``'s operand order and so its
-    bytes.  The form is filled from one such block of rows at a time, in
-    reused buffers, so no complex array of more than ``n_r`` rows is formed.
-    """
-    (_, r_t, r_r), *interferers = terms
-    n_t = len(r_t)
-    n = n_t * n_r
-    s = np.empty((n, n))
-    top = np.empty((n_r, n_t, n_r), dtype=complex)
-    term = np.empty_like(top) if interferers else None
-    for j in range(-(-(n - n // 2) // n_r)):
-        np.multiply(r_t[j][:, None], r_r[:, None, :], out=top)
+    (_, s_t, s_r), *interferers = [(w, _real_form(r_t)[0], _real_form(r_r)[0]) for w, r_t, r_r in terms]
+    n_t, n_r = len(s_t), len(s_r)
+    s = np.empty((n_t, n_r, n_t, n_r))
+    term = np.empty((n_r, n_t, n_r)) if interferers else None
+    for j, row in enumerate(s):
+        np.multiply(s_t[j][:, None], s_r[:, None, :], out=row)
         for beta, i_t, i_r in interferers:
-            top += np.multiply((beta * i_t[j])[:, None], i_r[:, None, :], out=term)
-        _centro_rows(s, top.reshape(n_r, n), j * n_r)
-    return s
+            row += np.multiply((beta * i_t[j])[:, None], i_r[:, None, :], out=term)
+    return s.reshape(n_t * n_r, -1)
 
 
-# The maps of a correlated model's z = K S K^H, for the K of _centro_rows: K = U / sqrt(2) with U = [[I, iJ],
-# [J, -iI]] (J reverses the rows) and, for an odd m, a unit middle entry.  _centro_in gives sqrt(2) K^H d and
-# _centro_out K x / sqrt(2), so _centro_out(op @ _centro_in(d)) = K op K^H d for the product and the solve alike.
-# A block, a vector being one column, is mapped in place with one half-block copy: at m = 80, 512 columns, a
-# whole-block temporary costs more in fresh pages than in arithmetic (0.6 against 0.1 ms per map).  Both keep (m, k)
-# blocks, so each real view below is one call: x.view(float), (m, 2k).
+# The map into a correlated model's z = K S K^H, K = K_t (x) K_r: _centro_in gives 2 K^H d, and the head applies
+# r_cov pilot_ext^H K / 2 (KroneckerModel._maps), for the product and the solve alike.  A block, a vector being one
+# column, is mapped in place with one half-block copy per axis: at m = 80, 512 columns, a whole-block temporary costs
+# more in fresh pages than in arithmetic (0.6 against 0.1 ms per map).  It keeps (m, k) blocks, so each real view
+# below is one call: x.view(float), (m, 2k).
 
 
-def _centro_in(d: np.ndarray) -> np.ndarray:
-    """``sqrt(2) K^H d`` for a complex (m,) vector or (m, k) block, as a C-contiguous (m, k) block (in ``d``'s
-    memory when ``d`` is C-contiguous): top ``d_top + J d_bottom``, bottom ``i (d_bottom - J d_top)``."""
-    x = np.ascontiguousarray(d.reshape(len(d), -1))
+def _centro_butterfly(x: np.ndarray) -> np.ndarray:
+    """``sqrt(2) K^H x`` along the first axis of ``x``, in place: top ``x_top + J x_bottom``, bottom
+    ``i (x_bottom - J x_top)`` and, for an odd length, ``sqrt(2)`` times the middle."""
     p = len(x) // 2
     top, bottom = x[:p], x[len(x) - p :]
     old_top = top.copy()
@@ -724,37 +694,15 @@ def _centro_in(d: np.ndarray) -> np.ndarray:
     return x
 
 
-def _centro_out(x: np.ndarray) -> np.ndarray:
-    """``K x / sqrt(2)`` for a C-contiguous complex (m, k) block, in place: top ``(x_top + i J x_bottom) / 2``,
-    bottom ``(J x_top - i x_bottom) / 2``."""
-    p = len(x) // 2
-    top, bottom = x[:p], x[len(x) - p :]
-    bottom *= -0.5j
-    old_top = 0.5 * top
-    np.subtract(old_top, bottom[::-1], out=top)
-    bottom += old_top[::-1]
-    if len(x) % 2:
-        x[p] *= math.sqrt(0.5)
+def _centro_in(n_r: int, d: np.ndarray) -> np.ndarray:
+    """``2 K^H d`` for a complex (m,) vector or (m, k) block, as a C-contiguous (m, k) block (in ``d``'s memory when
+    ``d`` is C-contiguous): the butterfly along the transmit axis, then along the receive axis, of its
+    ``(m / n_r, n_r, k)`` view."""
+    x = np.ascontiguousarray(d.reshape(len(d), -1))
+    blocks = x.reshape(len(x) // n_r, n_r, x.shape[1])
+    _centro_butterfly(blocks)
+    _centro_butterfly(blocks.swapaxes(0, 1))
     return x
-
-
-def _centro_vectors(vecs: np.ndarray) -> np.ndarray:
-    """``K @ vecs`` for the ``K`` of :func:`_centro_rows` and real ``vecs``, in O(n^2).
-
-    The top ``p`` entries of ``K v`` are ``(v_top + iJ v_bottom) / sqrt(2)``,
-    the bottom ``p`` their flipped conjugates and an odd ``n``'s middle one
-    ``v``'s.  Built by rows, so the result is the Fortran-ordered transpose
-    of a C-ordered array.
-    """
-    n = vecs.shape[0]
-    p = n // 2
-    rows = np.empty(vecs.shape[::-1], dtype=complex)
-    half = rows[:, :p]
-    half.real, half.imag = math.sqrt(0.5) * vecs[:p].T, math.sqrt(0.5) * vecs[n - p :][::-1].T
-    np.conjugate(half[:, ::-1], out=rows[:, n - p :])
-    if n % 2:
-        rows[:, p] = vecs[p]
-    return rows.T
 
 
 def _real_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -798,7 +746,7 @@ def _cho_solve(factor: tuple, x: np.ndarray) -> np.ndarray:
 
 
 def _same(x: np.ndarray) -> np.ndarray:
-    # a dense model's map into and out of z's coordinates
+    # a dense model's map into z's coordinates
     return x
 
 
@@ -822,13 +770,14 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
     decomposition.  With interference, every term is a Kronecker product of
     Hermitian Toeplitz factors, each centro-Hermitian (``J conj(T) J = T``
     for the exchange matrix ``J``), and ``J_n = J_{n_t} (x) J_{n_r}``, so the
-    limit is centro-Hermitian too.  It is unitarily similar to a real
-    symmetric matrix (Lee, Linear Algebra Appl. 29, 1980; Hill, Bates &
-    Waters, SIAM J. Matrix Anal. Appl. 11, 1990; :func:`_centro_rows`),
-    which one real MRRR ``eigh`` (``dsyevr``) decomposes; its eigenvectors
-    map back in O(m^2) (:func:`_centro_vectors`).  The energies
-    ``||r u_k||^2`` apply ``r`` through its factors (:func:`_kronecker_apply`),
-    ``LIMIT_BLOCK`` eigenvectors at a time.  Only the latest
+    limit is centro-Hermitian too.  ``K = K_t (x) K_r`` takes it to the real
+    symmetric ``sum_i w_i S_t,i (x) S_r,i`` of the factors' real forms (Lee,
+    Linear Algebra Appl. 29, 1980; Hill, Bates & Waters, SIAM J. Matrix Anal.
+    Appl. 11, 1990; :func:`_limit_real_form`), which one real MRRR ``eigh``
+    (``dsyevr``) decomposes.  For its eigenvector ``v`` the limit's is
+    ``K v``, and the energy ``||r K v||^2 = ||(S_t (x) S_r) v||^2`` is taken
+    in real arithmetic (:func:`_kronecker_apply`), ``LIMIT_BLOCK``
+    eigenvectors at a time, so no complex n x n array is formed.  Only the latest
     spectrum is kept (two length-m vectors, read-only), as the experiment
     runner keeps only its latest model.  ``betas`` and ``correlation`` are
     checked before they key the cache, whose ``cache_info`` and
@@ -850,14 +799,14 @@ def _limit_spectrum(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -
         mu = np.sort(np.kron(np.linalg.eigvalsh(r_t), np.linalg.eigvalsh(r_r)))
         phi = mu**2
     else:
-        mu, vecs = scipy.linalg.eigh(_limit_real_form(dims.n_r, terms).T, driver="evr", overwrite_a=True)
-        # the energies of LIMIT_BLOCK eigenvectors at a time, so no n x n
-        # complex array is formed; each is summed along a contiguous row, where
-        # numpy sums pairwise, as it did before the blocks
+        mu, vecs = scipy.linalg.eigh(_limit_real_form(terms).T, driver="evr", overwrite_a=True)
+        # ||r K v|| = ||(S_t (x) S_r) v|| for the limit's eigenvector K v, in real arithmetic, LIMIT_BLOCK
+        # eigenvectors at a time; each is summed along a contiguous row, where numpy sums pairwise
+        s_t, s_r = _real_form(r_t)[0], _real_form(r_r)[0]
         phi = np.empty(n)
         for j in range(0, n, LIMIT_BLOCK):
-            r_vecs = _kronecker_apply(r_t, r_r, _centro_vectors(vecs[:, j : j + LIMIT_BLOCK]))
-            phi[j : j + LIMIT_BLOCK] = np.sum(np.abs(r_vecs.T, order="C") ** 2, axis=1)
+            r_vecs = _kronecker_apply(s_t, s_r, vecs[:, j : j + LIMIT_BLOCK])
+            phi[j : j + LIMIT_BLOCK] = np.sum(np.square(r_vecs.T, order="C"), axis=1)
     # every caller shares the cached arrays
     mu.setflags(write=False)
     phi.setflags(write=False)

@@ -37,7 +37,7 @@ from peachsim import (
     mmse_filter_matrix,
     prepare,
 )
-from peachsim.errors import InvalidParameter, PeachSimError, ShapeError
+from peachsim.errors import InvalidParameter, PeachSimError, ShapeError, check_real
 from peachsim.model import identity_pilot
 
 DIMS = Dims(2, 2, 2)
@@ -241,3 +241,43 @@ def test_warmup_list_holds_samples_not_blocks(warmup):
     # a list's entries are (m,) samples; an (m, k) block belongs on its own
     with pytest.raises(ShapeError):
         peachsim.adaptive_init(MODEL, 2, ALPHA_W, warmup)
+
+
+# Integers beyond the float range in the FLOP scenarios, which do pure arithmetic on them, so no array is allocated:
+# 1e119 receive antennas overflow m**3, 1e160 the m**2 of the polynomial counts and 1e400 the float of m itself
+HUGE = {"1e119": 10**119, "1e400": 10**400}
+FLOP_OVERFLOWS = [(10**119, "mmse"), (10**119, "mvu")] + [
+    (n_r, kind) for n_r in (10**160, 10**400) for kind in ("mmse", "mvu", "peach", "wpeach")
+]
+
+
+@pytest.mark.parametrize("n_r, kind", FLOP_OVERFLOWS, ids=[f"1e{len(str(n_r)) - 1}-{kind}" for n_r, kind in FLOP_OVERFLOWS])
+def test_flop_count_beyond_the_float_range_is_typed(n_r, kind):
+    fm = peachsim.FlopModel(Dims(n_r, 10, 10), tau_s=1.0, tau_c=0.1, t_tot=2.0)
+    with pytest.raises(InvalidParameter, match="not finite"):
+        peachsim.flops(kind, fm, 2)
+
+
+@pytest.mark.parametrize("kind", ["peach", "wpeach"])
+@pytest.mark.parametrize("q, degree", [(1e308, 12), (10**400, 2), (50.0, 10**400)], ids=["q-1e308", "q-1e400", "L-1e400"])
+def test_crossover_beyond_the_float_range_is_typed(kind, q, degree):
+    with pytest.raises(InvalidParameter):
+        peachsim.crossover_m(kind, q, degree)
+
+
+@pytest.mark.parametrize("n_r", HUGE.values(), ids=HUGE.keys())
+def test_flops_table_beyond_the_float_range_is_typed(tmp_path, n_r):
+    out = tmp_path / "flops.csv"
+    with pytest.raises(InvalidParameter):
+        peachsim.run_experiment(peachsim.default_config("flops", n_r_values=(n_r,), out=str(out)))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_real_check_reads_an_integer_beyond_the_float_range_as_infinite(sign, finite):
+    if finite:
+        with pytest.raises(InvalidParameter):
+            check_real("value", sign * 10**400, InvalidParameter)
+    else:
+        assert check_real("value", sign * 10**400, InvalidParameter, finite=False) == sign * math.inf

@@ -547,6 +547,14 @@ class TestMain:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("zeros", [119, 400])
+    def test_flop_count_beyond_the_float_range_exits_2(self, tmp_path, capsys, zeros):
+        # 1e119 receive antennas overflowed m**3 with a bare OverflowError, 1e400 the float of the sweep value
+        out = tmp_path / "x.csv"
+        assert main(["flops", "--nr-values", "1" + "0" * zeros, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["", "."])
     def test_out_naming_a_directory_rejected_before_any_work(self, capsys, monkeypatch, out):
         # --out '' computed every table, then died with a bare IsADirectoryError and exit status 1

@@ -23,7 +23,8 @@ from peachsim.model import (
     Dims,
     KroneckerModel,
     SpatialCorrelation,
-    _centro_rows,
+    _correlated_terms,
+    _limit_real_form,
     check_hermitian_psd,
     correlated_limit,
     correlated_model,
@@ -152,15 +153,15 @@ def test_real_form_spectrum_matches_dense_eigh(dims, correlation, betas):
 @pytest.mark.parametrize("correlation", CORRELATIONS.values(), ids=CORRELATIONS.keys())
 @pytest.mark.parametrize("dims", SHAPES.values(), ids=SHAPES.keys())
 def test_real_form_is_the_unitary_similarity(dims, correlation):
+    # K = K_t (x) K_r, so the form is the weighted sum of the factors' forms S_t (x) S_r
     limit, _ = dense_limit(dims, (0.1, 0.3), correlation)
-    k = centro_unitary(dims.n)
+    k = np.kron(centro_unitary(dims.n_t), centro_unitary(dims.n_r))
     np.testing.assert_allclose(k.conj().T @ k, np.eye(dims.n), rtol=0.0, atol=1e-15)
     similar = k.conj().T @ limit @ k
     scale = np.linalg.norm(limit)
     assert np.linalg.norm(similar.imag) <= 1e-15 * scale
-    real_form = np.empty((dims.n, dims.n))
-    _centro_rows(real_form, limit[: dims.n - dims.n // 2], 0)
-    assert real_form.dtype == np.float64
+    real_form = _limit_real_form(_correlated_terms(dims, (0.1, 0.3), correlation))
+    assert real_form.dtype == np.float64 and np.array_equal(real_form, real_form.T)
     assert np.linalg.norm(real_form - similar.real) <= 1e-15 * scale
 
 

@@ -21,6 +21,7 @@ from peachsim.errors import (
 )
 from peachsim.model import (
     Dims,
+    correlated_limit,
     correlated_model,
     deviation,
     extend_pilot,
@@ -604,3 +605,31 @@ def test_hot_path_never_forms_dense_pilot(rng, monkeypatch, pilot):
     adaptive_update(state, samples[4])
     results = run_monte_carlo(model, {name: p.apply for name, p in prepared.items()}, 20, 3)
     assert set(results) == set(prepared)
+
+
+BAD_SCALARS = {
+    "peach degree -1": (lambda model: es.prepare(model, "peach", -1), InvalidDegree),
+    "wpeach degree None": (lambda model: es.prepare(model, "wpeach"), InvalidDegree),
+    "wpeach degree 2.5": (lambda model: es.make_wpeach(model, 2.5), InvalidDegree),
+    "peach alpha 0": (lambda model: es.make_peach(model, 2, 0.0), InvalidScaling),
+    "peach alpha nan": (lambda model: es.make_peach(model, 2, np.nan), InvalidScaling),
+    "wpeach alpha_w -1": (lambda model: es.make_wpeach(model, 2, -1.0), InvalidScaling),
+    "peach_mse degree -1": (lambda model: es.peach_mse(model, -1, 0.1), InvalidDegree),
+    "peach_mse alpha inf": (lambda model: es.peach_mse(model, 2, np.inf), InvalidScaling),
+    "wpeach_mse_optimal degree None": (lambda model: es.wpeach_mse_optimal(model, None), InvalidDegree),
+    "mismatched degree -1": (lambda model: es.mismatched_mse(model, np.eye(model.dims.n), -1), InvalidDegree),
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["correlated", "dense"])
+@pytest.mark.parametrize("call, error", BAD_SCALARS.values(), ids=BAD_SCALARS.keys())
+def test_bad_polynomial_scalars_are_rejected_before_the_spectrum(monkeypatch, call, error, dense):
+    # a bad degree or scaling raises its typed error before any eigensolver runs, cold limit cache included
+    model = correlated_model(Dims(20, 4, 4), 5.0, (0.1, 0.1))
+    model = replace(model) if dense else model
+    correlated_limit.cache_clear()
+    counts = {}
+    count_eig_calls(monkeypatch, counts)
+    with pytest.raises(error):
+        call(model)
+    assert counts == {"eigh": 0, "eigvalsh": 0}

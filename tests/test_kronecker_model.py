@@ -64,7 +64,7 @@ def test_only_the_model_module_names_the_correlated_structure(path):
 
 
 def test_the_guard_finds_the_structure_where_it_is_named():
-    assert {"KroneckerModel", "z_real", "z_real_factor", "_centro_in", "_centro_out"} <= set(
+    assert {"KroneckerModel", "z_real", "z_real_factor", "_centro_in", "_centro_butterfly"} <= set(
         structure_references(SOURCE / "model.py")
     )
 

@@ -352,6 +352,16 @@ class TestBuildMemory:
         assert peak < 2 * dims.m**2 * 16
         assert "r_cov" not in vars(model) and "s_cov" not in vars(model)
 
+    def test_cold_limit_and_real_form_peak_below_their_old_blocks(self):
+        # the limit holds its real form, then the real eigenvectors and one real LIMIT_BLOCK of their energies
+        # (2.46 m x m complex arrays when the energies took complex blocks of mapped eigenvectors, 1.22 measured);
+        # a cold z_real holds the form and the factors' (0.85 when it was filled from complex top rows, 0.62)
+        dims = Dims(40, 10, 10)
+        correlated_limit.cache_clear()
+        assert traced_peak(lambda: correlated_limit(dims, (0.1, 0.1)))[1] < 1.7 * dims.m**2 * 16
+        model = correlated_model(dims, 5.0, (0.1, 0.1))
+        assert traced_peak(lambda: model.z_real)[1] < 0.7 * dims.m**2 * 16
+
 
 class TestObservationCovarianceCache:
     def test_dense_z_matches_factored_application(self, rng):

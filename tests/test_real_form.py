@@ -1,8 +1,9 @@
 """A correlated model's z products and MMSE solves run in the real form of its centro-Hermitian z.
 
-``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary ``K`` of
-``model._centro_rows``; the estimators map by ``K^H`` on the way in and
-by ``K`` on the way out, and a dense model keeps its complex ``z``.
+``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary
+``K = K_t (x) K_r``; the estimators map by ``2 K^H`` on the way in and apply
+``r_cov pilot_ext^H K / 2`` on the way out, and a dense model keeps its complex
+``z``.
 """
 
 from dataclasses import replace
@@ -17,6 +18,7 @@ from peachsim.errors import NonFiniteObservation, PeachSimError
 from peachsim.model import Dims, correlated_model, deviation
 
 from conftest import complex_vector, relative_error
+from oracles import centro_unitary
 
 # noise-limited and contaminated, for an even n, an odd n and three interferers
 TWIN_MODELS = {
@@ -120,18 +122,21 @@ class TestFormedOnFirstApply:
 
     @pytest.mark.parametrize("model_name", TWIN_MODELS)
     def test_maps_carry_the_real_form_to_z(self, model_name):
-        # the maps are sqrt(2) K^H and K / sqrt(2) for a unitary K with z = K S K^H
-        model, _ = twin_pair(model_name)
+        # for the unitary K = K_t (x) K_r with z = K S K^H, into is 2 K^H, head is r_cov pilot_ext^H K / 2, so that
+        # head(into(v)) is r_cov pilot_ext^H v, and scale 1/4 undoes into's factor 4 on inner products
+        model, dense = twin_pair(model_name)
         m = model.dims.m
-        k = np.sqrt(2.0) * peachsim.model._centro_out(np.eye(m, dtype=complex))
-        assert relative_error(k.conj().T @ k, np.eye(m)) <= 1e-15
-        assert relative_error(peachsim.model._centro_in(np.eye(m, dtype=complex)), np.sqrt(2.0) * k.conj().T) <= 1e-15
+        k = np.kron(centro_unitary(model.dims.n_t), centro_unitary(model.dims.n_r))
+        _, into, head, scale = model.z_operator()
+        assert relative_error(into(np.eye(m, dtype=complex)), 2.0 * k.conj().T) <= 1e-15
         # a single vector is one column, mapped in place as a block is
-        v = complex_vector(np.random.default_rng(m), m)
-        assert relative_error(peachsim.model._centro_in(v.copy()), np.sqrt(2.0) * k.conj().T @ v[:, None]) <= 1e-15
-        assert relative_error(np.sqrt(2.0) * peachsim.model._centro_out(v[:, None].copy()), k @ v[:, None]) <= 1e-15
-        assert relative_error(k @ model.z_real @ k.conj().T, model.z) <= 1e-14
-        assert relative_error(peachsim.model._centro_vectors(np.eye(m)), k) <= 1e-15
+        v, f = complex_vector(np.random.default_rng(m), (2, m))
+        assert relative_error(into(v.copy()), 2.0 * k.conj().T @ v[:, None]) <= 1e-15
+        assert relative_error(k @ model.z_real @ k.conj().T, dense.z) <= 1e-14
+        assert relative_error(head(into(v.copy())), dense.r_cov @ dense.pilot_ext.conj().T @ v[:, None]) <= 1e-14
+        assert scale == 0.25
+        inner = np.vdot(into(f.copy()), into(v.copy())).real * scale
+        assert abs(inner - np.vdot(f, v).real) <= 1e-15 * np.linalg.norm(f) * np.linalg.norm(v)
 
 
 class TestProductCount:
