@@ -34,7 +34,6 @@ from .estimators import (
     EstimatorKind,
     PolyEstimator,
     Prepared,
-    alpha_gershgorin,
     alpha_optimal,
     bind,
     default_alpha_w,

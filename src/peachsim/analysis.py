@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator, check_array, check_real
-from .estimators import NAMES, _peach_on, _wpeach_on
+from .estimators import NAMES, EstimatorKind, _poly_rule
 from .model import Dims
 from .spectrum import Spectrum, check_degree
 
@@ -134,8 +134,7 @@ def _polynomial_floors(limit: Spectrum, degree: int) -> dict:
     # make_peach's and make_wpeach's default filters on the limit spectrum, scored as they are applied
     if limit.lam[-1] + limit.lam[0] <= 0:
         raise SingularLimit("limit matrix must have positive extreme-eigenvalue sum")
-    rules = {"peach": _peach_on, "wpeach": _wpeach_on}
-    return {name: limit.mse(rule(limit, degree).values(limit.lam)) for name, rule in rules.items()}
+    return {kind.value: limit.mse(_poly_rule(kind, degree)(limit).values(limit.lam)) for kind in EstimatorKind}
 
 
 def floor_noise_limited(limit: Spectrum, degree: int) -> Floors:

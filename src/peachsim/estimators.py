@@ -19,11 +19,14 @@ correlated model the real symmetric form of its centro-Hermitian z and its
 real Cholesky factor, which read each complex block as its real view, with one
 O(m) map into their coordinates and ``r_cov pilot_ext^H`` applied from them, as
 one Kronecker apply; on a dense model z itself.
-Closed-form MSEs, the default scalings and the optimal weights come from the
-model's one cached spectrum of z (see :mod:`peachsim.spectrum`).  The MVU baseline is computed in the
-coordinates of the pilot's QR decomposition, O(m^2 * b), and from the block
-traces of s_cov alone for a square pilot.  Estimators prepared from an estimated channel covariance
-are scored under the true statistics in the eigenbasis of the estimated z
+Closed-form MSEs come from the model's one cached spectrum of z (see
+:mod:`peachsim.spectrum`), and one rule (:func:`_poly_rule`) prepares either
+polynomial kind, its default scaling and W-PEACH's optimal weights, on it or on
+any other spectrum: the floors' limit and the mismatched scorer's estimated z.
+The MVU baseline is computed in the coordinates of the pilot's QR
+decomposition, O(m^2 * b), and from the block traces of s_cov alone for a
+square pilot.  Estimators prepared from an estimated channel covariance are
+scored under the true statistics in the eigenbasis of the estimated z
 (:func:`mismatched_mse`).  The dense filter views are kept as independent
 oracles only.
 """
@@ -43,14 +46,13 @@ from .errors import (
     DivergentExpansionWarning,
     InvalidDegree,
     InvalidScaling,
-    NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedEstimator,
     UnsupportedPilot,
     check_array,
     check_real,
 )
-from .model import StatModel, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
+from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
 from .spectrum import Spectrum, check_degree
 
 
@@ -119,26 +121,36 @@ class PolyEstimator:
 
 
 def alpha_optimal(z: np.ndarray) -> float:
-    """Scaling 2 / (largest + smallest eigenvalue), the fastest-converging choice.
+    """Scaling 2 / (largest + smallest eigenvalue), the fastest-converging choice (:func:`make_peach`'s default).
 
-    Minimizes the spectral radius of I - alpha * z over the convergent range.
+    Minimizes the spectral radius of I - alpha * z over the convergent range;
+    :class:`NotPositiveDefinite` unless z is positive definite.
     """
     eigs = np.linalg.eigvalsh(hermitize(check_array("z", z, square=True)))
-    if eigs[0] <= 0:
-        raise NotPositiveDefinite(f"matrix must be positive definite, min eigenvalue {eigs[0]:.3e}")
-    return float(2.0 / (eigs[-1] + eigs[0]))
+    return _poly_rule(EstimatorKind.PEACH, 0)(_definite(Spectrum(eigs, np.zeros_like(eigs), 0.0))).alpha
 
 
-def alpha_gershgorin(z: np.ndarray) -> float:
-    """Scaling from Gershgorin eigenvalue bounds, avoiding an eigendecomposition."""
-    z = check_array("z", z, square=True)
-    radii = np.sum(np.abs(z), axis=1) - np.abs(np.diag(z))
-    diag = np.diag(z).real
-    if np.any(diag <= 0):
-        raise NotPositiveDefinite("matrix must be positive definite")
-    upper = float(np.max(diag + radii))
-    lower = max(float(np.min(diag - radii)), 0.0)
-    return 2.0 / (upper + lower)
+def _poly_rule(kind: EstimatorKind, degree: int, scaling: float | None = None) -> Callable[[Spectrum], PolyEstimator]:
+    """The filter of the polynomial ``kind`` and ``degree`` on any :class:`Spectrum`: the one preparation rule.
+
+    The degree and a given scaling are checked first, naming ``alpha`` or ``alpha_w``, so a bad one costs no
+    eigensolver call.  By default PEACH gets unit weights at 2 / (lambda_max + lambda_min), and W-PEACH the weights
+    of :meth:`Spectrum.fit` in powers of alpha_w x at 1 / lambda_max.
+    """
+    peach = kind is EstimatorKind.PEACH
+    degree = check_degree(degree)
+    if scaling is not None:
+        scaling = check_real("alpha" if peach else "alpha_w", scaling, InvalidScaling, 0.0, strict=True)
+
+    def on(spectrum: Spectrum) -> PolyEstimator:
+        lam = spectrum.lam
+        if peach:
+            alpha = 2.0 / (lam[-1] + lam[0]) if scaling is None else scaling
+            return PolyEstimator(kind, degree, alpha, np.ones(degree + 1))
+        alpha_w = 1.0 / lam[-1] if scaling is None else scaling
+        return PolyEstimator(kind, degree, alpha_w, spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1))
+
+    return on
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +317,14 @@ def diag_mse(model: StatModel) -> float:
 
 
 def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> PolyEstimator:
-    """Prepare an unweighted polynomial estimator for one statistics epoch.
+    """Prepare an unweighted polynomial estimator for one statistics epoch (:func:`_poly_rule` on the spectrum of z).
 
-    Without ``alpha`` the scaling is 2 / (lambda_max + lambda_min) of the
-    model's shared spectrum of z, the fastest-converging one (as
-    :func:`alpha_optimal`).  Another rule is passed as ``alpha``, for example
-    ``alpha_gershgorin(z_matrix(model))``; outside the convergence bound of that
-    spectrum it triggers :class:`DivergentExpansionWarning`, and evaluation
-    stays defined but no longer approaches the MMSE estimator.
+    Without ``alpha`` the scaling is the fastest-converging 2 / (lambda_max +
+    lambda_min) (:func:`alpha_optimal`).  A given ``alpha`` outside the
+    convergence bound of that spectrum triggers :class:`DivergentExpansionWarning`,
+    and evaluation stays defined but no longer approaches the MMSE estimator.
     """
-    degree, alpha = _scalars(degree, alpha, "alpha")
-    est = _peach_on(model.z_spectrum, degree, alpha)
+    est = _poly_rule(EstimatorKind.PEACH, degree, alpha)(model.z_spectrum)
     bound = 2.0 / model.z_spectrum.lam[-1]
     if alpha is not None and not est.alpha < bound:
         warnings.warn(
@@ -326,17 +335,8 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     return est
 
 
-def _peach_on(spectrum: Spectrum, degree: int, alpha: float | None = None) -> PolyEstimator:
-    # PEACH for the eigenvalues of ``spectrum``, by default with the fastest-converging
-    # scaling 2 / (lambda_max + lambda_min); the degree is checked before it sizes the weights
-    degree = check_degree(degree)
-    if alpha is None:
-        alpha = 2.0 / (spectrum.lam[-1] + spectrum.lam[0])
-    return PolyEstimator(EstimatorKind.PEACH, degree, alpha, np.ones(degree + 1))
-
-
 def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> PolyEstimator:
-    """Prepare a weighted polynomial estimator with MSE-optimal weights.
+    """Prepare a weighted polynomial estimator with MSE-optimal weights (:func:`_poly_rule` on the spectrum of z).
 
     The weights come from the least-squares form of the weight system (see
     :meth:`peachsim.spectrum.Spectrum.fit`), which stays accurate where the
@@ -345,26 +345,12 @@ def make_wpeach(model: StatModel, degree: int, alpha_w: float | None = None) -> 
     choice, :func:`default_alpha_w`).  An estimator with other weights is a
     :class:`PolyEstimator` built directly.
     """
-    degree, alpha_w = _scalars(degree, alpha_w, "alpha_w")
-    return _wpeach_on(model.z_spectrum, degree, alpha_w)
-
-
-def _scalars(degree: int, alpha: float | None, name: str) -> tuple:
-    # the degree and a given scaling, checked before the spectrum is read, so a bad one costs no eigensolver call
-    return check_degree(degree), None if alpha is None else check_real(name, alpha, InvalidScaling, 0.0, strict=True)
-
-
-def _wpeach_on(spectrum: Spectrum, degree: int, alpha_w: float | None = None) -> PolyEstimator:
-    # W-PEACH with the optimal weights on ``spectrum``: the monomial coefficients
-    # of Spectrum.fit, rescaled to powers of alpha_w x once alpha_w is checked
-    alpha_w = check_real("alpha_w", 1.0 / spectrum.lam[-1] if alpha_w is None else alpha_w, InvalidScaling, 0.0, strict=True)
-    weights = spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1)
-    return PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)
+    return _poly_rule(EstimatorKind.WPEACH, degree, alpha_w)(model.z_spectrum)
 
 
 def default_alpha_w(model: StatModel) -> float:
     """Weighted-estimator scaling 1 / lambda_max(z), :func:`make_wpeach`'s default."""
-    return float(1.0 / model.z_spectrum.lam[-1])
+    return _poly_rule(EstimatorKind.WPEACH, 0)(model.z_spectrum).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +386,7 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     trace(r + r pilot^H A_L z A_L^H pilot r - 2 r pilot^H A_L pilot r) with
     A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
     """
-    degree, alpha = _scalars(degree, alpha, "alpha")
-    return bind(model, _peach_on(model.z_spectrum, degree, alpha)).mse()
+    return bind(model, _poly_rule(EstimatorKind.PEACH, degree, alpha)(model.z_spectrum)).mse()
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:
@@ -441,7 +426,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
     when ``model`` has them.
     """
-    degree = check_degree(degree)
+    rule = _poly_rule(EstimatorKind.WPEACH, degree)
     r_est, _ = check_hermitian_psd(r_est, "r_est", (model.dims.n, model.dims.n))
     lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
     b = model.apply_pilot_adjoint(vecs)
@@ -451,7 +436,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     quad = (d_true - c_est).conj().T @ b
     quad[np.diag_indices_from(quad)] += lam
     quad *= c_est.T @ c_est.conj()
-    wpeach = _wpeach_on(Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real)), degree)
+    wpeach = rule(Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real)))
     return tuple(
         float(model.trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
         for v in (1.0 / lam, wpeach.values(lam))

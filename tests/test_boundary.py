@@ -130,7 +130,6 @@ CASES = {
     "EstimatorKind": case(peachsim.EstimatorKind, dict(value=S), value="peach"),
     "PolyEstimator": case(peachsim.PolyEstimator, dict(kind=S, degree=S, alpha=S, weights=A),
                           kind="wpeach", degree=2, alpha=ALPHA_W, weights=WEIGHTS),
-    "alpha_gershgorin": case(peachsim.alpha_gershgorin, dict(z=A), z=MODEL.z),
     "alpha_optimal": case(peachsim.alpha_optimal, dict(z=A), z=MODEL.z),
     "diag_estimate": case(peachsim.diag_estimate, dict(y=A), model=MODEL, y=Y),
     "linear_filter_mse": case(peachsim.linear_filter_mse, dict(g_mat=A), model=MODEL, g_mat=mmse_filter_matrix(MODEL)),

@@ -410,5 +410,5 @@ def test_polynomial_floors_score_the_filters_prepared_on_the_limit(betas):
             floors = analysis.floor_contaminated(limit, r_diag, s_diag, degree)
         else:
             floors = analysis.floor_noise_limited(limit, degree)
-        assert floors.peach == limit.mse(es._peach_on(limit, degree).values(limit.lam)), degree
-        assert floors.wpeach == limit.mse(es._wpeach_on(limit, degree).values(limit.lam)), degree
+        for kind in es.EstimatorKind:
+            assert getattr(floors, kind.value) == limit.mse(es._poly_rule(kind, degree)(limit).values(limit.lam)), degree

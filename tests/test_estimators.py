@@ -313,12 +313,6 @@ class TestAlphaRules:
         with pytest.raises(NotPositiveDefinite):
             es.alpha_optimal(np.diag([1.0, -0.1]))
 
-    def test_gershgorin_rule_within_bound(self, rng):
-        z = random_hermitian_psd(rng, 6, eig_lo=0.5, eig_hi=3.0)
-        # Gershgorin lower bounds can be negative; the rule must stay convergent
-        alpha = es.alpha_gershgorin(z)
-        assert 0.0 < alpha < 2.0 / np.linalg.eigvalsh(z)[-1] + 1e-15
-
 
 class TestPeachEstimate:
     def test_degree_zero_single_term(self, rng):
