@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, ShapeError,
-                     WindowSizeError, check_array, check_real)
+from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, NonFiniteObservation,
+                     ShapeError, WindowSizeError, check_array, check_real)
 from .model import StatModel, check_hermitian_psd, deviation, hermitize
 from .spectrum import check_degree
 
@@ -232,11 +232,11 @@ def shrinkage_kappa(phi_sample: float, phi_diag: float, psi: float, scale: float
 def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) -> ShrinkageEstimate:
     """Shrink the sample covariance of ``samples`` towards its diagonal.
 
-    ``samples`` holds one observation per row.  Given ``c_true``, the
-    quadratic-risk terms are evaluated against that known covariance (the
-    oracle, for validation); without it they are estimated from the samples
-    themselves (the plug-in rule), with the sample covariance standing in for
-    the truth.  ``c_true`` must have the shape of the sample covariance
+    ``samples`` holds one finite observation per row (:class:`NonFiniteObservation`).
+    Given ``c_true``, the quadratic-risk terms are evaluated against that known
+    covariance (the oracle, for validation); without it they are estimated from
+    the samples themselves (the plug-in rule), with the sample covariance
+    standing in for the truth.  ``c_true`` must have the shape of the sample covariance
     (:class:`ShapeError`) and be Hermitian positive semidefinite
     (:class:`NotPositiveSemiDefinite`, :func:`check_hermitian_psd`).
     """
@@ -246,6 +246,8 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     n_samples = samples.shape[0]
     if n_samples < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n_samples}")
+    if not np.isfinite(samples).all():
+        raise NonFiniteObservation("samples must be finite: one holds NaN or infinity")
     c_sample = hermitize(samples.T @ samples.conj() / n_samples)
     diag = np.diag(c_sample).real
     c_diag = np.diag(diag.astype(complex))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, SingularLimit, UnsupportedEstimator, check_array, check_real
+from .errors import (InvalidParameter, NotPositiveSemiDefinite, SingularLimit, UnsupportedEstimator, check_array,
+                     check_real)
 from .estimators import NAMES, EstimatorKind, _poly_rule
 from .model import Dims
 from .spectrum import Spectrum, check_degree
@@ -158,12 +159,16 @@ def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, 
     summed interferer covariance, power ratios applied.  The MVU floor,
     trace(sum_interf), and the diagonalized one read only the real parts of the
     diagonals ``r_diag`` of r_cov and ``s_diag`` of sum_interf, length-n
-    vectors (:class:`ShapeError`).
+    vectors (:class:`ShapeError`) of finite, nonnegative entries
+    (:class:`NotPositiveSemiDefinite`).
     """
     if limit.lam[0] <= 1e-14 * max(limit.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
     r_diag = check_array("r_diag", r_diag, limit.lam.shape).real
     s_diag = check_array("s_diag", s_diag, limit.lam.shape).real
+    for name, diag in (("r_diag", r_diag), ("s_diag", s_diag)):
+        if not np.all((diag >= 0) & (diag < np.inf)):  # NaN fails both comparisons
+            raise NotPositiveSemiDefinite(f"{name} must be a covariance's diagonal: finite and nonnegative")
     denom = r_diag + s_diag
     ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
     return Floors(

@@ -90,8 +90,9 @@ class PolyEstimator:
         weights.flags.writeable = False
         if weights.shape != (self.degree + 1,):
             raise InvalidDegree(f"need degree + 1 weights, got {self.degree} and {weights.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise InvalidScaling(f"need finite weights, got {weights!r}")
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            raise InvalidScaling(f"need finite weights, got weight {bad[0]} = {weights[bad[0]]}")
         object.__setattr__(self, "weights", weights)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def _poly_rule(kind: EstimatorKind, degree: int, scaling: float | None = None) -
 
     The degree and a given scaling are checked first, naming ``alpha`` or ``alpha_w``, so a bad one costs no
     eigensolver call.  By default PEACH gets unit weights at 2 / (lambda_max + lambda_min), and W-PEACH the weights
-    of :meth:`Spectrum.fit` in powers of alpha_w x at 1 / lambda_max.
+    of :meth:`Spectrum.fit` in powers of alpha_w x at 1 / lambda_max (:class:`InvalidDegree` where they overflow).
     """
     peach = kind is EstimatorKind.PEACH
     degree = check_degree(degree)
@@ -148,7 +149,11 @@ def _poly_rule(kind: EstimatorKind, degree: int, scaling: float | None = None) -
             alpha = 2.0 / (lam[-1] + lam[0]) if scaling is None else scaling
             return PolyEstimator(kind, degree, alpha, np.ones(degree + 1))
         alpha_w = 1.0 / lam[-1] if scaling is None else scaling
-        return PolyEstimator(kind, degree, alpha_w, spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1))
+        with np.errstate(all="ignore"):  # an overflow is raised below, typed, and not warned first
+            weights = spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1)
+        if not np.isfinite(weights).all():
+            raise InvalidDegree(f"W-PEACH weights of degree {degree} at alpha_w={alpha_w:.6g} overflow the float range")
+        return PolyEstimator(kind, degree, alpha_w, weights)
 
     return on
 

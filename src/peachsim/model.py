@@ -622,7 +622,10 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
     """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
     interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically.
-    The caller has checked both (:meth:`SpatialCorrelation.validate`, which fixes every factor)."""
+    The caller has checked both (:meth:`SpatialCorrelation.validate`, which fixes every factor).  ``dims`` whose
+    m x m complex array exceeds numpy's size limit raise :class:`ShapeError` here, before anything is allocated."""
+    if 16 * dims.m**2 > np.iinfo(np.intp).max:  # 16 bytes per complex entry
+        raise ShapeError(f"a model with n_r={dims.n_r} and n_t={dims.n_t} needs m x m arrays beyond numpy's size limit")
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
     terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
@@ -835,9 +838,9 @@ def correlated_model(
     on first use.
 
     No covariance is checked, factored or formed: the validated coefficients fix every factor
-    (:class:`KroneckerModel`); ``r_cov`` and ``s_cov``, formed on first read, equal
-    :func:`stat_model_from_pilot`'s on the same covariances.  Powers whose product overflows ``s_cov``'s
-    diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
+    (:class:`KroneckerModel`), and dimensions too large for an m x m array raise :class:`ShapeError`;
+    ``r_cov`` and ``s_cov``, formed on first read, equal :func:`stat_model_from_pilot`'s on the same covariances.
+    Powers whose product overflows ``s_cov``'s diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
     """
     noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     try:  # math.pow overflows with an OverflowError, never with a numpy warning

@@ -18,8 +18,8 @@ from peachsim.adaptive import (
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.errors import (IllConditionedWeights, InsufficientSamples, NotPositiveSemiDefinite, ShapeError,
-                             WindowSizeError)
+from peachsim.errors import (IllConditionedWeights, InsufficientSamples, NonFiniteObservation, NotPositiveSemiDefinite,
+                             ShapeError, WindowSizeError)
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
@@ -506,6 +506,16 @@ class TestShrinkageCovariance:
         }[case]
         with pytest.raises(NotPositiveSemiDefinite):
             shrinkage_covariance(self.draw(rng, np.eye(4, dtype=complex), 10), c_true=c_true)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plug-in", "c_true"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j], ids=["nan", "inf", "imaginary-inf"])
+    def test_rejects_a_sample_that_is_not_finite(self, rng, bad, oracle):
+        # checked before the sample covariance, whose product would warn on inf, and the risk terms it feeds
+        samples = self.draw(rng, np.eye(4, dtype=complex), 10)
+        samples[3, 2] = bad
+        with pytest.raises(NonFiniteObservation, match="samples"):
+            shrinkage_covariance(samples, c_true=np.eye(4) if oracle else None)
 
     def test_requires_two_samples(self, rng):
         with pytest.raises(InsufficientSamples):

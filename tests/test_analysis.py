@@ -3,8 +3,8 @@ import pytest
 
 from peachsim import analysis
 from peachsim import estimators as es
-from peachsim.errors import SingularLimit, UnsupportedEstimator
-from peachsim.model import Dims, correlated_model
+from peachsim.errors import NotPositiveSemiDefinite, SingularLimit, UnsupportedEstimator
+from peachsim.model import Dims, correlated_limit, correlated_model
 
 from conftest import random_hermitian_psd, random_model
 from oracles import contaminated_floors, correlated_contamination, noise_limited_floors, summed_covariance
@@ -206,6 +206,16 @@ class TestFloorContaminated:
         sum_interf = np.zeros((2, 2))
         with pytest.raises(SingularLimit):
             contaminated_floors(r_cov, sum_interf, 2)
+
+    @pytest.mark.parametrize("name", ["r_diag", "s_diag"])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_a_diagonal_that_no_covariance_has(self, name, bad):
+        # unchecked, each would give a floor that means nothing, such as mvu = -6.0 for s_diag = -1
+        limit = correlated_limit(Dims(2, 3, 3), (0.1,))
+        diags = {"r_diag": np.ones(6), "s_diag": np.full(6, 0.1)}
+        diags[name][4] = bad
+        with pytest.raises(NotPositiveSemiDefinite, match=name):
+            analysis.floor_contaminated(limit, degree=2, **diags)
 
 
 class TestNormalizedMse:

@@ -272,6 +272,22 @@ def test_flops_table_beyond_the_float_range_is_typed(tmp_path, n_r):
     assert not out.exists()
 
 
+# Dimensions of at least 2**63, which numpy refuses without allocating: a model of them has m x m arrays beyond
+# numpy's size limit, though a Dims (and so a FLOP count) holds them
+TOO_LARGE = {
+    "n_r-1e19": (Dims(10**19, 4, 4), "n_r=10000000000000000000"),
+    "n_r-1e400": (Dims(10**400, 4, 4), "n_r=1" + "0" * 400),
+    "n_t-1e19": (Dims(2, 10**19, 10**19), "n_t=10000000000000000000"),
+}
+
+
+@pytest.mark.parametrize("dims, named", TOO_LARGE.values(), ids=TOO_LARGE.keys())
+def test_model_beyond_numpy_size_limit_is_typed_and_names_its_dimension(dims, named):
+    for build in (lambda: correlated_model(dims, 5.0, (0.1,)), lambda: correlated_limit(dims, (0.1,))):
+        with pytest.raises(ShapeError, match=named):
+            build()
+
+
 @pytest.mark.parametrize("finite", [True, False])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_real_check_reads_an_integer_beyond_the_float_range_as_infinite(sign, finite):

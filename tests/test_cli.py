@@ -555,6 +555,23 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("zeros", [19, 400])
+    def test_model_beyond_numpy_size_limit_exits_2_naming_n_r(self, tmp_path, capsys, zeros):
+        # the error names the dimension, which numpy's own size error does not
+        out = tmp_path / "x.csv"
+        assert main(["sweep-nr", "--nr-values", "1" + "0" * zeros, "--no-montecarlo", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: a model with n_r=1{'0' * zeros} ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_wpeach_weights_exit_2_naming_the_degree(self, tmp_path, capsys):
+        # one error line naming the degree, with no numpy warning and no weight array
+        out = tmp_path / "x.csv"
+        assert main(["sweep-l", "--degrees", "60", "--snr-db", "40", "--no-montecarlo", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: W-PEACH weights of degree 60 ") and "array" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["", "."])
     def test_out_naming_a_directory_rejected_before_any_work(self, capsys, monkeypatch, out):
         # --out '' computed every table, then died with a bare IsADirectoryError and exit status 1

@@ -474,6 +474,31 @@ def test_non_finite_weights_rejected(name, weight):
         BAD_SCALING_CALLS[name](model, 0.1, np.array([1.0, weight]))
 
 
+def test_non_finite_weights_message_names_the_first_bad_weight():
+    # the message names the first bad weight, not the whole array
+    with pytest.raises(InvalidScaling, match=r"weight 2 = \(nan\+0j\)$"):
+        es.PolyEstimator(es.EstimatorKind.WPEACH, 4, 0.1, [1.0, 2.0, np.nan, np.inf, 3.0])
+
+
+OVERFLOWING_WPEACH = {
+    "make_wpeach": (lambda model: es.make_wpeach(model, 60), "degree 60 at alpha_w="),
+    "prepare": (lambda model: es.prepare(model, "wpeach", 60).mse(), "degree 60 "),
+    "wpeach_mse_optimal": (lambda model: es.wpeach_mse_optimal(model, 61), "degree 61 "),
+    "given alpha_w": (lambda model: es.make_wpeach(model, 2, 1e-200), "degree 2 at alpha_w=1e-200 "),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, named", OVERFLOWING_WPEACH.values(), ids=OVERFLOWING_WPEACH.keys())
+def test_overflowing_wpeach_weights_are_one_typed_error_naming_the_degree(call, named):
+    # at 40 dB the weights of degree 60 overflow in Spectrum.fit and in their rescaling: one typed error with
+    # no numpy warning, while those of degree 50 are finite
+    model = correlated_model(Dims(20, 4, 4), 40.0, ())
+    assert np.isfinite(es.make_wpeach(model, 50).weights).all()
+    with pytest.raises(InvalidDegree, match=f"^W-PEACH weights of {named}"):
+        call(model)
+
+
 @pytest.mark.parametrize("kind", list(es.EstimatorKind))
 def test_kind_given_by_value_is_the_kind(kind):
     # "peach" is PEACH, not a W-PEACH filter with unit weights
