@@ -236,8 +236,8 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     Given ``c_true``, the quadratic-risk terms are evaluated against that known
     covariance (the oracle, for validation); without it they are estimated from
     the samples themselves (the plug-in rule), with the sample covariance
-    standing in for the truth.  ``c_true`` must have the shape of the sample covariance
-    (:class:`ShapeError`) and be Hermitian positive semidefinite
+    standing in for the truth.  ``c_true`` must have the shape of the sample
+    covariance (:class:`ShapeError`) and be Hermitian positive semidefinite
     (:class:`NotPositiveSemiDefinite`, :func:`check_hermitian_psd`).
     """
     samples = check_array("samples", samples)

@@ -509,7 +509,7 @@ class TestShrinkageCovariance:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("oracle", [False, True], ids=["plug-in", "c_true"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf * 1j], ids=["nan", "inf", "imaginary-inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imaginary-inf"])
     def test_rejects_a_sample_that_is_not_finite(self, rng, bad, oracle):
         # checked before the sample covariance, whose product would warn on inf, and the risk terms it feeds
         samples = self.draw(rng, np.eye(4, dtype=complex), 10)
