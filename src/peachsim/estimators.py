@@ -46,6 +46,7 @@ from .errors import (
     DivergentExpansionWarning,
     InvalidDegree,
     InvalidScaling,
+    NotPositiveDefinite,
     RankDeficientPilot,
     UnsupportedEstimator,
     UnsupportedPilot,
@@ -125,9 +126,12 @@ def alpha_optimal(z: np.ndarray) -> float:
     """Scaling 2 / (largest + smallest eigenvalue), the fastest-converging choice (:func:`make_peach`'s default).
 
     Minimizes the spectral radius of I - alpha * z over the convergent range;
-    :class:`NotPositiveDefinite` unless z is positive definite.
+    :class:`NotPositiveDefinite` unless z is finite and positive definite.
     """
-    eigs = np.linalg.eigvalsh(hermitize(check_array("z", z, square=True)))
+    z = check_array("z", z, square=True)
+    if not np.isfinite(z).all():
+        raise NotPositiveDefinite("z holds NaN or infinity")
+    eigs = np.linalg.eigvalsh(hermitize(z))
     return _poly_rule(EstimatorKind.PEACH, 0)(_definite(Spectrum(eigs, np.zeros_like(eigs), 0.0))).alpha
 
 
@@ -329,13 +333,18 @@ def make_peach(model: StatModel, degree: int, alpha: float | None = None) -> Pol
     convergence bound of that spectrum triggers :class:`DivergentExpansionWarning`,
     and evaluation stays defined but no longer approaches the MMSE estimator.
     """
+    return _peach(model, degree, alpha)
+
+
+def _peach(model: StatModel, degree: int, alpha: float | None) -> PolyEstimator:
+    # make_peach's filter, warning at the caller of make_peach or peach_mse when alpha is outside the bound
     est = _poly_rule(EstimatorKind.PEACH, degree, alpha)(model.z_spectrum)
     bound = 2.0 / model.z_spectrum.lam[-1]
     if alpha is not None and not est.alpha < bound:
         warnings.warn(
             f"alpha={est.alpha:.6g} outside the convergence bound (0, {bound:.6g})",
             DivergentExpansionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return est
 
@@ -390,8 +399,15 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
 
     trace(r + r pilot^H A_L z A_L^H pilot r - 2 r pilot^H A_L pilot r) with
     A_L the truncated expansion of z^{-1}, evaluated on the spectrum of z.
+    An ``alpha`` outside the convergence bound warns as :func:`make_peach` does, and one whose diverging filter
+    overflows the MSE raises :class:`InvalidScaling`, with no numpy warning first.
     """
-    return bind(model, _poly_rule(EstimatorKind.PEACH, degree, alpha)(model.z_spectrum)).mse()
+    est = _peach(model, degree, alpha)
+    with np.errstate(all="ignore"):  # a diverging filter's overflow is raised below, typed
+        mse = bind(model, est).mse()
+    if not np.isfinite(mse):
+        raise InvalidScaling(f"alpha={est.alpha:.6g} makes the degree-{degree} PEACH MSE overflow the float range")
+    return mse
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:

@@ -15,7 +15,8 @@ centro-Hermitian, and the spectrum of ``z`` at each pilot SNR is an affine map
 of it.  Its ``z`` is centro-Hermitian too, so its estimates and tracking run on
 the real symmetric ``S`` with ``z = K S K^H`` for ``K = K_t (x) K_r``, a sum of
 Kronecker products of the factors' real forms (Lee, Linear Algebra Appl. 29,
-1980; Van Loan, J. Comput. Appl. Math. 123, 2000).
+1980; Van Loan, J. Comput. Appl. Math. 123, 2000), which a large model with
+few terms applies term by term without forming ``S``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
 # Columns per block in which correlated_limit applies r's real form to its eigenvectors.
 LIMIT_BLOCK = 256
-# Length from which a vector is multiplied by a real form as two dsymv, which read one triangle; below it, and
-# for every block, one dgemm on the real view is faster (one OpenBLAS thread: equal near m = 500, 1.6x at 1000).
+# Length from which a real form is multiplied without its one dgemm on the real view.  A correlated model with at
+# most m / (2 (n_t + n_r)) terms applies S through its factors' real forms (about 5x for a vector, 1.6-2.2x for a
+# 512-column block at m = 1000 with three terms; slower below 500); any other real form takes two dsymv per vector,
+# which read one triangle, and one dgemm per block (one OpenBLAS thread: dsymv and dgemm equal near m = 500, 1.6x
+# at 1000).
 SYMV_MIN = 500
 
 
@@ -350,7 +354,9 @@ class KroneckerModel(StatModel):
     ``r_cov`` and ``s_cov`` are formed on first read, with the bytes
     :func:`stat_model_from_pilot` gives them; the overrides form neither.
     :meth:`z_operator` gives the real form ``z_real = K^H z K``, ``K = K_t (x)
-    K_r`` (m x m float64), or its real Cholesky factor ``z_real_factor``.
+    K_r`` (m x m float64), or its real Cholesky factor ``z_real_factor``; from
+    ``SYMV_MIN`` entries, with few enough terms, it applies that form through
+    the factors' real forms, and only MMSE's factor forms ``z_real``.
 
     Its constructor skips :class:`StatModel`'s checks: each covariance is
     ``np.kron`` of factors fixed by validated coefficients
@@ -477,9 +483,25 @@ class KroneckerModel(StatModel):
     def z_operator(self, inverse: bool = False) -> tuple:
         """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
         (:func:`_centro_in`), ``head`` is ``r_cov pilot_ext^H K / 2``, one Kronecker apply, and ``scale`` is 1/4,
-        since ``into`` multiplies inner products by 4."""
-        op = _Operator(self.z_real_factor, _real_solve) if inverse else _Operator(self.z_real, _real_product)
+        since ``into`` multiplies inner products by 4.  From ``SYMV_MIN`` entries, when the terms of positive weight
+        number at most ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
+        (:func:`_factored_product`) and :attr:`z_real` is not formed: per real column each term costs
+        ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half."""
+        dims = self.dims
+        if inverse:
+            op = _Operator(self.z_real_factor, _real_solve)
+        elif dims.m >= SYMV_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2:
+            op = _Operator(self._z_factors, _factored_product)
+        else:
+            op = _Operator(self.z_real, _real_product)
         return (op, *self._maps, 0.25)
+
+    @cached_property
+    def _z_factors(self) -> tuple:
+        # (noise_var, ((power w_i S_t,i, S_r,i), ...)) over the terms of positive weight, whose Kronecker sum plus
+        # noise_var I is z_real: the factors' real forms, a few (n_t^2 + n_r^2) floats
+        factors = [(self.power * w * _real_form(r_t)[0], _real_form(r_r)[0]) for w, r_t, r_r in self.terms if w > 0]
+        return self.noise_var, tuple(factors)
 
     @cached_property
     def _maps(self) -> tuple:
@@ -724,6 +746,25 @@ def _real_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _factored_product(form: tuple, x: np.ndarray) -> np.ndarray:
+    """``S x`` for ``S = noise_var I + sum_i A_t,i (x) A_r,i``, ``form = (noise_var, ((A_t,i, A_r,i), ...))`` with
+    real symmetric factors, and a C-contiguous complex (m, k) block, in real arithmetic on its ``(n_t, n_r, 2k)``
+    real view.  Per term, ``A_r,i`` is applied per transmit block into one reused block, and ``A_t,i`` on the
+    transmit axis by one ``dgemm`` that adds into the output, so the product holds two blocks whatever the
+    number of terms: each fresh block costs more in new pages than a term's transmit product."""
+    noise_var, factors = form
+    out = np.empty(x.shape, dtype=complex)  # owns its data, as _real_product's does
+    real, result = x.view(float), out.view(float)
+    np.multiply(real, noise_var, out=result)
+    rx = np.empty(real.shape)
+    for a_t, a_r in factors:
+        n_t = len(a_t)
+        np.matmul(a_r, real.reshape(n_t, len(a_r), -1), out=rx.reshape(n_t, len(a_r), -1))
+        # result += A_t rx on the (n_t, n_r 2k) views, which read in Fortran order are result^T += rx^T A_t^T
+        blas.dgemm(1.0, rx.reshape(n_t, -1).T, a_t.T, 1.0, result.reshape(n_t, -1).T, overwrite_c=1)
+    return out
+
+
 def _real_solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``S^{-1} x`` for ``S = factor factor^T`` (lower, Fortran order) and a C-contiguous complex (m, k) block.
 
@@ -754,7 +795,7 @@ def _same(x: np.ndarray) -> np.ndarray:
 
 
 class _Operator(namedtuple("_Operator", "matrix apply")):
-    """``self @ x`` is ``apply(matrix, x)``: a real form, or a factor to solve against, read as a matrix."""
+    """``self @ x`` is ``apply(matrix, x)``: a real form, its factors or a factor to solve against, as a matrix."""
 
     __slots__ = ()
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -313,6 +314,21 @@ class TestAlphaRules:
         with pytest.raises(NotPositiveDefinite):
             es.alpha_optimal(np.diag([1.0, -0.1]))
 
+    NON_FINITE_Z = {
+        "all-nan": np.full((2, 2), np.nan),
+        "inf-off-diagonal": [[1.0, np.inf], [np.inf, 1.0]],
+        "inf-diagonal": np.diag([np.inf, 1.0]),
+        "minus-inf": [[1.0, 0.0], [0.0, -np.inf]],
+    }
+
+    @pytest.mark.parametrize("z", NON_FINITE_Z.values(), ids=NON_FINITE_Z.keys())
+    def test_rejects_non_finite_z_by_name_before_any_arithmetic(self, z):
+        # the one typed error names z, and no numpy warning (hermitize's multiply) comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="^z holds NaN or infinity$"):
+                es.alpha_optimal(z)
+
 
 class TestPeachEstimate:
     def test_degree_zero_single_term(self, rng):
@@ -376,6 +392,25 @@ class TestPeachEstimate:
 
 
 class TestPeachMse:
+    @pytest.mark.parametrize("alpha", [1e300, 1e100], ids=["nan", "inf"])
+    def test_overflowing_scaling_warns_divergence_then_raises_typed(self, alpha):
+        # a scaling far outside the convergence bound: make_peach's warning, then InvalidScaling naming alpha where
+        # the diverging filter overflows the MSE, with no numpy RuntimeWarning on the way
+        model = correlated_model(Dims(4, 2, 2), 5.0, (0.1,))
+        with pytest.warns(DivergentExpansionWarning) as warned, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidScaling, match="alpha="):
+                es.peach_mse(model, 2, alpha)
+        assert [w.category for w in warned] == [DivergentExpansionWarning]
+        assert warned[0].filename == __file__
+
+    def test_divergent_scaling_with_a_finite_mse_warns_and_scores(self):
+        model = correlated_model(Dims(4, 2, 2), 5.0, (0.1,))
+        alpha = 2.5 / model.z_spectrum.lam[-1]
+        with pytest.warns(DivergentExpansionWarning):
+            mse = es.peach_mse(model, 3, alpha)
+        assert np.isfinite(mse) and mse > es.mmse_mse(model)
+
     def test_approaches_mmse_mse(self, rng):
         model = random_model(rng, n_r=3, n_t=2)  # m = 6
         alpha = es.alpha_optimal(es.z_matrix(model))

@@ -3,9 +3,12 @@
 ``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary
 ``K = K_t (x) K_r``; the estimators map by ``2 K^H`` on the way in and apply
 ``r_cov pilot_ext^H K / 2`` on the way out, and a dense model keeps its complex
-``z``.
+``z``.  From ``SYMV_MIN`` entries a model with few terms applies ``S`` through
+its factors' real forms and never forms it.
 """
 
+import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,8 +88,9 @@ class TestDenseTwin:
         assert "z" not in vars(model) and "z_factor" not in vars(model)
 
     @pytest.mark.parametrize("name", ["mmse", "peach"])
-    def test_a_long_vector_takes_the_one_triangle_products_and_solves(self, name):
-        # from SYMV_MIN entries a vector's parts are multiplied by dsymv; every vector is solved by dtrsv
+    def test_a_long_vector_takes_the_factored_products_and_the_one_triangle_solves(self, name):
+        # from SYMV_MIN entries this model's three terms multiply a vector through the factors' real forms; every
+        # vector is solved by dtrsv against the real Cholesky factor
         dims = Dims(50, 10, 10)
         assert dims.m >= peachsim.model.SYMV_MIN
         model = correlated_model(dims, 5.0, (0.1, 0.1))
@@ -187,3 +191,101 @@ def test_fortran_ordered_block_is_read_as_it_lies():
     for name in ("mmse", "peach"):
         estimate = es.prepare(model, name, 3).apply(y)
         assert relative_error(estimate, es.prepare(dense, name, 3).apply(y)) <= 1e-12
+
+
+# three terms from SYMV_MIN entries, with the long factor on either axis: each is applied through its factors
+FACTORED = {"long-receive": Dims(100, 10, 10), "long-transmit": Dims(10, 100, 100)}
+FACTORED_BETAS = (0.1, 0.1)
+
+
+@functools.cache
+def factored_twin(name):
+    """The dense twin of a ``FACTORED`` model and the filters prepared on the model, at L = 1 and 4."""
+    model = correlated_model(FACTORED[name], 5.0, FACTORED_BETAS)
+    rules = {"peach": es.make_peach, "wpeach": es.make_wpeach}
+    return replace(model), {(kind, degree): rule(model, degree) for kind, rule in rules.items() for degree in (1, 4)}
+
+
+def counted_apply(monkeypatch, model, est, k, seed):
+    """One apply of ``est`` on ``model``, with the calls of both real-form products counted."""
+    counts = {name: Counting(getattr(peachsim.model, name)) for name in ("_factored_product", "_real_product")}
+    for name, counting in counts.items():
+        monkeypatch.setattr(peachsim.model, name, counting)
+    es.bind(model, est).apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed))
+    return {name: counting.calls for name, counting in counts.items()}
+
+
+class TestFactoredProduct:
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    @pytest.mark.parametrize("degree", [1, 4])
+    @pytest.mark.parametrize("kind", ["peach", "wpeach"])
+    @pytest.mark.parametrize("name", FACTORED)
+    def test_factored_estimate_matches_the_dense_twin(self, name, kind, degree, k):
+        dense, filters = factored_twin(name)
+        model = correlated_model(FACTORED[name], 5.0, FACTORED_BETAS)
+        est = filters[kind, degree]
+        y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=degree)
+        assert relative_error(es.bind(model, est).apply(y), es.bind(dense, est).apply(y)) <= 1e-12
+        assert not set(FORMED) & set(vars(model))
+
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    @pytest.mark.parametrize("degree", [0, 1, 4])
+    @pytest.mark.parametrize("kind", ["peach", "wpeach"])
+    def test_one_apply_makes_degree_factored_products(self, monkeypatch, kind, degree, k):
+        model = correlated_model(Dims(50, 10, 10), 5.0, FACTORED_BETAS)
+        est = (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
+        calls = counted_apply(monkeypatch, model, est, k, seed=8)
+        assert calls == {"_factored_product": degree, "_real_product": 0}
+        assert not set(FORMED) & set(vars(model))
+
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    def test_mmse_still_solves_against_the_real_factor(self, monkeypatch, k):
+        model = correlated_model(Dims(50, 10, 10), 5.0, FACTORED_BETAS)
+        solves = Counting(peachsim.model._real_solve)
+        monkeypatch.setattr(peachsim.model, "_real_solve", solves)
+        products = Counting(peachsim.model._factored_product)
+        monkeypatch.setattr(peachsim.model, "_factored_product", products)
+        es.prepare(model, "mmse").apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), 9))
+        assert (solves.calls, products.calls) == (1, 0) and "z_real_factor" in vars(model)
+
+    # 7 terms at m = 1000 ask the factors for 7 (10 + 100) = 770 multiply-adds per entry, where the rule allows half
+    # the dense form's 1000; every model below SYMV_MIN, with the long factor on either axis and with few or many
+    # terms, keeps the dense form too, and so does an m = 500 model whose receive factor is nearly as long as m
+    DENSE = {
+        "m1000-seven-terms": (Dims(100, 10, 10), (0.1,) * 6),
+        "m490": (Dims(49, 10, 10), FACTORED_BETAS),
+        "m400-long-transmit": (Dims(4, 100, 100), FACTORED_BETAS),
+        "m80": (Dims(20, 4, 4), FACTORED_BETAS),
+        "m80-noise-limited": (Dims(20, 4, 4), ()),
+        "m9-seven-terms": (Dims(3, 3, 3), (0.1,) * 6),
+        "m500-long-receive": (Dims(250, 2, 2), FACTORED_BETAS),
+    }
+
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    @pytest.mark.parametrize("model_name", DENSE)
+    def test_other_models_keep_the_dense_real_form(self, monkeypatch, model_name, k):
+        dims, betas = self.DENSE[model_name]
+        model = correlated_model(dims, 5.0, betas)
+        est = es.PolyEstimator("peach", 4, 1e-3, np.ones(5))  # any filter: only the products are counted
+        assert counted_apply(monkeypatch, model, est, k, seed=10) == {"_factored_product": 0, "_real_product": 4}
+        assert "z_real" in vars(model)
+
+    # three terms at m = 500, and seven at m = 900, where n_t + n_r = 60 lets the factors take them
+    BLOCK_MODELS = {"three-terms": (Dims(50, 10, 10), FACTORED_BETAS), "seven-terms": (Dims(30, 30, 30), (0.1,) * 6)}
+
+    @pytest.mark.parametrize("model_name", BLOCK_MODELS)
+    def test_a_block_product_holds_two_blocks_whatever_the_terms(self, model_name):
+        # one 512-column product from a cold operator holds the output and one reused block of the receive products;
+        # the factors are small, and a stacked or per-term temporary would add a block per term
+        dims, betas = self.BLOCK_MODELS[model_name]
+        model = correlated_model(dims, 5.0, betas)
+        _, into, _, _ = model.z_operator()
+        x = into(observation(model, (model.dims.m, 512), seed=11))
+        tracemalloc.start()
+        try:
+            product = model.z_operator()[0] @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product.shape == x.shape and peak <= 2.5 * x.nbytes
+        assert "z_real" not in vars(model)

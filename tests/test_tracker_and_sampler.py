@@ -17,7 +17,7 @@ import pytest
 
 from peachsim import estimators as es
 from peachsim.adaptive import _quad_forms, adaptive_init, adaptive_update
-from peachsim.model import Dims, correlated_model, psd_factor, standard_complex_normal
+from peachsim.model import SYMV_MIN, Dims, correlated_model, psd_factor, standard_complex_normal
 
 from conftest import relative_error
 
@@ -127,8 +127,9 @@ def test_tracker_matches_the_dense_twin_and_forms_no_complex_z(name):
 
 @pytest.mark.parametrize("dims", [Dims(40, 10, 10), Dims(100, 10, 10)], ids=["m400", "m1000"])
 def test_cold_tracker_and_draws_peak_below_one_complex_m_by_m_array(dims):
-    # two 16-column draws, a cold adaptive_init (it forms the real form z_real, half an array, from
-    # row blocks) and one update; forming z, r_cov, s_cov or a dense factor would alone reach one array
+    # two 16-column draws, a cold adaptive_init and one update.  Below SYMV_MIN the chain forms the real form
+    # z_real, half an array, from row blocks; at m = 1000 it applies z through the factors' real forms and forms
+    # no m x m array.  Forming z, r_cov, s_cov or a dense factor would alone reach one array
     model = correlated_model(dims, 10.0, ())
     alpha_w = es.default_alpha_w(model)
     rng = np.random.default_rng(23)
@@ -141,7 +142,7 @@ def test_cold_tracker_and_draws_peak_below_one_complex_m_by_m_array(dims):
     finally:
         tracemalloc.stop()
     assert peak < 16 * dims.m**2
-    assert "z_real" in vars(model) and not set(DENSE_ARRAYS) & set(vars(model))
+    assert ("z_real" in vars(model)) == (dims.m < SYMV_MIN) and not set(DENSE_ARRAYS) & set(vars(model))
 
 
 @pytest.mark.parametrize("shape", [(400, 100), (7,), (80, 512)], ids=["400x100", "7", "80x512"])
