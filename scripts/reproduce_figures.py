@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full set of simulation scenarios and collect their CSV tables.
 
-Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 10 s,
+Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 5 s,
 nearly all of it in the Monte Carlo columns of the seven sweep tables; with
 ``--no-montecarlo`` it takes about 0.3 s.  ``--full-scale`` switches to
 n_r = 100, n_t = b = 10 (m = 1000).  With ``--no-montecarlo`` that takes

@@ -53,7 +53,7 @@ from .errors import (
     check_array,
     check_real,
 )
-from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
+from .model import StatModel, _definite, _Operator, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
 from .spectrum import Spectrum, check_degree
 
 
@@ -99,23 +99,32 @@ class PolyEstimator:
     def values(self, lam: np.ndarray) -> np.ndarray:
         """The filter v at the eigenvalues ``lam``."""
         t = 1.0 - self.alpha * lam if self.kind is EstimatorKind.PEACH else self.alpha * lam
-        return self._horner(lambda acc: t * acc, np.ones(lam.shape))
+        return self._horner(np.ones(lam.shape), lambda acc, w_l: t * acc + w_l)
 
-    def apply(self, z: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """v(z) d for a vector or a batch of columns ``d``, with L products by ``z`` and no power of it."""
-        if self.kind is EstimatorKind.PEACH:
-            return self._horner(lambda acc: acc - self.alpha * (z @ acc), d)
-        return self._horner(lambda acc: self.alpha * (z @ acc), d)
+    def apply(self, z, d: np.ndarray) -> np.ndarray:
+        """v(z) d for a vector or a batch of columns ``d``, with L products by ``z`` (a matrix or the operator
+        :meth:`StatModel.z_operator` gives) and no power of it.  Each product accumulates its Horner step ``c + s z
+        acc``, inside the BLAS call on a real form: ``c = acc + w_l d`` and ``s = -alpha`` for PEACH, ``c = w_l d``
+        and ``s = alpha`` for W-PEACH, in the one of two blocks not holding ``acc``; ``d`` is never written."""
+        peach = self.kind is EstimatorKind.PEACH
+        product = z if isinstance(z, _Operator) else lambda x, c, s: np.add(c, s * (z @ x), out=c)
+        blocks = [np.empty_like(d) for _ in range(min(self.degree, 2))]
 
-    def _horner(self, step, d):
-        # acc <- t(acc) + w_l d from the top weight down, then alpha acc.  A
-        # unit weight skips its multiply, so PEACH pays only its z products,
-        # and no term is bound to a name, so numpy may add into temporaries
-        term = lambda w_l: d if w_l == 1 else w_l * d
-        acc = term(self.weights[-1])
+        def step(acc, w_l):
+            c = blocks[acc is blocks[0]]
+            if peach:
+                return product(acc, np.add(acc, d if w_l == 1 else w_l * d, out=c), -self.alpha)
+            return product(acc, np.multiply(d, w_l, out=c), self.alpha)
+
+        return self._horner(d, step)
+
+    def _horner(self, d, step):
+        # acc <- step(acc, w_l) from the top weight down, from w_L d (d itself for a unit weight), then alpha acc,
+        # in acc's memory unless acc is d
+        acc = d if self.weights[-1] == 1 else self.weights[-1] * d
         for w_l in self.weights[-2::-1]:
-            acc = step(acc) + term(w_l)
-        return self.alpha * acc
+            acc = step(acc, w_l)
+        return np.multiply(acc, self.alpha, out=None if acc is d else acc)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,8 @@ NAMES = ("mmse", "mvu", "diagonalized", "peach", "wpeach")  # the CSV names, in 
 class Prepared:
     """An estimator prepared on ``model``: h_mean + ``head(d)`` per observation, ``mse()`` its closed-form MSE.
 
+    ``head`` returns a fresh array, to which ``apply`` adds h_mean in place.
+
     Work that only one of the two needs runs on its first call, so an
     estimator that is only scored forms nothing it needs only to estimate.
     """
@@ -184,7 +195,9 @@ class Prepared:
     def apply(self, y: np.ndarray) -> np.ndarray:
         """The estimate of an (m,) observation or of each column of an (m, k) batch, from d = :func:`deviation`."""
         d = deviation(self.model, y)
-        return (self.model.h_mean[:, None] if d.ndim == 2 else self.model.h_mean) + self.head(d)
+        estimate = self.head(d)
+        estimate += self.model.h_mean[:, None] if d.ndim == 2 else self.model.h_mean
+        return estimate
 
 
 def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
@@ -225,7 +238,7 @@ def bind(model: StatModel, est: PolyEstimator) -> Prepared:
 def _through(model: StatModel, d: np.ndarray, inverse: bool, apply) -> np.ndarray:
     # r_cov pilot_ext^H of apply(op, d), both in the coordinates of the model's operator (StatModel.z_operator)
     op, into, head, _ = model.z_operator(inverse)
-    return head(apply(op, into(d))).reshape(-1, *d.shape[1:])
+    return head(apply(op, into(d))).reshape(model.dims.n, *d.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -464,17 +464,25 @@ class KroneckerModel(StatModel):
     def z_real(self) -> np.ndarray:
         """The real symmetric S with ``z = K S K^H`` (read-only, m x m float64), ``power * S_limit + noise_var * I``
         for the limit's real form (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed."""
+        s = self._real_form()
+        s.setflags(write=False)
+        return s
+
+    def _real_form(self) -> np.ndarray:
+        # a fresh, writable z_real
         s = _limit_real_form([term for term in self.terms if term[0] > 0])
         s *= self.power
         s.flat[:: len(s) + 1] += self.noise_var
-        s.setflags(write=False)
         return s
 
     @cached_property
     def z_real_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of :attr:`z_real` (read-only, Fortran order), for MMSE solves."""
+        """Lower Cholesky factor of :attr:`z_real` (read-only, Fortran order), for MMSE solves.  Where the product
+        does not read :attr:`z_real` (:meth:`z_operator`), a fresh form is factored in place and none is kept."""
+        # S is exactly symmetric, so its transpose is its Fortran-ordered view, which LAPACK can overwrite
+        s = (self._real_form() if self._factored else self.z_real).T
         try:
-            factor, _ = scipy.linalg.cho_factor(self.z_real, lower=True, check_finite=False)
+            factor, _ = scipy.linalg.cho_factor(s, lower=True, overwrite_a=self._factored, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("observation covariance is singular") from exc
         factor.setflags(write=False)
@@ -486,15 +494,21 @@ class KroneckerModel(StatModel):
         since ``into`` multiplies inner products by 4.  From ``SYMV_MIN`` entries, when the terms of positive weight
         number at most ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
         (:func:`_factored_product`) and :attr:`z_real` is not formed: per real column each term costs
-        ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half."""
-        dims = self.dims
+        ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half.  Either
+        product also accumulates a Horner step, ``op(x, out, scale)`` (:class:`_Operator`)."""
         if inverse:
             op = _Operator(self.z_real_factor, _real_solve)
-        elif dims.m >= SYMV_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2:
+        elif self._factored:
             op = _Operator(self._z_factors, _factored_product)
         else:
             op = _Operator(self.z_real, _real_product)
         return (op, *self._maps, 0.25)
+
+    @property
+    def _factored(self) -> bool:
+        # z_operator's rule: whether the product applies S through the factors' real forms, never reading z_real
+        dims = self.dims
+        return dims.m >= SYMV_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2
 
     @cached_property
     def _z_factors(self) -> tuple:
@@ -730,38 +744,51 @@ def _centro_in(n_r: int, d: np.ndarray) -> np.ndarray:
     return x
 
 
-def _real_product(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _real_product(s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     """``S x`` for a real symmetric S and a C-contiguous complex (m, k) block, in real arithmetic; S is never upcast.
+    Given a C-contiguous ``out`` of ``x``'s shape, ``out + scale S x`` is accumulated into ``out`` (BLAS ``beta = 1``).
 
     One ``dgemm`` reads the real view, except that a column of at least
     ``SYMV_MIN`` entries has its real and imaginary parts multiplied by
-    ``dsymv`` each, which reads one triangle of S.
+    ``dsymv`` each, which reads one triangle of S.  An accumulating ``dgemm``
+    is scipy's, ``x^T S^T`` in Fortran order (f2py would copy a C-ordered S on
+    every call); a fresh one stays numpy's, whose BLAS the tracker's chain
+    keeps (with scipy's, a ``mid-adaptive`` run peaked 0.7 MB higher).
     """
-    out = np.empty(x.shape, dtype=complex)  # owns its data, so numpy may reuse a block as a temporary
+    beta, out = (0.0, np.empty(x.shape, dtype=complex)) if out is None else (1.0, out)
     if x.shape[1] == 1 and len(x) >= SYMV_MIN:
         for part, result in zip(x.view(float).T, out.view(float).T):
-            result[:] = blas.dsymv(1.0, s.T, part)
-    else:
+            result[:] = blas.dsymv(scale, s.T, part, beta, result if beta else None)
+    elif not beta:
         np.matmul(s, x.view(float), out=out.view(float))
+    elif x.size:  # the BLAS wrapper rejects an empty block
+        blas.dgemm(scale, x.view(float).T, s.T, beta, out.view(float).T, overwrite_c=1)
     return out
 
 
-def _factored_product(form: tuple, x: np.ndarray) -> np.ndarray:
+def _factored_product(form: tuple, x: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     """``S x`` for ``S = noise_var I + sum_i A_t,i (x) A_r,i``, ``form = (noise_var, ((A_t,i, A_r,i), ...))`` with
     real symmetric factors, and a C-contiguous complex (m, k) block, in real arithmetic on its ``(n_t, n_r, 2k)``
-    real view.  Per term, ``A_r,i`` is applied per transmit block into one reused block, and ``A_t,i`` on the
-    transmit axis by one ``dgemm`` that adds into the output, so the product holds two blocks whatever the
-    number of terms: each fresh block costs more in new pages than a term's transmit product."""
+    real view; given ``out``, as :func:`_real_product`, ``out + scale S x`` is accumulated into it.  Per term,
+    ``A_r,i`` is applied per transmit block into one reused block, and ``A_t,i`` on the transmit axis by one
+    ``dgemm`` that adds into the output, so the product holds two blocks whatever the number of terms: each fresh
+    block costs more in new pages than a term's transmit product.  An accumulated ``noise_var x`` is one ``daxpy``."""
     noise_var, factors = form
-    out = np.empty(x.shape, dtype=complex)  # owns its data, as _real_product's does
-    real, result = x.view(float), out.view(float)
-    np.multiply(real, noise_var, out=result)
-    rx = np.empty(real.shape)
+    if not x.size:  # the BLAS wrappers reject an empty block
+        return np.empty(x.shape, dtype=complex) if out is None else out
+    real = x.view(float)
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
+        np.multiply(real, noise_var, out=out.view(float))
+    else:
+        blas.daxpy(real.ravel(), out.view(float).ravel(), a=scale * noise_var)
+    result, rx = out.view(float), np.empty(real.shape)
     for a_t, a_r in factors:
         n_t = len(a_t)
         np.matmul(a_r, real.reshape(n_t, len(a_r), -1), out=rx.reshape(n_t, len(a_r), -1))
-        # result += A_t rx on the (n_t, n_r 2k) views, which read in Fortran order are result^T += rx^T A_t^T
-        blas.dgemm(1.0, rx.reshape(n_t, -1).T, a_t.T, 1.0, result.reshape(n_t, -1).T, overwrite_c=1)
+        # result += scale A_t rx on the (n_t, n_r 2k) views, which read in Fortran order are
+        # result^T += scale rx^T A_t^T
+        blas.dgemm(scale, rx.reshape(n_t, -1).T, a_t.T, 1.0, result.reshape(n_t, -1).T, overwrite_c=1)
     return out
 
 
@@ -795,12 +822,16 @@ def _same(x: np.ndarray) -> np.ndarray:
 
 
 class _Operator(namedtuple("_Operator", "matrix apply")):
-    """``self @ x`` is ``apply(matrix, x)``: a real form, its factors or a factor to solve against, as a matrix."""
+    """``self @ x`` is ``apply(matrix, x)``: a real form, its factors or a factor to solve against, as a matrix; a
+    product also accumulates, ``self(x, out, scale)`` writing ``out + scale (self @ x)`` into ``out``."""
 
     __slots__ = ()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(self.matrix, x)
+
+    def __call__(self, x: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+        return self.apply(self.matrix, x, out, scale)
 
 
 def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:

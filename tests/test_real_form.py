@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import peachsim.model
 from peachsim import estimators as es
-from peachsim.cli import _sweep_point, default_config
+from peachsim.cli import _sweep_point, default_config, run_monte_carlo
 from peachsim.errors import NonFiniteObservation, PeachSimError
 from peachsim.model import Dims, correlated_model, deviation
 
@@ -52,15 +53,24 @@ def observation(model, shape, seed):
 
 
 class Counting:
-    """Stands in for a function and counts its calls."""
+    """Stands in for a function, counts its calls and keeps the arguments after the first two of each: a
+    product's accumulate target and scale."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.extras = []
 
     def __call__(self, *args):
         self.calls += 1
+        self.extras.append(args[2:])
         return self.fn(*args)
+
+
+def assert_accumulating(products, est):
+    # each product accumulated a Horner step into a block the apply owns, at -alpha for PEACH and alpha for W-PEACH
+    scale = -est.alpha if est.kind is es.EstimatorKind.PEACH else est.alpha
+    assert all(len(extra) == 2 and extra[0] is not None and extra[1] == scale for extra in products.extras)
 
 
 CASES = [("mmse", 0)] + [(name, degree) for name in ("peach", "wpeach") for degree in (0, 1, 4, 12)]
@@ -157,11 +167,12 @@ class TestProductCount:
     @pytest.mark.parametrize("name", ["peach", "wpeach"])
     def test_one_apply_makes_degree_real_products(self, monkeypatch, name, degree, k):
         model = correlated_model(Dims(20, 4, 4), 10.0, (0.1, 0.1))
-        prepared = es.prepare(model, name, degree)
+        est = (es.make_peach if name == "peach" else es.make_wpeach)(model, degree)
         products = Counting(peachsim.model._real_product)
         monkeypatch.setattr(peachsim.model, "_real_product", products)
-        prepared.apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=4))
+        es.bind(model, est).apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=4))
         assert products.calls == degree
+        assert_accumulating(products, est)
 
     @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
     def test_one_mmse_apply_makes_one_real_solve(self, monkeypatch, k):
@@ -207,12 +218,12 @@ def factored_twin(name):
 
 
 def counted_apply(monkeypatch, model, est, k, seed):
-    """One apply of ``est`` on ``model``, with the calls of both real-form products counted."""
+    """One apply of ``est`` on ``model``, with the calls of both real-form products counted (:class:`Counting`)."""
     counts = {name: Counting(getattr(peachsim.model, name)) for name in ("_factored_product", "_real_product")}
     for name, counting in counts.items():
         monkeypatch.setattr(peachsim.model, name, counting)
     es.bind(model, est).apply(observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed))
-    return {name: counting.calls for name, counting in counts.items()}
+    return counts
 
 
 class TestFactoredProduct:
@@ -234,8 +245,10 @@ class TestFactoredProduct:
     def test_one_apply_makes_degree_factored_products(self, monkeypatch, kind, degree, k):
         model = correlated_model(Dims(50, 10, 10), 5.0, FACTORED_BETAS)
         est = (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
-        calls = counted_apply(monkeypatch, model, est, k, seed=8)
+        counts = counted_apply(monkeypatch, model, est, k, seed=8)
+        calls = {name: counting.calls for name, counting in counts.items()}
         assert calls == {"_factored_product": degree, "_real_product": 0}
+        assert_accumulating(counts["_factored_product"], est)
         assert not set(FORMED) & set(vars(model))
 
     @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
@@ -267,7 +280,9 @@ class TestFactoredProduct:
         dims, betas = self.DENSE[model_name]
         model = correlated_model(dims, 5.0, betas)
         est = es.PolyEstimator("peach", 4, 1e-3, np.ones(5))  # any filter: only the products are counted
-        assert counted_apply(monkeypatch, model, est, k, seed=10) == {"_factored_product": 0, "_real_product": 4}
+        counts = counted_apply(monkeypatch, model, est, k, seed=10)
+        calls = {name: counting.calls for name, counting in counts.items()}
+        assert calls == {"_factored_product": 0, "_real_product": 4}
         assert "z_real" in vars(model)
 
     # three terms at m = 500, and seven at m = 900, where n_t + n_r = 60 lets the factors take them
@@ -289,3 +304,101 @@ class TestFactoredProduct:
             tracemalloc.stop()
         assert product.shape == x.shape and peak <= 2.5 * x.nbytes
         assert "z_real" not in vars(model)
+
+
+# The paths of a Horner step's accumulating product: the dense twin's complex z, the real form below SYMV_MIN
+# (dgemm for a vector too), the factors' real forms from it, and the real form of a model from SYMV_MIN whose
+# receive factor is too long for the factors (dsymv for a vector)
+ACCUMULATING = {
+    "dense-twin": lambda: replace(correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS)),
+    "real-form": lambda: correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS),
+    "factored": lambda: correlated_model(Dims(50, 10, 10), 5.0, FACTORED_BETAS),
+    "long-real-form": lambda: correlated_model(Dims(250, 2, 2), 5.0, FACTORED_BETAS),
+}
+HORNER_CASES = [("peach", degree) for degree in (0, 1, 4, 12)] + [("wpeach", degree) for degree in (0, 1, 4)]
+
+
+@functools.cache
+def accumulating_pair(path):
+    """A model on ``path`` and its dense twin, on which the dense filters are formed, so the model forms no complex z."""
+    model = ACCUMULATING[path]()
+    return model, model if path == "dense-twin" else replace(model)
+
+
+@functools.cache
+def accumulating_case(path, kind, degree):
+    """A model on ``path``, the filter prepared on it and its dense filter matrix."""
+    model, dense = accumulating_pair(path)
+    est = (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
+    return model, est, es.poly_filter_matrix(dense, est)
+
+
+class TestAccumulatingHorner:
+    @pytest.mark.parametrize("k", [None, 7], ids=["vector", "block"])
+    @pytest.mark.parametrize("kind, degree", HORNER_CASES)
+    @pytest.mark.parametrize("path", ACCUMULATING)
+    def test_apply_matches_the_dense_filter(self, path, kind, degree, k):
+        model, est, g_mat = accumulating_case(path, kind, degree)
+        y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=degree)
+        d = deviation(model, y)
+        oracle = (model.h_mean if k is None else model.h_mean[:, None]) + g_mat @ d
+        assert relative_error(es.bind(model, est).apply(y), oracle) <= 1e-12
+
+    @pytest.mark.parametrize("path", ["real-form", "factored", "long-real-form"])
+    def test_the_accumulating_product_is_the_product_added(self, path):
+        # op(x, c, s) writes c + s (op @ x) into c, for a block, a vector and an empty block
+        model = ACCUMULATING[path]()
+        op, into, _, _ = model.z_operator()
+        for k in (7, 1, 0):
+            x = into(observation(model, (model.dims.m, k), seed=13 + k))
+            c = into(observation(model, (model.dims.m, k), seed=14 + k))
+            expected = c - 0.375 * (op @ x)
+            assert op(x, c, -0.375) is c and c.shape == x.shape
+            assert np.linalg.norm(c - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
+
+    @pytest.mark.parametrize("path", ACCUMULATING)
+    @pytest.mark.parametrize("name", es.NAMES)
+    def test_an_empty_block_gives_an_empty_estimate(self, path, name):
+        model = ACCUMULATING[path]()
+        estimate = es.prepare(model, name, 4).apply(np.zeros((model.dims.m, 0), dtype=complex))
+        assert estimate.shape == (model.dims.n, 0)
+
+    @pytest.mark.parametrize("k", [None, 5], ids=["vector", "block"])
+    @pytest.mark.parametrize("name", es.NAMES)
+    def test_h_mean_added_in_place_is_the_sum(self, name, k):
+        # a model with a mean, so the addition is not of zeros
+        model = correlated_model(Dims(5, 3, 3), 5.0, FACTORED_BETAS)
+        rng = np.random.default_rng(15)
+        model = replace(model, h_mean=complex_vector(rng, model.dims.n), n_mean=complex_vector(rng, model.dims.m))
+        prepared = es.prepare(model, name, 4)
+        y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=16)
+        expected = (model.h_mean if k is None else model.h_mean[:, None]) + prepared.head(deviation(model, y))
+        assert prepared.apply(y).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("path", ["dense-twin", "real-form"])
+    def test_monte_carlo_scores_are_the_out_of_place_ones(self, path):
+        # run_monte_carlo scores h - h_hat in the estimate's memory: the same bits as the out-of-place expression,
+        # over two chunks of draws; the scoring does not depend on the product's path
+        model = ACCUMULATING[path]()
+        prepared = {name: es.prepare(model, name, 4) for name in es.NAMES}
+        trials, seed = 520, 17
+        scored = run_monte_carlo(model, {name: p.apply for name, p in prepared.items()}, trials, seed)
+        draws = [
+            model.draw(np.random.default_rng(child), count)
+            for child, count in zip(np.random.SeedSequence(seed).spawn(2), (512, 8))
+        ]
+        for name, p in prepared.items():
+            errors = np.concatenate([np.sum(np.abs(h - p.apply(y)) ** 2, axis=0) for h, y in draws])
+            assert scored[name] == (float(np.mean(errors)), float(np.std(errors, ddof=1) / np.sqrt(trials)))
+
+
+def test_mmse_factors_a_fresh_real_form_where_the_product_reads_the_factors():
+    # the factored product never reads z_real, so MMSE's factor is taken of a fresh form in place and no z_real is
+    # kept; the factor has the bytes of the one taken of z_real
+    model = correlated_model(Dims(100, 10, 10), 5.0, FACTORED_BETAS)
+    es.prepare(model, "mmse").apply(observation(model, (model.dims.m,), seed=18))
+    assert "z_real" not in vars(model) and "z_real_factor" in vars(model)
+    expected, _ = scipy.linalg.cho_factor(model.z_real, lower=True, check_finite=False)
+    factor = model.z_real_factor
+    assert factor.flags.f_contiguous and not factor.flags.writeable
+    assert factor.tobytes(order="F") == expected.tobytes(order="F")
