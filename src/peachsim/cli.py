@@ -139,9 +139,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
     a single trial.  Trials are processed in chunks of ``MONTE_CARLO_CHUNK``
     with independent child streams, so results are reproducible, independent
     of chunk scheduling, and the same for an estimator whether it is scored
-    alone or next to others.  Each estimate's error ``h - h_hat`` is taken in
-    its own memory (the bytes of the out-of-place difference), so an estimator
-    returns a fresh complex array on every call.
+    alone or next to others.
     """
     trials = check_integer("trials", trials, 1, InvalidParameter)
     n_chunks = (trials + MONTE_CARLO_CHUNK - 1) // MONTE_CARLO_CHUNK
@@ -161,7 +159,7 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
             h_hat = estimator(y)
             if h_hat.shape != h.shape:
                 raise ShapeError(f"estimator {name!r} returned shape {h_hat.shape}, expected {h.shape}")
-            sq_errors[name][pos : pos + count] = np.sum(np.abs(np.subtract(h, h_hat, out=h_hat)) ** 2, axis=0)
+            sq_errors[name][pos : pos + count] = np.sum(np.abs(h - h_hat) ** 2, axis=0)
         pos += count
     return {
         name: (

@@ -53,7 +53,7 @@ from .errors import (
     check_array,
     check_real,
 )
-from .model import StatModel, _definite, _Operator, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
+from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
 from .spectrum import Spectrum, check_degree
 
 
@@ -102,19 +102,19 @@ class PolyEstimator:
         return self._horner(np.ones(lam.shape), lambda acc, w_l: t * acc + w_l)
 
     def apply(self, z, d: np.ndarray) -> np.ndarray:
-        """v(z) d for a vector or a batch of columns ``d``, with L products by ``z`` (a matrix or the operator
-        :meth:`StatModel.z_operator` gives) and no power of it.  Each product accumulates its Horner step ``c + s z
-        acc``, inside the BLAS call on a real form: ``c = acc + w_l d`` and ``s = -alpha`` for PEACH, ``c = w_l d``
-        and ``s = alpha`` for W-PEACH, in the one of two blocks not holding ``acc``; ``d`` is never written."""
+        """v(z) d for a vector or a batch of columns ``d``, with L products by the operator ``z`` that
+        :meth:`StatModel.z_operator` gives and no power of it.  Each product ``z(acc, c, s)`` accumulates its Horner
+        step ``c + s z acc``, inside the BLAS call on a real form: ``c = acc + w_l d`` and ``s = -alpha`` for PEACH,
+        ``c = w_l d`` and ``s = alpha`` for W-PEACH, in the one of two blocks not holding ``acc``; ``d`` is never
+        written."""
         peach = self.kind is EstimatorKind.PEACH
-        product = z if isinstance(z, _Operator) else lambda x, c, s: np.add(c, s * (z @ x), out=c)
         blocks = [np.empty_like(d) for _ in range(min(self.degree, 2))]
 
         def step(acc, w_l):
             c = blocks[acc is blocks[0]]
             if peach:
-                return product(acc, np.add(acc, d if w_l == 1 else w_l * d, out=c), -self.alpha)
-            return product(acc, np.multiply(d, w_l, out=c), self.alpha)
+                return z(acc, np.add(acc, d if w_l == 1 else w_l * d, out=c), -self.alpha)
+            return z(acc, np.multiply(d, w_l, out=c), self.alpha)
 
         return self._horner(d, step)
 

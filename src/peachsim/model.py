@@ -315,11 +315,13 @@ class StatModel:
 
         ``d`` is a complex (m,) vector or (m, k) block, which ``into`` may
         overwrite, and ``Re(into(f)^H op^j into(d)) * scale = Re(f^H z^j d)``.
-        Here ``op`` is ``z`` (or solves against ``z_factor``), ``into`` the
-        identity, ``head`` :meth:`apply_r_pilot_adjoint` and ``scale`` 1;
-        nothing is formed until this is called.
+        Here ``op`` multiplies by ``z`` (and accumulates, :class:`_Operator`)
+        or solves against ``z_factor``, ``into`` is the identity, ``head``
+        :meth:`apply_r_pilot_adjoint` and ``scale`` 1; nothing is formed until
+        this is called.
         """
-        return (_Operator(self.z_factor, _cho_solve) if inverse else self.z), _same, self.apply_r_pilot_adjoint, 1.0
+        op = _Operator(self.z_factor, _cho_solve) if inverse else _Operator(self.z, _dense_product)
+        return op, _same, self.apply_r_pilot_adjoint, 1.0
 
     @cached_property
     def z_spectrum(self) -> Spectrum:
@@ -748,19 +750,15 @@ def _real_product(s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, s
     """``S x`` for a real symmetric S and a C-contiguous complex (m, k) block, in real arithmetic; S is never upcast.
     Given a C-contiguous ``out`` of ``x``'s shape, ``out + scale S x`` is accumulated into ``out`` (BLAS ``beta = 1``).
 
-    One ``dgemm`` reads the real view, except that a column of at least
+    One ``dgemm`` reads the real view as ``x^T S^T`` in Fortran order (f2py
+    would copy a C-ordered S on every call), except that a column of at least
     ``SYMV_MIN`` entries has its real and imaginary parts multiplied by
-    ``dsymv`` each, which reads one triangle of S.  An accumulating ``dgemm``
-    is scipy's, ``x^T S^T`` in Fortran order (f2py would copy a C-ordered S on
-    every call); a fresh one stays numpy's, whose BLAS the tracker's chain
-    keeps (with scipy's, a ``mid-adaptive`` run peaked 0.7 MB higher).
+    ``dsymv`` each, which reads one triangle of S.
     """
     beta, out = (0.0, np.empty(x.shape, dtype=complex)) if out is None else (1.0, out)
     if x.shape[1] == 1 and len(x) >= SYMV_MIN:
         for part, result in zip(x.view(float).T, out.view(float).T):
             result[:] = blas.dsymv(scale, s.T, part, beta, result if beta else None)
-    elif not beta:
-        np.matmul(s, x.view(float), out=out.view(float))
     elif x.size:  # the BLAS wrapper rejects an empty block
         blas.dgemm(scale, x.view(float).T, s.T, beta, out.view(float).T, overwrite_c=1)
     return out
@@ -786,8 +784,7 @@ def _factored_product(form: tuple, x: np.ndarray, out: np.ndarray | None = None,
     for a_t, a_r in factors:
         n_t = len(a_t)
         np.matmul(a_r, real.reshape(n_t, len(a_r), -1), out=rx.reshape(n_t, len(a_r), -1))
-        # result += scale A_t rx on the (n_t, n_r 2k) views, which read in Fortran order are
-        # result^T += scale rx^T A_t^T
+        # result += scale A_t rx on the (n_t, n_r 2k) views, in Fortran order result^T += scale rx^T A_t^T
         blas.dgemm(scale, rx.reshape(n_t, -1).T, a_t.T, 1.0, result.reshape(n_t, -1).T, overwrite_c=1)
     return out
 
@@ -816,13 +813,18 @@ def _cho_solve(factor: tuple, x: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, x, check_finite=False)
 
 
+def _dense_product(z: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+    # z x against a dense model's complex z; given out, out + scale z x is accumulated into it
+    return z @ x if out is None else np.add(out, scale * (z @ x), out=out)
+
+
 def _same(x: np.ndarray) -> np.ndarray:
     # a dense model's map into z's coordinates
     return x
 
 
 class _Operator(namedtuple("_Operator", "matrix apply")):
-    """``self @ x`` is ``apply(matrix, x)``: a real form, its factors or a factor to solve against, as a matrix; a
+    """``self @ x`` is ``apply(matrix, x)``: a dense z, a real form, its factors or a factor to solve against; a
     product also accumulates, ``self(x, out, scale)`` writing ``out + scale (self @ x)`` into ``out``."""
 
     __slots__ = ()

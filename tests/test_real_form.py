@@ -344,7 +344,7 @@ class TestAccumulatingHorner:
         oracle = (model.h_mean if k is None else model.h_mean[:, None]) + g_mat @ d
         assert relative_error(es.bind(model, est).apply(y), oracle) <= 1e-12
 
-    @pytest.mark.parametrize("path", ["real-form", "factored", "long-real-form"])
+    @pytest.mark.parametrize("path", ACCUMULATING)
     def test_the_accumulating_product_is_the_product_added(self, path):
         # op(x, c, s) writes c + s (op @ x) into c, for a block, a vector and an empty block
         model = ACCUMULATING[path]()
@@ -377,8 +377,7 @@ class TestAccumulatingHorner:
 
     @pytest.mark.parametrize("path", ["dense-twin", "real-form"])
     def test_monte_carlo_scores_are_the_out_of_place_ones(self, path):
-        # run_monte_carlo scores h - h_hat in the estimate's memory: the same bits as the out-of-place expression,
-        # over two chunks of draws; the scoring does not depend on the product's path
+        # run_monte_carlo scores each estimate as h - h_hat, over two chunks of draws, whatever the product's path
         model = ACCUMULATING[path]()
         prepared = {name: es.prepare(model, name, 4) for name in es.NAMES}
         trials, seed = 520, 17
@@ -390,6 +389,15 @@ class TestAccumulatingHorner:
         for name, p in prepared.items():
             errors = np.concatenate([np.sum(np.abs(h - p.apply(y)) ** 2, axis=0) for h, y in draws])
             assert scored[name] == (float(np.mean(errors)), float(np.std(errors, ddof=1) / np.sqrt(trials)))
+
+
+def test_an_estimator_returning_its_observation_leaves_it_unchanged_for_the_next():
+    # with b == n_t, y itself is an (n,) estimate; scoring it must not write into y, which mmse reads next
+    model = correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS)
+    mmse = es.prepare(model, "mmse").apply
+    trials, seed = 3, 19
+    scored = run_monte_carlo(model, {"identity": lambda y: y, "mmse": mmse}, trials, seed)
+    assert scored["mmse"] == run_monte_carlo(model, {"mmse": mmse}, trials, seed)["mmse"]
 
 
 def test_mmse_factors_a_fresh_real_form_where_the_product_reads_the_factors():
