@@ -97,7 +97,7 @@ def _quad_forms(model: StatModel, degree: int, y: np.ndarray) -> np.ndarray:
     parts = np.empty((2 * degree + 1, 2 * x.shape[1]))
     for k in range(2 * degree + 1):
         if k:
-            x = op @ x
+            x = op(x)
         np.einsum("ij,ij->j", g, x.view(float), out=parts[k])
     out = parts.reshape(2 * degree + 1, -1, 2).sum(axis=2).T
     out *= scale

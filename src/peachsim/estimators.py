@@ -34,7 +34,6 @@ oracles only.
 from __future__ import annotations
 
 import enum
-import operator
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -53,7 +52,9 @@ from .errors import (
     check_array,
     check_real,
 )
-from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
+from .model import (
+    HERMITIAN_RTOL, StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
+)
 from .spectrum import Spectrum, check_degree
 
 
@@ -135,11 +136,14 @@ def alpha_optimal(z: np.ndarray) -> float:
     """Scaling 2 / (largest + smallest eigenvalue), the fastest-converging choice (:func:`make_peach`'s default).
 
     Minimizes the spectral radius of I - alpha * z over the convergent range;
-    :class:`NotPositiveDefinite` unless z is finite and positive definite.
+    :class:`NotPositiveDefinite` unless z is finite, Hermitian within
+    ``HERMITIAN_RTOL`` (as :func:`check_hermitian_psd`) and positive definite.
     """
     z = check_array("z", z, square=True)
     if not np.isfinite(z).all():
         raise NotPositiveDefinite("z holds NaN or infinity")
+    if not np.linalg.norm(z - z.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(z):
+        raise NotPositiveDefinite("z is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh(hermitize(z))
     return _poly_rule(EstimatorKind.PEACH, 0)(_definite(Spectrum(eigs, np.zeros_like(eigs), 0.0))).alpha
 
@@ -214,7 +218,7 @@ def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
     other name raises :class:`UnsupportedEstimator`.
     """
     if name == "mmse":
-        return Prepared(model, lambda d: _through(model, d, True, operator.matmul), lambda: model.z_spectrum.mmse())
+        return Prepared(model, lambda d: _through(model, d), lambda: model.z_spectrum.mmse())
     if name == "mvu":
         return _mvu_system(model)
     if name == "diagonalized":
@@ -232,13 +236,14 @@ def bind(model: StatModel, est: PolyEstimator) -> Prepared:
     once, in the operator's coordinates (its ``head``), through its Kronecker factors when the model has them.
     """
     mse = lambda: model.z_spectrum.mse(est.values(model.z_spectrum.lam))
-    return Prepared(model, lambda d: _through(model, d, False, est.apply), mse)
+    return Prepared(model, lambda d: _through(model, d, est), mse)
 
 
-def _through(model: StatModel, d: np.ndarray, inverse: bool, apply) -> np.ndarray:
-    # r_cov pilot_ext^H of apply(op, d), both in the coordinates of the model's operator (StatModel.z_operator)
-    op, into, head, _ = model.z_operator(inverse)
-    return head(apply(op, into(d))).reshape(model.dims.n, *d.shape[1:])
+def _through(model: StatModel, d: np.ndarray, est: PolyEstimator | None = None) -> np.ndarray:
+    # r_cov pilot_ext^H of z^{-1} d, or of v(z) d for the filter est, in the coordinates of the model's operator
+    op, into, head, _ = model.z_operator(est is None)
+    x = into(d)
+    return head(op(x) if est is None else est.apply(op, x)).reshape(model.dims.n, *d.shape[1:])
 
 
 # ---------------------------------------------------------------------------

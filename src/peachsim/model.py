@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -52,12 +51,11 @@ HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
 # Columns per block in which correlated_limit applies r's real form to its eigenvectors.
 LIMIT_BLOCK = 256
-# Length from which a real form is multiplied without its one dgemm on the real view.  A correlated model with at
-# most m / (2 (n_t + n_r)) terms applies S through its factors' real forms (about 5x for a vector, 1.6-2.2x for a
-# 512-column block at m = 1000 with three terms; slower below 500); any other real form takes two dsymv per vector,
-# which read one triangle, and one dgemm per block (one OpenBLAS thread: dsymv and dgemm equal near m = 500, 1.6x
-# at 1000).
-SYMV_MIN = 500
+# Length from which a correlated model with at most m / (2 (n_t + n_r)) terms applies S through its factors' real
+# forms (about 5x for a vector, 1.6-2.2x for a 512-column block at m = 1000 with three terms); below it the one dgemm
+# on the real view wins (one OpenBLAS thread, m = 80 with three terms: the factored product is 4x slower for a vector
+# and 2-4x slower for a 512-column block).
+FACTORED_MIN = 500
 
 
 @dataclass(frozen=True)
@@ -311,16 +309,20 @@ class StatModel:
         return factor, lower
 
     def z_operator(self, inverse: bool = False) -> tuple:
-        """``(op, into, head, scale)``: ``head(op @ into(d))`` is ``r_cov pilot_ext^H z d`` (``z^{-1} d`` if ``inverse``).
+        """``(op, into, head, scale)``: ``head(op(into(d)))`` is ``r_cov pilot_ext^H z d`` (``z^{-1} d`` if ``inverse``).
 
         ``d`` is a complex (m,) vector or (m, k) block, which ``into`` may
         overwrite, and ``Re(into(f)^H op^j into(d)) * scale = Re(f^H z^j d)``.
-        Here ``op`` multiplies by ``z`` (and accumulates, :class:`_Operator`)
-        or solves against ``z_factor``, ``into`` is the identity, ``head``
+        Here ``op`` is one kernel bound to its array: it multiplies by ``z``,
+        and ``op(x, out, scale)`` accumulates ``out + scale z x`` into ``out``,
+        or it solves against ``z_factor``; ``into`` is the identity, ``head``
         :meth:`apply_r_pilot_adjoint` and ``scale`` 1; nothing is formed until
         this is called.
         """
-        op = _Operator(self.z_factor, _cho_solve) if inverse else _Operator(self.z, _dense_product)
+        if inverse:  # the observation was checked finite at the boundary
+            op = partial(scipy.linalg.cho_solve, self.z_factor, check_finite=False)
+        else:
+            op = partial(_dense_product, self.z)
         return op, _same, self.apply_r_pilot_adjoint, 1.0
 
     @cached_property
@@ -357,7 +359,7 @@ class KroneckerModel(StatModel):
     :func:`stat_model_from_pilot` gives them; the overrides form neither.
     :meth:`z_operator` gives the real form ``z_real = K^H z K``, ``K = K_t (x)
     K_r`` (m x m float64), or its real Cholesky factor ``z_real_factor``; from
-    ``SYMV_MIN`` entries, with few enough terms, it applies that form through
+    ``FACTORED_MIN`` entries, with few enough terms, it applies that form through
     the factors' real forms, and only MMSE's factor forms ``z_real``.
 
     Its constructor skips :class:`StatModel`'s checks: each covariance is
@@ -493,24 +495,24 @@ class KroneckerModel(StatModel):
     def z_operator(self, inverse: bool = False) -> tuple:
         """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
         (:func:`_centro_in`), ``head`` is ``r_cov pilot_ext^H K / 2``, one Kronecker apply, and ``scale`` is 1/4,
-        since ``into`` multiplies inner products by 4.  From ``SYMV_MIN`` entries, when the terms of positive weight
+        since ``into`` multiplies inner products by 4.  From ``FACTORED_MIN`` entries, when the terms of positive weight
         number at most ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
         (:func:`_factored_product`) and :attr:`z_real` is not formed: per real column each term costs
         ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half.  Either
-        product also accumulates a Horner step, ``op(x, out, scale)`` (:class:`_Operator`)."""
+        product also accumulates a Horner step, ``op(x, out, scale)``."""
         if inverse:
-            op = _Operator(self.z_real_factor, _real_solve)
+            op = partial(_real_solve, self.z_real_factor)
         elif self._factored:
-            op = _Operator(self._z_factors, _factored_product)
+            op = partial(_factored_product, self._z_factors)
         else:
-            op = _Operator(self.z_real, _real_product)
+            op = partial(_real_product, self.z_real)
         return (op, *self._maps, 0.25)
 
     @property
     def _factored(self) -> bool:
         # z_operator's rule: whether the product applies S through the factors' real forms, never reading z_real
         dims = self.dims
-        return dims.m >= SYMV_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2
+        return dims.m >= FACTORED_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2
 
     @cached_property
     def _z_factors(self) -> tuple:
@@ -750,16 +752,11 @@ def _real_product(s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, s
     """``S x`` for a real symmetric S and a C-contiguous complex (m, k) block, in real arithmetic; S is never upcast.
     Given a C-contiguous ``out`` of ``x``'s shape, ``out + scale S x`` is accumulated into ``out`` (BLAS ``beta = 1``).
 
-    One ``dgemm`` reads the real view as ``x^T S^T`` in Fortran order (f2py
-    would copy a C-ordered S on every call), except that a column of at least
-    ``SYMV_MIN`` entries has its real and imaginary parts multiplied by
-    ``dsymv`` each, which reads one triangle of S.
+    One ``dgemm`` whatever the width, a vector being one column, reads the real view as ``x^T S^T`` in Fortran
+    order (f2py would copy a C-ordered S on every call).
     """
     beta, out = (0.0, np.empty(x.shape, dtype=complex)) if out is None else (1.0, out)
-    if x.shape[1] == 1 and len(x) >= SYMV_MIN:
-        for part, result in zip(x.view(float).T, out.view(float).T):
-            result[:] = blas.dsymv(scale, s.T, part, beta, result if beta else None)
-    elif x.size:  # the BLAS wrapper rejects an empty block
+    if x.size:  # the BLAS wrapper rejects an empty block
         blas.dgemm(scale, x.view(float).T, s.T, beta, out.view(float).T, overwrite_c=1)
     return out
 
@@ -808,11 +805,6 @@ def _real_solve(factor: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cho_solve(factor: tuple, x: np.ndarray) -> np.ndarray:
-    # z^{-1} x against a dense model's z_factor; the observation was checked finite at the boundary
-    return scipy.linalg.cho_solve(factor, x, check_finite=False)
-
-
 def _dense_product(z: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     # z x against a dense model's complex z; given out, out + scale z x is accumulated into it
     return z @ x if out is None else np.add(out, scale * (z @ x), out=out)
@@ -821,19 +813,6 @@ def _dense_product(z: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, 
 def _same(x: np.ndarray) -> np.ndarray:
     # a dense model's map into z's coordinates
     return x
-
-
-class _Operator(namedtuple("_Operator", "matrix apply")):
-    """``self @ x`` is ``apply(matrix, x)``: a dense z, a real form, its factors or a factor to solve against; a
-    product also accumulates, ``self(x, out, scale)`` writing ``out + scale (self @ x)`` into ``out``."""
-
-    __slots__ = ()
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(self.matrix, x)
-
-    def __call__(self, x: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
-        return self.apply(self.matrix, x, out, scale)
 
 
 def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation = DEFAULT_CORRELATION) -> Spectrum:

@@ -314,6 +314,21 @@ class TestAlphaRules:
         with pytest.raises(NotPositiveDefinite):
             es.alpha_optimal(np.diag([1.0, -0.1]))
 
+    NON_HERMITIAN_Z = {"skew": [[1.0, 5.0], [-5.0, 1.0]], "upper-triangular": np.triu(np.ones((3, 3))) + 2 * np.eye(3)}
+
+    @pytest.mark.parametrize("z", NON_HERMITIAN_Z.values(), ids=NON_HERMITIAN_Z.keys())
+    def test_rejects_non_hermitian_z_by_name(self, z):
+        # symmetrizing would hide the skew part: the skew matrix's Hermitian part is the identity, whose alpha is 1
+        with pytest.raises(NotPositiveDefinite, match="^z is not Hermitian within tolerance$"):
+            es.alpha_optimal(z)
+
+    def test_accepts_a_rounding_sized_skew_part(self, rng):
+        z = random_hermitian_psd(rng, 6, eig_lo=0.2, eig_hi=4.0)
+        skew = complex_vector(rng, (6, 6))
+        skew -= skew.conj().T
+        drifted = z + 1e-14 * np.linalg.norm(z) / np.linalg.norm(skew) * skew
+        assert es.alpha_optimal(drifted) == pytest.approx(es.alpha_optimal(z), rel=1e-12)
+
     NON_FINITE_Z = {
         "all-nan": np.full((2, 2), np.nan),
         "inf-off-diagonal": [[1.0, np.inf], [np.inf, 1.0]],

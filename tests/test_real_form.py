@@ -3,8 +3,8 @@
 ``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary
 ``K = K_t (x) K_r``; the estimators map by ``2 K^H`` on the way in and apply
 ``r_cov pilot_ext^H K / 2`` on the way out, and a dense model keeps its complex
-``z``.  From ``SYMV_MIN`` entries a model with few terms applies ``S`` through
-its factors' real forms and never forms it.
+``z``.  From ``FACTORED_MIN`` entries a model with few terms applies ``S``
+through its factors' real forms and never forms it.
 """
 
 import functools
@@ -99,10 +99,10 @@ class TestDenseTwin:
 
     @pytest.mark.parametrize("name", ["mmse", "peach"])
     def test_a_long_vector_takes_the_factored_products_and_the_one_triangle_solves(self, name):
-        # from SYMV_MIN entries this model's three terms multiply a vector through the factors' real forms; every
+        # from FACTORED_MIN entries this model's three terms multiply a vector through the factors' real forms; every
         # vector is solved by dtrsv against the real Cholesky factor
         dims = Dims(50, 10, 10)
-        assert dims.m >= peachsim.model.SYMV_MIN
+        assert dims.m >= peachsim.model.FACTORED_MIN
         model = correlated_model(dims, 5.0, (0.1, 0.1))
         y = observation(model, (dims.m,), seed=3)
         estimate = es.prepare(model, name, 4).apply(y)
@@ -204,7 +204,7 @@ def test_fortran_ordered_block_is_read_as_it_lies():
         assert relative_error(estimate, es.prepare(dense, name, 3).apply(y)) <= 1e-12
 
 
-# three terms from SYMV_MIN entries, with the long factor on either axis: each is applied through its factors
+# three terms from FACTORED_MIN entries, with the long factor on either axis: each is applied through its factors
 FACTORED = {"long-receive": Dims(100, 10, 10), "long-transmit": Dims(10, 100, 100)}
 FACTORED_BETAS = (0.1, 0.1)
 
@@ -262,7 +262,7 @@ class TestFactoredProduct:
         assert (solves.calls, products.calls) == (1, 0) and "z_real_factor" in vars(model)
 
     # 7 terms at m = 1000 ask the factors for 7 (10 + 100) = 770 multiply-adds per entry, where the rule allows half
-    # the dense form's 1000; every model below SYMV_MIN, with the long factor on either axis and with few or many
+    # the dense form's 1000; every model below FACTORED_MIN, with the long factor on either axis and with few or many
     # terms, keeps the dense form too, and so does an m = 500 model whose receive factor is nearly as long as m
     DENSE = {
         "m1000-seven-terms": (Dims(100, 10, 10), (0.1,) * 6),
@@ -298,7 +298,7 @@ class TestFactoredProduct:
         x = into(observation(model, (model.dims.m, 512), seed=11))
         tracemalloc.start()
         try:
-            product = model.z_operator()[0] @ x
+            product = model.z_operator()[0](x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,9 +306,9 @@ class TestFactoredProduct:
         assert "z_real" not in vars(model)
 
 
-# The paths of a Horner step's accumulating product: the dense twin's complex z, the real form below SYMV_MIN
-# (dgemm for a vector too), the factors' real forms from it, and the real form of a model from SYMV_MIN whose
-# receive factor is too long for the factors (dsymv for a vector)
+# The paths of a Horner step's accumulating product: the dense twin's complex z, the real form below FACTORED_MIN,
+# the factors' real forms from it, and the real form of a model from FACTORED_MIN whose receive factor is too long
+# for the factors; each real form takes one dgemm whatever the width
 ACCUMULATING = {
     "dense-twin": lambda: replace(correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS)),
     "real-form": lambda: correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS),
@@ -346,15 +346,19 @@ class TestAccumulatingHorner:
 
     @pytest.mark.parametrize("path", ACCUMULATING)
     def test_the_accumulating_product_is_the_product_added(self, path):
-        # op(x, c, s) writes c + s (op @ x) into c, for a block, a vector and an empty block
+        # op(x, c, s) writes c + s op(x) into c, and the inverse operator's solve undoes op(x), for a block, a vector
+        # and an empty block
         model = ACCUMULATING[path]()
         op, into, _, _ = model.z_operator()
+        solve = model.z_operator(inverse=True)[0]
         for k in (7, 1, 0):
             x = into(observation(model, (model.dims.m, k), seed=13 + k))
             c = into(observation(model, (model.dims.m, k), seed=14 + k))
-            expected = c - 0.375 * (op @ x)
+            expected = c - 0.375 * op(x)
             assert op(x, c, -0.375) is c and c.shape == x.shape
             assert np.linalg.norm(c - expected) <= 1e-14 * max(np.linalg.norm(expected), 1.0)
+            back = solve(op(x))
+            assert back.shape == x.shape and np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("path", ACCUMULATING)
     @pytest.mark.parametrize("name", es.NAMES)
