@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Run the full set of simulation scenarios and collect their CSV tables.
 
-Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 5 s,
+Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 4 s,
 nearly all of it in the Monte Carlo columns of the seven sweep tables; with
-``--no-montecarlo`` it takes about 0.3 s.  ``--full-scale`` switches to
-n_r = 100, n_t = b = 10 (m = 1000).  With ``--no-montecarlo`` that takes
-about 17 s: half in the shrinkage table (one dense eigendecomposition of the
-estimated z per sample count, and the products that score it) and a quarter
-in the adaptive table (drawing the windows and forming their quadratic
-forms), while the analytic sweeps take about 4 s.  With Monte Carlo on it
-takes about 9 minutes, nearly all in sampling and applying the estimators
-in the six degree and SNR sweeps.  (One BLAS thread, 2-vCPU x86 host.)
+``--no-montecarlo`` the tables take about 0.15 s.  ``--full-scale`` switches
+to n_r = 100, n_t = b = 10 (m = 1000).  With ``--no-montecarlo`` the tables
+take about 6 s: over three quarters in the shrinkage table (one dense
+eigendecomposition of the estimated z per sample count, and the products that
+score it, 4.5 s), 0.26 s in the adaptive table (drawing the windows and
+forming their quadratic forms), about 1 s in the six degree and SNR sweeps
+and 0.15 s in the receive-count sweep.  With Monte Carlo on it takes about
+9 minutes, nearly all in sampling and applying the estimators in the six
+degree and SNR sweeps.  (One BLAS thread, 2-vCPU x86 host, whose load moves
+these times by a quarter from run to run.)
 """
 
 import argparse

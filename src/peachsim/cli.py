@@ -37,7 +37,6 @@ from .model import (
     Dims,
     SpatialCorrelation,
     StatModel,
-    correlated_limit,
     correlated_model,
 )
 
@@ -147,12 +146,16 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
     if any(s is None or isinstance(s, bool) for s in (seed if np.iterable(seed) else (seed,))):
         raise InvalidParameter(message)  # numpy would draw fresh entropy for None and read a bool as 0 or 1
     try:
-        children = np.random.SeedSequence(seed).spawn(n_chunks)
+        root = np.random.SeedSequence(seed)
     except (TypeError, ValueError):  # numpy's own rule: nonnegative integers alone or in a sequence
         raise InvalidParameter(message) from None
-    sq_errors = {name: np.empty(trials) for name in estimators}
+    try:
+        sq_errors = {name: np.empty(trials) for name in estimators}
+    except MemoryError:
+        raise InvalidParameter(f"trials={trials} needs more memory for its errors than can be allocated") from None
     pos = 0
-    for child in children:
+    for _ in range(n_chunks):
+        child = root.spawn(1)[0]  # the children of spawn(n_chunks), one at a time
         count = min(MONTE_CARLO_CHUNK, trials - pos)
         h, y = model.draw(np.random.default_rng(child), count)
         for name, estimator in estimators.items():
@@ -174,11 +177,11 @@ def run_monte_carlo(model: StatModel, estimators: dict, trials: int, seed) -> di
 # scenario runners
 
 
-def _floors(model: StatModel, config: ExperimentConfig, degree: int) -> dict:
-    # the limit spectrum depends on neither the SNR nor the degree; it is the
-    # one the model's z_spectrum maps, so a sweep decomposes it once
-    limit = correlated_limit(model.dims, tuple(config.betas), config.correlation)
-    if any(beta > 0 for beta in config.betas):
+def _floors(model, degree: int) -> dict:
+    # model is a correlated_model, unannotated since only model.py names its class; its limit spectrum, the one
+    # its z_spectrum maps, depends on neither the SNR nor the degree, so a sweep decomposes it once
+    limit = model.source()
+    if model.interfered:
         r_diag, _, interference = model.diagonals()
         return analysis.floor_contaminated(limit, r_diag, interference, degree)._asdict()
     return analysis.floor_noise_limited(limit, degree)._asdict()
@@ -205,7 +208,7 @@ def _sweep_point(config, model, point, sweep_value, index):
     Without Monte Carlo nothing is applied, so z and MMSE's factor of it are not formed.
     """
     prepared = {name: estimators.prepare(model, name, point["degrees"]) for name in estimators.NAMES}
-    floors = _floors(model, config, point["degrees"])
+    floors = _floors(model, point["degrees"])
     monte_carlo = {}
     if config.monte_carlo:
         monte_carlo = run_monte_carlo(model, {n: p.apply for n, p in prepared.items()}, config.trials, (config.seed, index))

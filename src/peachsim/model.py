@@ -353,8 +353,8 @@ class KroneckerModel(StatModel):
     """The zero-mean correlated model of :func:`correlated_model`, kept in its Kronecker factors.
 
     ``terms`` lists the ``(weight, R_t, R_r)`` of r (weight 1), then of each
-    interferer, and ``z = power * (r + sum_i beta_i R_i) + noise_var * I`` for
-    the identity ``pilot``; ``source()`` is the limit's :class:`Spectrum`.
+    interferer of positive power, and ``z = power * (r + sum_i beta_i R_i) +
+    noise_var * I`` for the identity ``pilot``; ``source()`` is the limit's :class:`Spectrum`.
     ``r_cov`` and ``s_cov`` are formed on first read, with the bytes
     :func:`stat_model_from_pilot` gives them; the overrides form neither.
     :meth:`z_operator` gives the real form ``z_real = K^H z K``, ``K = K_t (x)
@@ -404,9 +404,9 @@ class KroneckerModel(StatModel):
         return s_cov
 
     @property
-    def _interfered(self) -> bool:
-        # whether an interferer has positive power; without one s_cov is noise_var * I
-        return any(beta > 0 for beta, *_ in self.terms[1:])
+    def interfered(self) -> bool:
+        """Whether ``terms`` holds an interferer, all of which have positive power; else ``s_cov = noise_var I``."""
+        return len(self.terms) > 1
 
     def pilot_r_energy(self) -> float:
         """``||pilot^T R_t||_F^2 ||R_r||_F^2``, with no n x n array."""
@@ -450,7 +450,7 @@ class KroneckerModel(StatModel):
     def _disturbance(self, v: np.ndarray) -> np.ndarray:
         # without a positive-power interferer s_cov = noise_var I, whose Cholesky factor sqrt(noise_var) I gives
         # these bytes, and s_cov is not formed
-        if self._interfered:
+        if self.interfered:
             return super()._disturbance(v)
         v *= math.sqrt(self.noise_var)
         return v
@@ -458,7 +458,7 @@ class KroneckerModel(StatModel):
     def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
         """:meth:`StatModel.observation_covariance`; without a positive-power interferer ``noise_var`` is added on
         the sandwich's diagonal, the sum ``s_cov = noise_var * I`` gives there, and ``s_cov`` is not formed."""
-        if self._interfered:
+        if self.interfered:
             return super().observation_covariance(r_cov)
         z = _pilot_sandwich(self.pilot, self.dims.n_r, r_cov)
         z.flat[:: len(z) + 1] += self.noise_var
@@ -474,7 +474,7 @@ class KroneckerModel(StatModel):
 
     def _real_form(self) -> np.ndarray:
         # a fresh, writable z_real
-        s = _limit_real_form([term for term in self.terms if term[0] > 0])
+        s = _limit_real_form(self.terms)
         s *= self.power
         s.flat[:: len(s) + 1] += self.noise_var
         return s
@@ -495,8 +495,8 @@ class KroneckerModel(StatModel):
     def z_operator(self, inverse: bool = False) -> tuple:
         """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
         (:func:`_centro_in`), ``head`` is ``r_cov pilot_ext^H K / 2``, one Kronecker apply, and ``scale`` is 1/4,
-        since ``into`` multiplies inner products by 4.  From ``FACTORED_MIN`` entries, when the terms of positive weight
-        number at most ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
+        since ``into`` multiplies inner products by 4.  From ``FACTORED_MIN`` entries, when the terms number at most
+        ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
         (:func:`_factored_product`) and :attr:`z_real` is not formed: per real column each term costs
         ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half.  Either
         product also accumulates a Horner step, ``op(x, out, scale)``."""
@@ -512,13 +512,13 @@ class KroneckerModel(StatModel):
     def _factored(self) -> bool:
         # z_operator's rule: whether the product applies S through the factors' real forms, never reading z_real
         dims = self.dims
-        return dims.m >= FACTORED_MIN and len(self._z_factors[1]) * (dims.n_t + dims.n_r) <= dims.m / 2
+        return dims.m >= FACTORED_MIN and len(self.terms) * (dims.n_t + dims.n_r) <= dims.m / 2
 
     @cached_property
     def _z_factors(self) -> tuple:
-        # (noise_var, ((power w_i S_t,i, S_r,i), ...)) over the terms of positive weight, whose Kronecker sum plus
-        # noise_var I is z_real: the factors' real forms, a few (n_t^2 + n_r^2) floats
-        factors = [(self.power * w * _real_form(r_t)[0], _real_form(r_r)[0]) for w, r_t, r_r in self.terms if w > 0]
+        # (noise_var, ((power w_i S_t,i, S_r,i), ...)) over the terms, whose Kronecker sum plus noise_var I is z_real:
+        # the factors' real forms, a few (n_t^2 + n_r^2) floats
+        factors = [(self.power * w * _real_form(r_t)[0], _real_form(r_r)[0]) for w, r_t, r_r in self.terms]
         return self.noise_var, tuple(factors)
 
     @cached_property
@@ -660,15 +660,15 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
-    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model`:
-    interferer ``i`` has weight ``betas[i]`` and the ``i``-th interferer coefficient pair, cyclically.
+    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model` but those of zero
+    power, which add nothing to z: interferer ``i`` has weight ``betas[i]`` and the ``i``-th pair, cyclically.
     The caller has checked both (:meth:`SpatialCorrelation.validate`, which fixes every factor).  ``dims`` whose
     m x m complex array exceeds numpy's size limit raise :class:`ShapeError` here, before anything is allocated."""
     if 16 * dims.m**2 > np.iinfo(np.intp).max:  # 16 bytes per complex entry
         raise ShapeError(f"a model with n_r={dims.n_r} and n_t={dims.n_t} needs m x m arrays beyond numpy's size limit")
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
-    terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas)]
+    terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas) if beta > 0]
     return [(w, exp_correlation_matrix(dims.n_t, tx), exp_correlation_matrix(dims.n_r, rx)) for w, tx, rx in terms]
 
 
@@ -848,7 +848,7 @@ def correlated_limit(dims: Dims, betas: tuple, correlation: SpatialCorrelation =
 def _limit_spectrum(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> Spectrum:
     # the spectrum of correlated_limit, for checked arguments
     n = dims.n
-    terms = [term for term in _correlated_terms(dims, betas, correlation) if term[0] > 0]
+    terms = _correlated_terms(dims, betas, correlation)
     (_, r_t, r_r), *interferers = terms
     trace_r = float(np.trace(r_t).real * np.trace(r_r).real)
     if not interferers:

@@ -317,6 +317,26 @@ class TestRunMonteCarlo:
         with pytest.raises(InvalidParameter, match="seed must be"):
             run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 3, seed)
 
+    def test_trial_count_beyond_memory_is_typed_before_any_draw(self, monkeypatch, tmp_path, capsys):
+        # the error buffers are allocated before a child stream is spawned, so a count whose buffers cannot be
+        # allocated fails at once; spawning its 2e11 child streams first filled memory.  The 8e14-byte buffer fails
+        # on a host whose user address space is below about 730 TiB (47 or 48 bits on x86-64 and arm64 kernels) or
+        # that refuses to overcommit it; numpy.empty refuses it here as it would there, whatever the host
+        empty = np.empty
+
+        def refusing_empty(shape, *args, **kwargs):
+            if np.prod(shape) >= 10**14:
+                raise MemoryError(f"cannot allocate {shape} entries")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing_empty)
+        model = correlated_model(Dims(2, 2, 2), 5.0, ())
+        with pytest.raises(InvalidParameter, match="trials"):
+            run_monte_carlo(model, {"mmse": es.prepare(model, "mmse").apply}, 10**14, 0)
+        out = tmp_path / "sweep_l.csv"
+        assert main(["sweep-l", "--degrees", "1", "--trials", str(10**14), "--out", str(out)]) == 2
+        assert "trials" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [0, 7, (7, 3), [1, 2], np.uint8(3), np.array([4, 5])], ids=repr)
     def test_accepted_seeds_draw_as_numpy_seeds_them(self, seed):
         # one child stream of the seed per chunk of MONTE_CARLO_CHUNK trials, here a full chunk and 88 trials
@@ -776,15 +796,21 @@ def test_cli_tables_byte_identical_in_fresh_processes(tmp_path):
         "snr": ["sweep-snr", "--snr-db", "0,20", "--betas", "0.1,0.1", "--trials", "300"],
         "adaptive": ["adaptive", "--snr-db", "0,10", "--window", "30"],
     }
-    tables = []
+    # the four interpreters run at once, each writing its own files
+    processes = {}
     for run in range(2):
-        tables.append({})
         for name, scenario_args in runs.items():
             out = tmp_path / f"run{run}" / f"{name}.csv"
             args = [*scenario_args, "--n-r", "4", "--n-t", "2", "--degree", "3", "--seed", "11", "--out", str(out)]
-            done = subprocess.run([sys.executable, "-m", "peachsim", *args], env=env, check=True, capture_output=True)
-            assert b"RuntimeWarning" not in done.stderr
-            tables[run][name] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
+            command = [sys.executable, "-m", "peachsim", *args]
+            processes[run, name] = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    stderrs = {key: process.communicate()[1] for key, process in processes.items()}
+    tables = [{}, {}]
+    for (run, name), process in processes.items():
+        assert process.returncode == 0, stderrs[run, name].decode()
+        assert b"RuntimeWarning" not in stderrs[run, name]
+        out = tmp_path / f"run{run}" / f"{name}.csv"
+        tables[run][name] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
     assert tables[0] == tables[1]
     rows = [row for row in csv.DictReader(tables[0]["snr"][0].decode().splitlines()) if row["nmse_monte_carlo"]]
     assert len(rows) == 2 * 5

@@ -16,7 +16,7 @@ import scipy.linalg
 from peachsim import analysis
 from peachsim import estimators as es
 from peachsim.adaptive import _quad_forms
-from peachsim.cli import _floors, default_config, main
+from peachsim.cli import _floors, main
 from peachsim.errors import InvalidCorrelation, InvalidParameter, NotPositiveSemiDefinite
 from peachsim.model import (
     DEFAULT_CORRELATION,
@@ -373,9 +373,8 @@ def test_dense_diagonals_are_one_and_the_summed_betas(betas, correlation):
     np.testing.assert_array_equal(r_diag, np.ones(DESK.n))
     np.testing.assert_array_equal(s_diag, np.full(DESK.n, sum(betas)))
     if any(betas):
-        config = default_config("sweep-snr", betas=betas, correlation=correlation)
         dense = analysis.floor_contaminated(correlated_limit(DESK, betas, correlation), r_diag.real, s_diag.real, 4)
-        assert _floors(correlated_model(DESK, 10.0, betas, correlation), config, 4) == dense._asdict()
+        assert _floors(correlated_model(DESK, 10.0, betas, correlation), 4) == dense._asdict()
 
 
 @pytest.mark.parametrize("degree", [0, 4, 10])
@@ -383,9 +382,8 @@ def test_dense_diagonals_are_one_and_the_summed_betas(betas, correlation):
 def test_sweep_floors_match_dense_floors(betas, degree):
     # the runner's floors read the limit spectrum and the factors' diagonals;
     # the dense forms decompose r_cov (+ the summed interferer covariance)
-    config = default_config("sweep-snr", betas=betas)
     model = correlated_model(DESK, 10.0, betas)
-    floors = _floors(model, config, degree)
+    floors = _floors(model, degree)
     if betas:
         sum_interf = summed_covariance(correlated_contamination(DESK, betas))
         dense = contaminated_floors(model.r_cov, sum_interf, degree)._asdict()

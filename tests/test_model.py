@@ -1,3 +1,4 @@
+import functools
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -526,6 +527,15 @@ SANDWICH_DIMS = {"20x4": Dims(20, 4, 4), "5x3": Dims(5, 3, 3), "100x10": Dims(10
 SANDWICH_BETAS = {"none": (), "0.1": (0.1, 0.1), "cyclic": (1.0, 0.3, 0.7)}
 
 
+# the cases of one SNR run through the betas with both noise variances, so two entries serve all of them and
+# at most two complex m x m arrays are kept at m = 1000
+@functools.lru_cache(maxsize=2)
+def channel_sandwich(dims, gamma_db, noise_var):
+    """:func:`oracles.pilot_sandwich` of a correlated model's channel covariance, which the betas do not change."""
+    model = correlated_model(dims, gamma_db, (), noise_var=noise_var)
+    return pilot_sandwich(model.pilot, dims.n_r, model.r_cov)
+
+
 class TestPilotSandwich:
     """The identity pilot's sandwich scales; every other pilot is contracted and symmetrized."""
 
@@ -537,7 +547,7 @@ class TestPilotSandwich:
         # the scaled sandwich is the same bits as the contraction of
         # oracles.pilot_sandwich, symmetrized as the dense path does
         model = correlated_model(dims, gamma_db, betas, noise_var=noise_var)
-        assert model.z.tobytes() == hermitize(pilot_sandwich(model.pilot, dims.n_r, model.r_cov) + model.s_cov).tobytes()
+        assert model.z.tobytes() == hermitize(channel_sandwich(dims, gamma_db, noise_var) + model.s_cov).tobytes()
 
     @pytest.mark.parametrize("betas", SANDWICH_BETAS.values(), ids=SANDWICH_BETAS.keys())
     @pytest.mark.parametrize("gamma_db", [-10.0, 0.0, 7.3, 30.0])

@@ -42,10 +42,17 @@ ROUNDING_SCALE_FACTOR = 1e3
 FORMED = ("z", "z_factor", "z_real", "z_real_factor")
 
 
-def twin_pair(name, gamma_db=10.0):
+def twin_pair(name):
+    """A fresh model of ``TWIN_MODELS`` and its dense twin, which is built once per name: the tests inspect what the
+    model forms, and only apply the twin."""
     dims, betas = TWIN_MODELS[name]
-    model = correlated_model(dims, gamma_db, betas)
-    return model, replace(model)
+    return correlated_model(dims, 10.0, betas), dense_twin(name)
+
+
+@functools.cache
+def dense_twin(name):
+    dims, betas = TWIN_MODELS[name]
+    return replace(correlated_model(dims, 10.0, betas))
 
 
 def observation(model, shape, seed):
@@ -106,7 +113,9 @@ class TestDenseTwin:
         model = correlated_model(dims, 5.0, (0.1, 0.1))
         y = observation(model, (dims.m,), seed=3)
         estimate = es.prepare(model, name, 4).apply(y)
-        assert relative_error(estimate, es.prepare(replace(model), name, 4).apply(y)) <= 1e-12
+        # the dense twin of this model, which the accumulating Horner tests share
+        _, dense = accumulating_pair("factored")
+        assert relative_error(estimate, es.prepare(dense, name, 4).apply(y)) <= 1e-12
 
 
 class TestFormedOnFirstApply:
@@ -243,8 +252,7 @@ class TestFactoredProduct:
     @pytest.mark.parametrize("degree", [0, 1, 4])
     @pytest.mark.parametrize("kind", ["peach", "wpeach"])
     def test_one_apply_makes_degree_factored_products(self, monkeypatch, kind, degree, k):
-        model = correlated_model(Dims(50, 10, 10), 5.0, FACTORED_BETAS)
-        est = (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
+        model, est = ACCUMULATING["factored"](), accumulating_filter("factored", kind, degree)
         counts = counted_apply(monkeypatch, model, est, k, seed=8)
         calls = {name: counting.calls for name, counting in counts.items()}
         assert calls == {"_factored_product": degree, "_real_product": 0}
@@ -326,11 +334,17 @@ def accumulating_pair(path):
 
 
 @functools.cache
-def accumulating_case(path, kind, degree):
-    """A model on ``path``, the filter prepared on it and its dense filter matrix."""
-    model, dense = accumulating_pair(path)
-    est = (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
-    return model, est, es.poly_filter_matrix(dense, est)
+def accumulating_filter(path, kind, degree):
+    """The filter prepared on the model of :func:`accumulating_pair`."""
+    model, _ = accumulating_pair(path)
+    return (es.make_peach if kind == "peach" else es.make_wpeach)(model, degree)
+
+
+@functools.cache
+def dense_filter(path, kind, degree):
+    """The dense filter matrix of :func:`accumulating_filter` on the dense twin of ``path``."""
+    _, dense = accumulating_pair(path)
+    return es.poly_filter_matrix(dense, accumulating_filter(path, kind, degree))
 
 
 class TestAccumulatingHorner:
@@ -338,7 +352,8 @@ class TestAccumulatingHorner:
     @pytest.mark.parametrize("kind, degree", HORNER_CASES)
     @pytest.mark.parametrize("path", ACCUMULATING)
     def test_apply_matches_the_dense_filter(self, path, kind, degree, k):
-        model, est, g_mat = accumulating_case(path, kind, degree)
+        model, _ = accumulating_pair(path)
+        est, g_mat = accumulating_filter(path, kind, degree), dense_filter(path, kind, degree)
         y = observation(model, (model.dims.m,) if k is None else (model.dims.m, k), seed=degree)
         d = deviation(model, y)
         oracle = (model.h_mean if k is None else model.h_mean[:, None]) + g_mat @ d
@@ -348,7 +363,7 @@ class TestAccumulatingHorner:
     def test_the_accumulating_product_is_the_product_added(self, path):
         # op(x, c, s) writes c + s op(x) into c, and the inverse operator's solve undoes op(x), for a block, a vector
         # and an empty block
-        model = ACCUMULATING[path]()
+        model, _ = accumulating_pair(path)
         op, into, _, _ = model.z_operator()
         solve = model.z_operator(inverse=True)[0]
         for k in (7, 1, 0):
@@ -363,7 +378,7 @@ class TestAccumulatingHorner:
     @pytest.mark.parametrize("path", ACCUMULATING)
     @pytest.mark.parametrize("name", es.NAMES)
     def test_an_empty_block_gives_an_empty_estimate(self, path, name):
-        model = ACCUMULATING[path]()
+        model, _ = accumulating_pair(path)
         estimate = es.prepare(model, name, 4).apply(np.zeros((model.dims.m, 0), dtype=complex))
         assert estimate.shape == (model.dims.n, 0)
 
