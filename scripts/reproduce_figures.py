@@ -5,9 +5,9 @@ Desk scale (the default, n_r = 20, n_t = b = 4, m = 80) takes about 4 s,
 nearly all of it in the Monte Carlo columns of the seven sweep tables; with
 ``--no-montecarlo`` the tables take about 0.15 s.  ``--full-scale`` switches
 to n_r = 100, n_t = b = 10 (m = 1000).  With ``--no-montecarlo`` the tables
-take about 6 s: over three quarters in the shrinkage table (one dense
+take about 5 s: over three quarters in the shrinkage table (one dense
 eigendecomposition of the estimated z per sample count, and the products that
-score it, 4.5 s), 0.26 s in the adaptive table (drawing the windows and
+score it, 4.0 s), 0.28 s in the adaptive table (drawing the windows and
 forming their quadratic forms), about 1 s in the six degree and SNR sweeps
 and 0.15 s in the receive-count sweep.  With Monte Carlo on it takes about
 9 minutes, nearly all in sampling and applying the estimators in the six

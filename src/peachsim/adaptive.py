@@ -15,10 +15,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, NonFiniteObservation,
                      ShapeError, WindowSizeError, check_array, check_real)
-from .model import StatModel, check_hermitian_psd, deviation, hermitize
+from .model import StatModel, check_hermitian_psd, deviation
 from .spectrum import check_degree
 
 # Ridge scale for solving the sampled weight system.  The sampled moments
@@ -239,35 +240,59 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     standing in for the truth.  ``c_true`` must have the shape of the sample
     covariance (:class:`ShapeError`) and be Hermitian positive semidefinite
     (:class:`NotPositiveSemiDefinite`, :func:`check_hermitian_psd`).
+
+    The sample covariance ``samples^T conj(samples) / N`` is one Hermitian
+    rank-N update (``zherk``), one triangle mirrored onto the other, so it is
+    exactly Hermitian; its diagonal is kept as a vector, and ``c_hat`` is
+    formed in its memory.  The plug-in rule holds one array of that size
+    besides the samples' squared moduli; the oracle adds the validated
+    ``c_true`` and one deviation.  Finite samples so large that the sample
+    covariance or a risk term overflows the float range raise
+    :class:`InvalidParameter`, with no numpy warning first.
     """
     samples = check_array("samples", samples)
     if samples.ndim != 2:
         raise InsufficientSamples("samples must be a 2-D array with one vector per row")
-    n_samples = samples.shape[0]
+    n_samples, dim = samples.shape
     if n_samples < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n_samples}")
     if not np.isfinite(samples).all():
         raise NonFiniteObservation("samples must be finite: one holds NaN or infinity")
-    c_sample = hermitize(samples.T @ samples.conj() / n_samples)
-    diag = np.diag(c_sample).real
-    c_diag = np.diag(diag.astype(complex))
     if c_true is not None:
-        c_true, _ = check_hermitian_psd(c_true, "c_true", c_sample.shape)
-        dev_s = c_sample - c_true
-        dev_d = c_diag - c_true
-        phi_sample = float(np.linalg.norm(dev_s) ** 2)
-        phi_diag = float(np.linalg.norm(dev_d) ** 2)
-        psi = float(np.trace(dev_d @ dev_s).real)
-    else:
-        abs2 = np.abs(samples) ** 2
-        # sum_i ||c_i c_i^H - c_sample||_F^2 = sum_i ||c_i||^4 - N ||c_sample||_F^2
-        phi_sample = (np.sum(abs2.sum(axis=1) ** 2) - n_samples * np.linalg.norm(c_sample) ** 2) / n_samples**2
-        # diagonal part of the same sum estimates the variance of the diagonal entries
-        psi = (np.sum(abs2**2) - n_samples * np.sum(diag**2)) / n_samples**2
-        phi_diag = psi + float(np.linalg.norm(c_sample - c_diag) ** 2)
-        phi_sample = float(max(phi_sample, 0.0))
-        psi = float(max(psi, 0.0))
-    kappa = shrinkage_kappa(phi_sample, phi_diag, psi, scale=float(np.linalg.norm(c_sample) ** 2))
+        c_true, _ = check_hermitian_psd(c_true, "c_true", (dim, dim))
+    # samples and c_true are finite, so an invalid event (inf - inf) in this block can only follow an overflow, and
+    # both are raised after it, typed and not warned first; a division by zero still warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        # zherk reads samples^T in Fortran order, with no copy, into the upper triangle of a Fortran-ordered array;
+        # mirrored, its conjugate's transpose is the product in C order
+        c_hat = blas.zherk(1.0 / n_samples, samples.T)
+        for j in range(dim - 1):
+            np.conjugate(c_hat[j, j + 1 :], out=c_hat[j + 1 :, j])
+        c_hat = np.conjugate(c_hat, out=c_hat).T
+        diag = c_hat.diagonal().real.copy()
+        energy = float(np.linalg.norm(c_hat) ** 2)
+        if c_true is not None:
+            dev_s = c_hat - c_true
+            phi_sample = float(np.linalg.norm(dev_s) ** 2)
+            # the validated copy of c_true becomes -dev_d = c_true - diag(c_sample)
+            c_true.flat[:: dim + 1] -= diag
+            phi_diag = float(np.linalg.norm(c_true) ** 2)
+            # both deviations are Hermitian, so trace(dev_d dev_s) is their Frobenius inner product
+            psi = -float(np.vdot(dev_s, c_true).real)
+        else:
+            abs2 = np.abs(samples) ** 2
+            # sum_i ||c_i c_i^H - c_sample||_F^2 = sum_i ||c_i||^4 - N ||c_sample||_F^2
+            phi_sample = (np.sum(abs2.sum(axis=1) ** 2) - n_samples * energy) / n_samples**2
+            # diagonal part of the same sum estimates the variance of the diagonal entries
+            psi = (np.sum(abs2**2) - n_samples * np.sum(diag**2)) / n_samples**2
+            c_hat.flat[:: dim + 1] = 0.0  # for the off-diagonal norm; c_hat's diagonal is written below
+            phi_diag = psi + float(np.linalg.norm(c_hat) ** 2)
+            phi_sample = float(max(phi_sample, 0.0))
+            psi = float(max(psi, 0.0))
+    if not np.isfinite([energy, phi_sample, phi_diag, psi]).all():
+        raise InvalidParameter("samples overflow the float range: their covariance or its risk is not finite")
+    kappa = shrinkage_kappa(phi_sample, phi_diag, psi, scale=energy)
     # a real diagonal plus a real multiple of the Hermitian c_sample: exactly Hermitian
-    c_hat = kappa * c_diag + (1.0 - kappa) * c_sample
+    c_hat *= 1.0 - kappa
+    c_hat.flat[:: dim + 1] = kappa * diag + (1.0 - kappa) * diag
     return ShrinkageEstimate(c_hat=c_hat, kappa=kappa, phi_sample=phi_sample, phi_diag=phi_diag, psi=psi)

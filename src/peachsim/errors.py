@@ -79,7 +79,8 @@ class UnsupportedEstimator(PeachSimError, ValueError):
 
 
 class InvalidParameter(PeachSimError, ValueError):
-    """A scalar parameter (power, variance, time, ratio, trial count or seed) is not a number in its range."""
+    """A scalar parameter (power, variance, time, ratio, trial count or seed) is not a number in its range, or finite
+    statistics are so large that what is formed from them overflows the float range."""
 
 
 class ConfigError(PeachSimError, ValueError):

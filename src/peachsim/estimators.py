@@ -40,10 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import (
     DivergentExpansionWarning,
     InvalidDegree,
+    InvalidParameter,
     InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
@@ -461,25 +463,68 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     trace(r) - 2 Re sum_k v_k x_k + Re sum_kl v_k E_kl conj(v_l) G_lk, where
     x_k = sum_i conj(D_ik) C_ik, E = U^H z U = diag(lam) + (D - C)^H B and
     G = C^H C, whose diagonal holds the estimated energies.  One ``eigh`` of
-    z_est and four O(m^3) products serve both filters; neither is formed densely.
-    D applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
-    when ``model`` has them.
+    z_est, two O(m^3) products and one Hermitian rank-n update (``zherk``,
+    which forms one triangle of G at half a product's flops) serve both
+    filters; neither is formed densely.  E and G are Hermitian and v is real,
+    so the quadratic term is read off one triangle of H_kl = E_kl G_lk.  D
+    applies r with :meth:`StatModel.apply_r`, through its Kronecker factors
+    when ``model`` has them.  At most four arrays of z_est's size are held at
+    once: the ``eigh`` overwrites z_est, U is dropped once B exists, the
+    validated ``r_est`` once C does, and D and C are conjugated in place.
+    A finite ``r_est`` so large that its trace, z_est, the fit's weighted
+    energies or a score overflows the float range raises
+    :class:`InvalidParameter`, and one so ill-conditioned that the computed
+    z_est has an eigenvalue at or below zero raises
+    :class:`NotPositiveDefinite`, each with no numpy warning first.
     """
     rule = _poly_rule(EstimatorKind.WPEACH, degree)
     r_est, _ = check_hermitian_psd(r_est, "r_est", (model.dims.n, model.dims.n))
-    lam, vecs = scipy.linalg.eigh(model.observation_covariance(r_est), driver="evr")
+    # r_est and the model are finite, so an invalid event (inf - inf) in the blocks below can only follow an
+    # overflow, and both are raised after each block, typed and not warned first; a division by zero still warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace_est = float(np.trace(r_est).real)
+        z_est = model.observation_covariance(r_est)
+    overflow = f"r_est (trace {trace_est:.6g}) overflows the float range in the mismatched MSE"
+    if not (np.isfinite(trace_est) and np.isfinite(z_est).all()):
+        raise InvalidParameter(overflow)
+    # z_est is exactly Hermitian, so its conjugate's transpose is z_est in Fortran order, which LAPACK overwrites
+    z_est = np.conjugate(z_est, out=z_est).T
+    lam, vecs = scipy.linalg.eigh(z_est, driver="evr", overwrite_a=True, check_finite=False)
+    del z_est
+    if not lam[0] > 0:  # the rounding of a far larger eigenvalue can leave z_est indefinite
+        raise NotPositiveDefinite(f"z_est of r_est (trace {trace_est:.6g}) is not numerically positive definite")
     b = model.apply_pilot_adjoint(vecs)
-    c_est, d_true = r_est @ b, model.apply_r(b)
-    x = np.sum(d_true.conj() * c_est, axis=0)
-    # H_kl = E_kl G_lk, so a filter's quadratic term is Re(v^T H conj(v))
-    quad = (d_true - c_est).conj().T @ b
-    quad[np.diag_indices_from(quad)] += lam
-    quad *= c_est.T @ c_est.conj()
-    wpeach = rule(Spectrum(lam, np.sum(np.abs(c_est) ** 2, axis=0), float(np.trace(r_est).real)))
-    return tuple(
-        float(model.trace_r - 2.0 * np.sum(v * x).real + (v @ quad @ v.conj()).real)
-        for v in (1.0 / lam, wpeach.values(lam))
-    )
+    del vecs
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_est = r_est @ b
+        del r_est
+        # D, then C, conjugated in place: x, then conj(D - C), whose transpose times B is (D - C)^H B
+        d_true = model.apply_r(b)
+        x = np.einsum("ij,ij->j", np.conjugate(d_true, out=d_true), c_est)
+        d_true -= np.conjugate(c_est, out=c_est)
+        quad = d_true.T @ b
+        del d_true, b
+        # conj(C)^T is C^H in Fortran order: G = C^H C in the upper triangle, zeros below, so G.T holds G_lk at (k, l)
+        gram = blas.zherk(1.0, c_est.T)
+        del c_est
+        phi = gram.diagonal().real.copy()
+        if not np.isfinite(phi * lam).all():  # the fit weighs each energy by its eigenvalue
+            raise InvalidParameter(overflow)
+        # H on and below the diagonal; H is Hermitian and v real, so Re(v^T H v) = 2 Re(v^T L v) for L that
+        # triangle with its diagonal halved
+        quad.flat[:: len(quad) + 1] += lam
+        quad *= gram.T
+        del gram
+        quad.flat[:: len(quad) + 1] *= 0.5
+        wpeach = rule(Spectrum(lam, phi, trace_est))
+        # the fitted weights are real, held as complex, so the filter's values are real
+        scores = [
+            model.trace_r - 2.0 * np.sum(v * x).real + 2.0 * ((v @ quad).real @ v)
+            for v in (1.0 / lam, wpeach.values(lam).real)
+        ]
+    if not np.isfinite(scores).all():
+        raise InvalidParameter(overflow)
+    return tuple(float(score) for score in scores)
 
 
 # ---------------------------------------------------------------------------

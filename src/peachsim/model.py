@@ -51,10 +51,12 @@ HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-10
 # Columns per block in which correlated_limit applies r's real form to its eigenvectors.
 LIMIT_BLOCK = 256
-# Length from which a correlated model with at most m / (2 (n_t + n_r)) terms applies S through its factors' real
-# forms (about 5x for a vector, 1.6-2.2x for a 512-column block at m = 1000 with three terms); below it the one dgemm
-# on the real view wins (one OpenBLAS thread, m = 80 with three terms: the factored product is 4x slower for a vector
-# and 2-4x slower for a 512-column block).
+# Length from which a correlated model of three or more terms, at most m / (2 (n_t + n_r)) of them, applies S through
+# its factors' real forms; with fewer terms each term's fixed cost is paid fewer times, so the floor falls with the
+# square root of the count (289 for one term, 409 for two).  One OpenBLAS thread, dense against factored per vector:
+# 5x at m = 1000 with three terms, 3x at m = 400 with one, 1.8x at m = 410 with two; below the floor it is faster
+# dense (8 against 10 us at m = 160 with one term, 21 against 22 at m = 300 with two, 8 against 15 at m = 200 with
+# three).
 FACTORED_MIN = 500
 
 
@@ -100,7 +102,10 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple 
     the eigenvectors) decide semidefiniteness within ``PSD_RTOL``.
     """
     a = check_array(name, a, shape, square=True)
-    if not np.linalg.norm(a - a.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(a):  # NaN fails the comparison
+    # Frobenius norms of the flattened arrays by BLAS nrm2, whose scaled sum of squares cannot overflow where the norm
+    # itself does not
+    skew = scipy.linalg.norm((a - a.conj().T).ravel(), check_finite=False)
+    if not skew <= HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False):  # NaN fails it
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
     try:
@@ -359,8 +364,9 @@ class KroneckerModel(StatModel):
     :func:`stat_model_from_pilot` gives them; the overrides form neither.
     :meth:`z_operator` gives the real form ``z_real = K^H z K``, ``K = K_t (x)
     K_r`` (m x m float64), or its real Cholesky factor ``z_real_factor``; from
-    ``FACTORED_MIN`` entries, with few enough terms, it applies that form through
-    the factors' real forms, and only MMSE's factor forms ``z_real``.
+    ``FACTORED_MIN`` entries (lower for one or two terms), with few enough
+    terms, it applies that form through the factors' real forms, and only
+    MMSE's factor forms ``z_real``.
 
     Its constructor skips :class:`StatModel`'s checks: each covariance is
     ``np.kron`` of factors fixed by validated coefficients
@@ -495,11 +501,11 @@ class KroneckerModel(StatModel):
     def z_operator(self, inverse: bool = False) -> tuple:
         """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
         (:func:`_centro_in`), ``head`` is ``r_cov pilot_ext^H K / 2``, one Kronecker apply, and ``scale`` is 1/4,
-        since ``into`` multiplies inner products by 4.  From ``FACTORED_MIN`` entries, when the terms number at most
-        ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
+        since ``into`` multiplies inner products by 4.  From ``FACTORED_MIN sqrt(min(terms, 3) / 3)`` entries, when
+        the terms number at most ``m / (2 (n_t + n_r))``, ``op`` applies ``S`` through the factors' real forms
         (:func:`_factored_product`) and :attr:`z_real` is not formed: per real column each term costs
-        ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half.  Either
-        product also accumulates a Horner step, ``op(x, out, scale)``."""
+        ``m (n_t + n_r)`` multiply-adds against the dense form's ``m^2``, so the rule asks for at most half, and
+        each term's fixed cost sets the floor.  Either product also accumulates a Horner step, ``op(x, out, scale)``."""
         if inverse:
             op = partial(_real_solve, self.z_real_factor)
         elif self._factored:
@@ -512,7 +518,8 @@ class KroneckerModel(StatModel):
     def _factored(self) -> bool:
         # z_operator's rule: whether the product applies S through the factors' real forms, never reading z_real
         dims = self.dims
-        return dims.m >= FACTORED_MIN and len(self.terms) * (dims.n_t + dims.n_r) <= dims.m / 2
+        terms = len(self.terms)
+        return 3 * dims.m**2 >= min(terms, 3) * FACTORED_MIN**2 and terms * (dims.n_t + dims.n_r) <= dims.m / 2
 
     @cached_property
     def _z_factors(self) -> tuple:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -60,6 +62,15 @@ def random_pilot_model(rng, n_t, b, n_r=2):
         tuple(zip((0.3, 0.7), covs)),
         0.8,
     )
+
+
+def traced_peak(fn) -> tuple:
+    """``fn()`` and the peak bytes it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def relative_error(actual, expected):

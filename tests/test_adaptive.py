@@ -18,8 +18,8 @@ from peachsim.adaptive import (
     shrinkage_covariance,
     shrinkage_kappa,
 )
-from peachsim.errors import (IllConditionedWeights, InsufficientSamples, NonFiniteObservation, NotPositiveSemiDefinite,
-                             ShapeError, WindowSizeError)
+from peachsim.errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, NonFiniteObservation,
+                             NotPositiveSemiDefinite, ShapeError, WindowSizeError)
 from peachsim.model import (
     Dims,
     SpatialCorrelation,
@@ -516,6 +516,14 @@ class TestShrinkageCovariance:
         samples[3, 2] = bad
         with pytest.raises(NonFiniteObservation, match="samples"):
             shrinkage_covariance(samples, c_true=np.eye(4) if oracle else None)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plug-in", "c_true"])
+    @pytest.mark.parametrize("scale", [1e200, 1e100], ids=["covariance", "risk"])
+    def test_rejects_samples_whose_covariance_or_risk_overflows(self, scale, oracle):
+        # finite samples whose sample covariance (1e400) or fourth moments and squared norm (1e400) overflow the
+        # float range: a typed error naming them, with no numpy warning first (RuntimeWarning is an error here)
+        with pytest.raises(InvalidParameter, match="samples overflow the float range"):
+            shrinkage_covariance(scale * np.ones((3, 8), complex), c_true=np.eye(8) if oracle else None)
 
     def test_requires_two_samples(self, rng):
         with pytest.raises(InsufficientSamples):

@@ -1,6 +1,5 @@
 import functools
 import re
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -45,6 +44,7 @@ from conftest import (
     random_model,
     random_pilot_model,
     relative_error,
+    traced_peak,
 )
 from oracles import correlated_contamination, pilot_sandwich
 
@@ -286,15 +286,6 @@ class TestValidation:
         dims = Dims(2, 1, 1)
         with pytest.raises(NotPositiveSemiDefinite, match="s_cov must be positive definite"):
             StatModel(dims, None, np.eye(dims.n), None, np.diag([1.0, 0.0]), np.eye(1))
-
-
-def traced_peak(fn) -> tuple:
-    """``fn()`` and the peak bytes it allocates, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 MEMORY_BETAS = {"noise-limited": (), "two": (0.1, 0.1), "three": (1.0, 0.3, 0.7)}

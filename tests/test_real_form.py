@@ -3,8 +3,9 @@
 ``z = K S K^H`` with a real symmetric ``S`` and the sparse unitary
 ``K = K_t (x) K_r``; the estimators map by ``2 K^H`` on the way in and apply
 ``r_cov pilot_ext^H K / 2`` on the way out, and a dense model keeps its complex
-``z``.  From ``FACTORED_MIN`` entries a model with few terms applies ``S``
-through its factors' real forms and never forms it.
+``z``.  From ``FACTORED_MIN`` entries (from 289 with one term, 409 with
+two), a model with few terms applies ``S`` through its factors' real forms
+and never forms it.
 """
 
 import functools
@@ -270,14 +271,17 @@ class TestFactoredProduct:
         assert (solves.calls, products.calls) == (1, 0) and "z_real_factor" in vars(model)
 
     # 7 terms at m = 1000 ask the factors for 7 (10 + 100) = 770 multiply-adds per entry, where the rule allows half
-    # the dense form's 1000; every model below FACTORED_MIN, with the long factor on either axis and with few or many
-    # terms, keeps the dense form too, and so does an m = 500 model whose receive factor is nearly as long as m
+    # the dense form's 1000; every model below its floor (FACTORED_MIN from three terms, 409 for two and 289 for one),
+    # with the long factor on either axis and with one to seven terms, keeps the dense form too, and so does an
+    # m = 500 model whose receive factor is nearly as long as m
     DENSE = {
         "m1000-seven-terms": (Dims(100, 10, 10), (0.1,) * 6),
         "m490": (Dims(49, 10, 10), FACTORED_BETAS),
         "m400-long-transmit": (Dims(4, 100, 100), FACTORED_BETAS),
         "m80": (Dims(20, 4, 4), FACTORED_BETAS),
         "m80-noise-limited": (Dims(20, 4, 4), ()),
+        "m280-noise-limited": (Dims(28, 10, 10), ()),
+        "m400-two-terms": (Dims(40, 10, 10), (0.1,)),
         "m9-seven-terms": (Dims(3, 3, 3), (0.1,) * 6),
         "m500-long-receive": (Dims(250, 2, 2), FACTORED_BETAS),
     }
@@ -293,8 +297,14 @@ class TestFactoredProduct:
         assert calls == {"_factored_product": 0, "_real_product": 4}
         assert "z_real" in vars(model)
 
-    # three terms at m = 500, and seven at m = 900, where n_t + n_r = 60 lets the factors take them
-    BLOCK_MODELS = {"three-terms": (Dims(50, 10, 10), FACTORED_BETAS), "seven-terms": (Dims(30, 30, 30), (0.1,) * 6)}
+    # one term at m = 300 and two at m = 410, just above their floors, three at m = 500, and seven at m = 900, where
+    # n_t + n_r = 60 lets the factors take them
+    BLOCK_MODELS = {
+        "one-term": (Dims(30, 10, 10), ()),
+        "two-terms": (Dims(41, 10, 10), (0.1,)),
+        "three-terms": (Dims(50, 10, 10), FACTORED_BETAS),
+        "seven-terms": (Dims(30, 30, 30), (0.1,) * 6),
+    }
 
     @pytest.mark.parametrize("model_name", BLOCK_MODELS)
     def test_a_block_product_holds_two_blocks_whatever_the_terms(self, model_name):
@@ -315,7 +325,7 @@ class TestFactoredProduct:
 
 
 # The paths of a Horner step's accumulating product: the dense twin's complex z, the real form below FACTORED_MIN,
-# the factors' real forms from it, and the real form of a model from FACTORED_MIN whose receive factor is too long
+# the factors' real forms from it (three terms), and the real form of a model from FACTORED_MIN whose receive factor is too long
 # for the factors; each real form takes one dgemm whatever the width
 ACCUMULATING = {
     "dense-twin": lambda: replace(correlated_model(Dims(20, 4, 4), 5.0, FACTORED_BETAS)),

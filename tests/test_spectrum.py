@@ -1,5 +1,6 @@
 """The spectral closed forms against the dense oracles, and their linear-algebra cost."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from peachsim import model as model_module
 from peachsim import estimators as es
 from peachsim.adaptive import shrinkage_covariance
 from peachsim.cli import _sweep_point, default_config, run_experiment
-from peachsim.errors import DivergentExpansionWarning, NotPositiveSemiDefinite, ShapeError
+from peachsim.errors import (DivergentExpansionWarning, InvalidParameter, NotPositiveDefinite, NotPositiveSemiDefinite,
+                             ShapeError)
 from peachsim.model import Dims, correlated_model
 
 from conftest import (
@@ -21,6 +23,7 @@ from conftest import (
     random_hermitian_psd,
     random_model,
     random_pilot_model,
+    traced_peak,
 )
 from oracles import contaminated_floors, dense_spectrum, noise_limited_floors, pilot_sandwich
 
@@ -173,6 +176,66 @@ def test_mismatched_mse_rejects_invalid_r_est(case, error):
     }[case]
     with pytest.raises(error):
         es.mismatched_mse(model, bad, 4)
+
+
+def scaled_r_est(model, scale, large):
+    """A finite, valid r_est: ``scale`` on the first ``large`` diagonal entries and 1 on the rest."""
+    return np.diag(np.where(np.arange(model.dims.n) < large, scale, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind, scale, large",
+    [("desk", 1e300, 80), ("desk-contaminated", 1e150, 80), ("random-pilot", 1e307, 6)],
+    ids=["energies", "energies-contaminated", "z_est"],
+)
+def test_mismatched_mse_of_overflowing_statistics_is_typed(kind, scale, large):
+    # r_est so large that the energies the W-PEACH fit weighs by their eigenvalues, or z_est itself, overflows the
+    # float range: a typed error, with no numpy warning first (the suite runs with RuntimeWarning as an error)
+    model = MISMATCH_MODELS[kind]()
+    with pytest.raises(InvalidParameter, match="r_est .* overflows the float range"):
+        es.mismatched_mse(model, scaled_r_est(model, scale, large), 2)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e20])
+def test_mismatched_mse_of_a_numerically_indefinite_z_est_is_typed(scale):
+    # one diagonal entry of r_est so far above the rest that the rounding of z_est's largest eigenvalue leaves its
+    # smallest at or below zero, where 1 / lam divides by zero or the scores are meaningless: a typed error, with no
+    # numpy warning first
+    model = MISMATCH_MODELS["random-pilot"]()
+    with pytest.raises(NotPositiveDefinite, match="z_est of r_est .* not numerically positive definite"):
+        es.mismatched_mse(model, scaled_r_est(model, scale, 1), 2)
+
+
+# m = 400, the shrinkage scenario's model of the mid-scale benchmark; budgets in complex m x m arrays
+SCORER_DIMS = Dims(40, 10, 10)
+SCORER_ARRAY = 16 * SCORER_DIMS.m**2
+
+
+@functools.cache
+def scorer_case(n_samples):
+    """The m = 400 noise-limited model and ``n_samples`` of its channel draws, one per row."""
+    model = correlated_model(SCORER_DIMS, 5.0, ())
+    return model, model.draw_channel(np.random.default_rng(3), n_samples).T
+
+
+@pytest.mark.parametrize("n_samples", [20, 160])
+def test_shrinkage_estimate_holds_at_most_two_and_a_half_arrays(n_samples):
+    # the one zherk's triangle mirrored into an exactly Hermitian c_hat, its diagonal a vector, no dense c_diag
+    _, samples = scorer_case(n_samples)
+    est, peak = traced_peak(lambda: shrinkage_covariance(samples))
+    assert peak <= 2.5 * SCORER_ARRAY
+    assert np.array_equal(est.c_hat, est.c_hat.conj().T) and 0.0 < est.kappa < 1.0
+
+
+@pytest.mark.parametrize("n_samples", [20, 160])
+def test_mismatched_mse_holds_at_most_four_and_a_half_arrays(n_samples):
+    # z_est overwritten by its eigh, U and the validated r_est dropped once used, D and C conjugated in place and
+    # G one zherk triangle: four arrays at most, where copies and the full Gram product held eight
+    model, samples = scorer_case(n_samples)
+    r_est = shrinkage_covariance(samples).c_hat
+    scores, peak = traced_peak(lambda: es.mismatched_mse(model, r_est, 8))
+    assert peak <= 4.5 * SCORER_ARRAY
+    assert np.isfinite(scores).all()
 
 
 def test_shrinkage_scenario_linear_algebra_calls(monkeypatch, tmp_path):
