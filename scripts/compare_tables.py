@@ -37,6 +37,15 @@ def relative_change(old, new) -> float | None:
     return abs(new - old) / abs(old) if old else float("inf")
 
 
+def cell_moves(old_rows: list, new_rows: list):
+    """``(row, column, old, new, relative change)`` of each cell that differs between paired rows of two tables,
+    ``row`` counting from 1, over the union of each pair's columns; rows beyond the shorter table are not paired."""
+    for row, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
+        for column in dict.fromkeys([*a, *b]):
+            if a.get(column) != b.get(column):
+                yield row, column, a.get(column), b.get(column), relative_change(a.get(column), b.get(column))
+
+
 def show(change) -> str:
     return "n/a" if change is None else f"{change:.2e}"
 
@@ -58,15 +67,12 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         if len(old_rows) != len(new_rows):
             print(f"{name}: {len(old_rows)} rows -> {len(new_rows)} rows")
         moved, largest = 0, None
-        for index, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
-            label = f"row {index} ({a.get('estimator')}, {a.get('sweep_value')})"
-            for column in dict.fromkeys([*a, *b]):
-                if a.get(column) != b.get(column):
-                    moved += 1
-                    change = relative_change(a.get(column), b.get(column))
-                    print(f"{name}: {label} {column}: {a.get(column)} -> {b.get(column)} (relative {show(change)})")
-                    if change is not None and (largest is None or change > largest[0]):
-                        largest = (change, f"{label} {column}")
+        for row, column, a, b, change in cell_moves(old_rows, new_rows):
+            moved += 1
+            label = f"row {row} ({old_rows[row - 1].get('estimator')}, {old_rows[row - 1].get('sweep_value')})"
+            print(f"{name}: {label} {column}: {a} -> {b} (relative {show(change)})")
+            if change is not None and (largest is None or change > largest[0]):
+                largest = (change, f"{label} {column}")
         if moved:
             summary = f"largest relative move {largest[0]:.2e} at {largest[1]}" if largest else "none numeric"
             print(f"{name}: {moved} cells moved, {summary}")

@@ -151,7 +151,7 @@ def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | 
     degree = check_degree(degree)
     alpha_w = check_real("alpha_w", alpha_w, InvalidScaling, 0.0, strict=True)
     if not isinstance(warmup, list | tuple):
-        warmup = check_array("warmup", warmup)
+        warmup = check_array("warmup", warmup, NonFiniteObservation)
         if warmup.ndim != 2:
             raise ShapeError(f"a warmup array must be an (m, k) block, got shape {warmup.shape}")
         rows = list(_quad_forms(model, degree, warmup))
@@ -233,7 +233,8 @@ def shrinkage_kappa(phi_sample: float, phi_diag: float, psi: float, scale: float
 def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) -> ShrinkageEstimate:
     """Shrink the sample covariance of ``samples`` towards its diagonal.
 
-    ``samples`` holds one finite observation per row (:class:`NonFiniteObservation`).
+    ``samples`` holds one finite observation per row (:class:`NonFiniteObservation`, raised by
+    :func:`~peachsim.errors.check_array` before any arithmetic).
     Given ``c_true``, the quadratic-risk terms are evaluated against that known
     covariance (the oracle, for validation); without it they are estimated from
     the samples themselves (the plug-in rule), with the sample covariance
@@ -250,14 +251,12 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
     covariance or a risk term overflows the float range raise
     :class:`InvalidParameter`, with no numpy warning first.
     """
-    samples = check_array("samples", samples)
+    samples = check_array("samples", samples, NonFiniteObservation)
     if samples.ndim != 2:
         raise InsufficientSamples("samples must be a 2-D array with one vector per row")
     n_samples, dim = samples.shape
     if n_samples < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n_samples}")
-    if not np.isfinite(samples).all():
-        raise NonFiniteObservation("samples must be finite: one holds NaN or infinity")
     if c_true is not None:
         c_true, _ = check_hermitian_psd(c_true, "c_true", (dim, dim))
     # samples and c_true are finite, so an invalid event (inf - inf) in this block can only follow an overflow, and

@@ -160,20 +160,20 @@ def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, 
     trace(sum_interf), and the diagonalized one read only the real parts of the
     diagonals ``r_diag`` of r_cov and ``s_diag`` of sum_interf, length-n
     vectors (:class:`ShapeError`) of finite, nonnegative entries
-    (:class:`NotPositiveSemiDefinite`).
+    (:class:`NotPositiveSemiDefinite`).  Finite diagonals so large that a floor
+    overflows the float range raise :class:`InvalidParameter`, with no numpy warning first.
     """
     if limit.lam[0] <= 1e-14 * max(limit.lam[-1], 1.0):
         raise SingularLimit("r_cov + sum_interf must be nonsingular")
-    r_diag = check_array("r_diag", r_diag, limit.lam.shape).real
-    s_diag = check_array("s_diag", s_diag, limit.lam.shape).real
+    r_diag = check_array("r_diag", r_diag, NotPositiveSemiDefinite, limit.lam.shape).real
+    s_diag = check_array("s_diag", s_diag, NotPositiveSemiDefinite, limit.lam.shape).real
     for name, diag in (("r_diag", r_diag), ("s_diag", s_diag)):
-        if not np.all((diag >= 0) & (diag < np.inf)):  # NaN fails both comparisons
-            raise NotPositiveSemiDefinite(f"{name} must be a covariance's diagonal: finite and nonnegative")
-    denom = r_diag + s_diag
-    ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
-    return Floors(
-        mmse=limit.mmse(),
-        mvu=float(np.sum(s_diag)),
-        diagonalized=float(np.sum(r_diag) - np.sum(ratio)),
-        **_polynomial_floors(limit, degree),
-    )
+        if not np.all(diag >= 0):
+            raise NotPositiveSemiDefinite(f"{name} must be a covariance's diagonal: nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, typed, and not warned first
+        denom = r_diag + s_diag
+        ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
+        mvu, diagonalized = float(np.sum(s_diag)), float(np.sum(r_diag) - np.sum(ratio))
+    if not np.isfinite([mvu, diagonalized]).all():
+        raise InvalidParameter("r_diag and s_diag overflow the float range in the diagonalized and MVU floors")
+    return Floors(mmse=limit.mmse(), mvu=mvu, diagonalized=diagonalized, **_polynomial_floors(limit, degree))

@@ -11,7 +11,8 @@ class PeachSimError(Exception):
 
 
 class ShapeError(PeachSimError, ValueError):
-    """A vector or matrix is not numeric, or has dimensions incompatible with the model."""
+    """A vector or matrix is not numeric, or has dimensions incompatible with the model; also a pilot, a mean or a
+    dense filter that holds NaN or infinity, where no other class names the rule it breaks."""
 
 
 class EmptyDimension(PeachSimError, ValueError):
@@ -113,13 +114,16 @@ def check_real(name: str, value, error: type, least: float = -math.inf, strict: 
     return number
 
 
-def check_array(name: str, value, shape: tuple | None = None, square: bool = False) -> np.ndarray:
-    """``value`` as a complex array (of ``shape`` if given, square if ``square``), else :class:`ShapeError`;
-    so is a value that numpy cannot read as numbers, such as a string."""
+def check_array(name: str, value, error: type, shape: tuple | None = None, square: bool = False) -> np.ndarray:
+    """``value`` as a complex array (of ``shape`` if given, square if ``square``), else :class:`ShapeError`, as is a
+    value that numpy cannot read as numbers, such as a string; an array that holds NaN or infinity raises ``error``,
+    the one finiteness rule of every array argument."""
     try:
         array = np.asarray(value, dtype=complex)
     except (TypeError, ValueError):
         raise ShapeError(f"{name} must be a numeric array, got {value!r}") from None
     if shape is not None and array.shape != shape or square and (array.ndim != 2 or len(array) != array.shape[1]):
         raise ShapeError(f"{name} must be {'square' if shape is None else f'of shape {shape}'}, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise error(f"{name} holds NaN or infinity")
     return array

@@ -48,15 +48,15 @@ from .errors import (
     InvalidParameter,
     InvalidScaling,
     NotPositiveDefinite,
+    NotPositiveSemiDefinite,
     RankDeficientPilot,
+    ShapeError,
     UnsupportedEstimator,
     UnsupportedPilot,
     check_array,
     check_real,
 )
-from .model import (
-    HERMITIAN_RTOL, StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, hermitize, z_matrix
-)
+from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, z_matrix
 from .spectrum import Spectrum, check_degree
 
 
@@ -76,8 +76,8 @@ class PolyEstimator:
     PEACH is the truncated Neumann series v(x) = alpha sum_l (1 - alpha x)^l
     of 1/x (unit weights), W-PEACH v(x) = alpha sum_l w_l (alpha x)^l.
     Raises :class:`UnsupportedEstimator` (a kind that is not an :class:`EstimatorKind` or its value),
-    :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite and positive, or a weight not
-    finite).  The weights are kept read-only; estimators compare and hash by identity.
+    :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite and positive, or weights holding NaN or
+    infinity).  The weights are kept read-only; estimators compare and hash by identity.
     """
 
     kind: EstimatorKind
@@ -90,13 +90,10 @@ class PolyEstimator:
         object.__setattr__(self, "degree", check_degree(self.degree))
         object.__setattr__(self, "alpha", check_real("alpha", self.alpha, InvalidScaling, 0.0, strict=True))
         # a read-only copy, so the checked weights cannot change afterwards
-        weights = check_array("weights", self.weights).copy()
+        weights = check_array("weights", self.weights, InvalidScaling).copy()
         weights.flags.writeable = False
         if weights.shape != (self.degree + 1,):
             raise InvalidDegree(f"need degree + 1 weights, got {self.degree} and {weights.shape}")
-        bad = np.flatnonzero(~np.isfinite(weights))
-        if bad.size:
-            raise InvalidScaling(f"need finite weights, got weight {bad[0]} = {weights[bad[0]]}")
         object.__setattr__(self, "weights", weights)
 
     def values(self, lam: np.ndarray) -> np.ndarray:
@@ -137,16 +134,15 @@ class PolyEstimator:
 def alpha_optimal(z: np.ndarray) -> float:
     """Scaling 2 / (largest + smallest eigenvalue), the fastest-converging choice (:func:`make_peach`'s default).
 
-    Minimizes the spectral radius of I - alpha * z over the convergent range;
-    :class:`NotPositiveDefinite` unless z is finite, Hermitian within
-    ``HERMITIAN_RTOL`` (as :func:`check_hermitian_psd`) and positive definite.
+    Minimizes the spectral radius of I - alpha * z over the convergent range.  ``z`` must pass
+    :func:`check_hermitian_psd`, whose :class:`NotPositiveSemiDefinite` (NaN or infinity, a skew part, a negative
+    eigenvalue) is raised as :class:`NotPositiveDefinite`, and be nonsingular (the same class).
     """
-    z = check_array("z", z, square=True)
-    if not np.isfinite(z).all():
-        raise NotPositiveDefinite("z holds NaN or infinity")
-    if not np.linalg.norm(z - z.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(z):
-        raise NotPositiveDefinite("z is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(hermitize(z))
+    try:
+        z, _ = check_hermitian_psd(z, "z")
+    except NotPositiveSemiDefinite as error:
+        raise NotPositiveDefinite(str(error)) from None
+    eigs = np.linalg.eigvalsh(z)
     return _poly_rule(EstimatorKind.PEACH, 0)(_definite(Spectrum(eigs, np.zeros_like(eigs), 0.0))).alpha
 
 
@@ -436,9 +432,15 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     The quadratic trace(r) + w^H A w - b^H w - w^H b is evaluated in the
     eigenbasis of the observation covariance, where it stays accurate even
     for the large, strongly cancelling weight vectors that high degrees
-    produce.
+    produce.  Finite weights so large that the MSE overflows the float range raise :class:`InvalidScaling`, as
+    :func:`peach_mse` does, with no numpy warning first.
     """
-    return bind(model, PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)).mse()
+    est = PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)
+    with np.errstate(all="ignore"):  # an overflow is raised below, typed
+        mse = bind(model, est).mse()
+    if not np.isfinite(mse):
+        raise InvalidScaling(f"the weights make the degree-{degree} W-PEACH MSE overflow the float range")
+    return mse
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
@@ -471,8 +473,9 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     when ``model`` has them.  At most four arrays of z_est's size are held at
     once: the ``eigh`` overwrites z_est, U is dropped once B exists, the
     validated ``r_est`` once C does, and D and C are conjugated in place.
-    A finite ``r_est`` so large that its trace, z_est, the fit's weighted
-    energies or a score overflows the float range raises
+    A finite ``r_est`` so large that its trace, z_est or its trace, the fit's
+    weighted energies or a score overflows the float range, or that rounding leaves a
+    score below zero, which no MSE is, raises
     :class:`InvalidParameter`, and one so ill-conditioned that the computed
     z_est has an eigenvalue at or below zero raises
     :class:`NotPositiveDefinite`, each with no numpy warning first.
@@ -484,8 +487,10 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     with np.errstate(over="ignore", invalid="ignore"):
         trace_est = float(np.trace(r_est).real)
         z_est = model.observation_covariance(r_est)
+        # z_est's eigenvalues are positive and sum to its trace, which overflows before any of them does
+        finite = np.isfinite([trace_est, np.trace(z_est).real]).all() and np.isfinite(z_est).all()
     overflow = f"r_est (trace {trace_est:.6g}) overflows the float range in the mismatched MSE"
-    if not (np.isfinite(trace_est) and np.isfinite(z_est).all()):
+    if not finite:
         raise InvalidParameter(overflow)
     # z_est is exactly Hermitian, so its conjugate's transpose is z_est in Fortran order, which LAPACK overwrites
     z_est = np.conjugate(z_est, out=z_est).T
@@ -524,6 +529,8 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
         ]
     if not np.isfinite(scores).all():
         raise InvalidParameter(overflow)
+    if min(scores) < 0:  # E's two terms of r_est's size cancel, and G amplifies their rounding
+        raise InvalidParameter(f"r_est (trace {trace_est:.6g}) is so large that rounding leaves an MSE below 0")
     return tuple(float(score) for score in scores)
 
 
@@ -561,7 +568,7 @@ def linear_filter_mse(model: StatModel, g_mat: np.ndarray) -> float:
     trace(r) - 2 Re trace(G pilot r) + trace(G z G^H); the oracle for the
     spectral closed forms and for :func:`mismatched_mse`.
     """
-    g_mat = check_array("g_mat", g_mat, (model.dims.n, model.dims.m))
+    g_mat = check_array("g_mat", g_mat, ShapeError, (model.dims.n, model.dims.m))
     b = model.pilot_ext @ model.r_cov
     z = z_matrix(model)
     tr_r = float(np.trace(model.r_cov).real)

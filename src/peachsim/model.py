@@ -88,8 +88,10 @@ class Dims:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize against rounding drift: (X + X^H) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Symmetrize against rounding drift: X / 2 + X^H / 2 in C order, which cannot overflow where X does not."""
+    half = np.multiply(a, 0.5, order="C")
+    half += half.conj().T
+    return half
 
 
 def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple | None = None):
@@ -101,11 +103,11 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple 
     ``factor`` is None and the ascending eigenvalues (and, with ``vectors``,
     the eigenvectors) decide semidefiniteness within ``PSD_RTOL``.
     """
-    a = check_array(name, a, shape, square=True)
+    a = check_array(name, a, NotPositiveSemiDefinite, shape, square=True)
     # Frobenius norms of the flattened arrays by BLAS nrm2, whose scaled sum of squares cannot overflow where the norm
     # itself does not
     skew = scipy.linalg.norm((a - a.conj().T).ravel(), check_finite=False)
-    if not skew <= HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False):  # NaN fails it
+    if not skew <= HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False):
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
     try:
@@ -122,7 +124,7 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple 
 
 
 def check_hermitian_psd(a: np.ndarray, name: str = "matrix", shape: tuple | None = None):
-    """Validate that ``a`` is square (of ``shape`` if given) and Hermitian PSD within the module tolerances.
+    """Validate that ``a`` is square (of ``shape`` if given), finite and Hermitian PSD within the module tolerances.
 
     Hermitian means to ``HERMITIAN_RTOL`` relative.  A matrix that Cholesky
     factors is accepted as positive definite; only when that fails does an
@@ -188,9 +190,9 @@ class StatModel:
 
     def __post_init__(self):
         n, m = self.dims.n, self.dims.m
-        h_mean = np.zeros(n, dtype=complex) if self.h_mean is None else check_array("h_mean", self.h_mean, (n,))
-        n_mean = np.zeros(m, dtype=complex) if self.n_mean is None else check_array("n_mean", self.n_mean, (m,))
-        pilot = check_array("pilot", self.pilot, (self.dims.n_t, self.dims.b))
+        h_mean = check_array("h_mean", np.zeros(n) if self.h_mean is None else self.h_mean, ShapeError, (n,))
+        n_mean = check_array("n_mean", np.zeros(m) if self.n_mean is None else self.n_mean, ShapeError, (m,))
+        pilot = check_array("pilot", self.pilot, ShapeError, (self.dims.n_t, self.dims.b))
         r_cov, _ = check_hermitian_psd(self.r_cov, "r_cov", (n, n))
         s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov", (m, m))
         if not s_definite:
@@ -618,9 +620,10 @@ def stat_model_from_pilot(
 
     Each ``(beta, cov)`` pair of ``interferers`` adds ``beta * pilot_ext @ cov
     @ pilot_ext^H`` (:func:`_pilot_sandwich`) to the disturbance covariance,
-    and receiver noise adds ``noise_var * I``.
+    and receiver noise adds ``noise_var * I``.  A finite pilot or power ratio so large that this sum overflows the
+    float range raises :class:`InvalidParameter`, with no numpy warning first.
     """
-    pilot = check_array("pilot", pilot, (dims.n_t, dims.b))
+    pilot = check_array("pilot", pilot, ShapeError, (dims.n_t, dims.b))
     interferers = tuple(interferers) if np.iterable(interferers) else (interferers,)  # a lone value is no pair
     if not all(isinstance(pair, tuple | list) and len(pair) == 2 for pair in interferers):
         raise ShapeError(f"each interferer must be a (beta, cov) pair, got {interferers!r}")
@@ -629,7 +632,10 @@ def stat_model_from_pilot(
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
     for beta, (_, cov) in zip(betas, interferers):
         cov, _ = check_hermitian_psd(cov, "interferer covariance", (dims.n, dims.n))
-        s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, typed, and not warned first
+            s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
+    if not np.isfinite(s_cov).all():
+        raise InvalidParameter("the pilot and interference powers overflow the disturbance covariance")
     return StatModel(dims=dims, h_mean=h_mean, r_cov=r_cov, n_mean=n_mean, s_cov=s_cov, pilot=pilot)
 
 
@@ -934,13 +940,12 @@ def standard_complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray
 def deviation(model: StatModel, y: np.ndarray) -> np.ndarray:
     """Mean-removed observation d = y - pilot_ext @ h_mean - n_mean of an (m,) observation or an (m, k) block.
 
-    Every estimator and the tracker read observations through it, so a shape other than these raises
-    :class:`ShapeError` and a NaN or infinite entry :class:`NonFiniteObservation`, the same for all of them."""
-    y = check_array("observation", y)
+    Every estimator and the tracker read observations through it, so a NaN or infinite entry raises
+    :class:`NonFiniteObservation` (:func:`~peachsim.errors.check_array`) and a shape other than these
+    :class:`ShapeError`, the same for all of them."""
+    y = check_array("observation", y, NonFiniteObservation)
     if y.ndim not in (1, 2) or y.shape[0] != model.dims.m:
         raise ShapeError(f"expected an ({model.dims.m},) observation or an ({model.dims.m}, k) block, got {y.shape}")
-    if not np.isfinite(y).all():
-        raise NonFiniteObservation("an observation holds NaN or infinity")
     y_bar = model.y_mean()
     if y.ndim == 2:
         return y - y_bar[:, None]

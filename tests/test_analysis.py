@@ -3,7 +3,7 @@ import pytest
 
 from peachsim import analysis
 from peachsim import estimators as es
-from peachsim.errors import NotPositiveSemiDefinite, SingularLimit, UnsupportedEstimator
+from peachsim.errors import InvalidParameter, NotPositiveSemiDefinite, SingularLimit, UnsupportedEstimator
 from peachsim.model import Dims, correlated_limit, correlated_model
 
 from conftest import random_hermitian_psd, random_model
@@ -206,6 +206,13 @@ class TestFloorContaminated:
         sum_interf = np.zeros((2, 2))
         with pytest.raises(SingularLimit):
             contaminated_floors(r_cov, sum_interf, 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_diagonals_whose_floors_overflow_are_typed(self):
+        # r_diag**2 overflows in the diagonalized floor: a typed error, with no numpy warning first
+        limit = correlated_limit(Dims(2, 3, 3), (0.1,))
+        with pytest.raises(InvalidParameter, match="r_diag"):
+            analysis.floor_contaminated(limit, 1e306 * np.ones(6), np.full(6, 0.1), 2)
 
     @pytest.mark.parametrize("name", ["r_diag", "s_diag"])
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])

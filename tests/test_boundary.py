@@ -5,18 +5,19 @@ them replaced by a hostile value: for a scalar, a ``bool``, NaN, +-inf, a
 string, None, a complex number, a narrow numpy scalar (``np.int8``,
 ``np.float32``, ...) or a 0-d array of the valid value; for an array (a
 covariance, a pilot, ``r_est``, ``samples``, ``warmup``, an observation), None,
-a string or an array of the wrong shape; for a sequence of scalars (``betas``,
-a grid), None, a string, or the valid sequence with its first entry hostile;
-for ``out``, an existing directory.  The call must raise a ``PeachSimError``,
-or succeed; a numpy scalar or 0-d array that succeeds must give the result of
-its plain Python value (``.item()``).  ``hypothesis`` draws the cases with a
-fixed seed and, since each callable's set is finite, draws every one.  NaN
-inside an observation array is out of scope: MMSE rejects it with a
-``ValueError`` of its own.
+a string, an array of the wrong shape, or the valid array with its last entry
+infinite or NaN; for a sequence of scalars (``betas``, a grid), None, a string,
+or the valid sequence with its first entry hostile; for ``out``, an existing
+directory.  The call must raise a ``PeachSimError``, or succeed; an array that
+holds NaN or infinity must raise, with no warning first.  A numpy scalar or 0-d
+array that succeeds must give the result of its plain Python value
+(``.item()``).  ``hypothesis`` draws the cases with a fixed seed and, since
+each callable's set is finite, draws every one.
 """
 
 import dataclasses
 import math
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -63,8 +64,20 @@ def scalar_variants(valid):
     return [True, math.nan, math.inf, -math.inf, "1", None, 1j, narrow(valid), np.array(valid)]
 
 
+def with_last_entry(valid, value):
+    array = np.array(valid, dtype=np.result_type(valid, float))
+    array.flat[-1] = value
+    return array
+
+
 def array_variants(valid):
-    return [None, "ab", np.ones(tuple(size + 1 for size in np.shape(valid)))]
+    variants = [None, "ab", np.ones(tuple(size + 1 for size in np.shape(valid)))]
+    return variants if valid is None else variants + [with_last_entry(valid, value) for value in (math.inf, math.nan)]
+
+
+def non_finite(value) -> bool:
+    """Whether ``value`` is a numeric array holding NaN or infinity, which every callable must reject."""
+    return isinstance(value, np.ndarray) and value.dtype.kind in "fc" and not np.isfinite(value).all()
 
 
 def sequence_variants(valid):
@@ -209,10 +222,15 @@ def test_hostile_argument_is_typed_or_plain(name):
     def audit(index):
         drawn.add(index)
         arg, value = cases[index]
+        hostile = non_finite(value)
         try:
-            result = function(**{**valid, arg: value})
+            with warnings.catch_warnings():
+                if hostile:
+                    warnings.simplefilter("error")
+                result = function(**{**valid, arg: value})
         except PeachSimError:
             return
+        assert not hostile, f"{arg} holding NaN or infinity was accepted"
         if plain(value) is not value:
             assert same(result, function(**{**valid, arg: plain(value)})), f"{arg}={value!r}"
 

@@ -525,9 +525,19 @@ def test_non_finite_weights_rejected(name, weight):
 
 
 def test_non_finite_weights_message_names_the_first_bad_weight():
-    # the message names the first bad weight, not the whole array
-    with pytest.raises(InvalidScaling, match=r"weight 2 = \(nan\+0j\)$"):
+    # the one finiteness rule's message names the argument, not the whole array
+    with pytest.raises(InvalidScaling, match=r"^weights holds NaN or infinity$"):
         es.PolyEstimator(es.EstimatorKind.WPEACH, 4, 0.1, [1.0, 2.0, np.nan, np.inf, 3.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_weights_whose_mse_overflows_are_typed():
+    # weights of 1e306 times the optimal ones overflow the squared filter values in Spectrum.mse: InvalidScaling,
+    # as peach_mse raises for a diverging alpha, with no numpy warning first
+    model = correlated_model(Dims(4, 2, 2), 5.0, (0.1, 0.1))
+    est = es.make_wpeach(model, 2)
+    with pytest.raises(InvalidScaling, match="W-PEACH MSE overflow"):
+        es.wpeach_mse_general(model, 2, est.alpha, 1e306 * est.weights)
 
 
 OVERFLOWING_WPEACH = {

@@ -44,14 +44,10 @@ def moved_cells(old_dir: Path, new_dir: Path) -> list:
         old_rows, new_rows = (compare_tables.read_cells(d / name) for d in (old_dir, new_dir))
         if len(old_rows) != len(new_rows):
             moved.append((name, None, "rows", len(old_rows), len(new_rows)))
-        for index, (a, b) in enumerate(zip(old_rows, new_rows), start=1):
-            for column in dict.fromkeys([*a, *b]):
-                if a.get(column) == b.get(column):
-                    continue
-                change = compare_tables.relative_change(a.get(column), b.get(column))
-                if a.get("estimator", "").startswith("wpeach") and change is not None and change <= WPEACH_RTOL:
-                    continue
-                moved.append((name, index, column, a.get(column), b.get(column)))
+        for row, column, old, new, change in compare_tables.cell_moves(old_rows, new_rows):
+            wpeach = old_rows[row - 1].get("estimator", "").startswith("wpeach")
+            if not (wpeach and change is not None and change <= WPEACH_RTOL):
+                moved.append((name, row, column, old, new))
     return moved
 
 

@@ -24,6 +24,7 @@ from peachsim.model import (
     Dims,
     SpatialCorrelation,
     StatModel,
+    check_hermitian_psd,
     correlated_limit,
     correlated_model,
     deviation,
@@ -286,6 +287,27 @@ class TestValidation:
         dims = Dims(2, 1, 1)
         with pytest.raises(NotPositiveSemiDefinite, match="s_cov must be positive definite"):
             StatModel(dims, None, np.eye(dims.n), None, np.diag([1.0, 0.0]), np.eye(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_entry_is_not_positive_definite(self):
+        # both Frobenius norms of the Hermitian test are infinite, and a Cholesky of the symmetrized matrix does not
+        # raise, so this matrix used to be accepted as positive definite, after a warning
+        with pytest.raises(NotPositiveSemiDefinite, match="^matrix holds NaN or infinity$"):
+            check_hermitian_psd(np.array([[1, np.inf], [1, 1]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_hermitize_of_entries_near_the_float_limit_does_not_overflow(self):
+        # a + a^H overflowed for entries above about 9e307; the two halves cannot
+        a = np.array([[1e308, 1.5e308 + 1e307j], [1.5e308 - 1e307j, 1.0]])
+        assert hermitize(a).tobytes() == a.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_pilot_that_overflows_the_disturbance_covariance_is_typed(self):
+        # a finite pilot whose sandwich of the interferer covariance overflows: a typed error, with no numpy warning
+        dims = Dims(2, 2, 2)
+        pilot, interferers = 1e306 * identity_pilot(dims, 2.0), ((0.1, np.eye(dims.n)),)
+        with pytest.raises(InvalidParameter, match="pilot"):
+            stat_model_from_pilot(dims, None, np.eye(dims.n), None, pilot, interferers)
 
 
 MEMORY_BETAS = {"noise-limited": (), "two": (0.1, 0.1), "three": (1.0, 0.3, 0.7)}

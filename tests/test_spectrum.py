@@ -196,6 +196,14 @@ def test_mismatched_mse_of_overflowing_statistics_is_typed(kind, scale, large):
         es.mismatched_mse(model, scaled_r_est(model, scale, large), 2)
 
 
+def test_mismatched_mse_that_rounding_leaves_negative_is_typed():
+    # E = diag(lam) + (D - C)^H B subtracts two terms of about 1e100 to leave one of order 1, and G amplifies its
+    # rounding: the scores used to come out as (-80.0, -79.99999999999997), which no MSE is
+    model = MISMATCH_MODELS["desk"]()
+    with pytest.raises(InvalidParameter, match="r_est .* below 0"):
+        es.mismatched_mse(model, 1e100 * np.eye(model.dims.n), 2)
+
+
 @pytest.mark.parametrize("scale", [1e100, 1e20])
 def test_mismatched_mse_of_a_numerically_indefinite_z_est_is_typed(scale):
     # one diagonal entry of r_est so far above the rest that the rounding of z_est's largest eigenvalue leaves its
