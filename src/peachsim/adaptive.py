@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .errors import (IllConditionedWeights, InsufficientSamples, InvalidParameter, InvalidScaling, NonFiniteObservation,
-                     ShapeError, WindowSizeError, check_array, check_real)
+                     ShapeError, WindowSizeError, check_array, check_real, finite_or)
 from .model import StatModel, check_hermitian_psd, deviation
 from .spectrum import check_degree
 
@@ -117,13 +117,11 @@ def _windowed_system(state: AdaptiveState) -> tuple[np.ndarray, np.ndarray]:
 def _solve_sampled(state: AdaptiveState) -> np.ndarray:
     a_mat, b_vec = _windowed_system(state)
     ridge = (SAMPLED_RIDGE_SCALE / np.sqrt(state.window_len)) * np.diag(np.clip(np.diag(a_mat), 0.0, None))
-    try:
-        weights = np.linalg.solve((a_mat + ridge).astype(complex), b_vec.astype(complex))
-    except np.linalg.LinAlgError:
-        weights = np.full(len(b_vec), np.nan)
-    if not np.all(np.isfinite(weights)):
-        raise IllConditionedWeights("sampled weight system is singular")
-    return weights
+    with finite_or(IllConditionedWeights, "sampled weight system is singular") as finite:
+        try:
+            return finite(np.linalg.solve((a_mat + ridge).astype(complex), b_vec.astype(complex)))
+        except np.linalg.LinAlgError:
+            return finite(np.nan)  # a singular solve has no finite weight
 
 
 def adaptive_init(model: StatModel, degree: int, alpha_w: float, warmup: list | np.ndarray) -> AdaptiveState:
@@ -259,9 +257,7 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
         raise InsufficientSamples(f"need at least 2 samples, got {n_samples}")
     if c_true is not None:
         c_true, _ = check_hermitian_psd(c_true, "c_true", (dim, dim))
-    # samples and c_true are finite, so an invalid event (inf - inf) in this block can only follow an overflow, and
-    # both are raised after it, typed and not warned first; a division by zero still warns
-    with np.errstate(over="ignore", invalid="ignore"):
+    with finite_or(InvalidParameter, "samples overflow the float range: their covariance or its risk is not finite") as finite:
         # zherk reads samples^T in Fortran order, with no copy, into the upper triangle of a Fortran-ordered array;
         # mirrored, its conjugate's transpose is the product in C order
         c_hat = blas.zherk(1.0 / n_samples, samples.T)
@@ -288,8 +284,7 @@ def shrinkage_covariance(samples: np.ndarray, c_true: np.ndarray | None = None) 
             phi_diag = psi + float(np.linalg.norm(c_hat) ** 2)
             phi_sample = float(max(phi_sample, 0.0))
             psi = float(max(psi, 0.0))
-    if not np.isfinite([energy, phi_sample, phi_diag, psi]).all():
-        raise InvalidParameter("samples overflow the float range: their covariance or its risk is not finite")
+        finite(energy, phi_sample, phi_diag, psi)
     kappa = shrinkage_kappa(phi_sample, phi_diag, psi, scale=energy)
     # a real diagonal plus a real multiple of the Hermitian c_sample: exactly Hermitian
     c_hat *= 1.0 - kappa

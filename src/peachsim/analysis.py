@@ -9,14 +9,13 @@ thresholds above which the polynomial estimators are cheaper than exact MMSE.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidParameter, NotPositiveSemiDefinite, SingularLimit, UnsupportedEstimator, check_array,
-                     check_real)
+                     check_real, finite_or)
 from .estimators import NAMES, EstimatorKind, _poly_rule
 from .model import Dims
 from .spectrum import Spectrum, check_degree
@@ -64,18 +63,8 @@ def flops(kind: str, fm: FlopModel, degree: int | None = None) -> float:
     floating point, not an integer ledger; one beyond the float range raises
     :class:`InvalidParameter`.
     """
-    return _finite(lambda: _flops(kind, fm, degree), f"{kind} FLOP count")
-
-
-def _finite(count, what: str) -> float:
-    # count(), or InvalidParameter where it, or a number it reads, overflows the float range
-    try:
-        value = count()
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidParameter(f"the {what} is not finite: its inputs overflow the float range")
-    return value
+    with finite_or(InvalidParameter, f"the {kind} FLOP count is not finite: its inputs overflow the float range") as finite:
+        return finite(_flops(kind, fm, degree))
 
 
 def _flops(kind: str, fm: FlopModel, degree: int | None) -> float:
@@ -124,7 +113,8 @@ def crossover_m(kind: str, q: float, degree: int) -> float:
     if kind not in ("peach", "wpeach"):
         raise UnsupportedEstimator(f"no crossover threshold for kind {kind!r}")
     slope, offset = (1.5, 0.375) if kind == "peach" else (3.0, 1.125)
-    return _finite(lambda: q * (slope * degree + offset), "crossover threshold")
+    with finite_or(InvalidParameter, "the crossover threshold is not finite: its inputs overflow the float range") as finite:
+        return finite(q * (slope * degree + offset))
 
 
 Floors = namedtuple("Floors", NAMES)
@@ -170,10 +160,8 @@ def floor_contaminated(limit: Spectrum, r_diag: np.ndarray, s_diag: np.ndarray, 
     for name, diag in (("r_diag", r_diag), ("s_diag", s_diag)):
         if not np.all(diag >= 0):
             raise NotPositiveSemiDefinite(f"{name} must be a covariance's diagonal: nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, typed, and not warned first
+    with finite_or(InvalidParameter, "r_diag and s_diag overflow the float range in the diagonalized and MVU floors") as finite:
         denom = r_diag + s_diag
         ratio = np.divide(r_diag**2, denom, out=np.zeros_like(denom), where=denom > 0)
-        mvu, diagonalized = float(np.sum(s_diag)), float(np.sum(r_diag) - np.sum(ratio))
-    if not np.isfinite([mvu, diagonalized]).all():
-        raise InvalidParameter("r_diag and s_diag overflow the float range in the diagonalized and MVU floors")
+        mvu, diagonalized = finite(float(np.sum(s_diag)), float(np.sum(r_diag) - np.sum(ratio)))
     return Floors(mmse=limit.mmse(), mvu=mvu, diagonalized=diagonalized, **_polynomial_floors(limit, degree))

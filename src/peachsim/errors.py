@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the checks of outside values that raise them."""
+"""Exception and warning types shared across the package, and the checks of outside values and results that raise them."""
 
+import contextlib
 import math
 import numbers
 
@@ -81,7 +82,7 @@ class UnsupportedEstimator(PeachSimError, ValueError):
 
 class InvalidParameter(PeachSimError, ValueError):
     """A scalar parameter (power, variance, time, ratio, trial count or seed) is not a number in its range, or finite
-    statistics are so large that what is formed from them overflows the float range."""
+    statistics or observations are so large that what is formed from them overflows the float range."""
 
 
 class ConfigError(PeachSimError, ValueError):
@@ -127,3 +128,26 @@ def check_array(name: str, value, error: type, shape: tuple | None = None, squar
     if not np.isfinite(array).all():
         raise error(f"{name} holds NaN or infinity")
     return array
+
+
+@contextlib.contextmanager
+def finite_or(error: type, message):
+    """The one overflow rule of computed results: ``error(message)`` unless each result of the block is finite.
+
+    The block runs under ``np.errstate(all="ignore")`` and hands its results through the yielded ``finite(*values)``,
+    which returns them (one as itself).  Every floating-point event is silenced because every result is checked: an
+    overflow, a division by zero or an invalid operation that reaches a result, and a Python :class:`OverflowError`,
+    raise ``error(message)``, never a numpy warning.  ``message`` may be a function of no arguments that forms it.
+    """
+    text = message if callable(message) else lambda: message
+
+    def finite(*values):
+        if not all(np.isfinite(value).all() for value in values):
+            raise error(text())
+        return values[0] if len(values) == 1 else values
+
+    with np.errstate(all="ignore"):
+        try:
+            yield finite
+        except OverflowError:
+            raise error(text()) from None

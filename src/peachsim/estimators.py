@@ -55,6 +55,7 @@ from .errors import (
     UnsupportedPilot,
     check_array,
     check_real,
+    finite_or,
 )
 from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, z_matrix
 from .spectrum import Spectrum, check_degree
@@ -164,10 +165,9 @@ def _poly_rule(kind: EstimatorKind, degree: int, scaling: float | None = None) -
             alpha = 2.0 / (lam[-1] + lam[0]) if scaling is None else scaling
             return PolyEstimator(kind, degree, alpha, np.ones(degree + 1))
         alpha_w = 1.0 / lam[-1] if scaling is None else scaling
-        with np.errstate(all="ignore"):  # an overflow is raised below, typed, and not warned first
-            weights = spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1)
-        if not np.isfinite(weights).all():
-            raise InvalidDegree(f"W-PEACH weights of degree {degree} at alpha_w={alpha_w:.6g} overflow the float range")
+        overflow = f"W-PEACH weights of degree {degree} at alpha_w={alpha_w:.6g} overflow the float range"
+        with finite_or(InvalidDegree, overflow) as finite:
+            weights = finite(spectrum.fit(degree) / alpha_w ** (np.arange(degree + 1) + 1))
         return PolyEstimator(kind, degree, alpha_w, weights)
 
     return on
@@ -195,11 +195,13 @@ class Prepared:
     mse: Callable[[], float]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """The estimate of an (m,) observation or of each column of an (m, k) batch, from d = :func:`deviation`."""
+        """The estimate of an (m,) observation or of each column of an (m, k) batch, from d = :func:`deviation`;
+        one that overflows the float range raises :class:`InvalidParameter`, with no numpy warning first."""
         d = deviation(self.model, y)
-        estimate = self.head(d)
-        estimate += self.model.h_mean[:, None] if d.ndim == 2 else self.model.h_mean
-        return estimate
+        with finite_or(InvalidParameter, "the estimate of the observation overflows the float range") as finite:
+            estimate = self.head(d)
+            estimate += self.model.h_mean[:, None] if d.ndim == 2 else self.model.h_mean
+            return finite(estimate)
 
 
 def prepare(model: StatModel, name: str, degree: int | None = None) -> Prepared:
@@ -419,11 +421,9 @@ def peach_mse(model: StatModel, degree: int, alpha: float) -> float:
     overflows the MSE raises :class:`InvalidScaling`, with no numpy warning first.
     """
     est = _peach(model, degree, alpha)
-    with np.errstate(all="ignore"):  # a diverging filter's overflow is raised below, typed
-        mse = bind(model, est).mse()
-    if not np.isfinite(mse):
-        raise InvalidScaling(f"alpha={est.alpha:.6g} makes the degree-{degree} PEACH MSE overflow the float range")
-    return mse
+    overflow = f"alpha={est.alpha:.6g} makes the degree-{degree} PEACH MSE overflow the float range"
+    with finite_or(InvalidScaling, overflow) as finite:
+        return finite(bind(model, est).mse())
 
 
 def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: np.ndarray) -> float:
@@ -436,11 +436,8 @@ def wpeach_mse_general(model: StatModel, degree: int, alpha_w: float, weights: n
     :func:`peach_mse` does, with no numpy warning first.
     """
     est = PolyEstimator(EstimatorKind.WPEACH, degree, alpha_w, weights)
-    with np.errstate(all="ignore"):  # an overflow is raised below, typed
-        mse = bind(model, est).mse()
-    if not np.isfinite(mse):
-        raise InvalidScaling(f"the weights make the degree-{degree} W-PEACH MSE overflow the float range")
-    return mse
+    with finite_or(InvalidScaling, f"the weights make the degree-{degree} W-PEACH MSE overflow the float range") as finite:
+        return finite(bind(model, est).mse())
 
 
 def wpeach_mse_optimal(model: StatModel, degree: int) -> float:
@@ -482,25 +479,20 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
     """
     rule = _poly_rule(EstimatorKind.WPEACH, degree)
     r_est, _ = check_hermitian_psd(r_est, "r_est", (model.dims.n, model.dims.n))
-    # r_est and the model are finite, so an invalid event (inf - inf) in the blocks below can only follow an
-    # overflow, and both are raised after each block, typed and not warned first; a division by zero still warns
-    with np.errstate(over="ignore", invalid="ignore"):
+    overflow = lambda: f"r_est (trace {trace_est:.6g}) overflows the float range in the mismatched MSE"
+    with finite_or(InvalidParameter, overflow) as finite:
         trace_est = float(np.trace(r_est).real)
         z_est = model.observation_covariance(r_est)
         # z_est's eigenvalues are positive and sum to its trace, which overflows before any of them does
-        finite = np.isfinite([trace_est, np.trace(z_est).real]).all() and np.isfinite(z_est).all()
-    overflow = f"r_est (trace {trace_est:.6g}) overflows the float range in the mismatched MSE"
-    if not finite:
-        raise InvalidParameter(overflow)
-    # z_est is exactly Hermitian, so its conjugate's transpose is z_est in Fortran order, which LAPACK overwrites
-    z_est = np.conjugate(z_est, out=z_est).T
-    lam, vecs = scipy.linalg.eigh(z_est, driver="evr", overwrite_a=True, check_finite=False)
-    del z_est
-    if not lam[0] > 0:  # the rounding of a far larger eigenvalue can leave z_est indefinite
-        raise NotPositiveDefinite(f"z_est of r_est (trace {trace_est:.6g}) is not numerically positive definite")
-    b = model.apply_pilot_adjoint(vecs)
-    del vecs
-    with np.errstate(over="ignore", invalid="ignore"):
+        finite(trace_est, np.trace(z_est).real, z_est)
+        # z_est is exactly Hermitian, so its conjugate's transpose is z_est in Fortran order, which LAPACK overwrites
+        z_est = np.conjugate(z_est, out=z_est).T
+        lam, vecs = scipy.linalg.eigh(z_est, driver="evr", overwrite_a=True, check_finite=False)
+        del z_est
+        if not lam[0] > 0:  # the rounding of a far larger eigenvalue can leave z_est indefinite
+            raise NotPositiveDefinite(f"z_est of r_est (trace {trace_est:.6g}) is not numerically positive definite")
+        b = model.apply_pilot_adjoint(vecs)
+        del vecs
         c_est = r_est @ b
         del r_est
         # D, then C, conjugated in place: x, then conj(D - C), whose transpose times B is (D - C)^H B
@@ -513,8 +505,7 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
         gram = blas.zherk(1.0, c_est.T)
         del c_est
         phi = gram.diagonal().real.copy()
-        if not np.isfinite(phi * lam).all():  # the fit weighs each energy by its eigenvalue
-            raise InvalidParameter(overflow)
+        finite(phi * lam)  # the fit weighs each energy by its eigenvalue
         # H on and below the diagonal; H is Hermitian and v real, so Re(v^T H v) = 2 Re(v^T L v) for L that
         # triangle with its diagonal halved
         quad.flat[:: len(quad) + 1] += lam
@@ -523,12 +514,10 @@ def mismatched_mse(model: StatModel, r_est: np.ndarray, degree: int) -> tuple[fl
         quad.flat[:: len(quad) + 1] *= 0.5
         wpeach = rule(Spectrum(lam, phi, trace_est))
         # the fitted weights are real, held as complex, so the filter's values are real
-        scores = [
+        scores = finite([
             model.trace_r - 2.0 * np.sum(v * x).real + 2.0 * ((v @ quad).real @ v)
             for v in (1.0 / lam, wpeach.values(lam).real)
-        ]
-    if not np.isfinite(scores).all():
-        raise InvalidParameter(overflow)
+        ])
     if min(scores) < 0:  # E's two terms of r_est's size cancel, and G amplifies their rounding
         raise InvalidParameter(f"r_est (trace {trace_est:.6g}) is so large that rounding leaves an MSE below 0")
     return tuple(float(score) for score in scores)

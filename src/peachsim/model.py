@@ -43,6 +43,7 @@ from .errors import (
     check_array,
     check_integer,
     check_real,
+    finite_or,
 )
 from .spectrum import Spectrum
 
@@ -104,10 +105,13 @@ def _factor_hermitian_psd(a: np.ndarray, name: str, vectors: bool, shape: tuple 
     the eigenvectors) decide semidefiniteness within ``PSD_RTOL``.
     """
     a = check_array(name, a, NotPositiveSemiDefinite, shape, square=True)
-    # Frobenius norms of the flattened arrays by BLAS nrm2, whose scaled sum of squares cannot overflow where the norm
-    # itself does not
-    skew = scipy.linalg.norm((a - a.conj().T).ravel(), check_finite=False)
-    if not skew <= HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False):
+    # a / 2 - a^H / 2 in C order, whose halves cannot overflow where a does not, against half the tolerance; Frobenius
+    # norms of the flattened arrays by BLAS nrm2, whose scaled sum of squares cannot overflow where the norm does not
+    skew = np.conjugate(a.T, order="C")
+    skew *= -0.5
+    skew += 0.5 * a
+    skew = scipy.linalg.norm(skew.ravel(), check_finite=False)
+    if not skew <= 0.5 * HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False):
         raise NotPositiveSemiDefinite(f"{name} is not Hermitian within tolerance")
     a = hermitize(a)
     try:
@@ -630,12 +634,11 @@ def stat_model_from_pilot(
     betas = _check_betas([beta for beta, _ in interferers])
     noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     s_cov = noise_var * np.eye(dims.m, dtype=complex)
-    for beta, (_, cov) in zip(betas, interferers):
-        cov, _ = check_hermitian_psd(cov, "interferer covariance", (dims.n, dims.n))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, typed, and not warned first
+    with finite_or(InvalidParameter, "the pilot and interference powers overflow the disturbance covariance") as finite:
+        for beta, (_, cov) in zip(betas, interferers):
+            cov, _ = check_hermitian_psd(cov, "interferer covariance", (dims.n, dims.n))
             s_cov += beta * _pilot_sandwich(pilot, dims.n_r, cov)
-    if not np.isfinite(s_cov).all():
-        raise InvalidParameter("the pilot and interference powers overflow the disturbance covariance")
+        finite(s_cov)
     return StatModel(dims=dims, h_mean=h_mean, r_cov=r_cov, n_mean=n_mean, s_cov=s_cov, pilot=pilot)
 
 
@@ -909,17 +912,15 @@ def correlated_model(
     Powers whose product overflows ``s_cov``'s diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
     """
     noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
-    try:  # math.pow overflows with an OverflowError, never with a numpy warning
+    with finite_or(InvalidParameter, f"a pilot SNR of {gamma_db} dB overflows the pilot power"):  # math.pow's OverflowError
         pilot_power = noise_var * math.pow(10.0, check_real("gamma_db", gamma_db, InvalidParameter) / 10.0)
-    except OverflowError:
-        raise InvalidParameter(f"a pilot SNR of {gamma_db} dB overflows the pilot power") from None
     betas = _check_betas(betas)
     correlation.validate(len(betas))
     terms = tuple(_correlated_terms(dims, betas, correlation))
     source = partial(_limit_spectrum, dims, betas, correlation)
     model = KroneckerModel(dims, identity_pilot(dims, pilot_power), terms, pilot_power, noise_var, source)
-    if not np.isfinite(model.diagonals()[1]).all():
-        raise NotPositiveSemiDefinite("s_cov is not finite: the pilot and interference powers overflow")
+    with finite_or(NotPositiveSemiDefinite, "s_cov is not finite: the pilot and interference powers overflow") as finite:
+        finite(model.diagonals()[1])
     return model
 
 

@@ -278,8 +278,10 @@ def test_derived_model_is_validated_densely(name):
         replace(model, **{name: indefinite})
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_powers_are_rejected():
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveSemiDefinite):
+    # the summed powers overflow s_cov's diagonal: a typed error, with no numpy warning first
+    with pytest.raises(NotPositiveSemiDefinite):
         correlated_model(DESK, 10.0, (1e308, 1e308))
 
 

@@ -19,12 +19,12 @@ from conftest import random_model
 SRC = Path(__file__).resolve().parents[1] / "src" / "peachsim"
 
 
-# position of the error class each scalar check of errors.py takes from its caller and raises
-CHECK_ERROR_ARGUMENT = {"check_integer": 3, "check_real": 2}
+# position of the error class each check of errors.py takes from its caller and raises
+CHECK_ERROR_ARGUMENT = {"check_integer": 3, "check_real": 2, "finite_or": 0}
 
 
 def raised_names(path):
-    """(line, class name) of every ``raise`` in a module and of every error class it passes a scalar check.
+    """(line, class name) of every ``raise`` in a module and of every error class it passes a check.
 
     None for a bare re-raise.  The checks' own ``raise error(...)`` is resolved at the call sites instead.
     """

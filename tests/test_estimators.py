@@ -14,6 +14,7 @@ from peachsim.cli import run_monte_carlo
 from peachsim.errors import (
     DivergentExpansionWarning,
     InvalidDegree,
+    InvalidParameter,
     InvalidScaling,
     NotPositiveDefinite,
     RankDeficientPilot,
@@ -538,6 +539,22 @@ def test_finite_weights_whose_mse_overflows_are_typed():
     est = es.make_wpeach(model, 2)
     with pytest.raises(InvalidScaling, match="W-PEACH MSE overflow"):
         es.wpeach_mse_general(model, 2, est.alpha, 1e306 * est.weights)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "block"])
+@pytest.mark.parametrize("name", es.NAMES)
+def test_estimate_of_a_finite_observation_is_finite_or_typed(rng, name, columns):
+    # an observation of 1e306 overflows W-PEACH's Horner steps: each estimator returns a finite estimate or raises
+    # InvalidParameter, never a NaN and never a numpy warning
+    model = correlated_model(Dims(4, 2, 2), 5.0, (0.1,))
+    y = 1e306 * complex_vector(rng, (model.dims.m, *columns))
+    try:
+        estimate = es.prepare(model, name, 2).apply(y)
+    except InvalidParameter as error:
+        assert str(error) == "the estimate of the observation overflows the float range"
+    else:
+        assert np.isfinite(estimate).all()
 
 
 OVERFLOWING_WPEACH = {

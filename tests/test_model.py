@@ -21,6 +21,7 @@ from peachsim.errors import (
 from peachsim.cli import _sweep_point, default_config
 from peachsim.estimators import NAMES, mmse_estimate
 from peachsim.model import (
+    HERMITIAN_RTOL,
     Dims,
     SpatialCorrelation,
     StatModel,
@@ -300,6 +301,58 @@ class TestValidation:
         # a + a^H overflowed for entries above about 9e307; the two halves cannot
         a = np.array([[1e308, 1.5e308 + 1e307j], [1.5e308 - 1e307j, 1.0]])
         assert hermitize(a).tobytes() == a.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_skew_entries_near_the_float_limit_are_rejected_without_overflow(self):
+        # a - a^H overflowed for entries of opposite sign near the float limit; the halves a / 2 - a^H / 2 cannot
+        with pytest.raises(NotPositiveSemiDefinite, match="^matrix is not Hermitian within tolerance$"):
+            check_hermitian_psd(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150, 1e290])
+    @pytest.mark.parametrize("dim", [2, 5, 17])
+    def test_hermitian_decision_is_the_full_difference_rule_bit_for_bit(self, rng, dim, scale, layout):
+        # a / 2 - a^H / 2 against half the tolerance decides as ||a - a^H||_F <= HERMITIAN_RTOL ||a||_F did, on both
+        # sides of the tolerance: a[0, 0], which moves ||a||_F and not the skew part, is bisected to the last float
+        # that this rule rejects, and stepped one float at a time across it
+        def full_difference_accepts(a):
+            skew = scipy.linalg.norm((a - a.conj().T).ravel(), check_finite=False)
+            return skew <= HERMITIAN_RTOL * scipy.linalg.norm(a.ravel(order="K"), check_finite=False)
+
+        def accepts(a):
+            try:
+                check_hermitian_psd(a)
+            except NotPositiveSemiDefinite as error:
+                assert str(error) == "matrix is not Hermitian within tolerance"
+                return False
+            return True
+
+        def with_corner(a, corner):
+            a[0, 0] = corner
+            return a
+
+        hermitian = hermitize(random_hermitian_psd(rng, dim))
+        skew = complex_vector(rng, (dim, dim))
+        skew -= skew.conj().T
+        step = HERMITIAN_RTOL * np.linalg.norm(hermitian) / np.linalg.norm(2 * skew)
+        a = np.asarray(scale * (hermitian + step * skew), order=layout)
+        rejected, accepted = 0.5 * a[0, 0].real, 2.0 * a[0, 0].real
+        assert not full_difference_accepts(with_corner(a, rejected)) and full_difference_accepts(with_corner(a, accepted))
+        while np.nextafter(rejected, accepted) != accepted:
+            middle = 0.5 * (rejected + accepted)
+            if full_difference_accepts(with_corner(a, middle)):
+                accepted = middle
+            else:
+                rejected = middle
+        corner = rejected
+        for _ in range(12):
+            corner = np.nextafter(corner, 0.0)
+        decisions = []
+        for _ in range(25):
+            decisions.append(full_difference_accepts(with_corner(a, corner)))
+            assert accepts(a) == decisions[-1], corner
+            corner = np.nextafter(corner, np.inf)
+        assert decisions[12:14] == [False, True]  # the bisected pair
 
     @pytest.mark.filterwarnings("error")
     def test_pilot_that_overflows_the_disturbance_covariance_is_typed(self):
