@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the checks of outside values and results that raise them."""
+"""Exception and warning types of the package, the checks of outside values and results, and the one read-only rule."""
 
 import contextlib
 import math
@@ -127,6 +127,15 @@ def check_array(name: str, value, error: type, shape: tuple | None = None, squar
         raise ShapeError(f"{name} must be {'square' if shape is None else f'of shape {shape}'}, got shape {array.shape}")
     if not np.isfinite(array).all():
         raise error(f"{name} holds NaN or infinity")
+    return array
+
+
+def read_only(array: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``array`` read-only, the one immutability rule of every array a model, a spectrum or a polynomial filter holds: a
+    write raises numpy's ``ValueError``.  One from a caller is copied (``copy``), so the caller's stays writable and
+    cannot change what was built from it; one the package made, a view too, is frozen uncopied, keeping its layout."""
+    array = np.array(array) if copy else array
+    array.setflags(write=False)
     return array
 
 

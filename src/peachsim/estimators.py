@@ -56,6 +56,7 @@ from .errors import (
     check_array,
     check_real,
     finite_or,
+    read_only,
 )
 from .model import StatModel, _definite, _pilot_sandwich, check_hermitian_psd, deviation, z_matrix
 from .spectrum import Spectrum, check_degree
@@ -78,7 +79,7 @@ class PolyEstimator:
     of 1/x (unit weights), W-PEACH v(x) = alpha sum_l w_l (alpha x)^l.
     Raises :class:`UnsupportedEstimator` (a kind that is not an :class:`EstimatorKind` or its value),
     :class:`InvalidDegree` or :class:`InvalidScaling` (alpha not finite and positive, or weights holding NaN or
-    infinity).  The weights are kept read-only; estimators compare and hash by identity.
+    infinity).  The weights are a read-only copy; estimators compare and hash by identity.
     """
 
     kind: EstimatorKind
@@ -90,9 +91,7 @@ class PolyEstimator:
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
         object.__setattr__(self, "degree", check_degree(self.degree))
         object.__setattr__(self, "alpha", check_real("alpha", self.alpha, InvalidScaling, 0.0, strict=True))
-        # a read-only copy, so the checked weights cannot change afterwards
-        weights = check_array("weights", self.weights, InvalidScaling).copy()
-        weights.flags.writeable = False
+        weights = read_only(check_array("weights", self.weights, InvalidScaling), copy=True)
         if weights.shape != (self.degree + 1,):
             raise InvalidDegree(f"need degree + 1 weights, got {self.degree} and {weights.shape}")
         object.__setattr__(self, "weights", weights)

@@ -44,6 +44,7 @@ from .errors import (
     check_integer,
     check_real,
     finite_or,
+    read_only,
 )
 from .spectrum import Spectrum
 
@@ -178,11 +179,13 @@ class StatModel:
     Every covariance is validated densely at construction.  The extended
     pilot ``pilot_ext = pilot.T (x) I_{n_r}`` is not stored: :meth:`apply_pilot`
     and :meth:`apply_pilot_adjoint` apply it in O(m * n_t) per vector, and the
-    ``pilot_ext`` property forms it for the analysis-side oracles.  A model is
-    never mutated after construction, so what is derived from it (``z``,
-    ``z_factor``, ``z_spectrum``, ``r_factor``, ``s_factor``) is computed once,
-    on first use.  :meth:`draw` is the one sampler of ``(h, y)`` pairs, and
-    :meth:`z_operator` gives the estimators and the tracker ``z``.
+    ``pilot_ext`` property forms it for the analysis-side oracles.  Every array
+    a model holds is read-only (:func:`~peachsim.errors.read_only`: a write
+    raises numpy's ``ValueError``; the caller's ``h_mean``, ``n_mean`` and
+    ``pilot`` are copies), so what is derived from it (``z``, ``z_factor``,
+    ``z_spectrum``, ``r_factor``, ``s_factor``) is computed once, on first use.
+    :meth:`draw` is the one sampler of ``(h, y)`` pairs, and :meth:`z_operator`
+    gives the estimators and the tracker ``z``.
     """
 
     dims: Dims
@@ -201,11 +204,8 @@ class StatModel:
         s_cov, s_definite = check_hermitian_psd(self.s_cov, "s_cov", (m, m))
         if not s_definite:
             raise NotPositiveSemiDefinite("s_cov must be positive definite")
-        object.__setattr__(self, "h_mean", h_mean)
-        object.__setattr__(self, "n_mean", n_mean)
-        object.__setattr__(self, "r_cov", r_cov)
-        object.__setattr__(self, "s_cov", s_cov)
-        object.__setattr__(self, "pilot", pilot)
+        self.__dict__.update(h_mean=read_only(h_mean, copy=True), n_mean=read_only(n_mean, copy=True),
+                             pilot=read_only(pilot, copy=True), r_cov=read_only(r_cov), s_cov=read_only(s_cov))
 
     def pilot_r_energy(self) -> float:
         """``||pilot_ext r_cov||_F^2``."""
@@ -294,9 +294,7 @@ class StatModel:
 
     @cached_property
     def _y_mean(self) -> np.ndarray:
-        y_mean = self.apply_pilot(self.h_mean) + self.n_mean
-        y_mean.setflags(write=False)
-        return y_mean
+        return read_only(self.apply_pilot(self.h_mean) + self.n_mean)
 
     def observation_covariance(self, r_cov: np.ndarray) -> np.ndarray:
         """pilot_ext @ r_cov @ pilot_ext^H + s_cov for a validated channel covariance ``r_cov`` of this model's shape."""
@@ -305,9 +303,7 @@ class StatModel:
     @cached_property
     def z(self) -> np.ndarray:
         """Dense observation covariance of the model's own ``r_cov`` (read-only)."""
-        z = self.observation_covariance(self.r_cov)
-        z.setflags(write=False)
-        return z
+        return read_only(self.observation_covariance(self.r_cov))
 
     @cached_property
     def z_factor(self):
@@ -316,8 +312,7 @@ class StatModel:
             factor, lower = scipy.linalg.cho_factor(self.z)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("observation covariance is singular") from exc
-        factor.setflags(write=False)
-        return factor, lower
+        return read_only(factor), lower
 
     def z_operator(self, inverse: bool = False) -> tuple:
         """``(op, into, head, scale)``: ``head(op(into(d)))`` is ``r_cov pilot_ext^H z d`` (``z^{-1} d`` if ``inverse``).
@@ -347,16 +342,12 @@ class StatModel:
     @cached_property
     def r_factor(self) -> np.ndarray:
         """Factor L with L @ L^H = r_cov (:func:`psd_factor`, read-only), for drawing channels."""
-        factor = psd_factor(self.r_cov)
-        factor.setflags(write=False)
-        return factor
+        return read_only(psd_factor(self.r_cov))
 
     @cached_property
     def s_factor(self) -> np.ndarray:
         """Factor L with L @ L^H = s_cov (:func:`psd_factor`, read-only), for drawing disturbances."""
-        factor = psd_factor(self.s_cov)
-        factor.setflags(write=False)
-        return factor
+        return read_only(psd_factor(self.s_cov))
 
 
 @dataclass(frozen=True, init=False)  # frozen in its own attributes too
@@ -374,11 +365,12 @@ class KroneckerModel(StatModel):
     terms, it applies that form through the factors' real forms, and only
     MMSE's factor forms ``z_real``.
 
-    Its constructor skips :class:`StatModel`'s checks: each covariance is
-    ``np.kron`` of factors fixed by validated coefficients
-    (:func:`exp_correlation_matrix`), so exactly Hermitian and positive
-    definite (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.12), and the
-    identity pilot scales each entry by one real scalar, so ``s_cov`` is too.
+    Its constructor skips :class:`StatModel`'s checks, freezing uncopied what
+    :func:`correlated_model` made: each covariance is ``np.kron`` of factors
+    fixed by validated coefficients (:func:`exp_correlation_matrix`), so
+    exactly Hermitian and positive definite (Horn & Johnson, Topics in Matrix
+    Analysis, Thm 4.2.12), and the identity pilot scales each entry by one real
+    scalar, so ``s_cov`` is too.
     Called with fields by name, as ``dataclasses.replace`` calls it, it
     returns the densely validated :class:`StatModel` of those fields.
     """
@@ -387,14 +379,15 @@ class KroneckerModel(StatModel):
         return StatModel(**fields) if fields else super().__new__(cls)
 
     def __init__(self, dims: Dims, pilot: np.ndarray, terms: tuple, power: float, noise_var: float, source):
-        self.__dict__.update(dims=dims, h_mean=np.zeros(dims.n, dtype=complex), n_mean=np.zeros(dims.m, dtype=complex),
-                             pilot=pilot, terms=terms, power=power, noise_var=noise_var, source=source)
+        self.__dict__.update(dims=dims, h_mean=read_only(np.zeros(dims.n, dtype=complex)), pilot=read_only(pilot),
+                             n_mean=read_only(np.zeros(dims.m, dtype=complex)), power=power, noise_var=noise_var,
+                             terms=tuple((w, read_only(t), read_only(r)) for w, t, r in terms), source=source)
 
     @cached_property
     def r_cov(self) -> np.ndarray:
         """``R_t (x) R_r``, formed on first read."""
         _, r_t, r_r = self.terms[0]
-        return np.kron(r_t, r_r)
+        return read_only(np.kron(r_t, r_r))
 
     @cached_property
     def s_cov(self) -> np.ndarray:
@@ -413,7 +406,7 @@ class KroneckerModel(StatModel):
             for factor in (self.pilot[0, 0].real, self.pilot[0, 0].real, beta):
                 term *= factor
             s_cov += term.reshape(s_cov.shape)
-        return s_cov
+        return read_only(s_cov)
 
     @property
     def interfered(self) -> bool:
@@ -480,9 +473,7 @@ class KroneckerModel(StatModel):
     def z_real(self) -> np.ndarray:
         """The real symmetric S with ``z = K S K^H`` (read-only, m x m float64), ``power * S_limit + noise_var * I``
         for the limit's real form (:func:`_limit_real_form`), so neither ``z`` nor a covariance is formed."""
-        s = self._real_form()
-        s.setflags(write=False)
-        return s
+        return read_only(self._real_form())
 
     def _real_form(self) -> np.ndarray:
         # a fresh, writable z_real
@@ -501,8 +492,7 @@ class KroneckerModel(StatModel):
             factor, _ = scipy.linalg.cho_factor(s, lower=True, overwrite_a=self._factored, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularCovariance("observation covariance is singular") from exc
-        factor.setflags(write=False)
-        return factor
+        return read_only(factor)
 
     def z_operator(self, inverse: bool = False) -> tuple:
         """``op`` applies :attr:`z_real` (or solves against :attr:`z_real_factor`), ``into`` is ``2 K^H`` in O(mk)
@@ -676,12 +666,14 @@ DEFAULT_CORRELATION = SpatialCorrelation()
 
 
 def _correlated_terms(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -> list:
-    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model` but those of zero
-    power, which add nothing to z: interferer ``i`` has weight ``betas[i]`` and the ``i``-th pair, cyclically.
-    The caller has checked both (:meth:`SpatialCorrelation.validate`, which fixes every factor).  ``dims`` whose
-    m x m complex array exceeds numpy's size limit raise :class:`ShapeError` here, before anything is allocated."""
+    """``(weight, R_t, R_r)`` of r (weight 1), then of each interferer of :func:`correlated_model` of positive power
+    (zero adds nothing to z): interferer ``i`` has weight ``betas[i]`` and the ``i``-th pair, cyclically, which the
+    caller checked (:meth:`SpatialCorrelation.validate`).  Dimensions too large for numpy's m x m arrays raise
+    :class:`ShapeError` before any allocation, and ratios that overflow the limit :class:`NotPositiveSemiDefinite`."""
     if 16 * dims.m**2 > np.iinfo(np.intp).max:  # 16 bytes per complex entry
         raise ShapeError(f"a model with n_r={dims.n_r} and n_t={dims.n_t} needs m x m arrays beyond numpy's size limit")
+    with finite_or(NotPositiveSemiDefinite, f"the interference power ratios {betas} overflow the limit") as finite:
+        finite(dims.n * (1.0 + sum(betas)))  # the limit's trace, which bounds each entry and eigenvalue of it and S
     pairs = list(zip(correlation.interferer_tx, correlation.interferer_rx))
     terms = [(1.0, correlation.desired_tx, correlation.desired_rx)]
     terms += [(beta, *pairs[i % len(pairs)]) for i, beta in enumerate(betas) if beta > 0]
@@ -879,9 +871,6 @@ def _limit_spectrum(dims: Dims, betas: tuple, correlation: SpatialCorrelation) -
         for j in range(0, n, LIMIT_BLOCK):
             r_vecs = _kronecker_apply(s_t, s_r, vecs[:, j : j + LIMIT_BLOCK])
             phi[j : j + LIMIT_BLOCK] = np.sum(np.square(r_vecs.T, order="C"), axis=1)
-    # every caller shares the cached arrays
-    mu.setflags(write=False)
-    phi.setflags(write=False)
     return Spectrum(mu, phi, trace_r)
 
 
@@ -907,9 +896,9 @@ def correlated_model(
     on first use.
 
     No covariance is checked, factored or formed: the validated coefficients fix every factor
-    (:class:`KroneckerModel`), and dimensions too large for an m x m array raise :class:`ShapeError`;
-    ``r_cov`` and ``s_cov``, formed on first read, equal :func:`stat_model_from_pilot`'s on the same covariances.
-    Powers whose product overflows ``s_cov``'s diagonal, its largest entry, raise :class:`NotPositiveSemiDefinite`.
+    (:class:`KroneckerModel`), and dimensions too large for an m x m array raise :class:`ShapeError`; ``r_cov`` and
+    ``s_cov``, formed on first read, equal :func:`stat_model_from_pilot`'s on the same covariances.  Ratios that
+    overflow the limit's trace, or powers that overflow ``s_cov``'s diagonal, raise :class:`NotPositiveSemiDefinite`.
     """
     noise_var = check_real("noise variance", noise_var, InvalidParameter, 0.0, strict=True)
     with finite_or(InvalidParameter, f"a pilot SNR of {gamma_db} dB overflows the pilot power"):  # math.pow's OverflowError

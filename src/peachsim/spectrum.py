@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDegree, SingularLimit, check_integer
+from .errors import InvalidDegree, SingularLimit, check_integer, read_only
 
 
 def check_degree(degree: int) -> int:
@@ -35,11 +35,14 @@ def check_degree(degree: int) -> int:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues ``lam`` (ascending), channel energies ``phi`` and trace(r)."""
+    """Eigenvalues ``lam`` (ascending) and channel energies ``phi``, as read-only copies, and trace(r)."""
 
     lam: np.ndarray
     phi: np.ndarray
     trace_r: float
+
+    def __post_init__(self):
+        self.__dict__.update(lam=read_only(self.lam, copy=True), phi=read_only(self.phi, copy=True))
 
     @staticmethod
     def energies(channel: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -285,6 +285,31 @@ def test_overflowing_powers_are_rejected():
         correlated_model(DESK, 10.0, (1e308, 1e308))
 
 
+# Ratios whose sum overflows the limit r + sum_i beta_i R_i while a pilot power below 1 keeps s_cov's diagonal finite
+OVERFLOWING_LIMIT = {
+    "model": lambda: correlated_model(Dims(4, 2, 2), -10.0, (1e308, 1e308)),
+    "limit": lambda: correlated_limit(Dims(4, 2, 2), (1e308, 1e308)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", OVERFLOWING_LIMIT.values(), ids=OVERFLOWING_LIMIT.keys())
+def test_ratios_that_overflow_the_limit_are_rejected_by_name(build):
+    with pytest.raises(NotPositiveSemiDefinite, match=r"interference power ratios \(1e\+308, 1e\+308\) overflow"):
+        build()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["sweep-snr", "--degree", "2", "--no-montecarlo"], ["sweep-l", "--no-montecarlo"],
+                                     ["sweep-nr", "--degree", "2", "--no-montecarlo"], ["adaptive", "--degree", "2"],
+                                     ["shrinkage", "--degree", "2"]], ids=lambda command: command[0])
+def test_cli_reports_ratios_that_overflow_the_limit(tmp_path, capsys, command):
+    argv = [*command, "--betas", "1e308,1e308", "--snr-db", "-10", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the interference power ratios (1e+308, 1e+308) overflow the limit\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("gamma_db", [4000.0, np.float64(4000.0)], ids=["float", "float64"])
 def test_overflowing_snr_is_invalid(gamma_db):
     # 10**400 overflows a Python float with OverflowError and a numpy scalar with a RuntimeWarning
